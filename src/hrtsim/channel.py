@@ -3,8 +3,10 @@
 The channel is a passive state machine: the deterministic step loop in
 the driver is the only mutator.  Requests from the regular OS travel as
 hypercalls through a single shared data page (strictly sequential);
-events raised in kernel-mode threads are forwarded the other way into
-their partner threads' injection queues and answered with completions.
+the one asynchronous call is a spawn, whose payload carries everything
+the kernel-mode twin needs.  Events raised in kernel-mode threads are
+forwarded the other way into their partner threads' injection queues
+and answered with completions.
 After an address-space merge, a memory-based synchronous endpoint can
 bypass the VMM entirely.
 """
@@ -14,10 +16,14 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .costs import CostModel
 from .errors import BusyError, ProtocolError
+
+if TYPE_CHECKING:
+    from .hrt import Superposition
+    from .mem import AccessKind
 
 
 class Clock:
@@ -67,8 +73,15 @@ class EventLog:
     def render(self) -> str:
         return "\n".join(e.render() for e in self.entries) + ("\n" if self.entries else "")
 
-    def total_cost(self) -> int:
-        return sum(e.cost for e in self.entries)
+
+def syscall_detail(name: str, args: tuple[int, ...]) -> str:
+    """Log detail of a system call, identical in every mode."""
+    return f"sys:{name}({','.join(str(a) for a in args)})"
+
+
+def fault_detail(addr: int, access: AccessKind) -> str:
+    """Log detail of a page fault, identical in every mode."""
+    return f"pf:0x{addr:x}:{access.value}"
 
 
 class EventKind(enum.Enum):
@@ -84,16 +97,24 @@ class EventKind(enum.Enum):
 class HypercallKind(enum.Enum):
     REBOOT_HRT = "reboot_hrt"
     MERGE_ADDRESS_SPACE = "merge_address_space"
-    ASYNC_CALL_SEQUENTIAL = "async_call_sequential"
-    ASYNC_CALL_PARALLEL = "async_call_parallel"
+    ASYNC_CALL = "async_call"
     SETUP_SYNC = "setup_sync"
-    COMPLETE_CURRENT = "complete_current"
 
 
 @dataclass(frozen=True)
 class Hypercall:
     kind: HypercallKind
     payload: Any = None
+
+
+@dataclass(frozen=True)
+class SpawnRequest:
+    """Payload of an asynchronous call: start a top-level kernel-mode thread."""
+
+    func_addr: int
+    func_name: str
+    superposition: Superposition
+    partner_tid: int
 
 
 class PageState(enum.Enum):
@@ -115,9 +136,6 @@ _PAGE_TRANSITIONS = {
 class SharedDataPage:
     """The one page both sides poll for sequential request/completion."""
 
-    func_ptr: int = 0
-    args: tuple[int, ...] = ()
-    merge_cr3: int = 0
     state: PageState = PageState.IDLE
     _return_code: int = 0
 
@@ -128,10 +146,10 @@ class SharedDataPage:
             raise ProtocolError(f"bad page transition {self.state} -> {target}")
         self.state = target
 
-    def set_args(self, args: tuple[int, ...]) -> None:
-        if len(args) > self.MAX_ARGS:
-            raise ProtocolError(f"at most {self.MAX_ARGS} call arguments")
-        self.args = args
+    @classmethod
+    def check_args(cls, args: tuple[int, ...]) -> None:
+        if len(args) > cls.MAX_ARGS:
+            raise ProtocolError(f"at most {cls.MAX_ARGS} call arguments")
 
     @property
     def return_code(self) -> int:
@@ -154,8 +172,6 @@ class EventRecord:
     complete_cycle: int | None = None
     result: int | None = None
     cost: int = 0
-    endpoint: int | None = None
-    forwarded: bool = False
 
     @property
     def completed(self) -> bool:
@@ -183,7 +199,7 @@ class EventChannel:
     # Hooks installed by the driver; called while servicing hypercalls.
     on_reboot: Callable[[], None] | None = None
     on_merge: Callable[[int], None] | None = None
-    on_async_call: Callable[[int, tuple[int, ...], bool], int] | None = None
+    on_async_call: Callable[[SpawnRequest], int] | None = None
     on_sync_invoke: Callable[[int, tuple[int, ...]], int] | None = None
 
     def register_endpoint(self, partner_tid: int) -> None:
@@ -197,11 +213,6 @@ class EventChannel:
     def hypercall(self, caller: int, call: Hypercall) -> int:
         """Validate and service one sequential request; returns its ack/result."""
         page = self.shared_page
-        if call.kind is HypercallKind.COMPLETE_CURRENT:
-            page.complete(int(call.payload or 0))
-            code = page.return_code
-            page.transition(PageState.IDLE)
-            return code
         if page.state is not PageState.IDLE:
             raise BusyError(f"request while shared page is {page.state.value}")
 
@@ -223,7 +234,6 @@ class EventChannel:
         try:
             if call.kind is HypercallKind.MERGE_ADDRESS_SPACE:
                 cr3 = int(call.payload)
-                page.merge_cr3 = cr3
                 self.clock.charge(self.cost.merger)
                 if self.on_merge:
                     self.on_merge(cr3)
@@ -236,23 +246,17 @@ class EventChannel:
                     self.cost.merger,
                 )
                 result = 0
-            elif call.kind in (
-                HypercallKind.ASYNC_CALL_SEQUENTIAL,
-                HypercallKind.ASYNC_CALL_PARALLEL,
-            ):
-                func_ptr, args = call.payload
-                page.func_ptr = func_ptr
-                page.set_args(tuple(args))
-                parallel = call.kind is HypercallKind.ASYNC_CALL_PARALLEL
+            elif call.kind is HypercallKind.ASYNC_CALL:
+                request: SpawnRequest = call.payload
                 self.clock.charge(self.cost.async_call)
                 if self.on_async_call is None:
                     raise ProtocolError("no async-call handler installed")
-                result = self.on_async_call(func_ptr, tuple(args), parallel)
+                result = self.on_async_call(request)
                 self.log.emit(
                     self.clock.now,
                     "AsyncCall",
                     caller,
-                    f"func=0x{func_ptr:x},parallel={int(parallel)}",
+                    f"func=0x{request.func_addr:x},parallel=0",
                     self.cost.async_call,
                 )
             elif call.kind is HypercallKind.SETUP_SYNC:
@@ -270,16 +274,18 @@ class EventChannel:
                 result = 0
             else:  # pragma: no cover - enum is exhaustive
                 raise ProtocolError(f"unhandled hypercall {call.kind}")
+            page.complete(result)
+            return page.return_code
         finally:
-            if page.state is PageState.IN_PROGRESS:
+            if page.state is PageState.IN_PROGRESS:  # the service raised
                 page.complete(0)
-                page.transition(PageState.IDLE)
-        return result
+            page.transition(PageState.IDLE)
 
     def sync_invoke(
         self, endpoint: SyncEndpoint, func_ptr: int, args: tuple[int, ...], same_socket: bool
     ) -> int:
         """Memory-protocol call that skips the VMM; round trip cost only."""
+        SharedDataPage.check_args(args)
         if endpoint is not self.sync_endpoint or not endpoint.active:
             raise ProtocolError("synchronous endpoint not active")
         cycles = (
@@ -307,8 +313,6 @@ class EventChannel:
         if endpoint_tid not in self.queues:
             raise ProtocolError(f"no partner endpoint {endpoint_tid}")
         ev.request_cycle = self.clock.now
-        ev.endpoint = endpoint_tid
-        ev.forwarded = True
         ev.cost += self.cost.forward_overhead
         self.outstanding.append(ev)
         self.queues[endpoint_tid].append(ev)

@@ -13,7 +13,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import Clock, EventChannel, EventKind, EventLog, EventRecord
+from .channel import (
+    Clock,
+    EventChannel,
+    EventKind,
+    EventLog,
+    EventRecord,
+    fault_detail,
+    syscall_detail,
+)
 from .costs import CostModel
 from .errors import (
     BootError,
@@ -43,7 +51,6 @@ from .toolchain import AeroKernelImage, SymbolCache
 
 class CoreStatus(enum.Enum):
     OFFLINE = "offline"
-    BOOTING = "booting"
     IDLE_EVENT_LOOP = "idle_event_loop"
     RUNNING = "running"
 
@@ -54,6 +61,12 @@ class HrtCoreState:
     status: CoreStatus = CoreStatus.OFFLINE
     recent_fault: tuple[int, AccessKind] | None = None
     current_thread: int | None = None
+
+    def reset(self, status: CoreStatus) -> None:
+        """Enter `status` with no current thread and no remembered fault."""
+        self.status = status
+        self.recent_fault = None
+        self.current_thread = None
 
 
 class ThreadKind(enum.Enum):
@@ -82,7 +95,6 @@ class HrtThread:
     func_name: str
     core_id: int
     parent: int | None = None
-    stack_base: int | None = None
     superposition: Superposition | None = None
     partner: int | None = None
     status: ThreadStatus = ThreadStatus.RUNNABLE
@@ -100,22 +112,13 @@ class FunctionBehavior:
 class FunctionTable:
     """Name -> (higher-half address, behavior descriptor)."""
 
-    _NEXT_AUTO = HIGHER_BASE + 0x0010_0000
-
     def __init__(self):
         self._entries: dict[str, tuple[int, FunctionBehavior]] = {}
-        self._next_addr = self._NEXT_AUTO
 
-    def register(
-        self, name: str, behavior: FunctionBehavior, addr: int | None = None
-    ) -> int:
-        if addr is None:
-            addr = self._next_addr
-            self._next_addr += 0x40
+    def register(self, name: str, behavior: FunctionBehavior, addr: int) -> None:
         if addr < HIGHER_BASE:
             raise ValueError(f"function address must be in the higher half: 0x{addr:x}")
         self._entries[name] = (addr, behavior)
-        return addr
 
     def set_behavior(self, name: str, behavior: FunctionBehavior) -> None:
         addr, _ = self.lookup(name)
@@ -136,9 +139,6 @@ class FunctionTable:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
 
 class FaultResolution(enum.Enum):
     HANDLED_LOCAL = "handled_local"
@@ -153,7 +153,6 @@ class HrtKernel:
     clock: Clock
     log: EventLog
     channel: EventChannel
-    enforce_ring0_wp: bool = True
     image: AeroKernelImage | None = None
     space: PageTableHierarchy | None = None
     ros_space: PageTableHierarchy | None = None
@@ -185,9 +184,7 @@ class HrtKernel:
         self.machine.hrt_frame_alloc.alloc_many(frames_needed)
         self.image = image
         for name in image.symbol_table:
-            self.function_table.register(
-                name, FunctionBehavior(), addr=image.symbol_table[name]
-            )
+            self.function_table.register(name, FunctionBehavior(), image.symbol_table[name])
 
     def boot(self, core_ids: list[int]) -> None:
         if self.image is None:
@@ -201,11 +198,7 @@ class HrtKernel:
             )
             identity_map_higher_half(self.space, self.machine.phys_frames)
         for core_id in core_ids:
-            core = self.cores[core_id]
-            core.status = CoreStatus.BOOTING
-            core.status = CoreStatus.IDLE_EVENT_LOOP
-            core.recent_fault = None
-            core.current_thread = None
+            self.cores[core_id].reset(CoreStatus.IDLE_EVENT_LOOP)
 
     def reboot(self) -> None:
         """Return every booted core to its idle event loop and drop threads."""
@@ -216,17 +209,13 @@ class HrtKernel:
                 root[i] = None
         for core in self.cores.values():
             if core.status is not CoreStatus.OFFLINE:
-                core.status = CoreStatus.IDLE_EVENT_LOOP
-                core.recent_fault = None
-                core.current_thread = None
+                core.reset(CoreStatus.IDLE_EVENT_LOOP)
         self.channel.merged = False
 
     def shutdown(self) -> None:
         self.threads.clear()
         for core in self.cores.values():
-            core.status = CoreStatus.OFFLINE
-            core.recent_fault = None
-            core.current_thread = None
+            core.reset(CoreStatus.OFFLINE)
 
     def booted_cores(self) -> list[int]:
         return [
@@ -237,7 +226,7 @@ class HrtKernel:
 
     def control_state(self) -> ControlState:
         assert self.space is not None
-        return ControlState(cr0_wp=self.enforce_ring0_wp, cr3=self.space.cr3, ring=Ring.RING0)
+        return ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
 
     # -- threads --------------------------------------------------------------
 
@@ -255,11 +244,7 @@ class HrtKernel:
         return core_id
 
     def create_top_level_thread(
-        self,
-        func_name: str,
-        stack_base: int,
-        superposition: Superposition,
-        partner_tid: int,
+        self, func_name: str, superposition: Superposition, partner_tid: int
     ) -> HrtThread:
         if not self.channel.merged:
             raise ProtocolError("address spaces must be merged before thread creation")
@@ -271,7 +256,6 @@ class HrtKernel:
             kind=ThreadKind.TOP_LEVEL,
             func_name=func_name,
             core_id=core_id,
-            stack_base=stack_base,
             superposition=superposition,
             partner=partner_tid,
         )
@@ -335,7 +319,7 @@ class HrtKernel:
             self.log.emit(
                 self.clock.now,
                 EventKind.MERGE_REQUEST.value,
-                self.threads[core.current_thread].tid if core.current_thread else 0,
+                core.current_thread or 0,
                 f"remerge:0x{fault.addr:x}",
                 0,
             )
@@ -347,16 +331,15 @@ class HrtKernel:
         return EventRecord(
             kind=EventKind.PAGE_FAULT,
             origin=tid,
-            detail=f"pf:0x{fault.addr:x}:{fault.access.value}",
+            detail=fault_detail(fault.addr, fault.access),
             payload=fault,
         )
 
     def make_syscall_event(self, tid: int, name: str, args: tuple[int, ...]) -> EventRecord:
-        arg_text = ",".join(str(a) for a in args)
         return EventRecord(
             kind=EventKind.SYSCALL,
             origin=tid,
-            detail=f"sys:{name}({arg_text})",
+            detail=syscall_detail(name, args),
             payload=(name, args),
         )
 

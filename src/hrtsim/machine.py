@@ -56,8 +56,3 @@ class Machine:
 
     def socket_of(self, core_id: int) -> int:
         return core_id // self.socket_size
-
-    def frame_owner(self, frame: int) -> Owner:
-        if not 0 <= frame < self.phys_frames:
-            raise PartitionError(f"frame {frame} out of range")
-        return Owner.ROS_VISIBLE if frame < self.ros_frames else Owner.HRT_ONLY

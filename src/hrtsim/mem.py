@@ -49,12 +49,6 @@ class Ring(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PhysFrame:
-    frame_number: int
-    owner: Owner
-
-
-@dataclass(frozen=True)
 class FaultInfo:
     addr: int
     access: AccessKind

@@ -4,8 +4,9 @@ The process owns the lower half of the address space.  mmap regions come
 from a deterministic bump allocator; partner stacks and other internal
 allocations come down from the top of the lower half so that workload
 addresses are identical across run modes.  Partner threads service the
-events their kernel-mode twins forward, carry the exit bit, and are the
-join target for the main thread.
+events their kernel-mode twins forward and carry the exit bit.  Partners
+and local threads (those spawned outside the hybrid mode) are the join
+targets.
 """
 
 from __future__ import annotations
@@ -13,9 +14,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import Clock, EventChannel, EventKind, EventLog, EventRecord, Hypercall, HypercallKind
+from .channel import (
+    Clock,
+    EventChannel,
+    EventKind,
+    EventLog,
+    EventRecord,
+    Hypercall,
+    HypercallKind,
+    SpawnRequest,
+    fault_detail,
+)
 from .costs import CostModel
-from .errors import AllocationError, LifecycleError, SymbolError, UsageError
+from .errors import AllocationError, UsageError
 from .hrt import HrtKernel, Superposition
 from .machine import Machine
 from .mem import (
@@ -59,6 +70,7 @@ class Region:
 class RosThreadRole(enum.Enum):
     MAIN = "main"
     PARTNER = "partner"
+    LOCAL = "local"  # spawned outside the hybrid mode; runs its body on this side
 
 
 class RosThreadStatus(enum.Enum):
@@ -77,8 +89,8 @@ class RosThread:
     hrt_thread: int | None = None
     exit_bit: bool = False
     stack_region: Region | None = None
+    # Join state: `joined` on the target, `join_target` on the joiner.
     joined: bool = False
-    # Main-only state.
     join_target: int | None = None
 
 
@@ -119,7 +131,6 @@ class RosKernel:
         ensure_root_entry(self.proc.space, MMAP_BASE)
         ensure_root_entry(self.proc.space, STACK_TOP - PAGE_SIZE)
         self.threads: dict[int, RosThread] = {}
-        self.partner_map: dict[int, int] = {}  # HRT thread id -> partner tid
         self._next_tid = 1
         self._next_mmap = MMAP_BASE
         self._next_stack = STACK_TOP
@@ -128,7 +139,6 @@ class RosKernel:
         self.exit_hook_registered = False
         self.legacy_funcs: dict[str, object] = {}
         self.main = self._new_thread(RosThreadRole.MAIN)
-        self._pending_spawn: tuple[RosThread, int, Superposition] | None = None
         # Unblock order bookkeeping for join-safety checks.
         self.join_log: list[tuple[int, str, int]] = []
 
@@ -234,12 +244,19 @@ class RosKernel:
         return ENOSYS
 
     def demand_fault(self, addr: int, access: AccessKind) -> bool:
-        """Replicate a faulting access; False means an unrecoverable segfault."""
+        """Replicate a faulting access; False means an unrecoverable segfault.
+
+        A page an earlier forwarded fault already mapped is kept, so
+        concurrent faults on one page allocate one frame.
+        """
         region = self.region_at(addr)
         if region is None:
             return False
         if access is AccessKind.WRITE and not region.writable:
             return False
+        result = translate(self.proc.space, self.control_state(), addr, access)
+        if not isinstance(result, FaultInfo):
+            return True
         try:
             frame = self.machine.ros_frame_alloc.alloc()
         except AllocationError:
@@ -265,7 +282,7 @@ class RosKernel:
             self.clock.now,
             EventKind.PAGE_FAULT.value,
             origin_tid,
-            f"pf:0x{addr:x}:{access.value}",
+            fault_detail(addr, access),
             self.cost.pagefault_base,
         )
         return True
@@ -320,8 +337,7 @@ class RosKernel:
 
     def spawn_hrt(self, func_name: str) -> RosThread:
         """Create a partner and request a top-level twin running func_name."""
-        if func_name not in self.hrt.function_table:
-            raise SymbolError(f"unknown symbol {func_name!r}")
+        addr, _ = self.hrt.function_table.lookup(func_name)  # SymbolError if unknown
         partner = self._new_thread(RosThreadRole.PARTNER)
         self.channel.register_endpoint(partner.tid)
         stack = self._alloc_region(
@@ -332,70 +348,50 @@ class RosKernel:
             gdt_snapshot=("gdt", self.proc.pid, partner.tid),
             tls_base=stack.end - PAGE_SIZE,
         )
-        addr, _ = self.hrt.function_table.lookup(func_name)
-        self._pending_spawn = (partner, stack.base, superposition)
-        try:
-            hrt_tid = self.channel.hypercall(
-                self.main.tid,
-                Hypercall(HypercallKind.ASYNC_CALL_SEQUENTIAL, (addr, ())),
-            )
-        finally:
-            self._pending_spawn = None
-        partner.hrt_thread = hrt_tid
-        self.partner_map[hrt_tid] = partner.tid
+        request = SpawnRequest(addr, func_name, superposition, partner.tid)
+        partner.hrt_thread = self.channel.hypercall(
+            self.main.tid, Hypercall(HypercallKind.ASYNC_CALL, request)
+        )
         return partner
 
-    def async_call_handler(self, func_ptr: int, args: tuple[int, ...], parallel: bool) -> int:
-        """Channel hook for asynchronous calls.
+    def async_call_handler(self, request: SpawnRequest) -> int:
+        """Channel hook for the asynchronous call: create the requested
+        top-level twin and return its thread id."""
+        thread = self.hrt.create_top_level_thread(
+            request.func_name, request.superposition, request.partner_tid
+        )
+        self.log.emit(
+            self.clock.now,
+            EventKind.THREAD_CREATE.value,
+            request.partner_tid,
+            f"create:{request.func_name}:{thread.tid}",
+            0,
+        )
+        return thread.tid
 
-        A pending spawn turns the call into thread creation; otherwise the
-        named function's behavior runs once (or once per booted core when
-        parallel).
-        """
-        name, behavior = self.hrt.function_table.by_addr(func_ptr)
-        if self._pending_spawn is not None:
-            partner, stack_base, superposition = self._pending_spawn
-            thread = self.hrt.create_top_level_thread(
-                name, stack_base, superposition, partner.tid
-            )
-            self.log.emit(
-                self.clock.now,
-                EventKind.THREAD_CREATE.value,
-                partner.tid,
-                f"create:{name}:{thread.tid}",
-                0,
-            )
-            return thread.tid
-        fanout = len(self.hrt.booted_cores()) if parallel else 1
-        result = 0
-        for _ in range(max(1, fanout)):
-            self.clock.charge(behavior.cycles)
-            result = behavior.returns
-        return result
+    def join(self, joiner: RosThread, target_tid: int) -> None:
+        """Block the joiner until the target partner or local thread has exited."""
+        if joiner.role is RosThreadRole.PARTNER:
+            raise UsageError("partner threads do not join")
+        target = self.threads.get(target_tid)
+        if target is None or target.role is RosThreadRole.MAIN:
+            raise UsageError(f"{target_tid} is not a partner or local thread")
+        if target.joined:
+            raise UsageError(f"thread {target_tid} already joined")
+        joiner.status = RosThreadStatus.BLOCKED_JOIN
+        joiner.join_target = target_tid
+        self.try_finish_join(joiner)
 
-    def join(self, main: RosThread, partner_tid: int) -> None:
-        """Block the main thread until the partner has exited."""
-        if main.role is not RosThreadRole.MAIN:
-            raise UsageError("only the main thread joins partners")
-        partner = self.threads.get(partner_tid)
-        if partner is None or partner.role is not RosThreadRole.PARTNER:
-            raise UsageError(f"{partner_tid} is not a partner thread")
-        if partner.joined:
-            raise UsageError(f"partner {partner_tid} already joined")
-        main.status = RosThreadStatus.BLOCKED_JOIN
-        main.join_target = partner_tid
-        self.try_finish_join(main)
-
-    def try_finish_join(self, main: RosThread) -> bool:
-        """Resume main if its join target has exited; no lost wakeups."""
-        if main.status is not RosThreadStatus.BLOCKED_JOIN:
+    def try_finish_join(self, joiner: RosThread) -> bool:
+        """Resume the joiner if its target has exited; no lost wakeups."""
+        if joiner.status is not RosThreadStatus.BLOCKED_JOIN:
             return False
-        partner = self.threads[main.join_target]
-        if partner.status is RosThreadStatus.EXITED:
-            partner.joined = True
-            main.status = RosThreadStatus.RUNNABLE
-            main.join_target = None
-            self.join_log.append((self.clock.now, "join_resume", partner.tid))
+        target = self.threads[joiner.join_target]
+        if target.status is RosThreadStatus.EXITED:
+            target.joined = True
+            joiner.status = RosThreadStatus.RUNNABLE
+            joiner.join_target = None
+            self.join_log.append((self.clock.now, "join_resume", target.tid))
             return True
         return False
 
@@ -414,7 +410,6 @@ def init_runtime(system, fat_bytes: bytes) -> RosProcess:
     # embedded symbol becomes resolvable through the function table.
     hrt.install_image(image)
     hrt.boot(system.machine.hrt_core_ids)
-    hrt.ros_space = ros.proc.space
     system.channel.hypercall(
         ros.main.tid,
         Hypercall(HypercallKind.MERGE_ADDRESS_SPACE, ros.proc.space.cr3),

@@ -12,7 +12,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import Clock, EventChannel, EventKind, EventLog, EventRecord, Hypercall, HypercallKind
+from .channel import (
+    Clock,
+    EventChannel,
+    EventKind,
+    EventLog,
+    EventRecord,
+    Hypercall,
+    HypercallKind,
+    syscall_detail,
+)
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
 from .hrt import (
@@ -22,7 +31,7 @@ from .hrt import (
     ThreadStatus,
 )
 from .machine import Machine
-from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, translate
+from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, merge_lower_half, translate
 from .ros import (
     EFAULT,
     RosKernel,
@@ -116,21 +125,13 @@ class System:
         machine: Machine | None = None,
         cost: CostModel | None = None,
         use_symbol_cache: bool = True,
-        enforce_ring0_wp: bool = True,
     ):
         self.machine = machine or Machine()
         self.cost = cost or CostModel()
         self.clock = Clock()
         self.log = EventLog()
         self.channel = EventChannel(self.cost, self.clock, self.log)
-        self.hrt = HrtKernel(
-            self.machine,
-            self.cost,
-            self.clock,
-            self.log,
-            self.channel,
-            enforce_ring0_wp=enforce_ring0_wp,
-        )
+        self.hrt = HrtKernel(self.machine, self.cost, self.clock, self.log, self.channel)
         if use_symbol_cache:
             self.hrt.symbol_cache = SymbolCache()
         self.ros = RosKernel(
@@ -142,8 +143,6 @@ class System:
         self.channel.on_sync_invoke = self._handle_sync_invoke
 
     def _handle_merge(self, cr3: int) -> None:
-        from .mem import merge_lower_half
-
         if cr3 != self.ros.proc.space.cr3:
             raise UsageError(f"merge payload cr3={cr3} is not the process root")
         assert self.hrt.space is not None
@@ -177,10 +176,6 @@ def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
     return embed(AppDescriptor(name=app_name, workload=""), image)
 
 
-def _sys_detail(name: str, args: tuple[int, ...]) -> str:
-    return f"sys:{name}({','.join(str(a) for a in args)})"
-
-
 @dataclass
 class _Ctx:
     """Scheduler bookkeeping for one simulated thread."""
@@ -196,7 +191,6 @@ class _Ctx:
     waiting_event: EventRecord | None = None
     resume_retry: bool = False
     fault_forwards: int = 0
-    join_pending: str | None = None  # native mode: ctx name being joined
 
 
 class Simulator:
@@ -210,25 +204,20 @@ class Simulator:
         self.clock = system.clock
         self.log = system.log
         self.contexts: list[_Ctx] = []
-        self.spawn_partners: dict[str, int] = {}  # body name -> partner tid
-        self.native_threads: dict[str, _Ctx] = {}
+        self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
         self.halted = False
         self.fail_reason = ""
-        self._sync_ready = False
 
     # -- setup ---------------------------------------------------------------
 
     def setup(self) -> None:
         ros = self.system.ros
         if self.mode is Mode.MULTIVERSE:
-            fat = build_fat_binary(self.workload)
-            init_runtime(self.system, fat)
+            init_runtime(self.system, build_fat_binary(self.workload))
             for name, behavior in self.workload.funcs.items():
                 self.system.hrt.function_table.set_behavior(name, behavior)
-            ros.legacy_funcs = dict(self.workload.funcs)
-        else:
-            ros.legacy_funcs = dict(self.workload.funcs)
+        ros.legacy_funcs = dict(self.workload.funcs)
         self.main_ctx = _Ctx(
             name="main", kind="ros_body", tid=ros.main.tid, body=self.workload.bodies["main"]
         )
@@ -327,13 +316,6 @@ class Simulator:
                 self._finish_action(ctx)
                 return True
             return False
-        if ctx.join_pending is not None:
-            target = self.native_threads[ctx.join_pending]
-            if target.done:
-                ctx.join_pending = None
-                self._finish_action(ctx)
-                return True
-            return False
         action = self._current_action(ctx)
         if action is None:
             ctx.done = True
@@ -400,6 +382,7 @@ class Simulator:
         elif op == "exit":
             self._finish_action(ctx)
             ctx.done = True
+            ros.threads[ctx.tid].status = RosThreadStatus.EXITED
             if ctx is self.main_ctx:
                 self._process_exit()
         else:  # pragma: no cover - parser rejects unknown ops
@@ -411,7 +394,7 @@ class Simulator:
             self.clock.now,
             EventKind.SYSCALL.value,
             ctx.tid,
-            _sys_detail(name, args),
+            syscall_detail(name, args),
             self.cost.syscall_base,
         )
 
@@ -424,7 +407,7 @@ class Simulator:
         body = self.workload.bodies[tname]
         if self.mode is Mode.MULTIVERSE:
             partner = self.system.ros.spawn_hrt(tname)
-            self.spawn_partners[tname] = partner.tid
+            self.spawned[tname] = partner.tid
             self.contexts.append(_Ctx(name=f"partner:{tname}", kind="partner", tid=partner.tid))
             assert partner.hrt_thread is not None
             self.contexts.append(
@@ -435,30 +418,21 @@ class Simulator:
 
     def _spawn_native(self, ctx: _Ctx, tname: str) -> None:
         body = self.workload.bodies[tname]
-        thread = self.system.ros._new_thread(RosThreadRole.MAIN)
-        new_ctx = _Ctx(name=tname, kind="ros_body", tid=thread.tid, body=body)
-        self.native_threads[tname] = new_ctx
-        self.contexts.append(new_ctx)
+        thread = self.system.ros._new_thread(RosThreadRole.LOCAL)
+        self.spawned[tname] = thread.tid
+        self.contexts.append(_Ctx(name=tname, kind="ros_body", tid=thread.tid, body=body))
         self.log.emit(
             self.clock.now, EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}", 0
         )
 
     def _join(self, ctx: _Ctx, tname: str) -> None:
-        if self.mode is Mode.MULTIVERSE:
-            if tname not in self.spawn_partners:
-                raise UsageError(f"join target {tname!r} was never spawned")
-            main = self.system.ros.threads[ctx.tid]
-            self.system.ros.join(main, self.spawn_partners[tname])
-            if main.status is RosThreadStatus.RUNNABLE:
-                self._finish_action(ctx)
-            # else: resumed later by the blocked-join check
-        else:
-            if tname not in self.native_threads:
-                raise UsageError(f"join target {tname!r} was never spawned")
-            if self.native_threads[tname].done:
-                self._finish_action(ctx)
-            else:
-                ctx.join_pending = tname
+        if tname not in self.spawned:
+            raise UsageError(f"join target {tname!r} was never spawned")
+        joiner = self.system.ros.threads[ctx.tid]
+        self.system.ros.join(joiner, self.spawned[tname])
+        if joiner.status is RosThreadStatus.RUNNABLE:
+            self._finish_action(ctx)
+        # else: resumed later by the blocked-join check
 
     def _legacy_call(self, ctx: _Ctx, name: str, args: tuple) -> None:
         """Non-hybrid path of an overridable call: a plain library/OS call."""
@@ -592,8 +566,7 @@ class Simulator:
         elif op == "exit":
             ev = hrt.thread_exit(tid)
             if ev is not None:
-                endpoint = self.system.ros.partner_map[tid]
-                self.system.channel.forward_event(ev, endpoint)
+                self.system.channel.forward_event(ev, hrt.ancestor_partner(tid))
             self._finish_action(ctx)
             ctx.done = True
         else:  # pragma: no cover
@@ -609,11 +582,8 @@ class Simulator:
                 return
             core_id = hrt.threads[tid].core_id
             resolution = hrt.handle_page_fault(core_id, result)
-            if resolution is FaultResolution.HANDLED_LOCAL:
-                continue
-            if resolution is FaultResolution.RETRY_AFTER_REMERGE:
-                continue
-            # FORWARD
+            if resolution is not FaultResolution.FORWARD:
+                continue  # handled locally or re-merged: retry the access
             if ctx.fault_forwards >= 2:
                 raise DoubleFaultError(
                     f"access 0x{addr:x} {access.value} still faults after re-merge "
@@ -651,8 +621,6 @@ class Simulator:
         lookup_cost = self.clock.now - before
         self.log.emit(self.clock.now, "SymbolLookup", tid, f"sym:{entry.aero_name}", lookup_cost)
         _, behavior = hrt.function_table.lookup(entry.aero_name)
-        numeric = tuple(a for a in args if isinstance(a, int))
-        entry.permute(numeric)
         if behavior.cycles:
             self.clock.charge(behavior.cycles)
         self.log.emit(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .hrt import FunctionBehavior
 from .mem import AccessKind
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
@@ -56,7 +56,7 @@ class AddrExpr:
         if not self.from_last:
             return self.offset
         if last_mmap is None:
-            raise ParseError("'last' used before any mmap in this thread")
+            raise UsageError("'last' used before any mmap in this thread")
         return last_mmap + self.offset
 
 

@@ -12,9 +12,13 @@ from hrtsim.channel import (
     HypercallKind,
     PageState,
     SharedDataPage,
+    SpawnRequest,
 )
 from hrtsim.costs import CostModel, load_cost_model
 from hrtsim.errors import BusyError, ParseError, ProtocolError
+from hrtsim.hrt import Superposition
+
+SPAWN = SpawnRequest(0x10, "worker", Superposition(("gdt", 1, 2), 0x7FFF_0000_0000), 2)
 
 
 def make_channel() -> EventChannel:
@@ -42,9 +46,9 @@ class TestSharedPage:
             _ = page.return_code
 
     def test_arg_bound(self):
-        page = SharedDataPage()
+        SharedDataPage.check_args(tuple(range(6)))
         with pytest.raises(ProtocolError):
-            page.set_args(tuple(range(7)))
+            SharedDataPage.check_args(tuple(range(7)))
 
 
 class TestHypercalls:
@@ -52,7 +56,7 @@ class TestHypercalls:
         channel = make_channel()
         channel.shared_page.transition(PageState.REQUESTED)
         with pytest.raises(BusyError):
-            channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL_SEQUENTIAL, (0, ())))
+            channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
 
     def test_reboot_handled_internally(self):
         channel = make_channel()
@@ -74,12 +78,25 @@ class TestHypercalls:
 
     def test_async_call_cost(self):
         channel = make_channel()
-        channel.on_async_call = lambda f, a, p: 99
-        result = channel.hypercall(
-            1, Hypercall(HypercallKind.ASYNC_CALL_SEQUENTIAL, (0x10, (1, 2)))
-        )
+        seen = []
+        channel.on_async_call = lambda request: seen.append(request) or 99
+        result = channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
         assert result == 99
+        assert seen == [SPAWN]
         assert channel.clock.now == channel.cost.async_call
+        entry = channel.log.entries[-1]
+        assert (entry.kind, entry.detail, entry.cost) == (
+            "AsyncCall",
+            "func=0x10,parallel=0",
+            channel.cost.async_call,
+        )
+        assert channel.shared_page.state is PageState.IDLE
+
+    def test_failed_service_leaves_page_idle(self):
+        channel = make_channel()
+        with pytest.raises(ProtocolError):  # no handler installed
+            channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
+        assert channel.shared_page.state is PageState.IDLE
 
     def test_setup_sync_before_merge(self):
         channel = make_channel()

@@ -61,6 +61,12 @@ class TestRun:
         assert code == EXIT_FAILURE
         assert "FAILED" in capsys.readouterr().out
 
+    def test_last_before_mmap_is_a_runtime_failure(self, tmp_path, capsys):
+        text = "thread main ros\n  touch last w\n  exit\nend\n"
+        code = main(["run", write(tmp_path, "w.txt", text), "--mode", "native"])
+        assert code == EXIT_FAILURE
+        assert "'last' used before any mmap" in capsys.readouterr().err
+
     def test_cost_file_respected(self, tmp_path, capsys):
         cost = write(tmp_path, "cost.txt", "syscall_base = 9000\n")
         main(["run", write(tmp_path, "w.txt", GOOD), "--mode", "virtual", "--cost", cost])

@@ -36,7 +36,7 @@ SUPER = Superposition(gdt_snapshot=("gdt", 1, 2), tls_base=0x7FFF_0000_0000)
 
 def top_level(system, name="worker"):
     system.channel.register_endpoint(2)
-    return system.hrt.create_top_level_thread(name, 0x7FFE_0000_0000, SUPER, partner_tid=2)
+    return system.hrt.create_top_level_thread(name, SUPER, partner_tid=2)
 
 
 class TestBoot:

@@ -9,6 +9,7 @@ from hrtsim.ros import (
     EINVAL,
     ENOSYS,
     MMAP_BASE,
+    RosThreadRole,
     RosThreadStatus,
     init_runtime,
 )
@@ -147,7 +148,8 @@ class TestSpawn:
         ros = booted.ros
         partner = ros.spawn_hrt("worker")
         assert partner.hrt_thread in booted.hrt.threads
-        assert ros.partner_map[partner.hrt_thread] == partner.tid
+        assert booted.hrt.threads[partner.hrt_thread].partner == partner.tid
+        assert booted.hrt.ancestor_partner(partner.hrt_thread) == partner.tid
         assert partner.tid in booted.channel.queues
         assert partner.stack_region is not None
         kinds = [e.kind for e in booted.log.entries]
@@ -165,16 +167,18 @@ class TestSpawn:
             booted.ros.spawn_hrt("missing_fn")
         assert booted.ros.threads == threads_before
 
-    def test_async_call_without_pending_spawn_runs_behavior(self, booted):
-        from hrtsim.hrt import FunctionBehavior
-
-        booted.hrt.function_table.set_behavior(
-            "helper", FunctionBehavior(cycles=700, returns=5)
-        )
-        addr, _ = booted.hrt.function_table.lookup("helper")
-        start = booted.clock.now
-        assert booted.ros.async_call_handler(addr, (), parallel=False) == 5
-        assert booted.clock.now - start == 700
+    def test_spawn_payload_names_twin(self, booted):
+        seen = []
+        handler = booted.channel.on_async_call
+        booted.channel.on_async_call = lambda request: seen.append(request) or handler(request)
+        partner = booted.ros.spawn_hrt("helper")
+        (request,) = seen
+        assert request.func_addr == booted.hrt.function_table.lookup("helper")[0]
+        assert request.func_name == "helper"
+        assert request.partner_tid == partner.tid
+        assert request.superposition.tls_base == partner.stack_region.end - PAGE_SIZE
+        twin = booted.hrt.threads[partner.hrt_thread]
+        assert (twin.func_name, twin.superposition) == ("helper", request.superposition)
 
 
 class TestForwardedService:
@@ -252,6 +256,15 @@ class TestJoin:
         booted.ros.join(booted.ros.main, partner.tid)
         labels = [label for _, label, tid in booted.ros.join_log if tid == partner.tid]
         assert labels == ["exit_bit", "partner_exit", "join_resume"]
+
+    def test_local_thread_join(self, booted):
+        ros = booted.ros
+        local = ros._new_thread(RosThreadRole.LOCAL)
+        ros.join(ros.main, local.tid)
+        assert ros.main.status is RosThreadStatus.BLOCKED_JOIN
+        local.status = RosThreadStatus.EXITED
+        assert ros.try_finish_join(ros.main)
+        assert local.joined
 
     def test_join_non_partner_rejected(self, booted):
         with pytest.raises(UsageError):

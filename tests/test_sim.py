@@ -7,6 +7,7 @@ from hrtsim.channel import EventKind
 from hrtsim.costs import CostModel
 from hrtsim.errors import DeadlockError, ParseError, UsageError
 from hrtsim.machine import CoreKind, Machine
+from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import (
     Mode,
     Simulator,
@@ -129,6 +130,31 @@ class TestForwarding:
         # Only the top-level exit raises a signal; nested exits are silent.
         assert report.forwarded_counts[EventKind.THREAD_EXIT_SIGNAL.value] == 1
         assert not report.failed
+
+
+def shared_page_threads(n):
+    """n kernel-mode threads that fault on one lazy page in the same round."""
+    text = "thread main ros\n  mmap 4096\n"
+    text += "".join(f"  spawn w{i}\n" for i in range(n))
+    text += "".join(f"  join w{i}\n" for i in range(n)) + "  exit\nend\n"
+    for i in range(n):
+        pad = "".join("  compute 10\n" for _ in range(n - i))
+        text += f"thread w{i} hrt\n{pad}  touch 0x{MMAP_BASE:x} w\n  exit\nend\n"
+    return text
+
+
+class TestConcurrentFaults:
+    def ros_frames_used(self, n):
+        machine = small_machine()
+        report = mv(shared_page_threads(n), machine)
+        assert not report.failed
+        return report, machine.ros_frames - machine.ros_frame_alloc.frames_left
+
+    def test_one_frame_per_page_however_many_threads_fault(self):
+        report, five = self.ros_frames_used(5)
+        assert report.forwarded_counts[EventKind.PAGE_FAULT.value] == 5  # all concurrent
+        _, one = self.ros_frames_used(1)
+        assert five <= one
 
 
 class TestModes:

@@ -159,8 +159,8 @@ class TestSymbolCache:
         table = FunctionTable()
         cache = SymbolCache()
         names = [f"fn{i}" for i in range(20)]
-        for name in names:
-            table.register(name, FunctionBehavior())
+        for i, name in enumerate(names):
+            table.register(name, FunctionBehavior(), HIGHER_BASE + 0x40 * i)
         for name in names:
             addr, _ = table.lookup(name)
             cache.insert(name, addr)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hrtsim.errors import ParseError
+from hrtsim.errors import ParseError, UsageError
 from hrtsim.mem import AccessKind
 from hrtsim.workload import AddrExpr, parse_workload
 
@@ -135,5 +135,6 @@ class TestAddrExpr:
         assert AddrExpr(0x20, from_last=True).resolve(0x7000) == 0x7020
 
     def test_last_without_mmap(self):
-        with pytest.raises(ParseError):
+        # A run-time misuse, not malformed text.
+        with pytest.raises(UsageError):
             AddrExpr(0, from_last=True).resolve(None)
