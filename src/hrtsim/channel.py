@@ -162,7 +162,7 @@ class SharedDataPage:
         self._return_code = code
 
 
-@dataclass
+@dataclass(eq=False)  # outstanding events are found by identity
 class EventRecord:
     kind: EventKind
     origin: int

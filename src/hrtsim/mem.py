@@ -129,10 +129,16 @@ class FrameAllocator:
 
 
 class TableStore:
-    """Machine-wide backing for page tables: physical frame -> 512 entries."""
+    """Machine-wide backing for page tables: physical frame -> 512 entries.
+
+    An identity leaf table is recorded as the frame range it maps and is
+    built the first time it is asked for.
+    """
 
     def __init__(self):
         self._tables: dict[int, list[Entry | None]] = {}
+        # Leaf table frame -> (first mapped frame, count), not built yet.
+        self.deferred: dict[int, tuple[int, int]] = {}
 
     def new_table(self, frame: int) -> list[Entry | None]:
         table: list[Entry | None] = [None] * TABLE_ENTRIES
@@ -140,7 +146,17 @@ class TableStore:
         return table
 
     def table(self, frame: int) -> list[Entry | None]:
-        return self._tables[frame]
+        try:
+            return self._tables[frame]
+        except KeyError:
+            first, count = self.deferred.pop(frame)
+        table: list[Entry | None] = [
+            Entry(writable=True, user=False, target_frame=f)
+            for f in range(first, first + count)
+        ]
+        table += [None] * (TABLE_ENTRIES - count)
+        self._tables[frame] = table
+        return table
 
 
 class PageTableHierarchy:
@@ -251,9 +267,26 @@ def unmap_page(space: PageTableHierarchy, vaddr: int) -> None:
 
 
 def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -> None:
-    """Map every physical frame f at HIGHER_BASE + f * PAGE_SIZE."""
-    for f in range(phys_frame_count):
-        map_page(space, HIGHER_BASE + f * PAGE_SIZE, f, writable=True, user=False)
+    """Map every physical frame f at HIGHER_BASE + f * PAGE_SIZE.
+
+    Allocates the same table frames in the same order as one map_page call
+    per frame would, but defers each leaf table's entries to its first use
+    (TableStore.table).  The higher half must be unmapped.
+    """
+    for first in range(0, phys_frame_count, TABLE_ENTRIES):
+        i4, i3, i2, _, _ = table_indices(HIGHER_BASE + first * PAGE_SIZE)
+        table = space.root()
+        for idx in (i4, i3):
+            entry = table[idx]
+            if entry is None:
+                sub = space.frame_alloc.alloc()
+                space.store.new_table(sub)
+                entry = Entry(writable=True, user=True, target_frame=sub)
+                table[idx] = entry
+            table = space.store.table(entry.target_frame)
+        leaf = space.frame_alloc.alloc()
+        space.store.deferred[leaf] = (first, min(TABLE_ENTRIES, phys_frame_count - first))
+        table[i2] = Entry(writable=True, user=True, target_frame=leaf)
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:

@@ -12,7 +12,9 @@ targets.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .channel import (
     Clock,
@@ -63,8 +65,22 @@ class Region:
     def end(self) -> int:
         return self.base + self.length
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
+
+_region_base = attrgetter("base")
+
+
+class RegionList(list):
+    """Live regions sorted by base; regions never overlap."""
+
+    def append(self, region: Region) -> None:
+        insort(self, region, key=_region_base)
+
+    def index_at(self, addr: int) -> int:
+        """Position of the region containing addr, or -1."""
+        i = bisect_right(self, addr, key=_region_base) - 1
+        if i >= 0 and addr < self[i].end:
+            return i
+        return -1
 
 
 class RosThreadRole(enum.Enum):
@@ -98,7 +114,7 @@ class RosThread:
 class RosProcess:
     pid: int
     space: PageTableHierarchy
-    vm_regions: list[Region] = field(default_factory=list)
+    vm_regions: RegionList = field(default_factory=RegionList)
     threads: list[int] = field(default_factory=list)
     output: list[str] = field(default_factory=list)
     failed: bool = False
@@ -163,10 +179,8 @@ class RosKernel:
         return ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
 
     def region_at(self, addr: int) -> Region | None:
-        for region in self.proc.vm_regions:
-            if region.contains(addr):
-                return region
-        return None
+        i = self.proc.vm_regions.index_at(addr)
+        return self.proc.vm_regions[i] if i >= 0 else None
 
     def _alloc_region(
         self, length: int, populate: bool, writable: bool, stack: bool = False
@@ -201,18 +215,19 @@ class RosKernel:
         if length <= 0 or base % PAGE_SIZE:
             return EINVAL
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
-        region = self.region_at(base)
-        if region is None or base + length > region.end:
+        regions = self.proc.vm_regions
+        i = regions.index_at(base)
+        if i < 0 or base + length > regions[i].end:
             return EINVAL
         for page in range(base, base + length, PAGE_SIZE):
             unmap_page(self.proc.space, page)
-        self.proc.vm_regions.remove(region)
+        region = regions.pop(i)
         if region.base < base:
-            self.proc.vm_regions.append(
+            regions.append(
                 Region(region.base, base - region.base, region.populated, region.writable)
             )
         if base + length < region.end:
-            self.proc.vm_regions.append(
+            regions.append(
                 Region(
                     base + length,
                     region.end - (base + length),

@@ -142,6 +142,12 @@ class System:
         self.channel.on_async_call = self.ros.async_call_handler
         self.channel.on_sync_invoke = self._handle_sync_invoke
 
+    def close(self) -> None:
+        """Unwire the channel hooks.  They are bound methods of objects that
+        hold the channel, so only then does reference counting free the system."""
+        self.channel.on_reboot = self.channel.on_merge = None
+        self.channel.on_async_call = self.channel.on_sync_invoke = None
+
     def _handle_merge(self, cr3: int) -> None:
         if cr3 != self.ros.proc.space.cr3:
             raise UsageError(f"merge payload cr3={cr3} is not the process root")
@@ -653,7 +659,10 @@ def run(
     if isinstance(mode, str):
         mode = Mode(mode)
     system = System(machine=machine, cost=cost, use_symbol_cache=use_symbol_cache)
-    return Simulator(system, workload, mode).run()
+    try:
+        return Simulator(system, workload, mode).run()
+    finally:
+        system.close()
 
 
 # -- comparison ---------------------------------------------------------------

@@ -157,6 +157,18 @@ class TestForwarding:
         with pytest.raises(ProtocolError):
             channel.complete_event(ev, 4)
 
+    def test_completion_by_identity(self):
+        channel = make_channel()
+        channel.register_endpoint(2)
+        first, second = (
+            EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)") for _ in range(2)
+        )
+        channel.forward_event(first, 2)
+        channel.forward_event(second, 2)
+        channel.complete_event(second, 4)
+        assert len(channel.outstanding) == 1
+        assert channel.outstanding[0] is first
+
     def test_completing_unknown_event(self):
         channel = make_channel()
         ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)")

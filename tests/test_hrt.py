@@ -27,7 +27,9 @@ from hrtsim.mem import (
     map_page,
     translate,
 )
-from hrtsim.toolchain import AeroKernelImage
+from hrtsim.machine import Machine
+from hrtsim.sim import System
+from hrtsim.toolchain import AeroKernelImage, parse_fat_binary
 
 from conftest import make_fat
 
@@ -71,6 +73,20 @@ class TestBoot:
     def test_booted_cores_idle(self, booted):
         for core_id in booted.machine.hrt_core_ids:
             assert booted.hrt.cores[core_id].status is CoreStatus.IDLE_EVENT_LOOP
+
+    def test_boot_builds_no_identity_leaf_table(self):
+        # Counts, not time: on a 4 GiB machine boot builds no identity leaf
+        # table, and a touch of one identity page builds exactly one.
+        system = System(machine=Machine(phys_frames=1 << 20))
+        system.hrt.install_image(parse_fat_binary(make_fat())[1])
+        system.hrt.boot(system.machine.hrt_core_ids)
+        deferred = system.machine.table_store.deferred
+        assert len(deferred) == (1 << 20) // 512
+        vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
+        for _ in range(2):
+            got = translate(system.hrt.space, system.hrt.control_state(), vaddr, AccessKind.READ)
+            assert got == 777_777 * PAGE_SIZE
+            assert len(deferred) == (1 << 20) // 512 - 1
 
     def test_reboot_clears_threads_and_lower_half(self, booted):
         thread = top_level(booted)

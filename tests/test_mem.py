@@ -169,7 +169,59 @@ class TestWriteProtect:
         assert wp_on - wp_off == {(Ring.RING0, AccessKind.WRITE, "ro")}
 
 
+def eager_identity_map(space: PageTableHierarchy, frames: int) -> None:
+    """Reference: one map_page call per physical frame."""
+    for f in range(frames):
+        map_page(space, HIGHER_BASE + f * PAGE_SIZE, f, writable=True, user=False)
+
+
+def identity_spaces(frames: int) -> tuple[PageTableHierarchy, PageTableHierarchy]:
+    """(deferred, eager) identity-mapped spaces, each on its own store."""
+    spaces = []
+    for build in (identity_map_higher_half, eager_identity_map):
+        space = PageTableHierarchy(
+            TableStore(), FrameAllocator(frames, frames + 64, Owner.HRT_ONLY)
+        )
+        build(space, frames)
+        spaces.append(space)
+    return spaces[0], spaces[1]
+
+
+def assert_same_identity(lazy, eager, frames):
+    """Every identity page plus one past the end, every access and ring."""
+    for f in range(frames + 1):
+        vaddr = HIGHER_BASE + f * PAGE_SIZE
+        for access in AccessKind:
+            for ctl in (RING0, RING3):
+                got = translate(lazy, ctl, vaddr + 0x123, access)
+                assert got == translate(eager, ctl, vaddr + 0x123, access), (f, access)
+
+
 class TestIdentityMap:
+    @pytest.mark.parametrize("frames", [512, 1000])
+    def test_translate_matches_eager_map(self, frames):
+        lazy, eager = identity_spaces(frames)
+        assert_same_identity(lazy, eager, frames)
+        past = translate(lazy, RING0, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
+        assert isinstance(past, FaultInfo)
+
+    @pytest.mark.parametrize("frames", [512, 1000])
+    def test_same_table_frames_as_eager_map(self, frames):
+        lazy, eager = identity_spaces(frames)
+        assert lazy.cr3 == eager.cr3
+        assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+        assert len(lazy.store.deferred) == -(-frames // 512)
+
+    @pytest.mark.parametrize("frames", [512, 1000])
+    def test_edits_inside_identity_range(self, frames):
+        lazy, eager = identity_spaces(frames)
+        for space in (lazy, eager):
+            map_page(space, HIGHER_BASE + 300 * PAGE_SIZE, 3, writable=False)
+            unmap_page(space, HIGHER_BASE + 5 * PAGE_SIZE)
+            unmap_page(space, HIGHER_BASE + (frames - 1) * PAGE_SIZE)
+        assert_same_identity(lazy, eager, frames)
+        assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+
     def test_identity(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)

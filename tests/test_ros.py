@@ -1,6 +1,8 @@
 """Regular-OS model tests: syscalls, demand paging, partners, join."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrtsim.channel import EventKind
 from hrtsim.errors import FormatError, SymbolError, UsageError
@@ -13,8 +15,9 @@ from hrtsim.ros import (
     RosThreadStatus,
     init_runtime,
 )
+from hrtsim.sim import System
 
-from conftest import make_fat
+from conftest import make_fat, small_machine
 
 
 def mapped_pages(ros, base, length):
@@ -79,6 +82,54 @@ class TestMunmap:
 
     def test_unmapped_base_rejected(self, system):
         assert system.ros.sys_munmap(0x9999_0000, PAGE_SIZE) == EINVAL
+
+
+def linear_region_at(regions, addr):
+    """Oracle: the first live region containing addr, by linear scan."""
+    for region in regions:
+        if region.base <= addr < region.base + region.length:
+            return region
+    return None
+
+
+# mmap (pages, stack) or munmap (region pick, first page, pages); picks and
+# offsets are taken modulo what is live, so some unmaps split a region and
+# some overrun it.
+REGION_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("mmap"), st.integers(1, 6), st.booleans()),
+        st.tuples(st.just("munmap"), st.integers(0, 99), st.integers(0, 6), st.integers(1, 6)),
+    ),
+    max_size=30,
+)
+
+
+class TestRegionIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(REGION_OPS)
+    def test_region_at_matches_linear_scan(self, ops):
+        ros = System(machine=small_machine()).ros
+        live: set[int] = set()  # model: pages covered by some region
+        for op in ops:
+            if op[0] == "mmap":
+                _, pages, stack = op
+                region = ros._alloc_region(
+                    pages * PAGE_SIZE, populate=False, writable=True, stack=stack
+                )
+                live.update(range(region.base, region.end, PAGE_SIZE))
+            elif ros.proc.vm_regions:
+                _, pick, first, pages = op
+                region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
+                base = region.base + first * PAGE_SIZE
+                if ros.sys_munmap(base, pages * PAGE_SIZE) == 0:
+                    live.difference_update(range(base, base + pages * PAGE_SIZE, PAGE_SIZE))
+            regions = list(ros.proc.vm_regions)
+            assert {p for r in regions for p in range(r.base, r.end, PAGE_SIZE)} == live
+            assert [r.base for r in regions] == sorted(r.base for r in regions)
+            for region in regions:
+                for page in range(region.base - PAGE_SIZE, region.end + 2 * PAGE_SIZE, PAGE_SIZE):
+                    for addr in (page - 1, page, page + 1):
+                        assert ros.region_at(addr) is linear_region_at(regions, addr)
 
 
 class TestSyscalls:

@@ -1,5 +1,7 @@
 """Run-driver tests: modes, forwarding, accounting, comparison, replay."""
 
+import gc
+
 import pytest
 
 from hrtsim import bundled_profiles_text
@@ -291,6 +293,16 @@ class TestCompare:
             assert rows[name].per_call_delta == CostModel().forward_overhead
         assert result.total_delta > 0
         assert "delta/call" in result.render()
+
+    def test_finished_runs_need_no_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for text in (W_FAULTS, W_MMAP_LOOP, W_NESTED, W_OVERRIDE):
+                compare(None, text)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReplay:
