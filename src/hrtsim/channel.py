@@ -180,7 +180,6 @@ class EventRecord:
 
 @dataclass
 class SyncEndpoint:
-    sync_vaddr: int
     active: bool = True
 
 
@@ -263,7 +262,7 @@ class EventChannel:
                 if not self.merged:
                     raise ProtocolError("synchronous setup requires a merged address space")
                 self.clock.charge(self.cost.hypercall)
-                self.sync_endpoint = SyncEndpoint(sync_vaddr=int(call.payload))
+                self.sync_endpoint = SyncEndpoint()
                 self.log.emit(
                     self.clock.now,
                     "SetupSync",

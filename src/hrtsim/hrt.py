@@ -76,7 +76,6 @@ class ThreadKind(enum.Enum):
 
 class ThreadStatus(enum.Enum):
     RUNNABLE = "runnable"
-    BLOCKED_ON_EVENT = "blocked_on_event"
     EXITED = "exited"
 
 
@@ -161,6 +160,7 @@ class HrtKernel:
     function_table: FunctionTable = field(default_factory=FunctionTable)
     symbol_cache: SymbolCache | None = None
     remerge_count: int = 0
+    _control: ControlState | None = None  # built with the address space at boot
     _next_tid: int = 1000
     _next_core_rr: int = 0
 
@@ -197,6 +197,7 @@ class HrtKernel:
                 self.machine.table_store, self.machine.hrt_frame_alloc
             )
             identity_map_higher_half(self.space, self.machine.phys_frames)
+            self._control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
         for core_id in core_ids:
             self.cores[core_id].reset(CoreStatus.IDLE_EVENT_LOOP)
 
@@ -225,8 +226,8 @@ class HrtKernel:
         ]
 
     def control_state(self) -> ControlState:
-        assert self.space is not None
-        return ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
+        assert self._control is not None
+        return self._control
 
     # -- threads --------------------------------------------------------------
 

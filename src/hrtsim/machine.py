@@ -28,7 +28,6 @@ class Machine:
     )
     phys_frames: int = 4096
     ros_frames: int | None = None  # default: 75% of physical memory
-    clock_hz: float = 2.2e9
     socket_size: int = 4
 
     def __post_init__(self):

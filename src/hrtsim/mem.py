@@ -55,7 +55,7 @@ class FaultInfo:
     reason: FaultReason
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlState:
     cr0_wp: bool
     cr3: int

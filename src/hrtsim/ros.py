@@ -115,7 +115,6 @@ class RosProcess:
     pid: int
     space: PageTableHierarchy
     vm_regions: RegionList = field(default_factory=RegionList)
-    threads: list[int] = field(default_factory=list)
     output: list[str] = field(default_factory=list)
     failed: bool = False
     fail_reason: str = ""
@@ -146,6 +145,7 @@ class RosKernel:
         # The mmap and stack areas have live root entries from process start.
         ensure_root_entry(self.proc.space, MMAP_BASE)
         ensure_root_entry(self.proc.space, STACK_TOP - PAGE_SIZE)
+        self._control = ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
         self.threads: dict[int, RosThread] = {}
         self._next_tid = 1
         self._next_mmap = MMAP_BASE
@@ -170,13 +170,12 @@ class RosKernel:
         self._core_rr += 1
         self._next_tid += 1
         self.threads[thread.tid] = thread
-        self.proc.threads.append(thread.tid)
         return thread
 
     # -- address space --------------------------------------------------------
 
     def control_state(self) -> ControlState:
-        return ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
+        return self._control
 
     def region_at(self, addr: int) -> Region | None:
         i = self.proc.vm_regions.index_at(addr)

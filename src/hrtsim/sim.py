@@ -1,8 +1,10 @@
 """Deterministic run driver: modes, stepping, benchmark replay, comparison.
 
-One simulated thread body advances by exactly one action per scheduler
-step; contexts are stepped strict round-robin in creation order (regular
-OS threads before kernel-mode threads).  All costs are charged through a
+Each simulated thread runs as a generator, and one `next()` of it is one
+scheduler step: a thread body advances by one action per step, and a
+thread blocked on a forwarded event or a join yields without progress.
+Contexts are stepped strict round-robin in creation order (regular OS
+threads before kernel-mode threads).  All costs are charged through a
 single clock, and every charge has a matching event-log entry, so the
 run total is recomputable from the exported log.
 """
@@ -10,6 +12,7 @@ run total is recomputable from the exported log.
 from __future__ import annotations
 
 import enum
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from .channel import (
@@ -24,12 +27,7 @@ from .channel import (
 )
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
-from .hrt import (
-    FaultResolution,
-    FunctionBehavior,
-    HrtKernel,
-    ThreadStatus,
-)
+from .hrt import FaultResolution, FunctionBehavior, HrtKernel
 from .machine import Machine
 from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, merge_lower_half, translate
 from .ros import (
@@ -40,7 +38,7 @@ from .ros import (
     init_runtime,
 )
 from .toolchain import AeroKernelImage, AppDescriptor, OverrideEntry, SymbolCache, embed
-from .workload import Action, ThreadBody, WorkloadProgram, parse_workload
+from .workload import ThreadBody, WorkloadProgram, parse_workload
 
 __all__ = [
     "Mode",
@@ -68,6 +66,7 @@ REPORT_KINDS = (
     EventKind.THREAD_EXIT_SIGNAL.value,
     EventKind.SYNC_INVOKE.value,
 )
+SYSCALL = EventKind.SYSCALL.value
 
 
 @dataclass
@@ -81,6 +80,7 @@ class TraceReport:
     failed: bool = False
     fail_reason: str = ""
     log_text: str = ""
+    syscalls: dict[str, tuple[int, int]] = field(default_factory=dict)  # name -> (calls, cycles)
 
     @property
     def wall_seconds(self) -> float:
@@ -184,19 +184,18 @@ def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
 
 @dataclass
 class _Ctx:
-    """Scheduler bookkeeping for one simulated thread."""
+    """Scheduler bookkeeping for one simulated thread; each `next()` of its
+    generator is one scheduler step and yields whether the step made progress."""
 
     name: str
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
-    body: ThreadBody | None = None
-    pc: int = 0
-    queue: list[Action] = field(default_factory=list)  # expanded sub-actions
-    last_mmap: int | None = None
     done: bool = False
-    waiting_event: EventRecord | None = None
-    resume_retry: bool = False
-    fault_forwards: int = 0
+    thread: Generator[bool, None, None] | None = None
+
+
+class _Halt(Exception):
+    """Raised by a thread whose workload has failed; ends the run."""
 
 
 class Simulator:
@@ -224,10 +223,14 @@ class Simulator:
             for name, behavior in self.workload.funcs.items():
                 self.system.hrt.function_table.set_behavior(name, behavior)
         ros.legacy_funcs = dict(self.workload.funcs)
-        self.main_ctx = _Ctx(
-            name="main", kind="ros_body", tid=ros.main.tid, body=self.workload.bodies["main"]
-        )
-        self.contexts.append(self.main_ctx)
+        self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
+
+    def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
+        """A context that first runs in the round after this one."""
+        ctx = _Ctx(name, kind, tid)
+        ctx.thread = self._partner(tid) if body is None else self._thread(ctx, body)
+        self.contexts.append(ctx)
+        return ctx
 
     # -- main loop -----------------------------------------------------------
 
@@ -237,26 +240,30 @@ class Simulator:
 
     def execute(self) -> TraceReport:
         """Drive the step loop to completion; setup() must have run."""
-        while not self.halted:
-            progressed = False
-            for ctx in list(self.contexts):
-                if self.halted:
+        try:
+            while True:
+                progressed = False
+                for ctx in list(self.contexts):  # contexts spawned now run next round
+                    if self.step(ctx):
+                        progressed = True
+                    if self.halted:
+                        break
+                if self.halted or all(c.done for c in self.contexts):
                     break
-                if self.step(ctx):
-                    progressed = True
-            if self.halted:
-                break
-            if all(c.done for c in self.contexts):
-                break
-            if not progressed:
-                dump = [
-                    f"{e.kind.value} origin={e.origin} detail={e.detail}"
-                    for e in self.system.channel.outstanding
-                ]
-                raise DeadlockError(
-                    "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
-                    events=list(self.system.channel.outstanding),
-                )
+                if not progressed:
+                    dump = [
+                        f"{e.kind.value} origin={e.origin} detail={e.detail}"
+                        for e in self.system.channel.outstanding
+                    ]
+                    raise DeadlockError(
+                        "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
+                        events=list(self.system.channel.outstanding),
+                    )
+        finally:
+            # A suspended generator's frame holds this simulator: close them
+            # all so that reference counting frees the run.
+            for ctx in self.contexts:
+                ctx.thread.close()
         if self.mode is Mode.MULTIVERSE and self.system.ros.exit_hook_registered:
             self.system.hrt.shutdown()
         return self.report()
@@ -264,11 +271,16 @@ class Simulator:
     def report(self) -> TraceReport:
         counts: dict[str, int] = {}
         fwd: dict[str, int] = {}
+        syscalls: dict[str, tuple[int, int]] = {}
         for entry in self.log.entries:
             if entry.kind in REPORT_KINDS:
                 counts[entry.kind] = counts.get(entry.kind, 0) + 1
                 if entry.forwarded:
                     fwd[entry.kind] = fwd.get(entry.kind, 0) + 1
+                if entry.kind == SYSCALL:
+                    name = entry.detail.split("(", 1)[0].removeprefix("sys:")
+                    calls, cost = syscalls.get(name, (0, 0))
+                    syscalls[name] = (calls + 1, cost + entry.cost)
         failed = self.system.ros.proc.failed or self.halted
         return TraceReport(
             mode=self.mode.value,
@@ -280,167 +292,205 @@ class Simulator:
             failed=failed,
             fail_reason=self.system.ros.proc.fail_reason or self.fail_reason,
             log_text=self.log.render(),
+            syscalls=syscalls,
         )
 
     # -- stepping ------------------------------------------------------------
 
-    def _current_action(self, ctx: _Ctx) -> Action | None:
-        if ctx.queue:
-            return ctx.queue[0]
-        assert ctx.body is not None
-        if ctx.pc >= len(ctx.body.actions):
-            return None
-        return ctx.body.actions[ctx.pc]
-
-    def _finish_action(self, ctx: _Ctx) -> None:
-        ctx.fault_forwards = 0
-        if ctx.queue:
-            ctx.queue.pop(0)
-        else:
-            ctx.pc += 1
-
     def step(self, ctx: _Ctx) -> bool:
+        """One scheduler step of ctx; True if it made progress.  A context
+        is done in the step whose generator returns."""
         if ctx.done:
             return False
-        if ctx.kind == "partner":
-            partner = self.system.ros.threads[ctx.tid]
-            progressed = self.system.ros.partner_step(partner)
+        try:
+            return next(ctx.thread)
+        except StopIteration:
+            ctx.done = True
+            return True
+        except _Halt as halt:
+            self.halted = True
+            self.fail_reason = str(halt)
+            return True
+
+    def _partner(self, tid: int) -> Generator[bool, None, None]:
+        """A partner serves its twin's forwarded events until the exit bit
+        lets it go."""
+        ros = self.system.ros
+        partner = ros.threads[tid]
+        while True:
+            progressed = ros.partner_step(partner)
             if partner.status is RosThreadStatus.EXITED:
-                ctx.done = True
-            return progressed
-        if ctx.kind == "hrt_body":
-            return self._step_hrt(ctx)
-        return self._step_ros(ctx)
-
-    # -- regular-OS threads ---------------------------------------------------
-
-    def _step_ros(self, ctx: _Ctx) -> bool:
-        ros = self.system.ros
-        thread = ros.threads[ctx.tid]
-        if thread.status is RosThreadStatus.BLOCKED_JOIN:
-            if ros.try_finish_join(thread):
-                self._finish_action(ctx)
-                return True
-            return False
-        action = self._current_action(ctx)
-        if action is None:
-            ctx.done = True
-            return False
-        self._exec_ros_action(ctx, action)
-        return True
-
-    def _exec_ros_action(self, ctx: _Ctx, action: Action) -> None:
-        ros = self.system.ros
-        op = action.op
-        if op == "compute":
-            (cycles,) = action.args
-            self.clock.charge(cycles)
-            self.log.emit(self.clock.now, "Compute", ctx.tid, "compute", cycles)
-            self._finish_action(ctx)
-        elif op == "mmap":
-            length, populate, writable = action.args
-            base = ros.sys_mmap(length, populate, writable)
-            self._charge_local_syscall(ctx, "mmap", (length, int(populate), int(writable)))
-            if base >= 0:
-                ctx.last_mmap = base
-            self._finish_action(ctx)
-        elif op == "munmap":
-            expr, length = action.args
-            base = expr.resolve(ctx.last_mmap)
-            ros.sys_munmap(base, length)
-            self._charge_local_syscall(ctx, "munmap", (base, length))
-            self._finish_action(ctx)
-        elif op == "syscall":
-            name, args = action.args
-            ros.syscall(name, args)
-            self._charge_local_syscall(ctx, name, args)
-            self._finish_action(ctx)
-        elif op == "touch":
-            expr, access = action.args
-            addr = expr.resolve(ctx.last_mmap)
-            ok = ros.touch(addr, access, ctx.tid)
-            if not ok:
-                self._halt(f"segfault at 0x{addr:x} in {ctx.name}")
                 return
-            self._finish_action(ctx)
-        elif op == "spawn":
-            (tname,) = action.args
-            self._spawn(ctx, tname)
-            self._finish_action(ctx)
-        elif op == "spawn_nested":
-            # Outside the hybrid mode this is an ordinary local thread.
-            if self.mode is Mode.MULTIVERSE:
-                raise UsageError("spawn_nested is only valid in kernel-mode threads")
-            (tname,) = action.args
-            self._spawn_native(ctx, tname)
-            self._finish_action(ctx)
-        elif op == "join":
-            (tname,) = action.args
-            self._join(ctx, tname)
-        elif op == "call_override":
-            name, args = action.args
-            self._legacy_call(ctx, name, args)
-            self._finish_action(ctx)
-        elif op == "sync_call":
-            (name,) = action.args
-            self._sync_call(ctx, name)
-            self._finish_action(ctx)
-        elif op == "exit":
-            self._finish_action(ctx)
-            ctx.done = True
-            ros.threads[ctx.tid].status = RosThreadStatus.EXITED
-            if ctx is self.main_ctx:
-                self._process_exit()
-        else:  # pragma: no cover - parser rejects unknown ops
-            raise UsageError(f"unknown action {op}")
+            yield progressed
 
-    def _charge_local_syscall(self, ctx: _Ctx, name: str, args: tuple[int, ...]) -> None:
+    def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
+        """Run a thread body on its side, one action per step.  A kernel-mode
+        thread blocks on every event it forwards; a joiner on its target."""
+        ros, hrt = self.system.ros, self.system.hrt
+        kernel_mode = ctx.kind == "hrt_body"
+        tid = ctx.tid
+        last = None  # base of this thread's most recent successful mmap
+        for action in body.actions:
+            op, args = action.op, action.args
+            if op == "compute":
+                self.clock.charge(args[0])
+                self.log.emit(self.clock.now, "Compute", tid, "compute", args[0])
+            elif op in ("mmap", "munmap", "syscall"):
+                if op == "mmap":
+                    name, args = op, (args[0], int(args[1]), int(args[2]))
+                elif op == "munmap":
+                    name, args = op, (args[0].resolve(last), args[1])
+                else:
+                    name, args = args
+                result = yield from self._syscall(ctx, name, args)
+                if name == "mmap" and result >= 0:
+                    last = result
+            elif op == "touch":
+                expr, access = args
+                addr = expr.resolve(last)
+                if kernel_mode:
+                    yield from self._hrt_touch(ctx, addr, access)
+                elif not ros.touch(addr, access, tid):
+                    raise _Halt(f"segfault at 0x{addr:x} in {ctx.name}")
+            elif op == "call_override":
+                if kernel_mode:
+                    yield from self._invoke_override(ctx, *args)
+                else:
+                    self._legacy_call(tid, *args)
+            elif op == "spawn":
+                if kernel_mode:
+                    raise UsageError(
+                        "spawn from a kernel-mode thread; use spawn_nested or an override"
+                    )
+                self._spawn(args[0])
+            elif op == "spawn_nested":
+                if kernel_mode:
+                    self._spawn_nested(tid, args[0])
+                elif self.mode is Mode.MULTIVERSE:
+                    raise UsageError("spawn_nested is only valid in kernel-mode threads")
+                else:  # outside the hybrid mode this is an ordinary local thread
+                    self._spawn_local(args[0])
+            elif op == "join":
+                if kernel_mode:
+                    raise UsageError("join is issued from the main thread")
+                if args[0] not in self.spawned:
+                    raise UsageError(f"join target {args[0]!r} was never spawned")
+                joiner = ros.threads[tid]
+                ros.join(joiner, self.spawned[args[0]])
+                if joiner.status is RosThreadStatus.BLOCKED_JOIN:
+                    yield True
+                    while not ros.try_finish_join(joiner):
+                        yield False
+            elif op == "sync_call":
+                if kernel_mode:
+                    raise UsageError("sync_call is issued from the ROS side")
+                self._sync_call(tid, args[0])
+            elif op == "exit":
+                if kernel_mode:
+                    ev = hrt.thread_exit(tid)
+                    if ev is not None:
+                        self.system.channel.forward_event(ev, hrt.ancestor_partner(tid))
+                else:
+                    ros.threads[tid].status = RosThreadStatus.EXITED
+                    if ctx is self.main_ctx:  # process teardown ends every thread
+                        for other in self.contexts:
+                            other.done = True
+                return
+            else:  # pragma: no cover - the parser rejects unknown ops
+                raise UsageError(f"unknown action {op}")
+            yield True
+
+    def _syscall(self, ctx: _Ctx, name: str, args: tuple[int, ...]):
+        """Service one system call and return its result: in place on the
+        regular OS, through the partner from a kernel-mode thread."""
+        if ctx.kind == "hrt_body":
+            ev = self.system.hrt.make_syscall_event(ctx.tid, name, args)
+            return (yield from self._forward(ctx, ev))
+        result = self.system.ros.syscall(name, args)
         self.clock.charge(self.cost.syscall_base)
         self.log.emit(
             self.clock.now,
-            EventKind.SYSCALL.value,
+            SYSCALL,
             ctx.tid,
             syscall_detail(name, args),
             self.cost.syscall_base,
         )
+        return result
 
-    def _process_exit(self) -> None:
-        # Process teardown ends the run; remaining contexts are torn down.
-        for ctx in self.contexts:
-            ctx.done = True
+    def _forward(self, ctx: _Ctx, ev: EventRecord):
+        """Forward ev to the thread's partner and block until it is served.
+        The forwarding step ends here, then one blocked step per round; the
+        step that sees the completion goes on in the caller."""
+        hrt = self.system.hrt
+        self.system.channel.forward_event(ev, hrt.ancestor_partner(ctx.tid))
+        yield True
+        while not ev.completed:
+            yield False
+        if ev.result == EFAULT:
+            raise _Halt(f"segfault reported to {ctx.name}")
+        return ev.result
 
-    def _spawn(self, ctx: _Ctx, tname: str) -> None:
-        body = self.workload.bodies[tname]
-        if self.mode is Mode.MULTIVERSE:
-            partner = self.system.ros.spawn_hrt(tname)
-            self.spawned[tname] = partner.tid
-            self.contexts.append(_Ctx(name=f"partner:{tname}", kind="partner", tid=partner.tid))
-            assert partner.hrt_thread is not None
-            self.contexts.append(
-                _Ctx(name=tname, kind="hrt_body", tid=partner.hrt_thread, body=body)
-            )
-        else:
-            self._spawn_native(ctx, tname)
+    def _hrt_touch(self, ctx: _Ctx, addr: int, access: AccessKind):
+        """A kernel-mode access.  A fault the runtime cannot handle locally
+        is forwarded, and the access is retried in the step that sees it served."""
+        hrt = self.system.hrt
+        forwards = 0
+        while True:
+            for _ in range(4):
+                fault = translate(hrt.space, hrt.control_state(), addr, access)
+                if not isinstance(fault, FaultInfo):
+                    return
+                core_id = hrt.threads[ctx.tid].core_id
+                if hrt.handle_page_fault(core_id, fault) is FaultResolution.FORWARD:
+                    break
+                # handled locally or re-merged: retry the access
+            else:
+                raise DoubleFaultError(f"access 0x{addr:x} {access.value} cannot be satisfied")
+            if forwards == 2:
+                raise DoubleFaultError(
+                    f"access 0x{addr:x} {access.value} still faults after re-merge "
+                    "and re-forward"
+                )
+            forwards += 1
+            yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))
 
-    def _spawn_native(self, ctx: _Ctx, tname: str) -> None:
-        body = self.workload.bodies[tname]
-        thread = self.system.ros._new_thread(RosThreadRole.LOCAL)
-        self.spawned[tname] = thread.tid
-        self.contexts.append(_Ctx(name=tname, kind="ros_body", tid=thread.tid, body=body))
+    def _invoke_override(self, ctx: _Ctx, name: str, args: tuple):
+        """Kernel-mode call of an overridable function: its enabled override
+        runs in place, anything else falls through to the regular OS."""
+        hrt = self.system.hrt
+        entry: OverrideEntry | None = self.workload.overrides.get(name)
+        if entry is None or not entry.enabled:
+            # Fall through to the legacy path: a forwarded call to the ROS.
+            self.log.emit(self.clock.now, "Fallthrough", ctx.tid, f"call:{name}", 0)
+            numeric = tuple(a for a in args if isinstance(a, int))
+            yield from self._syscall(ctx, f"call:{name}", numeric)
+            return
+        if entry.aero_name == "hrt_thread_create":
+            # Interposed thread creation behaves exactly like a spawn.
+            targets = [a for a in args if isinstance(a, str)]
+            if not targets:
+                raise UsageError("thread-create override needs a thread body name")
+            self._spawn(targets[0])
+            return
+        before = self.clock.now
+        hrt.resolve_symbol(entry.aero_name)
+        lookup_cost = self.clock.now - before
+        self.log.emit(self.clock.now, "SymbolLookup", ctx.tid, f"sym:{entry.aero_name}", lookup_cost)
+        _, behavior = hrt.function_table.lookup(entry.aero_name)
+        if behavior.cycles:
+            self.clock.charge(behavior.cycles)
         self.log.emit(
-            self.clock.now, EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}", 0
+            self.clock.now,
+            "Override",
+            ctx.tid,
+            f"override:{name}->{entry.aero_name}",
+            behavior.cycles,
         )
+        for addr in behavior.touches:  # the target's writes, one step each
+            yield True
+            yield from self._hrt_touch(ctx, addr, AccessKind.WRITE)
 
-    def _join(self, ctx: _Ctx, tname: str) -> None:
-        if tname not in self.spawned:
-            raise UsageError(f"join target {tname!r} was never spawned")
-        joiner = self.system.ros.threads[ctx.tid]
-        self.system.ros.join(joiner, self.spawned[tname])
-        if joiner.status is RosThreadStatus.RUNNABLE:
-            self._finish_action(ctx)
-        # else: resumed later by the blocked-join check
-
-    def _legacy_call(self, ctx: _Ctx, name: str, args: tuple) -> None:
+    def _legacy_call(self, tid: int, name: str, args: tuple) -> None:
         """Non-hybrid path of an overridable call: a plain library/OS call."""
         behavior = self.workload.funcs.get(name)
         if behavior is None:
@@ -449,201 +499,59 @@ class Simulator:
                 behavior = self.workload.funcs.get(entry.aero_name)
         cycles = self.cost.syscall_base + (behavior.cycles if behavior else 0)
         self.clock.charge(cycles)
-        self.log.emit(
-            self.clock.now,
-            EventKind.SYSCALL.value,
-            ctx.tid,
-            f"call:{name}",
-            cycles,
-        )
+        self.log.emit(self.clock.now, SYSCALL, tid, f"call:{name}", cycles)
 
-    def _sync_call(self, ctx: _Ctx, name: str) -> None:
+    def _sync_call(self, tid: int, name: str) -> None:
         if self.mode is not Mode.MULTIVERSE:
             behavior = self.workload.funcs.get(name, FunctionBehavior())
             if behavior.cycles:
                 self.clock.charge(behavior.cycles)
-                self.log.emit(self.clock.now, "Compute", ctx.tid, f"func:{name}", behavior.cycles)
+                self.log.emit(self.clock.now, "Compute", tid, f"func:{name}", behavior.cycles)
             return
         channel = self.system.channel
         ros = self.system.ros
         if channel.sync_endpoint is None:
             sync_page = ros._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True)
-            channel.hypercall(ctx.tid, Hypercall(HypercallKind.SETUP_SYNC, sync_page.base))
+            channel.hypercall(tid, Hypercall(HypercallKind.SETUP_SYNC, sync_page.base))
         addr, _ = self.system.hrt.function_table.lookup(name)
-        caller_core = ros.threads[ctx.tid].core_id
+        caller_core = ros.threads[tid].core_id
         target_core = self.system.hrt.booted_cores()[0]
         same_socket = self.system.machine.socket_of(caller_core) == self.system.machine.socket_of(
             target_core
         )
         channel.sync_invoke(channel.sync_endpoint, addr, (), same_socket)
 
-    # -- kernel-mode threads ---------------------------------------------------
+    # -- thread creation -------------------------------------------------------
 
-    def _step_hrt(self, ctx: _Ctx) -> bool:
-        hrt = self.system.hrt
-        thread = hrt.threads.get(ctx.tid)
-        if thread is None or thread.status is ThreadStatus.EXITED:
-            ctx.done = True
-            return False
-        if ctx.waiting_event is not None:
-            ev = ctx.waiting_event
-            if not ev.completed:
-                return False
-            ctx.waiting_event = None
-            thread.status = ThreadStatus.RUNNABLE
-            if ev.result == EFAULT:
-                self._halt(f"segfault reported to {ctx.name}")
-                return True
-            if not ctx.resume_retry:
-                self._deliver_result(ctx, ev)
-                self._finish_action(ctx)
-                return True
-            # retry the faulting action below
-        action = self._current_action(ctx)
-        if action is None:
-            ctx.done = True
-            return False
-        self._exec_hrt_action(ctx, thread.tid, action)
-        return True
-
-    def _deliver_result(self, ctx: _Ctx, ev: EventRecord) -> None:
-        if ev.kind is EventKind.SYSCALL and ev.payload:
-            name = ev.payload[0]
-            if name == "mmap" and ev.result is not None and ev.result >= 0:
-                ctx.last_mmap = ev.result
-
-    def _forward_syscall(self, ctx: _Ctx, tid: int, name: str, args: tuple[int, ...]) -> None:
-        hrt = self.system.hrt
-        ev = hrt.make_syscall_event(tid, name, args)
-        endpoint = hrt.ancestor_partner(tid)
-        self.system.channel.forward_event(ev, endpoint)
-        hrt.threads[tid].status = ThreadStatus.BLOCKED_ON_EVENT
-        ctx.waiting_event = ev
-        ctx.resume_retry = False
-
-    def _exec_hrt_action(self, ctx: _Ctx, tid: int, action: Action) -> None:
-        hrt = self.system.hrt
-        op = action.op
-        if op == "compute":
-            (cycles,) = action.args
-            self.clock.charge(cycles)
-            self.log.emit(self.clock.now, "Compute", tid, "compute", cycles)
-            self._finish_action(ctx)
-        elif op == "mmap":
-            length, populate, writable = action.args
-            self._forward_syscall(ctx, tid, "mmap", (length, int(populate), int(writable)))
-        elif op == "munmap":
-            expr, length = action.args
-            self._forward_syscall(ctx, tid, "munmap", (expr.resolve(ctx.last_mmap), length))
-        elif op == "syscall":
-            name, args = action.args
-            self._forward_syscall(ctx, tid, name, args)
-        elif op == "touch":
-            expr, access = action.args
-            self._hrt_touch(ctx, tid, expr.resolve(ctx.last_mmap), access)
-        elif op == "spawn_nested":
-            (tname,) = action.args
-            nested = hrt.create_nested_thread(tid, tname)
-            self.contexts.append(
-                _Ctx(
-                    name=f"{tname}#{nested.tid}",
-                    kind="hrt_body",
-                    tid=nested.tid,
-                    body=self.workload.bodies[tname],
-                )
-            )
-            self.log.emit(
-                self.clock.now,
-                EventKind.THREAD_CREATE.value,
-                nested.tid,
-                f"create_nested:{tname}",
-                0,
-            )
-            self._finish_action(ctx)
-        elif op == "spawn":
-            raise UsageError("spawn from a kernel-mode thread; use spawn_nested or an override")
-        elif op == "call_override":
-            name, args = action.args
-            self._invoke_override(ctx, tid, name, args)
-        elif op == "sync_call":
-            raise UsageError("sync_call is issued from the ROS side")
-        elif op == "join":
-            raise UsageError("join is issued from the main thread")
-        elif op == "exit":
-            ev = hrt.thread_exit(tid)
-            if ev is not None:
-                self.system.channel.forward_event(ev, hrt.ancestor_partner(tid))
-            self._finish_action(ctx)
-            ctx.done = True
-        else:  # pragma: no cover
-            raise UsageError(f"unknown action {op}")
-
-    def _hrt_touch(self, ctx: _Ctx, tid: int, addr: int, access: AccessKind) -> None:
-        hrt = self.system.hrt
-        assert hrt.space is not None
-        for _ in range(4):
-            result = translate(hrt.space, hrt.control_state(), addr, access)
-            if not isinstance(result, FaultInfo):
-                self._finish_action(ctx)
-                return
-            core_id = hrt.threads[tid].core_id
-            resolution = hrt.handle_page_fault(core_id, result)
-            if resolution is not FaultResolution.FORWARD:
-                continue  # handled locally or re-merged: retry the access
-            if ctx.fault_forwards >= 2:
-                raise DoubleFaultError(
-                    f"access 0x{addr:x} {access.value} still faults after re-merge "
-                    "and re-forward"
-                )
-            ctx.fault_forwards += 1
-            ev = hrt.make_fault_event(tid, result)
-            endpoint = hrt.ancestor_partner(tid)
-            self.system.channel.forward_event(ev, endpoint)
-            hrt.threads[tid].status = ThreadStatus.BLOCKED_ON_EVENT
-            ctx.waiting_event = ev
-            ctx.resume_retry = True
+    def _spawn(self, tname: str) -> None:
+        body = self.workload.bodies[tname]
+        if self.mode is not Mode.MULTIVERSE:
+            self._spawn_local(tname)
             return
-        raise DoubleFaultError(f"access 0x{addr:x} {access.value} cannot be satisfied")
+        partner = self.system.ros.spawn_hrt(tname)
+        self.spawned[tname] = partner.tid
+        self._add(f"partner:{tname}", "partner", partner.tid)
+        self._add(tname, "hrt_body", partner.hrt_thread, body)
 
-    def _invoke_override(self, ctx: _Ctx, tid: int, name: str, args: tuple) -> None:
-        hrt = self.system.hrt
-        entry: OverrideEntry | None = self.workload.overrides.get(name)
-        if entry is None or not entry.enabled:
-            # Fall through to the legacy path: a forwarded call to the ROS.
-            self.log.emit(self.clock.now, "Fallthrough", tid, f"call:{name}", 0)
-            numeric = tuple(a for a in args if isinstance(a, int))
-            self._forward_syscall(ctx, tid, f"call:{name}", numeric)
-            return
-        if entry.aero_name == "hrt_thread_create":
-            # Interposed thread creation behaves exactly like a spawn.
-            targets = [a for a in args if isinstance(a, str)]
-            if not targets:
-                raise UsageError("thread-create override needs a thread body name")
-            self._spawn(ctx, targets[0])
-            self._finish_action(ctx)
-            return
-        before = self.clock.now
-        hrt.resolve_symbol(entry.aero_name)
-        lookup_cost = self.clock.now - before
-        self.log.emit(self.clock.now, "SymbolLookup", tid, f"sym:{entry.aero_name}", lookup_cost)
-        _, behavior = hrt.function_table.lookup(entry.aero_name)
-        if behavior.cycles:
-            self.clock.charge(behavior.cycles)
+    def _spawn_local(self, tname: str) -> None:
+        body = self.workload.bodies[tname]
+        thread = self.system.ros._new_thread(RosThreadRole.LOCAL)
+        self.spawned[tname] = thread.tid
+        self._add(tname, "ros_body", thread.tid, body)
         self.log.emit(
-            self.clock.now, "Override", tid, f"override:{name}->{entry.aero_name}", behavior.cycles
+            self.clock.now, EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}", 0
         )
-        self._finish_action(ctx)
-        if behavior.touches:
-            from .workload import AddrExpr
 
-            ctx.queue = [
-                Action("touch", (AddrExpr(addr), AccessKind.WRITE))
-                for addr in behavior.touches
-            ] + ctx.queue
-
-    def _halt(self, reason: str) -> None:
-        self.halted = True
-        self.fail_reason = reason
+    def _spawn_nested(self, parent_tid: int, tname: str) -> None:
+        nested = self.system.hrt.create_nested_thread(parent_tid, tname)
+        self._add(f"{tname}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[tname])
+        self.log.emit(
+            self.clock.now,
+            EventKind.THREAD_CREATE.value,
+            nested.tid,
+            f"create_nested:{tname}",
+            0,
+        )
 
 
 def run(
@@ -721,22 +629,6 @@ class Comparison:
         return "\n".join(out)
 
 
-def _syscall_stats(report: TraceReport) -> dict[str, tuple[int, int]]:
-    """name -> (count, total cost) over Syscall log lines."""
-    stats: dict[str, tuple[int, int]] = {}
-    for line in report.log_text.splitlines():
-        fields = dict(f.split("=", 1) for f in line.split())
-        if fields.get("kind") != EventKind.SYSCALL.value:
-            continue
-        detail = fields["detail"]
-        name = detail.split("(", 1)[0]
-        if name.startswith("sys:"):
-            name = name[4:]
-        count, total = stats.get(name, (0, 0))
-        stats[name] = (count + 1, total + int(fields["cost"]))
-    return stats
-
-
 def compare(
     machine: Machine | None,
     workload: WorkloadProgram | str,
@@ -747,8 +639,7 @@ def compare(
         workload = parse_workload(workload)
     virtual = run(machine, workload, Mode.VIRTUAL, cost)
     multiverse = run(machine, workload, Mode.MULTIVERSE, cost)
-    v_stats = _syscall_stats(virtual)
-    m_stats = _syscall_stats(multiverse)
+    v_stats, m_stats = virtual.syscalls, multiverse.syscalls
     rows = []
     for name in sorted(set(v_stats) | set(m_stats)):
         vc, vt = v_stats.get(name, (0, 0))

@@ -78,7 +78,6 @@ class WorkloadProgram:
     bodies: dict[str, ThreadBody]
     funcs: dict[str, FunctionBehavior]
     overrides: dict[str, OverrideEntry]
-    source: str = ""
 
 
 def _num(token: str, lineno: int) -> int:
@@ -240,4 +239,4 @@ def parse_workload(text: str) -> WorkloadProgram:
                 raise ParseError(
                     f"{action.op} target {action.args[0]!r} is not a defined thread"
                 )
-    return WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides, source=text)
+    return WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)

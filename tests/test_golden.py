@@ -66,6 +66,31 @@ def test_golden_log(name, mode, expected):
     assert observe(name, Mode(mode)) == expected, f"workload {name!r} in mode {mode!r}"
 
 
+def text_syscall_table(log_text: str) -> dict[str, tuple[int, int]]:
+    """name -> (calls, cycles) over the rendered Syscall lines: the parse
+    compare() did before reports carried the table, kept as its oracle."""
+    stats: dict[str, tuple[int, int]] = {}
+    for line in log_text.splitlines():
+        fields = dict(f.split("=", 1) for f in line.split())
+        if fields.get("kind") != "Syscall":
+            continue
+        name = fields["detail"].split("(", 1)[0]
+        if name.startswith("sys:"):
+            name = name[4:]
+        count, total = stats.get(name, (0, 0))
+        stats[name] = (count + 1, total + int(fields["cost"]))
+    return stats
+
+
+@pytest.mark.parametrize(
+    "name, mode, expected", [p for p in _cases() if "raises" not in p.values[2]]
+)
+def test_syscall_table_matches_log_text(name, mode, expected):
+    text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+    report = run(Machine(phys_frames=PHYS_FRAMES.get(name, 512)), text, Mode(mode))
+    assert report.syscalls == text_syscall_table(report.log_text)
+
+
 def regenerate() -> None:
     records = {
         path.stem: {mode.value: observe(path.stem, mode) for mode in Mode}

@@ -24,6 +24,7 @@ from hrtsim.mem import (
     AccessKind,
     FaultInfo,
     FaultReason,
+    Ring,
     map_page,
     translate,
 )
@@ -87,6 +88,14 @@ class TestBoot:
             got = translate(system.hrt.space, system.hrt.control_state(), vaddr, AccessKind.READ)
             assert got == 777_777 * PAGE_SIZE
             assert len(deferred) == (1 << 20) // 512 - 1
+
+    def test_control_state_built_once_at_boot(self, booted):
+        hrt = booted.hrt
+        ctl = hrt.control_state()
+        assert hrt.control_state() is ctl
+        assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, hrt.space.cr3, Ring.RING0)
+        with pytest.raises(AttributeError):  # frozen: one instance is shared by every touch
+            ctl.cr3 = 0
 
     def test_reboot_clears_threads_and_lower_half(self, booted):
         thread = top_level(booted)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hrtsim.channel import EventKind
 from hrtsim.errors import FormatError, SymbolError, UsageError
-from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, translate
+from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, Ring, translate
 from hrtsim.ros import (
     EINVAL,
     ENOSYS,
@@ -139,6 +139,12 @@ class TestSyscalls:
 
     def test_unknown_syscall(self, system):
         assert system.ros.syscall("getpid_unmodeled", ()) == ENOSYS
+
+    def test_control_state_built_once(self, system):
+        ros = system.ros
+        ctl = ros.control_state()
+        assert ros.control_state() is ctl
+        assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, ros.proc.space.cr3, Ring.RING3)
 
     def test_touch_demand_pages_once(self, system):
         ros = system.ros

@@ -1,6 +1,8 @@
 """Run-driver tests: modes, forwarding, accounting, comparison, replay."""
 
 import gc
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,27 @@ def shared_page_threads(n):
         pad = "".join("  compute 10\n" for _ in range(n - i))
         text += f"thread w{i} hrt\n{pad}  touch 0x{MMAP_BASE:x} w\n  exit\nend\n"
     return text
+
+
+class TestLastAfterSyscallMmap:
+    """`last` follows every successful mmap, whichever action made it and on
+    whichever side the thread runs."""
+
+    KERNEL_MODE = (
+        "thread main ros\n  spawn worker\n  join worker\n  exit\nend\n"
+        "thread worker hrt\n  syscall mmap 4096\n  touch last w\n  exit\nend\n"
+    )
+    ROS_SIDE = "thread main ros\n  syscall mmap 4096\n  touch last w\n  exit\nend\n"
+    FAILED_MMAP = (
+        "thread main ros\n  mmap 4096\n  syscall mmap 0\n  touch last w\n  exit\nend\n"
+    )
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("text", [KERNEL_MODE, ROS_SIDE, FAILED_MMAP])
+    def test_touch_lands_on_the_mapped_region(self, text, mode):
+        report = run(small_machine(), text, mode)
+        assert not report.failed
+        assert f"detail=pf:0x{MMAP_BASE:x}:w " in report.log_text
 
 
 class TestConcurrentFaults:
@@ -302,6 +325,32 @@ class TestCompare:
                 compare(None, text)
                 assert gc.collect() == 0
         finally:
+            gc.enable()
+
+
+class TestRunTeardown:
+    UNJOINED = (
+        "thread main ros\n  spawn worker\n  compute 5\n  exit\nend\n"
+        "thread worker hrt\n  compute 1\n  compute 1\n  compute 1\n  exit\nend\n"
+    )
+    SEGFAULT = (Path(__file__).parent / "golden" / "workloads" / "segfault_hrt.txt").read_text()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("text", [UNJOINED, SEGFAULT], ids=["unjoined", "segfault_hrt"])
+    def test_threads_left_suspended_hold_no_cycle(self, text, mode):
+        # A suspended thread generator references its simulator; without
+        # the cycle collector the simulator must still die with the run.
+        gc.collect()
+        gc.disable()
+        system = System(machine=small_machine())
+        try:
+            sim = Simulator(system, parse_workload(text), mode)
+            alive = weakref.ref(sim)
+            sim.run()
+            del sim
+            assert alive() is None
+        finally:
+            system.close()
             gc.enable()
 
 
