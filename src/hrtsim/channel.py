@@ -2,12 +2,13 @@
 
 The channel is a passive state machine: the deterministic step loop in
 the driver is the only mutator.  Requests from the regular OS travel as
-hypercalls through a single shared data page (strictly sequential);
-the one asynchronous call is a spawn, whose payload carries everything
-the kernel-mode twin needs.  Events raised in kernel-mode threads are
-forwarded the other way into their partner threads' injection queues
-and answered with completions.
-After an address-space merge, a memory-based synchronous endpoint can
+hypercalls through a single shared data page (strictly sequential); each
+request carries its own service (address-space merge, the asynchronous
+call that creates a kernel-mode twin, synchronous-call setup), which the
+page protocol charges, runs and logs.  Events raised in kernel-mode
+threads are forwarded the other way into their partner threads'
+injection queues and answered with completions.
+After an address-space merge, a memory-based synchronous call can
 bypass the VMM entirely.
 """
 
@@ -22,7 +23,6 @@ from .costs import CostModel
 from .errors import BusyError, ProtocolError
 
 if TYPE_CHECKING:
-    from .hrt import Superposition
     from .mem import AccessKind
 
 
@@ -90,31 +90,7 @@ class EventKind(enum.Enum):
     THREAD_CREATE = "ThreadCreate"
     THREAD_EXIT_SIGNAL = "ThreadExitSignal"
     MERGE_REQUEST = "MergeRequest"
-    REBOOT = "Reboot"
     SYNC_INVOKE = "SyncInvoke"
-
-
-class HypercallKind(enum.Enum):
-    REBOOT_HRT = "reboot_hrt"
-    MERGE_ADDRESS_SPACE = "merge_address_space"
-    ASYNC_CALL = "async_call"
-    SETUP_SYNC = "setup_sync"
-
-
-@dataclass(frozen=True)
-class Hypercall:
-    kind: HypercallKind
-    payload: Any = None
-
-
-@dataclass(frozen=True)
-class SpawnRequest:
-    """Payload of an asynchronous call: start a top-level kernel-mode thread."""
-
-    func_addr: int
-    func_name: str
-    superposition: Superposition
-    partner_tid: int
 
 
 class PageState(enum.Enum):
@@ -179,11 +155,6 @@ class EventRecord:
 
 
 @dataclass
-class SyncEndpoint:
-    active: bool = True
-
-
-@dataclass
 class EventChannel:
     """Channel state: shared page, injection queues, outstanding events, log."""
 
@@ -193,13 +164,8 @@ class EventChannel:
     shared_page: SharedDataPage = field(default_factory=SharedDataPage)
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
     outstanding: list[EventRecord] = field(default_factory=list)
-    sync_endpoint: SyncEndpoint | None = None
+    sync_page: int | None = None  # set-up synchronous-call page, by virtual address
     merged: bool = False
-    # Hooks installed by the driver; called while servicing hypercalls.
-    on_reboot: Callable[[], None] | None = None
-    on_merge: Callable[[int], None] | None = None
-    on_async_call: Callable[[SpawnRequest], int] | None = None
-    on_sync_invoke: Callable[[int, tuple[int, ...]], int] | None = None
 
     def register_endpoint(self, partner_tid: int) -> None:
         self.queues.setdefault(partner_tid, deque())
@@ -209,71 +175,20 @@ class EventChannel:
 
     # -- ROS -> HRT direction -------------------------------------------------
 
-    def hypercall(self, caller: int, call: Hypercall) -> int:
-        """Validate and service one sequential request; returns its ack/result."""
+    def hypercall(
+        self, caller: int, kind: str, detail: str, cycles: int, service: Callable[[], int]
+    ) -> int:
+        """One sequential request through the shared page: charge its cycles,
+        run its service, log it, and return the service's result."""
         page = self.shared_page
         if page.state is not PageState.IDLE:
             raise BusyError(f"request while shared page is {page.state.value}")
-
-        if call.kind is HypercallKind.REBOOT_HRT:
-            # Handled inside the VMM, no HRT round trip.
-            self.clock.charge(self.cost.hypercall)
-            if self.on_reboot:
-                self.on_reboot()
-            if self.sync_endpoint:
-                self.sync_endpoint.active = False
-                self.sync_endpoint = None
-            self.log.emit(
-                self.clock.now, EventKind.REBOOT.value, caller, "reboot", self.cost.hypercall
-            )
-            return 0
-
         page.transition(PageState.REQUESTED)
         page.transition(PageState.IN_PROGRESS)
         try:
-            if call.kind is HypercallKind.MERGE_ADDRESS_SPACE:
-                cr3 = int(call.payload)
-                self.clock.charge(self.cost.merger)
-                if self.on_merge:
-                    self.on_merge(cr3)
-                self.merged = True
-                self.log.emit(
-                    self.clock.now,
-                    EventKind.MERGE_REQUEST.value,
-                    caller,
-                    f"cr3={cr3}",
-                    self.cost.merger,
-                )
-                result = 0
-            elif call.kind is HypercallKind.ASYNC_CALL:
-                request: SpawnRequest = call.payload
-                self.clock.charge(self.cost.async_call)
-                if self.on_async_call is None:
-                    raise ProtocolError("no async-call handler installed")
-                result = self.on_async_call(request)
-                self.log.emit(
-                    self.clock.now,
-                    "AsyncCall",
-                    caller,
-                    f"func=0x{request.func_addr:x},parallel=0",
-                    self.cost.async_call,
-                )
-            elif call.kind is HypercallKind.SETUP_SYNC:
-                if not self.merged:
-                    raise ProtocolError("synchronous setup requires a merged address space")
-                self.clock.charge(self.cost.hypercall)
-                self.sync_endpoint = SyncEndpoint()
-                self.log.emit(
-                    self.clock.now,
-                    "SetupSync",
-                    caller,
-                    f"vaddr=0x{int(call.payload):x}",
-                    self.cost.hypercall,
-                )
-                result = 0
-            else:  # pragma: no cover - enum is exhaustive
-                raise ProtocolError(f"unhandled hypercall {call.kind}")
-            page.complete(result)
+            self.clock.charge(cycles)
+            page.complete(service())
+            self.log.emit(self.clock.now, kind, caller, detail, cycles)
             return page.return_code
         finally:
             if page.state is PageState.IN_PROGRESS:  # the service raised
@@ -281,21 +196,24 @@ class EventChannel:
             page.transition(PageState.IDLE)
 
     def sync_invoke(
-        self, endpoint: SyncEndpoint, func_ptr: int, args: tuple[int, ...], same_socket: bool
+        self,
+        func_ptr: int,
+        args: tuple[int, ...],
+        same_socket: bool,
+        service: Callable[[], int],
     ) -> int:
-        """Memory-protocol call that skips the VMM; round trip cost only."""
+        """Memory-protocol call that skips the VMM: charge the round trip,
+        run the callee, log the call, and return the callee's result."""
         SharedDataPage.check_args(args)
-        if endpoint is not self.sync_endpoint or not endpoint.active:
-            raise ProtocolError("synchronous endpoint not active")
+        if self.sync_page is None:
+            raise ProtocolError("synchronous call before its setup")
         cycles = (
             self.cost.sync_call_same_socket
             if same_socket
             else self.cost.sync_call_diff_socket
         )
         self.clock.charge(cycles)
-        if self.on_sync_invoke is None:
-            raise ProtocolError("no sync-invoke handler installed")
-        result = self.on_sync_invoke(func_ptr, args)
+        result = service()
         self.log.emit(
             self.clock.now,
             EventKind.SYNC_INVOKE.value,

@@ -129,12 +129,6 @@ class FunctionTable:
         except KeyError:
             raise SymbolError(f"unknown symbol {name!r}") from None
 
-    def by_addr(self, addr: int) -> tuple[str, FunctionBehavior]:
-        for name, (a, behavior) in self._entries.items():
-            if a == addr:
-                return name, behavior
-        raise SymbolError(f"no symbol at 0x{addr:x}")
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
@@ -158,7 +152,7 @@ class HrtKernel:
     cores: dict[int, HrtCoreState] = field(default_factory=dict)
     threads: dict[int, HrtThread] = field(default_factory=dict)
     function_table: FunctionTable = field(default_factory=FunctionTable)
-    symbol_cache: SymbolCache | None = None
+    symbol_cache: SymbolCache = field(default_factory=SymbolCache)
     remerge_count: int = 0
     _control: ControlState | None = None  # built with the address space at boot
     _next_tid: int = 1000
@@ -172,7 +166,7 @@ class HrtKernel:
 
     def install_image(self, image: AeroKernelImage) -> None:
         if self.image is not None:
-            raise InstallError("an image is already installed; reboot first")
+            raise InstallError("an image is already installed")
         if any(c.status is not CoreStatus.OFFLINE for c in self.cores.values()):
             raise InstallError("cores must be offline to install")
         frames_needed = max(1, -(-image.payload_size // PAGE_SIZE))
@@ -200,18 +194,6 @@ class HrtKernel:
             self._control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
         for core_id in core_ids:
             self.cores[core_id].reset(CoreStatus.IDLE_EVENT_LOOP)
-
-    def reboot(self) -> None:
-        """Return every booted core to its idle event loop and drop threads."""
-        self.threads.clear()
-        if self.space is not None:
-            root = self.space.root()
-            for i in range(256):
-                root[i] = None
-        for core in self.cores.values():
-            if core.status is not CoreStatus.OFFLINE:
-                core.reset(CoreStatus.IDLE_EVENT_LOOP)
-        self.channel.merged = False
 
     def shutdown(self) -> None:
         self.threads.clear()
@@ -366,13 +348,11 @@ class HrtKernel:
 
     def resolve_symbol(self, name: str) -> int:
         """Find a function's address, charging lookup or cache-hit cycles."""
-        if self.symbol_cache is not None:
-            cached = self.symbol_cache.lookup(name)
-            if cached is not None:
-                self.clock.charge(self.cost.cache_hit)
-                return cached
+        cached = self.symbol_cache.lookup(name)
+        if cached is not None:
+            self.clock.charge(self.cost.cache_hit)
+            return cached
         addr, _ = self.function_table.lookup(name)
         self.clock.charge(self.cost.symbol_lookup)
-        if self.symbol_cache is not None:
-            self.symbol_cache.insert(name, addr)
+        self.symbol_cache.insert(name, addr)
         return addr

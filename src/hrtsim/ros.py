@@ -22,9 +22,6 @@ from .channel import (
     EventKind,
     EventLog,
     EventRecord,
-    Hypercall,
-    HypercallKind,
-    SpawnRequest,
     fault_detail,
 )
 from .costs import CostModel
@@ -40,6 +37,7 @@ from .mem import (
     Ring,
     ensure_root_entry,
     map_page,
+    merge_lower_half,
     translate,
     unmap_page,
 )
@@ -151,8 +149,6 @@ class RosKernel:
         self._next_mmap = MMAP_BASE
         self._next_stack = STACK_TOP
         self._core_rr = 0
-        self.signal_handlers_registered = False
-        self.exit_hook_registered = False
         self.legacy_funcs: dict[str, object] = {}
         self.main = self._new_thread(RosThreadRole.MAIN)
         # Unblock order bookkeeping for join-safety checks.
@@ -362,26 +358,23 @@ class RosKernel:
             gdt_snapshot=("gdt", self.proc.pid, partner.tid),
             tls_base=stack.end - PAGE_SIZE,
         )
-        request = SpawnRequest(addr, func_name, superposition, partner.tid)
+
+        def create_twin() -> int:
+            twin = self.hrt.create_top_level_thread(func_name, superposition, partner.tid)
+            self.log.emit(
+                self.clock.now,
+                EventKind.THREAD_CREATE.value,
+                partner.tid,
+                f"create:{func_name}:{twin.tid}",
+                0,
+            )
+            return twin.tid
+
+        detail = f"func=0x{addr:x},parallel=0"
         partner.hrt_thread = self.channel.hypercall(
-            self.main.tid, Hypercall(HypercallKind.ASYNC_CALL, request)
+            self.main.tid, "AsyncCall", detail, self.cost.async_call, create_twin
         )
         return partner
-
-    def async_call_handler(self, request: SpawnRequest) -> int:
-        """Channel hook for the asynchronous call: create the requested
-        top-level twin and return its thread id."""
-        thread = self.hrt.create_top_level_thread(
-            request.func_name, request.superposition, request.partner_tid
-        )
-        self.log.emit(
-            self.clock.now,
-            EventKind.THREAD_CREATE.value,
-            request.partner_tid,
-            f"create:{request.func_name}:{thread.tid}",
-            0,
-        )
-        return thread.tid
 
     def join(self, joiner: RosThread, target_tid: int) -> None:
         """Block the joiner until the target partner or local thread has exited."""
@@ -411,21 +404,29 @@ class RosKernel:
 
 
 def init_runtime(system, fat_bytes: bytes) -> RosProcess:
-    """Program-start hook sequence: handlers, exit hook, linkage, install,
-    boot, merge.  Any sub-step failure propagates as that step's error."""
+    """Program-start sequence: linkage, install, boot, merge.  Any sub-step
+    failure propagates as that step's error."""
     from .toolchain import parse_fat_binary
 
     ros: RosKernel = system.ros
     hrt: HrtKernel = system.hrt
+    channel: EventChannel = system.channel
     app, image = parse_fat_binary(fat_bytes)
-    ros.signal_handlers_registered = True
-    ros.exit_hook_registered = True
     # Function linkage happens as part of image installation: every
     # embedded symbol becomes resolvable through the function table.
     hrt.install_image(image)
     hrt.boot(system.machine.hrt_core_ids)
-    system.channel.hypercall(
-        ros.main.tid,
-        Hypercall(HypercallKind.MERGE_ADDRESS_SPACE, ros.proc.space.cr3),
+    cr3 = ros.proc.space.cr3
+
+    def merge() -> int:
+        if cr3 != ros.proc.space.cr3:
+            raise UsageError(f"merge payload cr3={cr3} is not the process root")
+        hrt.ros_space = ros.proc.space
+        merge_lower_half(hrt.space, ros.proc.space)
+        channel.merged = True
+        return 0
+
+    channel.hypercall(
+        ros.main.tid, EventKind.MERGE_REQUEST.value, f"cr3={cr3}", system.cost.merger, merge
     )
     return ros.proc

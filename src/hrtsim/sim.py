@@ -21,15 +21,13 @@ from .channel import (
     EventKind,
     EventLog,
     EventRecord,
-    Hypercall,
-    HypercallKind,
     syscall_detail,
 )
 from .costs import CostModel
-from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
+from .errors import DeadlockError, DoubleFaultError, ParseError, ProtocolError, UsageError
 from .hrt import FaultResolution, FunctionBehavior, HrtKernel
 from .machine import Machine
-from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, merge_lower_half, translate
+from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, translate
 from .ros import (
     EFAULT,
     RosKernel,
@@ -37,7 +35,7 @@ from .ros import (
     RosThreadStatus,
     init_runtime,
 )
-from .toolchain import AeroKernelImage, AppDescriptor, OverrideEntry, SymbolCache, embed
+from .toolchain import AeroKernelImage, AppDescriptor, OverrideEntry, embed
 from .workload import ThreadBody, WorkloadProgram, parse_workload
 
 __all__ = [
@@ -118,49 +116,18 @@ class TraceReport:
 
 
 class System:
-    """One machine + both kernels + the channel wiring between them."""
+    """One machine + both kernels + the channel between them."""
 
-    def __init__(
-        self,
-        machine: Machine | None = None,
-        cost: CostModel | None = None,
-        use_symbol_cache: bool = True,
-    ):
+    def __init__(self, machine: Machine | None = None, cost: CostModel | None = None):
         self.machine = machine or Machine()
         self.cost = cost or CostModel()
         self.clock = Clock()
         self.log = EventLog()
         self.channel = EventChannel(self.cost, self.clock, self.log)
         self.hrt = HrtKernel(self.machine, self.cost, self.clock, self.log, self.channel)
-        if use_symbol_cache:
-            self.hrt.symbol_cache = SymbolCache()
         self.ros = RosKernel(
             self.machine, self.cost, self.clock, self.log, self.channel, self.hrt
         )
-        self.channel.on_reboot = self.hrt.reboot
-        self.channel.on_merge = self._handle_merge
-        self.channel.on_async_call = self.ros.async_call_handler
-        self.channel.on_sync_invoke = self._handle_sync_invoke
-
-    def close(self) -> None:
-        """Unwire the channel hooks.  They are bound methods of objects that
-        hold the channel, so only then does reference counting free the system."""
-        self.channel.on_reboot = self.channel.on_merge = None
-        self.channel.on_async_call = self.channel.on_sync_invoke = None
-
-    def _handle_merge(self, cr3: int) -> None:
-        if cr3 != self.ros.proc.space.cr3:
-            raise UsageError(f"merge payload cr3={cr3} is not the process root")
-        assert self.hrt.space is not None
-        self.hrt.ros_space = self.ros.proc.space
-        merge_lower_half(self.hrt.space, self.ros.proc.space)
-
-    def _handle_sync_invoke(self, func_ptr: int, args: tuple[int, ...]) -> int:
-        name, behavior = self.hrt.function_table.by_addr(func_ptr)
-        if behavior.cycles:
-            self.clock.charge(behavior.cycles)
-            self.log.emit(self.clock.now, "Compute", 0, f"func:{name}", behavior.cycles)
-        return behavior.returns
 
 
 def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
@@ -264,7 +231,7 @@ class Simulator:
             # all so that reference counting frees the run.
             for ctx in self.contexts:
                 ctx.thread.close()
-        if self.mode is Mode.MULTIVERSE and self.system.ros.exit_hook_registered:
+        if self.mode is Mode.MULTIVERSE:  # the runtime's exit hook
             self.system.hrt.shutdown()
         return self.report()
 
@@ -426,8 +393,6 @@ class Simulator:
         yield True
         while not ev.completed:
             yield False
-        if ev.result == EFAULT:
-            raise _Halt(f"segfault reported to {ctx.name}")
         return ev.result
 
     def _hrt_touch(self, ctx: _Ctx, addr: int, access: AccessKind):
@@ -452,7 +417,8 @@ class Simulator:
                     "and re-forward"
                 )
             forwards += 1
-            yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))
+            if (yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))) == EFAULT:
+                raise _Halt(f"segfault reported to {ctx.name}")
 
     def _invoke_override(self, ctx: _Ctx, name: str, args: tuple):
         """Kernel-mode call of an overridable function: its enabled override
@@ -503,23 +469,34 @@ class Simulator:
 
     def _sync_call(self, tid: int, name: str) -> None:
         if self.mode is not Mode.MULTIVERSE:
-            behavior = self.workload.funcs.get(name, FunctionBehavior())
-            if behavior.cycles:
-                self.clock.charge(behavior.cycles)
-                self.log.emit(self.clock.now, "Compute", tid, f"func:{name}", behavior.cycles)
+            self._callee(tid, name, self.workload.funcs.get(name, FunctionBehavior()))
             return
         channel = self.system.channel
         ros = self.system.ros
-        if channel.sync_endpoint is None:
-            sync_page = ros._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True)
-            channel.hypercall(tid, Hypercall(HypercallKind.SETUP_SYNC, sync_page.base))
-        addr, _ = self.system.hrt.function_table.lookup(name)
+        if channel.sync_page is None:
+            if not channel.merged:
+                raise ProtocolError("synchronous setup requires a merged address space")
+            page = ros._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
+
+            def set_up() -> int:
+                channel.sync_page = page
+                return 0
+
+            channel.hypercall(tid, "SetupSync", f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
+        addr, behavior = self.system.hrt.function_table.lookup(name)
         caller_core = ros.threads[tid].core_id
         target_core = self.system.hrt.booted_cores()[0]
         same_socket = self.system.machine.socket_of(caller_core) == self.system.machine.socket_of(
             target_core
         )
-        channel.sync_invoke(channel.sync_endpoint, addr, (), same_socket)
+        channel.sync_invoke(addr, (), same_socket, lambda: self._callee(0, name, behavior))
+
+    def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
+        """Run a synchronously called function's body; returns its result."""
+        if behavior.cycles:
+            self.clock.charge(behavior.cycles)
+            self.log.emit(self.clock.now, "Compute", origin, f"func:{name}", behavior.cycles)
+        return behavior.returns
 
     # -- thread creation -------------------------------------------------------
 
@@ -559,18 +536,13 @@ def run(
     workload: WorkloadProgram | str,
     mode: Mode | str,
     cost: CostModel | None = None,
-    use_symbol_cache: bool = True,
 ) -> TraceReport:
     """Run one workload under one mode on a fresh system."""
     if isinstance(workload, str):
         workload = parse_workload(workload)
     if isinstance(mode, str):
         mode = Mode(mode)
-    system = System(machine=machine, cost=cost, use_symbol_cache=use_symbol_cache)
-    try:
-        return Simulator(system, workload, mode).run()
-    finally:
-        system.close()
+    return Simulator(System(machine=machine, cost=cost), workload, mode).run()
 
 
 # -- comparison ---------------------------------------------------------------

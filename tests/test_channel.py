@@ -8,22 +8,27 @@ from hrtsim.channel import (
     EventKind,
     EventLog,
     EventRecord,
-    Hypercall,
-    HypercallKind,
     PageState,
     SharedDataPage,
-    SpawnRequest,
 )
 from hrtsim.costs import CostModel, load_cost_model
 from hrtsim.errors import BusyError, ParseError, ProtocolError
-from hrtsim.hrt import Superposition
+from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-SPAWN = SpawnRequest(0x10, "worker", Superposition(("gdt", 1, 2), 0x7FFF_0000_0000), 2)
+from conftest import small_machine
 
 
 def make_channel() -> EventChannel:
     clock = Clock()
     return EventChannel(CostModel(), clock, EventLog())
+
+
+def set_up_sync(channel: EventChannel, vaddr: int = 0x1000) -> None:
+    def service() -> int:
+        channel.sync_page = vaddr
+        return 0
+
+    channel.hypercall(1, "SetupSync", f"vaddr=0x{vaddr:x}", channel.cost.hypercall, service)
 
 
 class TestSharedPage:
@@ -55,34 +60,50 @@ class TestHypercalls:
     def test_busy_while_not_idle(self):
         channel = make_channel()
         channel.shared_page.transition(PageState.REQUESTED)
+        served = []
         with pytest.raises(BusyError):
-            channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
-
-    def test_reboot_handled_internally(self):
-        channel = make_channel()
-        seen = []
-        channel.on_reboot = lambda: seen.append(True)
-        channel.hypercall(1, Hypercall(HypercallKind.REBOOT_HRT))
-        assert seen == [True]
-        assert channel.clock.now == channel.cost.hypercall
+            channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: served.append(1))
+        assert served == []
+        assert channel.clock.now == 0
+        assert channel.log.entries == []
 
     def test_merge_charges_merger_and_sets_flag(self):
+        # The protocol charges first, then runs the service, then logs.
         channel = make_channel()
-        merged = []
-        channel.on_merge = merged.append
-        channel.hypercall(1, Hypercall(HypercallKind.MERGE_ADDRESS_SPACE, 5))
-        assert merged == [5]
+        seen = []
+
+        def merge() -> int:
+            seen.append((channel.clock.now, len(channel.log.entries)))
+            channel.merged = True
+            return 0
+
+        cost = channel.cost.merger
+        assert channel.hypercall(1, EventKind.MERGE_REQUEST.value, "cr3=5", cost, merge) == 0
+        assert seen == [(cost, 0)]
         assert channel.merged
-        assert channel.clock.now == channel.cost.merger
+        assert channel.clock.now == cost
+        entry = channel.log.entries[-1]
+        assert (entry.cycle, entry.kind, entry.origin, entry.detail, entry.cost) == (
+            cost,
+            "MergeRequest",
+            1,
+            "cr3=5",
+            cost,
+        )
         assert channel.shared_page.state is PageState.IDLE
 
     def test_async_call_cost(self):
         channel = make_channel()
         seen = []
-        channel.on_async_call = lambda request: seen.append(request) or 99
-        result = channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
+
+        def create_twin() -> int:
+            seen.append(channel.shared_page.state)
+            return 99
+
+        cost = channel.cost.async_call
+        result = channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", cost, create_twin)
         assert result == 99
-        assert seen == [SPAWN]
+        assert seen == [PageState.IN_PROGRESS]
         assert channel.clock.now == channel.cost.async_call
         entry = channel.log.entries[-1]
         assert (entry.kind, entry.detail, entry.cost) == (
@@ -94,40 +115,48 @@ class TestHypercalls:
 
     def test_failed_service_leaves_page_idle(self):
         channel = make_channel()
-        with pytest.raises(ProtocolError):  # no handler installed
-            channel.hypercall(1, Hypercall(HypercallKind.ASYNC_CALL, SPAWN))
+
+        def refuse() -> int:
+            raise ProtocolError("service failed")
+
+        with pytest.raises(ProtocolError):
+            channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", 100, refuse)
         assert channel.shared_page.state is PageState.IDLE
+        assert channel.log.entries == []
 
     def test_setup_sync_before_merge(self):
-        channel = make_channel()
+        # The merged precondition is checked before anything is allocated or charged.
+        system = System(machine=small_machine())
+        text = "func fast cycles=0\nthread main ros\n  sync_call fast\n  exit\nend\n"
+        sim = Simulator(system, parse_workload(text), Mode.MULTIVERSE)
+        regions = len(system.ros.proc.vm_regions)
         with pytest.raises(ProtocolError):
-            channel.hypercall(1, Hypercall(HypercallKind.SETUP_SYNC, 0x1000))
+            sim._sync_call(system.ros.main.tid, "fast")
+        assert system.clock.now == 0
+        assert system.log.entries == []
+        assert system.channel.sync_page is None
+        assert len(system.ros.proc.vm_regions) == regions
 
     def test_sync_invoke_costs_by_socket(self):
         channel = make_channel()
-        channel.on_merge = lambda cr3: None
-        channel.on_sync_invoke = lambda f, a: 7
-        channel.hypercall(1, Hypercall(HypercallKind.MERGE_ADDRESS_SPACE, 0))
-        channel.hypercall(1, Hypercall(HypercallKind.SETUP_SYNC, 0x1000))
-        endpoint = channel.sync_endpoint
+        set_up_sync(channel)
+        assert channel.sync_page == 0x1000
         start = channel.clock.now
-        assert channel.sync_invoke(endpoint, 0x10, (), same_socket=True) == 7
+        assert channel.sync_invoke(0x10, (), same_socket=True, service=lambda: 7) == 7
         assert channel.clock.now - start == channel.cost.sync_call_same_socket
         start = channel.clock.now
-        channel.sync_invoke(endpoint, 0x10, (), same_socket=False)
+        channel.sync_invoke(0x10, (), same_socket=False, service=lambda: 7)
         assert channel.clock.now - start == channel.cost.sync_call_diff_socket
 
     def test_sync_invoke_inactive_endpoint(self):
+        # A synchronous call before its setup is refused before any charge.
         channel = make_channel()
-        channel.on_merge = lambda cr3: None
-        channel.on_sync_invoke = lambda f, a: 0
-        channel.hypercall(1, Hypercall(HypercallKind.MERGE_ADDRESS_SPACE, 0))
-        channel.hypercall(1, Hypercall(HypercallKind.SETUP_SYNC, 0x1000))
-        endpoint = channel.sync_endpoint
-        channel.hypercall(1, Hypercall(HypercallKind.REBOOT_HRT))
-        assert not endpoint.active
+        called = []
         with pytest.raises(ProtocolError):
-            channel.sync_invoke(endpoint, 0x10, (), same_socket=True)
+            channel.sync_invoke(0x10, (), same_socket=True, service=lambda: called.append(1))
+        assert called == []
+        assert channel.clock.now == 0
+        assert channel.log.entries == []
 
 
 class TestForwarding:

@@ -30,7 +30,7 @@ from hrtsim.mem import (
 )
 from hrtsim.machine import Machine
 from hrtsim.sim import System
-from hrtsim.toolchain import AeroKernelImage, parse_fat_binary
+from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
 from conftest import make_fat
 
@@ -96,15 +96,6 @@ class TestBoot:
         assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, hrt.space.cr3, Ring.RING0)
         with pytest.raises(AttributeError):  # frozen: one instance is shared by every touch
             ctl.cr3 = 0
-
-    def test_reboot_clears_threads_and_lower_half(self, booted):
-        thread = top_level(booted)
-        assert thread.tid in booted.hrt.threads
-        booted.hrt.reboot()
-        assert booted.hrt.threads == {}
-        assert not booted.channel.merged
-        root = booted.hrt.space.root()
-        assert all(root[i] is None for i in range(256))
 
     def test_shutdown_offlines_cores(self, booted):
         booted.hrt.shutdown()
@@ -240,7 +231,7 @@ class TestSymbols:
 
     def test_uncached_resolution_always_pays_lookup(self, booted):
         hrt = booted.hrt
-        hrt.symbol_cache = None
+        hrt.symbol_cache = SymbolCache(capacity=0)  # remembers nothing
         for _ in range(3):
             start = booted.clock.now
             hrt.resolve_symbol("worker")

@@ -178,8 +178,6 @@ class TestInitRuntime:
 
         proc = init_runtime(system, make_fat())
         assert proc is system.ros.proc
-        assert system.ros.signal_handlers_registered
-        assert system.ros.exit_hook_registered
         assert system.channel.merged
         for core_id in system.machine.hrt_core_ids:
             assert system.hrt.cores[core_id].status is CoreStatus.IDLE_EVENT_LOOP
@@ -225,17 +223,25 @@ class TestSpawn:
         assert booted.ros.threads == threads_before
 
     def test_spawn_payload_names_twin(self, booted):
-        seen = []
-        handler = booted.channel.on_async_call
-        booted.channel.on_async_call = lambda request: seen.append(request) or handler(request)
-        partner = booted.ros.spawn_hrt("helper")
-        (request,) = seen
-        assert request.func_addr == booted.hrt.function_table.lookup("helper")[0]
-        assert request.func_name == "helper"
-        assert request.partner_tid == partner.tid
-        assert request.superposition.tls_base == partner.stack_region.end - PAGE_SIZE
+        ros = booted.ros
+        partner = ros.spawn_hrt("helper")
         twin = booted.hrt.threads[partner.hrt_thread]
-        assert (twin.func_name, twin.superposition) == ("helper", request.superposition)
+        assert (twin.func_name, twin.partner) == ("helper", partner.tid)
+        assert twin.superposition.tls_base == partner.stack_region.end - PAGE_SIZE
+        assert twin.superposition.gdt_snapshot == ("gdt", ros.proc.pid, partner.tid)
+        create, call = booted.log.entries[-2:]
+        assert (create.kind, create.origin, create.detail) == (
+            EventKind.THREAD_CREATE.value,
+            partner.tid,
+            f"create:helper:{twin.tid}",
+        )
+        addr = booted.hrt.function_table.lookup("helper")[0]
+        assert (call.kind, call.origin, call.detail, call.cost) == (
+            "AsyncCall",
+            ros.main.tid,
+            f"func=0x{addr:x},parallel=0",
+            booted.cost.async_call,
+        )
 
 
 class TestForwardedService:

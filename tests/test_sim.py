@@ -92,8 +92,8 @@ end
 """
 
 
-def mv(text, machine=None, **kw):
-    return run(machine or small_machine(), text, Mode.MULTIVERSE, **kw)
+def mv(text, machine=None):
+    return run(machine or small_machine(), text, Mode.MULTIVERSE)
 
 
 def log_cost_sum(report):
@@ -134,6 +134,22 @@ class TestForwarding:
         # Only the top-level exit raises a signal; nested exits are silent.
         assert report.forwarded_counts[EventKind.THREAD_EXIT_SIGNAL.value] == 1
         assert not report.failed
+
+    def test_syscall_result_efault_is_not_a_segfault(self):
+        # -14 is an ordinary syscall result; only a forwarded page fault that
+        # the regular OS cannot satisfy is a segfault.
+        text = W_NESTED.replace("syscall write 1 4", "syscall write 1 -14")
+        costs = {}
+        for mode in Mode:
+            report = run(small_machine(), text, mode)
+            assert not report.failed, mode
+            assert report.total_cycles == log_cost_sum(report)
+            (costs[mode],) = [
+                int(dict(f.split("=", 1) for f in line.split())["cost"])
+                for line in report.log_text.splitlines()
+                if "detail=sys:write(1,-14)" in line
+            ]
+        assert costs[Mode.MULTIVERSE] - costs[Mode.NATIVE] == CostModel().forward_overhead
 
 
 def shared_page_threads(n):
@@ -248,10 +264,12 @@ class TestAccounting:
 class TestOverrides:
     def test_override_uses_cache_after_first_call(self):
         cost = CostModel()
-        cached = mv(W_OVERRIDE, use_symbol_cache=True)
-        uncached = mv(W_OVERRIDE, use_symbol_cache=False)
-        saved = uncached.total_cycles - cached.total_cycles
-        assert saved == 2 * (cost.symbol_lookup - cost.cache_hit)
+        lookups = [
+            int(dict(f.split("=", 1) for f in line.split())["cost"])
+            for line in mv(W_OVERRIDE).log_text.splitlines()
+            if " kind=SymbolLookup " in f" {line} "
+        ]
+        assert lookups == [cost.symbol_lookup, cost.cache_hit, cost.cache_hit]
 
     def test_override_charges_function_cycles(self):
         report = mv(W_OVERRIDE)
@@ -350,7 +368,6 @@ class TestRunTeardown:
             del sim
             assert alive() is None
         finally:
-            system.close()
             gc.enable()
 
 
