@@ -6,7 +6,7 @@ class SimError(Exception):
 
 
 class NonCanonicalAddressError(SimError):
-    """A virtual address whose bits 47..63 are not sign-extended."""
+    """A virtual address outside 64 bits, or whose bits 47..63 are not sign-extended."""
 
 
 class AllocationError(SimError):

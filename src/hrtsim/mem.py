@@ -6,6 +6,16 @@ sub-table sharing between the two kernels' address spaces automatic: the
 lower-half merger copies only root-table entries, and any edit the
 regular OS makes *below* its root is immediately visible on the other
 side.  Only a brand-new root-level entry requires a fresh merge.
+
+Each address space memoises its successful walks: page number -> present
+leaf entry.  A hit re-checks the access against the entry's `writable`
+bit, the ring and cr0.WP exactly as a walk does.  Misses are never
+cached, so mapping a page that was not present invalidates nothing.
+Three writes do invalidate, because a leaf table below the root may be
+shared by both spaces:
+  - `unmap_page` drops its page from every memo on the table store;
+  - `map_page` over a present leaf does the same;
+  - `merge_lower_half` clears the memo of the space it merges into.
 """
 
 from __future__ import annotations
@@ -72,8 +82,10 @@ class Entry:
 
 
 def is_canonical(addr: int) -> bool:
-    """Bits 47..63 must all equal bit 47."""
-    top = (addr & ADDR_MASK) >> 47
+    """A 64-bit address whose bits 47..63 all equal bit 47."""
+    if not 0 <= addr <= ADDR_MASK:
+        return False
+    top = addr >> 47
     return top == 0 or top == 0x1FFFF
 
 
@@ -139,6 +151,13 @@ class TableStore:
         self._tables: dict[int, list[Entry | None]] = {}
         # Leaf table frame -> (first mapped frame, count), not built yet.
         self.deferred: dict[int, tuple[int, int]] = {}
+        # The walk memo of every address space built on this store.
+        self.memos: list[dict[int, Entry]] = []
+
+    def forget_page(self, page: int) -> None:
+        """Drop one page number from every space's walk memo."""
+        for memo in self.memos:
+            memo.pop(page, None)
 
     def new_table(self, frame: int) -> list[Entry | None]:
         table: list[Entry | None] = [None] * TABLE_ENTRIES
@@ -167,33 +186,12 @@ class PageTableHierarchy:
         self.frame_alloc = frame_alloc
         self.cr3 = frame_alloc.alloc()
         store.new_table(self.cr3)
+        # Page number -> present leaf entry, for walks that succeeded.
+        self.memo: dict[int, Entry] = {}
+        store.memos.append(self.memo)
 
     def root(self) -> list[Entry | None]:
         return self.store.table(self.cr3)
-
-    def mapped_lower_pages(self) -> list[int]:
-        """All mapped lower-half page addresses, ascending."""
-        pages = []
-        root = self.root()
-        for i4 in range(LOWER_ROOT_ENTRIES):
-            e4 = root[i4]
-            if e4 is None:
-                continue
-            t3 = self.store.table(e4.target_frame)
-            for i3, e3 in enumerate(t3):
-                if e3 is None:
-                    continue
-                t2 = self.store.table(e3.target_frame)
-                for i2, e2 in enumerate(t2):
-                    if e2 is None:
-                        continue
-                    t1 = self.store.table(e2.target_frame)
-                    for i1, e1 in enumerate(t1):
-                        if e1 is not None:
-                            pages.append(
-                                (i4 << 39) | (i3 << 30) | (i2 << 21) | (i1 << 12)
-                            )
-        return pages
 
 
 def translate(
@@ -205,23 +203,28 @@ def translate(
     """Walk the four levels; return a physical byte address or fault info.
 
     A ring-0 write to a present read-only page faults only when cr0_wp is
-    set; in ring 3 it always faults.
+    set; in ring 3 it always faults.  A present leaf is memoised; a
+    non-canonical address never is, so its page number never hits.
     """
-    require_canonical(addr)
-    i4, i3, i2, i1, offset = table_indices(addr)
-    table = space.root()
-    for idx in (i4, i3, i2):
-        entry = table[idx]
-        if entry is None:
-            return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-        table = space.store.table(entry.target_frame)
-    leaf = table[i1]
+    page = addr >> 12
+    leaf = space.memo.get(page)
     if leaf is None:
-        return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+        require_canonical(addr)
+        i4, i3, i2, i1, _ = table_indices(addr)
+        table = space.root()
+        for idx in (i4, i3, i2):
+            entry = table[idx]
+            if entry is None:
+                return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+            table = space.store.table(entry.target_frame)
+        leaf = table[i1]
+        if leaf is None:
+            return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+        space.memo[page] = leaf
     if access is AccessKind.WRITE and not leaf.writable:
         if ctl.ring is Ring.RING3 or ctl.cr0_wp:
             return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
-    return leaf.target_frame * PAGE_SIZE + offset
+    return leaf.target_frame * PAGE_SIZE + (addr & 0xFFF)
 
 
 def map_page(
@@ -233,7 +236,8 @@ def map_page(
 ) -> None:
     """Map one 4 KiB page, allocating intermediate tables on demand.
 
-    Remapping an already-mapped address replaces the entry.
+    Remapping an already-mapped address replaces the entry and drops the
+    page from every walk memo.
     """
     require_canonical(vaddr)
     if vaddr % PAGE_SIZE:
@@ -248,11 +252,14 @@ def map_page(
             entry = Entry(writable=True, user=True, target_frame=sub)
             table[idx] = entry
         table = space.store.table(entry.target_frame)
+    if table[i1] is not None:
+        space.store.forget_page(vaddr >> 12)
     table[i1] = Entry(writable=writable, user=user, target_frame=frame)
 
 
 def unmap_page(space: PageTableHierarchy, vaddr: int) -> None:
-    """Clear the leaf entry for vaddr; unmapped addresses are a no-op."""
+    """Clear the leaf entry for vaddr and drop the page from every walk
+    memo; unmapped addresses are a no-op."""
     require_canonical(vaddr)
     if vaddr % PAGE_SIZE:
         raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
@@ -264,6 +271,7 @@ def unmap_page(space: PageTableHierarchy, vaddr: int) -> None:
             return
         table = space.store.table(entry.target_frame)
     table[i1] = None
+    space.store.forget_page(vaddr >> 12)
 
 
 def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -> None:
@@ -311,20 +319,11 @@ def merge_lower_half(
 
     Sub-tables are shared through the common table store, so ROS edits
     below the root are visible immediately; only new root entries need a
-    re-merge.
+    re-merge.  The copied entries may replace sub-tables the HRT space
+    walked before, so its walk memo is cleared.
     """
     hrt_root = hrt_space.root()
     ros_root = ros_space.root()
     for i in range(LOWER_ROOT_ENTRIES):
         hrt_root[i] = ros_root[i]
-
-
-def lower_halves_consistent(
-    hrt_space: PageTableHierarchy, ros_space: PageTableHierarchy
-) -> bool:
-    """True iff both root tables agree on entries 0..255."""
-    hrt_root = hrt_space.root()
-    ros_root = ros_space.root()
-    return all(
-        hrt_root[i] == ros_root[i] for i in range(LOWER_ROOT_ENTRIES)
-    )
+    hrt_space.memo.clear()

@@ -113,7 +113,6 @@ class RosProcess:
     pid: int
     space: PageTableHierarchy
     vm_regions: RegionList = field(default_factory=RegionList)
-    output: list[str] = field(default_factory=list)
     failed: bool = False
     fail_reason: str = ""
 
@@ -234,10 +233,7 @@ class RosKernel:
 
     def syscall(self, name: str, args: tuple[int, ...]) -> int:
         if name == "write":
-            fd = args[0] if args else 1
-            count = args[1] if len(args) > 1 else 0
-            self.proc.output.append(f"write(fd={fd},n={count})")
-            return count
+            return args[1] if len(args) > 1 else 0
         if name == "mmap":
             length = args[0] if args else 0
             populate = bool(args[1]) if len(args) > 1 else False

@@ -7,6 +7,20 @@ Contexts are stepped strict round-robin in creation order (regular OS
 threads before kernel-mode threads).  All costs are charged through a
 single clock, and every charge has a matching event-log entry, so the
 run total is recomputable from the exported log.
+
+A step that makes no progress parks its context, and the round skips a
+parked context until one of three wakers in this module clears the flag:
+  - forwarding an event (a blocked access or call, or a kernel-mode
+    thread's exit) wakes the partner that serves it;
+  - a partner step that made progress wakes the contexts the partner
+    serves: its twin and the twin's nested threads;
+  - the exit of a partner or of a local thread wakes the regular-OS
+    bodies, which may be joining it.
+A partner that has served its last queued event, with no exit bit set,
+parks at once.  Since a step that makes no progress changes nothing,
+the steps that do make progress, and so the log, are exactly those of
+stepping every context every round; a round in which no context makes
+progress is a deadlock either way.
 """
 
 from __future__ import annotations
@@ -158,7 +172,9 @@ class _Ctx:
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
     done: bool = False
+    parked: bool = False  # skipped by the round loop until a waker clears it
     thread: Generator[bool, None, None] | None = None
+    served: list[_Ctx] = field(default_factory=list)  # partner: twin and nested
 
 
 class _Halt(Exception):
@@ -176,6 +192,8 @@ class Simulator:
         self.clock = system.clock
         self.log = system.log
         self.contexts: list[_Ctx] = []
+        self.ros_bodies: list[_Ctx] = []  # the contexts that may join
+        self.partners: dict[int, _Ctx] = {}  # partner ROS tid -> its context
         self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
         self.halted = False
@@ -193,10 +211,17 @@ class Simulator:
         self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
 
     def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
-        """A context that first runs in the round after this one."""
-        ctx = _Ctx(name, kind, tid)
-        ctx.thread = self._partner(tid) if body is None else self._thread(ctx, body)
+        """A context that first runs in the round after this one.  A partner
+        starts parked: nothing is queued for it yet."""
+        ctx = _Ctx(name, kind, tid, parked=kind == "partner")
+        ctx.thread = self._partner(ctx) if body is None else self._thread(ctx, body)
         self.contexts.append(ctx)
+        if kind == "partner":
+            self.partners[tid] = ctx
+        elif kind == "ros_body":
+            self.ros_bodies.append(ctx)
+        else:
+            self.partners[self.system.hrt.ancestor_partner(tid)].served.append(ctx)
         return ctx
 
     # -- main loop -----------------------------------------------------------
@@ -211,8 +236,12 @@ class Simulator:
             while True:
                 progressed = False
                 for ctx in list(self.contexts):  # contexts spawned now run next round
+                    if ctx.parked:
+                        continue
                     if self.step(ctx):
                         progressed = True
+                    else:
+                        ctx.parked = True
                     if self.halted:
                         break
                 if self.halted or all(c.done for c in self.contexts):
@@ -272,23 +301,36 @@ class Simulator:
         try:
             return next(ctx.thread)
         except StopIteration:
-            ctx.done = True
+            ctx.done = ctx.parked = True
             return True
         except _Halt as halt:
             self.halted = True
             self.fail_reason = str(halt)
             return True
 
-    def _partner(self, tid: int) -> Generator[bool, None, None]:
+    def _partner(self, ctx: _Ctx) -> Generator[bool, None, None]:
         """A partner serves its twin's forwarded events until the exit bit
-        lets it go."""
+        lets it go.  Each event it serves may unblock any context it serves;
+        with its queue drained and no exit bit it parks at once."""
         ros = self.system.ros
-        partner = ros.threads[tid]
+        partner = ros.threads[ctx.tid]
+        queue = self.system.channel.queues[ctx.tid]
         while True:
             progressed = ros.partner_step(partner)
             if partner.status is RosThreadStatus.EXITED:
+                self._wake_joiners()
                 return
+            if progressed:
+                for served in ctx.served:
+                    served.parked = served.done
+                if not queue and not partner.exit_bit:
+                    ctx.parked = True
             yield progressed
+
+    def _wake_joiners(self) -> None:
+        """A partner or local thread exited: any regular-OS body may be joining it."""
+        for ctx in self.ros_bodies:
+            ctx.parked = ctx.done
 
     def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
         """Run a thread body on its side, one action per step.  A kernel-mode
@@ -356,12 +398,13 @@ class Simulator:
                 if kernel_mode:
                     ev = hrt.thread_exit(tid)
                     if ev is not None:
-                        self.system.channel.forward_event(ev, hrt.ancestor_partner(tid))
+                        self._send(ctx, ev)
                 else:
                     ros.threads[tid].status = RosThreadStatus.EXITED
+                    self._wake_joiners()
                     if ctx is self.main_ctx:  # process teardown ends every thread
                         for other in self.contexts:
-                            other.done = True
+                            other.done = other.parked = True
                 return
             else:  # pragma: no cover - the parser rejects unknown ops
                 raise UsageError(f"unknown action {op}")
@@ -384,12 +427,18 @@ class Simulator:
         )
         return result
 
+    def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
+        """Queue ev for the partner serving kernel-mode ctx, and wake it."""
+        partner_tid = self.system.hrt.ancestor_partner(ctx.tid)
+        self.system.channel.forward_event(ev, partner_tid)
+        self.partners[partner_tid].parked = False
+
     def _forward(self, ctx: _Ctx, ev: EventRecord):
         """Forward ev to the thread's partner and block until it is served.
-        The forwarding step ends here, then one blocked step per round; the
-        step that sees the completion goes on in the caller."""
-        hrt = self.system.hrt
-        self.system.channel.forward_event(ev, hrt.ancestor_partner(ctx.tid))
+        The forwarding step ends here; a step that finds ev unserved parks
+        the thread, and the step that sees the completion goes on in the
+        caller."""
+        self._send(ctx, ev)
         yield True
         while not ev.completed:
             yield False

@@ -47,6 +47,7 @@ from hrtsim.toolchain import (
 )
 
 from conftest import make_fat, small_machine
+from pagewalk import mapped_lower_pages
 
 RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
 RING3 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING3)
@@ -160,7 +161,7 @@ def test_criterion_05_merge_equivalence_randomized():
             vaddr = rng.randrange(0, 1 << 47, PAGE_SIZE)
             map_page(ros, vaddr, rng.randrange(0, 500), writable=rng.random() < 0.5)
         merge_lower_half(hrt, ros)
-        for vaddr in ros.mapped_lower_pages():
+        for vaddr in mapped_lower_pages(ros):
             assert translate(hrt, RING0, vaddr, AccessKind.READ) == translate(
                 ros, RING3, vaddr, AccessKind.READ
             )

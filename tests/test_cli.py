@@ -1,5 +1,7 @@
 """Command-line interface tests."""
 
+import pytest
+
 from hrtsim import bundled_profiles_text
 from hrtsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
 
@@ -14,6 +16,22 @@ end
 SEGFAULT = """
 thread main ros
   touch 0x123000 w
+  exit
+end
+"""
+
+# Main maps and touches MMAP_BASE; the thread it spawns touches 2**64 +
+# MMAP_BASE, on the regular OS in native mode and in kernel mode otherwise.
+ALIAS = """
+thread main ros
+  mmap 4096
+  touch last w
+  spawn w
+  join w
+  exit
+end
+thread w hrt
+  touch 0x10000100000000000 w
   exit
 end
 """
@@ -66,6 +84,13 @@ class TestRun:
         code = main(["run", write(tmp_path, "w.txt", text), "--mode", "native"])
         assert code == EXIT_FAILURE
         assert "'last' used before any mmap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["native", "multiverse"])
+    def test_address_beyond_64_bits_is_a_runtime_failure(self, tmp_path, capsys, mode):
+        # 2**64 + MMAP_BASE must not alias the page mapped at MMAP_BASE.
+        code = main(["run", write(tmp_path, "w.txt", ALIAS), "--mode", mode])
+        assert code == EXIT_FAILURE
+        assert "non-canonical address 0x10000100000000000" in capsys.readouterr().err
 
     def test_cost_file_respected(self, tmp_path, capsys):
         cost = write(tmp_path, "cost.txt", "syscall_base = 9000\n")

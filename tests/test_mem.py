@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrtsim.errors import NonCanonicalAddressError
@@ -21,14 +21,16 @@ from hrtsim.mem import (
     Ring,
     TableStore,
     addr_half,
+    ensure_root_entry,
     identity_map_higher_half,
     is_canonical,
-    lower_halves_consistent,
     map_page,
     merge_lower_half,
     translate,
     unmap_page,
 )
+
+from pagewalk import lower_halves_consistent, mapped_lower_pages, walk
 
 RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
 RING0_NOWP = ControlState(cr0_wp=False, cr3=0, ring=Ring.RING0)
@@ -73,6 +75,24 @@ class TestCanonical:
         space = make_space()
         with pytest.raises(NonCanonicalAddressError):
             translate(space, RING3, 1 << 47, AccessKind.READ)
+
+    @pytest.mark.parametrize("addr", [-PAGE_SIZE, -1, 1 << 64, (1 << 64) + 0x1000_0000_0000])
+    def test_ints_outside_64_bits_are_not_canonical(self, addr):
+        assert not is_canonical(addr)
+
+    def test_no_alias_beyond_64_bits(self):
+        # An int beyond 64 bits must not alias the page its low 64 bits name.
+        page = 0x1000_0000_0000
+        space = make_space()
+        map_page(space, page, 7)
+        for alias in ((1 << 64) + page, page - (1 << 64)):
+            with pytest.raises(NonCanonicalAddressError):
+                translate(space, RING0, alias, AccessKind.READ)
+            with pytest.raises(NonCanonicalAddressError):
+                map_page(space, alias, 8)
+            with pytest.raises(NonCanonicalAddressError):
+                unmap_page(space, alias)
+        assert translate(space, RING0, page, AccessKind.READ) == 7 * PAGE_SIZE
 
 
 class TestTranslate:
@@ -244,7 +264,7 @@ class TestMerge:
             vaddr = rng.randrange(0, 1 << 47, PAGE_SIZE)
             map_page(ros, vaddr, rng.randrange(0, 400))
         merge_lower_half(hrt, ros)
-        pages = ros.mapped_lower_pages()
+        pages = mapped_lower_pages(ros)
         assert pages
         for vaddr in pages:
             assert translate(hrt, RING0, vaddr, AccessKind.READ) == translate(
@@ -254,7 +274,7 @@ class TestMerge:
     def test_empty_merge(self):
         hrt, ros = shared_spaces()
         merge_lower_half(hrt, ros)
-        assert hrt.mapped_lower_pages() == []
+        assert mapped_lower_pages(hrt) == []
 
     def test_higher_half_survives_merge(self):
         hrt, ros = shared_spaces(frames=32)
@@ -289,3 +309,83 @@ class TestMerge:
         map_page(ros, 0xA000, 14)  # same root slot, new leaf
         assert lower_halves_consistent(hrt, ros)
         assert translate(hrt, RING0, 0xA000, AccessKind.READ) == 14 * PAGE_SIZE
+
+
+# Pages the memo test draws from: two lower-half pages that share a leaf
+# table, one in another leaf of the same root slot, one in a second root
+# slot, two identity-mapped higher-half pages, and ints that are not
+# canonical 64-bit addresses.
+MEMO_PAGES = (
+    0x1000_0000_0000,
+    0x1000_0000_1000,
+    0x1000_0020_0000,
+    0x2000_0000_0000,
+    HIGHER_BASE,
+    HIGHER_BASE + 0x1000,
+)
+NOT_CANONICAL = (-PAGE_SIZE, 1 << 47, (1 << 64) + 0x1000_0000_0000)
+MEMO_ADDRS = MEMO_PAGES + NOT_CANONICAL
+CONTROLS = (RING0, RING0_NOWP, RING3, ControlState(cr0_wp=False, cr3=0, ring=Ring.RING3))
+SWEEP = [(AccessKind.READ, RING0)] + [(AccessKind.WRITE, ctl) for ctl in CONTROLS]
+SPACE = st.sampled_from(("hrt", "ros"))
+ADDR = st.sampled_from(MEMO_ADDRS)
+MEMO_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("map"), SPACE, ADDR, st.integers(0, 63), st.booleans()),
+        st.tuples(st.just("unmap"), SPACE, ADDR),
+        st.tuples(st.just("root"), SPACE, ADDR),
+        st.tuples(st.just("merge")),
+        st.tuples(
+            st.just("translate"),
+            SPACE,
+            ADDR,
+            st.integers(0, PAGE_SIZE - 1),
+            st.sampled_from(AccessKind),
+            st.sampled_from(CONTROLS),
+        ),
+    ),
+    max_size=30,
+)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonCanonicalAddressError:
+        return NonCanonicalAddressError
+
+
+class TestWalkMemo:
+    """Memoised translate equals a full walk after any sequence of writes
+    to two spaces that share their lower-half tables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(MEMO_OPS)
+    def test_translate_matches_uncached_walk(self, ops):
+        hrt, ros = shared_spaces(frames=64)
+        identity_map_higher_half(hrt, 64)
+        spaces = {"hrt": hrt, "ros": ros}
+        for op in ops:
+            if op[0] == "map":
+                _, name, addr, frame, writable = op
+                done = outcome(map_page, spaces[name], addr, frame, writable)
+                assert (done is NonCanonicalAddressError) == (addr in NOT_CANONICAL)
+            elif op[0] == "unmap":
+                done = outcome(unmap_page, spaces[op[1]], op[2])
+                assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)
+            elif op[0] == "root":
+                done = outcome(ensure_root_entry, spaces[op[1]], op[2])
+                assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)
+            elif op[0] == "merge":
+                merge_lower_half(hrt, ros)
+            else:
+                _, name, addr, offset, access, ctl = op
+                args = (spaces[name], ctl, addr + offset, access)
+                assert outcome(translate, *args) == outcome(walk, *args)
+            # Every address in both spaces, read and each write-protect
+            # case: a stale memo entry shows at once.
+            for space in (hrt, ros):
+                for addr in MEMO_ADDRS:
+                    for access, ctl in SWEEP:
+                        args = (space, ctl, addr, access)
+                        assert outcome(translate, *args) == outcome(walk, *args), op

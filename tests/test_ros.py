@@ -15,9 +15,10 @@ from hrtsim.ros import (
     RosThreadStatus,
     init_runtime,
 )
-from hrtsim.sim import System
+from hrtsim.sim import Mode, Simulator, System, parse_workload
 
 from conftest import make_fat, small_machine
+from pagewalk import lower_halves_consistent
 
 
 def mapped_pages(ros, base, length):
@@ -132,10 +133,29 @@ class TestRegionIndex:
                         assert ros.region_at(addr) is linear_region_at(regions, addr)
 
 
+WRITE_ROS = "thread main ros\n  syscall write 1 14\n  exit\nend\n"
+WRITE_HRT = (
+    "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+    "thread w hrt\n  syscall write 1 14\n  exit\nend\n"
+)
+
+
 class TestSyscalls:
-    def test_write_appends_output(self, system):
+    @pytest.mark.parametrize(
+        "text, mode, origin, forwarded",
+        [(WRITE_ROS, Mode.NATIVE, 1, False), (WRITE_HRT, Mode.MULTIVERSE, 1000, True)],
+        ids=["ros_side", "forwarded"],
+    )
+    def test_write_returns_count_and_is_logged(self, system, text, mode, origin, forwarded):
         assert system.ros.syscall("write", (1, 14)) == 14
-        assert system.ros.proc.output == ["write(fd=1,n=14)"]
+        Simulator(system, parse_workload(text), mode).run()
+        writes = [
+            (e.detail, e.origin, e.cost, e.forwarded)
+            for e in system.log.entries
+            if e.kind == EventKind.SYSCALL.value and e.detail.startswith("sys:write")
+        ]
+        cost = system.cost.syscall_base + forwarded * system.cost.forward_overhead
+        assert writes == [("sys:write(1,14)", origin, cost, forwarded)]
 
     def test_unknown_syscall(self, system):
         assert system.ros.syscall("getpid_unmodeled", ()) == ENOSYS
@@ -174,7 +194,6 @@ class TestSyscalls:
 class TestInitRuntime:
     def test_full_sequence(self, system):
         from hrtsim.hrt import CoreStatus
-        from hrtsim.mem import lower_halves_consistent
 
         proc = init_runtime(system, make_fat())
         assert proc is system.ros.proc

@@ -1,0 +1,195 @@
+"""The round loop skips parked contexts without changing the schedule.
+
+`StepEveryContext.execute` is the loop from before parking: every context
+is stepped in every round.  It stays here as the oracle.  Under both
+loops the sequence of steps that made progress, recorded as (context
+name, done after the step), must be equal, and so must the log; only the
+steps that made no progress may disappear.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from hrtsim.errors import DeadlockError, SimError
+from hrtsim.machine import Machine
+from hrtsim.sim import Mode, Simulator, System, parse_workload
+
+from test_golden import GOLDEN, PHYS_FRAMES
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 3, 9001)
+
+
+def load_bench_workloads():
+    """The benchmark's seeded workload generators, by workload name."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # its dataclasses look their module up
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].GENERATORS
+
+
+class ParkingLoop(Simulator):
+    """The simulator as it is, recording each step that made progress."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.progress: list[tuple[str, bool]] = []
+
+    def step(self, ctx):
+        progressed = super().step(ctx)
+        if progressed:
+            self.progress.append((ctx.name, ctx.done))
+        return progressed
+
+
+class StepEveryContext(ParkingLoop):
+    """The oracle: the round loop that ignores `parked`."""
+
+    def execute(self):
+        try:
+            while True:
+                progressed = False
+                for ctx in list(self.contexts):
+                    if self.step(ctx):
+                        progressed = True
+                    if self.halted:
+                        break
+                if self.halted or all(c.done for c in self.contexts):
+                    break
+                if not progressed:
+                    dump = [
+                        f"{e.kind.value} origin={e.origin} detail={e.detail}"
+                        for e in self.system.channel.outstanding
+                    ]
+                    raise DeadlockError(
+                        "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
+                        events=list(self.system.channel.outstanding),
+                    )
+        finally:
+            for ctx in self.contexts:
+                ctx.thread.close()
+        if self.mode is Mode.MULTIVERSE:
+            self.system.hrt.shutdown()
+        return self.report()
+
+
+def observe(loop, text, mode, phys_frames, prepare=None):
+    """Run text under one loop: the progress sequence and the outcome."""
+    sim = loop(System(machine=Machine(phys_frames=phys_frames)), parse_workload(text), mode)
+    sim.setup()
+    if prepare is not None:
+        prepare(sim)
+    try:
+        report = sim.execute()
+    except SimError as exc:
+        events = [(e.kind.value, e.origin, e.detail) for e in getattr(exc, "events", [])]
+        return sim.progress, (type(exc).__name__, str(exc), events)
+    return sim.progress, (report.log_text, report.total_cycles, report.failed)
+
+
+def assert_same_schedule(text, mode, phys_frames, prepare=None):
+    parked = observe(ParkingLoop, text, mode, phys_frames, prepare)
+    oracle = observe(StepEveryContext, text, mode, phys_frames, prepare)
+    assert parked[0] == oracle[0]
+    assert parked[1] == oracle[1]
+    return parked
+
+
+GOLDEN_NAMES = sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt"))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_workload_schedule(name, mode):
+    text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+    assert_same_schedule(text, mode, PHYS_FRAMES.get(name, 512))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["fwd_cold", "hot_local", "boot_large", "compare_cold"])
+def test_bench_workload_schedule(name, seed, mode):
+    workload = load_bench_workloads()[name](seed)
+    frames = workload.phys_frames or Machine().phys_frames
+    progress, outcome = assert_same_schedule(workload.text, mode, frames)
+    assert progress
+    assert outcome[2] is False  # ran to the end, not failed
+
+
+MUTUAL_JOIN = """
+thread main ros
+  spawn a
+  spawn b
+  join a
+  exit
+end
+thread a ros
+  join b
+  exit
+end
+thread b ros
+  join a
+  exit
+end
+"""
+
+W_FAULT = """
+thread main ros
+  spawn worker
+  join worker
+  exit
+end
+thread worker hrt
+  mmap 4096
+  touch last w
+  exit
+end
+"""
+
+
+class TestDeadlock:
+    @pytest.mark.parametrize("mode", [Mode.NATIVE, Mode.VIRTUAL], ids=lambda m: m.value)
+    def test_mutual_join(self, mode):
+        _, outcome = assert_same_schedule(MUTUAL_JOIN, mode, 512)
+        assert outcome == (
+            "DeadlockError",
+            "no runnable context; outstanding events: none",
+            [],
+        )
+
+    def test_unserved_event_is_dumped(self):
+        def drop_partners(sim):
+            sim.step(sim.main_ctx)  # executes the spawn
+            sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
+
+        _, outcome = assert_same_schedule(W_FAULT, Mode.MULTIVERSE, 512, drop_partners)
+        assert outcome == (
+            "DeadlockError",
+            "no runnable context; outstanding events: "
+            "Syscall origin=1000 detail=sys:mmap(4096,0,1)",
+            [("Syscall", 1000, "sys:mmap(4096,0,1)")],
+        )
+
+
+def test_hot_local_steps_rarely_idle(monkeypatch):
+    """Parked contexts are not stepped: under 1% of `Simulator.step` calls
+    on golden bench_hot_local make no progress (before parking it was 53%)."""
+    calls = {True: 0, False: 0}
+    original = Simulator.step
+
+    def counted(self, ctx):
+        progressed = original(self, ctx)
+        calls[progressed] += 1
+        return progressed
+
+    monkeypatch.setattr(Simulator, "step", counted)
+    text = (GOLDEN / "workloads" / "bench_hot_local.txt").read_text()
+    sim = Simulator(System(machine=Machine(phys_frames=8192)), parse_workload(text), Mode.MULTIVERSE)
+    assert not sim.run().failed
+    assert calls[False] < 0.01 * (calls[True] + calls[False]), calls
