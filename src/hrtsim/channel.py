@@ -5,7 +5,9 @@ the driver is the only mutator.  Requests from the regular OS travel as
 hypercalls through a single shared data page (strictly sequential); each
 request carries its own service (address-space merge, the asynchronous
 call that creates a kernel-mode twin, synchronous-call setup), which the
-page protocol charges, runs and logs.  Events raised in kernel-mode
+page protocol charges, runs and logs.  The channel keeps no record of
+what a service did: the merge's result lives in the runtime
+(`HrtKernel.ros_space`).  Events raised in kernel-mode
 threads are forwarded the other way into their partner threads'
 injection queues and answered with completions.
 After an address-space merge, a memory-based synchronous call can
@@ -165,7 +167,6 @@ class EventChannel:
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
     outstanding: list[EventRecord] = field(default_factory=list)
     sync_page: int | None = None  # set-up synchronous-call page, by virtual address
-    merged: bool = False
 
     def register_endpoint(self, partner_tid: int) -> None:
         self.queues.setdefault(partner_tid, deque())

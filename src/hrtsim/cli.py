@@ -10,13 +10,7 @@ import sys
 from pathlib import Path
 
 from .costs import CostModel, load_cost_model
-from .errors import (
-    DeadlockError,
-    DoubleFaultError,
-    FormatError,
-    ParseError,
-    SimError,
-)
+from .errors import DeadlockError, FormatError, ParseError, SimError
 from .sim import Mode, compare, load_profiles, parse_workload, replay_benchmark, run
 
 EXIT_OK = 0
@@ -84,11 +78,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DeadlockError, DoubleFaultError) as exc:
+    except DeadlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, DeadlockError):
-            for ev in exc.events:
-                print(f"  outstanding: {ev.kind.value} origin={ev.origin}", file=sys.stderr)
+        for ev in exc.events:
+            print(f"  outstanding: {ev.kind.value} origin={ev.origin}", file=sys.stderr)
         return EXIT_FAILURE
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,11 @@ exit notifications) is packaged as an event and forwarded to the partner
 thread on the other side.  A per-core record of the most recent fault
 detects the duplicate that follows a stale root table and triggers a
 local re-merge instead of a second forward.
+
+The installed image's symbol table is the runtime's only record of the
+functions it can run: thread creation and symbol resolution read it.
+What a function does lives in the workload's `func` lines.  The lower
+half counts as merged once the merge hypercall has set `ros_space`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import (
 )
 from .machine import CoreKind, Machine
 from .mem import (
-    HIGHER_BASE,
     PAGE_SIZE,
     AccessKind,
     ControlState,
@@ -99,40 +103,6 @@ class HrtThread:
     status: ThreadStatus = ThreadStatus.RUNNABLE
 
 
-@dataclass(frozen=True)
-class FunctionBehavior:
-    """Declarative body of a simulated kernel-side function."""
-
-    cycles: int = 0
-    returns: int = 0
-    touches: tuple[int, ...] = ()
-
-
-class FunctionTable:
-    """Name -> (higher-half address, behavior descriptor)."""
-
-    def __init__(self):
-        self._entries: dict[str, tuple[int, FunctionBehavior]] = {}
-
-    def register(self, name: str, behavior: FunctionBehavior, addr: int) -> None:
-        if addr < HIGHER_BASE:
-            raise ValueError(f"function address must be in the higher half: 0x{addr:x}")
-        self._entries[name] = (addr, behavior)
-
-    def set_behavior(self, name: str, behavior: FunctionBehavior) -> None:
-        addr, _ = self.lookup(name)
-        self._entries[name] = (addr, behavior)
-
-    def lookup(self, name: str) -> tuple[int, FunctionBehavior]:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise SymbolError(f"unknown symbol {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-
 class FaultResolution(enum.Enum):
     HANDLED_LOCAL = "handled_local"
     FORWARD = "forward"
@@ -151,7 +121,6 @@ class HrtKernel:
     ros_space: PageTableHierarchy | None = None
     cores: dict[int, HrtCoreState] = field(default_factory=dict)
     threads: dict[int, HrtThread] = field(default_factory=dict)
-    function_table: FunctionTable = field(default_factory=FunctionTable)
     symbol_cache: SymbolCache = field(default_factory=SymbolCache)
     remerge_count: int = 0
     _control: ControlState | None = None  # built with the address space at boot
@@ -175,10 +144,15 @@ class HrtKernel:
                 f"image needs {frames_needed} frames, "
                 f"{self.machine.hrt_frame_alloc.frames_left} available"
             )
-        self.machine.hrt_frame_alloc.alloc_many(frames_needed)
+        for _ in range(frames_needed):
+            self.machine.hrt_frame_alloc.alloc()
         self.image = image
-        for name in image.symbol_table:
-            self.function_table.register(name, FunctionBehavior(), image.symbol_table[name])
+
+    def symbol(self, name: str) -> int:
+        """Address of `name` in the installed image's symbol table."""
+        if self.image is None or name not in self.image.symbol_table:
+            raise SymbolError(f"unknown symbol {name!r}")
+        return self.image.symbol_table[name]
 
     def boot(self, core_ids: list[int]) -> None:
         if self.image is None:
@@ -229,10 +203,9 @@ class HrtKernel:
     def create_top_level_thread(
         self, func_name: str, superposition: Superposition, partner_tid: int
     ) -> HrtThread:
-        if not self.channel.merged:
+        if self.ros_space is None:
             raise ProtocolError("address spaces must be merged before thread creation")
-        if func_name not in self.function_table:
-            raise SymbolError(f"unknown symbol {func_name!r}")
+        self.symbol(func_name)
         core_id = self._pick_core()
         thread = HrtThread(
             tid=self._alloc_tid(),
@@ -254,8 +227,7 @@ class HrtKernel:
             raise LifecycleError(f"no such thread {parent_tid}")
         if parent.status is ThreadStatus.EXITED:
             raise LifecycleError(f"parent thread {parent_tid} has exited")
-        if func_name not in self.function_table:
-            raise SymbolError(f"unknown symbol {func_name!r}")
+        self.symbol(func_name)
         thread = HrtThread(
             tid=self._alloc_tid(),
             kind=ThreadKind.NESTED,
@@ -352,7 +324,7 @@ class HrtKernel:
         if cached is not None:
             self.clock.charge(self.cost.cache_hit)
             return cached
-        addr, _ = self.function_table.lookup(name)
+        addr = self.symbol(name)
         self.clock.charge(self.cost.symbol_lookup)
         self.symbol_cache.insert(name, addr)
         return addr

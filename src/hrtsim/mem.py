@@ -127,14 +127,6 @@ class FrameAllocator:
         self._next += 1
         return frame
 
-    def alloc_many(self, count: int) -> list[int]:
-        if self._next + count > self.end:
-            raise AllocationError(
-                f"need {count} {self.owner.value} frames, "
-                f"{self.end - self._next} available"
-            )
-        return [self.alloc() for _ in range(count)]
-
     @property
     def frames_left(self) -> int:
         return self.end - self._next
@@ -227,6 +219,22 @@ def translate(
     return leaf.target_frame * PAGE_SIZE + (addr & 0xFFF)
 
 
+def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[Entry | None]:
+    """The table `depth` levels below the root on vaddr's walk, allocating
+    each absent intermediate table on the way."""
+    table = space.root()
+    for idx in table_indices(vaddr)[:depth]:
+        entry = table[idx]
+        if entry is None:
+            entry = table[idx] = Entry(
+                writable=True, user=True, target_frame=space.frame_alloc.alloc()
+            )
+            table = space.store.new_table(entry.target_frame)
+        else:
+            table = space.store.table(entry.target_frame)
+    return table
+
+
 def map_page(
     space: PageTableHierarchy,
     vaddr: int,
@@ -242,16 +250,8 @@ def map_page(
     require_canonical(vaddr)
     if vaddr % PAGE_SIZE:
         raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
-    i4, i3, i2, i1, _ = table_indices(vaddr)
-    table = space.root()
-    for idx in (i4, i3, i2):
-        entry = table[idx]
-        if entry is None:
-            sub = space.frame_alloc.alloc()
-            space.store.new_table(sub)
-            entry = Entry(writable=True, user=True, target_frame=sub)
-            table[idx] = entry
-        table = space.store.table(entry.target_frame)
+    table = _table_at(space, vaddr, 3)
+    i1 = (vaddr >> 12) & 0x1FF
     if table[i1] is not None:
         space.store.forget_page(vaddr >> 12)
     table[i1] = Entry(writable=writable, user=user, target_frame=frame)
@@ -282,19 +282,11 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
     (TableStore.table).  The higher half must be unmapped.
     """
     for first in range(0, phys_frame_count, TABLE_ENTRIES):
-        i4, i3, i2, _, _ = table_indices(HIGHER_BASE + first * PAGE_SIZE)
-        table = space.root()
-        for idx in (i4, i3):
-            entry = table[idx]
-            if entry is None:
-                sub = space.frame_alloc.alloc()
-                space.store.new_table(sub)
-                entry = Entry(writable=True, user=True, target_frame=sub)
-                table[idx] = entry
-            table = space.store.table(entry.target_frame)
+        vaddr = HIGHER_BASE + first * PAGE_SIZE
+        table = _table_at(space, vaddr, 2)
         leaf = space.frame_alloc.alloc()
         space.store.deferred[leaf] = (first, min(TABLE_ENTRIES, phys_frame_count - first))
-        table[i2] = Entry(writable=True, user=True, target_frame=leaf)
+        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, user=True, target_frame=leaf)
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:
@@ -304,12 +296,7 @@ def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:
     so those root slots exist before any merge.
     """
     require_canonical(vaddr)
-    i4 = (vaddr >> 39) & 0x1FF
-    root = space.root()
-    if root[i4] is None:
-        sub = space.frame_alloc.alloc()
-        space.store.new_table(sub)
-        root[i4] = Entry(writable=True, user=True, target_frame=sub)
+    _table_at(space, vaddr, 1)
 
 
 def merge_lower_half(

@@ -102,7 +102,6 @@ class RosThread:
     # Partner-only state.
     hrt_thread: int | None = None
     exit_bit: bool = False
-    stack_region: Region | None = None
     # Join state: `joined` on the target, `join_target` on the joiner.
     joined: bool = False
     join_target: int | None = None
@@ -148,7 +147,7 @@ class RosKernel:
         self._next_mmap = MMAP_BASE
         self._next_stack = STACK_TOP
         self._core_rr = 0
-        self.legacy_funcs: dict[str, object] = {}
+        self.legacy_funcs: dict[str, object] = {}  # the driver's workload.funcs
         self.main = self._new_thread(RosThreadRole.MAIN)
         # Unblock order bookkeeping for join-safety checks.
         self.join_log: list[tuple[int, str, int]] = []
@@ -343,13 +342,12 @@ class RosKernel:
 
     def spawn_hrt(self, func_name: str) -> RosThread:
         """Create a partner and request a top-level twin running func_name."""
-        addr, _ = self.hrt.function_table.lookup(func_name)  # SymbolError if unknown
+        addr = self.hrt.symbol(func_name)  # SymbolError if unknown
         partner = self._new_thread(RosThreadRole.PARTNER)
         self.channel.register_endpoint(partner.tid)
         stack = self._alloc_region(
             DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True
         )
-        partner.stack_region = stack
         superposition = Superposition(
             gdt_snapshot=("gdt", self.proc.pid, partner.tid),
             tls_base=stack.end - PAGE_SIZE,
@@ -408,8 +406,8 @@ def init_runtime(system, fat_bytes: bytes) -> RosProcess:
     hrt: HrtKernel = system.hrt
     channel: EventChannel = system.channel
     app, image = parse_fat_binary(fat_bytes)
-    # Function linkage happens as part of image installation: every
-    # embedded symbol becomes resolvable through the function table.
+    # Function linkage is image installation: every embedded symbol
+    # resolves through the installed image's symbol table.
     hrt.install_image(image)
     hrt.boot(system.machine.hrt_core_ids)
     cr3 = ros.proc.space.cr3
@@ -419,7 +417,6 @@ def init_runtime(system, fat_bytes: bytes) -> RosProcess:
             raise UsageError(f"merge payload cr3={cr3} is not the process root")
         hrt.ros_space = ros.proc.space
         merge_lower_half(hrt.space, ros.proc.space)
-        channel.merged = True
         return 0
 
     channel.hypercall(

@@ -39,7 +39,7 @@ from .channel import (
 )
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, ProtocolError, UsageError
-from .hrt import FaultResolution, FunctionBehavior, HrtKernel
+from .hrt import FaultResolution, HrtKernel
 from .machine import Machine
 from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, translate
 from .ros import (
@@ -50,7 +50,7 @@ from .ros import (
     init_runtime,
 )
 from .toolchain import AeroKernelImage, AppDescriptor, OverrideEntry, embed
-from .workload import ThreadBody, WorkloadProgram, parse_workload
+from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
 
 __all__ = [
     "Mode",
@@ -205,9 +205,7 @@ class Simulator:
         ros = self.system.ros
         if self.mode is Mode.MULTIVERSE:
             init_runtime(self.system, build_fat_binary(self.workload))
-            for name, behavior in self.workload.funcs.items():
-                self.system.hrt.function_table.set_behavior(name, behavior)
-        ros.legacy_funcs = dict(self.workload.funcs)
+        ros.legacy_funcs = self.workload.funcs
         self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
 
     def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
@@ -491,7 +489,7 @@ class Simulator:
         hrt.resolve_symbol(entry.aero_name)
         lookup_cost = self.clock.now - before
         self.log.emit(self.clock.now, "SymbolLookup", ctx.tid, f"sym:{entry.aero_name}", lookup_cost)
-        _, behavior = hrt.function_table.lookup(entry.aero_name)
+        behavior = self.workload.funcs.get(entry.aero_name, DEFAULT_BEHAVIOR)
         if behavior.cycles:
             self.clock.charge(behavior.cycles)
         self.log.emit(
@@ -517,13 +515,14 @@ class Simulator:
         self.log.emit(self.clock.now, SYSCALL, tid, f"call:{name}", cycles)
 
     def _sync_call(self, tid: int, name: str) -> None:
+        behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)
         if self.mode is not Mode.MULTIVERSE:
-            self._callee(tid, name, self.workload.funcs.get(name, FunctionBehavior()))
+            self._callee(tid, name, behavior)
             return
         channel = self.system.channel
-        ros = self.system.ros
+        ros, hrt = self.system.ros, self.system.hrt
         if channel.sync_page is None:
-            if not channel.merged:
+            if hrt.ros_space is None:
                 raise ProtocolError("synchronous setup requires a merged address space")
             page = ros._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
 
@@ -532,9 +531,9 @@ class Simulator:
                 return 0
 
             channel.hypercall(tid, "SetupSync", f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
-        addr, behavior = self.system.hrt.function_table.lookup(name)
+        addr = hrt.symbol(name)
         caller_core = ros.threads[tid].core_id
-        target_core = self.system.hrt.booted_cores()[0]
+        target_core = hrt.booted_cores()[0]
         same_socket = self.system.machine.socket_of(caller_core) == self.system.machine.socket_of(
             target_core
         )

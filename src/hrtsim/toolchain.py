@@ -105,14 +105,6 @@ class OverrideEntry:
         if len(set(targets)) != len(targets):
             raise ValueError("argument mapping targets must be injective")
 
-    def permute(self, args: tuple[int, ...]) -> tuple[int, ...]:
-        if not self.arg_mapping:
-            return args
-        out = [0] * (max(t for _, t in self.arg_mapping) + 1)
-        for src, dst in self.arg_mapping:
-            out[dst] = args[src] if src < len(args) else 0
-        return tuple(out)
-
 
 # Interpositions on the standard thread routines are always present.
 DEFAULT_OVERRIDES: dict[str, OverrideEntry] = {

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError, UsageError
-from .hrt import FunctionBehavior
 from .mem import AccessKind
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
 
@@ -43,6 +42,19 @@ ACTIONS = {
     "join",
     "exit",
 }
+
+
+@dataclass(frozen=True)
+class FunctionBehavior:
+    """Declarative body of a function, from its `func` line; a name with no
+    `func` line behaves as the default."""
+
+    cycles: int = 0
+    returns: int = 0
+    touches: tuple[int, ...] = ()
+
+
+DEFAULT_BEHAVIOR = FunctionBehavior()  # shared: frozen, so no caller can change it
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from hrtsim import bundled_profiles_text
 from hrtsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
+from hrtsim.errors import DoubleFaultError
 
 GOOD = """
 thread main ros
@@ -91,6 +92,19 @@ class TestRun:
         code = main(["run", write(tmp_path, "w.txt", ALIAS), "--mode", mode])
         assert code == EXIT_FAILURE
         assert "non-canonical address 0x10000100000000000" in capsys.readouterr().err
+
+    def test_sync_call_of_no_symbol_is_a_runtime_failure(self, tmp_path, capsys):
+        text = "thread main ros\n  sync_call ghost\n  exit\nend\n"
+        assert main(["run", write(tmp_path, "w.txt", text)]) == EXIT_FAILURE
+        assert "error: unknown symbol 'ghost'" in capsys.readouterr().err
+
+    def test_double_fault_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        def double_fault(*args):
+            raise DoubleFaultError("access 0x1000 w cannot be satisfied")
+
+        monkeypatch.setattr("hrtsim.cli.run", double_fault)
+        assert main(["run", write(tmp_path, "w.txt", GOOD)]) == EXIT_FAILURE
+        assert "error: access 0x1000 w cannot be satisfied" in capsys.readouterr().err
 
     def test_cost_file_respected(self, tmp_path, capsys):
         cost = write(tmp_path, "cost.txt", "syscall_base = 9000\n")

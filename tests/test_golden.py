@@ -28,6 +28,7 @@ PHYS_FRAMES = {
     "bench_hot_local": 8192,
     "bench_boot_large": 32768,
     "bench_compare_cold": 4096,
+    "higher_half_beyond_map": 4096,
 }
 
 

@@ -44,8 +44,15 @@ def top_level(system, name="worker"):
 
 class TestBoot:
     def test_install_registers_symbols(self, booted):
-        addr, _ = booted.hrt.function_table.lookup("worker")
-        assert addr >= HIGHER_BASE
+        # Symbols resolve from the installed image's table, and nowhere else.
+        addr = booted.hrt.symbol("worker")
+        assert addr == booted.hrt.image.symbol_table["worker"] >= HIGHER_BASE
+        with pytest.raises(SymbolError):
+            booted.hrt.symbol("no_such_fn")
+
+    def test_no_symbol_before_install(self, system):
+        with pytest.raises(SymbolError):
+            system.hrt.symbol("worker")
 
     def test_double_install(self, booted):
         from hrtsim.toolchain import parse_fat_binary
@@ -58,6 +65,33 @@ class TestBoot:
         image = AeroKernelImage("f", {"f": HIGHER_BASE}, payload_size=1 << 40)
         with pytest.raises(InstallError):
             system.hrt.install_image(image)
+
+    @pytest.mark.parametrize(
+        "payload, frames",
+        [(0, 1), (1, 1), (PAGE_SIZE, 1), (PAGE_SIZE + 1, 2), (64 * 1024 + 0x40 * 3, 17)],
+    )
+    def test_install_reserves_payload_frames(self, system, payload, frames):
+        # max(1, ceil(payload / PAGE_SIZE)) HRT frames; no frame number reaches the log.
+        alloc, ros_alloc = system.machine.hrt_frame_alloc, system.machine.ros_frame_alloc
+        left, ros_left = alloc.frames_left, ros_alloc.frames_left
+        system.hrt.install_image(AeroKernelImage("f", {"f": HIGHER_BASE}, payload_size=payload))
+        assert (left - alloc.frames_left, ros_alloc.frames_left) == (frames, ros_left)
+
+    def test_refused_install_reserves_nothing(self, system):
+        alloc = system.machine.hrt_frame_alloc
+        left = alloc.frames_left
+        with pytest.raises(InstallError):  # one byte more than the HRT frames hold
+            system.hrt.install_image(
+                AeroKernelImage("f", {"f": HIGHER_BASE}, payload_size=left * PAGE_SIZE + 1)
+            )
+        assert (alloc.frames_left, system.hrt.image) == (left, None)
+        system.hrt.install_image(
+            AeroKernelImage("f", {"f": HIGHER_BASE}, payload_size=left * PAGE_SIZE)
+        )
+        assert alloc.frames_left == 0
+        with pytest.raises(InstallError):  # a second image
+            system.hrt.install_image(AeroKernelImage("g", {"g": HIGHER_BASE}, payload_size=1))
+        assert alloc.frames_left == 0
 
     def test_boot_without_image(self, system):
         with pytest.raises(BootError):
@@ -118,7 +152,7 @@ class TestThreads:
 
     def test_create_without_booted_cores(self, booted):
         booted.hrt.shutdown()
-        booted.channel.merged = True
+        assert booted.hrt.ros_space is not None  # merged: only the cores are missing
         with pytest.raises(BootError):
             top_level(booted)
 

@@ -8,6 +8,7 @@ from hrtsim.channel import EventKind
 from hrtsim.errors import FormatError, SymbolError, UsageError
 from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, Ring, translate
 from hrtsim.ros import (
+    DEFAULT_STACK_BYTES,
     EINVAL,
     ENOSYS,
     MMAP_BASE,
@@ -197,7 +198,7 @@ class TestInitRuntime:
 
         proc = init_runtime(system, make_fat())
         assert proc is system.ros.proc
-        assert system.channel.merged
+        assert system.hrt.ros_space is system.ros.proc.space
         for core_id in system.machine.hrt_core_ids:
             assert system.hrt.cores[core_id].status is CoreStatus.IDLE_EVENT_LOOP
         assert lower_halves_consistent(system.hrt.space, system.ros.proc.space)
@@ -225,7 +226,8 @@ class TestSpawn:
         assert booted.hrt.threads[partner.hrt_thread].partner == partner.tid
         assert booted.hrt.ancestor_partner(partner.hrt_thread) == partner.tid
         assert partner.tid in booted.channel.queues
-        assert partner.stack_region is not None
+        tls_base = booted.hrt.threads[partner.hrt_thread].superposition.tls_base
+        assert ros.region_at(tls_base).length == DEFAULT_STACK_BYTES  # the partner's stack
         kinds = [e.kind for e in booted.log.entries]
         assert "AsyncCall" in kinds
         assert EventKind.THREAD_CREATE.value in kinds
@@ -246,7 +248,8 @@ class TestSpawn:
         partner = ros.spawn_hrt("helper")
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.func_name, twin.partner) == ("helper", partner.tid)
-        assert twin.superposition.tls_base == partner.stack_region.end - PAGE_SIZE
+        stack = ros.region_at(twin.superposition.tls_base)
+        assert twin.superposition.tls_base == stack.end - PAGE_SIZE
         assert twin.superposition.gdt_snapshot == ("gdt", ros.proc.pid, partner.tid)
         create, call = booted.log.entries[-2:]
         assert (create.kind, create.origin, create.detail) == (
@@ -254,7 +257,7 @@ class TestSpawn:
             partner.tid,
             f"create:helper:{twin.tid}",
         )
-        addr = booted.hrt.function_table.lookup("helper")[0]
+        addr = booted.hrt.symbol("helper")
         assert (call.kind, call.origin, call.detail, call.cost) == (
             "AsyncCall",
             ros.main.tid,

@@ -9,7 +9,7 @@ import pytest
 from hrtsim import bundled_profiles_text
 from hrtsim.channel import EventKind
 from hrtsim.costs import CostModel
-from hrtsim.errors import DeadlockError, ParseError, UsageError
+from hrtsim.errors import DeadlockError, ParseError, SymbolError, UsageError
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import (
@@ -311,6 +311,43 @@ class TestSyncCalls:
             cores=[CoreKind.ROS_CORE, CoreKind.HRT_CORE], phys_frames=512
         )
         assert self.sync_cost(machine) == CostModel().sync_call_same_socket
+
+
+class TestFunctionsWithoutFuncLine:
+    """A name with no `func` line behaves as `FunctionBehavior()`: no cycles,
+    result 0, no touches."""
+
+    # `bare` is only an override target and `worker` only a thread body;
+    # both are symbols of the multiverse image.
+    TEXT = (
+        "override legacy -> bare\n"
+        "thread main ros\n  spawn worker\n  join worker\n  sync_call worker\n  exit\nend\n"
+        "thread worker hrt\n  call_override legacy 1 2\n  exit\nend\n"
+    )
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_runs_as_the_default_behaviour(self, mode):
+        report = run(small_machine(), self.TEXT, mode)
+        assert not report.failed
+        explicit = run(small_machine(), "func bare\nfunc worker\n" + self.TEXT, mode)
+        assert report.log_text == explicit.log_text
+        lines = report.log_text.splitlines()
+        assert not any("detail=func:" in line for line in lines)  # no callee Compute
+        if mode is Mode.MULTIVERSE:
+            assert any("detail=override:legacy->bare cost=0" in line for line in lines)
+            assert any(" kind=SyncInvoke " in f" {line} " for line in lines)
+        else:
+            cost = CostModel().syscall_base
+            assert any(f"detail=call:legacy cost={cost}" in line for line in lines)
+
+    def test_sync_call_of_no_symbol_fails_after_setup(self):
+        system = System(machine=small_machine())
+        text = "thread main ros\n  sync_call ghost\n  exit\nend\n"
+        sim = Simulator(system, parse_workload(text), Mode.MULTIVERSE)
+        with pytest.raises(SymbolError):
+            sim.run()
+        assert system.log.entries[-1].kind == "SetupSync"
+        assert system.channel.sync_page is not None
 
 
 class TestDeadlock:

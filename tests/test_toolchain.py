@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hrtsim.errors import FormatError, ParseError
+from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
 from hrtsim.toolchain import (
     AeroKernelImage,
@@ -102,10 +103,6 @@ class TestOverrideConfig:
         assert overrides == default_override_map()
         assert "pthread_create" in overrides
 
-    def test_argument_permutation(self):
-        entry = OverrideEntry("f", ((2, 0), (3, 1)))
-        assert entry.permute((10, 11, 12, 13)) == (12, 13)
-
     def test_injective_mapping_required(self):
         with pytest.raises(ValueError):
             OverrideEntry("f", ((0, 1), (2, 1)))
@@ -153,16 +150,16 @@ class TestSymbolCache:
         assert cache.lookup("c") is not None
 
     def test_coherence_with_fresh_resolution(self):
-        # A cached address always equals what a fresh lookup returns.
-        from hrtsim.hrt import FunctionBehavior, FunctionTable
+        # A cached address always equals what a fresh lookup in the
+        # installed image returns.
+        from hrtsim.sim import System
 
-        table = FunctionTable()
-        cache = SymbolCache()
         names = [f"fn{i}" for i in range(20)]
-        for i, name in enumerate(names):
-            table.register(name, FunctionBehavior(), HIGHER_BASE + 0x40 * i)
+        symbols = {name: HIGHER_BASE + 0x40 * i for i, name in enumerate(names)}
+        hrt = System(machine=Machine(phys_frames=512)).hrt
+        hrt.install_image(AeroKernelImage(names[0], symbols, payload_size=4096))
+        for name in names * 2:  # a miss, then a hit
+            assert hrt.resolve_symbol(name) == hrt.symbol(name) == symbols[name]
         for name in names:
-            addr, _ = table.lookup(name)
-            cache.insert(name, addr)
-        for name in names:
-            assert cache.lookup(name) == table.lookup(name)[0]
+            assert hrt.symbol_cache.lookup(name) == hrt.symbol(name)
+        assert (hrt.symbol_cache.hits, hrt.symbol_cache.misses) == (40, 20)
