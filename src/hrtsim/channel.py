@@ -39,7 +39,7 @@ class Clock:
         self.now += cycles
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogEntry:
     cycle: int
     kind: str
@@ -78,7 +78,7 @@ class EventLog:
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:
     """Log detail of a system call, identical in every mode."""
-    return f"sys:{name}({','.join(str(a) for a in args)})"
+    return f"sys:{name}({','.join(map(str, args))})"
 
 
 def fault_detail(addr: int, access: AccessKind) -> str:
@@ -140,7 +140,7 @@ class SharedDataPage:
         self._return_code = code
 
 
-@dataclass(eq=False)  # outstanding events are found by identity
+@dataclass(eq=False, slots=True)  # outstanding events are found by identity
 class EventRecord:
     kind: EventKind
     origin: int
@@ -236,9 +236,10 @@ class EventChannel:
         self.queues[endpoint_tid].append(ev)
 
     def complete_event(self, ev: EventRecord, result: int) -> None:
-        if ev not in self.outstanding:
-            raise ProtocolError("completing a non-outstanding event")
-        self.outstanding.remove(ev)
+        try:
+            self.outstanding.remove(ev)
+        except ValueError:
+            raise ProtocolError("completing a non-outstanding event") from None
         self.clock.charge(ev.cost)
         ev.result = result
         ev.complete_cycle = self.clock.now

@@ -13,7 +13,7 @@ bit, the ring and cr0.WP exactly as a walk does.  Misses are never
 cached, so mapping a page that was not present invalidates nothing.
 Three writes do invalidate, because a leaf table below the root may be
 shared by both spaces:
-  - `unmap_page` drops its page from every memo on the table store;
+  - `unmap_page` drops each page it clears from every memo on the store;
   - `map_page` over a present leaf does the same;
   - `merge_lower_half` clears the memo of the space it merges into.
 """
@@ -257,21 +257,32 @@ def map_page(
     table[i1] = Entry(writable=writable, user=user, target_frame=frame)
 
 
-def unmap_page(space: PageTableHierarchy, vaddr: int) -> None:
-    """Clear the leaf entry for vaddr and drop the page from every walk
-    memo; unmapped addresses are a no-op."""
+def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:
+    """Clear the leaf entries of the pages in [vaddr, vaddr + length) with
+    one walk per leaf table, and drop each cleared page from every walk
+    memo.  Unmapped pages are skipped; a range that is not page-aligned or
+    not canonical at both ends raises before any entry is cleared."""
+    end = vaddr + length
     require_canonical(vaddr)
-    if vaddr % PAGE_SIZE:
-        raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
-    i4, i3, i2, i1, _ = table_indices(vaddr)
-    table = space.root()
-    for idx in (i4, i3, i2):
-        entry = table[idx]
-        if entry is None:
-            return
-        table = space.store.table(entry.target_frame)
-    table[i1] = None
-    space.store.forget_page(vaddr >> 12)
+    require_canonical(end - PAGE_SIZE)
+    if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
+        raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
+    while vaddr < end:
+        stop = min(end, (vaddr | 0x1F_FFFF) + 1)  # the end of vaddr's leaf table
+        i4, i3, i2, i1, _ = table_indices(vaddr)
+        table = space.root()
+        for idx in (i4, i3, i2):
+            entry = table[idx]
+            if entry is None:
+                break
+            table = space.store.table(entry.target_frame)
+        else:
+            page = vaddr >> 12
+            for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
+                if table[i] is not None:
+                    table[i] = None
+                    space.store.forget_page(page + i - i1)
+        vaddr = stop
 
 
 def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -> None:

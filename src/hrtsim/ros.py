@@ -212,8 +212,7 @@ class RosKernel:
         i = regions.index_at(base)
         if i < 0 or base + length > regions[i].end:
             return EINVAL
-        for page in range(base, base + length, PAGE_SIZE):
-            unmap_page(self.proc.space, page)
+        unmap_page(self.proc.space, base, length)
         region = regions.pop(i)
         if region.base < base:
             regions.append(

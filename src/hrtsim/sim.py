@@ -21,6 +21,10 @@ parks at once.  Since a step that makes no progress changes nothing,
 the steps that do make progress, and so the log, are exactly those of
 stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
+
+A kernel-mode access that hits the merged page tables stays in its
+thread's step: the thread walks the tables inline and enters the fault
+path (`Simulator._hrt_touch`) only with the fault its walk returned.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ class _Ctx:
     name: str
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
+    partner: int = 0  # kernel-mode thread: tid of the partner that serves it
     done: bool = False
     parked: bool = False  # skipped by the round loop until a waker clears it
     thread: Generator[bool, None, None] | None = None
@@ -219,7 +224,8 @@ class Simulator:
         elif kind == "ros_body":
             self.ros_bodies.append(ctx)
         else:
-            self.partners[self.system.hrt.ancestor_partner(tid)].served.append(ctx)
+            ctx.partner = self.system.hrt.ancestor_partner(tid)
+            self.partners[ctx.partner].served.append(ctx)
         return ctx
 
     # -- main loop -----------------------------------------------------------
@@ -335,6 +341,8 @@ class Simulator:
         thread blocks on every event it forwards; a joiner on its target."""
         ros, hrt = self.system.ros, self.system.hrt
         kernel_mode = ctx.kind == "hrt_body"
+        if kernel_mode:  # both are fixed from boot on
+            space, ctl = hrt.space, hrt.control_state()
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
         for action in body.actions:
@@ -356,7 +364,9 @@ class Simulator:
                 expr, access = args
                 addr = expr.resolve(last)
                 if kernel_mode:
-                    yield from self._hrt_touch(ctx, addr, access)
+                    fault = translate(space, ctl, addr, access)
+                    if isinstance(fault, FaultInfo):
+                        yield from self._hrt_touch(ctx, fault)
                 elif not ros.touch(addr, access, tid):
                     raise _Halt(f"segfault at 0x{addr:x} in {ctx.name}")
             elif op == "call_override":
@@ -427,9 +437,8 @@ class Simulator:
 
     def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
         """Queue ev for the partner serving kernel-mode ctx, and wake it."""
-        partner_tid = self.system.hrt.ancestor_partner(ctx.tid)
-        self.system.channel.forward_event(ev, partner_tid)
-        self.partners[partner_tid].parked = False
+        self.system.channel.forward_event(ev, ctx.partner)
+        self.partners[ctx.partner].parked = False
 
     def _forward(self, ctx: _Ctx, ev: EventRecord):
         """Forward ev to the thread's partner and block until it is served.
@@ -442,30 +451,34 @@ class Simulator:
             yield False
         return ev.result
 
-    def _hrt_touch(self, ctx: _Ctx, addr: int, access: AccessKind):
-        """A kernel-mode access.  A fault the runtime cannot handle locally
-        is forwarded, and the access is retried in the step that sees it served."""
+    def _hrt_touch(self, ctx: _Ctx, fault: FaultInfo):
+        """The fault path of a kernel-mode access, entered with the fault of
+        its first walk.  The runtime handles each fault locally, re-merges,
+        or has it forwarded; the access is walked again after each, a
+        forwarded one in the step that sees it served.  Four local
+        resolutions in a row, or a third forward, is a double fault."""
         hrt = self.system.hrt
-        forwards = 0
+        space, ctl = hrt.space, hrt.control_state()
+        addr, access = fault.addr, fault.access
+        core_id = hrt.threads[ctx.tid].core_id
+        local = forwards = 0
         while True:
-            for _ in range(4):
-                fault = translate(hrt.space, hrt.control_state(), addr, access)
-                if not isinstance(fault, FaultInfo):
-                    return
-                core_id = hrt.threads[ctx.tid].core_id
-                if hrt.handle_page_fault(core_id, fault) is FaultResolution.FORWARD:
-                    break
-                # handled locally or re-merged: retry the access
-            else:
-                raise DoubleFaultError(f"access 0x{addr:x} {access.value} cannot be satisfied")
-            if forwards == 2:
+            if hrt.handle_page_fault(core_id, fault) is not FaultResolution.FORWARD:
+                local += 1
+                if local == 4:
+                    raise DoubleFaultError(f"access 0x{addr:x} {access.value} cannot be satisfied")
+            elif forwards == 2:
                 raise DoubleFaultError(
                     f"access 0x{addr:x} {access.value} still faults after re-merge "
                     "and re-forward"
                 )
-            forwards += 1
-            if (yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))) == EFAULT:
-                raise _Halt(f"segfault reported to {ctx.name}")
+            else:
+                local, forwards = 0, forwards + 1
+                if (yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))) == EFAULT:
+                    raise _Halt(f"segfault reported to {ctx.name}")
+            fault = translate(space, ctl, addr, access)
+            if not isinstance(fault, FaultInfo):
+                return
 
     def _invoke_override(self, ctx: _Ctx, name: str, args: tuple):
         """Kernel-mode call of an overridable function: its enabled override
@@ -499,9 +512,12 @@ class Simulator:
             f"override:{name}->{entry.aero_name}",
             behavior.cycles,
         )
+        space, ctl = hrt.space, hrt.control_state()
         for addr in behavior.touches:  # the target's writes, one step each
             yield True
-            yield from self._hrt_touch(ctx, addr, AccessKind.WRITE)
+            fault = translate(space, ctl, addr, AccessKind.WRITE)
+            if isinstance(fault, FaultInfo):
+                yield from self._hrt_touch(ctx, fault)
 
     def _legacy_call(self, tid: int, name: str, args: tuple) -> None:
         """Non-hybrid path of an overridable call: a plain library/OS call."""

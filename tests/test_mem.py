@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrtsim.errors import NonCanonicalAddressError
@@ -146,6 +146,26 @@ class TestTranslate:
                 assert isinstance(got, FaultInfo)
             else:
                 assert got == before[vaddr]
+
+    @pytest.mark.parametrize("first, count", [(0x1F_0000, 32), (0x1F_E000, 3), (0x20_0000, 1)])
+    def test_range_unmap_clears_exactly_its_pages(self, first, count):
+        # Every other page mapped on both sides of the leaf-table boundary
+        # at 0x200000; the range clears its mapped pages and no other.
+        space = make_space()
+        mapped = {0x1E_0000 + 0x2000 * i for i in range(32)}
+        for vaddr in mapped:
+            map_page(space, vaddr, 7)
+        unmap_page(space, first, count * PAGE_SIZE)
+        cleared = set(range(first, first + count * PAGE_SIZE, PAGE_SIZE))
+        assert set(mapped_lower_pages(space)) == mapped - cleared
+
+    @pytest.mark.parametrize("length", [0, -PAGE_SIZE, PAGE_SIZE + 1])
+    def test_range_unmap_refuses_a_bad_length(self, length):
+        space = make_space()
+        map_page(space, 0x2000, 7)
+        with pytest.raises(NonCanonicalAddressError):
+            unmap_page(space, 0x2000, length)
+        assert mapped_lower_pages(space) == [0x2000]
 
 
 class TestWriteProtect:
@@ -329,10 +349,17 @@ CONTROLS = (RING0, RING0_NOWP, RING3, ControlState(cr0_wp=False, cr3=0, ring=Rin
 SWEEP = [(AccessKind.READ, RING0)] + [(AccessKind.WRITE, ctl) for ctl in CONTROLS]
 SPACE = st.sampled_from(("hrt", "ros"))
 ADDR = st.sampled_from(MEMO_ADDRS)
+# A range unmap of 1-600 pages starts at a drawn page or in an unmapped
+# gap: two pages below a leaf-table boundary, on the last page of the root
+# slot below the first drawn page, or on the last canonical lower-half page,
+# where any range longer than one page ends at a non-canonical address.
+UNMAP_START = st.sampled_from(
+    MEMO_ADDRS + (0x1000_001F_E000, 0x0FFF_FFFF_F000, (1 << 47) - PAGE_SIZE)
+)
 MEMO_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("map"), SPACE, ADDR, st.integers(0, 63), st.booleans()),
-        st.tuples(st.just("unmap"), SPACE, ADDR),
+        st.tuples(st.just("unmap"), SPACE, UNMAP_START, st.integers(1, 600)),
         st.tuples(st.just("root"), SPACE, ADDR),
         st.tuples(st.just("merge")),
         st.tuples(
@@ -361,6 +388,20 @@ class TestWalkMemo:
 
     @settings(max_examples=60, deadline=None)
     @given(MEMO_OPS)
+    # Range unmaps that every run tries: across a leaf-table boundary after
+    # a merge shared the tables, from the top of one root slot into the
+    # next, and on to a non-canonical address.
+    @example([
+        ("map", "ros", 0x1000_0000_1000, 3, True),
+        ("map", "ros", 0x1000_0020_0000, 5, False),
+        ("merge",),
+        ("unmap", "ros", 0x1000_001F_E000, 3),
+        ("unmap", "hrt", 0x0FFF_FFFF_F000, 600),
+    ])
+    @example([
+        ("map", "ros", (1 << 47) - PAGE_SIZE, 4, True),
+        ("unmap", "ros", (1 << 47) - PAGE_SIZE, 2),
+    ])
     def test_translate_matches_uncached_walk(self, ops):
         hrt, ros = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
@@ -371,8 +412,14 @@ class TestWalkMemo:
                 done = outcome(map_page, spaces[name], addr, frame, writable)
                 assert (done is NonCanonicalAddressError) == (addr in NOT_CANONICAL)
             elif op[0] == "unmap":
-                done = outcome(unmap_page, spaces[op[1]], op[2])
-                assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)
+                _, name, addr, pages = op
+                before = mapped_lower_pages(spaces[name])
+                done = outcome(unmap_page, spaces[name], addr, pages * PAGE_SIZE)
+                last = addr + (pages - 1) * PAGE_SIZE
+                refused = not (is_canonical(addr) and is_canonical(last))
+                assert (done is NonCanonicalAddressError) == refused
+                if refused:  # raised before clearing any entry
+                    assert mapped_lower_pages(spaces[name]) == before
             elif op[0] == "root":
                 done = outcome(ensure_root_entry, spaces[op[1]], op[2])
                 assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)

@@ -49,3 +49,11 @@ def test_tracer_wraps_and_restores_the_simulator():
     assert metrics["channel.hypercall.calls"] > 0
     assert metrics["channel.forward_event.calls"] > 0
     assert metrics["sim.step.calls"] > 0
+    # A fast path that bypassed one of these bindings would zero its metric.
+    for name in (
+        "mem.translate.calls",
+        "mem.unmap_page.calls",
+        "ros.partner_step.calls",
+        "channel.complete_event.calls",
+    ):
+        assert metrics[name] > 0, name

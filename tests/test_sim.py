@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import hrtsim.sim
 from hrtsim import bundled_profiles_text
 from hrtsim.channel import EventKind
 from hrtsim.costs import CostModel
-from hrtsim.errors import DeadlockError, ParseError, SymbolError, UsageError
+from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, SymbolError, UsageError
+from hrtsim.hrt import FaultResolution
 from hrtsim.machine import CoreKind, Machine
-from hrtsim.ros import MMAP_BASE
+from hrtsim.ros import MMAP_BASE, RosKernel
 from hrtsim.sim import (
     Mode,
     Simulator,
@@ -360,6 +362,66 @@ class TestDeadlock:
         with pytest.raises(DeadlockError) as info:
             sim.execute()
         assert info.value.events  # the orphaned forwarded event is named
+
+
+class TestDoubleFault:
+    """A kernel-mode access that keeps faulting ends the run with
+    `DoubleFaultError`, after a fixed number of walks and fault handlings."""
+
+    ADDR = MMAP_BASE + 0x10
+    TEXT = (
+        "thread main ros\n  mmap 4096\n  spawn worker\n  join worker\n  exit\nend\n"
+        f"thread worker hrt\n  touch 0x{ADDR:x} w\n  exit\nend\n"
+    )
+
+    def run_counted(self, monkeypatch, resolve=None):
+        """Run TEXT in multiverse, counting the kernel-mode walks of ADDR
+        and the runtime's fault handlings; `resolve` replaces the handler."""
+        system = System(machine=small_machine())
+        sim = Simulator(system, parse_workload(self.TEXT), Mode.MULTIVERSE)
+        sim.setup()
+        hrt = system.hrt
+        calls = {"translate": 0, "handle_page_fault": 0}
+        original_translate = hrtsim.sim.translate
+        handle = resolve or hrt.handle_page_fault
+
+        def counted_translate(space, ctl, addr, access):
+            if space is hrt.space and addr == self.ADDR:
+                calls["translate"] += 1
+            return original_translate(space, ctl, addr, access)
+
+        def counted_handle(core_id, fault):
+            calls["handle_page_fault"] += 1
+            return handle(core_id, fault)
+
+        monkeypatch.setattr(hrtsim.sim, "translate", counted_translate)
+        monkeypatch.setattr(hrt, "handle_page_fault", counted_handle)
+        with pytest.raises(DoubleFaultError) as info:
+            sim.execute()
+        return sim, calls, str(info.value)
+
+    def test_fault_that_local_handling_never_clears(self, monkeypatch):
+        # A runtime that reports every fault handled locally but maps nothing.
+        sim, calls, message = self.run_counted(
+            monkeypatch, resolve=lambda core_id, fault: FaultResolution.HANDLED_LOCAL
+        )
+        assert message == f"access 0x{self.ADDR:x} w cannot be satisfied"
+        assert calls == {"translate": 4, "handle_page_fault": 4}
+        assert not any(e.forwarded and e.kind == "PageFault" for e in sim.log.entries)
+
+    def test_fault_that_forwarding_never_clears(self, monkeypatch):
+        # A regular OS that reports every forwarded fault served but maps
+        # nothing: forward, re-merge, forward, re-merge, then give up on the
+        # third forward.
+        monkeypatch.setattr(RosKernel, "demand_fault", lambda self, addr, access: True)
+        sim, calls, message = self.run_counted(monkeypatch)
+        assert message == (
+            f"access 0x{self.ADDR:x} w still faults after re-merge and re-forward"
+        )
+        assert calls == {"translate": 5, "handle_page_fault": 5}
+        forwarded = [e for e in sim.log.entries if e.forwarded and e.kind == "PageFault"]
+        assert len(forwarded) == 2
+        assert sim.system.hrt.remerge_count == 2
 
 
 class TestCompare:
