@@ -1,4 +1,4 @@
-"""The kernel-mode runtime: boot state machine, threads, fault and syscall paths.
+"""The kernel-mode runtime: boot state machine, threads, the fault path.
 
 All application threads on this side execute in ring 0.  Anything the
 runtime cannot satisfy locally (lower-half page faults, system calls,
@@ -6,6 +6,11 @@ exit notifications) is packaged as an event and forwarded to the partner
 thread on the other side.  A per-core record of the most recent fault
 detects the duplicate that follows a stale root table and triggers a
 local re-merge instead of a second forward.
+
+Each thread records the partner that serves its forwarded events, fixed
+at creation: a nested thread copies its parent's.  A core keeps only its
+boot flag and its re-merge state (the most recent fault and the thread
+it ran).
 
 The installed image's symbol table is the runtime's only record of the
 functions it can run: thread creation and symbol resolution read it.
@@ -18,15 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import (
-    Clock,
-    EventChannel,
-    EventKind,
-    EventLog,
-    EventRecord,
-    fault_detail,
-    syscall_detail,
-)
+from .channel import Clock, EventChannel, EventKind, EventLog, EventRecord
 from .costs import CostModel
 from .errors import (
     BootError,
@@ -53,34 +50,11 @@ from .mem import (
 from .toolchain import AeroKernelImage, SymbolCache
 
 
-class CoreStatus(enum.Enum):
-    OFFLINE = "offline"
-    IDLE_EVENT_LOOP = "idle_event_loop"
-    RUNNING = "running"
-
-
 @dataclass
 class HrtCoreState:
-    core_id: int
-    status: CoreStatus = CoreStatus.OFFLINE
+    booted: bool = False
     recent_fault: tuple[int, AccessKind] | None = None
-    current_thread: int | None = None
-
-    def reset(self, status: CoreStatus) -> None:
-        """Enter `status` with no current thread and no remembered fault."""
-        self.status = status
-        self.recent_fault = None
-        self.current_thread = None
-
-
-class ThreadKind(enum.Enum):
-    TOP_LEVEL = "top_level"
-    NESTED = "nested"
-
-
-class ThreadStatus(enum.Enum):
-    RUNNABLE = "runnable"
-    EXITED = "exited"
+    current_thread: int | None = None  # origin of a re-merge entry
 
 
 @dataclass(frozen=True)
@@ -94,13 +68,11 @@ class Superposition:
 @dataclass
 class HrtThread:
     tid: int
-    kind: ThreadKind
-    func_name: str
     core_id: int
-    parent: int | None = None
+    partner: int  # the partner tid that serves this thread's forwarded events
+    parent: int | None = None  # None for a top-level thread
     superposition: Superposition | None = None
-    partner: int | None = None
-    status: ThreadStatus = ThreadStatus.RUNNABLE
+    exited: bool = False
 
 
 class FaultResolution(enum.Enum):
@@ -129,15 +101,13 @@ class HrtKernel:
 
     def __post_init__(self):
         for core_id in self.machine.hrt_core_ids:
-            self.cores[core_id] = HrtCoreState(core_id)
+            self.cores[core_id] = HrtCoreState()
 
     # -- boot state machine ---------------------------------------------------
 
     def install_image(self, image: AeroKernelImage) -> None:
         if self.image is not None:
             raise InstallError("an image is already installed")
-        if any(c.status is not CoreStatus.OFFLINE for c in self.cores.values()):
-            raise InstallError("cores must be offline to install")
         frames_needed = max(1, -(-image.payload_size // PAGE_SIZE))
         if frames_needed > self.machine.hrt_frame_alloc.frames_left:
             raise InstallError(
@@ -167,19 +137,15 @@ class HrtKernel:
             identity_map_higher_half(self.space, self.machine.phys_frames)
             self._control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
         for core_id in core_ids:
-            self.cores[core_id].reset(CoreStatus.IDLE_EVENT_LOOP)
+            self.cores[core_id] = HrtCoreState(booted=True)
 
     def shutdown(self) -> None:
         self.threads.clear()
-        for core in self.cores.values():
-            core.reset(CoreStatus.OFFLINE)
+        for core_id in self.cores:
+            self.cores[core_id] = HrtCoreState()
 
     def booted_cores(self) -> list[int]:
-        return [
-            cid
-            for cid, c in self.cores.items()
-            if c.status in (CoreStatus.IDLE_EVENT_LOOP, CoreStatus.RUNNING)
-        ]
+        return [cid for cid, c in self.cores.items() if c.booted]
 
     def control_state(self) -> ControlState:
         assert self._control is not None
@@ -187,67 +153,44 @@ class HrtKernel:
 
     # -- threads --------------------------------------------------------------
 
-    def _alloc_tid(self) -> int:
-        tid = self._next_tid
-        self._next_tid += 1
-        return tid
-
-    def _pick_core(self) -> int:
+    def _new_thread(
+        self,
+        func_name: str,
+        partner: int,
+        parent: int | None = None,
+        superposition: Superposition | None = None,
+    ) -> HrtThread:
+        """Register a thread running func_name on the next booted core,
+        round robin."""
+        self.symbol(func_name)
         booted = self.booted_cores()
         if not booted:
             raise BootError("no booted HRT core")
         core_id = booted[self._next_core_rr % len(booted)]
         self._next_core_rr += 1
-        return core_id
+        thread = HrtThread(self._next_tid, core_id, partner, parent, superposition)
+        self._next_tid += 1
+        self.threads[thread.tid] = thread
+        return thread
 
     def create_top_level_thread(
         self, func_name: str, superposition: Superposition, partner_tid: int
     ) -> HrtThread:
         if self.ros_space is None:
             raise ProtocolError("address spaces must be merged before thread creation")
-        self.symbol(func_name)
-        core_id = self._pick_core()
-        thread = HrtThread(
-            tid=self._alloc_tid(),
-            kind=ThreadKind.TOP_LEVEL,
-            func_name=func_name,
-            core_id=core_id,
-            superposition=superposition,
-            partner=partner_tid,
-        )
-        self.threads[thread.tid] = thread
-        core = self.cores[core_id]
-        core.status = CoreStatus.RUNNING
-        core.current_thread = thread.tid
+        thread = self._new_thread(func_name, partner_tid, superposition=superposition)
+        self.cores[thread.core_id].current_thread = thread.tid
         return thread
 
     def create_nested_thread(self, parent_tid: int, func_name: str) -> HrtThread:
         parent = self.threads.get(parent_tid)
         if parent is None:
             raise LifecycleError(f"no such thread {parent_tid}")
-        if parent.status is ThreadStatus.EXITED:
+        if parent.exited:
             raise LifecycleError(f"parent thread {parent_tid} has exited")
-        self.symbol(func_name)
-        thread = HrtThread(
-            tid=self._alloc_tid(),
-            kind=ThreadKind.NESTED,
-            func_name=func_name,
-            core_id=self._pick_core(),
-            parent=parent_tid,
-        )
-        self.threads[thread.tid] = thread
-        return thread
+        return self._new_thread(func_name, parent.partner, parent=parent_tid)
 
-    def ancestor_partner(self, tid: int) -> int:
-        """Partner id of the top-level ancestor; the channel endpoint."""
-        thread = self.threads[tid]
-        while thread.kind is ThreadKind.NESTED:
-            assert thread.parent is not None
-            thread = self.threads[thread.parent]
-        assert thread.partner is not None
-        return thread.partner
-
-    # -- fault and syscall paths ----------------------------------------------
+    # -- fault path -----------------------------------------------------------
 
     def handle_page_fault(self, core_id: int, fault: FaultInfo) -> FaultResolution:
         """Classify and locally handle one fault raised on an HRT core.
@@ -282,35 +225,18 @@ class HrtKernel:
         core.recent_fault = key
         return FaultResolution.FORWARD
 
-    def make_fault_event(self, tid: int, fault: FaultInfo) -> EventRecord:
-        return EventRecord(
-            kind=EventKind.PAGE_FAULT,
-            origin=tid,
-            detail=fault_detail(fault.addr, fault.access),
-            payload=fault,
-        )
-
-    def make_syscall_event(self, tid: int, name: str, args: tuple[int, ...]) -> EventRecord:
-        return EventRecord(
-            kind=EventKind.SYSCALL,
-            origin=tid,
-            detail=syscall_detail(name, args),
-            payload=(name, args),
-        )
-
     def thread_exit(self, tid: int) -> EventRecord | None:
         """Mark a thread exited; top-level exits produce a signal event."""
         thread = self.threads.get(tid)
         if thread is None:
             raise LifecycleError(f"no such thread {tid}")
-        if thread.status is ThreadStatus.EXITED:
+        if thread.exited:
             raise LifecycleError(f"thread {tid} already exited")
-        thread.status = ThreadStatus.EXITED
+        thread.exited = True
         core = self.cores[thread.core_id]
         if core.current_thread == tid:
             core.current_thread = None
-            core.status = CoreStatus.IDLE_EVENT_LOOP
-        if thread.kind is ThreadKind.TOP_LEVEL:
+        if thread.parent is None:
             return EventRecord(
                 kind=EventKind.THREAD_EXIT_SIGNAL,
                 origin=tid,

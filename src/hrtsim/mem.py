@@ -77,7 +77,6 @@ class Entry:
     """A present page-table entry; absent entries are stored as None."""
 
     writable: bool
-    user: bool
     target_frame: int
 
 
@@ -162,7 +161,7 @@ class TableStore:
         except KeyError:
             first, count = self.deferred.pop(frame)
         table: list[Entry | None] = [
-            Entry(writable=True, user=False, target_frame=f)
+            Entry(writable=True, target_frame=f)
             for f in range(first, first + count)
         ]
         table += [None] * (TABLE_ENTRIES - count)
@@ -226,22 +225,14 @@ def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[Entry |
     for idx in table_indices(vaddr)[:depth]:
         entry = table[idx]
         if entry is None:
-            entry = table[idx] = Entry(
-                writable=True, user=True, target_frame=space.frame_alloc.alloc()
-            )
+            entry = table[idx] = Entry(writable=True, target_frame=space.frame_alloc.alloc())
             table = space.store.new_table(entry.target_frame)
         else:
             table = space.store.table(entry.target_frame)
     return table
 
 
-def map_page(
-    space: PageTableHierarchy,
-    vaddr: int,
-    frame: int,
-    writable: bool = True,
-    user: bool = True,
-) -> None:
+def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool = True) -> None:
     """Map one 4 KiB page, allocating intermediate tables on demand.
 
     Remapping an already-mapped address replaces the entry and drops the
@@ -254,7 +245,7 @@ def map_page(
     i1 = (vaddr >> 12) & 0x1FF
     if table[i1] is not None:
         space.store.forget_page(vaddr >> 12)
-    table[i1] = Entry(writable=writable, user=user, target_frame=frame)
+    table[i1] = Entry(writable=writable, target_frame=frame)
 
 
 def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:
@@ -297,7 +288,7 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
         table = _table_at(space, vaddr, 2)
         leaf = space.frame_alloc.alloc()
         space.store.deferred[leaf] = (first, min(TABLE_ENTRIES, phys_frame_count - first))
-        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, user=True, target_frame=leaf)
+        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, target_frame=leaf)
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:

@@ -56,7 +56,6 @@ DEFAULT_STACK_BYTES = 64 * 1024
 class Region:
     base: int
     length: int
-    populated: bool
     writable: bool
 
     @property
@@ -185,7 +184,7 @@ class RosKernel:
         else:
             base = self._next_mmap
             self._next_mmap += length
-        region = Region(base, length, populate, writable)
+        region = Region(base, length, writable)
         self.proc.vm_regions.append(region)
         if populate:
             for page in range(base, base + length, PAGE_SIZE):
@@ -215,18 +214,9 @@ class RosKernel:
         unmap_page(self.proc.space, base, length)
         region = regions.pop(i)
         if region.base < base:
-            regions.append(
-                Region(region.base, base - region.base, region.populated, region.writable)
-            )
+            regions.append(Region(region.base, base - region.base, region.writable))
         if base + length < region.end:
-            regions.append(
-                Region(
-                    base + length,
-                    region.end - (base + length),
-                    region.populated,
-                    region.writable,
-                )
-            )
+            regions.append(Region(base + length, region.end - (base + length), region.writable))
         return 0
 
     def syscall(self, name: str, args: tuple[int, ...]) -> int:

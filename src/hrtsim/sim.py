@@ -39,6 +39,7 @@ from .channel import (
     EventKind,
     EventLog,
     EventRecord,
+    fault_detail,
     syscall_detail,
 )
 from .costs import CostModel
@@ -149,16 +150,14 @@ class System:
 
 
 def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
-    """Package the kernel image a workload needs: every thread body, every
-    declared function, and every override target becomes a symbol."""
-    names = set(workload.bodies) | set(workload.funcs)
-    for entry in workload.overrides.values():
-        names.add(entry.aero_name)
+    """Package the kernel image a workload needs, one symbol per name in
+    `workload.symbols()`."""
+    names = sorted(workload.symbols())
     symbols = {
         name: HIGHER_BASE + 0x0020_0000 + i * 0x40
-        for i, name in enumerate(sorted(names))
+        for i, name in enumerate(names)
     }
-    entry_name = sorted(names)[0] if names else "main"
+    entry_name = names[0] if names else "main"
     image = AeroKernelImage(
         entry=entry_name,
         symbol_table=symbols,
@@ -224,7 +223,7 @@ class Simulator:
         elif kind == "ros_body":
             self.ros_bodies.append(ctx)
         else:
-            ctx.partner = self.system.hrt.ancestor_partner(tid)
+            ctx.partner = self.system.hrt.threads[tid].partner
             self.partners[ctx.partner].served.append(ctx)
         return ctx
 
@@ -248,7 +247,7 @@ class Simulator:
                         ctx.parked = True
                     if self.halted:
                         break
-                if self.halted or all(c.done for c in self.contexts):
+                if self.halted or self.main_ctx.done:
                     break
                 if not progressed:
                     dump = [
@@ -422,7 +421,7 @@ class Simulator:
         """Service one system call and return its result: in place on the
         regular OS, through the partner from a kernel-mode thread."""
         if ctx.kind == "hrt_body":
-            ev = self.system.hrt.make_syscall_event(ctx.tid, name, args)
+            ev = EventRecord(EventKind.SYSCALL, ctx.tid, syscall_detail(name, args), (name, args))
             return (yield from self._forward(ctx, ev))
         result = self.system.ros.syscall(name, args)
         self.clock.charge(self.cost.syscall_base)
@@ -474,7 +473,8 @@ class Simulator:
                 )
             else:
                 local, forwards = 0, forwards + 1
-                if (yield from self._forward(ctx, hrt.make_fault_event(ctx.tid, fault))) == EFAULT:
+                ev = EventRecord(EventKind.PAGE_FAULT, ctx.tid, fault_detail(addr, access), fault)
+                if (yield from self._forward(ctx, ev)) == EFAULT:
                     raise _Halt(f"segfault reported to {ctx.name}")
             fault = translate(space, ctl, addr, access)
             if not isinstance(fault, FaultInfo):

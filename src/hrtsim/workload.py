@@ -91,6 +91,15 @@ class WorkloadProgram:
     funcs: dict[str, FunctionBehavior]
     overrides: dict[str, OverrideEntry]
 
+    def symbols(self) -> set[str]:
+        """The names the kernel image exports: every thread body, every
+        declared function and every override target."""
+        return (
+            set(self.bodies)
+            | set(self.funcs)
+            | {entry.aero_name for entry in self.overrides.values()}
+        )
+
 
 def _num(token: str, lineno: int) -> int:
     try:
@@ -185,6 +194,7 @@ def parse_workload(text: str) -> WorkloadProgram:
     overrides = default_override_map()
     current: ThreadBody | None = None
     repeat_stack: list[tuple[int, list[Action], int]] = []  # (count, actions, lineno)
+    targets: list[tuple[Action, int]] = []  # named-target actions, checked at the end
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -230,6 +240,8 @@ def parse_workload(text: str) -> WorkloadProgram:
                 current = None
         else:
             action = _parse_action(tokens, lineno)
+            if action.op in ("spawn", "spawn_nested", "join", "sync_call"):
+                targets.append((action, lineno))
             if repeat_stack:
                 repeat_stack[-1][1].append(action)
             else:
@@ -244,11 +256,13 @@ def parse_workload(text: str) -> WorkloadProgram:
     if bodies["main"].role != "ros":
         raise ParseError("'main' must be a ros thread")
 
-    names = set(bodies)
-    for body in bodies.values():
-        for action in body.actions:
-            if action.op in ("spawn", "spawn_nested", "join") and action.args[0] not in names:
-                raise ParseError(
-                    f"{action.op} target {action.args[0]!r} is not a defined thread"
-                )
-    return WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
+    program = WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
+    symbols = program.symbols()
+    for action, lineno in targets:
+        name = action.args[0]
+        if action.op == "sync_call":
+            if name not in symbols:
+                raise ParseError(f"sync_call target {name!r} is not a symbol", lineno)
+        elif name not in bodies:
+            raise ParseError(f"{action.op} target {name!r} is not a defined thread", lineno)
+    return program

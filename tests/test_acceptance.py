@@ -181,7 +181,7 @@ def test_criterion_06_duplicate_fault_remerge():
     # After the merge, the process gains a region under a brand-new
     # root-level entry; the runtime's copy of the root is now stale.
     system.ros.proc.vm_regions.append(
-        Region(base=addr, length=PAGE_SIZE, populated=False, writable=True)
+        Region(base=addr, length=PAGE_SIZE, writable=True)
     )
     report = sim.execute()
     assert not report.failed

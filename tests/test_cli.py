@@ -93,10 +93,12 @@ class TestRun:
         assert code == EXIT_FAILURE
         assert "non-canonical address 0x10000100000000000" in capsys.readouterr().err
 
-    def test_sync_call_of_no_symbol_is_a_runtime_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    def test_sync_call_of_no_symbol_is_a_parse_error(self, tmp_path, capsys, mode):
         text = "thread main ros\n  sync_call ghost\n  exit\nend\n"
-        assert main(["run", write(tmp_path, "w.txt", text)]) == EXIT_FAILURE
-        assert "error: unknown symbol 'ghost'" in capsys.readouterr().err
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error: line 2: sync_call target 'ghost' is not a symbol" in err
 
     def test_double_fault_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def double_fault(*args):

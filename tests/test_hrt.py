@@ -1,6 +1,8 @@
 """Kernel-mode runtime tests: boot, threads, fault classification, symbols."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrtsim.channel import EventKind
 from hrtsim.errors import (
@@ -11,13 +13,7 @@ from hrtsim.errors import (
     ProtocolError,
     SymbolError,
 )
-from hrtsim.hrt import (
-    CoreStatus,
-    FaultResolution,
-    Superposition,
-    ThreadKind,
-    ThreadStatus,
-)
+from hrtsim.hrt import FaultResolution, Superposition
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
@@ -29,10 +25,11 @@ from hrtsim.mem import (
     translate,
 )
 from hrtsim.machine import Machine
+from hrtsim.ros import init_runtime
 from hrtsim.sim import System
 from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
-from conftest import make_fat
+from conftest import make_fat, small_machine
 
 SUPER = Superposition(gdt_snapshot=("gdt", 1, 2), tls_base=0x7FFF_0000_0000)
 
@@ -106,8 +103,10 @@ class TestBoot:
             system.hrt.boot([system.machine.ros_core_ids[0]])
 
     def test_booted_cores_idle(self, booted):
+        assert booted.hrt.booted_cores() == booted.machine.hrt_core_ids
         for core_id in booted.machine.hrt_core_ids:
-            assert booted.hrt.cores[core_id].status is CoreStatus.IDLE_EVENT_LOOP
+            core = booted.hrt.cores[core_id]
+            assert (core.booted, core.recent_fault, core.current_thread) == (True, None, None)
 
     def test_boot_builds_no_identity_leaf_table(self):
         # Counts, not time: on a 4 GiB machine boot builds no identity leaf
@@ -158,7 +157,7 @@ class TestThreads:
 
     def test_top_level_carries_superposition(self, booted):
         thread = top_level(booted)
-        assert thread.kind is ThreadKind.TOP_LEVEL
+        assert thread.parent is None
         assert thread.superposition == SUPER
         assert thread.partner == 2
         assert booted.hrt.cores[thread.core_id].current_thread == thread.tid
@@ -167,10 +166,11 @@ class TestThreads:
         top = top_level(booted)
         mid = booted.hrt.create_nested_thread(top.tid, "helper")
         leaf = booted.hrt.create_nested_thread(mid.tid, "leaf")
-        assert leaf.kind is ThreadKind.NESTED
+        assert (mid.parent, leaf.parent) == (top.tid, mid.tid)
+        assert (mid.superposition, leaf.superposition) == (None, None)
         # Events from any depth route to the top-level thread's partner.
-        for tid in (top.tid, mid.tid, leaf.tid):
-            assert booted.hrt.ancestor_partner(tid) == 2
+        for thread in (top, mid, leaf):
+            assert booted.hrt.threads[thread.tid].partner == 2
 
     def test_nested_from_exited_parent(self, booted):
         top = top_level(booted)
@@ -183,8 +183,10 @@ class TestThreads:
         ev = booted.hrt.thread_exit(top.tid)
         assert ev is not None
         assert ev.kind is EventKind.THREAD_EXIT_SIGNAL
-        assert booted.hrt.threads[top.tid].status is ThreadStatus.EXITED
-        assert booted.hrt.cores[top.core_id].status is CoreStatus.IDLE_EVENT_LOOP
+        assert (ev.origin, ev.detail) == (top.tid, f"exit:{top.tid}")
+        assert booted.hrt.threads[top.tid].exited
+        core = booted.hrt.cores[top.core_id]
+        assert (core.booted, core.current_thread) == (True, None)
 
     def test_nested_exit_is_silent(self, booted):
         top = top_level(booted)
@@ -196,6 +198,56 @@ class TestThreads:
         booted.hrt.thread_exit(top.tid)
         with pytest.raises(LifecycleError):
             booted.hrt.thread_exit(top.tid)
+
+
+def walked_partner(threads, tid, given_partner):
+    """Oracle: walk parent links to the top-level ancestor and return the
+    partner that ancestor was created with."""
+    thread = threads[tid]
+    while thread.parent is not None:
+        thread = threads[thread.parent]
+    return given_partner[thread.tid]
+
+
+# Each step creates one thread: a top-level one, or a nested one under the
+# live thread that `pick` selects among those of depth < 4.
+THREAD_TREES = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 63), st.sampled_from(["worker", "helper", "leaf"])),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestPartnerRecord:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(THREAD_TREES, st.data())
+    def test_partner_matches_parent_walk(self, steps, data):
+        system = System(machine=small_machine())
+        init_runtime(system, make_fat(("worker", "helper", "leaf")))
+        hrt = system.hrt
+        given_partner: dict[int, int] = {}  # top-level tid -> partner it was created with
+        depth: dict[int, int] = {}
+        for top, pick, name in steps:
+            parents = [tid for tid, d in depth.items() if d < 4]
+            if top or not parents:
+                partner_tid = 100 + len(given_partner)
+                thread = hrt.create_top_level_thread(name, SUPER, partner_tid)
+                given_partner[thread.tid] = partner_tid
+                depth[thread.tid] = 1
+            else:
+                parent = parents[pick % len(parents)]
+                thread = hrt.create_nested_thread(parent, name)
+                depth[thread.tid] = depth[parent] + 1
+        assert set(hrt.threads) == set(depth)
+        for tid, thread in hrt.threads.items():
+            assert thread.partner == walked_partner(hrt.threads, tid, given_partner)
+        # Exits in any order: only a top-level exit signals its partner.
+        for tid in data.draw(st.permutations(sorted(depth))):
+            ev = hrt.thread_exit(tid)
+            if tid in given_partner:
+                assert (ev.kind, ev.origin) == (EventKind.THREAD_EXIT_SIGNAL, tid)
+            else:
+                assert ev is None
 
 
 class TestFaultPath:

@@ -212,7 +212,7 @@ class TestWriteProtect:
 def eager_identity_map(space: PageTableHierarchy, frames: int) -> None:
     """Reference: one map_page call per physical frame."""
     for f in range(frames):
-        map_page(space, HIGHER_BASE + f * PAGE_SIZE, f, writable=True, user=False)
+        map_page(space, HIGHER_BASE + f * PAGE_SIZE, f, writable=True)
 
 
 def identity_spaces(frames: int) -> tuple[PageTableHierarchy, PageTableHierarchy]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrtsim.channel import EventKind
+from hrtsim.channel import EventKind, EventRecord, fault_detail, syscall_detail
 from hrtsim.errors import FormatError, SymbolError, UsageError
 from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, Ring, translate
 from hrtsim.ros import (
@@ -194,13 +194,12 @@ class TestSyscalls:
 
 class TestInitRuntime:
     def test_full_sequence(self, system):
-        from hrtsim.hrt import CoreStatus
-
         proc = init_runtime(system, make_fat())
         assert proc is system.ros.proc
         assert system.hrt.ros_space is system.ros.proc.space
         for core_id in system.machine.hrt_core_ids:
-            assert system.hrt.cores[core_id].status is CoreStatus.IDLE_EVENT_LOOP
+            core = system.hrt.cores[core_id]
+            assert (core.booted, core.recent_fault, core.current_thread) == (True, None, None)
         assert lower_halves_consistent(system.hrt.space, system.ros.proc.space)
 
     def test_merge_charged_once(self, system):
@@ -223,10 +222,10 @@ class TestSpawn:
         ros = booted.ros
         partner = ros.spawn_hrt("worker")
         assert partner.hrt_thread in booted.hrt.threads
-        assert booted.hrt.threads[partner.hrt_thread].partner == partner.tid
-        assert booted.hrt.ancestor_partner(partner.hrt_thread) == partner.tid
+        twin = booted.hrt.threads[partner.hrt_thread]
+        assert (twin.partner, twin.parent) == (partner.tid, None)
         assert partner.tid in booted.channel.queues
-        tls_base = booted.hrt.threads[partner.hrt_thread].superposition.tls_base
+        tls_base = twin.superposition.tls_base
         assert ros.region_at(tls_base).length == DEFAULT_STACK_BYTES  # the partner's stack
         kinds = [e.kind for e in booted.log.entries]
         assert "AsyncCall" in kinds
@@ -247,7 +246,7 @@ class TestSpawn:
         ros = booted.ros
         partner = ros.spawn_hrt("helper")
         twin = booted.hrt.threads[partner.hrt_thread]
-        assert (twin.func_name, twin.partner) == ("helper", partner.tid)
+        assert (twin.partner, twin.parent) == (partner.tid, None)
         stack = ros.region_at(twin.superposition.tls_base)
         assert twin.superposition.tls_base == stack.end - PAGE_SIZE
         assert twin.superposition.gdt_snapshot == ("gdt", ros.proc.pid, partner.tid)
@@ -270,9 +269,17 @@ class TestForwardedService:
     def make_partner(self, booted):
         return booted.ros.spawn_hrt("worker")
 
+    @staticmethod
+    def fault_event(partner, fault):
+        """The event a kernel-mode thread forwards for a lower-half fault."""
+        detail = fault_detail(fault.addr, fault.access)
+        return EventRecord(EventKind.PAGE_FAULT, partner.hrt_thread, detail, fault)
+
     def test_forwarded_syscall_adds_base_cost(self, booted):
         partner = self.make_partner(booted)
-        ev = booted.hrt.make_syscall_event(partner.hrt_thread, "write", (1, 8))
+        args = (1, 8)
+        detail = syscall_detail("write", args)
+        ev = EventRecord(EventKind.SYSCALL, partner.hrt_thread, detail, ("write", args))
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 8
@@ -282,7 +289,7 @@ class TestForwardedService:
         partner = self.make_partner(booted)
         base = booted.ros.sys_mmap(PAGE_SIZE)
         fault = FaultInfo(base, AccessKind.WRITE, None)
-        ev = booted.hrt.make_fault_event(partner.hrt_thread, fault)
+        ev = self.fault_event(partner, fault)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 0
@@ -293,7 +300,7 @@ class TestForwardedService:
 
         partner = self.make_partner(booted)
         fault = FaultInfo(0x4141_0000, AccessKind.WRITE, None)
-        ev = booted.hrt.make_fault_event(partner.hrt_thread, fault)
+        ev = self.fault_event(partner, fault)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == EFAULT

@@ -10,7 +10,7 @@ import hrtsim.sim
 from hrtsim import bundled_profiles_text
 from hrtsim.channel import EventKind
 from hrtsim.costs import CostModel
-from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, SymbolError, UsageError
+from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, UsageError
 from hrtsim.hrt import FaultResolution
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.ros import MMAP_BASE, RosKernel
@@ -342,14 +342,15 @@ class TestFunctionsWithoutFuncLine:
             cost = CostModel().syscall_base
             assert any(f"detail=call:legacy cost={cost}" in line for line in lines)
 
-    def test_sync_call_of_no_symbol_fails_after_setup(self):
-        system = System(machine=small_machine())
+    def test_sync_call_of_no_symbol_is_a_parse_error(self):
+        # The parser rejects the name, so no mode runs it; a `func` line
+        # makes it a symbol, and then every mode runs it.
         text = "thread main ros\n  sync_call ghost\n  exit\nend\n"
-        sim = Simulator(system, parse_workload(text), Mode.MULTIVERSE)
-        with pytest.raises(SymbolError):
-            sim.run()
-        assert system.log.entries[-1].kind == "SetupSync"
-        assert system.channel.sync_page is not None
+        with pytest.raises(ParseError) as info:
+            parse_workload(text)
+        assert info.value.line == 2
+        for mode in Mode:
+            assert not run(small_machine(), "func ghost\n" + text, mode).failed
 
 
 class TestDeadlock:

@@ -96,12 +96,41 @@ class TestValidation:
             parse_workload("thread main ros\n  repeat 2\n  compute 1\n  exit\nend\n")
 
     def test_undefined_spawn_target(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_workload("thread main ros\n  spawn ghost\n  exit\nend\n")
+        assert info.value.line == 2
 
     def test_undefined_join_target(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_workload("thread main ros\n  join ghost\n  exit\nend\n")
+        assert info.value.line == 2
+
+    def test_undefined_nested_target_in_repeat(self):
+        text = (
+            "thread main ros\n  exit\nend\n"
+            "thread w hrt\n  repeat 2\n  spawn_nested ghost\n  end\n  exit\nend\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_workload(text)
+        assert info.value.line == 6
+
+    @pytest.mark.parametrize(
+        "decl, name",
+        [
+            ("func later\n", "later"),  # declared after the thread that calls it
+            ("override legacy -> fast\n", "fast"),
+            ("", "hrt_thread_create"),  # a default override target
+            ("", "main"),  # a thread body
+        ],
+    )
+    def test_sync_call_of_any_symbol_parses(self, decl, name):
+        program = parse_workload(f"thread main ros\n  sync_call {name}\n  exit\nend\n" + decl)
+        assert name in program.symbols()
+
+    def test_symbols_are_bodies_funcs_and_override_targets(self):
+        program = parse_workload("func f\noverride legacy -> g\n" + MINIMAL)
+        targets = {entry.aero_name for entry in program.overrides.values()}
+        assert program.symbols() == {"main", "f", "g"} | targets
 
     def test_duplicate_thread(self):
         with pytest.raises(ParseError) as info:
