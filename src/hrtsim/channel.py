@@ -73,12 +73,12 @@ class EventLog:
         self.entries.append(LogEntry(cycle, kind, origin, detail, cost, forwarded))
 
     def render(self) -> str:
-        return "\n".join(e.render() for e in self.entries) + ("\n" if self.entries else "")
+        return "\n".join([e.render() for e in self.entries]) + ("\n" if self.entries else "")
 
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:
     """Log detail of a system call, identical in every mode."""
-    return f"sys:{name}({','.join(map(str, args))})"
+    return f"sys:{name}({','.join([str(a) for a in args])})"
 
 
 def fault_detail(addr: int, access: AccessKind) -> str:
@@ -147,13 +147,9 @@ class EventRecord:
     detail: str
     payload: Any = None
     request_cycle: int = 0
-    complete_cycle: int | None = None
+    complete_cycle: int | None = None  # None until the partner has served it
     result: int | None = None
     cost: int = 0
-
-    @property
-    def completed(self) -> bool:
-        return self.complete_cycle is not None
 
 
 @dataclass
@@ -245,7 +241,7 @@ class EventChannel:
         ev.complete_cycle = self.clock.now
         self.log.emit(
             ev.complete_cycle,
-            ev.kind.value,
+            ev.kind._value_,  # `.value` itself is a Python-level property call
             ev.origin,
             ev.detail,
             ev.cost,

@@ -5,7 +5,9 @@ space, keyed by the physical frame holding each table.  This makes
 sub-table sharing between the two kernels' address spaces automatic: the
 lower-half merger copies only root-table entries, and any edit the
 regular OS makes *below* its root is immediately visible on the other
-side.  Only a brand-new root-level entry requires a fresh merge.
+side.  Only a brand-new root-level entry requires a fresh merge.  A walk
+indexes the store once per level, and `TableStore.__missing__` builds a
+deferred identity leaf table the first time a walk reaches it.
 
 Each address space memoises its successful walks: page number -> present
 leaf entry.  A hit re-checks the access against the entry's `writable`
@@ -29,7 +31,6 @@ PAGE_SIZE = 4096
 TABLE_ENTRIES = 512
 LOWER_ROOT_ENTRIES = 256  # root entries 0..255 cover the lower half
 HIGHER_BASE = 0xFFFF_8000_0000_0000
-ADDR_MASK = (1 << 64) - 1
 
 
 class Owner(enum.Enum):
@@ -81,9 +82,7 @@ class Entry:
 
 
 def is_canonical(addr: int) -> bool:
-    """A 64-bit address whose bits 47..63 all equal bit 47."""
-    if not 0 <= addr <= ADDR_MASK:
-        return False
+    """A 64-bit address whose bits 47..63 all equal bit 47 (no int outside [0, 2**64) does)."""
     top = addr >> 47
     return top == 0 or top == 0x1FFFF
 
@@ -131,19 +130,29 @@ class FrameAllocator:
         return self.end - self._next
 
 
-class TableStore:
-    """Machine-wide backing for page tables: physical frame -> 512 entries.
+class TableStore(dict):
+    """Machine-wide backing for page tables: a dict of physical frame ->
+    512 entries, which walks index directly.
 
-    An identity leaf table is recorded as the frame range it maps and is
-    built the first time it is asked for.
-    """
+    An identity leaf table is recorded as the frame range it maps, and
+    `__missing__` builds it on first use."""
 
     def __init__(self):
-        self._tables: dict[int, list[Entry | None]] = {}
+        super().__init__()
         # Leaf table frame -> (first mapped frame, count), not built yet.
         self.deferred: dict[int, tuple[int, int]] = {}
         # The walk memo of every address space built on this store.
         self.memos: list[dict[int, Entry]] = []
+
+    def __missing__(self, frame: int) -> list[Entry | None]:
+        first, count = self.deferred.pop(frame)
+        table: list[Entry | None] = [
+            Entry(writable=True, target_frame=f)
+            for f in range(first, first + count)
+        ]
+        table += [None] * (TABLE_ENTRIES - count)
+        self[frame] = table
+        return table
 
     def forget_page(self, page: int) -> None:
         """Drop one page number from every space's walk memo."""
@@ -152,21 +161,11 @@ class TableStore:
 
     def new_table(self, frame: int) -> list[Entry | None]:
         table: list[Entry | None] = [None] * TABLE_ENTRIES
-        self._tables[frame] = table
+        self[frame] = table
         return table
 
     def table(self, frame: int) -> list[Entry | None]:
-        try:
-            return self._tables[frame]
-        except KeyError:
-            first, count = self.deferred.pop(frame)
-        table: list[Entry | None] = [
-            Entry(writable=True, target_frame=f)
-            for f in range(first, first + count)
-        ]
-        table += [None] * (TABLE_ENTRIES - count)
-        self._tables[frame] = table
-        return table
+        return self[frame]
 
 
 class PageTableHierarchy:
@@ -176,13 +175,13 @@ class PageTableHierarchy:
         self.store = store
         self.frame_alloc = frame_alloc
         self.cr3 = frame_alloc.alloc()
-        store.new_table(self.cr3)
+        self.root_table = store.new_table(self.cr3)
         # Page number -> present leaf entry, for walks that succeeded.
         self.memo: dict[int, Entry] = {}
         store.memos.append(self.memo)
 
     def root(self) -> list[Entry | None]:
-        return self.store.table(self.cr3)
+        return self.root_table
 
 
 def translate(
@@ -201,14 +200,13 @@ def translate(
     leaf = space.memo.get(page)
     if leaf is None:
         require_canonical(addr)
-        i4, i3, i2, i1, _ = table_indices(addr)
-        table = space.root()
-        for idx in (i4, i3, i2):
-            entry = table[idx]
+        store, table = space.store, space.root_table
+        for shift in (39, 30, 21):
+            entry = table[(addr >> shift) & 0x1FF]
             if entry is None:
                 return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-            table = space.store.table(entry.target_frame)
-        leaf = table[i1]
+            table = store[entry.target_frame]
+        leaf = table[page & 0x1FF]
         if leaf is None:
             return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
         space.memo[page] = leaf
@@ -221,14 +219,14 @@ def translate(
 def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[Entry | None]:
     """The table `depth` levels below the root on vaddr's walk, allocating
     each absent intermediate table on the way."""
-    table = space.root()
+    store, table = space.store, space.root_table
     for idx in table_indices(vaddr)[:depth]:
         entry = table[idx]
         if entry is None:
             entry = table[idx] = Entry(writable=True, target_frame=space.frame_alloc.alloc())
-            table = space.store.new_table(entry.target_frame)
+            table = store.new_table(entry.target_frame)
         else:
-            table = space.store.table(entry.target_frame)
+            table = store[entry.target_frame]
     return table
 
 
@@ -258,21 +256,22 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
     require_canonical(end - PAGE_SIZE)
     if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
+    store = space.store
     while vaddr < end:
         stop = min(end, (vaddr | 0x1F_FFFF) + 1)  # the end of vaddr's leaf table
         i4, i3, i2, i1, _ = table_indices(vaddr)
-        table = space.root()
+        table = space.root_table
         for idx in (i4, i3, i2):
             entry = table[idx]
             if entry is None:
                 break
-            table = space.store.table(entry.target_frame)
+            table = store[entry.target_frame]
         else:
             page = vaddr >> 12
             for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
                 if table[i] is not None:
                     table[i] = None
-                    space.store.forget_page(page + i - i1)
+                    store.forget_page(page + i - i1)
         vaddr = stop
 
 
@@ -281,7 +280,7 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
 
     Allocates the same table frames in the same order as one map_page call
     per frame would, but defers each leaf table's entries to its first use
-    (TableStore.table).  The higher half must be unmapped.
+    (TableStore.__missing__).  The higher half must be unmapped.
     """
     for first in range(0, phys_frame_count, TABLE_ENTRIES):
         vaddr = HIGHER_BASE + first * PAGE_SIZE

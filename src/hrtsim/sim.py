@@ -22,9 +22,10 @@ the steps that do make progress, and so the log, are exactly those of
 stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
 
-A kernel-mode access that hits the merged page tables stays in its
-thread's step: the thread walks the tables inline and enters the fault
-path (`Simulator._hrt_touch`) only with the fault its walk returned.
+A kernel-mode access walks the page tables inline in its thread's step
+and enters the fault path (`Simulator._hrt_touch`) only with the fault
+its walk returned.  A forwarded event waits in the frame that sent it:
+`_thread` sends a system call or a fall-through call, `_hrt_touch` a fault.
 """
 
 from __future__ import annotations
@@ -235,13 +236,14 @@ class Simulator:
 
     def execute(self) -> TraceReport:
         """Drive the step loop to completion; setup() must have run."""
+        step = self.step
         try:
             while True:
                 progressed = False
                 for ctx in list(self.contexts):  # contexts spawned now run next round
                     if ctx.parked:
                         continue
-                    if self.step(ctx):
+                    if step(ctx):
                         progressed = True
                     else:
                         ctx.parked = True
@@ -272,11 +274,12 @@ class Simulator:
         fwd: dict[str, int] = {}
         syscalls: dict[str, tuple[int, int]] = {}
         for entry in self.log.entries:
-            if entry.kind in REPORT_KINDS:
-                counts[entry.kind] = counts.get(entry.kind, 0) + 1
+            kind = entry.kind
+            if kind in REPORT_KINDS:
+                counts[kind] = counts.get(kind, 0) + 1
                 if entry.forwarded:
-                    fwd[entry.kind] = fwd.get(entry.kind, 0) + 1
-                if entry.kind == SYSCALL:
+                    fwd[kind] = fwd.get(kind, 0) + 1
+                if kind == SYSCALL:
                     name = entry.detail.split("(", 1)[0].removeprefix("sys:")
                     calls, cost = syscalls.get(name, (0, 0))
                     syscalls[name] = (calls + 1, cost + entry.cost)
@@ -337,7 +340,7 @@ class Simulator:
 
     def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
         """Run a thread body on its side, one action per step.  A kernel-mode
-        thread blocks on every event it forwards; a joiner on its target."""
+        thread blocks in this frame on every call it forwards; a joiner on its target."""
         ros, hrt = self.system.ros, self.system.hrt
         kernel_mode = ctx.kind == "hrt_body"
         if kernel_mode:  # both are fixed from boot on
@@ -346,20 +349,8 @@ class Simulator:
         last = None  # base of this thread's most recent successful mmap
         for action in body.actions:
             op, args = action.op, action.args
-            if op == "compute":
-                self.clock.charge(args[0])
-                self.log.emit(self.clock.now, "Compute", tid, "compute", args[0])
-            elif op in ("mmap", "munmap", "syscall"):
-                if op == "mmap":
-                    name, args = op, (args[0], int(args[1]), int(args[2]))
-                elif op == "munmap":
-                    name, args = op, (args[0].resolve(last), args[1])
-                else:
-                    name, args = args
-                result = yield from self._syscall(ctx, name, args)
-                if name == "mmap" and result >= 0:
-                    last = result
-            elif op == "touch":
+            call = None  # (name, args) of the system call this action makes
+            if op == "touch":
                 expr, access = args
                 addr = expr.resolve(last)
                 if kernel_mode:
@@ -368,11 +359,27 @@ class Simulator:
                         yield from self._hrt_touch(ctx, fault)
                 elif not ros.touch(addr, access, tid):
                     raise _Halt(f"segfault at 0x{addr:x} in {ctx.name}")
-            elif op == "call_override":
-                if kernel_mode:
-                    yield from self._invoke_override(ctx, *args)
+            elif op in ("mmap", "munmap", "syscall"):
+                if op == "mmap":
+                    call = op, (args[0], int(args[1]), int(args[2]))
+                elif op == "munmap":
+                    call = op, (args[0].resolve(last), args[1])
                 else:
+                    call = args
+            elif op == "compute":
+                self.clock.charge(args[0])
+                self.log.emit(self.clock.now, "Compute", tid, "compute", args[0])
+            elif op == "call_override":
+                if not kernel_mode:
                     self._legacy_call(tid, *args)
+                elif (touches := self._invoke_override(tid, *args)) is None:
+                    call = f"call:{args[0]}", tuple(a for a in args[1] if isinstance(a, int))
+                else:
+                    for addr in touches:  # the target's writes, one step each
+                        yield True
+                        fault = translate(space, ctl, addr, AccessKind.WRITE)
+                        if isinstance(fault, FaultInfo):
+                            yield from self._hrt_touch(ctx, fault)
             elif op == "spawn":
                 if kernel_mode:
                     raise UsageError(
@@ -415,20 +422,29 @@ class Simulator:
                 return
             else:  # pragma: no cover - the parser rejects unknown ops
                 raise UsageError(f"unknown action {op}")
+            if call is not None:
+                name, args = call
+                if kernel_mode:  # forwarded: served by the partner, awaited here
+                    ev = EventRecord(EventKind.SYSCALL, tid, syscall_detail(name, args), call)
+                    self._send(ctx, ev)
+                    yield True
+                    while ev.complete_cycle is None:
+                        yield False
+                    result = ev.result
+                else:
+                    result = self._syscall(tid, name, args)
+                if name == "mmap" and result >= 0:
+                    last = result
             yield True
 
-    def _syscall(self, ctx: _Ctx, name: str, args: tuple[int, ...]):
-        """Service one system call and return its result: in place on the
-        regular OS, through the partner from a kernel-mode thread."""
-        if ctx.kind == "hrt_body":
-            ev = EventRecord(EventKind.SYSCALL, ctx.tid, syscall_detail(name, args), (name, args))
-            return (yield from self._forward(ctx, ev))
+    def _syscall(self, tid: int, name: str, args: tuple[int, ...]) -> int:
+        """Service one system call in place on the regular OS; its result."""
         result = self.system.ros.syscall(name, args)
         self.clock.charge(self.cost.syscall_base)
         self.log.emit(
             self.clock.now,
             SYSCALL,
-            ctx.tid,
+            tid,
             syscall_detail(name, args),
             self.cost.syscall_base,
         )
@@ -439,18 +455,7 @@ class Simulator:
         self.system.channel.forward_event(ev, ctx.partner)
         self.partners[ctx.partner].parked = False
 
-    def _forward(self, ctx: _Ctx, ev: EventRecord):
-        """Forward ev to the thread's partner and block until it is served.
-        The forwarding step ends here; a step that finds ev unserved parks
-        the thread, and the step that sees the completion goes on in the
-        caller."""
-        self._send(ctx, ev)
-        yield True
-        while not ev.completed:
-            yield False
-        return ev.result
-
-    def _hrt_touch(self, ctx: _Ctx, fault: FaultInfo):
+    def _hrt_touch(self, ctx: _Ctx, fault: FaultInfo) -> Generator[bool, None, None]:
         """The fault path of a kernel-mode access, entered with the fault of
         its first walk.  The runtime handles each fault locally, re-merges,
         or has it forwarded; the access is walked again after each, a
@@ -474,50 +479,47 @@ class Simulator:
             else:
                 local, forwards = 0, forwards + 1
                 ev = EventRecord(EventKind.PAGE_FAULT, ctx.tid, fault_detail(addr, access), fault)
-                if (yield from self._forward(ctx, ev)) == EFAULT:
+                self._send(ctx, ev)
+                yield True
+                while ev.complete_cycle is None:
+                    yield False
+                if ev.result == EFAULT:
                     raise _Halt(f"segfault reported to {ctx.name}")
             fault = translate(space, ctl, addr, access)
             if not isinstance(fault, FaultInfo):
                 return
 
-    def _invoke_override(self, ctx: _Ctx, name: str, args: tuple):
-        """Kernel-mode call of an overridable function: its enabled override
-        runs in place, anything else falls through to the regular OS."""
+    def _invoke_override(self, tid: int, name: str, args: tuple) -> tuple[int, ...] | None:
+        """Kernel-mode call of an overridable function: an enabled override
+        runs in place and returns the addresses its target writes; anything
+        else falls through, returning None for the caller to forward."""
         hrt = self.system.hrt
         entry: OverrideEntry | None = self.workload.overrides.get(name)
         if entry is None or not entry.enabled:
-            # Fall through to the legacy path: a forwarded call to the ROS.
-            self.log.emit(self.clock.now, "Fallthrough", ctx.tid, f"call:{name}", 0)
-            numeric = tuple(a for a in args if isinstance(a, int))
-            yield from self._syscall(ctx, f"call:{name}", numeric)
-            return
+            self.log.emit(self.clock.now, "Fallthrough", tid, f"call:{name}", 0)
+            return None
         if entry.aero_name == "hrt_thread_create":
             # Interposed thread creation behaves exactly like a spawn.
             targets = [a for a in args if isinstance(a, str)]
             if not targets:
                 raise UsageError("thread-create override needs a thread body name")
             self._spawn(targets[0])
-            return
+            return ()
         before = self.clock.now
         hrt.resolve_symbol(entry.aero_name)
         lookup_cost = self.clock.now - before
-        self.log.emit(self.clock.now, "SymbolLookup", ctx.tid, f"sym:{entry.aero_name}", lookup_cost)
+        self.log.emit(self.clock.now, "SymbolLookup", tid, f"sym:{entry.aero_name}", lookup_cost)
         behavior = self.workload.funcs.get(entry.aero_name, DEFAULT_BEHAVIOR)
         if behavior.cycles:
             self.clock.charge(behavior.cycles)
         self.log.emit(
             self.clock.now,
             "Override",
-            ctx.tid,
+            tid,
             f"override:{name}->{entry.aero_name}",
             behavior.cycles,
         )
-        space, ctl = hrt.space, hrt.control_state()
-        for addr in behavior.touches:  # the target's writes, one step each
-            yield True
-            fault = translate(space, ctl, addr, AccessKind.WRITE)
-            if isinstance(fault, FaultInfo):
-                yield from self._hrt_touch(ctx, fault)
+        return behavior.touches
 
     def _legacy_call(self, tid: int, name: str, args: tuple) -> None:
         """Non-hybrid path of an overridable call: a plain library/OS call."""
@@ -662,6 +664,8 @@ class Comparison:
         out.append(f"virtual total cycles:    {self.virtual.total_cycles}")
         out.append(f"multiverse total cycles: {self.multiverse.total_cycles}")
         out.append(f"total delta:             {self.total_delta}")
+        failed = [r for r in (self.virtual, self.multiverse) if r.failed]
+        out += [f"{r.mode} FAILED: {r.fail_reason}" for r in failed]
         return "\n".join(out)
 
 

@@ -171,7 +171,7 @@ class TestForwarding:
         channel.forward_event(ev, 2)
         assert ev.request_cycle == 0
         channel.complete_event(ev, 0)
-        assert ev.completed
+        assert ev.complete_cycle is not None
         assert ev.complete_cycle - ev.request_cycle >= channel.cost.forward_overhead
         assert channel.log.entries[-1].forwarded
 

@@ -127,6 +127,15 @@ class TestCompare:
         assert "syscall" in out
         assert "total delta:" in out
 
+    def test_compare_names_each_failed_run(self, tmp_path, capsys):
+        text = "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+        text += "thread w hrt\n  touch 0x100000000000 w\n  exit\nend\n"
+        code = main(["compare", write(tmp_path, "w.txt", text)])
+        out = capsys.readouterr().out
+        assert code == EXIT_FAILURE
+        assert "virtual FAILED: segfault at 0x100000000000" in out.splitlines()
+        assert "multiverse FAILED: segfault at 0x100000000000" in out.splitlines()
+
 
 class TestReplay:
     def test_bundled_profiles(self, tmp_path, capsys):

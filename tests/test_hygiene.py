@@ -1,7 +1,10 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import and every private function
+in the package is used.
 
-A deleted code path must not leave its imports behind.  A name counts as
-used if the module reads it anywhere or re-exports it through `__all__`.
+A deleted code path must not leave its imports or helpers behind.  An
+import counts as used if the module reads it anywhere or re-exports it
+through `__all__`; a private function or method counts as used if any
+module of the package names it.
 """
 
 import ast
@@ -38,3 +41,36 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom .a import b, c as d\n__all__ = ['b']\n")
     assert unused_imports(tree) == ["line 1: os", "line 2: d"]
+
+
+def unused_private_functions(trees: dict[str, ast.Module]) -> list[str]:
+    defined: dict[str, str] = {}  # private name -> "module:line" of a definition
+    referenced: set[str] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.setdefault(name, f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
+
+
+def test_every_private_function_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert unused_private_functions(trees) == []
+
+
+def test_check_sees_an_unused_private_function():
+    tree = ast.parse(
+        "def _kept(): pass\n"
+        "def _left(): pass\n"
+        "def __init__(self): pass\n"
+        "class C:\n"
+        "    def _method(self): return _kept()\n"
+        "    def _orphan(self): return self._method()\n"
+    )
+    assert unused_private_functions({"m.py": tree}) == ["m.py:2: _left", "m.py:6: _orphan"]

@@ -7,6 +7,7 @@ name, done after the step), must be equal, and so must the log; only the
 steps that made no progress may disappear.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -120,6 +121,28 @@ def test_bench_workload_schedule(name, seed, mode):
     progress, outcome = assert_same_schedule(workload.text, mode, frames)
     assert progress
     assert outcome[2] is False  # ran to the end, not failed
+
+
+# Progress steps and the SHA-256 of the progress sequence, one
+# "name done" line per step, of each bench workload at seed 1 in multiverse.
+# Both loops above share the thread code, so a yield added to or dropped
+# from it in both would pass their comparison; these figures would not.
+PINNED_SCHEDULES = {
+    "fwd_cold": (14698, "cd0a35d99ad44b0564e7563dbac45c168110dda742271723976b8d81b84be3b2"),
+    "hot_local": (34867, "80f69b3bb8c10dd0bda7ca37063d3a2b07e4ad84db6cca417c992dfef219175c"),
+    "boot_large": (71, "48c93ddd1288d858ba12da91f2ba0ee9846d5e753df76166b45746150946c16f"),
+    "compare_cold": (6058, "e32a6a2009394c8459f3b98ffe4d91f0483fa1e3127f960936d4e49e6346703f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
+def test_bench_schedule_is_pinned(name):
+    workload = load_bench_workloads()[name](1)
+    frames = workload.phys_frames or Machine().phys_frames
+    progress, outcome = observe(ParkingLoop, workload.text, Mode.MULTIVERSE, frames)
+    lines = "".join(f"{ctx} {int(done)}\n" for ctx, done in progress)
+    assert (len(progress), hashlib.sha256(lines.encode()).hexdigest()) == PINNED_SCHEDULES[name]
+    assert outcome[2] is False
 
 
 MUTUAL_JOIN = """
