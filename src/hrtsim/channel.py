@@ -9,9 +9,10 @@ page protocol charges, runs and logs.  The channel keeps no record of
 what a service did: the merge's result lives in the runtime
 (`HrtKernel.ros_space`).  Events raised in kernel-mode
 threads are forwarded the other way into their partner threads'
-injection queues and answered with completions.
-After an address-space merge, a memory-based synchronous call can
-bypass the VMM entirely.
+injection queues and answered with completions; a forwarded system call's
+payload is `(name, args, body)`, its log detail rendered once by the
+sender.  After an address-space merge, a memory-based synchronous call,
+which takes no arguments, can bypass the VMM entirely.
 """
 
 from __future__ import annotations
@@ -117,17 +118,10 @@ class SharedDataPage:
     state: PageState = PageState.IDLE
     _return_code: int = 0
 
-    MAX_ARGS = 6  # register-argument convention
-
     def transition(self, target: PageState) -> None:
         if _PAGE_TRANSITIONS[self.state] is not target:
             raise ProtocolError(f"bad page transition {self.state} -> {target}")
         self.state = target
-
-    @classmethod
-    def check_args(cls, args: tuple[int, ...]) -> None:
-        if len(args) > cls.MAX_ARGS:
-            raise ProtocolError(f"at most {cls.MAX_ARGS} call arguments")
 
     @property
     def return_code(self) -> int:
@@ -192,16 +186,9 @@ class EventChannel:
                 page.complete(0)
             page.transition(PageState.IDLE)
 
-    def sync_invoke(
-        self,
-        func_ptr: int,
-        args: tuple[int, ...],
-        same_socket: bool,
-        service: Callable[[], int],
-    ) -> int:
+    def sync_invoke(self, func_ptr: int, same_socket: bool, service: Callable[[], int]) -> int:
         """Memory-protocol call that skips the VMM: charge the round trip,
         run the callee, log the call, and return the callee's result."""
-        SharedDataPage.check_args(args)
         if self.sync_page is None:
             raise ProtocolError("synchronous call before its setup")
         cycles = (

@@ -1,6 +1,7 @@
 """Command-line entry point: run, compare, replay.
 
-Exit codes: 0 success, 2 parse errors, 3 deadlock or workload failure.
+Exit codes: 0 success, 2 an input file that cannot be read or parsed,
+3 deadlock or workload failure.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from .sim import Mode, compare, load_profiles, parse_workload, replay_benchmark,
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_FAILURE = 3
-
-
-def _load_cost(path: str | None) -> CostModel:
-    if path is None:
-        return CostModel()
-    return load_cost_model(Path(path).read_text())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,10 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:  # all input is read first, so that only reading it is caught as OSError
+        source = Path(args.profiles if args.command == "replay" else args.workload).read_text()
+        cost_text = None if args.cost is None else Path(args.cost).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
-        cost = _load_cost(args.cost)
+        cost = CostModel() if cost_text is None else load_cost_model(cost_text)
         if args.command == "run":
-            workload = parse_workload(Path(args.workload).read_text())
+            workload = parse_workload(source)
             report = run(None, workload, args.mode, cost)
             if args.log:
                 Path(args.log).write_text(report.log_text)
@@ -65,13 +66,13 @@ def main(argv: list[str] | None = None) -> int:
                 print("\n".join(report.metrics_lines()))
             return EXIT_FAILURE if report.failed else EXIT_OK
         if args.command == "compare":
-            workload = parse_workload(Path(args.workload).read_text())
+            workload = parse_workload(source)
             result = compare(None, workload, cost)
             print(result.render())
             failed = result.virtual.failed or result.multiverse.failed
             return EXIT_FAILURE if failed else EXIT_OK
         if args.command == "replay":
-            profiles = load_profiles(Path(args.profiles).read_text())
+            profiles = load_profiles(source)
             for profile in profiles:
                 print(replay_benchmark(profile, cost).render())
             return EXIT_OK

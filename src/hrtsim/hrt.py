@@ -61,7 +61,6 @@ class HrtCoreState:
 class Superposition:
     """Mirrored ROS-side state carried by a top-level thread."""
 
-    gdt_snapshot: tuple
     tls_base: int
 
 
@@ -95,7 +94,7 @@ class HrtKernel:
     threads: dict[int, HrtThread] = field(default_factory=dict)
     symbol_cache: SymbolCache = field(default_factory=SymbolCache)
     remerge_count: int = 0
-    _control: ControlState | None = None  # built with the address space at boot
+    control: ControlState | None = None  # built with the address space at boot
     _next_tid: int = 1000
     _next_core_rr: int = 0
 
@@ -135,7 +134,7 @@ class HrtKernel:
                 self.machine.table_store, self.machine.hrt_frame_alloc
             )
             identity_map_higher_half(self.space, self.machine.phys_frames)
-            self._control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
+            self.control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
         for core_id in core_ids:
             self.cores[core_id] = HrtCoreState(booted=True)
 
@@ -146,10 +145,6 @@ class HrtKernel:
 
     def booted_cores(self) -> list[int]:
         return [cid for cid, c in self.cores.items() if c.booted]
-
-    def control_state(self) -> ControlState:
-        assert self._control is not None
-        return self._control
 
     # -- threads --------------------------------------------------------------
 

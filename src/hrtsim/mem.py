@@ -6,8 +6,9 @@ sub-table sharing between the two kernels' address spaces automatic: the
 lower-half merger copies only root-table entries, and any edit the
 regular OS makes *below* its root is immediately visible on the other
 side.  Only a brand-new root-level entry requires a fresh merge.  A walk
-indexes the store once per level, and `TableStore.__missing__` builds a
-deferred identity leaf table the first time a walk reaches it.
+starts at the space's `root_table` and indexes the store (`store[frame]`)
+once per level, and `TableStore.__missing__` builds a deferred identity
+leaf table the first time a walk reaches it.
 
 Each address space memoises its successful walks: page number -> present
 leaf entry.  A hit re-checks the access against the entry's `writable`
@@ -164,9 +165,6 @@ class TableStore(dict):
         self[frame] = table
         return table
 
-    def table(self, frame: int) -> list[Entry | None]:
-        return self[frame]
-
 
 class PageTableHierarchy:
     """A four-level translation structure rooted at cr3."""
@@ -179,9 +177,6 @@ class PageTableHierarchy:
         # Page number -> present leaf entry, for walks that succeeded.
         self.memo: dict[int, Entry] = {}
         store.memos.append(self.memo)
-
-    def root(self) -> list[Entry | None]:
-        return self.root_table
 
 
 def translate(
@@ -310,8 +305,5 @@ def merge_lower_half(
     re-merge.  The copied entries may replace sub-tables the HRT space
     walked before, so its walk memo is cleared.
     """
-    hrt_root = hrt_space.root()
-    ros_root = ros_space.root()
-    for i in range(LOWER_ROOT_ENTRIES):
-        hrt_root[i] = ros_root[i]
+    hrt_space.root_table[:LOWER_ROOT_ENTRIES] = ros_space.root_table[:LOWER_ROOT_ENTRIES]
     hrt_space.memo.clear()

@@ -4,9 +4,11 @@ The process owns the lower half of the address space.  mmap regions come
 from a deterministic bump allocator; partner stacks and other internal
 allocations come down from the top of the lower half so that workload
 addresses are identical across run modes.  Partner threads service the
-events their kernel-mode twins forward and carry the exit bit.  Partners
-and local threads (those spawned outside the hybrid mode) are the join
-targets.
+events their kernel-mode twins forward and carry the exit bit.  A
+forwarded system call brings everything its service needs: a call that
+fell through carries its legacy function's body, and any other call goes
+to the syscall model.  Partners and local threads (those spawned outside
+the hybrid mode) are the join targets.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ class RosThread:
 
 @dataclass
 class RosProcess:
-    pid: int
     space: PageTableHierarchy
     vm_regions: RegionList = field(default_factory=RegionList)
     failed: bool = False
@@ -133,23 +134,17 @@ class RosKernel:
         self.log = log
         self.channel = channel
         self.hrt = hrt
-        self.proc = RosProcess(
-            pid=1,
-            space=PageTableHierarchy(machine.table_store, machine.ros_frame_alloc),
-        )
+        self.proc = RosProcess(PageTableHierarchy(machine.table_store, machine.ros_frame_alloc))
         # The mmap and stack areas have live root entries from process start.
         ensure_root_entry(self.proc.space, MMAP_BASE)
         ensure_root_entry(self.proc.space, STACK_TOP - PAGE_SIZE)
-        self._control = ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
+        self.control = ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
         self.threads: dict[int, RosThread] = {}
         self._next_tid = 1
         self._next_mmap = MMAP_BASE
         self._next_stack = STACK_TOP
         self._core_rr = 0
-        self.legacy_funcs: dict[str, object] = {}  # the driver's workload.funcs
         self.main = self._new_thread(RosThreadRole.MAIN)
-        # Unblock order bookkeeping for join-safety checks.
-        self.join_log: list[tuple[int, str, int]] = []
 
     # -- threads --------------------------------------------------------------
 
@@ -166,9 +161,6 @@ class RosKernel:
         return thread
 
     # -- address space --------------------------------------------------------
-
-    def control_state(self) -> ControlState:
-        return self._control
 
     def region_at(self, addr: int) -> Region | None:
         i = self.proc.vm_regions.index_at(addr)
@@ -231,10 +223,6 @@ class RosKernel:
             if len(args) < 2:
                 return EINVAL
             return self.sys_munmap(args[0], args[1])
-        if name.startswith("call:"):
-            behavior = self.legacy_funcs.get(name[5:])
-            if behavior is not None:
-                return behavior.returns
         return ENOSYS
 
     def demand_fault(self, addr: int, access: AccessKind) -> bool:
@@ -248,7 +236,7 @@ class RosKernel:
             return False
         if access is AccessKind.WRITE and not region.writable:
             return False
-        result = translate(self.proc.space, self.control_state(), addr, access)
+        result = translate(self.proc.space, self.control, addr, access)
         if not isinstance(result, FaultInfo):
             return True
         try:
@@ -264,7 +252,7 @@ class RosKernel:
         Charges and logs one page-fault event per first touch; returns
         False on segfault (workload marked failed).
         """
-        result = translate(self.proc.space, self.control_state(), addr, access)
+        result = translate(self.proc.space, self.control, addr, access)
         if not isinstance(result, FaultInfo):
             return True
         if not self.demand_fault(addr, access):
@@ -295,16 +283,15 @@ class RosKernel:
                 self.proc.fail_reason = f"segfault at 0x{fault.addr:x}"
                 result = EFAULT
         elif ev.kind is EventKind.SYSCALL:
-            name, args = ev.payload
+            name, args, body = ev.payload
             ev.cost += self.cost.syscall_base
-            if name.startswith("call:"):
-                behavior = self.legacy_funcs.get(name[5:])
-                if behavior is not None:
-                    ev.cost += behavior.cycles
-            result = self.syscall(name, args)
+            if body is None:
+                result = self.syscall(name, args)
+            else:  # a fall-through call runs its legacy function's body here
+                ev.cost += body.cycles
+                result = body.returns
         elif ev.kind is EventKind.THREAD_EXIT_SIGNAL:
             partner.exit_bit = True
-            self.join_log.append((self.clock.now, "exit_bit", partner.tid))
             result = 0
         else:
             raise UsageError(f"partner cannot serve {ev.kind}")
@@ -323,7 +310,6 @@ class RosKernel:
             # Cleanup after its twin has exited.
             partner.status = RosThreadStatus.EXITED
             self.channel.drop_endpoint(partner.tid)
-            self.join_log.append((self.clock.now, "partner_exit", partner.tid))
             return True
         return False
 
@@ -337,10 +323,7 @@ class RosKernel:
         stack = self._alloc_region(
             DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True
         )
-        superposition = Superposition(
-            gdt_snapshot=("gdt", self.proc.pid, partner.tid),
-            tls_base=stack.end - PAGE_SIZE,
-        )
+        superposition = Superposition(tls_base=stack.end - PAGE_SIZE)
 
         def create_twin() -> int:
             twin = self.hrt.create_top_level_thread(func_name, superposition, partner.tid)
@@ -381,7 +364,6 @@ class RosKernel:
             target.joined = True
             joiner.status = RosThreadStatus.RUNNABLE
             joiner.join_target = None
-            self.join_log.append((self.clock.now, "join_resume", target.tid))
             return True
         return False
 

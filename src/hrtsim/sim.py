@@ -210,7 +210,6 @@ class Simulator:
         ros = self.system.ros
         if self.mode is Mode.MULTIVERSE:
             init_runtime(self.system, build_fat_binary(self.workload))
-        ros.legacy_funcs = self.workload.funcs
         self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
 
     def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
@@ -344,12 +343,12 @@ class Simulator:
         ros, hrt = self.system.ros, self.system.hrt
         kernel_mode = ctx.kind == "hrt_body"
         if kernel_mode:  # both are fixed from boot on
-            space, ctl = hrt.space, hrt.control_state()
+            space, ctl = hrt.space, hrt.control
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
         for action in body.actions:
             op, args = action.op, action.args
-            call = None  # (name, args) of the system call this action makes
+            call = None  # (name, args, body) of the system call this action makes
             if op == "touch":
                 expr, access = args
                 addr = expr.resolve(last)
@@ -361,11 +360,11 @@ class Simulator:
                     raise _Halt(f"segfault at 0x{addr:x} in {ctx.name}")
             elif op in ("mmap", "munmap", "syscall"):
                 if op == "mmap":
-                    call = op, (args[0], int(args[1]), int(args[2]))
+                    call = op, (args[0], int(args[1]), int(args[2])), None
                 elif op == "munmap":
-                    call = op, (args[0].resolve(last), args[1])
+                    call = op, (args[0].resolve(last), args[1]), None
                 else:
-                    call = args
+                    call = *args, None
             elif op == "compute":
                 self.clock.charge(args[0])
                 self.log.emit(self.clock.now, "Compute", tid, "compute", args[0])
@@ -373,7 +372,9 @@ class Simulator:
                 if not kernel_mode:
                     self._legacy_call(tid, *args)
                 elif (touches := self._invoke_override(tid, *args)) is None:
-                    call = f"call:{args[0]}", tuple(a for a in args[1] if isinstance(a, int))
+                    # Forwarded with the legacy function's body, if it has one.
+                    ints = tuple(a for a in args[1] if isinstance(a, int))
+                    call = f"call:{args[0]}", ints, self.workload.funcs.get(args[0])
                 else:
                     for addr in touches:  # the target's writes, one step each
                         yield True
@@ -423,7 +424,7 @@ class Simulator:
             else:  # pragma: no cover - the parser rejects unknown ops
                 raise UsageError(f"unknown action {op}")
             if call is not None:
-                name, args = call
+                name, args, _ = call
                 if kernel_mode:  # forwarded: served by the partner, awaited here
                     ev = EventRecord(EventKind.SYSCALL, tid, syscall_detail(name, args), call)
                     self._send(ctx, ev)
@@ -462,7 +463,7 @@ class Simulator:
         forwarded one in the step that sees it served.  Four local
         resolutions in a row, or a third forward, is a double fault."""
         hrt = self.system.hrt
-        space, ctl = hrt.space, hrt.control_state()
+        space, ctl = hrt.space, hrt.control
         addr, access = fault.addr, fault.access
         core_id = hrt.threads[ctx.tid].core_id
         local = forwards = 0
@@ -555,7 +556,7 @@ class Simulator:
         same_socket = self.system.machine.socket_of(caller_core) == self.system.machine.socket_of(
             target_core
         )
-        channel.sync_invoke(addr, (), same_socket, lambda: self._callee(0, name, behavior))
+        channel.sync_invoke(addr, same_socket, lambda: self._callee(0, name, behavior))
 
     def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
         """Run a synchronously called function's body; returns its result."""
@@ -704,22 +705,21 @@ class BenchmarkProfile:
     """Measured per-benchmark counters driving the overhead arithmetic."""
 
     name: str
-    syscalls: int
     base_user_seconds: float
-    base_sys_seconds: float
-    max_rss_kb: int
-    page_faults: int
-    context_switches: int  # carried for completeness; no preemption is modeled
     forwarded_events: int
 
-    def __post_init__(self):
-        for fname in ("syscalls", "page_faults", "context_switches", "forwarded_events"):
-            if getattr(self, fname) < 0:
-                raise ValueError(f"{fname} must be >= 0")
+
+# The columns after the name, each with its type; the counts must be >= 0.
+_PROFILE_COLUMNS = (
+    ("syscalls", int), ("user_s", float), ("sys_s", float), ("max_rss_kb", int),
+    ("page_faults", int), ("context_switches", int), ("forwarded_events", int),
+)
+_PROFILE_COUNTS = {"syscalls", "page_faults", "context_switches", "forwarded_events"}
 
 
 def load_profiles(text: str) -> list[BenchmarkProfile]:
-    """Whitespace table: name syscalls user_s sys_s rss_kb faults ctxsw forwarded."""
+    """Whitespace table: name syscalls user_s sys_s rss_kb faults ctxsw forwarded.
+    Every column is checked; replay reads only user_s and forwarded."""
     profiles = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -728,21 +728,15 @@ def load_profiles(text: str) -> list[BenchmarkProfile]:
         parts = line.split()
         if len(parts) != 8:
             raise ParseError(f"expected 8 columns, got {len(parts)}", lineno)
-        try:
-            profiles.append(
-                BenchmarkProfile(
-                    name=parts[0],
-                    syscalls=int(parts[1]),
-                    base_user_seconds=float(parts[2]),
-                    base_sys_seconds=float(parts[3]),
-                    max_rss_kb=int(parts[4]),
-                    page_faults=int(parts[5]),
-                    context_switches=int(parts[6]),
-                    forwarded_events=int(parts[7]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+        values = {}
+        for (column, kind), token in zip(_PROFILE_COLUMNS, parts[1:]):
+            try:
+                values[column] = kind(token)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if column in _PROFILE_COUNTS and values[column] < 0:
+                raise ParseError(f"{column} must be >= 0", lineno)
+        profiles.append(BenchmarkProfile(parts[0], values["user_s"], values["forwarded_events"]))
     return profiles
 
 

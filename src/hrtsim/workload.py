@@ -19,6 +19,8 @@ Example::
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
 recent mmap.  ``repeat N ... end`` blocks are unrolled at parse time.
+A cycle count (``compute``, ``func ... cycles=``) or a repeat count may
+not be negative.
 """
 
 from __future__ import annotations
@@ -108,6 +110,14 @@ def _num(token: str, lineno: int) -> int:
         raise ParseError(f"bad number {token!r}", lineno) from None
 
 
+def _count(token: str, lineno: int) -> int:
+    """A cycle or repeat count: a number that is not negative."""
+    n = _num(token, lineno)
+    if n < 0:
+        raise ParseError(f"negative count {token!r}", lineno)
+    return n
+
+
 def _addr(token: str, lineno: int) -> AddrExpr:
     if token == "last":
         return AddrExpr(0, from_last=True)
@@ -122,7 +132,7 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
     if op == "compute":
         if len(args) != 1:
             raise ParseError("compute takes one cycle count", lineno)
-        return Action(op, (_num(args[0], lineno),))
+        return Action(op, (_count(args[0], lineno),))
     if op == "mmap":
         if not 1 <= len(args) <= 3:
             raise ParseError("mmap <len> [populate] [ro]", lineno)
@@ -178,7 +188,7 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
         if not sep:
             raise ParseError(f"expected key=value, got {tok!r}", lineno)
         if key == "cycles":
-            cycles = _num(val, lineno)
+            cycles = _count(val, lineno)
         elif key == "returns":
             returns = _num(val, lineno)
         elif key == "touches":
@@ -225,7 +235,7 @@ def parse_workload(text: str) -> WorkloadProgram:
         if head == "repeat":
             if len(tokens) != 2:
                 raise ParseError("repeat <count>", lineno)
-            repeat_stack.append((_num(tokens[1], lineno), [], lineno))
+            repeat_stack.append((_count(tokens[1], lineno), [], lineno))
         elif head == "end":
             if repeat_stack:
                 count, actions, _ = repeat_stack.pop()

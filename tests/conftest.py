@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
+from hrtsim.channel import EventKind
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
-from hrtsim.ros import init_runtime
+from hrtsim.ros import RosKernel, RosThreadStatus, init_runtime
 from hrtsim.sim import System
 from hrtsim.toolchain import AeroKernelImage, AppDescriptor, embed
 
@@ -23,6 +24,40 @@ def make_fat(names=("worker",), payload_size=8192) -> bytes:
 def small_machine(**kw) -> Machine:
     kw.setdefault("phys_frames", 512)
     return Machine(**kw)
+
+
+def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
+    """Record the unblock order on one kernel instance: (cycle, label, tid)
+    for each served exit signal ("exit_bit"), partner cleanup
+    ("partner_exit") and resumed join ("join_resume", the target's tid)."""
+    log: list[tuple[int, str, int]] = []
+    serve, step, finish = ros.serve_forwarded, ros.partner_step, ros.try_finish_join
+
+    def serve_forwarded(partner, ev):
+        now = ros.clock.now  # completing the event charges its cost after the bit is set
+        result = serve(partner, ev)
+        if ev.kind is EventKind.THREAD_EXIT_SIGNAL:
+            log.append((now, "exit_bit", partner.tid))
+        return result
+
+    def partner_step(partner):
+        exited = partner.status is RosThreadStatus.EXITED
+        progressed = step(partner)
+        if not exited and partner.status is RosThreadStatus.EXITED:
+            log.append((ros.clock.now, "partner_exit", partner.tid))
+        return progressed
+
+    def try_finish_join(joiner):
+        target = joiner.join_target
+        resumed = finish(joiner)
+        if resumed:
+            log.append((ros.clock.now, "join_resume", target))
+        return resumed
+
+    ros.serve_forwarded = serve_forwarded
+    ros.partner_step = partner_step
+    ros.try_finish_join = try_finish_join
+    return log
 
 
 @pytest.fixture

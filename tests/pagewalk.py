@@ -17,20 +17,20 @@ from hrtsim.mem import (
 def mapped_lower_pages(space: PageTableHierarchy) -> list[int]:
     """All mapped lower-half page addresses, ascending."""
     pages = []
-    root = space.root()
+    root = space.root_table
     for i4 in range(LOWER_ROOT_ENTRIES):
         e4 = root[i4]
         if e4 is None:
             continue
-        t3 = space.store.table(e4.target_frame)
+        t3 = space.store[e4.target_frame]
         for i3, e3 in enumerate(t3):
             if e3 is None:
                 continue
-            t2 = space.store.table(e3.target_frame)
+            t2 = space.store[e3.target_frame]
             for i2, e2 in enumerate(t2):
                 if e2 is None:
                     continue
-                t1 = space.store.table(e2.target_frame)
+                t1 = space.store[e2.target_frame]
                 for i1, e1 in enumerate(t1):
                     if e1 is not None:
                         pages.append((i4 << 39) | (i3 << 30) | (i2 << 21) | (i1 << 12))
@@ -41,8 +41,8 @@ def lower_halves_consistent(
     hrt_space: PageTableHierarchy, ros_space: PageTableHierarchy
 ) -> bool:
     """True iff both root tables agree on entries 0..255."""
-    hrt_root = hrt_space.root()
-    ros_root = ros_space.root()
+    hrt_root = hrt_space.root_table
+    ros_root = ros_space.root_table
     return all(hrt_root[i] == ros_root[i] for i in range(LOWER_ROOT_ENTRIES))
 
 
@@ -52,12 +52,12 @@ def walk(
     """`mem.translate` without its memo: all four levels on every call."""
     require_canonical(addr)
     i4, i3, i2, i1, offset = table_indices(addr)
-    table = space.root()
+    table = space.root_table
     for idx in (i4, i3, i2):
         entry = table[idx]
         if entry is None:
             return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-        table = space.store.table(entry.target_frame)
+        table = space.store[entry.target_frame]
     leaf = table[i1]
     if leaf is None:
         return FaultInfo(addr, access, FaultReason.NOT_PRESENT)

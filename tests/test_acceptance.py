@@ -46,7 +46,7 @@ from hrtsim.toolchain import (
     parse_override_config,
 )
 
-from conftest import make_fat, small_machine
+from conftest import make_fat, record_joins, small_machine
 from pagewalk import mapped_lower_pages
 
 RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
@@ -165,9 +165,9 @@ def test_criterion_05_merge_equivalence_randomized():
             assert translate(hrt, RING0, vaddr, AccessKind.READ) == translate(
                 ros, RING3, vaddr, AccessKind.READ
             )
-        once = list(hrt.root()[:256])
+        once = list(hrt.root_table[:256])
         merge_lower_half(hrt, ros)
-        assert list(hrt.root()[:256]) == once
+        assert list(hrt.root_table[:256]) == once
 
 
 def test_criterion_06_duplicate_fault_remerge():
@@ -211,6 +211,7 @@ class TestCriterion07:
     def _drive(self, n_partners, seq):
         system, partners = self._fresh(n_partners)
         ros, hrt = system.ros, system.hrt
+        join_log = record_joins(ros)
         main = ros.main
         for op, i in seq:
             p = partners[i]
@@ -240,7 +241,7 @@ class TestCriterion07:
         assert main.status is RosThreadStatus.RUNNABLE
         for q in partners:
             assert q.joined and q.exit_bit
-            labels = [label for _, label, tid in ros.join_log if tid == q.tid]
+            labels = [label for _, label, tid in join_log if tid == q.tid]
             # Main never resumes before the exit event has been served.
             assert labels.index("exit_bit") < labels.index("join_resume")
             assert labels.index("exit_bit") < labels.index("partner_exit")

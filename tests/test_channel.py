@@ -50,10 +50,6 @@ class TestSharedPage:
         with pytest.raises(ProtocolError):
             _ = page.return_code
 
-    def test_arg_bound(self):
-        SharedDataPage.check_args(tuple(range(6)))
-        with pytest.raises(ProtocolError):
-            SharedDataPage.check_args(tuple(range(7)))
 
 
 class TestHypercalls:
@@ -140,10 +136,10 @@ class TestHypercalls:
         set_up_sync(channel)
         assert channel.sync_page == 0x1000
         start = channel.clock.now
-        assert channel.sync_invoke(0x10, (), same_socket=True, service=lambda: 7) == 7
+        assert channel.sync_invoke(0x10, same_socket=True, service=lambda: 7) == 7
         assert channel.clock.now - start == channel.cost.sync_call_same_socket
         start = channel.clock.now
-        channel.sync_invoke(0x10, (), same_socket=False, service=lambda: 7)
+        channel.sync_invoke(0x10, same_socket=False, service=lambda: 7)
         assert channel.clock.now - start == channel.cost.sync_call_diff_socket
 
     def test_sync_invoke_inactive_endpoint(self):
@@ -151,7 +147,7 @@ class TestHypercalls:
         channel = make_channel()
         called = []
         with pytest.raises(ProtocolError):
-            channel.sync_invoke(0x10, (), same_socket=True, service=lambda: called.append(1))
+            channel.sync_invoke(0x10, same_socket=True, service=lambda: called.append(1))
         assert called == []
         assert channel.clock.now == 0
         assert channel.log.entries == []

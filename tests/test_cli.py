@@ -119,6 +119,43 @@ class TestRun:
         assert main(["run", write(tmp_path, "w.txt", GOOD), "--cost", cost]) == EXIT_PARSE
 
 
+    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "thread main ros\n  compute -5\n  exit\nend\n",
+            "thread main ros\n  repeat -1\n    compute 1\n  end\n  exit\nend\n",
+            "func f cycles=-5\nthread main ros\n  call_override f\n  exit\nend\n",
+        ],
+        ids=["compute", "repeat", "func"],
+    )
+    def test_negative_count_is_a_parse_error(self, tmp_path, capsys, mode, text):
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        assert "negative count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{missing}"],
+            ["run", "{good}", "--cost", "{missing}"],
+            ["compare", "{missing}"],
+            ["replay", "--profiles", "{missing}"],
+            ["run", "{dir}"],
+            ["run", "{binary}"],
+        ],
+        ids=["workload", "cost", "compare", "profiles", "directory", "not-utf8"],
+    )
+    def test_unreadable_file_is_an_input_error(self, tmp_path, capsys, argv):
+        paths = {"missing": tmp_path / "missing.txt", "good": write(tmp_path, "w.txt", GOOD)}
+        paths["dir"] = tmp_path
+        paths["binary"] = tmp_path / "w.bin"
+        paths["binary"].write_bytes(b"\xff\xfe\x00thread")
+        code = main([a.format(**paths) for a in argv])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestCompare:
     def test_compare_table(self, tmp_path, capsys):
         code = main(["compare", write(tmp_path, "w.txt", GOOD)])

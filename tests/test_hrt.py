@@ -31,7 +31,7 @@ from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
 from conftest import make_fat, small_machine
 
-SUPER = Superposition(gdt_snapshot=("gdt", 1, 2), tls_base=0x7FFF_0000_0000)
+SUPER = Superposition(tls_base=0x7FFF_0000_0000)
 
 
 def top_level(system, name="worker"):
@@ -118,14 +118,15 @@ class TestBoot:
         assert len(deferred) == (1 << 20) // 512
         vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
         for _ in range(2):
-            got = translate(system.hrt.space, system.hrt.control_state(), vaddr, AccessKind.READ)
+            got = translate(system.hrt.space, system.hrt.control, vaddr, AccessKind.READ)
             assert got == 777_777 * PAGE_SIZE
             assert len(deferred) == (1 << 20) // 512 - 1
 
     def test_control_state_built_once_at_boot(self, booted):
         hrt = booted.hrt
-        ctl = hrt.control_state()
-        assert hrt.control_state() is ctl
+        ctl = hrt.control
+        hrt.boot(hrt.machine.hrt_core_ids)  # booting again keeps the one instance
+        assert hrt.control is ctl
         assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, hrt.space.cr3, Ring.RING0)
         with pytest.raises(AttributeError):  # frozen: one instance is shared by every touch
             ctl.cr3 = 0
@@ -259,7 +260,7 @@ class TestFaultPath:
         resolution = hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], fault)
         assert resolution is FaultResolution.HANDLED_LOCAL
         assert not isinstance(
-            translate(hrt.space, hrt.control_state(), addr, AccessKind.WRITE), FaultInfo
+            translate(hrt.space, hrt.control, addr, AccessKind.WRITE), FaultInfo
         )
         assert len(booted.log.entries) == log_before
         assert booted.channel.outstanding == []
@@ -268,7 +269,7 @@ class TestFaultPath:
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE
         hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], FaultInfo(addr, AccessKind.WRITE, FaultReason.NOT_PRESENT))
-        paddr = translate(hrt.space, hrt.control_state(), addr, AccessKind.READ)
+        paddr = translate(hrt.space, hrt.control, addr, AccessKind.READ)
         assert paddr // PAGE_SIZE >= booted.machine.ros_frames
 
     def test_first_lower_fault_forwards(self, booted):
@@ -290,7 +291,7 @@ class TestFaultPath:
         map_page(ros.proc.space, addr, frame)
         assert hrt.handle_page_fault(core, fault) is FaultResolution.RETRY_AFTER_REMERGE
         assert hrt.remerge_count == 1
-        assert translate(hrt.space, hrt.control_state(), addr, AccessKind.WRITE) == frame * PAGE_SIZE
+        assert translate(hrt.space, hrt.control, addr, AccessKind.WRITE) == frame * PAGE_SIZE
         remerges = [e for e in booted.log.entries if e.detail.startswith("remerge:")]
         assert len(remerges) == 1
         assert remerges[0].kind == EventKind.MERGE_REQUEST.value

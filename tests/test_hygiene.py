@@ -1,10 +1,12 @@
-"""Source hygiene: every module-level import and every private function
-in the package is used.
+"""Source hygiene: every module-level import and every function in the
+package is used by the package itself.
 
-A deleted code path must not leave its imports or helpers behind.  An
-import counts as used if the module reads it anywhere or re-exports it
-through `__all__`; a private function or method counts as used if any
-module of the package names it.
+A deleted code path must not leave its imports or helpers behind, and
+`src` keeps no function that only tests call.  An import counts as used
+if the module reads it anywhere or re-exports it through `__all__`; a
+private function or method counts as used if any module of the package
+names it.  A public method counts as named through an attribute access,
+a public function through a name, an import or `__all__`.
 """
 
 import ast
@@ -74,3 +76,74 @@ def test_check_sees_an_unused_private_function():
         "    def _orphan(self): return self._method()\n"
     )
     assert unused_private_functions({"m.py": tree}) == ["m.py:2: _left", "m.py:6: _orphan"]
+
+
+# Public functions that only the acceptance tests call, kept for them.
+NAMED_ONLY_BY_TESTS = {
+    "latency_table": "acceptance criterion 1 reads the cost model's latency table",
+    "parse_override_config": "acceptance criterion 10 parses a whole override config",
+}
+
+
+def unnamed_public_functions(trees: dict[str, ast.Module]) -> list[str]:
+    defined: list[tuple[str, bool, str]] = []  # (name, is a method, "module:line")
+    names: set[str] = set()  # named as a name, an import or in __all__
+    attributes: set[str] = set()
+    for module, tree in trees.items():
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    defined.append((node.name, id(node) in methods, f"{module}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names |= {elt.value for elt in node.value.elts}
+    return sorted(
+        f"{where}: {name}"
+        for name, method, where in defined
+        if name not in (attributes if method else names)
+    )
+
+
+def test_every_public_function_is_named_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    unnamed = unnamed_public_functions(trees)
+    assert [u for u in unnamed if u.rsplit(": ", 1)[1] not in NAMED_ONLY_BY_TESTS] == []
+
+
+def test_check_sees_an_unnamed_public_function():
+    lib = ast.parse(
+        "def called(): pass\n"
+        "def imported(): pass\n"
+        "def exported(): pass\n"
+        "def orphan(): pass\n"
+        "def as_attribute(): pass\n"
+        "class C:\n"
+        "    def used(self): return called()\n"
+        "    def as_name(self): pass\n"
+        "    def unused(self): pass\n"
+    )
+    user = ast.parse(
+        "from .lib import imported\n"
+        "__all__ = ['exported']\n"
+        "as_name = C().used()\n"
+        "x.as_attribute\n"
+    )
+    assert unnamed_public_functions({"lib.py": lib, "user.py": user}) == [
+        "lib.py:4: orphan",
+        "lib.py:5: as_attribute",
+        "lib.py:8: as_name",
+        "lib.py:9: unused",
+    ]

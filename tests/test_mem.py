@@ -307,9 +307,9 @@ class TestMerge:
         hrt, ros = shared_spaces()
         map_page(ros, 0x9000, 12)
         merge_lower_half(hrt, ros)
-        once = list(hrt.root()[:256])
+        once = list(hrt.root_table[:256])
         merge_lower_half(hrt, ros)
-        assert list(hrt.root()[:256]) == once
+        assert list(hrt.root_table[:256]) == once
 
     def test_consistency_flag(self):
         hrt, ros = shared_spaces()

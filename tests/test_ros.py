@@ -18,13 +18,13 @@ from hrtsim.ros import (
 )
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-from conftest import make_fat, small_machine
+from conftest import make_fat, record_joins, small_machine
 from pagewalk import lower_halves_consistent
 
 
 def mapped_pages(ros, base, length):
     """Page-presence bitmap oracle built from raw translations."""
-    ctl = ros.control_state()
+    ctl = ros.control
     return [
         not isinstance(translate(ros.proc.space, ctl, page, AccessKind.READ), FaultInfo)
         for page in range(base, base + length, PAGE_SIZE)
@@ -163,8 +163,9 @@ class TestSyscalls:
 
     def test_control_state_built_once(self, system):
         ros = system.ros
-        ctl = ros.control_state()
-        assert ros.control_state() is ctl
+        ctl = ros.control
+        ros.touch(ros.sys_mmap(PAGE_SIZE), AccessKind.WRITE, origin_tid=1)
+        assert ros.control is ctl
         assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, ros.proc.space.cr3, Ring.RING3)
 
     def test_touch_demand_pages_once(self, system):
@@ -249,7 +250,6 @@ class TestSpawn:
         assert (twin.partner, twin.parent) == (partner.tid, None)
         stack = ros.region_at(twin.superposition.tls_base)
         assert twin.superposition.tls_base == stack.end - PAGE_SIZE
-        assert twin.superposition.gdt_snapshot == ("gdt", ros.proc.pid, partner.tid)
         create, call = booted.log.entries[-2:]
         assert (create.kind, create.origin, create.detail) == (
             EventKind.THREAD_CREATE.value,
@@ -279,7 +279,7 @@ class TestForwardedService:
         partner = self.make_partner(booted)
         args = (1, 8)
         detail = syscall_detail("write", args)
-        ev = EventRecord(EventKind.SYSCALL, partner.hrt_thread, detail, ("write", args))
+        ev = EventRecord(EventKind.SYSCALL, partner.hrt_thread, detail, ("write", args, None))
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 8
@@ -344,9 +344,10 @@ class TestJoin:
         assert not booted.ros.try_finish_join(booted.ros.main)
 
     def test_unblock_order_recorded(self, booted):
+        join_log = record_joins(booted.ros)
         partner = self.exited_partner(booted)
         booted.ros.join(booted.ros.main, partner.tid)
-        labels = [label for _, label, tid in booted.ros.join_log if tid == partner.tid]
+        labels = [label for _, label, tid in join_log if tid == partner.tid]
         assert labels == ["exit_bit", "partner_exit", "join_resume"]
 
     def test_local_thread_join(self, booted):

@@ -98,6 +98,15 @@ def mv(text, machine=None):
     return run(machine or small_machine(), text, Mode.MULTIVERSE)
 
 
+def syscall_costs(report, detail):
+    """Costs of the Syscall entries with this detail, in log order."""
+    return [
+        int(line.rsplit(" cost=", 1)[1])
+        for line in report.log_text.splitlines()
+        if " kind=Syscall " in line and f" detail={detail} " in line
+    ]
+
+
 def log_cost_sum(report):
     total = 0
     for line in report.log_text.splitlines():
@@ -286,6 +295,27 @@ class TestOverrides:
         report = mv(text)
         assert any(" kind=Fallthrough " in f" {line} " for line in report.log_text.splitlines())
         assert any("sys:call:legacy" in line for line in report.log_text.splitlines())
+
+    def test_fall_through_carries_its_function_body(self):
+        # The partner runs the legacy function: its cycles on top of the
+        # forwarded call, whose detail still reads `call:`.
+        text = W_OVERRIDE.replace("override legacy -> fast\n", "func legacy cycles=500\n")
+        cost = CostModel()
+        calls = syscall_costs(mv(text), "sys:call:legacy()")
+        assert calls == [cost.forward_overhead + cost.syscall_base + 500] * 3
+
+    def test_system_call_named_like_a_call_runs_no_body(self):
+        # A kernel-mode `syscall call:fast` is an unknown system call: it is
+        # forwarded at the base cost, and `fast`'s body does not run.
+        text = (
+            "func fast cycles=500\nthread main ros\n  spawn worker\n  join worker\n"
+            "  exit\nend\nthread worker hrt\n  syscall call:fast 1\n  exit\nend\n"
+        )
+        cost = CostModel()
+        native = run(small_machine(), text, Mode.NATIVE)
+        assert syscall_costs(native, "sys:call:fast(1)") == [cost.syscall_base]
+        multiverse = syscall_costs(mv(text), "sys:call:fast(1)")
+        assert multiverse == [cost.forward_overhead + cost.syscall_base] == [3000]
 
     def test_disabled_override_falls_through(self):
         text = W_OVERRIDE.replace("override legacy -> fast", "override legacy -> fast off")
@@ -501,3 +531,16 @@ class TestReplay:
     def test_bad_field_type(self):
         with pytest.raises(ParseError):
             load_profiles("name x 2.0 0.1 100 5 1 10\n")
+
+    @pytest.mark.parametrize(
+        "column, token",
+        [(column, "x") for column in range(1, 8)] + [(column, "-1") for column in (1, 5, 6, 7)],
+    )
+    def test_every_column_is_checked(self, column, token):
+        # Replay reads only user_s and forwarded; every column is still parsed,
+        # and the four counts may not be negative.
+        parts = "ok 1 2.0 0.1 100 5 1 10".split()
+        parts[column] = token
+        with pytest.raises(ParseError) as info:
+            load_profiles("ok 1 2.0 0.1 100 5 1 10\n" + " ".join(parts) + "\n")
+        assert info.value.line == 2

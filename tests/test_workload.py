@@ -147,6 +147,20 @@ class TestValidation:
             parse_workload("thread main ros\n  compute lots\n  exit\nend\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "head, line, lineno",
+        [
+            ("", "  compute -5", 2),
+            ("", "  repeat -1\n    compute 1\n  end", 2),
+            ("func f cycles=-5\n", "  compute 1", 1),
+        ],
+        ids=["compute", "repeat", "func"],
+    )
+    def test_negative_count_reports_line(self, head, line, lineno):
+        with pytest.raises(ParseError, match="negative count") as info:
+            parse_workload(f"{head}thread main ros\n{line}\n  exit\nend\n")
+        assert info.value.line == lineno
+
     def test_bad_touch_access(self):
         with pytest.raises(ParseError):
             parse_workload("thread main ros\n  touch 0x1000 x\n  exit\nend\n")
