@@ -1,5 +1,9 @@
 """VMM-mediated event channels between the two kernels.
 
+The event log is the run's time: every cycle is charged by the log entry
+that records it, through `EventLog.emit`, or through `EventLog.emit_around`
+for a call that runs a service inside its own time.
+
 The channel is a passive state machine: the deterministic step loop in
 the driver is the only mutator.  Requests from the regular OS travel as
 hypercalls through a single shared data page (strictly sequential); each
@@ -29,17 +33,6 @@ if TYPE_CHECKING:
     from .mem import AccessKind
 
 
-class Clock:
-    """Global cycle accumulator; every charged cost advances it."""
-
-    def __init__(self):
-        self.now = 0
-
-    def charge(self, cycles: int) -> None:
-        assert cycles >= 0
-        self.now += cycles
-
-
 @dataclass(slots=True)
 class LogEntry:
     cycle: int
@@ -57,21 +50,34 @@ class LogEntry:
 
 
 class EventLog:
-    """Ordered per-run event log; renders one record per line."""
+    """Ordered per-run event log, which also keeps the run's time: `now`
+    advances only by the cost of the entry that records it, so the costs
+    of the entries sum to `now`.  Renders one record per line."""
 
     def __init__(self):
+        self.now = 0
         self.entries: list[LogEntry] = []
 
     def emit(
-        self,
-        cycle: int,
-        kind: str,
-        origin: int,
-        detail: str,
-        cost: int,
-        forwarded: bool = False,
+        self, kind: str, origin: int, detail: str, cost: int = 0, forwarded: bool = False
     ) -> None:
-        self.entries.append(LogEntry(cycle, kind, origin, detail, cost, forwarded))
+        """Charge cost and record it in one entry, stamped after the charge."""
+        assert cost >= 0
+        self.now += cost
+        self.entries.append(LogEntry(self.now, kind, origin, detail, cost, forwarded))
+
+    def emit_around(
+        self, kind: str, origin: int, detail: str, cost: int, service: Callable[[], int]
+    ) -> int:
+        """Charge cost, run service inside that time, then record the call
+        stamped after everything the service charged; return its result.
+        The service's own entries come first, with their own stamps.  A
+        service that raises ends the run before the call is recorded."""
+        assert cost >= 0
+        self.now += cost
+        result = service()
+        self.entries.append(LogEntry(self.now, kind, origin, detail, cost))
+        return result
 
     def render(self) -> str:
         return "\n".join([e.render() for e in self.entries]) + ("\n" if self.entries else "")
@@ -151,7 +157,6 @@ class EventChannel:
     """Channel state: shared page, injection queues, outstanding events, log."""
 
     cost: CostModel
-    clock: Clock
     log: EventLog
     shared_page: SharedDataPage = field(default_factory=SharedDataPage)
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
@@ -177,9 +182,7 @@ class EventChannel:
         page.transition(PageState.REQUESTED)
         page.transition(PageState.IN_PROGRESS)
         try:
-            self.clock.charge(cycles)
-            page.complete(service())
-            self.log.emit(self.clock.now, kind, caller, detail, cycles)
+            page.complete(self.log.emit_around(kind, caller, detail, cycles, service))
             return page.return_code
         finally:
             if page.state is PageState.IN_PROGRESS:  # the service raised
@@ -196,16 +199,13 @@ class EventChannel:
             if same_socket
             else self.cost.sync_call_diff_socket
         )
-        self.clock.charge(cycles)
-        result = service()
-        self.log.emit(
-            self.clock.now,
+        return self.log.emit_around(
             EventKind.SYNC_INVOKE.value,
             0,
             f"func=0x{func_ptr:x},socket={'same' if same_socket else 'diff'}",
             cycles,
+            service,
         )
-        return result
 
     # -- HRT -> ROS direction -------------------------------------------------
 
@@ -213,7 +213,7 @@ class EventChannel:
         """Queue an HRT-raised event for injection into its partner thread."""
         if endpoint_tid not in self.queues:
             raise ProtocolError(f"no partner endpoint {endpoint_tid}")
-        ev.request_cycle = self.clock.now
+        ev.request_cycle = self.log.now
         ev.cost += self.cost.forward_overhead
         self.outstanding.append(ev)
         self.queues[endpoint_tid].append(ev)
@@ -223,14 +223,7 @@ class EventChannel:
             self.outstanding.remove(ev)
         except ValueError:
             raise ProtocolError("completing a non-outstanding event") from None
-        self.clock.charge(ev.cost)
         ev.result = result
-        ev.complete_cycle = self.clock.now
-        self.log.emit(
-            ev.complete_cycle,
-            ev.kind._value_,  # `.value` itself is a Python-level property call
-            ev.origin,
-            ev.detail,
-            ev.cost,
-            forwarded=True,
-        )
+        # `.value` itself is a Python-level property call
+        self.log.emit(ev.kind._value_, ev.origin, ev.detail, ev.cost, forwarded=True)
+        ev.complete_cycle = self.log.now

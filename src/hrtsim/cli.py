@@ -1,7 +1,8 @@
 """Command-line entry point: run, compare, replay.
 
 Exit codes: 0 success, 2 an input file that cannot be read or parsed,
-3 deadlock or workload failure.
+or a `--log` file that cannot be opened for writing, 3 deadlock or
+workload failure.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # all input is read first, so that only reading it is caught as OSError
+    # All files are opened first, so that only opening them is caught as
+    # OSError, and a log that cannot be written stops the run before it starts.
+    try:
         source = Path(args.profiles if args.command == "replay" else args.workload).read_text()
         cost_text = None if args.cost is None else Path(args.cost).read_text()
+        log_file = open(args.log, "w") if args.command == "run" and args.log else None
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -59,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             workload = parse_workload(source)
             report = run(None, workload, args.mode, cost)
-            if args.log:
-                Path(args.log).write_text(report.log_text)
+            if log_file is not None:
+                log_file.write(report.log_text)
             print(report.render())
             if args.metrics:
                 print("\n".join(report.metrics_lines()))
@@ -87,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        if log_file is not None:
+            log_file.close()
     return EXIT_OK
 
 

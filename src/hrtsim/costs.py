@@ -1,7 +1,7 @@
 """Cycle cost model and its `key = value` config format.
 
-Defaults reproduce the measured round-trip latency table at a 2.2 GHz
-clock: merger ~33 K cycles (15 us), asynchronous call ~25 K (11 us),
+Defaults reproduce the measured round-trip latency table at 2.2 GHz:
+merger ~33 K cycles (15 us), asynchronous call ~25 K (11 us),
 synchronous call 1060 / 790 cycles (482 / 359 ns) for different / same
 socket.  The forwarding overhead of 1500 cycles per event is the basis
 of the benchmark overhead arithmetic.

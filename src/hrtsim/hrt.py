@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .channel import Clock, EventChannel, EventKind, EventLog, EventRecord
+from .channel import EventKind, EventLog, EventRecord
 from .costs import CostModel
 from .errors import (
     BootError,
@@ -84,9 +84,7 @@ class FaultResolution(enum.Enum):
 class HrtKernel:
     machine: Machine
     cost: CostModel
-    clock: Clock
     log: EventLog
-    channel: EventChannel
     image: AeroKernelImage | None = None
     space: PageTableHierarchy | None = None
     ros_space: PageTableHierarchy | None = None
@@ -210,11 +208,7 @@ class HrtKernel:
             self.remerge_count += 1
             core.recent_fault = None
             self.log.emit(
-                self.clock.now,
-                EventKind.MERGE_REQUEST.value,
-                core.current_thread or 0,
-                f"remerge:0x{fault.addr:x}",
-                0,
+                EventKind.MERGE_REQUEST.value, core.current_thread or 0, f"remerge:0x{fault.addr:x}"
             )
             return FaultResolution.RETRY_AFTER_REMERGE
         core.recent_fault = key
@@ -239,13 +233,15 @@ class HrtKernel:
             )
         return None
 
-    def resolve_symbol(self, name: str) -> int:
-        """Find a function's address, charging lookup or cache-hit cycles."""
-        cached = self.symbol_cache.lookup(name)
-        if cached is not None:
-            self.clock.charge(self.cost.cache_hit)
-            return cached
-        addr = self.symbol(name)
-        self.clock.charge(self.cost.symbol_lookup)
-        self.symbol_cache.insert(name, addr)
+    def resolve_symbol(self, name: str, origin: int) -> int:
+        """Find a function's address for thread `origin`, and log one
+        `SymbolLookup` entry that charges a cache hit or a full lookup."""
+        addr = self.symbol_cache.lookup(name)
+        if addr is None:
+            addr = self.symbol(name)
+            self.symbol_cache.insert(name, addr)
+            cost = self.cost.symbol_lookup
+        else:
+            cost = self.cost.cache_hit
+        self.log.emit("SymbolLookup", origin, f"sym:{name}", cost)
         return addr

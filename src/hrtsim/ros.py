@@ -18,14 +18,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .channel import (
-    Clock,
-    EventChannel,
-    EventKind,
-    EventLog,
-    EventRecord,
-    fault_detail,
-)
+from .channel import EventChannel, EventKind, EventLog, EventRecord, fault_detail
 from .costs import CostModel
 from .errors import AllocationError, UsageError
 from .hrt import HrtKernel, Superposition
@@ -123,14 +116,12 @@ class RosKernel:
         self,
         machine: Machine,
         cost: CostModel,
-        clock: Clock,
         log: EventLog,
         channel: EventChannel,
         hrt: HrtKernel,
     ):
         self.machine = machine
         self.cost = cost
-        self.clock = clock
         self.log = log
         self.channel = channel
         self.hrt = hrt
@@ -259,9 +250,7 @@ class RosKernel:
             self.proc.failed = True
             self.proc.fail_reason = f"segfault at 0x{addr:x}"
             return False
-        self.clock.charge(self.cost.pagefault_base)
         self.log.emit(
-            self.clock.now,
             EventKind.PAGE_FAULT.value,
             origin_tid,
             fault_detail(addr, access),
@@ -328,11 +317,7 @@ class RosKernel:
         def create_twin() -> int:
             twin = self.hrt.create_top_level_thread(func_name, superposition, partner.tid)
             self.log.emit(
-                self.clock.now,
-                EventKind.THREAD_CREATE.value,
-                partner.tid,
-                f"create:{func_name}:{twin.tid}",
-                0,
+                EventKind.THREAD_CREATE.value, partner.tid, f"create:{func_name}:{twin.tid}"
             )
             return twin.tid
 

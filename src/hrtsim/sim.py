@@ -4,9 +4,9 @@ Each simulated thread runs as a generator, and one `next()` of it is one
 scheduler step: a thread body advances by one action per step, and a
 thread blocked on a forwarded event or a join yields without progress.
 Contexts are stepped strict round-robin in creation order (regular OS
-threads before kernel-mode threads).  All costs are charged through a
-single clock, and every charge has a matching event-log entry, so the
-run total is recomputable from the exported log.
+threads before kernel-mode threads).  Every cost is charged by the
+event-log entry that records it (see `EventLog`), so the run total is
+the sum of the exported log's costs.
 
 A step that makes no progress parks its context, and the round skips a
 parked context until one of three wakers in this module clears the flag:
@@ -35,7 +35,6 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from .channel import (
-    Clock,
     EventChannel,
     EventKind,
     EventLog,
@@ -141,13 +140,10 @@ class System:
     def __init__(self, machine: Machine | None = None, cost: CostModel | None = None):
         self.machine = machine or Machine()
         self.cost = cost or CostModel()
-        self.clock = Clock()
         self.log = EventLog()
-        self.channel = EventChannel(self.cost, self.clock, self.log)
-        self.hrt = HrtKernel(self.machine, self.cost, self.clock, self.log, self.channel)
-        self.ros = RosKernel(
-            self.machine, self.cost, self.clock, self.log, self.channel, self.hrt
-        )
+        self.channel = EventChannel(self.cost, self.log)
+        self.hrt = HrtKernel(self.machine, self.cost, self.log)
+        self.ros = RosKernel(self.machine, self.cost, self.log, self.channel, self.hrt)
 
 
 def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
@@ -183,7 +179,8 @@ class _Ctx:
 
 
 class _Halt(Exception):
-    """Raised by a thread whose workload has failed; ends the run."""
+    """Raised by a thread whose workload the regular OS has marked failed
+    (`RosProcess.failed`, with its reason); ends the run."""
 
 
 class Simulator:
@@ -194,7 +191,6 @@ class Simulator:
         self.workload = workload
         self.mode = mode
         self.cost = system.cost
-        self.clock = system.clock
         self.log = system.log
         self.contexts: list[_Ctx] = []
         self.ros_bodies: list[_Ctx] = []  # the contexts that may join
@@ -202,7 +198,6 @@ class Simulator:
         self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
         self.halted = False
-        self.fail_reason = ""
 
     # -- setup ---------------------------------------------------------------
 
@@ -282,16 +277,16 @@ class Simulator:
                     name = entry.detail.split("(", 1)[0].removeprefix("sys:")
                     calls, cost = syscalls.get(name, (0, 0))
                     syscalls[name] = (calls + 1, cost + entry.cost)
-        failed = self.system.ros.proc.failed or self.halted
+        proc = self.system.ros.proc
         return TraceReport(
             mode=self.mode.value,
             counts=counts,
             forwarded_counts=fwd,
             forwarded_total=sum(fwd.values()),
-            total_cycles=self.clock.now,
+            total_cycles=self.log.now,
             clock_hz=self.cost.clock_hz,
-            failed=failed,
-            fail_reason=self.system.ros.proc.fail_reason or self.fail_reason,
+            failed=proc.failed,
+            fail_reason=proc.fail_reason,
             log_text=self.log.render(),
             syscalls=syscalls,
         )
@@ -308,9 +303,8 @@ class Simulator:
         except StopIteration:
             ctx.done = ctx.parked = True
             return True
-        except _Halt as halt:
+        except _Halt:
             self.halted = True
-            self.fail_reason = str(halt)
             return True
 
     def _partner(self, ctx: _Ctx) -> Generator[bool, None, None]:
@@ -357,7 +351,7 @@ class Simulator:
                     if isinstance(fault, FaultInfo):
                         yield from self._hrt_touch(ctx, fault)
                 elif not ros.touch(addr, access, tid):
-                    raise _Halt(f"segfault at 0x{addr:x} in {ctx.name}")
+                    raise _Halt
             elif op in ("mmap", "munmap", "syscall"):
                 if op == "mmap":
                     call = op, (args[0], int(args[1]), int(args[2])), None
@@ -366,8 +360,7 @@ class Simulator:
                 else:
                     call = *args, None
             elif op == "compute":
-                self.clock.charge(args[0])
-                self.log.emit(self.clock.now, "Compute", tid, "compute", args[0])
+                self.log.emit("Compute", tid, "compute", args[0])
             elif op == "call_override":
                 if not kernel_mode:
                     self._legacy_call(tid, *args)
@@ -441,14 +434,7 @@ class Simulator:
     def _syscall(self, tid: int, name: str, args: tuple[int, ...]) -> int:
         """Service one system call in place on the regular OS; its result."""
         result = self.system.ros.syscall(name, args)
-        self.clock.charge(self.cost.syscall_base)
-        self.log.emit(
-            self.clock.now,
-            SYSCALL,
-            tid,
-            syscall_detail(name, args),
-            self.cost.syscall_base,
-        )
+        self.log.emit(SYSCALL, tid, syscall_detail(name, args), self.cost.syscall_base)
         return result
 
     def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
@@ -485,7 +471,7 @@ class Simulator:
                 while ev.complete_cycle is None:
                     yield False
                 if ev.result == EFAULT:
-                    raise _Halt(f"segfault reported to {ctx.name}")
+                    raise _Halt
             fault = translate(space, ctl, addr, access)
             if not isinstance(fault, FaultInfo):
                 return
@@ -494,10 +480,9 @@ class Simulator:
         """Kernel-mode call of an overridable function: an enabled override
         runs in place and returns the addresses its target writes; anything
         else falls through, returning None for the caller to forward."""
-        hrt = self.system.hrt
         entry: OverrideEntry | None = self.workload.overrides.get(name)
         if entry is None or not entry.enabled:
-            self.log.emit(self.clock.now, "Fallthrough", tid, f"call:{name}", 0)
+            self.log.emit("Fallthrough", tid, f"call:{name}")
             return None
         if entry.aero_name == "hrt_thread_create":
             # Interposed thread creation behaves exactly like a spawn.
@@ -506,20 +491,9 @@ class Simulator:
                 raise UsageError("thread-create override needs a thread body name")
             self._spawn(targets[0])
             return ()
-        before = self.clock.now
-        hrt.resolve_symbol(entry.aero_name)
-        lookup_cost = self.clock.now - before
-        self.log.emit(self.clock.now, "SymbolLookup", tid, f"sym:{entry.aero_name}", lookup_cost)
+        self.system.hrt.resolve_symbol(entry.aero_name, tid)
         behavior = self.workload.funcs.get(entry.aero_name, DEFAULT_BEHAVIOR)
-        if behavior.cycles:
-            self.clock.charge(behavior.cycles)
-        self.log.emit(
-            self.clock.now,
-            "Override",
-            tid,
-            f"override:{name}->{entry.aero_name}",
-            behavior.cycles,
-        )
+        self.log.emit("Override", tid, f"override:{name}->{entry.aero_name}", behavior.cycles)
         return behavior.touches
 
     def _legacy_call(self, tid: int, name: str, args: tuple) -> None:
@@ -530,8 +504,7 @@ class Simulator:
             if entry is not None:
                 behavior = self.workload.funcs.get(entry.aero_name)
         cycles = self.cost.syscall_base + (behavior.cycles if behavior else 0)
-        self.clock.charge(cycles)
-        self.log.emit(self.clock.now, SYSCALL, tid, f"call:{name}", cycles)
+        self.log.emit(SYSCALL, tid, f"call:{name}", cycles)
 
     def _sync_call(self, tid: int, name: str) -> None:
         behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)
@@ -561,8 +534,7 @@ class Simulator:
     def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
         """Run a synchronously called function's body; returns its result."""
         if behavior.cycles:
-            self.clock.charge(behavior.cycles)
-            self.log.emit(self.clock.now, "Compute", origin, f"func:{name}", behavior.cycles)
+            self.log.emit("Compute", origin, f"func:{name}", behavior.cycles)
         return behavior.returns
 
     # -- thread creation -------------------------------------------------------
@@ -582,20 +554,12 @@ class Simulator:
         thread = self.system.ros._new_thread(RosThreadRole.LOCAL)
         self.spawned[tname] = thread.tid
         self._add(tname, "ros_body", thread.tid, body)
-        self.log.emit(
-            self.clock.now, EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}", 0
-        )
+        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}")
 
     def _spawn_nested(self, parent_tid: int, tname: str) -> None:
         nested = self.system.hrt.create_nested_thread(parent_tid, tname)
         self._add(f"{tname}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[tname])
-        self.log.emit(
-            self.clock.now,
-            EventKind.THREAD_CREATE.value,
-            nested.tid,
-            f"create_nested:{tname}",
-            0,
-        )
+        self.log.emit(EventKind.THREAD_CREATE.value, nested.tid, f"create_nested:{tname}")
 
 
 def run(

@@ -19,8 +19,9 @@ Example::
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
 recent mmap.  ``repeat N ... end`` blocks are unrolled at parse time.
-A cycle count (``compute``, ``func ... cycles=``) or a repeat count may
-not be negative.
+A cycle count (``compute``, ``func ... cycles=``), a repeat count and an
+address (``touch``, ``munmap``, ``last+N``, ``func ... touches=``) may not
+be negative.
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ def _num(token: str, lineno: int) -> int:
         raise ParseError(f"bad number {token!r}", lineno) from None
 
 
-def _count(token: str, lineno: int) -> int:
-    """A cycle or repeat count: a number that is not negative."""
+def _count(token: str, lineno: int, what: str = "count") -> int:
+    """A number that is not negative: a cycle or repeat count, or an address."""
     n = _num(token, lineno)
     if n < 0:
-        raise ParseError(f"negative count {token!r}", lineno)
+        raise ParseError(f"negative {what} {token!r}", lineno)
     return n
 
 
@@ -122,8 +123,8 @@ def _addr(token: str, lineno: int) -> AddrExpr:
     if token == "last":
         return AddrExpr(0, from_last=True)
     if token.startswith("last+"):
-        return AddrExpr(_num(token[5:], lineno), from_last=True)
-    return AddrExpr(_num(token, lineno))
+        return AddrExpr(_count(token[5:], lineno, "address"), from_last=True)
+    return AddrExpr(_count(token, lineno, "address"))
 
 
 def _parse_action(tokens: list[str], lineno: int) -> Action:
@@ -192,7 +193,7 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
         elif key == "returns":
             returns = _num(val, lineno)
         elif key == "touches":
-            touches = tuple(_num(v, lineno) for v in val.split(",") if v)
+            touches = tuple(_count(v, lineno, "address") for v in val.split(",") if v)
         else:
             raise ParseError(f"unknown func attribute {key!r}", lineno)
     return name, FunctionBehavior(cycles=cycles, returns=returns, touches=touches)

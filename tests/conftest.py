@@ -34,7 +34,7 @@ def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
     serve, step, finish = ros.serve_forwarded, ros.partner_step, ros.try_finish_join
 
     def serve_forwarded(partner, ev):
-        now = ros.clock.now  # completing the event charges its cost after the bit is set
+        now = ros.log.now  # completing the event charges its cost after the bit is set
         result = serve(partner, ev)
         if ev.kind is EventKind.THREAD_EXIT_SIGNAL:
             log.append((now, "exit_bit", partner.tid))
@@ -44,14 +44,14 @@ def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
         exited = partner.status is RosThreadStatus.EXITED
         progressed = step(partner)
         if not exited and partner.status is RosThreadStatus.EXITED:
-            log.append((ros.clock.now, "partner_exit", partner.tid))
+            log.append((ros.log.now, "partner_exit", partner.tid))
         return progressed
 
     def try_finish_join(joiner):
         target = joiner.join_target
         resumed = finish(joiner)
         if resumed:
-            log.append((ros.clock.now, "join_resume", target))
+            log.append((ros.log.now, "join_resume", target))
         return resumed
 
     ros.serve_forwarded = serve_forwarded

@@ -3,7 +3,6 @@
 import pytest
 
 from hrtsim.channel import (
-    Clock,
     EventChannel,
     EventKind,
     EventLog,
@@ -19,8 +18,7 @@ from conftest import small_machine
 
 
 def make_channel() -> EventChannel:
-    clock = Clock()
-    return EventChannel(CostModel(), clock, EventLog())
+    return EventChannel(CostModel(), EventLog())
 
 
 def set_up_sync(channel: EventChannel, vaddr: int = 0x1000) -> None:
@@ -60,7 +58,7 @@ class TestHypercalls:
         with pytest.raises(BusyError):
             channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: served.append(1))
         assert served == []
-        assert channel.clock.now == 0
+        assert channel.log.now == 0
         assert channel.log.entries == []
 
     def test_merge_charges_merger_and_sets_flag(self):
@@ -69,13 +67,13 @@ class TestHypercalls:
         seen = []
 
         def merge() -> int:
-            seen.append((channel.clock.now, len(channel.log.entries)))
+            seen.append((channel.log.now, len(channel.log.entries)))
             return 0
 
         cost = channel.cost.merger
         assert channel.hypercall(1, EventKind.MERGE_REQUEST.value, "cr3=5", cost, merge) == 0
         assert seen == [(cost, 0)]  # the service ran once, after the charge, before the log
-        assert channel.clock.now == cost
+        assert channel.log.now == cost
         entry = channel.log.entries[-1]
         assert (entry.cycle, entry.kind, entry.origin, entry.detail, entry.cost) == (
             cost,
@@ -98,7 +96,7 @@ class TestHypercalls:
         result = channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", cost, create_twin)
         assert result == 99
         assert seen == [PageState.IN_PROGRESS]
-        assert channel.clock.now == channel.cost.async_call
+        assert channel.log.now == channel.cost.async_call
         entry = channel.log.entries[-1]
         assert (entry.kind, entry.detail, entry.cost) == (
             "AsyncCall",
@@ -126,7 +124,7 @@ class TestHypercalls:
         regions = len(system.ros.proc.vm_regions)
         with pytest.raises(ProtocolError):
             sim._sync_call(system.ros.main.tid, "fast")
-        assert system.clock.now == 0
+        assert system.log.now == 0
         assert system.log.entries == []
         assert system.channel.sync_page is None
         assert len(system.ros.proc.vm_regions) == regions
@@ -135,12 +133,12 @@ class TestHypercalls:
         channel = make_channel()
         set_up_sync(channel)
         assert channel.sync_page == 0x1000
-        start = channel.clock.now
+        start = channel.log.now
         assert channel.sync_invoke(0x10, same_socket=True, service=lambda: 7) == 7
-        assert channel.clock.now - start == channel.cost.sync_call_same_socket
-        start = channel.clock.now
+        assert channel.log.now - start == channel.cost.sync_call_same_socket
+        start = channel.log.now
         channel.sync_invoke(0x10, same_socket=False, service=lambda: 7)
-        assert channel.clock.now - start == channel.cost.sync_call_diff_socket
+        assert channel.log.now - start == channel.cost.sync_call_diff_socket
 
     def test_sync_invoke_inactive_endpoint(self):
         # A synchronous call before its setup is refused before any charge.
@@ -149,7 +147,7 @@ class TestHypercalls:
         with pytest.raises(ProtocolError):
             channel.sync_invoke(0x10, same_socket=True, service=lambda: called.append(1))
         assert called == []
-        assert channel.clock.now == 0
+        assert channel.log.now == 0
         assert channel.log.entries == []
 
 

@@ -64,6 +64,16 @@ class TestRun:
         assert lines
         assert all(line.startswith("cycle=") for line in lines)
 
+    def test_unwritable_log_is_an_input_error(self, tmp_path, capsys):
+        # The log is opened before the run, so nothing is run or reported.
+        log_path = tmp_path / "missing-dir" / "x.log"
+        code = main(["run", write(tmp_path, "w.txt", GOOD), "--log", str(log_path)])
+        assert code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not log_path.parent.exists()
+
     def test_metrics_flag(self, tmp_path, capsys):
         main(["run", write(tmp_path, "w.txt", GOOD), "--metrics"])
         out = capsys.readouterr().out
@@ -132,6 +142,21 @@ class TestRun:
     def test_negative_count_is_a_parse_error(self, tmp_path, capsys, mode, text):
         assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
         assert "negative count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "thread main ros\n  touch -4096 w\n  exit\nend\n",
+            "func f touches=-4096\noverride g -> f\n"
+            "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+            "thread w hrt\n  call_override g\n  exit\nend\n",
+        ],
+        ids=["touch", "func-touches"],
+    )
+    def test_negative_address_is_a_parse_error(self, tmp_path, capsys, mode, text):
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        assert "negative address '-4096'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -87,9 +87,13 @@ def text_syscall_table(log_text: str) -> dict[str, tuple[int, int]]:
     "name, mode, expected", [p for p in _cases() if "raises" not in p.values[2]]
 )
 def test_syscall_table_matches_log_text(name, mode, expected):
+    """The report's syscall table, and its total cycles, are what the
+    rendered log says: every charged cycle has its log entry."""
     text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
     report = run(Machine(phys_frames=PHYS_FRAMES.get(name, 512)), text, Mode(mode))
     assert report.syscalls == text_syscall_table(report.log_text)
+    lines = report.log_text.splitlines()
+    assert sum(int(line.rsplit(" cost=", 1)[1]) for line in lines) == report.total_cycles
 
 
 def regenerate() -> None:

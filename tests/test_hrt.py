@@ -309,21 +309,40 @@ class TestFaultPath:
 class TestSymbols:
     def test_cached_resolution_charges_hit(self, booted):
         hrt = booted.hrt
-        start = booted.clock.now
-        hrt.resolve_symbol("worker")
-        assert booted.clock.now - start == booted.cost.symbol_lookup
-        start = booted.clock.now
-        hrt.resolve_symbol("worker")
-        assert booted.clock.now - start == booted.cost.cache_hit
+        start = booted.log.now
+        hrt.resolve_symbol("worker", 1000)
+        assert booted.log.now - start == booted.cost.symbol_lookup
+        start = booted.log.now
+        hrt.resolve_symbol("worker", 1000)
+        assert booted.log.now - start == booted.cost.cache_hit
+        # Each resolution is charged by the SymbolLookup entry that records it.
+        miss, hit = booted.log.entries[-2:]
+        assert (miss.cycle, miss.kind, miss.origin, miss.detail, miss.cost) == (
+            start,
+            "SymbolLookup",
+            1000,
+            "sym:worker",
+            booted.cost.symbol_lookup,
+        )
+        assert (hit.cycle, hit.kind, hit.origin, hit.detail, hit.cost) == (
+            booted.log.now,
+            "SymbolLookup",
+            1000,
+            "sym:worker",
+            booted.cost.cache_hit,
+        )
 
     def test_uncached_resolution_always_pays_lookup(self, booted):
         hrt = booted.hrt
         hrt.symbol_cache = SymbolCache(capacity=0)  # remembers nothing
         for _ in range(3):
-            start = booted.clock.now
-            hrt.resolve_symbol("worker")
-            assert booted.clock.now - start == booted.cost.symbol_lookup
+            start = booted.log.now
+            hrt.resolve_symbol("worker", 1000)
+            assert booted.log.now - start == booted.cost.symbol_lookup
+            assert booted.log.entries[-1].cost == booted.cost.symbol_lookup
 
     def test_unknown_symbol(self, booted):
+        entries = len(booted.log.entries)
         with pytest.raises(SymbolError):
-            booted.hrt.resolve_symbol("missing")
+            booted.hrt.resolve_symbol("missing", 1000)
+        assert len(booted.log.entries) == entries

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import and every function in the
-package is used by the package itself.
+package is used by the package itself, and only the event log moves time.
 
 A deleted code path must not leave its imports or helpers behind, and
 `src` keeps no function that only tests call.  An import counts as used
@@ -7,6 +7,9 @@ if the module reads it anywhere or re-exports it through `__all__`; a
 private function or method counts as used if any module of the package
 names it.  A public method counts as named through an attribute access,
 a public function through a name, an import or `__all__`.
+
+Time advances only in `EventLog`, by the entry that records the cycles:
+no other code stores to an attribute named `now` or defines a `charge`.
 """
 
 import ast
@@ -146,4 +149,49 @@ def test_check_sees_an_unnamed_public_function():
         "lib.py:5: as_attribute",
         "lib.py:8: as_name",
         "lib.py:9: unused",
+    ]
+
+
+def time_moved_outside_the_log(tree: ast.Module) -> list[str]:
+    """Stores to an attribute `now`, and definitions of `charge`, outside
+    the class `EventLog`."""
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "EventLog"
+        for sub in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "now":
+            if isinstance(node.ctx, ast.Store):
+                found.append(f"line {node.lineno}: stores .now")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "charge":
+            found.append(f"line {node.lineno}: defines charge")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_event_log_moves_time(path):
+    assert time_moved_outside_the_log(ast.parse(path.read_text())) == []
+
+
+def test_check_sees_time_moved_outside_the_log():
+    tree = ast.parse(
+        "class EventLog:\n"
+        "    def charge(self, cost): self.now += cost\n"
+        "class Clock:\n"
+        "    def charge(self, cost): pass\n"
+        "def step(self):\n"
+        "    self.log.now += 5\n"
+        "    a, self.now = 1, 2\n"
+        "    start = self.log.now\n"
+        "    self.now.cycle = start\n"
+    )
+    assert time_moved_outside_the_log(tree) == [
+        "line 4: defines charge",
+        "line 6: stores .now",
+        "line 7: stores .now",
     ]

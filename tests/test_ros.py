@@ -233,9 +233,9 @@ class TestSpawn:
         assert EventKind.THREAD_CREATE.value in kinds
 
     def test_spawn_charges_async_call(self, booted):
-        start = booted.clock.now
+        start = booted.log.now
         booted.ros.spawn_hrt("worker")
-        assert booted.clock.now - start == booted.cost.async_call
+        assert booted.log.now - start == booted.cost.async_call
 
     def test_spawn_unknown_symbol_changes_nothing(self, booted):
         threads_before = dict(booted.ros.threads)

@@ -159,7 +159,7 @@ class TestSymbolCache:
         hrt = System(machine=Machine(phys_frames=512)).hrt
         hrt.install_image(AeroKernelImage(names[0], symbols, payload_size=4096))
         for name in names * 2:  # a miss, then a hit
-            assert hrt.resolve_symbol(name) == hrt.symbol(name) == symbols[name]
+            assert hrt.resolve_symbol(name, 1000) == hrt.symbol(name) == symbols[name]
         for name in names:
             assert hrt.symbol_cache.lookup(name) == hrt.symbol(name)
         assert (hrt.symbol_cache.hits, hrt.symbol_cache.misses) == (40, 20)

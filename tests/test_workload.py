@@ -161,6 +161,21 @@ class TestValidation:
             parse_workload(f"{head}thread main ros\n{line}\n  exit\nend\n")
         assert info.value.line == lineno
 
+    @pytest.mark.parametrize(
+        "head, line, lineno",
+        [
+            ("", "  touch -4096 w", 2),
+            ("", "  mmap 4096\n  touch last+-4096 r", 3),
+            ("", "  munmap -4096 4096", 2),
+            ("func f touches=0x1000,-4096\n", "  compute 1", 1),
+        ],
+        ids=["touch", "last-offset", "munmap", "func-touches"],
+    )
+    def test_negative_address_reports_line(self, head, line, lineno):
+        with pytest.raises(ParseError, match="negative address '-4096'") as info:
+            parse_workload(f"{head}thread main ros\n{line}\n  exit\nend\n")
+        assert info.value.line == lineno
+
     def test_bad_touch_access(self):
         with pytest.raises(ParseError):
             parse_workload("thread main ros\n  touch 0x1000 x\n  exit\nend\n")
