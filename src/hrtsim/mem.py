@@ -10,15 +10,24 @@ starts at the space's `root_table` and indexes the store (`store[frame]`)
 once per level, and `TableStore.__missing__` builds a deferred identity
 leaf table the first time a walk reaches it.
 
-Each address space memoises its successful walks: page number -> present
-leaf entry.  A hit re-checks the access against the entry's `writable`
-bit, the ring and cr0.WP exactly as a walk does.  Misses are never
-cached, so mapping a page that was not present invalidates nothing.
-Three writes do invalidate, because a leaf table below the root may be
-shared by both spaces:
+Each address space memoises its successful walks in two memos, one per
+access kind, both filled only by `translate`:
+  - `memo` serves read and execute: page number -> every present leaf;
+  - `wmemo` serves write: page number -> the present leaves that are
+    writable.
+A page in the memo of access kind K cannot fault on K under any
+`ControlState`: read and execute fault only on a missing page, and a
+write to a writable leaf never faults.  So a caller that finds its page
+in the memo of its access kind may skip `translate` and make no
+permission decision; on a miss it calls `translate`, which also decides
+a write to a present read-only page from the ring and cr0.WP.  A
+non-canonical address has no page number that a memo can hold.  Misses
+are never cached, so mapping a page that was not present invalidates
+nothing.  Three writes do invalidate both memos, because a leaf table
+below the root may be shared by both spaces:
   - `unmap_page` drops each page it clears from every memo on the store;
   - `map_page` over a present leaf does the same;
-  - `merge_lower_half` clears the memo of the space it merges into.
+  - `merge_lower_half` clears the memos of the space it merges into.
 """
 
 from __future__ import annotations
@@ -142,7 +151,7 @@ class TableStore(dict):
         super().__init__()
         # Leaf table frame -> (first mapped frame, count), not built yet.
         self.deferred: dict[int, tuple[int, int]] = {}
-        # The walk memo of every address space built on this store.
+        # Both walk memos of every address space built on this store.
         self.memos: list[dict[int, Entry]] = []
 
     def __missing__(self, frame: int) -> list[Entry | None]:
@@ -156,7 +165,7 @@ class TableStore(dict):
         return table
 
     def forget_page(self, page: int) -> None:
-        """Drop one page number from every space's walk memo."""
+        """Drop one page number from every space's walk memos."""
         for memo in self.memos:
             memo.pop(page, None)
 
@@ -174,9 +183,11 @@ class PageTableHierarchy:
         self.frame_alloc = frame_alloc
         self.cr3 = frame_alloc.alloc()
         self.root_table = store.new_table(self.cr3)
-        # Page number -> present leaf entry, for walks that succeeded.
+        # Page number -> present leaf entry, for walks that succeeded: every
+        # leaf in `memo` (read, execute), the writable ones in `wmemo` (write).
         self.memo: dict[int, Entry] = {}
-        store.memos.append(self.memo)
+        self.wmemo: dict[int, Entry] = {}
+        store.memos += self.memo, self.wmemo
 
 
 def translate(
@@ -188,8 +199,9 @@ def translate(
     """Walk the four levels; return a physical byte address or fault info.
 
     A ring-0 write to a present read-only page faults only when cr0_wp is
-    set; in ring 3 it always faults.  A present leaf is memoised; a
-    non-canonical address never is, so its page number never hits.
+    set; in ring 3 it always faults.  A present leaf is memoised in
+    `memo`, and in `wmemo` too if it is writable; a non-canonical address
+    never is, so its page number never hits.
     """
     page = addr >> 12
     leaf = space.memo.get(page)
@@ -205,6 +217,8 @@ def translate(
         if leaf is None:
             return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
         space.memo[page] = leaf
+        if leaf.writable:
+            space.wmemo[page] = leaf
     if access is AccessKind.WRITE and not leaf.writable:
         if ctl.ring is Ring.RING3 or ctl.cr0_wp:
             return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
@@ -303,7 +317,8 @@ def merge_lower_half(
     Sub-tables are shared through the common table store, so ROS edits
     below the root are visible immediately; only new root entries need a
     re-merge.  The copied entries may replace sub-tables the HRT space
-    walked before, so its walk memo is cleared.
+    walked before, so both its walk memos are cleared.
     """
     hrt_space.root_table[:LOWER_ROOT_ENTRIES] = ros_space.root_table[:LOWER_ROOT_ENTRIES]
     hrt_space.memo.clear()
+    hrt_space.wmemo.clear()

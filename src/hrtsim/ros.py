@@ -14,9 +14,8 @@ the hybrid mode) are the join targets.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .channel import EventChannel, EventKind, EventLog, EventRecord, fault_detail
 from .costs import CostModel
@@ -58,18 +57,27 @@ class Region:
         return self.base + self.length
 
 
-_region_base = attrgetter("base")
-
-
 class RegionList(list):
-    """Live regions sorted by base; regions never overlap."""
+    """Live regions sorted by base; regions never overlap.  `bases` holds
+    their bases in the same order, so a lookup bisects plain ints; `append`
+    and `pop` are the mutators, and both keep it in step."""
+
+    def __init__(self):
+        super().__init__()
+        self.bases: list[int] = []
 
     def append(self, region: Region) -> None:
-        insort(self, region, key=_region_base)
+        i = bisect_right(self.bases, region.base)
+        self.bases.insert(i, region.base)
+        self.insert(i, region)
+
+    def pop(self, i: int) -> Region:
+        del self.bases[i]
+        return super().pop(i)
 
     def index_at(self, addr: int) -> int:
         """Position of the region containing addr, or -1."""
-        i = bisect_right(self, addr, key=_region_base) - 1
+        i = bisect_right(self.bases, addr) - 1
         if i >= 0 and addr < self[i].end:
             return i
         return -1
@@ -241,9 +249,13 @@ class RosKernel:
         """Local access by a ROS thread, demand-paging as needed.
 
         Charges and logs one page-fault event per first touch; returns
-        False on segfault (workload marked failed).
+        False on segfault (workload marked failed).  A page in the memo of
+        its access kind is not walked (see `mem`).
         """
-        result = translate(self.proc.space, self.control, addr, access)
+        space = self.proc.space
+        if addr >> 12 in (space.wmemo if access is AccessKind.WRITE else space.memo):
+            return True
+        result = translate(space, self.control, addr, access)
         if not isinstance(result, FaultInfo):
             return True
         if not self.demand_fault(addr, access):

@@ -22,9 +22,10 @@ the steps that do make progress, and so the log, are exactly those of
 stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
 
-A kernel-mode access walks the page tables inline in its thread's step
-and enters the fault path (`Simulator._hrt_touch`) only with the fault
-its walk returned.  A forwarded event waits in the frame that sent it:
+A kernel-mode access runs inline in its thread's step: it looks its page
+up in the memo of its access kind and walks only on a miss (see `mem`),
+and it enters the fault path (`Simulator._hrt_touch`) only with the
+fault its walk returned.  A forwarded event waits in the frame that sent it:
 `_thread` sends a system call or a fall-through call, `_hrt_touch` a fault.
 """
 
@@ -336,8 +337,9 @@ class Simulator:
         thread blocks in this frame on every call it forwards; a joiner on its target."""
         ros, hrt = self.system.ros, self.system.hrt
         kernel_mode = ctx.kind == "hrt_body"
-        if kernel_mode:  # both are fixed from boot on
+        if kernel_mode:  # all four are fixed from boot on
             space, ctl = hrt.space, hrt.control
+            memo, wmemo = space.memo, space.wmemo
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
         for action in body.actions:
@@ -347,9 +349,10 @@ class Simulator:
                 expr, access = args
                 addr = expr.resolve(last)
                 if kernel_mode:
-                    fault = translate(space, ctl, addr, access)
-                    if isinstance(fault, FaultInfo):
-                        yield from self._hrt_touch(ctx, fault)
+                    if addr >> 12 not in (wmemo if access is AccessKind.WRITE else memo):
+                        fault = translate(space, ctl, addr, access)
+                        if isinstance(fault, FaultInfo):
+                            yield from self._hrt_touch(ctx, fault)
                 elif not ros.touch(addr, access, tid):
                     raise _Halt
             elif op in ("mmap", "munmap", "syscall"):
@@ -371,9 +374,10 @@ class Simulator:
                 else:
                     for addr in touches:  # the target's writes, one step each
                         yield True
-                        fault = translate(space, ctl, addr, AccessKind.WRITE)
-                        if isinstance(fault, FaultInfo):
-                            yield from self._hrt_touch(ctx, fault)
+                        if addr >> 12 not in wmemo:
+                            fault = translate(space, ctl, addr, AccessKind.WRITE)
+                            if isinstance(fault, FaultInfo):
+                                yield from self._hrt_touch(ctx, fault)
             elif op == "spawn":
                 if kernel_mode:
                     raise UsageError(

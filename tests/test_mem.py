@@ -436,3 +436,19 @@ class TestWalkMemo:
                     for access, ctl in SWEEP:
                         args = (space, ctl, addr, access)
                         assert outcome(translate, *args) == outcome(walk, *args), op
+                assert_memos_sound(space)
+
+
+def assert_memos_sound(space):
+    """By the uncached walk, `memo` holds present leaves and `wmemo` present
+    writable leaves (a ring-3 write faults on any other), each with its
+    walked frame, so no access of a memo's kind to its pages faults under
+    any control state."""
+    for memo, kinds in (
+        (space.memo, (AccessKind.READ, AccessKind.EXECUTE)),
+        (space.wmemo, (AccessKind.WRITE,)),
+    ):
+        for page, leaf in memo.items():
+            for access in kinds:
+                for ctl in CONTROLS:
+                    assert walk(space, ctl, page << 12, access) == leaf.target_frame * PAGE_SIZE

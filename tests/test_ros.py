@@ -126,6 +126,7 @@ class TestRegionIndex:
                 if ros.sys_munmap(base, pages * PAGE_SIZE) == 0:
                     live.difference_update(range(base, base + pages * PAGE_SIZE, PAGE_SIZE))
             regions = list(ros.proc.vm_regions)
+            assert ros.proc.vm_regions.bases == [r.base for r in regions]
             assert {p for r in regions for p in range(r.base, r.end, PAGE_SIZE)} == live
             assert [r.base for r in regions] == sorted(r.base for r in regions)
             for region in regions:

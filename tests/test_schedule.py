@@ -9,6 +9,7 @@ steps that made no progress may disappear.
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 from hrtsim.errors import DeadlockError, SimError
 from hrtsim.machine import Machine
-from hrtsim.sim import Mode, Simulator, System, parse_workload
+from hrtsim.sim import Mode, Simulator, System, compare, parse_workload
 
 from test_golden import GOLDEN, PHYS_FRAMES
 
@@ -143,6 +144,30 @@ def test_bench_schedule_is_pinned(name):
     lines = "".join(f"{ctx} {int(done)}\n" for ctx, done in progress)
     assert (len(progress), hashlib.sha256(lines.encode()).hexdigest()) == PINNED_SCHEDULES[name]
     assert outcome[2] is False
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
+def test_bench_model_outputs_are_pinned(name):
+    """Each bench workload at seed 1 gives the log digest, total cycles and
+    event count the benchmark recorded, computed as its run check does:
+    SHA-256 over each report's log, virtual then multiverse for compare."""
+    workload = load_bench_workloads()[name](1)
+    if workload.compare:
+        result = compare(None, workload.text)
+        reports = [result.virtual, result.multiverse]
+    else:
+        system = System(machine=Machine(phys_frames=workload.phys_frames))
+        reports = [Simulator(system, parse_workload(workload.text), Mode.MULTIVERSE).run()]
+    digest = hashlib.sha256()
+    for report in reports:
+        assert not report.failed
+        digest.update(report.log_text.encode())
+    baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
+    assert baseline["model_outputs_seed1"][name] == {
+        "digest": digest.hexdigest(),
+        "sim.total_cycles": sum(r.total_cycles for r in reports),
+        "sim.events": sum(len(r.log_text.splitlines()) for r in reports),
+    }
 
 
 MUTUAL_JOIN = """

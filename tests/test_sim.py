@@ -26,6 +26,7 @@ from hrtsim.sim import (
 )
 
 from conftest import small_machine
+from test_schedule import load_bench_workloads
 
 W_FAULTS = """
 thread main ros
@@ -453,6 +454,89 @@ class TestDoubleFault:
         forwarded = [e for e in sim.log.entries if e.forwarded and e.kind == "PageFault"]
         assert len(forwarded) == 2
         assert sim.system.hrt.remerge_count == 2
+
+
+READ_THEN_WRITE = "  mmap 4096 populate ro\n  touch last r\n  {write}\n  exit\nend\n"
+SPAWN_W = "thread main ros\n  spawn w\n  join w\n  exit\nend\nthread w hrt\n"
+KERNEL_MODE_PRELUDE = [
+    "cycle=33000 kind=MergeRequest origin=1 detail=cr3=0 cost=33000",
+    "cycle=58000 kind=ThreadCreate origin=2 detail=create:w:1000 cost=0",
+]
+FORWARDED_MMAP_RO = "cycle=61000 kind=Syscall origin=1000 detail=sys:mmap(4096,1,0) cost=3000"
+
+
+class TestWriteAfterReadOfReadOnlyPage:
+    """A read puts a read-only page in the read memo only.  The write that
+    follows misses the write memo, so `translate` decides it: it faults
+    with a write-protect fault, the regular OS refuses it, and the run
+    fails.  A call site that checked the read memo for a write would let
+    it through."""
+
+    CASES = {
+        "ros_touch": (
+            Mode.NATIVE,
+            "thread main ros\n" + READ_THEN_WRITE.format(write="touch last w"),
+            ["cycle=1500 kind=Syscall origin=1 detail=sys:mmap(4096,1,0) cost=1500"],
+        ),
+        "hrt_touch": (
+            Mode.MULTIVERSE,
+            SPAWN_W + READ_THEN_WRITE.format(write="touch last w"),
+            KERNEL_MODE_PRELUDE + [
+                "cycle=58000 kind=AsyncCall origin=1 "
+                "detail=func=0xffff800000200100,parallel=0 cost=25000",
+                FORWARDED_MMAP_RO,
+                "cycle=62500 kind=PageFault origin=1000 detail=pf:0x100000000000:w cost=1500",
+            ],
+        ),
+        "override_target_write": (
+            Mode.MULTIVERSE,
+            f"func f touches=0x{MMAP_BASE:x}\noverride g -> f\n"
+            + SPAWN_W + READ_THEN_WRITE.format(write="call_override g"),
+            KERNEL_MODE_PRELUDE + [
+                "cycle=58000 kind=AsyncCall origin=1 "
+                "detail=func=0xffff800000200140,parallel=0 cost=25000",
+                FORWARDED_MMAP_RO,
+                "cycle=61200 kind=SymbolLookup origin=1000 detail=sym:f cost=200",
+                "cycle=61200 kind=Override origin=1000 detail=override:g->f cost=0",
+                "cycle=62700 kind=PageFault origin=1000 detail=pf:0x100000000000:w cost=1500",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_write_still_faults(self, case):
+        mode, text, log = self.CASES[case]
+        report = run(small_machine(), text, mode)
+        assert report.failed
+        assert report.fail_reason == f"segfault at 0x{MMAP_BASE:x}"
+        assert report.log_text.splitlines() == log
+
+
+def test_hot_local_touches_rarely_walk(monkeypatch):
+    """A kernel-mode touch whose page is in the memo of its access kind
+    makes no call to `translate`: on bench hot_local at seed 1, under 1% of
+    the kernel-mode touch actions walk (each of them did before)."""
+    workload = load_bench_workloads()["hot_local"](1)
+    program = parse_workload(workload.text)
+    touches = sum(
+        action.op == "touch"
+        for body in program.bodies.values()
+        if body.role == "hrt"
+        for action in body.actions
+    )
+    walks = 0
+    original = hrtsim.sim.translate
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return original(*args)
+
+    monkeypatch.setattr(hrtsim.sim, "translate", counted)
+    system = System(machine=Machine(phys_frames=workload.phys_frames))
+    assert not Simulator(system, program, Mode.MULTIVERSE).run().failed
+    assert touches == 30720
+    assert walks < 0.01 * touches, walks
 
 
 class TestCompare:
