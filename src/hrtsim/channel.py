@@ -57,14 +57,25 @@ class EventLog:
     def __init__(self):
         self.now = 0
         self.entries: list[LogEntry] = []
+        self.syscalls: dict[str, tuple[int, int]] = {}  # call name -> (calls, cycles)
 
     def emit(
-        self, kind: str, origin: int, detail: str, cost: int = 0, forwarded: bool = False
+        self,
+        kind: str,
+        origin: int,
+        detail: str,
+        cost: int = 0,
+        forwarded: bool = False,
+        call: str | None = None,
     ) -> None:
-        """Charge cost and record it in one entry, stamped after the charge."""
+        """Charge cost and record it in one entry, stamped after the charge.
+        A system call's entry names its call, which tallies it in `syscalls`."""
         assert cost >= 0
         self.now += cost
         self.entries.append(LogEntry(self.now, kind, origin, detail, cost, forwarded))
+        if call is not None:
+            calls, cycles = self.syscalls.get(call, (0, 0))
+            self.syscalls[call] = (calls + 1, cycles + cost)
 
     def emit_around(
         self, kind: str, origin: int, detail: str, cost: int, service: Callable[[], int]
@@ -224,6 +235,8 @@ class EventChannel:
         except ValueError:
             raise ProtocolError("completing a non-outstanding event") from None
         ev.result = result
+        kind = ev.kind
+        call = ev.payload[0] if kind is EventKind.SYSCALL else None  # (name, args, body)
         # `.value` itself is a Python-level property call
-        self.log.emit(ev.kind._value_, ev.origin, ev.detail, ev.cost, forwarded=True)
+        self.log.emit(kind._value_, ev.origin, ev.detail, ev.cost, forwarded=True, call=call)
         ev.complete_cycle = self.log.now

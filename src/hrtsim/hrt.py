@@ -106,13 +106,12 @@ class HrtKernel:
         if self.image is not None:
             raise InstallError("an image is already installed")
         frames_needed = max(1, -(-image.payload_size // PAGE_SIZE))
-        if frames_needed > self.machine.hrt_frame_alloc.frames_left:
+        frame_alloc = self.machine.hrt_frame_alloc
+        if frames_needed > frame_alloc.frames_left:
             raise InstallError(
-                f"image needs {frames_needed} frames, "
-                f"{self.machine.hrt_frame_alloc.frames_left} available"
+                f"image needs {frames_needed} frames, {frame_alloc.frames_left} available"
             )
-        for _ in range(frames_needed):
-            self.machine.hrt_frame_alloc.alloc()
+        frame_alloc.take(frames_needed)
         self.image = image
 
     def symbol(self, name: str) -> int:

@@ -8,7 +8,8 @@ regular OS makes *below* its root is immediately visible on the other
 side.  Only a brand-new root-level entry requires a fresh merge.  A walk
 starts at the space's `root_table` and indexes the store (`store[frame]`)
 once per level, and `TableStore.__missing__` builds a deferred identity
-leaf table the first time a walk reaches it.
+table, level 2 or leaf, the first time a walk reaches it.  So booting the
+identity map costs one step per GiB of memory, not one per table.
 
 Each address space memoises its successful walks in two memos, one per
 access kind, both filled only by `translate`:
@@ -127,12 +128,18 @@ class FrameAllocator:
         self._next = start
 
     def alloc(self) -> int:
-        if self._next >= self.end:
+        return self.take(1)
+
+    def take(self, n: int) -> int:
+        """Reserve n consecutive frames, exactly as n calls of `alloc`
+        would, and return the first; with fewer than n left, raise and
+        reserve none."""
+        if self.end - self._next < n:
             raise AllocationError(
                 f"out of {self.owner.value} frames ({self.end - self.start} total)"
             )
         frame = self._next
-        self._next += 1
+        self._next += n
         return frame
 
     @property
@@ -144,23 +151,31 @@ class TableStore(dict):
     """Machine-wide backing for page tables: a dict of physical frame ->
     512 entries, which walks index directly.
 
-    An identity leaf table is recorded as the frame range it maps, and
-    `__missing__` builds it on first use."""
+    An identity table not built yet is recorded in `deferred` as the
+    frame range it maps, and `__missing__` builds it on first use.  A
+    deferred level-2 table also records the first of its consecutive leaf
+    tables; building it defers each of those leaves in turn."""
 
     def __init__(self):
         super().__init__()
-        # Leaf table frame -> (first mapped frame, count), not built yet.
-        self.deferred: dict[int, tuple[int, int]] = {}
+        # Table frame -> (first mapped frame, count, first leaf table frame
+        # of a level-2 table or None for a leaf table), not built yet.
+        self.deferred: dict[int, tuple[int, int, int | None]] = {}
         # Both walk memos of every address space built on this store.
         self.memos: list[dict[int, Entry]] = []
 
     def __missing__(self, frame: int) -> list[Entry | None]:
-        first, count = self.deferred.pop(frame)
-        table: list[Entry | None] = [
-            Entry(writable=True, target_frame=f)
-            for f in range(first, first + count)
-        ]
-        table += [None] * (TABLE_ENTRIES - count)
+        first, count, leaf = self.deferred.pop(frame)
+        end = first + count
+        if leaf is None:
+            table: list[Entry | None] = [Entry(True, f) for f in range(first, end)]
+        else:
+            table = []
+            for start in range(first, end, TABLE_ENTRIES):
+                self.deferred[leaf] = (start, min(TABLE_ENTRIES, end - start), None)
+                table.append(Entry(True, leaf))
+                leaf += 1
+        table += [None] * (TABLE_ENTRIES - len(table))
         self[frame] = table
         return table
 
@@ -288,15 +303,22 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
     """Map every physical frame f at HIGHER_BASE + f * PAGE_SIZE.
 
     Allocates the same table frames in the same order as one map_page call
-    per frame would, but defers each leaf table's entries to its first use
-    (TableStore.__missing__).  The higher half must be unmapped.
+    per frame would: per GiB a level-3 table if it crosses a root entry,
+    its level-2 table, then all its leaf tables with one `take`.  Each
+    level-2 table is deferred to its first use (TableStore.__missing__),
+    and so are the leaf tables it points at.  The higher half must be
+    unmapped.
     """
-    for first in range(0, phys_frame_count, TABLE_ENTRIES):
+    span = TABLE_ENTRIES * TABLE_ENTRIES  # frames one level-2 table maps
+    store, frame_alloc = space.store, space.frame_alloc
+    for first in range(0, phys_frame_count, span):
         vaddr = HIGHER_BASE + first * PAGE_SIZE
-        table = _table_at(space, vaddr, 2)
-        leaf = space.frame_alloc.alloc()
-        space.store.deferred[leaf] = (first, min(TABLE_ENTRIES, phys_frame_count - first))
-        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, target_frame=leaf)
+        table = _table_at(space, vaddr, 1)
+        level2 = frame_alloc.alloc()
+        count = min(span, phys_frame_count - first)
+        leaf = frame_alloc.take(-(-count // TABLE_ENTRIES))
+        store.deferred[level2] = (first, count, leaf)
+        table[(vaddr >> 30) & 0x1FF] = Entry(writable=True, target_frame=level2)
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:

@@ -267,17 +267,12 @@ class Simulator:
     def report(self) -> TraceReport:
         counts: dict[str, int] = {}
         fwd: dict[str, int] = {}
-        syscalls: dict[str, tuple[int, int]] = {}
         for entry in self.log.entries:
             kind = entry.kind
             if kind in REPORT_KINDS:
                 counts[kind] = counts.get(kind, 0) + 1
                 if entry.forwarded:
                     fwd[kind] = fwd.get(kind, 0) + 1
-                if kind == SYSCALL:
-                    name = entry.detail.split("(", 1)[0].removeprefix("sys:")
-                    calls, cost = syscalls.get(name, (0, 0))
-                    syscalls[name] = (calls + 1, cost + entry.cost)
         proc = self.system.ros.proc
         return TraceReport(
             mode=self.mode.value,
@@ -289,7 +284,7 @@ class Simulator:
             failed=proc.failed,
             fail_reason=proc.fail_reason,
             log_text=self.log.render(),
-            syscalls=syscalls,
+            syscalls=dict(self.log.syscalls),
         )
 
     # -- stepping ------------------------------------------------------------
@@ -438,7 +433,7 @@ class Simulator:
     def _syscall(self, tid: int, name: str, args: tuple[int, ...]) -> int:
         """Service one system call in place on the regular OS; its result."""
         result = self.system.ros.syscall(name, args)
-        self.log.emit(SYSCALL, tid, syscall_detail(name, args), self.cost.syscall_base)
+        self.log.emit(SYSCALL, tid, syscall_detail(name, args), self.cost.syscall_base, call=name)
         return result
 
     def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
@@ -508,7 +503,8 @@ class Simulator:
             if entry is not None:
                 behavior = self.workload.funcs.get(entry.aero_name)
         cycles = self.cost.syscall_base + (behavior.cycles if behavior else 0)
-        self.log.emit(SYSCALL, tid, f"call:{name}", cycles)
+        detail = f"call:{name}"  # also the call's name in the report's syscall table
+        self.log.emit(SYSCALL, tid, detail, cycles, call=detail)
 
     def _sync_call(self, tid: int, name: str) -> None:
         behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)

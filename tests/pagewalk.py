@@ -1,14 +1,19 @@
-"""Page-table oracles that only tests use: full walks with no memo."""
+"""Page-table oracles that only tests use: full walks with no memo, and
+an identity map that defers only its leaf tables."""
 
 from hrtsim.mem import (
+    HIGHER_BASE,
     LOWER_ROOT_ENTRIES,
     PAGE_SIZE,
+    TABLE_ENTRIES,
     AccessKind,
     ControlState,
+    Entry,
     FaultInfo,
     FaultReason,
     PageTableHierarchy,
     Ring,
+    _table_at,
     require_canonical,
     table_indices,
 )
@@ -65,3 +70,15 @@ def walk(
         if ctl.ring is Ring.RING3 or ctl.cr0_wp:
             return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
     return leaf.target_frame * PAGE_SIZE + offset
+
+
+def identity_map_per_leaf(space: PageTableHierarchy, phys_frame_count: int) -> None:
+    """`mem.identity_map_higher_half` one step per leaf table: every
+    level-3 and level-2 table built at once, each leaf table deferred."""
+    for first in range(0, phys_frame_count, TABLE_ENTRIES):
+        vaddr = HIGHER_BASE + first * PAGE_SIZE
+        table = _table_at(space, vaddr, 2)
+        leaf = space.frame_alloc.alloc()
+        count = min(TABLE_ENTRIES, phys_frame_count - first)
+        space.store.deferred[leaf] = (first, count, None)
+        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, target_frame=leaf)

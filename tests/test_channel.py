@@ -16,6 +16,9 @@ from hrtsim.sim import Mode, Simulator, System, parse_workload
 
 from conftest import small_machine
 
+# A system call's payload, as the simulator forwards it: (name, args, body).
+WRITE = ("write", (1, 4), None)
+
 
 def make_channel() -> EventChannel:
     return EventChannel(CostModel(), EventLog())
@@ -154,7 +157,7 @@ class TestHypercalls:
 class TestForwarding:
     def test_forward_without_endpoint(self):
         channel = make_channel()
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)")
+        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         with pytest.raises(ProtocolError):
             channel.forward_event(ev, endpoint_tid=2)
 
@@ -172,17 +175,26 @@ class TestForwarding:
     def test_double_completion(self):
         channel = make_channel()
         channel.register_endpoint(2)
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)")
+        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         channel.forward_event(ev, 2)
         channel.complete_event(ev, 4)
         with pytest.raises(ProtocolError):
             channel.complete_event(ev, 4)
 
+    def test_completed_syscall_is_tallied_by_name(self):
+        channel = make_channel()
+        channel.register_endpoint(2)
+        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        channel.forward_event(ev, 2)
+        channel.complete_event(ev, 4)
+        assert channel.log.syscalls == {"write": (1, channel.cost.forward_overhead)}
+
     def test_completion_by_identity(self):
         channel = make_channel()
         channel.register_endpoint(2)
         first, second = (
-            EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)") for _ in range(2)
+            EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+            for _ in range(2)
         )
         channel.forward_event(first, 2)
         channel.forward_event(second, 2)
@@ -192,7 +204,7 @@ class TestForwarding:
 
     def test_completing_unknown_event(self):
         channel = make_channel()
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)")
+        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         with pytest.raises(ProtocolError):
             channel.complete_event(ev, 0)
 

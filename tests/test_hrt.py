@@ -108,19 +108,37 @@ class TestBoot:
             core = booted.hrt.cores[core_id]
             assert (core.booted, core.recent_fault, core.current_thread) == (True, None, None)
 
-    def test_boot_builds_no_identity_leaf_table(self):
-        # Counts, not time: on a 4 GiB machine boot builds no identity leaf
-        # table, and a touch of one identity page builds exactly one.
+    def test_boot_builds_no_identity_table_below_level_3(self):
+        # Counts, not time: on a 4 GiB machine boot defers all 4 level-2
+        # identity tables; the first touch of an identity page builds
+        # exactly its level-2 and its leaf table, and a second builds none.
         system = System(machine=Machine(phys_frames=1 << 20))
         system.hrt.install_image(parse_fat_binary(make_fat())[1])
         system.hrt.boot(system.machine.hrt_core_ids)
-        deferred = system.machine.table_store.deferred
-        assert len(deferred) == (1 << 20) // 512
+        store = system.machine.table_store
+        assert len(store.deferred) == 4
+        assert all(leaf is not None for _, _, leaf in store.deferred.values())
+        tables = len(store)
         vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
         for _ in range(2):
             got = translate(system.hrt.space, system.hrt.control, vaddr, AccessKind.READ)
             assert got == 777_777 * PAGE_SIZE
-            assert len(deferred) == (1 << 20) // 512 - 1
+            assert len(store) == tables + 2
+            # the three other level-2 tables, and 511 of the touched one's leaves
+            assert len(store.deferred) == 3 + 511
+
+    def test_setup_flat_in_machine_size(self):
+        # Counts, not time: the runtime's set-up builds the same tables on
+        # 16 MiB, 1 GiB and 16 GiB machines, and defers one level-2 table
+        # per GiB.
+        built = set()
+        for frames in (1 << 12, 1 << 18, 1 << 22):
+            system = System(machine=Machine(phys_frames=frames))
+            init_runtime(system, make_fat())
+            store = system.machine.table_store
+            built.add(len(store))
+            assert len(store.deferred) == -(-frames // (1 << 18))
+        assert len(built) == 1
 
     def test_control_state_built_once_at_boot(self, booted):
         hrt = booted.hrt

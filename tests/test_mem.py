@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrtsim.errors import NonCanonicalAddressError
+from hrtsim.errors import AllocationError, NonCanonicalAddressError
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
@@ -26,11 +26,12 @@ from hrtsim.mem import (
     is_canonical,
     map_page,
     merge_lower_half,
+    table_indices,
     translate,
     unmap_page,
 )
 
-from pagewalk import lower_halves_consistent, mapped_lower_pages, walk
+from pagewalk import identity_map_per_leaf, lower_halves_consistent, mapped_lower_pages, walk
 
 RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
 RING0_NOWP = ControlState(cr0_wp=False, cr3=0, ring=Ring.RING0)
@@ -49,6 +50,31 @@ def shared_spaces(frames: int = 512) -> tuple[PageTableHierarchy, PageTableHiera
     ros = PageTableHierarchy(store, FrameAllocator(0, frames, Owner.ROS_VISIBLE))
     hrt = PageTableHierarchy(store, FrameAllocator(frames, 2 * frames, Owner.HRT_ONLY))
     return hrt, ros
+
+
+class TestFrameAllocator:
+    def test_take_reserves_what_alloc_would(self):
+        one_by_one, at_once = (FrameAllocator(10, 20, Owner.HRT_ONLY) for _ in range(2))
+        firsts = [one_by_one.alloc() for _ in range(4)]
+        assert at_once.take(4) == firsts[0] == 10
+        assert at_once.frames_left == one_by_one.frames_left == 6
+        assert at_once.alloc() == one_by_one.alloc() == 14
+
+    def test_take_up_to_the_end(self):
+        alloc = FrameAllocator(10, 20, Owner.HRT_ONLY)
+        alloc.alloc()
+        assert alloc.take(9) == 11
+        assert alloc.frames_left == 0
+        with pytest.raises(AllocationError):
+            alloc.alloc()
+
+    def test_take_more_than_left_changes_nothing(self):
+        alloc = FrameAllocator(10, 20, Owner.HRT_ONLY)
+        alloc.take(3)
+        with pytest.raises(AllocationError):
+            alloc.take(8)
+        assert alloc.frames_left == 7
+        assert alloc.take(7) == 13
 
 
 class TestCanonical:
@@ -215,16 +241,23 @@ def eager_identity_map(space: PageTableHierarchy, frames: int) -> None:
         map_page(space, HIGHER_BASE + f * PAGE_SIZE, f, writable=True)
 
 
-def identity_spaces(frames: int) -> tuple[PageTableHierarchy, PageTableHierarchy]:
-    """(deferred, eager) identity-mapped spaces, each on its own store."""
+# The identity map under test, and its per-leaf oracle.
+IDENTITY_MAPS = (identity_map_higher_half, identity_map_per_leaf)
+
+
+def identity_spaces(
+    frames: int, builds=(identity_map_higher_half, eager_identity_map)
+) -> list[PageTableHierarchy]:
+    """One identity-mapped space per build, each on its own store."""
     spaces = []
-    for build in (identity_map_higher_half, eager_identity_map):
+    for build in builds:
+        spare = -(-frames // 512) + -(-frames // (1 << 18)) + 64
         space = PageTableHierarchy(
-            TableStore(), FrameAllocator(frames, frames + 64, Owner.HRT_ONLY)
+            TableStore(), FrameAllocator(frames, frames + spare, Owner.HRT_ONLY)
         )
         build(space, frames)
         spaces.append(space)
-    return spaces[0], spaces[1]
+    return spaces
 
 
 def assert_same_identity(lazy, eager, frames):
@@ -237,30 +270,107 @@ def assert_same_identity(lazy, eager, frames):
                 assert got == translate(eager, ctl, vaddr + 0x123, access), (f, access)
 
 
+def table_frames(space: PageTableHierarchy, vaddr: int) -> tuple[int, int, int]:
+    """The level-3, level-2 and leaf table frames on vaddr's walk; builds
+    no leaf table."""
+    i4, i3, i2, _, _ = table_indices(vaddr)
+    l3 = space.root_table[i4].target_frame
+    l2 = space.store[l3][i3].target_frame
+    return l3, l2, space.store[l2][i2].target_frame
+
+
+def translations(space: PageTableHierarchy, frames: list[int]) -> list:
+    """What each identity page translates to, every access and ring."""
+    return [
+        translate(space, ctl, HIGHER_BASE + f * PAGE_SIZE, access)
+        for f in frames
+        for access in AccessKind
+        for ctl in (RING0, RING3)
+    ]
+
+
+def multi_gib_record(build, frames: int) -> list:
+    """What `build`'s identity map shows on `frames` frames: cr3; then
+    frames_left, per leaf table its table frames and the translations of
+    its first and last page, and one page past the end; then all of that
+    again, and the edited pages, after edits in the second GiB.  One space
+    at a time, so that a test holds one set of built tables."""
+    space = identity_spaces(frames, (build,))[0]
+    gib = 1 << 18
+    edited = [gib + 300, gib + 510, gib + 511, gib + 512, gib + 513, 2 * gib - 1]
+    record: list = [space.cr3]
+    for edit in (False, True):
+        if edit:  # one unmap crosses a leaf-table boundary
+            map_page(space, HIGHER_BASE + (gib + 300) * PAGE_SIZE, 3, writable=False)
+            unmap_page(space, HIGHER_BASE + (gib + 510) * PAGE_SIZE, 4 * PAGE_SIZE)
+            unmap_page(space, HIGHER_BASE + (2 * gib - 1) * PAGE_SIZE)
+            map_page(space, HIGHER_BASE + (gib + 511) * PAGE_SIZE, 7)
+            record += translations(space, edited)
+        record.append(space.frame_alloc.frames_left)
+        for first in range(0, frames, 512):
+            record.append(table_frames(space, HIGHER_BASE + first * PAGE_SIZE))
+            record += translations(space, [first, min(first + 512, frames) - 1])
+        record += translations(space, [frames])
+    return record
+
+
 class TestIdentityMap:
     @pytest.mark.parametrize("frames", [512, 1000])
     def test_translate_matches_eager_map(self, frames):
-        lazy, eager = identity_spaces(frames)
-        assert_same_identity(lazy, eager, frames)
-        past = translate(lazy, RING0, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
-        assert isinstance(past, FaultInfo)
+        for build in IDENTITY_MAPS:
+            lazy, eager = identity_spaces(frames, (build, eager_identity_map))
+            assert_same_identity(lazy, eager, frames)
+            past = translate(lazy, RING0, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
+            assert isinstance(past, FaultInfo)
 
     @pytest.mark.parametrize("frames", [512, 1000])
     def test_same_table_frames_as_eager_map(self, frames):
-        lazy, eager = identity_spaces(frames)
-        assert lazy.cr3 == eager.cr3
-        assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+        for build in IDENTITY_MAPS:
+            lazy, eager = identity_spaces(frames, (build, eager_identity_map))
+            assert lazy.cr3 == eager.cr3
+            assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+            for first in range(0, frames, 512):
+                vaddr = HIGHER_BASE + first * PAGE_SIZE
+                assert table_frames(lazy, vaddr) == table_frames(eager, vaddr)
+        # Boot defers the one level-2 table; its first walk builds it and
+        # defers every leaf table it points at.
+        lazy = identity_spaces(frames, (identity_map_higher_half,))[0]
+        assert len(lazy.store.deferred) == 1
+        table_frames(lazy, HIGHER_BASE)
         assert len(lazy.store.deferred) == -(-frames // 512)
 
     @pytest.mark.parametrize("frames", [512, 1000])
     def test_edits_inside_identity_range(self, frames):
-        lazy, eager = identity_spaces(frames)
-        for space in (lazy, eager):
-            map_page(space, HIGHER_BASE + 300 * PAGE_SIZE, 3, writable=False)
-            unmap_page(space, HIGHER_BASE + 5 * PAGE_SIZE)
-            unmap_page(space, HIGHER_BASE + (frames - 1) * PAGE_SIZE)
-        assert_same_identity(lazy, eager, frames)
-        assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+        for build in IDENTITY_MAPS:
+            lazy, eager = identity_spaces(frames, (build, eager_identity_map))
+            for space in (lazy, eager):
+                map_page(space, HIGHER_BASE + 300 * PAGE_SIZE, 3, writable=False)
+                unmap_page(space, HIGHER_BASE + 5 * PAGE_SIZE)
+                unmap_page(space, HIGHER_BASE + (frames - 1) * PAGE_SIZE)
+            assert_same_identity(lazy, eager, frames)
+            assert lazy.frame_alloc.frames_left == eager.frame_alloc.frames_left
+
+    def test_multi_gib_matches_per_leaf_map(self):
+        frames = 3 * (1 << 18) + 1000
+        record = multi_gib_record(identity_map_higher_half, frames)
+        past = record[-1]
+        assert isinstance(past, FaultInfo) and past.reason is FaultReason.NOT_PRESENT
+        assert record == multi_gib_record(identity_map_per_leaf, frames)
+
+    def test_identity_map_across_a_root_entry(self):
+        frames = (1 << 27) + (1 << 18) + 5
+        space = PageTableHierarchy(
+            TableStore(), FrameAllocator(frames, 2 * frames, Owner.HRT_ONLY)
+        )
+        before = space.frame_alloc.frames_left
+        identity_map_higher_half(space, frames)
+        # One table per 512 GiB, per GiB and per 2 MiB.
+        tables = -(-frames // (1 << 27)) + -(-frames // (1 << 18)) + -(-frames // 512)
+        assert before - space.frame_alloc.frames_left == tables
+        for first in range(0, frames, 1 << 18):
+            for f in (first, min(first + (1 << 18), frames) - 1):
+                got = translate(space, RING0, HIGHER_BASE + f * PAGE_SIZE, AccessKind.READ)
+                assert got == f * PAGE_SIZE
 
     def test_identity(self):
         hrt, _ = shared_spaces(frames=64)
