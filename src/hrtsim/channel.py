@@ -4,15 +4,15 @@ The event log is the run's time: every cycle is charged by the log entry
 that records it, through `EventLog.emit`, or through `EventLog.emit_around`
 for a call that runs a service inside its own time.
 
-The channel is a passive state machine: the deterministic step loop in
-the driver is the only mutator.  Requests from the regular OS travel as
-hypercalls through a single shared data page (strictly sequential); each
-request carries its own service (address-space merge, the asynchronous
-call that creates a kernel-mode twin, synchronous-call setup), which the
-page protocol charges, runs and logs.  The channel keeps no record of
-what a service did: the merge's result lives in the runtime
-(`HrtKernel.ros_space`).  Events raised in kernel-mode
-threads are forwarded the other way into their partner threads'
+The channel is passive: the deterministic step loop in the driver is the
+only mutator.  Requests from the regular OS travel as hypercalls through
+a single shared data page, one at a time: a request while another is in
+progress is refused.  Each request carries its own service
+(address-space merge, the asynchronous call that creates a kernel-mode
+twin, synchronous-call setup), which the hypercall charges, runs and
+logs.  The channel keeps no record of what a service did: the merge's
+result lives in the runtime (`HrtKernel.ros_space`).  Events raised in
+kernel-mode threads are forwarded the other way into their partner threads'
 injection queues and answered with completions; a forwarded system call's
 payload is `(name, args, body)`, its log detail rendered once by the
 sender.  After an address-space merge, a memory-based synchronous call,
@@ -113,44 +113,6 @@ class EventKind(enum.Enum):
     SYNC_INVOKE = "SyncInvoke"
 
 
-class PageState(enum.Enum):
-    IDLE = "idle"
-    REQUESTED = "requested"
-    IN_PROGRESS = "in_progress"
-    DONE = "done"
-
-
-_PAGE_TRANSITIONS = {
-    PageState.IDLE: PageState.REQUESTED,
-    PageState.REQUESTED: PageState.IN_PROGRESS,
-    PageState.IN_PROGRESS: PageState.DONE,
-    PageState.DONE: PageState.IDLE,
-}
-
-
-@dataclass
-class SharedDataPage:
-    """The one page both sides poll for sequential request/completion."""
-
-    state: PageState = PageState.IDLE
-    _return_code: int = 0
-
-    def transition(self, target: PageState) -> None:
-        if _PAGE_TRANSITIONS[self.state] is not target:
-            raise ProtocolError(f"bad page transition {self.state} -> {target}")
-        self.state = target
-
-    @property
-    def return_code(self) -> int:
-        if self.state is not PageState.DONE:
-            raise ProtocolError("return code readable only when Done")
-        return self._return_code
-
-    def complete(self, code: int) -> None:
-        self.transition(PageState.DONE)
-        self._return_code = code
-
-
 @dataclass(eq=False, slots=True)  # outstanding events are found by identity
 class EventRecord:
     kind: EventKind
@@ -165,11 +127,11 @@ class EventRecord:
 
 @dataclass
 class EventChannel:
-    """Channel state: shared page, injection queues, outstanding events, log."""
+    """Channel state: shared-page flag, injection queues, outstanding events, log."""
 
     cost: CostModel
     log: EventLog
-    shared_page: SharedDataPage = field(default_factory=SharedDataPage)
+    page_busy: bool = field(default=False, init=False)  # a hypercall is in progress
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
     outstanding: list[EventRecord] = field(default_factory=list)
     sync_page: int | None = None  # set-up synchronous-call page, by virtual address
@@ -185,20 +147,16 @@ class EventChannel:
     def hypercall(
         self, caller: int, kind: str, detail: str, cycles: int, service: Callable[[], int]
     ) -> int:
-        """One sequential request through the shared page: charge its cycles,
-        run its service, log it, and return the service's result."""
-        page = self.shared_page
-        if page.state is not PageState.IDLE:
-            raise BusyError(f"request while shared page is {page.state.value}")
-        page.transition(PageState.REQUESTED)
-        page.transition(PageState.IN_PROGRESS)
+        """One request through the shared page: charge its cycles, run its
+        service, log it, and return the service's result.  A request made
+        while another is in progress (from inside its service) is refused."""
+        if self.page_busy:
+            raise BusyError("hypercall while another is in progress")
+        self.page_busy = True
         try:
-            page.complete(self.log.emit_around(kind, caller, detail, cycles, service))
-            return page.return_code
+            return self.log.emit_around(kind, caller, detail, cycles, service)
         finally:
-            if page.state is PageState.IN_PROGRESS:  # the service raised
-                page.complete(0)
-            page.transition(PageState.IDLE)
+            self.page_busy = False
 
     def sync_invoke(self, func_ptr: int, same_socket: bool, service: Callable[[], int]) -> int:
         """Memory-protocol call that skips the VMM: charge the round trip,

@@ -8,9 +8,11 @@ detects the duplicate that follows a stale root table and triggers a
 local re-merge instead of a second forward.
 
 Each thread records the partner that serves its forwarded events, fixed
-at creation: a nested thread copies its parent's.  A core keeps only its
-boot flag and its re-merge state (the most recent fault and the thread
-it ran).
+at creation: a nested thread copies its parent's.  A thread mirrors no
+regular-OS state: its partner's stack is a region of the process.  A
+core keeps only its boot flag and its re-merge state (the most recent
+fault and the thread it ran).  The runtime has no exit hook: nothing
+reads its state once a run has ended.
 
 The installed image's symbol table is the runtime's only record of the
 functions it can run: thread creation and symbol resolution read it.
@@ -57,20 +59,12 @@ class HrtCoreState:
     current_thread: int | None = None  # origin of a re-merge entry
 
 
-@dataclass(frozen=True)
-class Superposition:
-    """Mirrored ROS-side state carried by a top-level thread."""
-
-    tls_base: int
-
-
 @dataclass
 class HrtThread:
     tid: int
     core_id: int
     partner: int  # the partner tid that serves this thread's forwarded events
     parent: int | None = None  # None for a top-level thread
-    superposition: Superposition | None = None
     exited: bool = False
 
 
@@ -135,23 +129,12 @@ class HrtKernel:
         for core_id in core_ids:
             self.cores[core_id] = HrtCoreState(booted=True)
 
-    def shutdown(self) -> None:
-        self.threads.clear()
-        for core_id in self.cores:
-            self.cores[core_id] = HrtCoreState()
-
     def booted_cores(self) -> list[int]:
         return [cid for cid, c in self.cores.items() if c.booted]
 
     # -- threads --------------------------------------------------------------
 
-    def _new_thread(
-        self,
-        func_name: str,
-        partner: int,
-        parent: int | None = None,
-        superposition: Superposition | None = None,
-    ) -> HrtThread:
+    def _new_thread(self, func_name: str, partner: int, parent: int | None = None) -> HrtThread:
         """Register a thread running func_name on the next booted core,
         round robin."""
         self.symbol(func_name)
@@ -160,17 +143,15 @@ class HrtKernel:
             raise BootError("no booted HRT core")
         core_id = booted[self._next_core_rr % len(booted)]
         self._next_core_rr += 1
-        thread = HrtThread(self._next_tid, core_id, partner, parent, superposition)
+        thread = HrtThread(self._next_tid, core_id, partner, parent)
         self._next_tid += 1
         self.threads[thread.tid] = thread
         return thread
 
-    def create_top_level_thread(
-        self, func_name: str, superposition: Superposition, partner_tid: int
-    ) -> HrtThread:
+    def create_top_level_thread(self, func_name: str, partner_tid: int) -> HrtThread:
         if self.ros_space is None:
             raise ProtocolError("address spaces must be merged before thread creation")
-        thread = self._new_thread(func_name, partner_tid, superposition=superposition)
+        thread = self._new_thread(func_name, partner_tid)
         self.cores[thread.core_id].current_thread = thread.tid
         return thread
 

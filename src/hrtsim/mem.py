@@ -84,7 +84,7 @@ class ControlState:
     ring: Ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """A present page-table entry; absent entries are stored as None."""
 

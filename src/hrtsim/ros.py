@@ -8,7 +8,7 @@ events their kernel-mode twins forward and carry the exit bit.  A
 forwarded system call brings everything its service needs: a call that
 fell through carries its legacy function's body, and any other call goes
 to the syscall model.  Partners and local threads (those spawned outside
-the hybrid mode) are the join targets.
+the hybrid mode) are the join targets.  This side issues every hypercall.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 from .channel import EventChannel, EventKind, EventLog, EventRecord, fault_detail
 from .costs import CostModel
-from .errors import AllocationError, UsageError
-from .hrt import HrtKernel, Superposition
+from .errors import AllocationError, ProtocolError, UsageError
+from .hrt import HrtKernel
 from .machine import Machine
 from .mem import (
     PAGE_SIZE,
@@ -321,13 +321,11 @@ class RosKernel:
         addr = self.hrt.symbol(func_name)  # SymbolError if unknown
         partner = self._new_thread(RosThreadRole.PARTNER)
         self.channel.register_endpoint(partner.tid)
-        stack = self._alloc_region(
-            DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True
-        )
-        superposition = Superposition(tls_base=stack.end - PAGE_SIZE)
+        # The partner's stack: every later stack-side address is below it.
+        self._alloc_region(DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True)
 
         def create_twin() -> int:
-            twin = self.hrt.create_top_level_thread(func_name, superposition, partner.tid)
+            twin = self.hrt.create_top_level_thread(func_name, partner.tid)
             self.log.emit(
                 EventKind.THREAD_CREATE.value, partner.tid, f"create:{func_name}:{twin.tid}"
             )
@@ -338,6 +336,26 @@ class RosKernel:
             self.main.tid, "AsyncCall", detail, self.cost.async_call, create_twin
         )
         return partner
+
+    def spawn_local(self, name: str) -> RosThread:
+        """Create a thread spawned outside the hybrid mode; it runs its body
+        on this side."""
+        thread = self._new_thread(RosThreadRole.LOCAL)
+        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create:{name}")
+        return thread
+
+    def setup_sync(self, tid: int) -> None:
+        """Set up the synchronous-call page with one hypercall from thread
+        tid; the address spaces must be merged first."""
+        if self.hrt.ros_space is None:
+            raise ProtocolError("synchronous setup requires a merged address space")
+        page = self._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
+
+        def set_up() -> int:
+            self.channel.sync_page = page
+            return 0
+
+        self.channel.hypercall(tid, "SetupSync", f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
 
     def join(self, joiner: RosThread, target_tid: int) -> None:
         """Block the joiner until the target partner or local thread has exited."""

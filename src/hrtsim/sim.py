@@ -44,14 +44,13 @@ from .channel import (
     syscall_detail,
 )
 from .costs import CostModel
-from .errors import DeadlockError, DoubleFaultError, ParseError, ProtocolError, UsageError
+from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
 from .hrt import FaultResolution, HrtKernel
 from .machine import Machine
-from .mem import HIGHER_BASE, PAGE_SIZE, AccessKind, FaultInfo, translate
+from .mem import HIGHER_BASE, AccessKind, FaultInfo, translate
 from .ros import (
     EFAULT,
     RosKernel,
-    RosThreadRole,
     RosThreadStatus,
     init_runtime,
 )
@@ -260,8 +259,6 @@ class Simulator:
             # all so that reference counting frees the run.
             for ctx in self.contexts:
                 ctx.thread.close()
-        if self.mode is Mode.MULTIVERSE:  # the runtime's exit hook
-            self.system.hrt.shutdown()
         return self.report()
 
     def report(self) -> TraceReport:
@@ -514,15 +511,7 @@ class Simulator:
         channel = self.system.channel
         ros, hrt = self.system.ros, self.system.hrt
         if channel.sync_page is None:
-            if hrt.ros_space is None:
-                raise ProtocolError("synchronous setup requires a merged address space")
-            page = ros._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
-
-            def set_up() -> int:
-                channel.sync_page = page
-                return 0
-
-            channel.hypercall(tid, "SetupSync", f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
+            ros.setup_sync(tid)
         addr = hrt.symbol(name)
         caller_core = ros.threads[tid].core_id
         target_core = hrt.booted_cores()[0]
@@ -550,11 +539,9 @@ class Simulator:
         self._add(tname, "hrt_body", partner.hrt_thread, body)
 
     def _spawn_local(self, tname: str) -> None:
-        body = self.workload.bodies[tname]
-        thread = self.system.ros._new_thread(RosThreadRole.LOCAL)
+        thread = self.system.ros.spawn_local(tname)
         self.spawned[tname] = thread.tid
-        self._add(tname, "ros_body", thread.tid, body)
-        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create:{tname}")
+        self._add(tname, "ros_body", thread.tid, self.workload.bodies[tname])
 
     def _spawn_nested(self, parent_tid: int, tname: str) -> None:
         nested = self.system.hrt.create_nested_thread(parent_tid, tname)

@@ -2,17 +2,10 @@
 
 import pytest
 
-from hrtsim.channel import (
-    EventChannel,
-    EventKind,
-    EventLog,
-    EventRecord,
-    PageState,
-    SharedDataPage,
-)
+from hrtsim.channel import EventChannel, EventKind, EventLog, EventRecord
 from hrtsim.costs import CostModel, load_cost_model
 from hrtsim.errors import BusyError, ParseError, ProtocolError
-from hrtsim.sim import Mode, Simulator, System, parse_workload
+from hrtsim.sim import System
 
 from conftest import small_machine
 
@@ -32,37 +25,25 @@ def set_up_sync(channel: EventChannel, vaddr: int = 0x1000) -> None:
     channel.hypercall(1, "SetupSync", f"vaddr=0x{vaddr:x}", channel.cost.hypercall, service)
 
 
-class TestSharedPage:
-    def test_legal_cycle(self):
-        page = SharedDataPage()
-        page.transition(PageState.REQUESTED)
-        page.transition(PageState.IN_PROGRESS)
-        page.complete(42)
-        assert page.return_code == 42
-        page.transition(PageState.IDLE)
-
-    def test_illegal_transition(self):
-        page = SharedDataPage()
-        with pytest.raises(ProtocolError):
-            page.transition(PageState.DONE)
-
-    def test_return_code_only_when_done(self):
-        page = SharedDataPage()
-        with pytest.raises(ProtocolError):
-            _ = page.return_code
-
-
-
 class TestHypercalls:
     def test_busy_while_not_idle(self):
+        # A hypercall issued from inside another's service is refused: its
+        # service never runs, and it charges and logs nothing.
         channel = make_channel()
-        channel.shared_page.transition(PageState.REQUESTED)
         served = []
-        with pytest.raises(BusyError):
-            channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: served.append(1))
+
+        def outer() -> int:
+            assert channel.page_busy
+            with pytest.raises(BusyError):
+                channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: served.append(1))
+            return 7
+
+        assert channel.hypercall(1, "MergeRequest", "cr3=5", 50, outer) == 7
         assert served == []
-        assert channel.log.now == 0
-        assert channel.log.entries == []
+        assert channel.log.now == 50
+        assert [e.kind for e in channel.log.entries] == ["MergeRequest"]
+        assert not channel.page_busy  # free again: the next request runs
+        assert channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: 3) == 3
 
     def test_merge_charges_merger_and_sets_flag(self):
         # The protocol charges first, then runs the service, then logs.
@@ -85,20 +66,20 @@ class TestHypercalls:
             "cr3=5",
             cost,
         )
-        assert channel.shared_page.state is PageState.IDLE
+        assert not channel.page_busy
 
     def test_async_call_cost(self):
         channel = make_channel()
         seen = []
 
         def create_twin() -> int:
-            seen.append(channel.shared_page.state)
+            seen.append(channel.page_busy)
             return 99
 
         cost = channel.cost.async_call
         result = channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", cost, create_twin)
         assert result == 99
-        assert seen == [PageState.IN_PROGRESS]
+        assert seen == [True]
         assert channel.log.now == channel.cost.async_call
         entry = channel.log.entries[-1]
         assert (entry.kind, entry.detail, entry.cost) == (
@@ -106,7 +87,7 @@ class TestHypercalls:
             "func=0x10,parallel=0",
             channel.cost.async_call,
         )
-        assert channel.shared_page.state is PageState.IDLE
+        assert not channel.page_busy
 
     def test_failed_service_leaves_page_idle(self):
         channel = make_channel()
@@ -116,17 +97,15 @@ class TestHypercalls:
 
         with pytest.raises(ProtocolError):
             channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", 100, refuse)
-        assert channel.shared_page.state is PageState.IDLE
+        assert not channel.page_busy
         assert channel.log.entries == []
 
     def test_setup_sync_before_merge(self):
         # The merged precondition is checked before anything is allocated or charged.
         system = System(machine=small_machine())
-        text = "func fast cycles=0\nthread main ros\n  sync_call fast\n  exit\nend\n"
-        sim = Simulator(system, parse_workload(text), Mode.MULTIVERSE)
         regions = len(system.ros.proc.vm_regions)
         with pytest.raises(ProtocolError):
-            sim._sync_call(system.ros.main.tid, "fast")
+            system.ros.setup_sync(system.ros.main.tid)
         assert system.log.now == 0
         assert system.log.entries == []
         assert system.channel.sync_page is None

@@ -1,0 +1,137 @@
+"""Invariants over generated workloads, not only the hand-written fixtures.
+
+A Hypothesis strategy writes well-formed workload text: a regular-OS
+`main` and up to four kernel-mode threads, with nested spawns; every op
+and `repeat`; overrides that are on, `off`, fall through, and
+`pthread_create`; `sync_call` and `munmap` of `last`; machines of
+512-4096 frames.  Literal touches fall in an 8-page region that `main`
+maps first.  A thread spawns only threads after it in the list, so
+every run ends.  Each workload runs twice in every mode, and these hold:
+
+- two runs give the same outcome;
+- the log's `cost=` fields sum to `total_cycles`;
+- the native outcome equals the virtual one;
+- any exception raised is a `SimError`.
+
+An outcome is the log, the total and the failed flag, or the error
+raised.  Some multiverse runs raise `ProtocolError` because a nested
+thread outlives its top-level parent (ROADMAP item 3); that is allowed
+here, and must repeat like any other outcome.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hrtsim.errors import SimError
+from hrtsim.machine import Machine
+from hrtsim.mem import HIGHER_BASE, PAGE_SIZE
+from hrtsim.ros import MMAP_BASE
+from hrtsim.sim import Mode, run
+
+WORKERS = ("w0", "w1", "w2", "w3")
+FUNCS = """\
+func fast cycles=300 returns=1
+func wide cycles=50 touches={touches}
+func slow cycles=500 returns=7
+override legacy_fast -> fast
+override legacy_wide -> wide
+override legacy_off -> slow off
+"""
+# An enabled override, one that writes pages, a disabled one, a name with
+# no override (falls through), and the default pthread_create override.
+CALLS = ("legacy_fast 1 2", "legacy_wide", "legacy_off 3 4", "plain_call 5")
+
+pages = st.integers(0, 7)
+cycles = st.integers(0, 400)
+
+
+@st.composite
+def simple_op(draw, mapped: bool) -> str:
+    """One action that any thread may take, in or out of a `repeat`;
+    `last` only after this thread's first `mmap`."""
+    kinds = ["compute", "mmap", "touch", "syscall", "call"] + ["last"] * 2 * mapped
+    kind = draw(st.sampled_from(kinds))
+    if kind == "compute":
+        return f"compute {draw(cycles)}"
+    if kind == "mmap":
+        flags = draw(st.sampled_from(["", " populate", " ro", " populate ro"]))
+        return f"mmap {draw(st.integers(1, 3 * PAGE_SIZE))}{flags}"
+    if kind == "touch":
+        base = draw(st.sampled_from([MMAP_BASE] * 3 + [HIGHER_BASE + 0x0040_0000]))
+        addr = base + draw(pages) * PAGE_SIZE + draw(st.integers(0, PAGE_SIZE - 1))
+        return f"touch 0x{addr:x} {draw(st.sampled_from('rw'))}"
+    if kind == "syscall":
+        return draw(st.sampled_from(["syscall write 1 8", "syscall getpid", "syscall munmap 1"]))
+    if kind == "call":
+        return f"call_override {draw(st.sampled_from(CALLS))}"
+    if draw(st.booleans()):
+        return f"touch last+{draw(pages) * PAGE_SIZE} {draw(st.sampled_from('rw'))}"
+    return f"munmap last {draw(st.integers(1, 2)) * PAGE_SIZE}"
+
+
+@st.composite
+def body(draw, name: str, later: tuple[str, ...]) -> list[str]:
+    """Action lines of one thread; `later` are the workers it may spawn.
+    Main first maps the region of the literal touches, spawns at least one
+    worker, each once, and may join each after its spawn; a kernel-mode
+    thread spawns nested or top-level threads."""
+    kernel_mode = name != "main"
+    items: list[list[str]] = []  # one action, or one whole repeat block
+    mapped = not kernel_mode
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            inner = [draw(simple_op(mapped)) for _ in range(draw(st.integers(1, 3)))]
+            items.append([f"repeat {draw(st.integers(0, 3))}", *(f"  {op}" for op in inner), "end"])
+        elif not kernel_mode and draw(st.integers(0, 4)) == 0:
+            items.append([f"sync_call {draw(st.sampled_from(['fast', 'slow', 'main']))}"])
+        else:
+            op = draw(simple_op(mapped))
+            mapped |= op.startswith("mmap")
+            items.append([op])
+    if kernel_mode and later:
+        for target in draw(st.lists(st.sampled_from(later), max_size=2)):
+            op = draw(st.sampled_from(["spawn_nested", "call_override pthread_create 0 0"]))
+            items.insert(draw(st.integers(0, len(items))), [f"{op} {target}"])
+    elif later:
+        for target in draw(st.lists(st.sampled_from(later), min_size=1, unique=True)):
+            at = draw(st.integers(0, len(items)))
+            items.insert(at, [f"spawn {target}"])
+            if draw(st.booleans()):
+                items.insert(draw(st.integers(at + 1, len(items))), [f"join {target}"])
+    first = [] if kernel_mode else [f"mmap {8 * PAGE_SIZE}"]
+    return first + [line for item in items for line in item] + ["exit"]
+
+
+@st.composite
+def workloads(draw) -> tuple[str, int]:
+    """Workload text and the machine's frame count."""
+    workers = WORKERS[: draw(st.integers(0, len(WORKERS)))]
+    touches = ",".join(f"0x{MMAP_BASE + p * PAGE_SIZE:x}" for p in draw(st.lists(pages, max_size=3)))
+    text = [FUNCS.format(touches=touches)]
+    for i, name in enumerate(("main",) + workers):
+        role = "ros" if name == "main" else "hrt"
+        lines = draw(body(name, workers[i:]))
+        text.append(f"thread {name} {role}\n" + "".join(f"  {line}\n" for line in lines) + "end\n")
+    return "".join(text), draw(st.integers(512, 4096))
+
+
+def outcome(text: str, frames: int, mode: Mode) -> tuple:
+    try:
+        report = run(Machine(phys_frames=frames), text, mode)
+    except SimError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    costs = sum(int(line.rsplit("cost=", 1)[1]) for line in report.log_text.splitlines())
+    assert costs == report.total_cycles
+    return (report.log_text, report.total_cycles, report.failed, report.fail_reason)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(workloads())
+def test_generated_workload_invariants(generated):
+    text, frames = generated
+    seen = {}
+    for mode in Mode:
+        first = outcome(text, frames, mode)
+        assert outcome(text, frames, mode) == first, f"{mode.value} is not deterministic"
+        seen[mode] = first
+    assert seen[Mode.NATIVE] == seen[Mode.VIRTUAL]

@@ -13,7 +13,7 @@ from hrtsim.errors import (
     ProtocolError,
     SymbolError,
 )
-from hrtsim.hrt import FaultResolution, Superposition
+from hrtsim.hrt import FaultResolution
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
@@ -25,18 +25,16 @@ from hrtsim.mem import (
     translate,
 )
 from hrtsim.machine import Machine
-from hrtsim.ros import init_runtime
+from hrtsim.ros import DEFAULT_STACK_BYTES, STACK_TOP, init_runtime
 from hrtsim.sim import System
 from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
 from conftest import make_fat, small_machine
 
-SUPER = Superposition(tls_base=0x7FFF_0000_0000)
-
 
 def top_level(system, name="worker"):
     system.channel.register_endpoint(2)
-    return system.hrt.create_top_level_thread(name, SUPER, partner_tid=2)
+    return system.hrt.create_top_level_thread(name, partner_tid=2)
 
 
 class TestBoot:
@@ -149,10 +147,6 @@ class TestBoot:
         with pytest.raises(AttributeError):  # frozen: one instance is shared by every touch
             ctl.cr3 = 0
 
-    def test_shutdown_offlines_cores(self, booted):
-        booted.hrt.shutdown()
-        assert booted.hrt.booted_cores() == []
-
 
 class TestThreads:
     def test_create_before_merge(self, system):
@@ -168,25 +162,31 @@ class TestThreads:
         with pytest.raises(SymbolError):
             top_level(booted, "no_such_fn")
 
-    def test_create_without_booted_cores(self, booted):
-        booted.hrt.shutdown()
-        assert booted.hrt.ros_space is not None  # merged: only the cores are missing
+    def test_create_without_booted_cores(self, system):
+        _, image = parse_fat_binary(make_fat())
+        system.hrt.install_image(image)
+        system.hrt.boot([])
+        system.hrt.ros_space = system.ros.proc.space  # merged: only the cores are missing
         with pytest.raises(BootError):
-            top_level(booted)
+            top_level(system)
 
     def test_top_level_carries_superposition(self, booted):
-        thread = top_level(booted)
+        # The twin mirrors no regular-OS state: its partner's stack is the
+        # one region the spawn adds to the process.
+        before = list(booted.ros.proc.vm_regions)
+        partner = booted.ros.spawn_hrt("worker")
+        thread = booted.hrt.threads[partner.hrt_thread]
         assert thread.parent is None
-        assert thread.superposition == SUPER
-        assert thread.partner == 2
+        assert thread.partner == partner.tid
         assert booted.hrt.cores[thread.core_id].current_thread == thread.tid
+        (stack,) = [r for r in booted.ros.proc.vm_regions if r not in before]
+        assert (stack.end, stack.length) == (STACK_TOP, DEFAULT_STACK_BYTES)
 
     def test_nested_routing_depth_three(self, booted):
         top = top_level(booted)
         mid = booted.hrt.create_nested_thread(top.tid, "helper")
         leaf = booted.hrt.create_nested_thread(mid.tid, "leaf")
         assert (mid.parent, leaf.parent) == (top.tid, mid.tid)
-        assert (mid.superposition, leaf.superposition) == (None, None)
         # Events from any depth route to the top-level thread's partner.
         for thread in (top, mid, leaf):
             assert booted.hrt.threads[thread.tid].partner == 2
@@ -250,7 +250,7 @@ class TestPartnerRecord:
             parents = [tid for tid, d in depth.items() if d < 4]
             if top or not parents:
                 partner_tid = 100 + len(given_partner)
-                thread = hrt.create_top_level_thread(name, SUPER, partner_tid)
+                thread = hrt.create_top_level_thread(name, partner_tid)
                 given_partner[thread.tid] = partner_tid
                 depth[thread.tid] = 1
             else:

@@ -1,12 +1,16 @@
-"""Source hygiene: every module-level import and every function in the
-package is used by the package itself, and only the event log moves time.
+"""Source hygiene: every module-level import, every function and every
+stored attribute in the package is used by the package itself, no module
+reaches into another object's private state, and only the event log
+moves time.
 
 A deleted code path must not leave its imports or helpers behind, and
 `src` keeps no function that only tests call.  An import counts as used
 if the module reads it anywhere or re-exports it through `__all__`; a
 private function or method counts as used if any module of the package
 names it.  A public method counts as named through an attribute access,
-a public function through a name, an import or `__all__`.
+a public function through a name, an import or `__all__`.  A dataclass
+field or a stored attribute counts as used if the package loads an
+attribute of that name; an augmented assignment (`x.n += 1`) only stores.
 
 Time advances only in `EventLog`, by the entry that records the cycles:
 no other code stores to an attribute named `now` or defines a `charge`.
@@ -149,6 +153,109 @@ def test_check_sees_an_unnamed_public_function():
         "lib.py:5: as_attribute",
         "lib.py:8: as_name",
         "lib.py:9: unused",
+    ]
+
+
+# Attributes that `src` stores and only readers outside it load.
+READ_OUTSIDE_SRC = {
+    "request_cycle": "perfbench/tracing.py derives forwarding waits from it",
+    "remerge_count": "perfbench/tracing.py reports it as hrt.remerges",
+    "hits": "perfbench/tracing.py reports the symbol cache's hit ratio",
+    "misses": "perfbench/tracing.py reports the symbol cache's hit ratio",
+    "line": "ParseError's public field: the line of the malformed input",
+    "reason": "tests check how translate classifies a fault",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def write_only_attributes(trees: dict[str, ast.Module]) -> list[str]:
+    stored: dict[str, str] = {}  # field or attribute name -> "module:line" of a store
+    loaded: set[str] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        stored.setdefault(item.target.id, f"{module}:{item.lineno}")
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, f"{module}:{node.lineno}")
+                elif isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    return sorted(f"{where}: {name}" for name, where in stored.items() if name not in loaded)
+
+
+def test_no_attribute_is_write_only():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    found = write_only_attributes(trees)
+    assert [f for f in found if f.rsplit(": ", 1)[1] not in READ_OUTSIDE_SRC] == []
+
+
+def test_check_sees_a_write_only_attribute():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    orphan: int = 0\n"
+        "class Plain:\n"
+        "    annotated: int\n"
+        "def f(a, b):\n"
+        "    b.stored = a.kept\n"
+        "    b.counted += 1\n"
+        "    return b.read\n"
+        "def g(b):\n"
+        "    b.read = 1\n"
+    )
+    assert write_only_attributes({"m.py": tree}) == [
+        "m.py:4: orphan",
+        "m.py:8: stored",
+        "m.py:9: counted",
+    ]
+
+
+# Private names that may be read through another object.
+PRIVATE_ACROSS_OBJECTS = {
+    "_value_": "an enum member's value slot; `.value` is a Python-level property call",
+}
+
+
+def private_access_across_objects(trees: dict[str, ast.Module]) -> list[str]:
+    """`x._name` where x is not `self`; dunder names are not private."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.endswith("__") or node.attr in PRIVATE_ACROSS_OBJECTS:
+                continue
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_no_private_access_across_objects():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert private_access_across_objects(trees) == []
+
+
+def test_check_sees_a_private_access_across_objects():
+    tree = ast.parse(
+        "def f(self, ros, kind):\n"
+        "    self._own()\n"
+        "    ros._alloc_region(1)\n"
+        "    self.system.ros._new_thread()\n"
+        "    kind._value_, kind.__class__\n"
+    )
+    assert private_access_across_objects({"m.py": tree}) == [
+        "m.py:3: ros._alloc_region",
+        "m.py:4: self.system.ros._new_thread",
     ]
 
 

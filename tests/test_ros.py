@@ -12,6 +12,7 @@ from hrtsim.ros import (
     EINVAL,
     ENOSYS,
     MMAP_BASE,
+    STACK_TOP,
     RosThreadRole,
     RosThreadStatus,
     init_runtime,
@@ -227,8 +228,8 @@ class TestSpawn:
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
         assert partner.tid in booted.channel.queues
-        tls_base = twin.superposition.tls_base
-        assert ros.region_at(tls_base).length == DEFAULT_STACK_BYTES  # the partner's stack
+        stacks = [r for r in ros.proc.vm_regions if r.end == STACK_TOP]
+        assert [r.length for r in stacks] == [DEFAULT_STACK_BYTES]  # the partner's stack
         kinds = [e.kind for e in booted.log.entries]
         assert "AsyncCall" in kinds
         assert EventKind.THREAD_CREATE.value in kinds
@@ -246,11 +247,12 @@ class TestSpawn:
 
     def test_spawn_payload_names_twin(self, booted):
         ros = booted.ros
+        before = list(ros.proc.vm_regions)
         partner = ros.spawn_hrt("helper")
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
-        stack = ros.region_at(twin.superposition.tls_base)
-        assert twin.superposition.tls_base == stack.end - PAGE_SIZE
+        (stack,) = [r for r in ros.proc.vm_regions if r not in before]
+        assert (stack.base, stack.end) == (STACK_TOP - DEFAULT_STACK_BYTES, STACK_TOP)
         create, call = booted.log.entries[-2:]
         assert (create.kind, create.origin, create.detail) == (
             EventKind.THREAD_CREATE.value,

@@ -76,8 +76,6 @@ class StepEveryContext(ParkingLoop):
         finally:
             for ctx in self.contexts:
                 ctx.thread.close()
-        if self.mode is Mode.MULTIVERSE:
-            self.system.hrt.shutdown()
         return self.report()
 
 
