@@ -3,6 +3,10 @@
 Each simulated thread runs as a generator, and one `next()` of it is one
 scheduler step: a thread body advances by one action per step, and a
 thread blocked on a forwarded event or a join yields without progress.
+A body is lowered once, at parse time (see `workload.Action`), so a step
+unpacks one predecoded action: its operands, and any log detail that
+does not depend on the run, are final.  Only a `last+N` address and its
+detail are computed in the step.
 Contexts are stepped strict round-robin in creation order (regular OS
 threads before kernel-mode threads).  Every cost is charged by the
 event-log entry that records it (see `EventLog`), so the run total is
@@ -54,7 +58,7 @@ from .ros import (
     RosThreadStatus,
     init_runtime,
 )
-from .toolchain import AeroKernelImage, AppDescriptor, OverrideEntry, embed
+from .toolchain import AeroKernelImage, AppDescriptor, embed
 from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
 
 __all__ = [
@@ -176,6 +180,13 @@ class _Ctx:
     parked: bool = False  # skipped by the round loop until a waker clears it
     thread: Generator[bool, None, None] | None = None
     served: list[_Ctx] = field(default_factory=list)  # partner: twin and nested
+
+
+def _from_last(last: int | None, offset: int) -> int:
+    """The address `offset` past a thread's last mmap base."""
+    if last is None:
+        raise UsageError("'last' used before any mmap in this thread")
+    return last + offset
 
 
 class _Halt(Exception):
@@ -325,71 +336,80 @@ class Simulator:
             ctx.parked = ctx.done
 
     def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
-        """Run a thread body on its side, one action per step.  A kernel-mode
-        thread blocks in this frame on every call it forwards; a joiner on its target."""
-        ros, hrt = self.system.ros, self.system.hrt
+        """Run a thread body on its side, one lowered action per step.  A
+        kernel-mode thread blocks in this frame on every call it forwards;
+        a joiner on its target."""
+        ros, hrt, log = self.system.ros, self.system.hrt, self.log
         kernel_mode = ctx.kind == "hrt_body"
         if kernel_mode:  # all four are fixed from boot on
             space, ctl = hrt.space, hrt.control
             memo, wmemo = space.memo, space.wmemo
+        write = AccessKind.WRITE
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
-        for action in body.actions:
-            op, args = action.op, action.args
-            call = None  # (name, args, body) of the system call this action makes
+        for op, a, b, c in body.actions:  # operands by op: see `Action`
             if op == "touch":
-                expr, access = args
-                addr = expr.resolve(last)
+                if c is None:  # last+N
+                    a = _from_last(last, a)
+                    c = a >> 12
                 if kernel_mode:
-                    if addr >> 12 not in (wmemo if access is AccessKind.WRITE else memo):
-                        fault = translate(space, ctl, addr, access)
+                    if c not in (wmemo if b is write else memo):
+                        fault = translate(space, ctl, a, b)
                         if isinstance(fault, FaultInfo):
                             yield from self._hrt_touch(ctx, fault)
-                elif not ros.touch(addr, access, tid):
+                elif not ros.touch(a, b, tid):
                     raise _Halt
-            elif op in ("mmap", "munmap", "syscall"):
-                if op == "mmap":
-                    call = op, (args[0], int(args[1]), int(args[2])), None
-                elif op == "munmap":
-                    call = op, (args[0].resolve(last), args[1]), None
-                else:
-                    call = *args, None
-            elif op == "compute":
-                self.log.emit("Compute", tid, "compute", args[0])
+                yield True
+                continue
+            call = None  # payload (name, args, body) of the system call this action makes
+            if op == "compute":
+                log.emit("Compute", tid, "compute", a)
             elif op == "call_override":
-                if not kernel_mode:
-                    self._legacy_call(tid, *args)
-                elif (touches := self._invoke_override(tid, *args)) is None:
-                    # Forwarded with the legacy function's body, if it has one.
-                    ints = tuple(a for a in args[1] if isinstance(a, int))
-                    call = f"call:{args[0]}", ints, self.workload.funcs.get(args[0])
-                else:
-                    for addr in touches:  # the target's writes, one step each
+                if not kernel_mode:  # a plain library/OS call
+                    cycles = self.cost.syscall_base + a.legacy_cycles
+                    log.emit(SYSCALL, tid, a.call, cycles, call=a.call)
+                elif a.target is None:  # forwarded with the legacy function's body, if any
+                    log.emit("Fallthrough", tid, a.call)
+                    call, detail = a.payload, a.detail
+                elif a.creates:  # interposed thread creation behaves exactly like a spawn
+                    if a.spawn is None:
+                        raise UsageError("thread-create override needs a thread body name")
+                    self._spawn(a.spawn)
+                else:  # an enabled override runs in place
+                    hrt.resolve_symbol(a.target, tid)
+                    log.emit("Override", tid, a.detail, a.behavior.cycles)
+                    for addr in a.behavior.touches:  # the target's writes, one step each
                         yield True
                         if addr >> 12 not in wmemo:
-                            fault = translate(space, ctl, addr, AccessKind.WRITE)
+                            fault = translate(space, ctl, addr, write)
                             if isinstance(fault, FaultInfo):
                                 yield from self._hrt_touch(ctx, fault)
+            elif op in ("mmap", "munmap", "syscall"):
+                call, detail = a, b
+                if detail is None:  # munmap last+N
+                    name, (offset, length), _ = call
+                    call = name, (_from_last(last, offset), length), None
+                    detail = syscall_detail(name, call[1])
             elif op == "spawn":
                 if kernel_mode:
                     raise UsageError(
                         "spawn from a kernel-mode thread; use spawn_nested or an override"
                     )
-                self._spawn(args[0])
+                self._spawn(a)
             elif op == "spawn_nested":
                 if kernel_mode:
-                    self._spawn_nested(tid, args[0])
+                    self._spawn_nested(tid, a)
                 elif self.mode is Mode.MULTIVERSE:
                     raise UsageError("spawn_nested is only valid in kernel-mode threads")
                 else:  # outside the hybrid mode this is an ordinary local thread
-                    self._spawn_local(args[0])
+                    self._spawn_local(a)
             elif op == "join":
                 if kernel_mode:
                     raise UsageError("join is issued from the main thread")
-                if args[0] not in self.spawned:
-                    raise UsageError(f"join target {args[0]!r} was never spawned")
+                if a not in self.spawned:
+                    raise UsageError(f"join target {a!r} was never spawned")
                 joiner = ros.threads[tid]
-                ros.join(joiner, self.spawned[args[0]])
+                ros.join(joiner, self.spawned[a])
                 if joiner.status is RosThreadStatus.BLOCKED_JOIN:
                     yield True
                     while not ros.try_finish_join(joiner):
@@ -397,7 +417,7 @@ class Simulator:
             elif op == "sync_call":
                 if kernel_mode:
                     raise UsageError("sync_call is issued from the ROS side")
-                self._sync_call(tid, args[0])
+                self._sync_call(tid, a)
             elif op == "exit":
                 if kernel_mode:
                     ev = hrt.thread_exit(tid)
@@ -415,23 +435,18 @@ class Simulator:
             if call is not None:
                 name, args, _ = call
                 if kernel_mode:  # forwarded: served by the partner, awaited here
-                    ev = EventRecord(EventKind.SYSCALL, tid, syscall_detail(name, args), call)
+                    ev = EventRecord(EventKind.SYSCALL, tid, detail, call)
                     self._send(ctx, ev)
                     yield True
                     while ev.complete_cycle is None:
                         yield False
                     result = ev.result
-                else:
-                    result = self._syscall(tid, name, args)
+                else:  # served in place on the regular OS
+                    result = ros.syscall(name, args)
+                    log.emit(SYSCALL, tid, detail, self.cost.syscall_base, call=name)
                 if name == "mmap" and result >= 0:
                     last = result
             yield True
-
-    def _syscall(self, tid: int, name: str, args: tuple[int, ...]) -> int:
-        """Service one system call in place on the regular OS; its result."""
-        result = self.system.ros.syscall(name, args)
-        self.log.emit(SYSCALL, tid, syscall_detail(name, args), self.cost.syscall_base, call=name)
-        return result
 
     def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
         """Queue ev for the partner serving kernel-mode ctx, and wake it."""
@@ -471,37 +486,6 @@ class Simulator:
             fault = translate(space, ctl, addr, access)
             if not isinstance(fault, FaultInfo):
                 return
-
-    def _invoke_override(self, tid: int, name: str, args: tuple) -> tuple[int, ...] | None:
-        """Kernel-mode call of an overridable function: an enabled override
-        runs in place and returns the addresses its target writes; anything
-        else falls through, returning None for the caller to forward."""
-        entry: OverrideEntry | None = self.workload.overrides.get(name)
-        if entry is None or not entry.enabled:
-            self.log.emit("Fallthrough", tid, f"call:{name}")
-            return None
-        if entry.aero_name == "hrt_thread_create":
-            # Interposed thread creation behaves exactly like a spawn.
-            targets = [a for a in args if isinstance(a, str)]
-            if not targets:
-                raise UsageError("thread-create override needs a thread body name")
-            self._spawn(targets[0])
-            return ()
-        self.system.hrt.resolve_symbol(entry.aero_name, tid)
-        behavior = self.workload.funcs.get(entry.aero_name, DEFAULT_BEHAVIOR)
-        self.log.emit("Override", tid, f"override:{name}->{entry.aero_name}", behavior.cycles)
-        return behavior.touches
-
-    def _legacy_call(self, tid: int, name: str, args: tuple) -> None:
-        """Non-hybrid path of an overridable call: a plain library/OS call."""
-        behavior = self.workload.funcs.get(name)
-        if behavior is None:
-            entry = self.workload.overrides.get(name)
-            if entry is not None:
-                behavior = self.workload.funcs.get(entry.aero_name)
-        cycles = self.cost.syscall_base + (behavior.cycles if behavior else 0)
-        detail = f"call:{name}"  # also the call's name in the report's syscall table
-        self.log.emit(SYSCALL, tid, detail, cycles, call=detail)
 
     def _sync_call(self, tid: int, name: str) -> None:
         behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)

@@ -19,6 +19,9 @@ Example::
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
 recent mmap.  ``repeat N ... end`` blocks are unrolled at parse time.
+Each action line is lowered once, as it is parsed, to an `Action` that
+holds its final operands; equal lines share one object, and unrolling
+repeats it, so a step of the interpreter decodes nothing.
 A cycle count (``compute``, ``func ... cycles=``), a repeat count and an
 address (``touch``, ``munmap``, ``last+N``, ``func ... touches=``) may not
 be negative.
@@ -27,8 +30,10 @@ be negative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
-from .errors import ParseError, UsageError
+from .channel import syscall_detail
+from .errors import ParseError
 from .mem import AccessKind
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
 
@@ -60,32 +65,79 @@ class FunctionBehavior:
 DEFAULT_BEHAVIOR = FunctionBehavior()  # shared: frozen, so no caller can change it
 
 
-@dataclass(frozen=True)
-class AddrExpr:
-    """Literal address or an offset from the thread's last mmap base."""
+class Action(NamedTuple):
+    """One action, lowered at parse time to its final operands; a step
+    unpacks it and decodes nothing.  Equal lines, and the copies `repeat`
+    makes of a line, share one object.
 
-    offset: int
-    from_last: bool = False
+    ====================  ============================================
+    op                    a, b, c
+    ====================  ============================================
+    touch                 address, AccessKind, page number;
+                          ``last+N``: N, AccessKind, None
+    mmap, munmap,         payload ``(name, int args, None)``, its
+    syscall               ``sys:`` detail; ``munmap last+N``: a payload
+                          with N as the base, None
+    compute               cycles
+    spawn, spawn_nested,  target name
+    join, sync_call
+    call_override         `CallPlan`
+    exit                  -
+    ====================  ============================================
+    """
 
-    def resolve(self, last_mmap: int | None) -> int:
-        if not self.from_last:
-            return self.offset
-        if last_mmap is None:
-            raise UsageError("'last' used before any mmap in this thread")
-        return last_mmap + self.offset
-
-
-@dataclass(frozen=True)
-class Action:
     op: str
-    args: tuple = ()
+    a: Any = None
+    b: Any = None
+    c: Any = None
+
+
+@dataclass(slots=True)
+class CallPlan:
+    """How one `call_override` line runs, in every mode.  The parser fills
+    in everything after `args` once the whole text is read, since `func`
+    and `override` lines may follow the bodies that call them."""
+
+    name: str
+    args: tuple  # ints, and symbolic names (a spawn target) as str
+    call: str = ""  # "call:NAME": a native call's name and detail, a fall-through's entry
+    legacy_cycles: int = 0  # native: the function's own cycles, else its override target's
+    target: str | None = None  # kernel mode: the enabled override's target; None falls through
+    creates: bool = False  # the target creates a thread: a spawn of `spawn`
+    spawn: str | None = None  # the first symbolic argument
+    behavior: FunctionBehavior = DEFAULT_BEHAVIOR  # the target's
+    detail: str = ""  # the Override entry's, or the fall-through system call's
+    payload: tuple | None = None  # fall-through: (call, int args, legacy body or None)
+
+    def resolve(
+        self, funcs: dict[str, FunctionBehavior], overrides: dict[str, OverrideEntry]
+    ) -> None:
+        """Fix the plan from the workload's final `func` and `override` lines."""
+        name = self.name
+        self.call = f"call:{name}"
+        entry = overrides.get(name)
+        legacy = funcs.get(name)
+        native = legacy
+        if native is None and entry is not None:  # the target's body stands in for it
+            native = funcs.get(entry.aero_name)
+        self.legacy_cycles = native.cycles if native is not None else 0
+        if entry is None or not entry.enabled:
+            ints = tuple(a for a in self.args if isinstance(a, int))
+            self.payload = (self.call, ints, legacy)
+            self.detail = syscall_detail(self.call, ints)
+            return
+        self.target = entry.aero_name
+        self.creates = entry.aero_name == "hrt_thread_create"
+        self.spawn = next((a for a in self.args if isinstance(a, str)), None)
+        self.behavior = funcs.get(entry.aero_name, DEFAULT_BEHAVIOR)
+        self.detail = f"override:{name}->{entry.aero_name}"
 
 
 @dataclass
 class ThreadBody:
     name: str
     role: str  # "ros" | "hrt"
-    actions: list[Action] = field(default_factory=list)
+    actions: list[Action] = field(default_factory=list)  # unrolled, one per step
 
 
 @dataclass
@@ -119,12 +171,18 @@ def _count(token: str, lineno: int, what: str = "count") -> int:
     return n
 
 
-def _addr(token: str, lineno: int) -> AddrExpr:
+def _addr(token: str, lineno: int) -> tuple[int, bool]:
+    """An address operand: (address, False), or (N, True) for ``last+N``."""
     if token == "last":
-        return AddrExpr(0, from_last=True)
+        return 0, True
     if token.startswith("last+"):
-        return AddrExpr(_count(token[5:], lineno, "address"), from_last=True)
-    return AddrExpr(_count(token, lineno, "address"))
+        return _count(token[5:], lineno, "address"), True
+    return _count(token, lineno, "address"), False
+
+
+def _system_call(op: str, name: str, args: tuple[int, ...]) -> Action:
+    """A system call's action: its payload and its detail, rendered once."""
+    return Action(op, (name, args, None), syscall_detail(name, args))
 
 
 def _parse_action(tokens: list[str], lineno: int) -> Action:
@@ -133,30 +191,36 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
     if op == "compute":
         if len(args) != 1:
             raise ParseError("compute takes one cycle count", lineno)
-        return Action(op, (_count(args[0], lineno),))
+        return Action(op, _count(args[0], lineno))
     if op == "mmap":
         if not 1 <= len(args) <= 3:
             raise ParseError("mmap <len> [populate] [ro]", lineno)
         flags = set(args[1:])
         if not flags <= {"populate", "ro"}:
             raise ParseError(f"bad mmap flags {sorted(flags - {'populate', 'ro'})}", lineno)
-        return Action(op, (_num(args[0], lineno), "populate" in flags, "ro" not in flags))
+        return _system_call(
+            op, op, (_num(args[0], lineno), int("populate" in flags), int("ro" not in flags))
+        )
     if op == "munmap":
         if len(args) != 2:
             raise ParseError("munmap <base> <len>", lineno)
-        return Action(op, (_addr(args[0], lineno), _num(args[1], lineno)))
+        (base, from_last), length = _addr(args[0], lineno), _num(args[1], lineno)
+        if from_last:  # the base and its detail follow the thread's last mmap
+            return Action(op, (op, (base, length), None))
+        return _system_call(op, op, (base, length))
     if op == "touch":
         if len(args) != 2 or args[1] not in ("r", "w"):
             raise ParseError("touch <addr> r|w", lineno)
-        return Action(op, (_addr(args[0], lineno), AccessKind(args[1])))
+        addr, from_last = _addr(args[0], lineno)
+        return Action(op, addr, AccessKind(args[1]), None if from_last else addr >> 12)
     if op == "syscall":
         if not args:
             raise ParseError("syscall needs a name", lineno)
-        return Action(op, (args[0], tuple(_num(a, lineno) for a in args[1:])))
+        return _system_call(op, args[0], tuple(_num(a, lineno) for a in args[1:]))
     if op in ("spawn", "spawn_nested", "join"):
         if len(args) != 1:
             raise ParseError(f"{op} takes one thread name", lineno)
-        return Action(op, (args[0],))
+        return Action(op, args[0])
     if op == "call_override":
         if not args:
             raise ParseError("call_override needs a name", lineno)
@@ -166,11 +230,11 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
                 numeric.append(int(a, 0))
             except ValueError:
                 numeric.append(a)  # symbolic arg, e.g. a spawn target
-        return Action(op, (args[0], tuple(numeric)))
+        return Action(op, CallPlan(args[0], tuple(numeric)))
     if op == "sync_call":
         if len(args) != 1:
             raise ParseError("sync_call takes one function name", lineno)
-        return Action(op, (args[0],))
+        return Action(op, args[0])
     if op == "exit":
         if args:
             raise ParseError("exit takes no arguments", lineno)
@@ -206,6 +270,8 @@ def parse_workload(text: str) -> WorkloadProgram:
     current: ThreadBody | None = None
     repeat_stack: list[tuple[int, list[Action], int]] = []  # (count, actions, lineno)
     targets: list[tuple[Action, int]] = []  # named-target actions, checked at the end
+    lowered: dict[str, Action] = {}  # action line -> its action: equal lines share one
+    plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -250,7 +316,11 @@ def parse_workload(text: str) -> WorkloadProgram:
                 bodies[current.name] = current
                 current = None
         else:
-            action = _parse_action(tokens, lineno)
+            action = lowered.get(line)
+            if action is None:
+                action = lowered[line] = _parse_action(tokens, lineno)
+                if action.op == "call_override":
+                    plans.append(action.a)
             if action.op in ("spawn", "spawn_nested", "join", "sync_call"):
                 targets.append((action, lineno))
             if repeat_stack:
@@ -269,8 +339,10 @@ def parse_workload(text: str) -> WorkloadProgram:
 
     program = WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
     symbols = program.symbols()
+    for plan in plans:
+        plan.resolve(funcs, overrides)
     for action, lineno in targets:
-        name = action.args[0]
+        name = action.a
         if action.op == "sync_call":
             if name not in symbols:
                 raise ParseError(f"sync_call target {name!r} is not a symbol", lineno)

@@ -11,7 +11,11 @@ every run ends.  Each workload runs twice in every mode, and these hold:
 - two runs give the same outcome;
 - the log's `cost=` fields sum to `total_cycles`;
 - the native outcome equals the virtual one;
-- any exception raised is a `SimError`.
+- any exception raised is a `SimError`;
+- the parked round loop makes the same progress steps, and ends the same
+  way, as `tests/test_schedule.py`'s oracle that steps every context
+  every round;
+- no run raises `DeadlockError`.
 
 An outcome is the log, the total and the failed flag, or the error
 raised.  Some multiverse runs raise `ProtocolError` because a nested
@@ -27,6 +31,8 @@ from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE, PAGE_SIZE
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, run
+
+from test_schedule import ParkingLoop, StepEveryContext, observe
 
 WORKERS = ("w0", "w1", "w2", "w3")
 FUNCS = """\
@@ -134,4 +140,7 @@ def test_generated_workload_invariants(generated):
         first = outcome(text, frames, mode)
         assert outcome(text, frames, mode) == first, f"{mode.value} is not deterministic"
         seen[mode] = first
+        parked = observe(ParkingLoop, text, mode, frames)
+        assert parked == observe(StepEveryContext, text, mode, frames), mode.value
+        assert parked[1][0] != "DeadlockError", parked[1]
     assert seen[Mode.NATIVE] == seen[Mode.VIRTUAL]

@@ -163,6 +163,7 @@ READ_OUTSIDE_SRC = {
     "hits": "perfbench/tracing.py reports the symbol cache's hit ratio",
     "misses": "perfbench/tracing.py reports the symbol cache's hit ratio",
     "line": "ParseError's public field: the line of the malformed input",
+    "offset": "FormatError's public field: where in the container the malformation is",
     "reason": "tests check how translate classifies a fault",
 }
 

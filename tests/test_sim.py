@@ -1,5 +1,6 @@
 """Run-driver tests: modes, forwarding, accounting, comparison, replay."""
 
+import copy
 import gc
 import weakref
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 import hrtsim.sim
 from hrtsim import bundled_profiles_text
 from hrtsim.channel import EventKind
+from hrtsim.cli import EXIT_FAILURE, main
 from hrtsim.costs import CostModel
-from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, UsageError
+from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, SimError, UsageError
 from hrtsim.hrt import FaultResolution
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.ros import MMAP_BASE, RosKernel
@@ -26,6 +28,7 @@ from hrtsim.sim import (
 )
 
 from conftest import small_machine
+from test_golden import GOLDEN, PHYS_FRAMES
 from test_schedule import load_bench_workloads
 
 W_FAULTS = """
@@ -583,6 +586,98 @@ class TestRunTeardown:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestRuntimeMisuse:
+    """Misuse that only running can find raises `UsageError` in the step
+    that meets it: the entries before it are logged as usual, and the CLI
+    exits 3.  The text itself parses."""
+
+    ROS = "thread main ros\n  compute 100\n  syscall write 1 8\n  {op}\n  exit\nend\n"
+    HRT = (
+        "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+        "thread w hrt\n  compute 100\n  syscall write 1 8\n  {op}\n  exit\nend\n"
+    )
+    ROS_LOG = [
+        "cycle=100 kind=Compute origin=1 detail=compute cost=100",
+        "cycle=1600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500",
+    ]
+    MERGE = "cycle=33000 kind=MergeRequest origin=1 detail=cr3=0 cost=33000"
+    HRT_LOG = [
+        MERGE,
+        "cycle=58000 kind=ThreadCreate origin=2 detail=create:w:1000 cost=0",
+        "cycle=58000 kind=AsyncCall origin=1 detail=func=0xffff800000200100,parallel=0 cost=25000",
+        "cycle=58100 kind=Compute origin=1000 detail=compute cost=100",
+        "cycle=61100 kind=Syscall origin=1000 detail=sys:write(1,8) cost=3000",
+    ]
+    LAST = "'last' used before any mmap in this thread"
+    CASES = {
+        "ros-touch-native": (ROS, "touch last w", Mode.NATIVE, LAST, ROS_LOG),
+        "ros-touch-multiverse": (
+            ROS, "touch last w", Mode.MULTIVERSE, LAST,
+            [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
+             "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500"],
+        ),
+        "ros-munmap-native": (ROS, "munmap last 4096", Mode.NATIVE, LAST, ROS_LOG),
+        "ros-munmap-multiverse": (
+            ROS, "munmap last+4096 4096", Mode.MULTIVERSE, LAST,
+            [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
+             "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500"],
+        ),
+        "hrt-touch": (HRT, "touch last+4096 r", Mode.MULTIVERSE, LAST, HRT_LOG),
+        "hrt-munmap": (HRT, "munmap last 4096", Mode.MULTIVERSE, LAST, HRT_LOG),
+        "hrt-thread-create-without-body": (
+            HRT, "call_override pthread_create 0 0", Mode.MULTIVERSE,
+            "thread-create override needs a thread body name", HRT_LOG,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_in_its_step(self, case, tmp_path, capsys):
+        template, op, mode, message, log = self.CASES[case]
+        text = template.format(op=op)
+        sim = Simulator(System(machine=small_machine()), parse_workload(text), mode)
+        with pytest.raises(UsageError) as info:
+            sim.run()
+        assert str(info.value) == message
+        assert sim.log.render().splitlines() == log
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        assert main(["run", str(path), "--mode", mode.value]) == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestProgramReuse:
+    """A parsed program keeps no run state: one parse, run under
+    multiverse, then native, then through compare(), gives what a fresh
+    parse gives each time, and the program is equal to itself before."""
+
+    @staticmethod
+    def outcome(frames, workload, mode):
+        try:
+            report = run(Machine(phys_frames=frames), workload, mode)
+        except SimError as exc:
+            return type(exc).__name__, str(exc)
+        return report.log_text, report.total_cycles, report.failed, report.fail_reason
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt")))
+    def test_one_parse_runs_like_fresh_parses(self, name):
+        text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+        frames = PHYS_FRAMES.get(name, 512)
+        program = parse_workload(text)
+        before = copy.deepcopy(program)
+        for mode in (Mode.MULTIVERSE, Mode.NATIVE):
+            assert self.outcome(frames, program, mode) == self.outcome(frames, text, mode)
+        try:
+            reused = compare(Machine(phys_frames=frames), program).render()
+        except SimError as exc:
+            reused = type(exc).__name__, str(exc)
+        try:
+            fresh = compare(Machine(phys_frames=frames), text).render()
+        except SimError as exc:
+            fresh = type(exc).__name__, str(exc)
+        assert reused == fresh
+        assert program == before
 
 
 class TestReplay:

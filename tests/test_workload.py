@@ -4,7 +4,9 @@ import pytest
 
 from hrtsim.errors import ParseError, UsageError
 from hrtsim.mem import AccessKind
-from hrtsim.workload import AddrExpr, parse_workload
+from hrtsim.ros import MMAP_BASE
+from hrtsim.sim import Mode, _from_last, run
+from hrtsim.workload import Action, parse_workload
 
 MINIMAL = "thread main ros\n  exit\nend\n"
 
@@ -33,22 +35,39 @@ class TestParse:
             "end\n"
         )
         ops = program.bodies["main"].actions
-        assert ops[0].args == (0x4000, True, True)
-        assert ops[1].args == (AddrExpr(4096, from_last=True), AccessKind.WRITE)
-        assert ops[2].args == (AddrExpr(0, from_last=True), 0x4000)
-        assert ops[3].args == ("write", (1, 16))
-        assert ops[4].args == (250,)
+        assert ops[0] == Action("mmap", ("mmap", (0x4000, 1, 1), None), "sys:mmap(16384,1,1)")
+        # A `last+N` touch keeps N and leaves its page to run time.
+        assert ops[1] == Action("touch", 4096, AccessKind.WRITE, None)
+        # A `last` munmap keeps its offset as the base and leaves the detail to run time.
+        assert ops[2] == Action("munmap", ("munmap", (0, 0x4000), None))
+        assert ops[3] == Action("syscall", ("write", (1, 16), None), "sys:write(1,16)")
+        assert ops[4] == Action("compute", 250)
 
     def test_readonly_mmap_flag(self):
         program = parse_workload("thread main ros\n  mmap 4096 ro\n  exit\nend\n")
-        assert program.bodies["main"].actions[0].args == (4096, False, False)
+        assert program.bodies["main"].actions[0] == Action(
+            "mmap", ("mmap", (4096, 0, 0), None), "sys:mmap(4096,0,0)"
+        )
 
     def test_repeat_unrolled(self):
         program = parse_workload(
             "thread main ros\n  repeat 3\n    compute 10\n    compute 20\n  end\n  exit\nend\n"
         )
-        cycles = [a.args[0] for a in program.bodies["main"].actions if a.op == "compute"]
+        actions = program.bodies["main"].actions
+        cycles = [a.a for a in actions if a.op == "compute"]
         assert cycles == [10, 20] * 3
+        assert actions[0] is actions[2] is actions[4]  # one lowered object per line
+
+    def test_equal_lines_share_one_action(self):
+        program = parse_workload(
+            "thread main ros\n  spawn w\n  compute 10\n  call_override f 1\n  exit\nend\n"
+            "thread w ros\n  compute 10\n  call_override f  1\n  call_override f 1\n  exit\nend\n"
+        )
+        main, w = program.bodies["main"].actions, program.bodies["w"].actions
+        assert main[1] is w[0]  # compute 10
+        assert main[2] is w[2] and w[1] == w[2] and w[1] is not w[2]
+        assert main[3] is w[3]  # exit
+        assert w[1].a.detail == w[2].a.detail == "sys:call:f(1)"  # both resolved
 
     def test_nested_repeat(self):
         program = parse_workload(
@@ -186,13 +205,25 @@ class TestValidation:
 
 
 class TestAddrExpr:
+    """An address operand: a literal is final at parse time, `last+N` is
+    resolved against the thread's last mmap base when the action runs."""
+
     def test_literal(self):
-        assert AddrExpr(0x1000).resolve(None) == 0x1000
+        program = parse_workload("thread main ros\n  touch 0x1000 r\n  exit\nend\n")
+        assert program.bodies["main"].actions[0] == Action("touch", 0x1000, AccessKind.READ, 1)
 
     def test_last_with_offset(self):
-        assert AddrExpr(0x20, from_last=True).resolve(0x7000) == 0x7020
+        program = parse_workload("thread main ros\n  touch last+0x20 w\n  exit\nend\n")
+        assert program.bodies["main"].actions[0] == Action("touch", 0x20, AccessKind.WRITE, None)
+        assert _from_last(0x7000, 0x20) == 0x7020
+        text = "thread main ros\n  mmap 4096\n  touch last+0x20 w\n  exit\nend\n"
+        report = run(None, text, Mode.NATIVE)
+        assert f"detail=pf:0x{MMAP_BASE + 0x20:x}:w" in report.log_text
 
     def test_last_without_mmap(self):
         # A run-time misuse, not malformed text.
         with pytest.raises(UsageError):
-            AddrExpr(0, from_last=True).resolve(None)
+            _from_last(None, 0)
+        program = parse_workload("thread main ros\n  touch last r\n  exit\nend\n")
+        with pytest.raises(UsageError, match="'last' used before any mmap"):
+            run(None, program, Mode.NATIVE)
