@@ -2,7 +2,9 @@
 
 The event log is the run's time: every cycle is charged by the log entry
 that records it, through `EventLog.emit`, or through `EventLog.emit_around`
-for a call that runs a service inside its own time.
+for a call that runs a service inside its own time.  An entry is a plain
+tuple `(cycle, kind, origin, detail, cost)` of ints and strs, which the
+garbage collector stops tracking, so a long log costs no collection time.
 
 The channel is passive: the deterministic step loop in the driver is the
 only mutator.  Requests from the regular OS travel as hypercalls through
@@ -33,22 +35,6 @@ if TYPE_CHECKING:
     from .mem import AccessKind
 
 
-@dataclass(slots=True)
-class LogEntry:
-    cycle: int
-    kind: str
-    origin: int
-    detail: str
-    cost: int
-    forwarded: bool = False
-
-    def render(self) -> str:
-        return (
-            f"cycle={self.cycle} kind={self.kind} origin={self.origin} "
-            f"detail={self.detail} cost={self.cost}"
-        )
-
-
 class EventLog:
     """Ordered per-run event log, which also keeps the run's time: `now`
     advances only by the cost of the entry that records it, so the costs
@@ -56,8 +42,10 @@ class EventLog:
 
     def __init__(self):
         self.now = 0
-        self.entries: list[LogEntry] = []
+        # One row per entry: (cycle, kind, origin, detail, cost).
+        self.entries: list[tuple[int, str, int, str, int]] = []
         self.syscalls: dict[str, tuple[int, int]] = {}  # call name -> (calls, cycles)
+        self.forwarded: dict[str, int] = {}  # kind -> entries of forwarded events
 
     def emit(
         self,
@@ -69,10 +57,13 @@ class EventLog:
         call: str | None = None,
     ) -> None:
         """Charge cost and record it in one entry, stamped after the charge.
-        A system call's entry names its call, which tallies it in `syscalls`."""
+        A forwarded event's entry is tallied by kind in `forwarded`; a
+        system call's entry names its call, which tallies it in `syscalls`."""
         assert cost >= 0
         self.now += cost
-        self.entries.append(LogEntry(self.now, kind, origin, detail, cost, forwarded))
+        self.entries.append((self.now, kind, origin, detail, cost))
+        if forwarded:
+            self.forwarded[kind] = self.forwarded.get(kind, 0) + 1
         if call is not None:
             calls, cycles = self.syscalls.get(call, (0, 0))
             self.syscalls[call] = (calls + 1, cycles + cost)
@@ -87,11 +78,17 @@ class EventLog:
         assert cost >= 0
         self.now += cost
         result = service()
-        self.entries.append(LogEntry(self.now, kind, origin, detail, cost))
+        self.entries.append((self.now, kind, origin, detail, cost))
         return result
 
     def render(self) -> str:
-        return "\n".join([e.render() for e in self.entries]) + ("\n" if self.entries else "")
+        if not self.entries:
+            return ""
+        # The lines die inside the join, before the final copy that adds "\n".
+        return "\n".join([
+            f"cycle={cycle} kind={kind} origin={origin} detail={detail} cost={cost}"
+            for cycle, kind, origin, detail, cost in self.entries
+        ]) + "\n"
 
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:

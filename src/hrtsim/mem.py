@@ -5,11 +5,15 @@ space, keyed by the physical frame holding each table.  This makes
 sub-table sharing between the two kernels' address spaces automatic: the
 lower-half merger copies only root-table entries, and any edit the
 regular OS makes *below* its root is immediately visible on the other
-side.  Only a brand-new root-level entry requires a fresh merge.  A walk
-starts at the space's `root_table` and indexes the store (`store[frame]`)
-once per level, and `TableStore.__missing__` builds a deferred identity
-table, level 2 or leaf, the first time a walk reaches it.  So booting the
-identity map costs one step per GiB of memory, not one per table.
+side.  Only a brand-new root-level entry requires a fresh merge.
+
+A table is a list of 512 ints in the x86-64 entry layout,
+`(frame << 12) | P | RW`: P (bit 0) is present, RW (bit 1) writable, and
+0 is an absent entry.  A walk starts at the space's `root_table` and
+indexes the store (`store[entry >> 12]`) once per level, and
+`TableStore.__missing__` builds a deferred identity table, level 2 or
+leaf, the first time a walk reaches it.  So booting the identity map
+costs one step per GiB of memory, not one per table.
 
 Each address space memoises its successful walks in two memos, one per
 access kind, both filled only by `translate`:
@@ -42,6 +46,8 @@ PAGE_SIZE = 4096
 TABLE_ENTRIES = 512
 LOWER_ROOT_ENTRIES = 256  # root entries 0..255 cover the lower half
 HIGHER_BASE = 0xFFFF_8000_0000_0000
+P = 1  # page-table entry bit 0: present
+RW = 2  # page-table entry bit 1: writable
 
 
 class Owner(enum.Enum):
@@ -70,7 +76,7 @@ class Ring(enum.Enum):
     RING3 = 3
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultInfo:
     addr: int
     access: AccessKind
@@ -82,14 +88,6 @@ class ControlState:
     cr0_wp: bool
     cr3: int
     ring: Ring
-
-
-@dataclass(frozen=True, slots=True)
-class Entry:
-    """A present page-table entry; absent entries are stored as None."""
-
-    writable: bool
-    target_frame: int
 
 
 def is_canonical(addr: int) -> bool:
@@ -149,7 +147,7 @@ class FrameAllocator:
 
 class TableStore(dict):
     """Machine-wide backing for page tables: a dict of physical frame ->
-    512 entries, which walks index directly.
+    512 entry ints, which walks index directly.
 
     An identity table not built yet is recorded in `deferred` as the
     frame range it maps, and `__missing__` builds it on first use.  A
@@ -162,20 +160,20 @@ class TableStore(dict):
         # of a level-2 table or None for a leaf table), not built yet.
         self.deferred: dict[int, tuple[int, int, int | None]] = {}
         # Both walk memos of every address space built on this store.
-        self.memos: list[dict[int, Entry]] = []
+        self.memos: list[dict[int, int]] = []
 
-    def __missing__(self, frame: int) -> list[Entry | None]:
+    def __missing__(self, frame: int) -> list[int]:
         first, count, leaf = self.deferred.pop(frame)
         end = first + count
-        if leaf is None:
-            table: list[Entry | None] = [Entry(True, f) for f in range(first, end)]
+        if leaf is None:  # one writable entry per frame, built in C
+            table = list(range(first << 12 | P | RW, end << 12, PAGE_SIZE))
         else:
             table = []
             for start in range(first, end, TABLE_ENTRIES):
                 self.deferred[leaf] = (start, min(TABLE_ENTRIES, end - start), None)
-                table.append(Entry(True, leaf))
+                table.append(leaf << 12 | P | RW)
                 leaf += 1
-        table += [None] * (TABLE_ENTRIES - len(table))
+        table += [0] * (TABLE_ENTRIES - len(table))
         self[frame] = table
         return table
 
@@ -184,8 +182,8 @@ class TableStore(dict):
         for memo in self.memos:
             memo.pop(page, None)
 
-    def new_table(self, frame: int) -> list[Entry | None]:
-        table: list[Entry | None] = [None] * TABLE_ENTRIES
+    def new_table(self, frame: int) -> list[int]:
+        table = [0] * TABLE_ENTRIES
         self[frame] = table
         return table
 
@@ -200,8 +198,8 @@ class PageTableHierarchy:
         self.root_table = store.new_table(self.cr3)
         # Page number -> present leaf entry, for walks that succeeded: every
         # leaf in `memo` (read, execute), the writable ones in `wmemo` (write).
-        self.memo: dict[int, Entry] = {}
-        self.wmemo: dict[int, Entry] = {}
+        self.memo: dict[int, int] = {}
+        self.wmemo: dict[int, int] = {}
         store.memos += self.memo, self.wmemo
 
 
@@ -225,32 +223,33 @@ def translate(
         store, table = space.store, space.root_table
         for shift in (39, 30, 21):
             entry = table[(addr >> shift) & 0x1FF]
-            if entry is None:
+            if not entry & P:
                 return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-            table = store[entry.target_frame]
+            table = store[entry >> 12]
         leaf = table[page & 0x1FF]
-        if leaf is None:
+        if not leaf & P:
             return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
         space.memo[page] = leaf
-        if leaf.writable:
+        if leaf & RW:
             space.wmemo[page] = leaf
-    if access is AccessKind.WRITE and not leaf.writable:
+    if access is AccessKind.WRITE and not leaf & RW:
         if ctl.ring is Ring.RING3 or ctl.cr0_wp:
             return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
-    return leaf.target_frame * PAGE_SIZE + (addr & 0xFFF)
+    return leaf & ~0xFFF | addr & 0xFFF
 
 
-def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[Entry | None]:
+def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[int]:
     """The table `depth` levels below the root on vaddr's walk, allocating
     each absent intermediate table on the way."""
     store, table = space.store, space.root_table
     for idx in table_indices(vaddr)[:depth]:
         entry = table[idx]
-        if entry is None:
-            entry = table[idx] = Entry(writable=True, target_frame=space.frame_alloc.alloc())
-            table = store.new_table(entry.target_frame)
+        if entry & P:
+            table = store[entry >> 12]
         else:
-            table = store[entry.target_frame]
+            frame = space.frame_alloc.alloc()
+            table[idx] = frame << 12 | P | RW
+            table = store.new_table(frame)
     return table
 
 
@@ -265,9 +264,9 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
         raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
     table = _table_at(space, vaddr, 3)
     i1 = (vaddr >> 12) & 0x1FF
-    if table[i1] is not None:
+    if table[i1] & P:
         space.store.forget_page(vaddr >> 12)
-    table[i1] = Entry(writable=writable, target_frame=frame)
+    table[i1] = frame << 12 | (P | RW if writable else P)
 
 
 def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:
@@ -287,14 +286,14 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
         table = space.root_table
         for idx in (i4, i3, i2):
             entry = table[idx]
-            if entry is None:
+            if not entry & P:
                 break
-            table = store[entry.target_frame]
+            table = store[entry >> 12]
         else:
             page = vaddr >> 12
             for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
-                if table[i] is not None:
-                    table[i] = None
+                if table[i] & P:
+                    table[i] = 0
                     store.forget_page(page + i - i1)
         vaddr = stop
 
@@ -318,7 +317,7 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
         count = min(span, phys_frame_count - first)
         leaf = frame_alloc.take(-(-count // TABLE_ENTRIES))
         store.deferred[level2] = (first, count, leaf)
-        table[(vaddr >> 30) & 0x1FF] = Entry(writable=True, target_frame=level2)
+        table[(vaddr >> 30) & 0x1FF] = level2 << 12 | P | RW
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:

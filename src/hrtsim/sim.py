@@ -274,13 +274,10 @@ class Simulator:
 
     def report(self) -> TraceReport:
         counts: dict[str, int] = {}
-        fwd: dict[str, int] = {}
-        for entry in self.log.entries:
-            kind = entry.kind
+        for _, kind, _, _, _ in self.log.entries:
             if kind in REPORT_KINDS:
                 counts[kind] = counts.get(kind, 0) + 1
-                if entry.forwarded:
-                    fwd[kind] = fwd.get(kind, 0) + 1
+        fwd = dict(self.log.forwarded)  # every forwarded kind is a report kind
         proc = self.system.ros.proc
         return TraceReport(
             mode=self.mode.value,

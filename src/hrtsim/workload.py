@@ -272,6 +272,7 @@ def parse_workload(text: str) -> WorkloadProgram:
     targets: list[tuple[Action, int]] = []  # named-target actions, checked at the end
     lowered: dict[str, Action] = {}  # action line -> its action: equal lines share one
     plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
+    plan_lines: list[int] = []  # the line of each plan
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -321,6 +322,7 @@ def parse_workload(text: str) -> WorkloadProgram:
                 action = lowered[line] = _parse_action(tokens, lineno)
                 if action.op == "call_override":
                     plans.append(action.a)
+                    plan_lines.append(lineno)
             if action.op in ("spawn", "spawn_nested", "join", "sync_call"):
                 targets.append((action, lineno))
             if repeat_stack:
@@ -339,8 +341,12 @@ def parse_workload(text: str) -> WorkloadProgram:
 
     program = WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
     symbols = program.symbols()
-    for plan in plans:
+    for plan, lineno in zip(plans, plan_lines):
         plan.resolve(funcs, overrides)
+        if plan.creates and plan.spawn is not None and plan.spawn not in bodies:
+            raise ParseError(
+                f"call_override {plan.name} target {plan.spawn!r} is not a defined thread", lineno
+            )
     for action, lineno in targets:
         name = action.a
         if action.op == "sync_call":

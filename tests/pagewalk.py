@@ -7,10 +7,11 @@ from hrtsim.mem import (
     PAGE_SIZE,
     TABLE_ENTRIES,
     AccessKind,
+    RW,
     ControlState,
-    Entry,
     FaultInfo,
     FaultReason,
+    P,
     PageTableHierarchy,
     Ring,
     _table_at,
@@ -25,19 +26,19 @@ def mapped_lower_pages(space: PageTableHierarchy) -> list[int]:
     root = space.root_table
     for i4 in range(LOWER_ROOT_ENTRIES):
         e4 = root[i4]
-        if e4 is None:
+        if not e4 & P:
             continue
-        t3 = space.store[e4.target_frame]
+        t3 = space.store[e4 >> 12]
         for i3, e3 in enumerate(t3):
-            if e3 is None:
+            if not e3 & P:
                 continue
-            t2 = space.store[e3.target_frame]
+            t2 = space.store[e3 >> 12]
             for i2, e2 in enumerate(t2):
-                if e2 is None:
+                if not e2 & P:
                     continue
-                t1 = space.store[e2.target_frame]
+                t1 = space.store[e2 >> 12]
                 for i1, e1 in enumerate(t1):
-                    if e1 is not None:
+                    if e1 & P:
                         pages.append((i4 << 39) | (i3 << 30) | (i2 << 21) | (i1 << 12))
     return pages
 
@@ -60,16 +61,16 @@ def walk(
     table = space.root_table
     for idx in (i4, i3, i2):
         entry = table[idx]
-        if entry is None:
+        if not entry & P:
             return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-        table = space.store[entry.target_frame]
+        table = space.store[entry >> 12]
     leaf = table[i1]
-    if leaf is None:
+    if not leaf & P:
         return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-    if access is AccessKind.WRITE and not leaf.writable:
+    if access is AccessKind.WRITE and not leaf & RW:
         if ctl.ring is Ring.RING3 or ctl.cr0_wp:
             return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
-    return leaf.target_frame * PAGE_SIZE + offset
+    return (leaf >> 12) * PAGE_SIZE + offset
 
 
 def identity_map_per_leaf(space: PageTableHierarchy, phys_frame_count: int) -> None:
@@ -81,4 +82,4 @@ def identity_map_per_leaf(space: PageTableHierarchy, phys_frame_count: int) -> N
         leaf = space.frame_alloc.alloc()
         count = min(TABLE_ENTRIES, phys_frame_count - first)
         space.store.deferred[leaf] = (first, count, None)
-        table[(vaddr >> 21) & 0x1FF] = Entry(writable=True, target_frame=leaf)
+        table[(vaddr >> 21) & 0x1FF] = leaf << 12 | P | RW

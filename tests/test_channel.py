@@ -41,7 +41,7 @@ class TestHypercalls:
         assert channel.hypercall(1, "MergeRequest", "cr3=5", 50, outer) == 7
         assert served == []
         assert channel.log.now == 50
-        assert [e.kind for e in channel.log.entries] == ["MergeRequest"]
+        assert [kind for _, kind, _, _, _ in channel.log.entries] == ["MergeRequest"]
         assert not channel.page_busy  # free again: the next request runs
         assert channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: 3) == 3
 
@@ -58,14 +58,7 @@ class TestHypercalls:
         assert channel.hypercall(1, EventKind.MERGE_REQUEST.value, "cr3=5", cost, merge) == 0
         assert seen == [(cost, 0)]  # the service ran once, after the charge, before the log
         assert channel.log.now == cost
-        entry = channel.log.entries[-1]
-        assert (entry.cycle, entry.kind, entry.origin, entry.detail, entry.cost) == (
-            cost,
-            "MergeRequest",
-            1,
-            "cr3=5",
-            cost,
-        )
+        assert channel.log.entries[-1] == (cost, "MergeRequest", 1, "cr3=5", cost)
         assert not channel.page_busy
 
     def test_async_call_cost(self):
@@ -81,12 +74,8 @@ class TestHypercalls:
         assert result == 99
         assert seen == [True]
         assert channel.log.now == channel.cost.async_call
-        entry = channel.log.entries[-1]
-        assert (entry.kind, entry.detail, entry.cost) == (
-            "AsyncCall",
-            "func=0x10,parallel=0",
-            channel.cost.async_call,
-        )
+        _, kind, _, detail, entry_cost = channel.log.entries[-1]
+        assert (kind, detail, entry_cost) == ("AsyncCall", "func=0x10,parallel=0", cost)
         assert not channel.page_busy
 
     def test_failed_service_leaves_page_idle(self):
@@ -149,7 +138,9 @@ class TestForwarding:
         channel.complete_event(ev, 0)
         assert ev.complete_cycle is not None
         assert ev.complete_cycle - ev.request_cycle >= channel.cost.forward_overhead
-        assert channel.log.entries[-1].forwarded
+        _, kind, origin, _, _ = channel.log.entries[-1]
+        assert (kind, origin) == ("PageFault", 9)
+        assert channel.log.forwarded == {"PageFault": 1}
 
     def test_double_completion(self):
         channel = make_channel()

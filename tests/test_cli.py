@@ -110,6 +110,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: line 2: sync_call target 'ghost' is not a symbol" in err
 
+    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    def test_thread_create_override_of_no_body_is_a_parse_error(self, tmp_path, capsys, mode):
+        text = (
+            "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+            "thread w hrt\n  call_override pthread_create 0 0 ghost\n  exit\nend\n"
+        )
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert (
+            "error: line 7: call_override pthread_create target 'ghost' is not a defined thread"
+        ) in err
+
     def test_double_fault_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def double_fault(*args):
             raise DoubleFaultError("access 0x1000 w cannot be satisfied")

@@ -15,7 +15,14 @@ every run ends.  Each workload runs twice in every mode, and these hold:
 - the parked round loop makes the same progress steps, and ends the same
   way, as `tests/test_schedule.py`'s oracle that steps every context
   every round;
-- no run raises `DeadlockError`.
+- no run raises `DeadlockError`;
+- after each run, the process's mapped lower-half pages map pairwise
+  distinct regular-OS frames, none of them a page table's.
+
+The same text, mutated one of four ways (cut at a character, a line
+dropped, a line duplicated, a token dropped), fails only in its error
+class: parsing raises nothing but `ParseError`, and running nothing but
+`SimError`.
 
 An outcome is the log, the total and the failed flag, or the error
 raised.  Some multiverse runs raise `ProtocolError` because a nested
@@ -26,12 +33,13 @@ here, and must repeat like any other outcome.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrtsim.errors import SimError
+from hrtsim.errors import ParseError, SimError
 from hrtsim.machine import Machine
-from hrtsim.mem import HIGHER_BASE, PAGE_SIZE
+from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind, ControlState, Ring
 from hrtsim.ros import MMAP_BASE
-from hrtsim.sim import Mode, run
+from hrtsim.sim import Mode, Simulator, System, parse_workload
 
+from pagewalk import mapped_lower_pages, walk
 from test_schedule import ParkingLoop, StepEveryContext, observe
 
 WORKERS = ("w0", "w1", "w2", "w3")
@@ -121,11 +129,46 @@ def workloads(draw) -> tuple[str, int]:
     return "".join(text), draw(st.integers(512, 4096))
 
 
+@st.composite
+def mutated_workloads(draw) -> tuple[str, int]:
+    """A generated workload's text with one cut, dropped line, duplicated
+    line or dropped token."""
+    text, frames = draw(workloads())
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["cut", "drop line", "duplicate line", "drop token"]))
+    if how == "cut":
+        return text[: draw(st.integers(0, len(text)))], frames
+    if how == "drop line":
+        del lines[i]
+    elif how == "duplicate line":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split()
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines), frames
+
+
+def assert_one_frame_per_page(system: System) -> None:
+    """Each mapped lower-half page of the process has its own regular-OS
+    frame, and no page table shares it."""
+    space = system.ros.proc.space
+    ctl = ControlState(cr0_wp=False, cr3=space.cr3, ring=Ring.RING0)
+    backing = [walk(space, ctl, page, AccessKind.READ) >> 12 for page in mapped_lower_pages(space)]
+    assert len(set(backing)) == len(backing), "two pages share a frame"
+    assert all(frame < system.machine.ros_frames for frame in backing), backing
+    assert not set(backing) & set(space.store), "a page shares a page table's frame"
+
+
 def outcome(text: str, frames: int, mode: Mode) -> tuple:
+    sim = Simulator(System(machine=Machine(phys_frames=frames)), parse_workload(text), mode)
     try:
-        report = run(Machine(phys_frames=frames), text, mode)
+        report = sim.run()
     except SimError as exc:
         return ("raises", type(exc).__name__, str(exc))
+    finally:
+        assert_one_frame_per_page(sim.system)
     costs = sum(int(line.rsplit("cost=", 1)[1]) for line in report.log_text.splitlines())
     assert costs == report.total_cycles
     return (report.log_text, report.total_cycles, report.failed, report.fail_reason)
@@ -144,3 +187,18 @@ def test_generated_workload_invariants(generated):
         assert parked == observe(StepEveryContext, text, mode, frames), mode.value
         assert parked[1][0] != "DeadlockError", parked[1]
     assert seen[Mode.NATIVE] == seen[Mode.VIRTUAL]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_workloads())
+def test_mutated_text_fails_only_in_its_error_class(mutated):
+    text, frames = mutated
+    try:
+        program = parse_workload(text)
+    except ParseError:
+        return
+    for mode in Mode:
+        try:
+            Simulator(System(machine=Machine(phys_frames=frames)), program, mode).run()
+        except SimError:
+            pass

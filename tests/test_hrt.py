@@ -310,9 +310,10 @@ class TestFaultPath:
         assert hrt.handle_page_fault(core, fault) is FaultResolution.RETRY_AFTER_REMERGE
         assert hrt.remerge_count == 1
         assert translate(hrt.space, hrt.control, addr, AccessKind.WRITE) == frame * PAGE_SIZE
-        remerges = [e for e in booted.log.entries if e.detail.startswith("remerge:")]
-        assert len(remerges) == 1
-        assert remerges[0].kind == EventKind.MERGE_REQUEST.value
+        remerges = [
+            kind for _, kind, _, detail, _ in booted.log.entries if detail.startswith("remerge:")
+        ]
+        assert remerges == [EventKind.MERGE_REQUEST.value]
 
     def test_distinct_faults_not_treated_as_duplicates(self, booted):
         hrt = booted.hrt
@@ -334,21 +335,10 @@ class TestSymbols:
         hrt.resolve_symbol("worker", 1000)
         assert booted.log.now - start == booted.cost.cache_hit
         # Each resolution is charged by the SymbolLookup entry that records it.
-        miss, hit = booted.log.entries[-2:]
-        assert (miss.cycle, miss.kind, miss.origin, miss.detail, miss.cost) == (
-            start,
-            "SymbolLookup",
-            1000,
-            "sym:worker",
-            booted.cost.symbol_lookup,
-        )
-        assert (hit.cycle, hit.kind, hit.origin, hit.detail, hit.cost) == (
-            booted.log.now,
-            "SymbolLookup",
-            1000,
-            "sym:worker",
-            booted.cost.cache_hit,
-        )
+        assert booted.log.entries[-2:] == [
+            (start, "SymbolLookup", 1000, "sym:worker", booted.cost.symbol_lookup),
+            (booted.log.now, "SymbolLookup", 1000, "sym:worker", booted.cost.cache_hit),
+        ]
 
     def test_uncached_resolution_always_pays_lookup(self, booted):
         hrt = booted.hrt
@@ -357,7 +347,8 @@ class TestSymbols:
             start = booted.log.now
             hrt.resolve_symbol("worker", 1000)
             assert booted.log.now - start == booted.cost.symbol_lookup
-            assert booted.log.entries[-1].cost == booted.cost.symbol_lookup
+            _, _, _, _, cost = booted.log.entries[-1]
+            assert cost == booted.cost.symbol_lookup
 
     def test_unknown_symbol(self, booted):
         entries = len(booted.log.entries)

@@ -10,6 +10,7 @@ from hrtsim.errors import AllocationError, NonCanonicalAddressError
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
+    RW,
     AccessKind,
     ControlState,
     FaultInfo,
@@ -17,6 +18,7 @@ from hrtsim.mem import (
     FrameAllocator,
     Half,
     Owner,
+    P,
     PageTableHierarchy,
     Ring,
     TableStore,
@@ -207,6 +209,24 @@ class TestWriteProtect:
     def test_ring0_write_ro_wp_off_allowed(self):
         assert translate(self.space, RING0_NOWP, 0x4000, AccessKind.WRITE) == 3 * PAGE_SIZE
 
+    def test_entries_are_x86_64_pte_ints(self):
+        # Bit 0 is present, bit 1 writable, and the frame sits above bit 12
+        # at every level; an absent entry is 0.
+        assert (P, RW) == (1, 2)
+        table = self.space.root_table
+        for shift in (39, 30, 21):
+            table = self.space.store[table[(0x4000 >> shift) & 0x1FF] >> 12]
+        assert table[4:7] == [3 << 12 | P, 0, 5 << 12 | P | RW]
+        # An entry written in that layout walks the same way: a present
+        # read-only leaf reads, and a ring-3 write to it still faults.
+        table[5] = 9 << 12 | P
+        assert translate(self.space, RING3, 0x5abc, AccessKind.READ) == 9 * PAGE_SIZE + 0xABC
+        result = translate(self.space, RING3, 0x5000, AccessKind.WRITE)
+        assert result == FaultInfo(0x5000, AccessKind.WRITE, FaultReason.WRITE_PROTECT)
+        table[7] = 9 << 12 | RW  # writable but not present
+        result = translate(self.space, RING0_NOWP, 0x7000, AccessKind.READ)
+        assert result == FaultInfo(0x7000, AccessKind.READ, FaultReason.NOT_PRESENT)
+
     def test_ring3_write_ro_always_faults(self):
         for ctl in (RING3, ControlState(cr0_wp=False, cr3=0, ring=Ring.RING3)):
             result = translate(self.space, ctl, 0x4000, AccessKind.WRITE)
@@ -274,9 +294,9 @@ def table_frames(space: PageTableHierarchy, vaddr: int) -> tuple[int, int, int]:
     """The level-3, level-2 and leaf table frames on vaddr's walk; builds
     no leaf table."""
     i4, i3, i2, _, _ = table_indices(vaddr)
-    l3 = space.root_table[i4].target_frame
-    l2 = space.store[l3][i3].target_frame
-    return l3, l2, space.store[l2][i2].target_frame
+    l3 = space.root_table[i4] >> 12
+    l2 = space.store[l3][i3] >> 12
+    return l3, l2, space.store[l2][i2] >> 12
 
 
 def translations(space: PageTableHierarchy, frames: list[int]) -> list:
@@ -561,4 +581,4 @@ def assert_memos_sound(space):
         for page, leaf in memo.items():
             for access in kinds:
                 for ctl in CONTROLS:
-                    assert walk(space, ctl, page << 12, access) == leaf.target_frame * PAGE_SIZE
+                    assert walk(space, ctl, page << 12, access) == (leaf >> 12) * PAGE_SIZE

@@ -9,7 +9,7 @@ import pytest
 
 import hrtsim.sim
 from hrtsim import bundled_profiles_text
-from hrtsim.channel import EventKind
+from hrtsim.channel import EventKind, EventLog
 from hrtsim.cli import EXIT_FAILURE, main
 from hrtsim.costs import CostModel
 from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, SimError, UsageError
@@ -442,7 +442,7 @@ class TestDoubleFault:
         )
         assert message == f"access 0x{self.ADDR:x} w cannot be satisfied"
         assert calls == {"translate": 4, "handle_page_fault": 4}
-        assert not any(e.forwarded and e.kind == "PageFault" for e in sim.log.entries)
+        assert "PageFault" not in sim.log.forwarded
 
     def test_fault_that_forwarding_never_clears(self, monkeypatch):
         # A regular OS that reports every forwarded fault served but maps
@@ -454,8 +454,7 @@ class TestDoubleFault:
             f"access 0x{self.ADDR:x} w still faults after re-merge and re-forward"
         )
         assert calls == {"translate": 5, "handle_page_fault": 5}
-        forwarded = [e for e in sim.log.entries if e.forwarded and e.kind == "PageFault"]
-        assert len(forwarded) == 2
+        assert sim.log.forwarded["PageFault"] == 2
         assert sim.system.hrt.remerge_count == 2
 
 
@@ -723,3 +722,24 @@ class TestReplay:
         with pytest.raises(ParseError) as info:
             load_profiles("ok 1 2.0 0.1 100 5 1 10\n" + " ".join(parts) + "\n")
         assert info.value.line == 2
+
+
+class TestRecordLayout:
+    """A run's per-event records are plain values: log rows are tuples of
+    ints and strs, which the collector stops tracking, and page-table
+    entries and walk-memo values are ints."""
+
+    def test_rows_untracked_and_entries_ints_after_a_run(self):
+        system = System(machine=small_machine())
+        report = Simulator(system, parse_workload(W_FAULTS), Mode.MULTIVERSE).run()
+        gc.collect()
+        rows = system.log.entries
+        assert rows and not any(gc.is_tracked(row) for row in rows)
+        store = system.machine.table_store
+        assert all(type(entry) is int for table in store.values() for entry in table)
+        leaves = [leaf for memo in store.memos for leaf in memo.values()]
+        assert leaves and all(type(leaf) is int for leaf in leaves)
+        assert report.log_text.endswith("\n") and not report.log_text.endswith("\n\n")
+
+    def test_empty_log_renders_empty(self):
+        assert EventLog().render() == ""

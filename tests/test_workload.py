@@ -133,6 +133,31 @@ class TestValidation:
             parse_workload(text)
         assert info.value.line == 6
 
+    def test_undefined_thread_create_override_body(self):
+        text = (
+            "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+            "thread w hrt\n  call_override pthread_create 0 0 ghost\n  exit\nend\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_workload(text)
+        assert info.value.line == 7
+        assert "'ghost' is not a defined thread" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "decl, line",
+        [
+            ("", "call_override pthread_create 0 0"),  # no body: a runtime UsageError
+            (
+                "override pthread_create -> hrt_thread_create off\n",
+                "call_override pthread_create 0 0 ghost",
+            ),
+            ("", "call_override other 0 0 ghost"),  # not a thread-create override
+        ],
+        ids=["no-body", "disabled", "other-call"],
+    )
+    def test_thread_create_override_body_checked_only_when_it_spawns(self, decl, line):
+        parse_workload(decl + f"thread main ros\n  {line}\n  exit\nend\n")
+
     @pytest.mark.parametrize(
         "decl, name",
         [
