@@ -41,10 +41,8 @@ from .mem import (
     AccessKind,
     ControlState,
     FaultInfo,
-    Half,
     PageTableHierarchy,
     Ring,
-    addr_half,
     identity_map_higher_half,
     map_page,
     merge_lower_half,
@@ -72,6 +70,13 @@ class FaultResolution(enum.Enum):
     HANDLED_LOCAL = "handled_local"
     FORWARD = "forward"
     RETRY_AFTER_REMERGE = "retry_after_remerge"
+
+
+# Bound once, for the fault path: see `mem.WRITE`.
+HANDLED_LOCAL = FaultResolution.HANDLED_LOCAL
+FORWARD = FaultResolution.FORWARD
+RETRY_AFTER_REMERGE = FaultResolution.RETRY_AFTER_REMERGE
+REMERGE_KIND = EventKind.MERGE_REQUEST.value  # a re-merge's log kind
 
 
 @dataclass
@@ -175,10 +180,10 @@ class HrtKernel:
         second forward.
         """
         assert self.space is not None
-        if addr_half(fault.addr) is Half.HIGHER:
+        if fault.addr >> 47 & 1:  # the higher half
             frame = self.machine.hrt_frame_alloc.alloc()
             map_page(self.space, fault.addr & ~(PAGE_SIZE - 1), frame, writable=True)
-            return FaultResolution.HANDLED_LOCAL
+            return HANDLED_LOCAL
         core = self.cores[core_id]
         key = (fault.addr, fault.access)
         if core.recent_fault == key:
@@ -187,12 +192,10 @@ class HrtKernel:
             merge_lower_half(self.space, self.ros_space)
             self.remerge_count += 1
             core.recent_fault = None
-            self.log.emit(
-                EventKind.MERGE_REQUEST.value, core.current_thread or 0, f"remerge:0x{fault.addr:x}"
-            )
-            return FaultResolution.RETRY_AFTER_REMERGE
+            self.log.emit(REMERGE_KIND, core.current_thread or 0, f"remerge:0x{fault.addr:x}")
+            return RETRY_AFTER_REMERGE
         core.recent_fault = key
-        return FaultResolution.FORWARD
+        return FORWARD
 
     def thread_exit(self, tid: int) -> EventRecord | None:
         """Mark a thread exited; top-level exits produce a signal event."""

@@ -39,6 +39,8 @@ class Machine:
             raise PartitionError("need at least one HRT core")
         if not 0 < self.ros_frames < self.phys_frames:
             raise PartitionError("ROS frame prefix must be a proper subset")
+        if self.socket_size < 1:
+            raise PartitionError(f"socket size {self.socket_size} is not positive")
         self.table_store = TableStore()
         self.ros_frame_alloc = FrameAllocator(0, self.ros_frames, Owner.ROS_VISIBLE)
         self.hrt_frame_alloc = FrameAllocator(

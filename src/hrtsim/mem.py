@@ -55,11 +55,6 @@ class Owner(enum.Enum):
     HRT_ONLY = "hrt_only"
 
 
-class Half(enum.Enum):
-    LOWER = "lower"
-    HIGHER = "higher"
-
-
 class AccessKind(enum.Enum):
     READ = "r"
     WRITE = "w"
@@ -74,6 +69,15 @@ class FaultReason(enum.Enum):
 class Ring(enum.Enum):
     RING0 = 0
     RING3 = 3
+
+
+# The members that per-step code reads, bound once: on Python 3.11 the enum
+# metaclass defines __getattr__, so `AccessKind.WRITE` inside a function is
+# an unspecialised class-attribute load, several times a module global's.
+WRITE = AccessKind.WRITE
+NOT_PRESENT = FaultReason.NOT_PRESENT
+WRITE_PROTECT = FaultReason.WRITE_PROTECT
+RING3 = Ring.RING3
 
 
 @dataclass(slots=True)
@@ -96,24 +100,9 @@ def is_canonical(addr: int) -> bool:
     return top == 0 or top == 0x1FFFF
 
 
-def addr_half(addr: int) -> Half:
-    return Half.HIGHER if (addr >> 47) & 1 else Half.LOWER
-
-
 def require_canonical(addr: int) -> None:
     if not is_canonical(addr):
         raise NonCanonicalAddressError(f"non-canonical address 0x{addr:x}")
-
-
-def table_indices(addr: int) -> tuple[int, int, int, int, int]:
-    """Split an address into the four table indices plus page offset."""
-    return (
-        (addr >> 39) & 0x1FF,
-        (addr >> 30) & 0x1FF,
-        (addr >> 21) & 0x1FF,
-        (addr >> 12) & 0x1FF,
-        addr & 0xFFF,
-    )
 
 
 class FrameAllocator:
@@ -224,17 +213,17 @@ def translate(
         for shift in (39, 30, 21):
             entry = table[(addr >> shift) & 0x1FF]
             if not entry & P:
-                return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+                return FaultInfo(addr, access, NOT_PRESENT)
             table = store[entry >> 12]
         leaf = table[page & 0x1FF]
         if not leaf & P:
-            return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+            return FaultInfo(addr, access, NOT_PRESENT)
         space.memo[page] = leaf
         if leaf & RW:
             space.wmemo[page] = leaf
-    if access is AccessKind.WRITE and not leaf & RW:
-        if ctl.ring is Ring.RING3 or ctl.cr0_wp:
-            return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
+    if access is WRITE and not leaf & RW:
+        if ctl.ring is RING3 or ctl.cr0_wp:
+            return FaultInfo(addr, access, WRITE_PROTECT)
     return leaf & ~0xFFF | addr & 0xFFF
 
 
@@ -242,7 +231,8 @@ def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[int]:
     """The table `depth` levels below the root on vaddr's walk, allocating
     each absent intermediate table on the way."""
     store, table = space.store, space.root_table
-    for idx in table_indices(vaddr)[:depth]:
+    for shift in (39, 30, 21)[:depth]:
+        idx = (vaddr >> shift) & 0x1FF
         entry = table[idx]
         if entry & P:
             table = store[entry >> 12]
@@ -282,15 +272,15 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
     store = space.store
     while vaddr < end:
         stop = min(end, (vaddr | 0x1F_FFFF) + 1)  # the end of vaddr's leaf table
-        i4, i3, i2, i1, _ = table_indices(vaddr)
         table = space.root_table
-        for idx in (i4, i3, i2):
-            entry = table[idx]
+        for shift in (39, 30, 21):
+            entry = table[(vaddr >> shift) & 0x1FF]
             if not entry & P:
                 break
             table = store[entry >> 12]
         else:
             page = vaddr >> 12
+            i1 = page & 0x1FF
             for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
                 if table[i] & P:
                     table[i] = 0

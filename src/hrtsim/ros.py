@@ -17,13 +17,23 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .channel import EventChannel, EventKind, EventLog, EventRecord, fault_detail
+from .channel import (
+    PAGE_FAULT,
+    SYSCALL,
+    THREAD_EXIT_SIGNAL,
+    EventChannel,
+    EventKind,
+    EventLog,
+    EventRecord,
+    fault_detail,
+)
 from .costs import CostModel
 from .errors import AllocationError, ProtocolError, UsageError
 from .hrt import HrtKernel
 from .machine import Machine
 from .mem import (
     PAGE_SIZE,
+    WRITE,
     AccessKind,
     ControlState,
     FaultInfo,
@@ -46,7 +56,7 @@ STACK_TOP = 0x0000_7FFF_FFFF_0000
 DEFAULT_STACK_BYTES = 64 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class Region:
     base: int
     length: int
@@ -78,8 +88,10 @@ class RegionList(list):
     def index_at(self, addr: int) -> int:
         """Position of the region containing addr, or -1."""
         i = bisect_right(self.bases, addr) - 1
-        if i >= 0 and addr < self[i].end:
-            return i
+        if i >= 0:
+            region = self[i]
+            if addr < region.base + region.length:  # not `end`: a property call
+                return i
         return -1
 
 
@@ -93,6 +105,12 @@ class RosThreadStatus(enum.Enum):
     RUNNABLE = "runnable"
     BLOCKED_JOIN = "blocked_join"
     EXITED = "exited"
+
+
+# Bound once, for per-step code: see `mem.WRITE`.
+BLOCKED_JOIN = RosThreadStatus.BLOCKED_JOIN
+EXITED = RosThreadStatus.EXITED
+PAGE_FAULT_KIND = PAGE_FAULT.value  # a demand fault's log kind
 
 
 @dataclass
@@ -233,7 +251,7 @@ class RosKernel:
         region = self.region_at(addr)
         if region is None:
             return False
-        if access is AccessKind.WRITE and not region.writable:
+        if access is WRITE and not region.writable:
             return False
         result = translate(self.proc.space, self.control, addr, access)
         if not isinstance(result, FaultInfo):
@@ -253,7 +271,7 @@ class RosKernel:
         its access kind is not walked (see `mem`).
         """
         space = self.proc.space
-        if addr >> 12 in (space.wmemo if access is AccessKind.WRITE else space.memo):
+        if addr >> 12 in (space.wmemo if access is WRITE else space.memo):
             return True
         result = translate(space, self.control, addr, access)
         if not isinstance(result, FaultInfo):
@@ -263,10 +281,7 @@ class RosKernel:
             self.proc.fail_reason = f"segfault at 0x{addr:x}"
             return False
         self.log.emit(
-            EventKind.PAGE_FAULT.value,
-            origin_tid,
-            fault_detail(addr, access),
-            self.cost.pagefault_base,
+            PAGE_FAULT_KIND, origin_tid, fault_detail(addr, access), self.cost.pagefault_base
         )
         return True
 
@@ -274,7 +289,8 @@ class RosKernel:
 
     def serve_forwarded(self, partner: RosThread, ev: EventRecord) -> int:
         """Service one injected event and complete it on the channel."""
-        if ev.kind is EventKind.PAGE_FAULT:
+        kind = ev.kind
+        if kind is PAGE_FAULT:
             fault: FaultInfo = ev.payload
             if self.demand_fault(fault.addr, fault.access):
                 ev.cost += self.cost.pagefault_base
@@ -283,7 +299,7 @@ class RosKernel:
                 self.proc.failed = True
                 self.proc.fail_reason = f"segfault at 0x{fault.addr:x}"
                 result = EFAULT
-        elif ev.kind is EventKind.SYSCALL:
+        elif kind is SYSCALL:
             name, args, body = ev.payload
             ev.cost += self.cost.syscall_base
             if body is None:
@@ -291,17 +307,17 @@ class RosKernel:
             else:  # a fall-through call runs its legacy function's body here
                 ev.cost += body.cycles
                 result = body.returns
-        elif ev.kind is EventKind.THREAD_EXIT_SIGNAL:
+        elif kind is THREAD_EXIT_SIGNAL:
             partner.exit_bit = True
             result = 0
         else:
-            raise UsageError(f"partner cannot serve {ev.kind}")
+            raise UsageError(f"partner cannot serve {kind}")
         self.channel.complete_event(ev, result)
         return result
 
     def partner_step(self, partner: RosThread) -> bool:
         """One scheduler step of a partner thread; True if it made progress."""
-        if partner.status is RosThreadStatus.EXITED:
+        if partner.status is EXITED:
             return False
         queue = self.channel.queues.get(partner.tid)
         if queue:
@@ -309,7 +325,7 @@ class RosKernel:
             return True
         if partner.exit_bit:
             # Cleanup after its twin has exited.
-            partner.status = RosThreadStatus.EXITED
+            partner.status = EXITED
             self.channel.drop_endpoint(partner.tid)
             return True
         return False

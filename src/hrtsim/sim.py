@@ -40,6 +40,8 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from .channel import (
+    PAGE_FAULT,
+    SYSCALL,
     EventChannel,
     EventKind,
     EventLog,
@@ -49,15 +51,10 @@ from .channel import (
 )
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
-from .hrt import FaultResolution, HrtKernel
+from .hrt import FORWARD, HrtKernel
 from .machine import Machine
-from .mem import HIGHER_BASE, AccessKind, FaultInfo, translate
-from .ros import (
-    EFAULT,
-    RosKernel,
-    RosThreadStatus,
-    init_runtime,
-)
+from .mem import HIGHER_BASE, WRITE, FaultInfo, translate
+from .ros import BLOCKED_JOIN, EFAULT, EXITED, RosKernel, init_runtime
 from .toolchain import AeroKernelImage, AppDescriptor, embed
 from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
 
@@ -80,6 +77,8 @@ class Mode(enum.Enum):
     MULTIVERSE = "multiverse"
 
 
+MULTIVERSE = Mode.MULTIVERSE  # bound once for per-step code: see `mem.WRITE`
+
 REPORT_KINDS = (
     EventKind.SYSCALL.value,
     EventKind.PAGE_FAULT.value,
@@ -87,7 +86,7 @@ REPORT_KINDS = (
     EventKind.THREAD_EXIT_SIGNAL.value,
     EventKind.SYNC_INVOKE.value,
 )
-SYSCALL = EventKind.SYSCALL.value
+SYSCALL_KIND = SYSCALL.value  # a system call's log kind
 
 
 @dataclass
@@ -317,7 +316,7 @@ class Simulator:
         queue = self.system.channel.queues[ctx.tid]
         while True:
             progressed = ros.partner_step(partner)
-            if partner.status is RosThreadStatus.EXITED:
+            if partner.status is EXITED:
                 self._wake_joiners()
                 return
             if progressed:
@@ -341,7 +340,7 @@ class Simulator:
         if kernel_mode:  # all four are fixed from boot on
             space, ctl = hrt.space, hrt.control
             memo, wmemo = space.memo, space.wmemo
-        write = AccessKind.WRITE
+        write = WRITE  # a local: the kernel-mode touch below is the hottest test
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
         for op, a, b, c in body.actions:  # operands by op: see `Action`
@@ -364,7 +363,7 @@ class Simulator:
             elif op == "call_override":
                 if not kernel_mode:  # a plain library/OS call
                     cycles = self.cost.syscall_base + a.legacy_cycles
-                    log.emit(SYSCALL, tid, a.call, cycles, call=a.call)
+                    log.emit(SYSCALL_KIND, tid, a.call, cycles, call=a.call)
                 elif a.target is None:  # forwarded with the legacy function's body, if any
                     log.emit("Fallthrough", tid, a.call)
                     call, detail = a.payload, a.detail
@@ -396,7 +395,7 @@ class Simulator:
             elif op == "spawn_nested":
                 if kernel_mode:
                     self._spawn_nested(tid, a)
-                elif self.mode is Mode.MULTIVERSE:
+                elif self.mode is MULTIVERSE:
                     raise UsageError("spawn_nested is only valid in kernel-mode threads")
                 else:  # outside the hybrid mode this is an ordinary local thread
                     self._spawn_local(a)
@@ -407,7 +406,7 @@ class Simulator:
                     raise UsageError(f"join target {a!r} was never spawned")
                 joiner = ros.threads[tid]
                 ros.join(joiner, self.spawned[a])
-                if joiner.status is RosThreadStatus.BLOCKED_JOIN:
+                if joiner.status is BLOCKED_JOIN:
                     yield True
                     while not ros.try_finish_join(joiner):
                         yield False
@@ -421,7 +420,7 @@ class Simulator:
                     if ev is not None:
                         self._send(ctx, ev)
                 else:
-                    ros.threads[tid].status = RosThreadStatus.EXITED
+                    ros.threads[tid].status = EXITED
                     self._wake_joiners()
                     if ctx is self.main_ctx:  # process teardown ends every thread
                         for other in self.contexts:
@@ -432,7 +431,7 @@ class Simulator:
             if call is not None:
                 name, args, _ = call
                 if kernel_mode:  # forwarded: served by the partner, awaited here
-                    ev = EventRecord(EventKind.SYSCALL, tid, detail, call)
+                    ev = EventRecord(SYSCALL, tid, detail, call)
                     self._send(ctx, ev)
                     yield True
                     while ev.complete_cycle is None:
@@ -440,7 +439,7 @@ class Simulator:
                     result = ev.result
                 else:  # served in place on the regular OS
                     result = ros.syscall(name, args)
-                    log.emit(SYSCALL, tid, detail, self.cost.syscall_base, call=name)
+                    log.emit(SYSCALL_KIND, tid, detail, self.cost.syscall_base, call=name)
                 if name == "mmap" and result >= 0:
                     last = result
             yield True
@@ -462,18 +461,20 @@ class Simulator:
         core_id = hrt.threads[ctx.tid].core_id
         local = forwards = 0
         while True:
-            if hrt.handle_page_fault(core_id, fault) is not FaultResolution.FORWARD:
+            if hrt.handle_page_fault(core_id, fault) is not FORWARD:
                 local += 1
                 if local == 4:
-                    raise DoubleFaultError(f"access 0x{addr:x} {access.value} cannot be satisfied")
+                    raise DoubleFaultError(
+                        f"access 0x{addr:x} {access._value_} cannot be satisfied"
+                    )
             elif forwards == 2:
                 raise DoubleFaultError(
-                    f"access 0x{addr:x} {access.value} still faults after re-merge "
+                    f"access 0x{addr:x} {access._value_} still faults after re-merge "
                     "and re-forward"
                 )
             else:
                 local, forwards = 0, forwards + 1
-                ev = EventRecord(EventKind.PAGE_FAULT, ctx.tid, fault_detail(addr, access), fault)
+                ev = EventRecord(PAGE_FAULT, ctx.tid, fault_detail(addr, access), fault)
                 self._send(ctx, ev)
                 yield True
                 while ev.complete_cycle is None:

@@ -288,6 +288,8 @@ def parse_workload(text: str) -> WorkloadProgram:
                 name = tokens[1]
                 if name in bodies:
                     raise ParseError(f"duplicate thread {name!r}", lineno)
+                if name == "main" and tokens[2] != "ros":
+                    raise ParseError("'main' must be a ros thread", lineno)
                 current = ThreadBody(name, tokens[2])
             elif head == "func":
                 name, behavior = _parse_func(tokens, lineno)
@@ -334,10 +336,8 @@ def parse_workload(text: str) -> WorkloadProgram:
         raise ParseError(f"thread {current.name!r} not closed with end", len(text.splitlines()))
     if repeat_stack:
         raise ParseError("repeat block not closed", repeat_stack[-1][2])
-    if "main" not in bodies:
-        raise ParseError("workload needs exactly one 'main' thread")
-    if bodies["main"].role != "ros":
-        raise ParseError("'main' must be a ros thread")
+    if "main" not in bodies:  # found missing where the input ends
+        raise ParseError("workload needs exactly one 'main' thread", len(text.splitlines()) or 1)
 
     program = WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
     symbols = program.symbols()

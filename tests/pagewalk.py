@@ -1,5 +1,6 @@
 """Page-table oracles that only tests use: full walks with no memo, and
-an identity map that defers only its leaf tables."""
+an identity map that defers only its leaf tables.  They split addresses
+into table indices themselves, not with the simulator's code."""
 
 from hrtsim.mem import (
     HIGHER_BASE,
@@ -16,8 +17,18 @@ from hrtsim.mem import (
     Ring,
     _table_at,
     require_canonical,
-    table_indices,
 )
+
+
+def table_indices(addr: int) -> tuple[int, int, int, int, int]:
+    """Split an address into the four table indices plus page offset."""
+    return (
+        (addr >> 39) & 0x1FF,
+        (addr >> 30) & 0x1FF,
+        (addr >> 21) & 0x1FF,
+        (addr >> 12) & 0x1FF,
+        addr & 0xFFF,
+    )
 
 
 def mapped_lower_pages(space: PageTableHierarchy) -> list[int]:

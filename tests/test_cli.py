@@ -1,10 +1,20 @@
 """Command-line interface tests."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrtsim import bundled_profiles_text
 from hrtsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
-from hrtsim.errors import DoubleFaultError
+from hrtsim.errors import DoubleFaultError, ParseError
+from hrtsim.sim import Mode, parse_workload
+
+from test_generated import mutated_workloads
 
 GOOD = """
 thread main ros
@@ -42,6 +52,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def parse_error(text: str) -> ParseError | None:
+    """The error that parsing text raises, or None if it parses."""
+    try:
+        parse_workload(text)
+    except ParseError as exc:
+        return exc
+    return None
 
 
 class TestRun:
@@ -129,6 +148,24 @@ class TestRun:
         monkeypatch.setattr("hrtsim.cli.run", double_fault)
         assert main(["run", write(tmp_path, "w.txt", GOOD)]) == EXIT_FAILURE
         assert "error: access 0x1000 w cannot be satisfied" in capsys.readouterr().err
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        mutated_workloads().filter(lambda m: parse_error(m[0]) is not None),
+        st.sampled_from([m.value for m in Mode]),
+    )
+    def test_mutated_text_that_fails_to_parse_exits_2_naming_its_line(self, mutated, mode):
+        text, _ = mutated
+        exc = parse_error(text)
+        assert exc.line is not None and 1 <= exc.line <= max(1, len(text.splitlines()))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "w.txt", text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", path, "--mode", mode])
+        assert code == EXIT_PARSE
+        assert str(exc).startswith(f"line {exc.line}: ")
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {exc}\n")
 
     def test_cost_file_respected(self, tmp_path, capsys):
         cost = write(tmp_path, "cost.txt", "syscall_base = 9000\n")

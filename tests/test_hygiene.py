@@ -14,14 +14,23 @@ attribute of that name; an augmented assignment (`x.n += 1`) only stores.
 
 Time advances only in `EventLog`, by the entry that records the cycles:
 no other code stores to an attribute named `now` or defines a `charge`.
+
+Per-step code reads no enum member through its class and no `.value`: on
+Python 3.11 the enum metaclass defines `__getattr__`, so `EventKind.SYSCALL`
+inside a function is an unspecialised class-attribute load, and `.value`
+a Python-level property call.  Neither shows in a profile, as neither is
+a Python frame.  Such code reads module constants bound at import instead.
 """
 
 import ast
+import enum
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "hrtsim").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "hrtsim"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -302,4 +311,90 @@ def test_check_sees_time_moved_outside_the_log():
         "line 4: defines charge",
         "line 6: stores .now",
         "line 7: stores .now",
+    ]
+
+
+# Functions that run once per simulated action, event or step, as
+# "module:qualified name"; each must exist, so the list cannot go stale.
+PER_STEP = (
+    "mem:translate",
+    "mem:_table_at",
+    "mem:map_page",
+    "mem:unmap_page",
+    "channel:fault_detail",
+    "channel:EventLog.emit",
+    "channel:EventChannel.forward_event",
+    "channel:EventChannel.complete_event",
+    "hrt:HrtKernel.handle_page_fault",
+    "ros:RegionList.index_at",
+    "ros:RosKernel.touch",
+    "ros:RosKernel.demand_fault",
+    "ros:RosKernel.serve_forwarded",
+    "ros:RosKernel.partner_step",
+    "ros:RosKernel.syscall",
+    "ros:RosKernel.sys_mmap",
+    "ros:RosKernel.sys_munmap",
+    "sim:Simulator.step",
+    "sim:Simulator._thread",
+    "sim:Simulator._partner",
+    "sim:Simulator._hrt_touch",
+    "sim:Simulator._send",
+)
+
+
+def find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef | None:
+    """The definition of `name` or `Class.name` at the top of tree."""
+    *cls, name = qualname.split(".")
+    body = tree.body
+    if cls:
+        body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls[0]), [])
+    return next((n for n in body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+
+
+def enum_toll(func: ast.AST, namespace: dict) -> list[str]:
+    """Loads in func of an enum member through its class (`X.MEMBER`, with
+    X an `enum.Enum` subclass in namespace) and of any `.value`."""
+    found = []
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Attribute) or not isinstance(node.ctx, ast.Load):
+            continue
+        owner = namespace.get(node.value.id) if isinstance(node.value, ast.Name) else None
+        member = isinstance(owner, type) and issubclass(owner, enum.Enum)
+        if node.attr == "value" or member and node.attr in owner.__members__:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_per_step_code_pays_no_enum_toll():
+    found, missing = [], []
+    for entry in PER_STEP:
+        module, qualname = entry.split(":")
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        func = find_function(tree, qualname)
+        if func is None:
+            missing.append(entry)
+            continue
+        namespace = vars(importlib.import_module(f"hrtsim.{module}"))
+        found += [f"{entry} {where}" for where in enum_toll(func, namespace)]
+    assert missing == []
+    assert found == []
+
+
+def test_check_sees_an_enum_toll():
+    class Kind(enum.Enum):
+        A = "a"
+
+    tree = ast.parse(
+        "def f(ev, table):\n"
+        "    if ev.kind is Kind.A or ev.kind is A:\n"
+        "        return ev.kind.value, ev.kind._value_, Kind(ev), table.A\n"
+        "    Alias.A, Kind.__members__\n"
+    )
+    namespace = {"Kind": Kind, "Alias": Kind, "A": Kind.A}
+    assert find_function(tree, "f") is tree.body[0]
+    assert find_function(tree, "Missing.f") is None
+    assert enum_toll(tree, namespace) == [
+        "line 2: Kind.A",
+        "line 3: ev.kind.value",
+        "line 4: Alias.A",
     ]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrtsim.errors import AllocationError, NonCanonicalAddressError
+from hrtsim.hrt import FaultResolution
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
@@ -16,24 +17,27 @@ from hrtsim.mem import (
     FaultInfo,
     FaultReason,
     FrameAllocator,
-    Half,
     Owner,
     P,
     PageTableHierarchy,
     Ring,
     TableStore,
-    addr_half,
     ensure_root_entry,
     identity_map_higher_half,
     is_canonical,
     map_page,
     merge_lower_half,
-    table_indices,
     translate,
     unmap_page,
 )
 
-from pagewalk import identity_map_per_leaf, lower_halves_consistent, mapped_lower_pages, walk
+from pagewalk import (
+    identity_map_per_leaf,
+    lower_halves_consistent,
+    mapped_lower_pages,
+    table_indices,
+    walk,
+)
 
 RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
 RING0_NOWP = ControlState(cr0_wp=False, cr3=0, ring=Ring.RING0)
@@ -79,16 +83,23 @@ class TestFrameAllocator:
         assert alloc.take(7) == 13
 
 
+def first_fault(system, addr: int) -> FaultResolution:
+    """How the booted runtime resolves a first not-present read of addr."""
+    hrt = system.hrt
+    fault = FaultInfo(addr, AccessKind.READ, FaultReason.NOT_PRESENT)
+    return hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], fault)
+
+
 class TestCanonical:
-    def test_lower_half(self):
+    def test_lower_half(self, booted):
         assert is_canonical(0)
         assert is_canonical(0x7FFF_FFFF_FFFF)
-        assert addr_half(0x1000) is Half.LOWER
+        assert first_fault(booted, 0x1000) is FaultResolution.FORWARD  # the regular OS's half
 
-    def test_higher_half(self):
+    def test_higher_half(self, booted):
         assert is_canonical(HIGHER_BASE)
         assert is_canonical(0xFFFF_FFFF_FFFF_F000)
-        assert addr_half(HIGHER_BASE) is Half.HIGHER
+        assert first_fault(booted, HIGHER_BASE) is FaultResolution.HANDLED_LOCAL
 
     def test_hole_rejected(self):
         assert not is_canonical(1 << 47)

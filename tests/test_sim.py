@@ -12,7 +12,14 @@ from hrtsim import bundled_profiles_text
 from hrtsim.channel import EventKind, EventLog
 from hrtsim.cli import EXIT_FAILURE, main
 from hrtsim.costs import CostModel
-from hrtsim.errors import DeadlockError, DoubleFaultError, ParseError, SimError, UsageError
+from hrtsim.errors import (
+    DeadlockError,
+    DoubleFaultError,
+    ParseError,
+    PartitionError,
+    SimError,
+    UsageError,
+)
 from hrtsim.hrt import FaultResolution
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.ros import MMAP_BASE, RosKernel
@@ -347,6 +354,12 @@ class TestSyncCalls:
             cores=[CoreKind.ROS_CORE, CoreKind.HRT_CORE], phys_frames=512
         )
         assert self.sync_cost(machine) == CostModel().sync_call_same_socket
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_socket_size_below_one_is_refused(self, size):
+        # 0 used to divide by zero at the first sync call, -1 to number sockets below 0.
+        with pytest.raises(PartitionError, match=f"socket size {size} is not positive"):
+            Machine(socket_size=size)
 
 
 class TestFunctionsWithoutFuncLine:

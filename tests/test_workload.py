@@ -94,12 +94,20 @@ class TestParse:
 
 class TestValidation:
     def test_missing_main(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_workload("thread other ros\n  exit\nend\n")
+        assert info.value.line == 3  # where the input ends
+
+    @pytest.mark.parametrize("text, line", [("func f\n\n", 2), ("", 1)], ids=["blank-end", "empty"])
+    def test_missing_main_names_where_the_input_ends(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_workload(text)
+        assert info.value.line == line
 
     def test_main_must_be_ros(self):
-        with pytest.raises(ParseError):
-            parse_workload("thread main hrt\n  exit\nend\n")
+        with pytest.raises(ParseError) as info:
+            parse_workload("func f\nthread main hrt\n  exit\nend\n")
+        assert info.value.line == 2
 
     def test_body_must_end_with_exit(self):
         with pytest.raises(ParseError) as info:
