@@ -33,9 +33,13 @@ class Machine:
     def __post_init__(self):
         if self.ros_frames is None:
             self.ros_frames = (self.phys_frames * 3) // 4
-        if not any(k is CoreKind.ROS_CORE for k in self.cores):
+        # The cores never change after this, so each side's ids are listed once.
+        ros, hrt = CoreKind.ROS_CORE, CoreKind.HRT_CORE
+        self.ros_core_ids = [i for i, k in enumerate(self.cores) if k is ros]
+        self.hrt_core_ids = [i for i, k in enumerate(self.cores) if k is hrt]
+        if not self.ros_core_ids:
             raise PartitionError("need at least one ROS core")
-        if not any(k is CoreKind.HRT_CORE for k in self.cores):
+        if not self.hrt_core_ids:
             raise PartitionError("need at least one HRT core")
         if not 0 < self.ros_frames < self.phys_frames:
             raise PartitionError("ROS frame prefix must be a proper subset")
@@ -46,14 +50,6 @@ class Machine:
         self.hrt_frame_alloc = FrameAllocator(
             self.ros_frames, self.phys_frames, Owner.HRT_ONLY
         )
-
-    @property
-    def ros_core_ids(self) -> list[int]:
-        return [i for i, k in enumerate(self.cores) if k is CoreKind.ROS_CORE]
-
-    @property
-    def hrt_core_ids(self) -> list[int]:
-        return [i for i, k in enumerate(self.cores) if k is CoreKind.HRT_CORE]
 
     def socket_of(self, core_id: int) -> int:
         return core_id // self.socket_size

@@ -108,6 +108,7 @@ class RosThreadStatus(enum.Enum):
 
 
 # Bound once, for per-step code: see `mem.WRITE`.
+RUNNABLE = RosThreadStatus.RUNNABLE
 BLOCKED_JOIN = RosThreadStatus.BLOCKED_JOIN
 EXITED = RosThreadStatus.EXITED
 PAGE_FAULT_KIND = PAGE_FAULT.value  # a demand fault's log kind
@@ -118,7 +119,9 @@ class RosThread:
     tid: int
     role: RosThreadRole
     core_id: int
-    status: RosThreadStatus = RosThreadStatus.RUNNABLE
+    # Required: an enum default would stay a class attribute, and on 3.11
+    # that keeps every `thread.status` read from specialising.
+    status: RosThreadStatus
     # Partner-only state.
     hrt_thread: int | None = None
     exit_bit: bool = False
@@ -171,6 +174,7 @@ class RosKernel:
             tid=self._next_tid,
             role=role,
             core_id=core_ids[self._core_rr % len(core_ids)],
+            status=RUNNABLE,
         )
         self._core_rr += 1
         self._next_tid += 1

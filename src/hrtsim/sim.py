@@ -3,10 +3,10 @@
 Each simulated thread runs as a generator, and one `next()` of it is one
 scheduler step: a thread body advances by one action per step, and a
 thread blocked on a forwarded event or a join yields without progress.
-A body is lowered once, at parse time (see `workload.Action`), so a step
-unpacks one predecoded action: its operands, and any log detail that
-does not depend on the run, are final.  Only a `last+N` address and its
-detail are computed in the step.
+A body is lowered once, at parse time, to its `steps` (exact tuples laid
+out as `workload.Action`), so a step unpacks one predecoded tuple: its
+operands, and any log detail that does not depend on the run, are final.
+Only a `last+N` address and its detail are computed in the step.
 Contexts are stepped strict round-robin in creation order (regular OS
 threads before kernel-mode threads).  Every cost is charged by the
 event-log entry that records it (see `EventLog`), so the run total is
@@ -36,8 +36,11 @@ fault its walk returned.  A forwarded event waits in the frame that sent it:
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .channel import (
     PAGE_FAULT,
@@ -272,10 +275,13 @@ class Simulator:
         return self.report()
 
     def report(self) -> TraceReport:
-        counts: dict[str, int] = {}
-        for _, kind, _, _, _ in self.log.entries:
-            if kind in REPORT_KINDS:
-                counts[kind] = counts.get(kind, 0) + 1
+        # Counted in C over each row's kind; one expression, so the Counter
+        # is freed before the log is rendered.
+        counts = {
+            kind: n
+            for kind, n in Counter(map(itemgetter(1), self.log.entries)).items()
+            if kind in REPORT_KINDS
+        }
         fwd = dict(self.log.forwarded)  # every forwarded kind is a report kind
         proc = self.system.ros.proc
         return TraceReport(
@@ -343,7 +349,7 @@ class Simulator:
         write = WRITE  # a local: the kernel-mode touch below is the hottest test
         tid = ctx.tid
         last = None  # base of this thread's most recent successful mmap
-        for op, a, b, c in body.actions:  # operands by op: see `Action`
+        for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
             if op == "touch":
                 if c is None:  # last+N
                     a = _from_last(last, a)
@@ -642,12 +648,12 @@ class BenchmarkProfile:
     forwarded_events: int
 
 
-# The columns after the name, each with its type; the counts must be >= 0.
+# The columns after the name, each with its type; each value must be
+# finite and >= 0.
 _PROFILE_COLUMNS = (
     ("syscalls", int), ("user_s", float), ("sys_s", float), ("max_rss_kb", int),
     ("page_faults", int), ("context_switches", int), ("forwarded_events", int),
 )
-_PROFILE_COUNTS = {"syscalls", "page_faults", "context_switches", "forwarded_events"}
 
 
 def load_profiles(text: str) -> list[BenchmarkProfile]:
@@ -667,8 +673,8 @@ def load_profiles(text: str) -> list[BenchmarkProfile]:
                 values[column] = kind(token)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if column in _PROFILE_COUNTS and values[column] < 0:
-                raise ParseError(f"{column} must be >= 0", lineno)
+            if not 0 <= values[column] < math.inf:  # also false for nan
+                raise ParseError(f"{column} must be finite and >= 0, got {token!r}", lineno)
         profiles.append(BenchmarkProfile(parts[0], values["user_s"], values["forwarded_events"]))
     return profiles
 

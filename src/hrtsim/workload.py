@@ -19,12 +19,15 @@ Example::
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
 recent mmap.  ``repeat N ... end`` blocks are unrolled at parse time.
-Each action line is lowered once, as it is parsed, to an `Action` that
-holds its final operands; equal lines share one object, and unrolling
-repeats it, so a step of the interpreter decodes nothing.
-A cycle count (``compute``, ``func ... cycles=``), a repeat count and an
-address (``touch``, ``munmap``, ``last+N``, ``func ... touches=``) may not
-be negative.
+Each action line is lowered once, as it is parsed, to an exact 4-tuple
+laid out as `Action`, with its final operands: a body's `steps`.  Equal
+lines share one tuple, and unrolling repeats it, so a step of the
+interpreter decodes nothing.  `ThreadBody.actions` is a view of the same
+steps as `Action` records, built when read, for readers outside the
+interpreter.
+A cycle count (``compute``, ``func ... cycles=``) and a repeat count may
+not be negative; an address (``touch``, ``munmap``, ``last+N``,
+``func ... touches=``) must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ DEFAULT_BEHAVIOR = FunctionBehavior()  # shared: frozen, so no caller can change
 
 
 class Action(NamedTuple):
-    """One action, lowered at parse time to its final operands; a step
-    unpacks it and decodes nothing.  Equal lines, and the copies `repeat`
-    makes of a line, share one object.
+    """The layout of one lowered action: its final operands, so a step
+    unpacks it and decodes nothing.  A body stores each as an exact tuple
+    (`ThreadBody.steps`): CPython 3.11 specialises unpacking only for an
+    exact tuple or list, not for a subclass such as this one.  Equal
+    lines, and the copies `repeat` makes of a line, share one tuple.
 
     ====================  ============================================
     op                    a, b, c
@@ -137,7 +142,12 @@ class CallPlan:
 class ThreadBody:
     name: str
     role: str  # "ros" | "hrt"
-    actions: list[Action] = field(default_factory=list)  # unrolled, one per step
+    steps: list[tuple] = field(default_factory=list)  # unrolled, one per step; see `Action`
+
+    @property
+    def actions(self) -> list[Action]:
+        """The steps as `Action` records, built anew on each read."""
+        return [Action(*s) for s in self.steps]
 
 
 @dataclass
@@ -171,13 +181,21 @@ def _count(token: str, lineno: int, what: str = "count") -> int:
     return n
 
 
+def _address(token: str, lineno: int) -> int:
+    """An address, or an offset from one: a 64-bit number."""
+    n = _count(token, lineno, "address")
+    if n >> 64:
+        raise ParseError(f"address {token!r} does not fit in 64 bits", lineno)
+    return n
+
+
 def _addr(token: str, lineno: int) -> tuple[int, bool]:
     """An address operand: (address, False), or (N, True) for ``last+N``."""
     if token == "last":
         return 0, True
     if token.startswith("last+"):
-        return _count(token[5:], lineno, "address"), True
-    return _count(token, lineno, "address"), False
+        return _address(token[5:], lineno), True
+    return _address(token, lineno), False
 
 
 def _system_call(op: str, name: str, args: tuple[int, ...]) -> Action:
@@ -257,7 +275,7 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
         elif key == "returns":
             returns = _num(val, lineno)
         elif key == "touches":
-            touches = tuple(_count(v, lineno, "address") for v in val.split(",") if v)
+            touches = tuple(_address(v, lineno) for v in val.split(",") if v)
         else:
             raise ParseError(f"unknown func attribute {key!r}", lineno)
     return name, FunctionBehavior(cycles=cycles, returns=returns, touches=touches)
@@ -268,9 +286,9 @@ def parse_workload(text: str) -> WorkloadProgram:
     funcs: dict[str, FunctionBehavior] = {}
     overrides = default_override_map()
     current: ThreadBody | None = None
-    repeat_stack: list[tuple[int, list[Action], int]] = []  # (count, actions, lineno)
-    targets: list[tuple[Action, int]] = []  # named-target actions, checked at the end
-    lowered: dict[str, Action] = {}  # action line -> its action: equal lines share one
+    repeat_stack: list[tuple[int, list[tuple], int]] = []  # (count, steps, lineno)
+    targets: list[tuple[tuple, int]] = []  # named-target steps, checked at the end
+    lowered: dict[str, tuple] = {}  # action line -> its step: equal lines share one
     plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
     plan_lines: list[int] = []  # the line of each plan
 
@@ -308,29 +326,29 @@ def parse_workload(text: str) -> WorkloadProgram:
             repeat_stack.append((_count(tokens[1], lineno), [], lineno))
         elif head == "end":
             if repeat_stack:
-                count, actions, _ = repeat_stack.pop()
-                target = repeat_stack[-1][1] if repeat_stack else current.actions
-                target.extend(actions * count)
+                count, steps, _ = repeat_stack.pop()
+                target = repeat_stack[-1][1] if repeat_stack else current.steps
+                target.extend(steps * count)
             else:
-                if not current.actions or current.actions[-1].op != "exit":
+                if not current.steps or current.steps[-1][0] != "exit":
                     raise ParseError(
                         f"thread {current.name!r} must end with exit", lineno
                     )
                 bodies[current.name] = current
                 current = None
         else:
-            action = lowered.get(line)
-            if action is None:
-                action = lowered[line] = _parse_action(tokens, lineno)
-                if action.op == "call_override":
-                    plans.append(action.a)
+            step = lowered.get(line)
+            if step is None:
+                step = lowered[line] = tuple(_parse_action(tokens, lineno))
+                if step[0] == "call_override":
+                    plans.append(step[1])
                     plan_lines.append(lineno)
-            if action.op in ("spawn", "spawn_nested", "join", "sync_call"):
-                targets.append((action, lineno))
+            if step[0] in ("spawn", "spawn_nested", "join", "sync_call"):
+                targets.append((step, lineno))
             if repeat_stack:
-                repeat_stack[-1][1].append(action)
+                repeat_stack[-1][1].append(step)
             else:
-                current.actions.append(action)
+                current.steps.append(step)
 
     if current is not None:
         raise ParseError(f"thread {current.name!r} not closed with end", len(text.splitlines()))
@@ -347,11 +365,10 @@ def parse_workload(text: str) -> WorkloadProgram:
             raise ParseError(
                 f"call_override {plan.name} target {plan.spawn!r} is not a defined thread", lineno
             )
-    for action, lineno in targets:
-        name = action.a
-        if action.op == "sync_call":
+    for (op, name, _, _), lineno in targets:
+        if op == "sync_call":
             if name not in symbols:
                 raise ParseError(f"sync_call target {name!r} is not a symbol", lineno)
         elif name not in bodies:
-            raise ParseError(f"{action.op} target {name!r} is not a defined thread", lineno)
+            raise ParseError(f"{op} target {name!r} is not a defined thread", lineno)
     return program

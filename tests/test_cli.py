@@ -31,8 +31,10 @@ thread main ros
 end
 """
 
-# Main maps and touches MMAP_BASE; the thread it spawns touches 2**64 +
-# MMAP_BASE, on the regular OS in native mode and in kernel mode otherwise.
+# Main maps and touches MMAP_BASE; the thread it spawns maps the next page
+# and touches 2**64 + MMAP_BASE from it, on the regular OS in native mode
+# and in kernel mode otherwise.  A literal that large is refused by the
+# parser; an offset from `last` reaches it only at run time.
 ALIAS = """
 thread main ros
   mmap 4096
@@ -42,7 +44,8 @@ thread main ros
   exit
 end
 thread w hrt
-  touch 0x10000100000000000 w
+  mmap 4096
+  touch last+0xfffffffffffff000 w
   exit
 end
 """
@@ -121,6 +124,12 @@ class TestRun:
         code = main(["run", write(tmp_path, "w.txt", ALIAS), "--mode", mode])
         assert code == EXIT_FAILURE
         assert "non-canonical address 0x10000100000000000" in capsys.readouterr().err
+
+    def test_address_literal_beyond_64_bits_is_a_parse_error(self, tmp_path, capsys):
+        text = "thread main ros\n  touch 0x10000100000000000 w\n  exit\nend\n"
+        assert main(["run", write(tmp_path, "w.txt", text)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error: line 2: address '0x10000100000000000' does not fit in 64 bits" in err
 
     @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
     def test_sync_call_of_no_symbol_is_a_parse_error(self, tmp_path, capsys, mode):
@@ -260,3 +269,11 @@ class TestReplay:
     def test_bad_profiles(self, tmp_path):
         path = write(tmp_path, "profiles.txt", "only three cols\n")
         assert main(["replay", "--profiles", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("line", ["x 1 nan 3 4 5 6 7", "x 1 -2.0 3 4 5 6 7"])
+    def test_profile_time_not_a_duration(self, tmp_path, capsys, line):
+        path = write(tmp_path, "profiles.txt", line + "\n")
+        assert main(["replay", "--profiles", path]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 1: user_s must be finite and >= 0")

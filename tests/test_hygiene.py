@@ -20,9 +20,12 @@ Python 3.11 the enum metaclass defines `__getattr__`, so `EventKind.SYSCALL`
 inside a function is an unspecialised class-attribute load, and `.value`
 a Python-level property call.  Neither shows in a profile, as neither is
 a Python frame.  Such code reads module constants bound at import instead.
+No dataclass field defaults to an enum member: the default stays a class
+attribute, and on 3.11 it keeps every read of the field from specialising.
 """
 
 import ast
+import dataclasses
 import enum
 import importlib
 from pathlib import Path
@@ -94,10 +97,11 @@ def test_check_sees_an_unused_private_function():
     assert unused_private_functions({"m.py": tree}) == ["m.py:2: _left", "m.py:6: _orphan"]
 
 
-# Public functions that only the acceptance tests call, kept for them.
+# Public functions that only the tests or the benchmark harness call, kept for them.
 NAMED_ONLY_BY_TESTS = {
     "latency_table": "acceptance criterion 1 reads the cost model's latency table",
     "parse_override_config": "acceptance criterion 10 parses a whole override config",
+    "actions": "perfbench's shape() and tracer and the parser tests read a body's actions by field",
 }
 
 
@@ -398,3 +402,42 @@ def test_check_sees_an_enum_toll():
         "line 3: ev.kind.value",
         "line 4: Alias.A",
     ]
+
+
+def enum_defaults(namespace: dict) -> list[str]:
+    """Fields, of the dataclasses defined in namespace, whose default is an
+    enum member."""
+    return [
+        f"{cls.__name__}.{f.name}"
+        for cls in namespace.values()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == namespace["__name__"]
+        for f in dataclasses.fields(cls)
+        if isinstance(f.default, enum.Enum)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclass_field_defaults_to_an_enum_member(path):
+    assert enum_defaults(vars(importlib.import_module(f"hrtsim.{path.stem}"))) == []
+
+
+def test_check_sees_an_enum_default():
+    class Kind(enum.Enum):
+        A = "a"
+
+    @dataclasses.dataclass
+    class Record:
+        required: Kind
+        flag: bool = False
+        kind: Kind = Kind.A
+        kinds: list = dataclasses.field(default_factory=lambda: [Kind.A])
+
+    @dataclasses.dataclass
+    class Elsewhere:
+        kind: Kind = Kind.A
+
+    Elsewhere.__module__ = "other"
+    namespace = {"__name__": __name__, "Kind": Kind, "Record": Record, "Elsewhere": Elsewhere}
+    assert enum_defaults(namespace) == ["Record.kind"]

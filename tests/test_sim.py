@@ -725,11 +725,13 @@ class TestReplay:
 
     @pytest.mark.parametrize(
         "column, token",
-        [(column, "x") for column in range(1, 8)] + [(column, "-1") for column in (1, 5, 6, 7)],
+        [(column, "x") for column in range(1, 8)]
+        + [(column, "-1") for column in (1, 4, 5, 6, 7)]
+        + [(column, t) for column in (2, 3) for t in ("nan", "inf", "-inf", "-2.0")],
     )
     def test_every_column_is_checked(self, column, token):
         # Replay reads only user_s and forwarded; every column is still parsed,
-        # and the four counts may not be negative.
+        # and no value may be negative, infinite or nan.
         parts = "ok 1 2.0 0.1 100 5 1 10".split()
         parts[column] = token
         with pytest.raises(ParseError) as info:

@@ -1,5 +1,7 @@
 """Workload language parser tests."""
 
+import sys
+
 import pytest
 
 from hrtsim.errors import ParseError, UsageError
@@ -7,6 +9,11 @@ from hrtsim.mem import AccessKind
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, _from_last, run
 from hrtsim.workload import Action, parse_workload
+
+from test_golden import GOLDEN
+from test_schedule import GOLDEN_NAMES, load_bench_workloads
+
+BENCH_NAMES = ("fwd_cold", "hot_local", "boot_large", "compare_cold")
 
 MINIMAL = "thread main ros\n  exit\nend\n"
 
@@ -56,18 +63,20 @@ class TestParse:
         actions = program.bodies["main"].actions
         cycles = [a.a for a in actions if a.op == "compute"]
         assert cycles == [10, 20] * 3
-        assert actions[0] is actions[2] is actions[4]  # one lowered object per line
+        steps = program.bodies["main"].steps
+        assert steps[0] is steps[2] is steps[4]  # one lowered tuple per line
 
     def test_equal_lines_share_one_action(self):
         program = parse_workload(
             "thread main ros\n  spawn w\n  compute 10\n  call_override f 1\n  exit\nend\n"
             "thread w ros\n  compute 10\n  call_override f  1\n  call_override f 1\n  exit\nend\n"
         )
-        main, w = program.bodies["main"].actions, program.bodies["w"].actions
+        main, w = program.bodies["main"].steps, program.bodies["w"].steps
         assert main[1] is w[0]  # compute 10
         assert main[2] is w[2] and w[1] == w[2] and w[1] is not w[2]
         assert main[3] is w[3]  # exit
-        assert w[1].a.detail == w[2].a.detail == "sys:call:f(1)"  # both resolved
+        actions = program.bodies["w"].actions
+        assert actions[1].a.detail == actions[2].a.detail == "sys:call:f(1)"  # both resolved
 
     def test_nested_repeat(self):
         program = parse_workload(
@@ -228,6 +237,25 @@ class TestValidation:
             parse_workload(f"{head}thread main ros\n{line}\n  exit\nend\n")
         assert info.value.line == lineno
 
+    @pytest.mark.parametrize(
+        "head, line, lineno",
+        [
+            ("", "  touch 0x10000000000000000 w", 2),
+            ("", "  mmap 4096\n  touch last+0x10000000000000000 r", 3),
+            ("", "  munmap 0x10000000000000000 4096", 2),
+            ("func f touches=0x1000,0x10000000000000000\n", "  compute 1", 1),
+        ],
+        ids=["touch", "last-offset", "munmap", "func-touches"],
+    )
+    def test_address_beyond_64_bits_reports_line(self, head, line, lineno):
+        with pytest.raises(ParseError, match="'0x10000000000000000' does not fit in 64") as info:
+            parse_workload(f"{head}thread main ros\n{line}\n  exit\nend\n")
+        assert info.value.line == lineno
+
+    def test_largest_64_bit_address_parses(self):
+        program = parse_workload("thread main ros\n  touch 0xffffffffffffffff r\n  exit\nend\n")
+        assert program.bodies["main"].steps[0][1] == 2**64 - 1
+
     def test_bad_touch_access(self):
         with pytest.raises(ParseError):
             parse_workload("thread main ros\n  touch 0x1000 x\n  exit\nend\n")
@@ -260,3 +288,41 @@ class TestAddrExpr:
         program = parse_workload("thread main ros\n  touch last r\n  exit\nend\n")
         with pytest.raises(UsageError, match="'last' used before any mmap"):
             run(None, program, Mode.NATIVE)
+
+
+class TestSteps:
+    """A body's steps are exact 4-tuples, which CPython 3.11 unpacks on its
+    specialised path (a tuple subclass such as `Action` takes the generic
+    one); `actions` is their view as `Action` records."""
+
+    @staticmethod
+    def assert_exact_tuples(program):
+        for body in program.bodies.values():
+            assert body.steps
+            for step in body.steps:
+                assert type(step) is tuple and len(step) == 4, (body.name, step)
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_golden_steps_are_exact_tuples(self, name):
+        self.assert_exact_tuples(parse_workload((GOLDEN / "workloads" / f"{name}.txt").read_text()))
+
+    @pytest.mark.parametrize("name", BENCH_NAMES)
+    def test_bench_steps_are_exact_tuples(self, name):
+        self.assert_exact_tuples(parse_workload(load_bench_workloads()[name](1).text))
+
+
+# Unrolled actions per bench workload at seed 1: perfbench's tracer reports
+# these as workload.actions.
+BENCH_ACTIONS = {"fwd_cold": 7001, "hot_local": 34650, "boot_large": 36, "compare_cold": 2969}
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_perfbench_reads_actions_by_field(name):
+    """perfbench's `shape()` reads `op` from each of a body's actions, and
+    its tracer counts them; both read the `actions` view."""
+    generate = load_bench_workloads()[name]
+    program = parse_workload(generate(1).text)
+    roles, ops = sys.modules["perfbench_workloads"].shape(program)
+    actions = sum(len(body.actions) for body in program.bodies.values())
+    assert actions == sum(n for _, n in ops) == BENCH_ACTIONS[name]
+    assert sum(n for _, n in roles) == len(program.bodies)
