@@ -10,6 +10,7 @@ of the benchmark overhead arithmetic.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -33,6 +34,8 @@ class CostModel:
     cache_hit: int = 20
 
     def __post_init__(self):
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be finite and > 0")
         for field in dataclasses.fields(self):
             if getattr(self, field.name) < 0:
                 raise ValueError(f"cost {field.name} must be >= 0")
@@ -90,6 +93,8 @@ def load_cost_model(text: str) -> CostModel:
             raise ParseError(f"bad value for {key}: {val!r}", lineno) from exc
         if number < 0:
             raise ParseError(f"negative value for {key}", lineno)
+        if key == "clock_hz" and not 0 < number < math.inf:
+            raise ParseError(f"clock_hz must be finite and > 0, got {val!r}", lineno)
         values[key] = number
     try:
         return CostModel(**values)

@@ -33,6 +33,22 @@ below the root may be shared by both spaces:
   - `unmap_page` drops each page it clears from every memo on the store;
   - `map_page` over a present leaf does the same;
   - `merge_lower_half` clears the memos of the space it merges into.
+
+Each address space also caches the leaf table of every 2 MiB region it
+has walked to, like a hardware paging-structure (PDE) cache:
+`leaf_tables` maps a region number (`vaddr >> 21`, i.e. `page >> 9`) to
+the 512-entry list that the walk reached.  `translate`, `map_page` and
+`unmap_page` look there before walking, and store the table whenever
+they walked to it, even when the leaf itself is absent; a walk that
+stops above the leaf level caches nothing.  The cache has one
+invalidation rule.  Upper-level entries only go from absent to present
+(`_table_at`, `identity_map_higher_half`, `ensure_root_entry`) and no
+table is ever freed, so a region's walk, once it reaches a leaf table,
+reaches that same list forever -- except through `merge_lower_half`,
+which overwrites root entries and so clears the merged space's
+`leaf_tables` together with its memos.  `map_page` and `unmap_page`
+write leaf entries only, into the cached list itself, so they
+invalidate nothing more.
 """
 
 from __future__ import annotations
@@ -102,7 +118,13 @@ def is_canonical(addr: int) -> bool:
 
 def require_canonical(addr: int) -> None:
     if not is_canonical(addr):
-        raise NonCanonicalAddressError(f"non-canonical address 0x{addr:x}")
+        raise _non_canonical(addr)
+
+
+def _non_canonical(addr: int) -> NonCanonicalAddressError:
+    # The walks test `addr >> 47 not in (0, 0x1FFFF)` inline: it is
+    # `is_canonical` without two calls per walk.
+    return NonCanonicalAddressError(f"non-canonical address 0x{addr:x}")
 
 
 class FrameAllocator:
@@ -190,6 +212,8 @@ class PageTableHierarchy:
         self.memo: dict[int, int] = {}
         self.wmemo: dict[int, int] = {}
         store.memos += self.memo, self.wmemo
+        # 2 MiB region number -> the leaf table a walk reached (see module).
+        self.leaf_tables: dict[int, list[int]] = {}
 
 
 def translate(
@@ -203,18 +227,23 @@ def translate(
     A ring-0 write to a present read-only page faults only when cr0_wp is
     set; in ring 3 it always faults.  A present leaf is memoised in
     `memo`, and in `wmemo` too if it is writable; a non-canonical address
-    never is, so its page number never hits.
+    never is, so its page number never hits.  A memo miss looks up the
+    region's leaf table in `leaf_tables` and walks only if it is not there.
     """
     page = addr >> 12
     leaf = space.memo.get(page)
     if leaf is None:
-        require_canonical(addr)
-        store, table = space.store, space.root_table
-        for shift in (39, 30, 21):
-            entry = table[(addr >> shift) & 0x1FF]
-            if not entry & P:
-                return FaultInfo(addr, access, NOT_PRESENT)
-            table = store[entry >> 12]
+        if addr >> 47 not in (0, 0x1FFFF):
+            raise _non_canonical(addr)
+        table = space.leaf_tables.get(page >> 9)
+        if table is None:
+            store, table = space.store, space.root_table
+            for shift in (39, 30, 21):
+                entry = table[(addr >> shift) & 0x1FF]
+                if not entry & P:
+                    return FaultInfo(addr, access, NOT_PRESENT)
+                table = store[entry >> 12]
+            space.leaf_tables[page >> 9] = table
         leaf = table[page & 0x1FF]
         if not leaf & P:
             return FaultInfo(addr, access, NOT_PRESENT)
@@ -249,10 +278,13 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
     Remapping an already-mapped address replaces the entry and drops the
     page from every walk memo.
     """
-    require_canonical(vaddr)
+    if vaddr >> 47 not in (0, 0x1FFFF):
+        raise _non_canonical(vaddr)
     if vaddr % PAGE_SIZE:
         raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
-    table = _table_at(space, vaddr, 3)
+    table = space.leaf_tables.get(vaddr >> 21)
+    if table is None:
+        table = space.leaf_tables[vaddr >> 21] = _table_at(space, vaddr, 3)
     i1 = (vaddr >> 12) & 0x1FF
     if table[i1] & P:
         space.store.forget_page(vaddr >> 12)
@@ -261,24 +293,33 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
 
 def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:
     """Clear the leaf entries of the pages in [vaddr, vaddr + length) with
-    one walk per leaf table, and drop each cleared page from every walk
-    memo.  Unmapped pages are skipped; a range that is not page-aligned or
-    not canonical at both ends raises before any entry is cleared."""
+    one `leaf_tables` lookup or walk per leaf table, and drop each cleared
+    page from every walk memo.  Unmapped pages are skipped; a range that is
+    not page-aligned or not canonical at both ends raises before any entry
+    is cleared."""
     end = vaddr + length
-    require_canonical(vaddr)
-    require_canonical(end - PAGE_SIZE)
+    last = end - PAGE_SIZE
+    if vaddr >> 47 not in (0, 0x1FFFF):
+        raise _non_canonical(vaddr)
+    if last >> 47 not in (0, 0x1FFFF):
+        raise _non_canonical(last)
     if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
-    store = space.store
+    store, leaf_tables = space.store, space.leaf_tables
     while vaddr < end:
         stop = min(end, (vaddr | 0x1F_FFFF) + 1)  # the end of vaddr's leaf table
-        table = space.root_table
-        for shift in (39, 30, 21):
-            entry = table[(vaddr >> shift) & 0x1FF]
-            if not entry & P:
-                break
-            table = store[entry >> 12]
-        else:
+        table = leaf_tables.get(vaddr >> 21)
+        if table is None:
+            table = space.root_table
+            for shift in (39, 30, 21):
+                entry = table[(vaddr >> shift) & 0x1FF]
+                if not entry & P:
+                    table = None
+                    break
+                table = store[entry >> 12]
+            else:
+                leaf_tables[vaddr >> 21] = table
+        if table is not None:
             page = vaddr >> 12
             i1 = page & 0x1FF
             for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
@@ -328,8 +369,10 @@ def merge_lower_half(
     Sub-tables are shared through the common table store, so ROS edits
     below the root are visible immediately; only new root entries need a
     re-merge.  The copied entries may replace sub-tables the HRT space
-    walked before, so both its walk memos are cleared.
+    walked before, so both its walk memos and its `leaf_tables` are
+    cleared.
     """
     hrt_space.root_table[:LOWER_ROOT_ENTRIES] = ros_space.root_table[:LOWER_ROOT_ENTRIES]
     hrt_space.memo.clear()
     hrt_space.wmemo.clear()
+    hrt_space.leaf_tables.clear()

@@ -1,6 +1,7 @@
-"""Page-table oracles that only tests use: full walks with no memo, and
-an identity map that defers only its leaf tables.  They split addresses
-into table indices themselves, not with the simulator's code."""
+"""Page-table oracles that only tests use: full walks with no memo or
+leaf-table cache, and an identity map that defers only its leaf tables.
+They split addresses into table indices themselves, not with the
+simulator's code."""
 
 from hrtsim.mem import (
     HIGHER_BASE,
@@ -63,18 +64,55 @@ def lower_halves_consistent(
     return all(hrt_root[i] == ros_root[i] for i in range(LOWER_ROOT_ENTRIES))
 
 
-def walk(
-    space: PageTableHierarchy, ctl: ControlState, addr: int, access: AccessKind
-) -> int | FaultInfo:
-    """`mem.translate` without its memo: all four levels on every call."""
+def leaf_table(space: PageTableHierarchy, addr: int) -> list[int] | None:
+    """The leaf table on addr's walk, reached through all three upper
+    levels without `leaf_tables`, or None if an upper entry is absent."""
     require_canonical(addr)
-    i4, i3, i2, i1, offset = table_indices(addr)
+    i4, i3, i2, _, _ = table_indices(addr)
     table = space.root_table
     for idx in (i4, i3, i2):
         entry = table[idx]
         if not entry & P:
-            return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+            return None
         table = space.store[entry >> 12]
+    return table
+
+
+def assert_leaf_tables_sound(space: PageTableHierarchy) -> None:
+    """Each cached leaf table is the very list a full walk of its 2 MiB
+    region reaches."""
+    for region, table in space.leaf_tables.items():
+        assert leaf_table(space, region << 21) is table, f"stale region 0x{region << 21:x}"
+
+
+def upper_entries(space: PageTableHierarchy) -> dict[tuple[int, ...], int]:
+    """Every present root, level-3 and level-2 entry, keyed by its index
+    path from the root.  A table still deferred has never been written,
+    so its entries are left out and it is not built."""
+    entries = {}
+    tables = [((), space.root_table)]
+    for _ in range(3):
+        below = []
+        for path, table in tables:
+            for idx, entry in enumerate(table):
+                if entry & P:
+                    entries[path + (idx,)] = entry
+                    sub = space.store.get(entry >> 12)
+                    if sub is not None:
+                        below.append((path + (idx,), sub))
+        tables = below
+    return entries
+
+
+def walk(
+    space: PageTableHierarchy, ctl: ControlState, addr: int, access: AccessKind
+) -> int | FaultInfo:
+    """`mem.translate` without its memo or `leaf_tables`: all four levels
+    on every call."""
+    table = leaf_table(space, addr)
+    if table is None:
+        return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+    _, _, _, i1, offset = table_indices(addr)
     leaf = table[i1]
     if not leaf & P:
         return FaultInfo(addr, access, FaultReason.NOT_PRESENT)

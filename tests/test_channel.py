@@ -1,5 +1,7 @@
 """Event-channel protocol and cost-model tests."""
 
+import math
+
 import pytest
 
 from hrtsim.channel import EventChannel, EventKind, EventLog, EventRecord
@@ -200,6 +202,17 @@ class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             CostModel(forward_overhead=-1)
+
+    @pytest.mark.parametrize("clock_hz", [0.0, -1.0, math.nan, math.inf])
+    def test_clock_must_be_finite_and_positive(self, clock_hz):
+        with pytest.raises(ValueError, match="clock_hz"):
+            CostModel(clock_hz=clock_hz)
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "nan", "inf", "-inf", "1e400"])
+    def test_load_clock_not_finite_and_positive(self, value):
+        with pytest.raises(ParseError) as info:
+            load_cost_model(f"merger = 40000\nclock_hz = {value}\n")
+        assert info.value.line == 2
 
     def test_load_defaults(self):
         assert load_cost_model("") == CostModel()

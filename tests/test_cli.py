@@ -186,6 +186,19 @@ class TestRun:
         cost = write(tmp_path, "cost.txt", "bogus_key = 1\n")
         assert main(["run", write(tmp_path, "w.txt", GOOD), "--cost", cost]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["run", "compare", "replay"])
+    @pytest.mark.parametrize("clock", ["0", "nan", "inf"])
+    def test_clock_not_finite_and_positive(self, tmp_path, capsys, command, clock):
+        # `run` and `replay` divide cycles by the clock; `compare` reads the same file.
+        cost = write(tmp_path, "cost.txt", f"clock_hz = {clock}\n")
+        inputs = [write(tmp_path, "w.txt", GOOD)]
+        if command == "replay":
+            inputs = ["--profiles", write(tmp_path, "p.txt", bundled_profiles_text())]
+        assert main([command, *inputs, "--cost", cost]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 1: clock_hz must be finite and > 0")
+
 
     @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
     @pytest.mark.parametrize(

@@ -17,7 +17,9 @@ every run ends.  Each workload runs twice in every mode, and these hold:
   every round;
 - no run raises `DeadlockError`;
 - after each run, the process's mapped lower-half pages map pairwise
-  distinct regular-OS frames, none of them a page table's.
+  distinct regular-OS frames, none of them a page table's;
+- after each run, each leaf table that either address space caches is
+  the one a full walk of its region reaches.
 
 The same text, mutated one of four ways (cut at a character, a line
 dropped, a line duplicated, a token dropped), fails only in its error
@@ -39,7 +41,7 @@ from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind, ControlState, Ring
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-from pagewalk import mapped_lower_pages, walk
+from pagewalk import assert_leaf_tables_sound, mapped_lower_pages, walk
 from test_schedule import ParkingLoop, StepEveryContext, observe
 
 WORKERS = ("w0", "w1", "w2", "w3")
@@ -169,6 +171,9 @@ def outcome(text: str, frames: int, mode: Mode) -> tuple:
         return ("raises", type(exc).__name__, str(exc))
     finally:
         assert_one_frame_per_page(sim.system)
+        for space in (sim.system.ros.proc.space, sim.system.hrt.space):
+            if space is not None:  # native and virtual runs boot no HRT
+                assert_leaf_tables_sound(space)
     costs = sum(int(line.rsplit("cost=", 1)[1]) for line in report.log_text.splitlines())
     assert costs == report.total_cycles
     return (report.log_text, report.total_cycles, report.failed, report.fail_reason)

@@ -32,10 +32,12 @@ from hrtsim.mem import (
 )
 
 from pagewalk import (
+    assert_leaf_tables_sound,
     identity_map_per_leaf,
     lower_halves_consistent,
     mapped_lower_pages,
     table_indices,
+    upper_entries,
     walk,
 )
 
@@ -523,9 +525,44 @@ def outcome(fn, *args):
         return NonCanonicalAddressError
 
 
+def memo_spaces() -> dict[str, PageTableHierarchy]:
+    """The two spaces the memo tests drive, the HRT one identity-mapped."""
+    hrt, ros = shared_spaces(frames=64)
+    identity_map_higher_half(hrt, 64)
+    return {"hrt": hrt, "ros": ros}
+
+
+def apply_op(spaces: dict[str, PageTableHierarchy], op: tuple) -> None:
+    """Run one drawn op; a refused one must raise exactly when its
+    address is not canonical, and a refused unmap must clear nothing."""
+    if op[0] == "map":
+        _, name, addr, frame, writable = op
+        done = outcome(map_page, spaces[name], addr, frame, writable)
+        assert (done is NonCanonicalAddressError) == (addr in NOT_CANONICAL)
+    elif op[0] == "unmap":
+        _, name, addr, pages = op
+        before = mapped_lower_pages(spaces[name])
+        done = outcome(unmap_page, spaces[name], addr, pages * PAGE_SIZE)
+        last = addr + (pages - 1) * PAGE_SIZE
+        refused = not (is_canonical(addr) and is_canonical(last))
+        assert (done is NonCanonicalAddressError) == refused
+        if refused:  # raised before clearing any entry
+            assert mapped_lower_pages(spaces[name]) == before
+    elif op[0] == "root":
+        done = outcome(ensure_root_entry, spaces[op[1]], op[2])
+        assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)
+    elif op[0] == "merge":
+        merge_lower_half(spaces["hrt"], spaces["ros"])
+    else:
+        _, name, addr, offset, access, ctl = op
+        args = (spaces[name], ctl, addr + offset, access)
+        assert outcome(translate, *args) == outcome(walk, *args)
+
+
 class TestWalkMemo:
-    """Memoised translate equals a full walk after any sequence of writes
-    to two spaces that share their lower-half tables."""
+    """Memoised translate equals a full walk, and each cached leaf table is
+    the one a full walk reaches, after any sequence of writes to two spaces
+    that share their lower-half tables."""
 
     @settings(max_examples=60, deadline=None)
     @given(MEMO_OPS)
@@ -543,41 +580,65 @@ class TestWalkMemo:
         ("map", "ros", (1 << 47) - PAGE_SIZE, 4, True),
         ("unmap", "ros", (1 << 47) - PAGE_SIZE, 2),
     ])
+    # An HRT-private lower-half leaf table that a merge replaces: the
+    # cached table must go with the root entry it was reached through.
+    @example([
+        ("map", "hrt", 0x1000_0000_1000, 3, True),
+        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ, RING0),
+        ("merge",),
+        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ, RING0),
+    ])
     def test_translate_matches_uncached_walk(self, ops):
-        hrt, ros = shared_spaces(frames=64)
-        identity_map_higher_half(hrt, 64)
-        spaces = {"hrt": hrt, "ros": ros}
+        spaces = memo_spaces()
         for op in ops:
-            if op[0] == "map":
-                _, name, addr, frame, writable = op
-                done = outcome(map_page, spaces[name], addr, frame, writable)
-                assert (done is NonCanonicalAddressError) == (addr in NOT_CANONICAL)
-            elif op[0] == "unmap":
-                _, name, addr, pages = op
-                before = mapped_lower_pages(spaces[name])
-                done = outcome(unmap_page, spaces[name], addr, pages * PAGE_SIZE)
-                last = addr + (pages - 1) * PAGE_SIZE
-                refused = not (is_canonical(addr) and is_canonical(last))
-                assert (done is NonCanonicalAddressError) == refused
-                if refused:  # raised before clearing any entry
-                    assert mapped_lower_pages(spaces[name]) == before
-            elif op[0] == "root":
-                done = outcome(ensure_root_entry, spaces[op[1]], op[2])
-                assert (done is NonCanonicalAddressError) == (op[2] in NOT_CANONICAL)
-            elif op[0] == "merge":
-                merge_lower_half(hrt, ros)
-            else:
-                _, name, addr, offset, access, ctl = op
-                args = (spaces[name], ctl, addr + offset, access)
-                assert outcome(translate, *args) == outcome(walk, *args)
+            apply_op(spaces, op)
+            for space in spaces.values():
+                assert_leaf_tables_sound(space)
             # Every address in both spaces, read and each write-protect
-            # case: a stale memo entry shows at once.
-            for space in (hrt, ros):
+            # case: a stale memo entry or leaf table shows at once.
+            for space in spaces.values():
                 for addr in MEMO_ADDRS:
                     for access, ctl in SWEEP:
                         args = (space, ctl, addr, access)
                         assert outcome(translate, *args) == outcome(walk, *args), op
                 assert_memos_sound(space)
+                assert_leaf_tables_sound(space)
+
+    @settings(max_examples=60, deadline=None)
+    @given(MEMO_OPS)
+    # An unmap that walks to a leaf table the other space built.
+    @example([
+        ("map", "ros", 0x1000_0000_1000, 3, True),
+        ("merge",),
+        ("unmap", "hrt", 0x1000_0000_0000, 2),
+    ])
+    def test_ops_keep_leaf_tables_sound(self, ops):
+        # No sweep: the ops' own walks fill `leaf_tables`, so `map_page` and
+        # `unmap_page` reach tables that no translate has cached yet.
+        spaces = memo_spaces()
+        for op in ops:
+            apply_op(spaces, op)
+            for space in spaces.values():
+                assert_leaf_tables_sound(space)
+
+
+class TestUpperEntries:
+    """`leaf_tables` rests on one rule: only a merge rewrites an upper-level
+    entry that is present."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(MEMO_OPS)
+    def test_only_merge_rewrites_a_present_upper_entry(self, ops):
+        spaces = memo_spaces()
+        for op in ops:
+            before = {name: upper_entries(space) for name, space in spaces.items()}
+            apply_op(spaces, op)
+            if op[0] == "merge":
+                continue
+            for name, space in spaces.items():
+                after = upper_entries(space)
+                changed = [p for p, entry in before[name].items() if after.get(p) != entry]
+                assert not changed, (op, name, changed)
 
 
 def assert_memos_sound(space):
