@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 
 from .costs import CostModel
@@ -35,10 +36,13 @@ if TYPE_CHECKING:
     from .mem import AccessKind
 
 
+ROW_FORMAT = "cycle=%s kind=%s origin=%s detail=%s cost=%s\n"  # one log entry
+
+
 class EventLog:
     """Ordered per-run event log, which also keeps the run's time: `now`
     advances only by the cost of the entry that records it, so the costs
-    of the entries sum to `now`.  Renders one record per line."""
+    of the entries sum to `now`.  Renders one `ROW_FORMAT` line per entry."""
 
     def __init__(self):
         self.now = 0
@@ -82,13 +86,11 @@ class EventLog:
         return result
 
     def render(self) -> str:
-        if not self.entries:
-            return ""
-        # The lines die inside the join, before the final copy that adds "\n".
-        return "\n".join([
-            f"cycle={cycle} kind={kind} origin={origin} detail={detail} cost={cost}"
-            for cycle, kind, origin, detail, cost in self.entries
-        ]) + "\n"
+        """One `ROW_FORMAT` line per entry, formatted by one `%` in C: `%s`
+        of an int or a str is its `str()`, and a `%` in a detail is an
+        argument, never read as a directive."""
+        entries = self.entries
+        return ROW_FORMAT * len(entries) % tuple(chain.from_iterable(entries))
 
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:
@@ -141,8 +143,8 @@ class EventChannel:
     outstanding: list[EventRecord] = field(default_factory=list)
     sync_page: int | None = None  # set-up synchronous-call page, by virtual address
 
-    def register_endpoint(self, partner_tid: int) -> None:
-        self.queues.setdefault(partner_tid, deque())
+    def register_endpoint(self, partner_tid: int) -> deque[EventRecord]:
+        return self.queues.setdefault(partner_tid, deque())
 
     def drop_endpoint(self, partner_tid: int) -> None:
         self.queues.pop(partner_tid, None)

@@ -19,6 +19,10 @@ from .errors import ParseError
 DEFAULT_SYSCALL_BASE = 1500
 
 
+# The channel costs that must not decrease in this order.
+ORDERED = ("sync_call_same_socket", "sync_call_diff_socket", "async_call", "merger")
+
+
 @dataclass
 class CostModel:
     clock_hz: float = 2.2e9
@@ -39,17 +43,9 @@ class CostModel:
         for field in dataclasses.fields(self):
             if getattr(self, field.name) < 0:
                 raise ValueError(f"cost {field.name} must be >= 0")
-        ordered = (
-            self.sync_call_same_socket,
-            self.sync_call_diff_socket,
-            self.async_call,
-            self.merger,
-        )
-        if list(ordered) != sorted(ordered):
-            raise ValueError(
-                "expected sync_call_same_socket <= sync_call_diff_socket "
-                "<= async_call <= merger"
-            )
+        ordered = [getattr(self, name) for name in ORDERED]
+        if ordered != sorted(ordered):
+            raise ValueError("expected " + " <= ".join(ORDERED))
 
     def seconds(self, cycles: float) -> float:
         return cycles / self.clock_hz
@@ -74,8 +70,10 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(CostModel)}
 
 
 def load_cost_model(text: str) -> CostModel:
-    """Parse `key = value` lines; missing keys keep their defaults."""
+    """Parse `key = value` lines; missing keys keep their defaults.  Costs
+    out of `ORDERED`'s order name the last line that set one of them."""
     values: dict[str, float] = {}
+    ordered_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,7 +94,9 @@ def load_cost_model(text: str) -> CostModel:
         if key == "clock_hz" and not 0 < number < math.inf:
             raise ParseError(f"clock_hz must be finite and > 0, got {val!r}", lineno)
         values[key] = number
+        if key in ORDERED:
+            ordered_line = lineno
     try:
         return CostModel(**values)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), ordered_line) from exc

@@ -137,6 +137,12 @@ class FrameAllocator:
         self._next = start
 
     def alloc(self) -> int:
+        """One frame, as `take(1)`, which is called only to raise when no
+        frame is left."""
+        frame = self._next
+        if frame < self.end:
+            self._next = frame + 1
+            return frame
         return self.take(1)
 
     def take(self, n: int) -> int:
@@ -307,7 +313,9 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
     store, leaf_tables = space.store, space.leaf_tables
     while vaddr < end:
-        stop = min(end, (vaddr | 0x1F_FFFF) + 1)  # the end of vaddr's leaf table
+        stop = (vaddr | 0x1F_FFFF) + 1  # the end of vaddr's leaf table
+        if stop > end:
+            stop = end
         table = leaf_tables.get(vaddr >> 21)
         if table is None:
             table = space.root_table
@@ -320,12 +328,12 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
             else:
                 leaf_tables[vaddr >> 21] = table
         if table is not None:
-            page = vaddr >> 12
-            i1 = page & 0x1FF
-            for i in range(i1, i1 + (stop - vaddr) // PAGE_SIZE):
+            i1 = (vaddr >> 12) & 0x1FF
+            first = vaddr >> 21 << 9  # the page number of the table's entry 0
+            for i in range(i1, i1 + (stop - vaddr >> 12)):
                 if table[i] & P:
                     table[i] = 0
-                    store.forget_page(page + i - i1)
+                    store.forget_page(first + i)
         vaddr = stop
 
 

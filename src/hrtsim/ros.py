@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 
 from .channel import (
@@ -34,6 +35,7 @@ from .machine import Machine
 from .mem import (
     PAGE_SIZE,
     WRITE,
+    P,
     AccessKind,
     ControlState,
     FaultInfo,
@@ -58,13 +60,12 @@ DEFAULT_STACK_BYTES = 64 * 1024
 
 @dataclass(slots=True)
 class Region:
+    """Pages [base, base + length) of one mmap.  Callers compute the end
+    inline: 3.11 does not specialise a property read."""
+
     base: int
     length: int
     writable: bool
-
-    @property
-    def end(self) -> int:
-        return self.base + self.length
 
 
 class RegionList(list):
@@ -83,14 +84,14 @@ class RegionList(list):
 
     def pop(self, i: int) -> Region:
         del self.bases[i]
-        return super().pop(i)
+        return list.pop(self, i)  # not `super()`, which builds a proxy per call
 
     def index_at(self, addr: int) -> int:
         """Position of the region containing addr, or -1."""
         i = bisect_right(self.bases, addr) - 1
         if i >= 0:
             region = self[i]
-            if addr < region.base + region.length:  # not `end`: a property call
+            if addr < region.base + region.length:
                 return i
         return -1
 
@@ -125,6 +126,7 @@ class RosThread:
     # Partner-only state.
     hrt_thread: int | None = None
     exit_bit: bool = False
+    queue: deque[EventRecord] | None = None  # its endpoint's injection queue, bound at spawn
     # Join state: `joined` on the target, `join_target` on the joiner.
     joined: bool = False
     join_target: int | None = None
@@ -183,10 +185,6 @@ class RosKernel:
 
     # -- address space --------------------------------------------------------
 
-    def region_at(self, addr: int) -> Region | None:
-        i = self.proc.vm_regions.index_at(addr)
-        return self.proc.vm_regions[i] if i >= 0 else None
-
     def _alloc_region(
         self, length: int, populate: bool, writable: bool, stack: bool = False
     ) -> Region:
@@ -222,24 +220,28 @@ class RosKernel:
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
         regions = self.proc.vm_regions
         i = regions.index_at(base)
-        if i < 0 or base + length > regions[i].end:
+        if i < 0:
+            return EINVAL
+        region = regions[i]
+        start, end, stop = region.base, region.base + region.length, base + length
+        if stop > end:
             return EINVAL
         unmap_page(self.proc.space, base, length)
-        region = regions.pop(i)
-        if region.base < base:
-            regions.append(Region(region.base, base - region.base, region.writable))
-        if base + length < region.end:
-            regions.append(Region(base + length, region.end - (base + length), region.writable))
+        regions.pop(i)
+        if start < base:
+            regions.append(Region(start, base - start, region.writable))
+        if stop < end:
+            regions.append(Region(stop, end - stop, region.writable))
         return 0
 
     def syscall(self, name: str, args: tuple[int, ...]) -> int:
         if name == "write":
             return args[1] if len(args) > 1 else 0
-        if name == "mmap":
-            length = args[0] if args else 0
-            populate = bool(args[1]) if len(args) > 1 else False
-            writable = bool(args[2]) if len(args) > 2 else True
-            return self.sys_mmap(length, populate, writable)
+        if name == "mmap":  # absent flags: not populated, writable
+            n = len(args)
+            return self.sys_mmap(
+                args[0] if n else 0, n > 1 and bool(args[1]), n < 3 or bool(args[2])
+            )
         if name == "munmap":
             if len(args) < 2:
                 return EINVAL
@@ -250,21 +252,29 @@ class RosKernel:
         """Replicate a faulting access; False means an unrecoverable segfault.
 
         A page an earlier forwarded fault already mapped is kept, so
-        concurrent faults on one page allocate one frame.
+        concurrent faults on one page allocate one frame.  When the space
+        has cached the page's leaf table (see `mem`) and the leaf is absent,
+        the access faults, so it is not walked; otherwise `translate`
+        decides.  The page's frame is allocated before any table frame
+        that `map_page` adds.
         """
-        region = self.region_at(addr)
-        if region is None:
+        regions = self.proc.vm_regions
+        i = regions.index_at(addr)
+        if i < 0:
             return False
-        if access is WRITE and not region.writable:
+        writable = regions[i].writable
+        if access is WRITE and not writable:
             return False
-        result = translate(self.proc.space, self.control, addr, access)
-        if not isinstance(result, FaultInfo):
-            return True
+        space = self.proc.space
+        table = space.leaf_tables.get(addr >> 21)
+        if table is None or table[addr >> 12 & 0x1FF] & P:
+            if not isinstance(translate(space, self.control, addr, access), FaultInfo):
+                return True
         try:
             frame = self.machine.ros_frame_alloc.alloc()
         except AllocationError:
             return False
-        map_page(self.proc.space, addr & ~(PAGE_SIZE - 1), frame, writable=region.writable)
+        map_page(space, addr & ~(PAGE_SIZE - 1), frame, writable)
         return True
 
     def touch(self, addr: int, access: AccessKind, origin_tid: int) -> bool:
@@ -323,7 +333,7 @@ class RosKernel:
         """One scheduler step of a partner thread; True if it made progress."""
         if partner.status is EXITED:
             return False
-        queue = self.channel.queues.get(partner.tid)
+        queue = partner.queue
         if queue:
             self.serve_forwarded(partner, queue.popleft())
             return True
@@ -340,7 +350,7 @@ class RosKernel:
         """Create a partner and request a top-level twin running func_name."""
         addr = self.hrt.symbol(func_name)  # SymbolError if unknown
         partner = self._new_thread(RosThreadRole.PARTNER)
-        self.channel.register_endpoint(partner.tid)
+        partner.queue = self.channel.register_endpoint(partner.tid)
         # The partner's stack: every later stack-side address is below it.
         self._alloc_region(DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True)
 

@@ -50,7 +50,6 @@ from .channel import (
     EventLog,
     EventRecord,
     fault_detail,
-    syscall_detail,
 )
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
@@ -319,7 +318,7 @@ class Simulator:
         with its queue drained and no exit bit it parks at once."""
         ros = self.system.ros
         partner = ros.threads[ctx.tid]
-        queue = self.system.channel.queues[ctx.tid]
+        queue = partner.queue
         while True:
             progressed = ros.partner_step(partner)
             if partner.status is EXITED:
@@ -388,10 +387,11 @@ class Simulator:
                                 yield from self._hrt_touch(ctx, fault)
             elif op in ("mmap", "munmap", "syscall"):
                 call, detail = a, b
-                if detail is None:  # munmap last+N
+                if detail is None:  # munmap last+N: `syscall_detail`'s bytes, without its join
                     name, (offset, length), _ = call
-                    call = name, (_from_last(last, offset), length), None
-                    detail = syscall_detail(name, call[1])
+                    base = _from_last(last, offset)
+                    call = name, (base, length), None
+                    detail = f"sys:{name}({base},{length})"
             elif op == "spawn":
                 if kernel_mode:
                     raise UsageError(

@@ -186,6 +186,25 @@ class TestRun:
         cost = write(tmp_path, "cost.txt", "bogus_key = 1\n")
         assert main(["run", write(tmp_path, "w.txt", GOOD), "--cost", cost]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("sync_call_same_socket = 2000\n", 1),
+            ("# costs\nmerger = 20000\nhypercall = 1\n", 2),
+            ("async_call = 100\nsync_call_diff_socket = 200\nforward_overhead = 1\n", 2),
+        ],
+        ids=["one-key", "after-a-comment", "last-ordered-key"],
+    )
+    def test_cost_order_broken_names_its_line(self, tmp_path, capsys, text, line):
+        cost = write(tmp_path, "cost.txt", text)
+        assert main(["run", write(tmp_path, "w.txt", GOOD), "--cost", cost]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: line {line}: expected sync_call_same_socket <= sync_call_diff_socket "
+            "<= async_call <= merger\n"
+        )
+
     @pytest.mark.parametrize("command", ["run", "compare", "replay"])
     @pytest.mark.parametrize("clock", ["0", "nan", "inf"])
     def test_clock_not_finite_and_positive(self, tmp_path, capsys, command, clock):

@@ -180,7 +180,7 @@ class TestThreads:
         assert thread.partner == partner.tid
         assert booted.hrt.cores[thread.core_id].current_thread == thread.tid
         (stack,) = [r for r in booted.ros.proc.vm_regions if r not in before]
-        assert (stack.end, stack.length) == (STACK_TOP, DEFAULT_STACK_BYTES)
+        assert (stack.base + stack.length, stack.length) == (STACK_TOP, DEFAULT_STACK_BYTES)
 
     def test_nested_routing_depth_three(self, booted):
         top = top_level(booted)

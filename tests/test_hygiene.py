@@ -325,11 +325,15 @@ PER_STEP = (
     "mem:_table_at",
     "mem:map_page",
     "mem:unmap_page",
+    "mem:FrameAllocator.alloc",
+    "mem:TableStore.forget_page",
     "channel:fault_detail",
     "channel:EventLog.emit",
     "channel:EventChannel.forward_event",
     "channel:EventChannel.complete_event",
     "hrt:HrtKernel.handle_page_fault",
+    "ros:RegionList.append",
+    "ros:RegionList.pop",
     "ros:RegionList.index_at",
     "ros:RosKernel.touch",
     "ros:RosKernel.demand_fault",
@@ -338,6 +342,7 @@ PER_STEP = (
     "ros:RosKernel.syscall",
     "ros:RosKernel.sys_mmap",
     "ros:RosKernel.sys_munmap",
+    "ros:RosKernel._alloc_region",
     "sim:Simulator.step",
     "sim:Simulator._thread",
     "sim:Simulator._partner",

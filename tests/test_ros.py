@@ -1,7 +1,7 @@
 """Regular-OS model tests: syscalls, demand paging, partners, join."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrtsim.channel import EventKind, EventRecord, fault_detail, syscall_detail
@@ -20,7 +20,13 @@ from hrtsim.ros import (
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
 from conftest import make_fat, record_joins, small_machine
-from pagewalk import lower_halves_consistent
+from pagewalk import lower_halves_consistent, upper_entries, walk
+
+
+def region_at(ros, addr):
+    """The live region containing addr, found by `RegionList.index_at`."""
+    i = ros.proc.vm_regions.index_at(addr)
+    return ros.proc.vm_regions[i] if i >= 0 else None
 
 
 def mapped_pages(ros, base, length):
@@ -48,7 +54,7 @@ class TestMmap:
 
     def test_length_rounded_to_pages(self, system):
         base = system.ros.sys_mmap(100)
-        region = system.ros.region_at(base)
+        region = region_at(system.ros, base)
         assert region.length == PAGE_SIZE
 
     def test_bases_are_deterministic(self, system):
@@ -63,7 +69,7 @@ class TestMunmap:
         base = ros.sys_mmap(3 * PAGE_SIZE, populate=True)
         assert ros.sys_munmap(base, 3 * PAGE_SIZE) == 0
         assert mapped_pages(ros, base, 3 * PAGE_SIZE) == [False] * 3
-        assert ros.region_at(base) is None
+        assert region_at(ros, base) is None
 
     def test_partial_unmap_splits_region(self, system):
         ros = system.ros
@@ -71,9 +77,9 @@ class TestMunmap:
         # Punch out the middle page; both remainders must survive.
         assert ros.sys_munmap(base + 2 * PAGE_SIZE, PAGE_SIZE) == 0
         assert mapped_pages(ros, base, 5 * PAGE_SIZE) == [True, True, False, True, True]
-        assert ros.region_at(base).length == 2 * PAGE_SIZE
-        assert ros.region_at(base + 3 * PAGE_SIZE).base == base + 3 * PAGE_SIZE
-        assert ros.region_at(base + 2 * PAGE_SIZE) is None
+        assert region_at(ros, base).length == 2 * PAGE_SIZE
+        assert region_at(ros, base + 3 * PAGE_SIZE).base == base + 3 * PAGE_SIZE
+        assert region_at(ros, base + 2 * PAGE_SIZE) is None
 
     def test_unaligned_base_rejected(self, system):
         base = system.ros.sys_mmap(PAGE_SIZE)
@@ -95,13 +101,18 @@ def linear_region_at(regions, addr):
     return None
 
 
-# mmap (pages, stack) or munmap (region pick, first page, pages); picks and
-# offsets are taken modulo what is live, so some unmaps split a region and
-# some overrun it.
+# mmap (pages, stack, writable), munmap (region pick, first page, pages) or
+# demand_fault (region pick, page, byte offset, write); picks and offsets are
+# taken modulo what is live, so some unmaps split a region, some overrun it,
+# and some faults land past their region's end.
 REGION_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("mmap"), st.integers(1, 6), st.booleans()),
+        st.tuples(st.just("mmap"), st.integers(1, 6), st.booleans(), st.booleans()),
         st.tuples(st.just("munmap"), st.integers(0, 99), st.integers(0, 6), st.integers(1, 6)),
+        st.tuples(
+            st.just("fault"), st.integers(0, 99), st.integers(0, 7), st.integers(0, 4095),
+            st.booleans(),
+        ),
     ),
     max_size=30,
 )
@@ -110,30 +121,79 @@ REGION_OPS = st.lists(
 class TestRegionIndex:
     @settings(max_examples=60, deadline=None)
     @given(REGION_OPS)
+    @example(
+        [
+            ("mmap", 3, False, True),
+            ("fault", 0, 0, 0, True),
+            ("fault", 0, 1, 9, False),  # leaf table cached, leaf absent: not walked
+            ("fault", 0, 1, 0, True),  # leaf present: the page keeps its frame
+            ("mmap", 2, True, False),
+            ("fault", 1, 0, 0, True),  # a write to a read-only region segfaults
+            ("fault", 1, 1, 0, False),
+            ("munmap", 0, 1, 1),
+            ("fault", 0, 1, 0, False),  # unmapped but still in the region
+        ]
+    )
     def test_region_at_matches_linear_scan(self, ops):
+        """Region lookup against a linear scan, and the demand-fault
+        service against a page model: after every op, each first-touched
+        page of a live region translates by a full walk, every other page
+        in the op's range faults, and the regular OS has used one frame
+        per first touch plus one per page table."""
         ros = System(machine=small_machine()).ros
+        space, ctl = ros.proc.space, ros.control
         live: set[int] = set()  # model: pages covered by some region
+        touched: set[int] = set()  # model: live pages a fault has mapped
+        first_touches = 0
         for op in ops:
             if op[0] == "mmap":
-                _, pages, stack = op
+                _, pages, stack, writable = op
                 region = ros._alloc_region(
-                    pages * PAGE_SIZE, populate=False, writable=True, stack=stack
+                    pages * PAGE_SIZE, populate=False, writable=writable, stack=stack
                 )
-                live.update(range(region.base, region.end, PAGE_SIZE))
-            elif ros.proc.vm_regions:
+                span = range(region.base, region.base + region.length, PAGE_SIZE)
+                live.update(span)
+            elif not ros.proc.vm_regions:
+                continue
+            elif op[0] == "munmap":
                 _, pick, first, pages = op
                 region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
                 base = region.base + first * PAGE_SIZE
+                span = range(base, base + pages * PAGE_SIZE, PAGE_SIZE)
                 if ros.sys_munmap(base, pages * PAGE_SIZE) == 0:
-                    live.difference_update(range(base, base + pages * PAGE_SIZE, PAGE_SIZE))
+                    live.difference_update(span)
+                    touched.difference_update(span)
+            else:
+                _, pick, page, offset, write = op
+                region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
+                addr = region.base + page * PAGE_SIZE + offset
+                access = AccessKind.WRITE if write else AccessKind.READ
+                owner = linear_region_at(ros.proc.vm_regions, addr)  # maybe past `region`
+                served = ros.demand_fault(addr, access)
+                assert served == (owner is not None and (owner.writable or not write))
+                page_addr = addr - offset
+                if served and page_addr not in touched:
+                    touched.add(page_addr)
+                    first_touches += 1
+                span = range(page_addr - 2 * PAGE_SIZE, page_addr + 3 * PAGE_SIZE, PAGE_SIZE)
             regions = list(ros.proc.vm_regions)
             assert ros.proc.vm_regions.bases == [r.base for r in regions]
-            assert {p for r in regions for p in range(r.base, r.end, PAGE_SIZE)} == live
+            covered = {p for r in regions for p in range(r.base, r.base + r.length, PAGE_SIZE)}
+            assert covered == live
             assert [r.base for r in regions] == sorted(r.base for r in regions)
             for region in regions:
-                for page in range(region.base - PAGE_SIZE, region.end + 2 * PAGE_SIZE, PAGE_SIZE):
+                end = region.base + region.length
+                for page in range(region.base - PAGE_SIZE, end + 2 * PAGE_SIZE, PAGE_SIZE):
                     for addr in (page - 1, page, page + 1):
-                        assert ros.region_at(addr) is linear_region_at(regions, addr)
+                        assert region_at(ros, addr) is linear_region_at(regions, addr)
+            for page in touched:
+                assert not isinstance(walk(space, ctl, page, AccessKind.READ), FaultInfo)
+            for page in span:
+                if page not in touched:
+                    assert isinstance(walk(space, ctl, page, AccessKind.READ), FaultInfo)
+            frames = space.frame_alloc
+            tables = 1 + len(upper_entries(space))  # the root, and one per upper entry
+            assert frames.end - frames.start - frames.frames_left == first_touches + tables
 
 
 WRITE_ROS = "thread main ros\n  syscall write 1 14\n  exit\nend\n"
@@ -230,7 +290,7 @@ class TestSpawn:
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
         assert partner.tid in booted.channel.queues
-        stacks = [r for r in ros.proc.vm_regions if r.end == STACK_TOP]
+        stacks = [r for r in ros.proc.vm_regions if r.base + r.length == STACK_TOP]
         assert [r.length for r in stacks] == [DEFAULT_STACK_BYTES]  # the partner's stack
         kinds = [kind for _, kind, _, _, _ in booted.log.entries]
         assert "AsyncCall" in kinds
@@ -254,7 +314,7 @@ class TestSpawn:
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
         (stack,) = [r for r in ros.proc.vm_regions if r not in before]
-        assert (stack.base, stack.end) == (STACK_TOP - DEFAULT_STACK_BYTES, STACK_TOP)
+        assert (stack.base, stack.length) == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES)
         create, call = booted.log.entries[-2:]  # (cycle, kind, origin, detail, cost)
         assert create[1:4] == (
             EventKind.THREAD_CREATE.value,

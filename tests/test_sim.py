@@ -758,3 +758,37 @@ class TestRecordLayout:
 
     def test_empty_log_renders_empty(self):
         assert EventLog().render() == ""
+
+
+def per_row_render(entries):
+    """The reference `EventLog.render` answers to: one f-string per row."""
+    return "".join(
+        f"cycle={cycle} kind={kind} origin={origin} detail={detail} cost={cost}\n"
+        for cycle, kind, origin, detail, cost in entries
+    )
+
+
+class TestRender:
+    """`EventLog.render` formats the whole log with one `%`; it must give
+    the bytes of the per-row f-strings (the empty log:
+    `TestRecordLayout.test_empty_log_renders_empty`)."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt")))
+    def test_golden_logs_render_as_per_row(self, name):
+        text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+        for mode in Mode:
+            system = System(machine=Machine(phys_frames=PHYS_FRAMES.get(name, 512)))
+            try:
+                Simulator(system, parse_workload(text), mode).run()
+            except SimError:
+                pass  # the log up to the error still renders
+            assert system.log.entries, (name, mode)
+            assert system.log.render() == per_row_render(system.log.entries), (name, mode)
+
+    def test_details_with_format_characters(self):
+        log = EventLog()
+        for detail in ("100%", "%s", "%d%%", "%(x)s", "{}", "{0}", "%", "a % b {c}", "x" * 500):
+            log.emit("Compute", 7, detail, 3)
+        log.emit("Syscall", 0, "", 0, forwarded=True, call="x")
+        assert log.render() == per_row_render(log.entries)
+        assert log.render().splitlines()[0] == "cycle=3 kind=Compute origin=7 detail=100% cost=3"
