@@ -39,10 +39,8 @@ from .machine import CoreKind, Machine
 from .mem import (
     PAGE_SIZE,
     AccessKind,
-    ControlState,
     FaultInfo,
     PageTableHierarchy,
-    Ring,
     identity_map_higher_half,
     map_page,
     merge_lower_half,
@@ -91,7 +89,6 @@ class HrtKernel:
     threads: dict[int, HrtThread] = field(default_factory=dict)
     symbol_cache: SymbolCache = field(default_factory=SymbolCache)
     remerge_count: int = 0
-    control: ControlState | None = None  # built with the address space at boot
     _next_tid: int = 1000
     _next_core_rr: int = 0
 
@@ -130,7 +127,6 @@ class HrtKernel:
                 self.machine.table_store, self.machine.hrt_frame_alloc
             )
             identity_map_higher_half(self.space, self.machine.phys_frames)
-            self.control = ControlState(cr0_wp=True, cr3=self.space.cr3, ring=Ring.RING0)
         for core_id in core_ids:
             self.cores[core_id] = HrtCoreState(booted=True)
 

@@ -1,5 +1,10 @@
 """Physical memory, canonical 48-bit addressing, and four-level page tables.
 
+A walk takes no control state.  Both kernels run with CR0.WP set, so a
+write to a present read-only page faults in ring 0 exactly as in ring 3:
+the ring never changes an outcome, and `translate` decides from the leaf
+and the access kind alone.
+
 The machine's page tables live in a table store shared by every address
 space, keyed by the physical frame holding each table.  This makes
 sub-table sharing between the two kernels' address spaces automatic: the
@@ -20,12 +25,11 @@ access kind, both filled only by `translate`:
   - `memo` serves read and execute: page number -> every present leaf;
   - `wmemo` serves write: page number -> the present leaves that are
     writable.
-A page in the memo of access kind K cannot fault on K under any
-`ControlState`: read and execute fault only on a missing page, and a
-write to a writable leaf never faults.  So a caller that finds its page
-in the memo of its access kind may skip `translate` and make no
-permission decision; on a miss it calls `translate`, which also decides
-a write to a present read-only page from the ring and cr0.WP.  A
+A page in the memo of access kind K cannot fault on K: read and execute
+fault only on a missing page, and a write to a writable leaf never
+faults.  So a caller that finds its page in the memo of its access kind
+may skip `translate` and make no permission decision; on a miss it calls
+`translate`, which also faults a write to a present read-only page.  A
 non-canonical address has no page number that a memo can hold.  Misses
 are never cached, so mapping a page that was not present invalidates
 nothing.  Three writes do invalidate both memos, because a leaf table
@@ -82,18 +86,12 @@ class FaultReason(enum.Enum):
     WRITE_PROTECT = "write_protect"
 
 
-class Ring(enum.Enum):
-    RING0 = 0
-    RING3 = 3
-
-
 # The members that per-step code reads, bound once: on Python 3.11 the enum
 # metaclass defines __getattr__, so `AccessKind.WRITE` inside a function is
 # an unspecialised class-attribute load, several times a module global's.
 WRITE = AccessKind.WRITE
 NOT_PRESENT = FaultReason.NOT_PRESENT
 WRITE_PROTECT = FaultReason.WRITE_PROTECT
-RING3 = Ring.RING3
 
 
 @dataclass(slots=True)
@@ -101,13 +99,6 @@ class FaultInfo:
     addr: int
     access: AccessKind
     reason: FaultReason
-
-
-@dataclass(frozen=True)
-class ControlState:
-    cr0_wp: bool
-    cr3: int
-    ring: Ring
 
 
 def is_canonical(addr: int) -> bool:
@@ -222,16 +213,11 @@ class PageTableHierarchy:
         self.leaf_tables: dict[int, list[int]] = {}
 
 
-def translate(
-    space: PageTableHierarchy,
-    ctl: ControlState,
-    addr: int,
-    access: AccessKind,
-) -> int | FaultInfo:
+def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | FaultInfo:
     """Walk the four levels; return a physical byte address or fault info.
 
-    A ring-0 write to a present read-only page faults only when cr0_wp is
-    set; in ring 3 it always faults.  A present leaf is memoised in
+    A write to a present read-only page faults (see the module
+    docstring: CR0.WP is set on both sides).  A present leaf is memoised in
     `memo`, and in `wmemo` too if it is writable; a non-canonical address
     never is, so its page number never hits.  A memo miss looks up the
     region's leaf table in `leaf_tables` and walks only if it is not there.
@@ -257,8 +243,7 @@ def translate(
         if leaf & RW:
             space.wmemo[page] = leaf
     if access is WRITE and not leaf & RW:
-        if ctl.ring is RING3 or ctl.cr0_wp:
-            return FaultInfo(addr, access, WRITE_PROTECT)
+        return FaultInfo(addr, access, WRITE_PROTECT)
     return leaf & ~0xFFF | addr & 0xFFF
 
 

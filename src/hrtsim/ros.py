@@ -3,7 +3,9 @@
 The process owns the lower half of the address space.  mmap regions come
 from a deterministic bump allocator; partner stacks and other internal
 allocations come down from the top of the lower half so that workload
-addresses are identical across run modes.  Partner threads service the
+addresses are identical across run modes.  The two areas never cross: a
+region that would take one past the other raises `AllocationError`,
+which `sys_mmap` returns as ENOMEM.  Partner threads service the
 events their kernel-mode twins forward and carry the exit bit.  A
 forwarded system call brings everything its service needs: a call that
 fell through carries its legacy function's body, and any other call goes
@@ -37,10 +39,8 @@ from .mem import (
     WRITE,
     P,
     AccessKind,
-    ControlState,
     FaultInfo,
     PageTableHierarchy,
-    Ring,
     ensure_root_entry,
     map_page,
     merge_lower_half,
@@ -160,7 +160,6 @@ class RosKernel:
         # The mmap and stack areas have live root entries from process start.
         ensure_root_entry(self.proc.space, MMAP_BASE)
         ensure_root_entry(self.proc.space, STACK_TOP - PAGE_SIZE)
-        self.control = ControlState(cr0_wp=True, cr3=self.proc.space.cr3, ring=Ring.RING3)
         self.threads: dict[int, RosThread] = {}
         self._next_tid = 1
         self._next_mmap = MMAP_BASE
@@ -189,6 +188,8 @@ class RosKernel:
         self, length: int, populate: bool, writable: bool, stack: bool = False
     ) -> Region:
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
+        if self._next_stack - self._next_mmap < length:  # the two areas never cross
+            raise AllocationError(f"no room for a 0x{length:x}-byte region")
         if stack:
             self._next_stack -= length
             base = self._next_stack
@@ -268,7 +269,7 @@ class RosKernel:
         space = self.proc.space
         table = space.leaf_tables.get(addr >> 21)
         if table is None or table[addr >> 12 & 0x1FF] & P:
-            if not isinstance(translate(space, self.control, addr, access), FaultInfo):
+            if not isinstance(translate(space, addr, access), FaultInfo):
                 return True
         try:
             frame = self.machine.ros_frame_alloc.alloc()
@@ -287,7 +288,7 @@ class RosKernel:
         space = self.proc.space
         if addr >> 12 in (space.wmemo if access is WRITE else space.memo):
             return True
-        result = translate(space, self.control, addr, access)
+        result = translate(space, addr, access)
         if not isinstance(result, FaultInfo):
             return True
         if not self.demand_fault(addr, access):

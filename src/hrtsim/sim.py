@@ -74,7 +74,6 @@ __all__ = [
 
 
 class Mode(enum.Enum):
-    NATIVE = "native"
     VIRTUAL = "virtual"
     MULTIVERSE = "multiverse"
 
@@ -342,8 +341,8 @@ class Simulator:
         a joiner on its target."""
         ros, hrt, log = self.system.ros, self.system.hrt, self.log
         kernel_mode = ctx.kind == "hrt_body"
-        if kernel_mode:  # all four are fixed from boot on
-            space, ctl = hrt.space, hrt.control
+        if kernel_mode:  # all three are fixed from boot on
+            space = hrt.space
             memo, wmemo = space.memo, space.wmemo
         write = WRITE  # a local: the kernel-mode touch below is the hottest test
         tid = ctx.tid
@@ -355,7 +354,7 @@ class Simulator:
                     c = a >> 12
                 if kernel_mode:
                     if c not in (wmemo if b is write else memo):
-                        fault = translate(space, ctl, a, b)
+                        fault = translate(space, a, b)
                         if isinstance(fault, FaultInfo):
                             yield from self._hrt_touch(ctx, fault)
                 elif not ros.touch(a, b, tid):
@@ -382,7 +381,7 @@ class Simulator:
                     for addr in a.behavior.touches:  # the target's writes, one step each
                         yield True
                         if addr >> 12 not in wmemo:
-                            fault = translate(space, ctl, addr, write)
+                            fault = translate(space, addr, write)
                             if isinstance(fault, FaultInfo):
                                 yield from self._hrt_touch(ctx, fault)
             elif op in ("mmap", "munmap", "syscall"):
@@ -462,7 +461,7 @@ class Simulator:
         forwarded one in the step that sees it served.  Four local
         resolutions in a row, or a third forward, is a double fault."""
         hrt = self.system.hrt
-        space, ctl = hrt.space, hrt.control
+        space = hrt.space
         addr, access = fault.addr, fault.access
         core_id = hrt.threads[ctx.tid].core_id
         local = forwards = 0
@@ -487,7 +486,7 @@ class Simulator:
                     yield False
                 if ev.result == EFAULT:
                     raise _Halt
-            fault = translate(space, ctl, addr, access)
+            fault = translate(space, addr, access)
             if not isinstance(fault, FaultInfo):
                 return
 

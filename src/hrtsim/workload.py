@@ -40,21 +40,6 @@ from .errors import ParseError
 from .mem import AccessKind
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
 
-ACTIONS = {
-    "compute",
-    "mmap",
-    "munmap",
-    "touch",
-    "syscall",
-    "spawn",
-    "spawn_nested",
-    "call_override",
-    "sync_call",
-    "join",
-    "exit",
-}
-
-
 @dataclass(frozen=True)
 class FunctionBehavior:
     """Declarative body of a function, from its `func` line; a name with no
@@ -105,8 +90,8 @@ class CallPlan:
 
     name: str
     args: tuple  # ints, and symbolic names (a spawn target) as str
-    call: str = ""  # "call:NAME": a native call's name and detail, a fall-through's entry
-    legacy_cycles: int = 0  # native: the function's own cycles, else its override target's
+    call: str = ""  # "call:NAME": a regular-OS call's name and detail, a fall-through's entry
+    legacy_cycles: int = 0  # regular OS: the function's own cycles, else its target's
     target: str | None = None  # kernel mode: the enabled override's target; None falls through
     creates: bool = False  # the target creates a thread: a spawn of `spawn`
     spawn: str | None = None  # the first symbolic argument
@@ -122,10 +107,10 @@ class CallPlan:
         self.call = f"call:{name}"
         entry = overrides.get(name)
         legacy = funcs.get(name)
-        native = legacy
-        if native is None and entry is not None:  # the target's body stands in for it
-            native = funcs.get(entry.aero_name)
-        self.legacy_cycles = native.cycles if native is not None else 0
+        plain = legacy
+        if plain is None and entry is not None:  # the target's body stands in for it
+            plain = funcs.get(entry.aero_name)
+        self.legacy_cycles = plain.cycles if plain is not None else 0
         if entry is None or not entry.enabled:
             ints = tuple(a for a in self.args if isinstance(a, int))
             self.payload = (self.call, ints, legacy)

@@ -10,12 +10,10 @@ from hrtsim.mem import (
     TABLE_ENTRIES,
     AccessKind,
     RW,
-    ControlState,
     FaultInfo,
     FaultReason,
     P,
     PageTableHierarchy,
-    Ring,
     _table_at,
     require_canonical,
 )
@@ -104,9 +102,7 @@ def upper_entries(space: PageTableHierarchy) -> dict[tuple[int, ...], int]:
     return entries
 
 
-def walk(
-    space: PageTableHierarchy, ctl: ControlState, addr: int, access: AccessKind
-) -> int | FaultInfo:
+def walk(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | FaultInfo:
     """`mem.translate` without its memo or `leaf_tables`: all four levels
     on every call."""
     table = leaf_table(space, addr)
@@ -117,8 +113,7 @@ def walk(
     if not leaf & P:
         return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
     if access is AccessKind.WRITE and not leaf & RW:
-        if ctl.ring is Ring.RING3 or ctl.cr0_wp:
-            return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
+        return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
     return (leaf >> 12) * PAGE_SIZE + offset
 
 

@@ -17,11 +17,9 @@ from hrtsim.machine import CoreKind, Machine
 from hrtsim.mem import (
     PAGE_SIZE,
     AccessKind,
-    ControlState,
     FrameAllocator,
     Owner,
     PageTableHierarchy,
-    Ring,
     TableStore,
     map_page,
     merge_lower_half,
@@ -48,9 +46,6 @@ from hrtsim.toolchain import (
 
 from conftest import make_fat, record_joins, small_machine
 from pagewalk import mapped_lower_pages
-
-RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
-RING3 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING3)
 
 W_SPAWN_JOIN = """
 thread main ros
@@ -162,9 +157,7 @@ def test_criterion_05_merge_equivalence_randomized():
             map_page(ros, vaddr, rng.randrange(0, 500), writable=rng.random() < 0.5)
         merge_lower_half(hrt, ros)
         for vaddr in mapped_lower_pages(ros):
-            assert translate(hrt, RING0, vaddr, AccessKind.READ) == translate(
-                ros, RING3, vaddr, AccessKind.READ
-            )
+            assert translate(hrt, vaddr, AccessKind.READ) == translate(ros, vaddr, AccessKind.READ)
         once = list(hrt.root_table[:256])
         merge_lower_half(hrt, ros)
         assert list(hrt.root_table[:256]) == once
@@ -287,10 +280,10 @@ def test_criterion_08_trace_congruence():
         "  exit\nend\n"
     )
     for text in (W_LAZY, mixed):
-        native = run(small_machine(), text, Mode.NATIVE)
+        virtual = run(small_machine(), text, Mode.VIRTUAL)
         multiverse = run(small_machine(), text, Mode.MULTIVERSE)
-        assert "\n".join(fault_details(native)) == "\n".join(fault_details(multiverse))
-        assert fault_details(native)  # non-vacuous
+        assert "\n".join(fault_details(virtual)) == "\n".join(fault_details(multiverse))
+        assert fault_details(virtual)  # non-vacuous
 
 
 def test_criterion_09_determinism():

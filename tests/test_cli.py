@@ -32,8 +32,8 @@ end
 """
 
 # Main maps and touches MMAP_BASE; the thread it spawns maps the next page
-# and touches 2**64 + MMAP_BASE from it, on the regular OS in native mode
-# and in kernel mode otherwise.  A literal that large is refused by the
+# and touches 2**64 + MMAP_BASE from it, on the regular OS in virtual mode
+# and in kernel mode in multiverse.  A literal that large is refused by the
 # parser; an offset from `last` reaches it only at run time.
 ALIAS = """
 thread main ros
@@ -67,12 +67,18 @@ def parse_error(text: str) -> ParseError | None:
 
 
 class TestRun:
-    def test_native_run(self, tmp_path, capsys):
-        code = main(["run", write(tmp_path, "w.txt", GOOD), "--mode", "native"])
+    def test_virtual_run(self, tmp_path, capsys):
+        code = main(["run", write(tmp_path, "w.txt", GOOD), "--mode", "virtual"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "mode: native" in out
+        assert "mode: virtual" in out
         assert "total cycles:" in out
+
+    def test_mode_is_virtual_or_multiverse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write(tmp_path, "w.txt", GOOD), "--mode", "native"])
+        assert exc.value.code == 2
+        assert "choose from 'virtual', 'multiverse'" in capsys.readouterr().err
 
     def test_default_mode_is_multiverse(self, tmp_path, capsys):
         code = main(["run", write(tmp_path, "w.txt", GOOD)])
@@ -108,17 +114,38 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_workload_failure_exit_code(self, tmp_path, capsys):
-        code = main(["run", write(tmp_path, "seg.txt", SEGFAULT), "--mode", "native"])
+        code = main(["run", write(tmp_path, "seg.txt", SEGFAULT), "--mode", "virtual"])
         assert code == EXIT_FAILURE
         assert "FAILED" in capsys.readouterr().out
 
     def test_last_before_mmap_is_a_runtime_failure(self, tmp_path, capsys):
         text = "thread main ros\n  touch last w\n  exit\nend\n"
-        code = main(["run", write(tmp_path, "w.txt", text), "--mode", "native"])
+        code = main(["run", write(tmp_path, "w.txt", text), "--mode", "virtual"])
         assert code == EXIT_FAILURE
         assert "'last' used before any mmap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["native", "multiverse"])
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
+    def test_mmap_past_the_stack_area_is_refused(self, tmp_path, mode):
+        # The refused mmap moves no bump pointer: the next one gets MMAP_BASE.
+        text = "thread main ros\n  mmap 0x7000000000000\n  mmap 4096\n  touch last w\n  exit\nend\n"
+        log = tmp_path / "events.log"
+        argv = ["run", write(tmp_path, "w.txt", text), "--mode", mode, "--log", str(log)]
+        assert main(argv) == EXIT_OK
+        assert "detail=pf:0x100000000000:w " in log.read_text()
+
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
+    def test_mmap_past_the_lower_half_leaves_no_base(self, tmp_path, capsys, mode):
+        # The mmap returns ENOMEM, so `last` names no region.
+        text = (
+            "thread main ros\n  mmap 0x800000000000\n  touch last+0x7f0000000000 w\n"
+            "  exit\nend\n"
+        )
+        code = main(["run", write(tmp_path, "w.txt", text), "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILURE
+        assert "'last' used before any mmap" in err and "non-canonical" not in err
+
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
     def test_address_beyond_64_bits_is_a_runtime_failure(self, tmp_path, capsys, mode):
         # 2**64 + MMAP_BASE must not alias the page mapped at MMAP_BASE.
         code = main(["run", write(tmp_path, "w.txt", ALIAS), "--mode", mode])
@@ -131,14 +158,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error: line 2: address '0x10000100000000000' does not fit in 64 bits" in err
 
-    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
     def test_sync_call_of_no_symbol_is_a_parse_error(self, tmp_path, capsys, mode):
         text = "thread main ros\n  sync_call ghost\n  exit\nend\n"
         assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "error: line 2: sync_call target 'ghost' is not a symbol" in err
 
-    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
     def test_thread_create_override_of_no_body_is_a_parse_error(self, tmp_path, capsys, mode):
         text = (
             "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
@@ -219,7 +246,7 @@ class TestRun:
         assert err.startswith("error: line 1: clock_hz must be finite and > 0")
 
 
-    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
     @pytest.mark.parametrize(
         "text",
         [
@@ -233,7 +260,7 @@ class TestRun:
         assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
         assert "negative count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["native", "virtual", "multiverse"])
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
     @pytest.mark.parametrize(
         "text",
         [

@@ -6,11 +6,11 @@ and `repeat`; overrides that are on, `off`, fall through, and
 `pthread_create`; `sync_call` and `munmap` of `last`; machines of
 512-4096 frames.  Literal touches fall in an 8-page region that `main`
 maps first.  A thread spawns only threads after it in the list, so
-every run ends.  Each workload runs twice in every mode, and these hold:
+every run ends.  Each workload runs twice in both modes, virtual and
+multiverse, and these hold:
 
 - two runs give the same outcome;
 - the log's `cost=` fields sum to `total_cycles`;
-- the native outcome equals the virtual one;
 - any exception raised is a `SimError`;
 - the parked round loop makes the same progress steps, and ends the same
   way, as `tests/test_schedule.py`'s oracle that steps every context
@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from hrtsim.errors import ParseError, SimError
 from hrtsim.machine import Machine
-from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind, ControlState, Ring
+from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
@@ -156,8 +156,7 @@ def assert_one_frame_per_page(system: System) -> None:
     """Each mapped lower-half page of the process has its own regular-OS
     frame, and no page table shares it."""
     space = system.ros.proc.space
-    ctl = ControlState(cr0_wp=False, cr3=space.cr3, ring=Ring.RING0)
-    backing = [walk(space, ctl, page, AccessKind.READ) >> 12 for page in mapped_lower_pages(space)]
+    backing = [walk(space, page, AccessKind.READ) >> 12 for page in mapped_lower_pages(space)]
     assert len(set(backing)) == len(backing), "two pages share a frame"
     assert all(frame < system.machine.ros_frames for frame in backing), backing
     assert not set(backing) & set(space.store), "a page shares a page table's frame"
@@ -172,7 +171,7 @@ def outcome(text: str, frames: int, mode: Mode) -> tuple:
     finally:
         assert_one_frame_per_page(sim.system)
         for space in (sim.system.ros.proc.space, sim.system.hrt.space):
-            if space is not None:  # native and virtual runs boot no HRT
+            if space is not None:  # a virtual run boots no HRT
                 assert_leaf_tables_sound(space)
     costs = sum(int(line.rsplit("cost=", 1)[1]) for line in report.log_text.splitlines())
     assert costs == report.total_cycles
@@ -183,15 +182,12 @@ def outcome(text: str, frames: int, mode: Mode) -> tuple:
 @given(workloads())
 def test_generated_workload_invariants(generated):
     text, frames = generated
-    seen = {}
     for mode in Mode:
         first = outcome(text, frames, mode)
         assert outcome(text, frames, mode) == first, f"{mode.value} is not deterministic"
-        seen[mode] = first
         parked = observe(ParkingLoop, text, mode, frames)
         assert parked == observe(StepEveryContext, text, mode, frames), mode.value
         assert parked[1][0] != "DeadlockError", parked[1]
-    assert seen[Mode.NATIVE] == seen[Mode.VIRTUAL]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

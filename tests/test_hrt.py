@@ -20,7 +20,6 @@ from hrtsim.mem import (
     AccessKind,
     FaultInfo,
     FaultReason,
-    Ring,
     map_page,
     translate,
 )
@@ -119,7 +118,7 @@ class TestBoot:
         tables = len(store)
         vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
         for _ in range(2):
-            got = translate(system.hrt.space, system.hrt.control, vaddr, AccessKind.READ)
+            got = translate(system.hrt.space, vaddr, AccessKind.READ)
             assert got == 777_777 * PAGE_SIZE
             assert len(store) == tables + 2
             # the three other level-2 tables, and 511 of the touched one's leaves
@@ -137,15 +136,6 @@ class TestBoot:
             built.add(len(store))
             assert len(store.deferred) == -(-frames // (1 << 18))
         assert len(built) == 1
-
-    def test_control_state_built_once_at_boot(self, booted):
-        hrt = booted.hrt
-        ctl = hrt.control
-        hrt.boot(hrt.machine.hrt_core_ids)  # booting again keeps the one instance
-        assert hrt.control is ctl
-        assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, hrt.space.cr3, Ring.RING0)
-        with pytest.raises(AttributeError):  # frozen: one instance is shared by every touch
-            ctl.cr3 = 0
 
 
 class TestThreads:
@@ -277,9 +267,7 @@ class TestFaultPath:
         log_before = len(booted.log.entries)
         resolution = hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], fault)
         assert resolution is FaultResolution.HANDLED_LOCAL
-        assert not isinstance(
-            translate(hrt.space, hrt.control, addr, AccessKind.WRITE), FaultInfo
-        )
+        assert not isinstance(translate(hrt.space, addr, AccessKind.WRITE), FaultInfo)
         assert len(booted.log.entries) == log_before
         assert booted.channel.outstanding == []
 
@@ -287,7 +275,7 @@ class TestFaultPath:
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE
         hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], FaultInfo(addr, AccessKind.WRITE, FaultReason.NOT_PRESENT))
-        paddr = translate(hrt.space, hrt.control, addr, AccessKind.READ)
+        paddr = translate(hrt.space, addr, AccessKind.READ)
         assert paddr // PAGE_SIZE >= booted.machine.ros_frames
 
     def test_first_lower_fault_forwards(self, booted):
@@ -309,7 +297,7 @@ class TestFaultPath:
         map_page(ros.proc.space, addr, frame)
         assert hrt.handle_page_fault(core, fault) is FaultResolution.RETRY_AFTER_REMERGE
         assert hrt.remerge_count == 1
-        assert translate(hrt.space, hrt.control, addr, AccessKind.WRITE) == frame * PAGE_SIZE
+        assert translate(hrt.space, addr, AccessKind.WRITE) == frame * PAGE_SIZE
         remerges = [
             kind for _, kind, _, detail, _ in booted.log.entries if detail.startswith("remerge:")
         ]

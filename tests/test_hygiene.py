@@ -4,7 +4,9 @@ reaches into another object's private state, and only the event log
 moves time.
 
 A deleted code path must not leave its imports or helpers behind, and
-`src` keeps no function that only tests call.  An import counts as used
+`src` keeps no function that only tests call.  Every module-level name
+that is not a dunder (a constant, a function, a class) is loaded by some
+module of the package, imported by one, or listed in an `__all__`.  An import counts as used
 if the module reads it anywhere or re-exports it through `__all__`; a
 private function or method counts as used if any module of the package
 names it.  A public method counts as named through an attribute access,
@@ -166,6 +168,73 @@ def test_check_sees_an_unnamed_public_function():
         "lib.py:5: as_attribute",
         "lib.py:8: as_name",
         "lib.py:9: unused",
+    ]
+
+
+def module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each name that tree's top level binds by a def, a
+    class or an assignment; dunder names are left out."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [
+                (n.id, node.lineno)
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            ]
+    return [(n, line) for n, line in bound if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unloaded_module_names(trees: dict[str, ast.Module]) -> list[str]:
+    loaded: set[str] = set()  # loaded as a name, imported, or in an __all__
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                loaded |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                loaded |= {elt.value for elt in node.value.elts}
+    return sorted(
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for name, line in module_level_names(tree)
+        if name not in loaded
+    )
+
+
+def test_every_module_level_name_is_loaded():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    unloaded = unloaded_module_names(trees)
+    assert [u for u in unloaded if u.rsplit(": ", 1)[1] not in NAMED_ONLY_BY_TESTS] == []
+
+
+def test_check_sees_an_unloaded_module_name():
+    lib = ast.parse(
+        "__version__ = '1'\n"
+        "KEPT = {'a'}\n"
+        "ORPHAN = {'b'}\n"
+        "FIRST, SECOND = 1, 2\n"
+        "TYPED: int = 3\n"
+        "EXPORTED = 4\n"
+        "class Used: pass\n"
+        "class Unused: pass\n"
+        "def imported(): return KEPT, Used\n"
+        "__all__ = ['EXPORTED']\n"
+    )
+    user = ast.parse("from .lib import imported\nFIRST = 5\nprint(TYPED.real)\n")
+    assert unloaded_module_names({"lib.py": lib, "user.py": user}) == [
+        "lib.py:3: ORPHAN",
+        "lib.py:4: FIRST",
+        "lib.py:4: SECOND",
+        "lib.py:8: Unused",
+        "user.py:2: FIRST",
     ]
 
 

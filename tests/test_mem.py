@@ -13,14 +13,12 @@ from hrtsim.mem import (
     PAGE_SIZE,
     RW,
     AccessKind,
-    ControlState,
     FaultInfo,
     FaultReason,
     FrameAllocator,
     Owner,
     P,
     PageTableHierarchy,
-    Ring,
     TableStore,
     ensure_root_entry,
     identity_map_higher_half,
@@ -40,11 +38,6 @@ from pagewalk import (
     upper_entries,
     walk,
 )
-
-RING0 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING0)
-RING0_NOWP = ControlState(cr0_wp=False, cr3=0, ring=Ring.RING0)
-RING3 = ControlState(cr0_wp=True, cr3=0, ring=Ring.RING3)
-
 
 def make_space(frames: int = 512) -> PageTableHierarchy:
     store = TableStore()
@@ -115,7 +108,7 @@ class TestCanonical:
     def test_translate_rejects_non_canonical(self):
         space = make_space()
         with pytest.raises(NonCanonicalAddressError):
-            translate(space, RING3, 1 << 47, AccessKind.READ)
+            translate(space, 1 << 47, AccessKind.READ)
 
     @pytest.mark.parametrize("addr", [-PAGE_SIZE, -1, 1 << 64, (1 << 64) + 0x1000_0000_0000])
     def test_ints_outside_64_bits_are_not_canonical(self, addr):
@@ -128,31 +121,31 @@ class TestCanonical:
         map_page(space, page, 7)
         for alias in ((1 << 64) + page, page - (1 << 64)):
             with pytest.raises(NonCanonicalAddressError):
-                translate(space, RING0, alias, AccessKind.READ)
+                translate(space, alias, AccessKind.READ)
             with pytest.raises(NonCanonicalAddressError):
                 map_page(space, alias, 8)
             with pytest.raises(NonCanonicalAddressError):
                 unmap_page(space, alias)
-        assert translate(space, RING0, page, AccessKind.READ) == 7 * PAGE_SIZE
+        assert translate(space, page, AccessKind.READ) == 7 * PAGE_SIZE
 
 
 class TestTranslate:
     def test_empty_table_faults(self):
         space = make_space()
-        result = translate(space, RING3, 0x1000, AccessKind.READ)
+        result = translate(space, 0x1000, AccessKind.READ)
         assert result == FaultInfo(0x1000, AccessKind.READ, FaultReason.NOT_PRESENT)
 
     def test_map_then_translate(self):
         space = make_space()
         map_page(space, 0x2000, 7)
-        assert translate(space, RING3, 0x2000, AccessKind.READ) == 7 * PAGE_SIZE
-        assert translate(space, RING3, 0x2abc, AccessKind.READ) == 7 * PAGE_SIZE + 0xABC
+        assert translate(space, 0x2000, AccessKind.READ) == 7 * PAGE_SIZE
+        assert translate(space, 0x2abc, AccessKind.READ) == 7 * PAGE_SIZE + 0xABC
 
     def test_map_unmap_faults(self):
         space = make_space()
         map_page(space, 0x2000, 7)
         unmap_page(space, 0x2000)
-        result = translate(space, RING3, 0x2000, AccessKind.READ)
+        result = translate(space, 0x2000, AccessKind.READ)
         assert isinstance(result, FaultInfo)
         assert result.reason is FaultReason.NOT_PRESENT
 
@@ -160,7 +153,7 @@ class TestTranslate:
         space = make_space()
         map_page(space, 0x2000, 7)
         map_page(space, 0x2000, 9)
-        assert translate(space, RING3, 0x2000, AccessKind.READ) == 9 * PAGE_SIZE
+        assert translate(space, 0x2000, AccessKind.READ) == 9 * PAGE_SIZE
 
     def test_unmap_unmapped_noop(self):
         space = make_space()
@@ -171,7 +164,7 @@ class TestTranslate:
         map_page(space, 0x3000, 4)
         unmap_page(space, 0x3000)
         map_page(space, 0x3000, 11)
-        assert translate(space, RING3, 0x3000, AccessKind.READ) == 11 * PAGE_SIZE
+        assert translate(space, 0x3000, AccessKind.READ) == 11 * PAGE_SIZE
 
     def test_unmap_preserves_other_entries(self):
         # Brute-force oracle: translate every mapped page before and after.
@@ -179,10 +172,10 @@ class TestTranslate:
         pages = {0x1000 * i: 100 + i for i in range(1, 20)}
         for vaddr, frame in pages.items():
             map_page(space, vaddr, frame)
-        before = {v: translate(space, RING3, v, AccessKind.READ) for v in pages}
+        before = {v: translate(space, v, AccessKind.READ) for v in pages}
         unmap_page(space, 0x5000)
         for vaddr in pages:
-            got = translate(space, RING3, vaddr, AccessKind.READ)
+            got = translate(space, vaddr, AccessKind.READ)
             if vaddr == 0x5000:
                 assert isinstance(got, FaultInfo)
             else:
@@ -215,12 +208,19 @@ class TestWriteProtect:
         map_page(self.space, 0x4000, 3, writable=False)
         map_page(self.space, 0x6000, 5, writable=True)
 
-    def test_ring0_write_ro_wp_on_faults(self):
-        result = translate(self.space, RING0, 0x4000, AccessKind.WRITE)
+    def test_only_a_write_to_read_only_faults(self):
+        # Both kernels set CR0.WP, so the ring makes no difference: of every
+        # access to a read-only and a writable page, exactly the write to
+        # the read-only one faults.
+        result = translate(self.space, 0x4000, AccessKind.WRITE)
         assert result == FaultInfo(0x4000, AccessKind.WRITE, FaultReason.WRITE_PROTECT)
-
-    def test_ring0_write_ro_wp_off_allowed(self):
-        assert translate(self.space, RING0_NOWP, 0x4000, AccessKind.WRITE) == 3 * PAGE_SIZE
+        faults = {
+            (access, perm)
+            for access in AccessKind
+            for vaddr, perm in ((0x4000, "ro"), (0x6000, "rw"))
+            if isinstance(translate(self.space, vaddr, access), FaultInfo)
+        }
+        assert faults == {(AccessKind.WRITE, "ro")}
 
     def test_entries_are_x86_64_pte_ints(self):
         # Bit 0 is present, bit 1 writable, and the frame sits above bit 12
@@ -231,41 +231,17 @@ class TestWriteProtect:
             table = self.space.store[table[(0x4000 >> shift) & 0x1FF] >> 12]
         assert table[4:7] == [3 << 12 | P, 0, 5 << 12 | P | RW]
         # An entry written in that layout walks the same way: a present
-        # read-only leaf reads, and a ring-3 write to it still faults.
+        # read-only leaf reads, and a write to it faults.
         table[5] = 9 << 12 | P
-        assert translate(self.space, RING3, 0x5abc, AccessKind.READ) == 9 * PAGE_SIZE + 0xABC
-        result = translate(self.space, RING3, 0x5000, AccessKind.WRITE)
+        assert translate(self.space, 0x5abc, AccessKind.READ) == 9 * PAGE_SIZE + 0xABC
+        result = translate(self.space, 0x5000, AccessKind.WRITE)
         assert result == FaultInfo(0x5000, AccessKind.WRITE, FaultReason.WRITE_PROTECT)
         table[7] = 9 << 12 | RW  # writable but not present
-        result = translate(self.space, RING0_NOWP, 0x7000, AccessKind.READ)
+        result = translate(self.space, 0x7000, AccessKind.READ)
         assert result == FaultInfo(0x7000, AccessKind.READ, FaultReason.NOT_PRESENT)
 
-    def test_ring3_write_ro_always_faults(self):
-        for ctl in (RING3, ControlState(cr0_wp=False, cr3=0, ring=Ring.RING3)):
-            result = translate(self.space, ctl, 0x4000, AccessKind.WRITE)
-            assert isinstance(result, FaultInfo)
-            assert result.reason is FaultReason.WRITE_PROTECT
-
     def test_reads_unaffected(self):
-        for ctl in (RING0, RING0_NOWP, RING3):
-            assert translate(self.space, ctl, 0x4000, AccessKind.READ) == 3 * PAGE_SIZE
-
-    def test_wp_gate_strict_superset(self):
-        # Enabling cr0_wp adds exactly {ring0, write, read-only} to the
-        # faulting set and changes nothing else.
-        def faulting_set(cr0_wp):
-            faults = set()
-            for ring in Ring:
-                for access in AccessKind:
-                    for vaddr, perm in ((0x4000, "ro"), (0x6000, "rw")):
-                        ctl = ControlState(cr0_wp=cr0_wp, cr3=0, ring=ring)
-                        if isinstance(translate(self.space, ctl, vaddr, access), FaultInfo):
-                            faults.add((ring, access, perm))
-            return faults
-
-        wp_on, wp_off = faulting_set(True), faulting_set(False)
-        assert wp_off < wp_on
-        assert wp_on - wp_off == {(Ring.RING0, AccessKind.WRITE, "ro")}
+        assert translate(self.space, 0x4000, AccessKind.READ) == 3 * PAGE_SIZE
 
 
 def eager_identity_map(space: PageTableHierarchy, frames: int) -> None:
@@ -294,13 +270,12 @@ def identity_spaces(
 
 
 def assert_same_identity(lazy, eager, frames):
-    """Every identity page plus one past the end, every access and ring."""
+    """Every identity page plus one past the end, every access."""
     for f in range(frames + 1):
         vaddr = HIGHER_BASE + f * PAGE_SIZE
         for access in AccessKind:
-            for ctl in (RING0, RING3):
-                got = translate(lazy, ctl, vaddr + 0x123, access)
-                assert got == translate(eager, ctl, vaddr + 0x123, access), (f, access)
+            got = translate(lazy, vaddr + 0x123, access)
+            assert got == translate(eager, vaddr + 0x123, access), (f, access)
 
 
 def table_frames(space: PageTableHierarchy, vaddr: int) -> tuple[int, int, int]:
@@ -313,12 +288,11 @@ def table_frames(space: PageTableHierarchy, vaddr: int) -> tuple[int, int, int]:
 
 
 def translations(space: PageTableHierarchy, frames: list[int]) -> list:
-    """What each identity page translates to, every access and ring."""
+    """What each identity page translates to, every access."""
     return [
-        translate(space, ctl, HIGHER_BASE + f * PAGE_SIZE, access)
+        translate(space, HIGHER_BASE + f * PAGE_SIZE, access)
         for f in frames
         for access in AccessKind
-        for ctl in (RING0, RING3)
     ]
 
 
@@ -353,7 +327,7 @@ class TestIdentityMap:
         for build in IDENTITY_MAPS:
             lazy, eager = identity_spaces(frames, (build, eager_identity_map))
             assert_same_identity(lazy, eager, frames)
-            past = translate(lazy, RING0, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
+            past = translate(lazy, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
             assert isinstance(past, FaultInfo)
 
     @pytest.mark.parametrize("frames", [512, 1000])
@@ -402,20 +376,20 @@ class TestIdentityMap:
         assert before - space.frame_alloc.frames_left == tables
         for first in range(0, frames, 1 << 18):
             for f in (first, min(first + (1 << 18), frames) - 1):
-                got = translate(space, RING0, HIGHER_BASE + f * PAGE_SIZE, AccessKind.READ)
+                got = translate(space, HIGHER_BASE + f * PAGE_SIZE, AccessKind.READ)
                 assert got == f * PAGE_SIZE
 
     def test_identity(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
-        assert translate(hrt, RING0, HIGHER_BASE + 0x1000, AccessKind.READ) == 0x1000
+        assert translate(hrt, HIGHER_BASE + 0x1000, AccessKind.READ) == 0x1000
         last = 63 * PAGE_SIZE
-        assert translate(hrt, RING0, HIGHER_BASE + last, AccessKind.WRITE) == last
+        assert translate(hrt, HIGHER_BASE + last, AccessKind.WRITE) == last
 
     def test_lower_half_unmapped_before_merge(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
-        result = translate(hrt, RING0, 0x1000, AccessKind.READ)
+        result = translate(hrt, 0x1000, AccessKind.READ)
         assert isinstance(result, FaultInfo)
 
 
@@ -430,9 +404,7 @@ class TestMerge:
         pages = mapped_lower_pages(ros)
         assert pages
         for vaddr in pages:
-            assert translate(hrt, RING0, vaddr, AccessKind.READ) == translate(
-                ros, RING3, vaddr, AccessKind.READ
-            )
+            assert translate(hrt, vaddr, AccessKind.READ) == translate(ros, vaddr, AccessKind.READ)
 
     def test_empty_merge(self):
         hrt, ros = shared_spaces()
@@ -444,7 +416,7 @@ class TestMerge:
         identity_map_higher_half(hrt, 32)
         map_page(ros, 0x7000, 3)
         merge_lower_half(hrt, ros)
-        assert translate(hrt, RING0, HIGHER_BASE + 0x2000, AccessKind.READ) == 0x2000
+        assert translate(hrt, HIGHER_BASE + 0x2000, AccessKind.READ) == 0x2000
 
     def test_merge_idempotent(self):
         hrt, ros = shared_spaces()
@@ -471,7 +443,7 @@ class TestMerge:
         merge_lower_half(hrt, ros)
         map_page(ros, 0xA000, 14)  # same root slot, new leaf
         assert lower_halves_consistent(hrt, ros)
-        assert translate(hrt, RING0, 0xA000, AccessKind.READ) == 14 * PAGE_SIZE
+        assert translate(hrt, 0xA000, AccessKind.READ) == 14 * PAGE_SIZE
 
 
 # Pages the memo test draws from: two lower-half pages that share a leaf
@@ -488,8 +460,6 @@ MEMO_PAGES = (
 )
 NOT_CANONICAL = (-PAGE_SIZE, 1 << 47, (1 << 64) + 0x1000_0000_0000)
 MEMO_ADDRS = MEMO_PAGES + NOT_CANONICAL
-CONTROLS = (RING0, RING0_NOWP, RING3, ControlState(cr0_wp=False, cr3=0, ring=Ring.RING3))
-SWEEP = [(AccessKind.READ, RING0)] + [(AccessKind.WRITE, ctl) for ctl in CONTROLS]
 SPACE = st.sampled_from(("hrt", "ros"))
 ADDR = st.sampled_from(MEMO_ADDRS)
 # A range unmap of 1-600 pages starts at a drawn page or in an unmapped
@@ -511,7 +481,6 @@ MEMO_OPS = st.lists(
             ADDR,
             st.integers(0, PAGE_SIZE - 1),
             st.sampled_from(AccessKind),
-            st.sampled_from(CONTROLS),
         ),
     ),
     max_size=30,
@@ -554,8 +523,8 @@ def apply_op(spaces: dict[str, PageTableHierarchy], op: tuple) -> None:
     elif op[0] == "merge":
         merge_lower_half(spaces["hrt"], spaces["ros"])
     else:
-        _, name, addr, offset, access, ctl = op
-        args = (spaces[name], ctl, addr + offset, access)
+        _, name, addr, offset, access = op
+        args = (spaces[name], addr + offset, access)
         assert outcome(translate, *args) == outcome(walk, *args)
 
 
@@ -584,9 +553,9 @@ class TestWalkMemo:
     # cached table must go with the root entry it was reached through.
     @example([
         ("map", "hrt", 0x1000_0000_1000, 3, True),
-        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ, RING0),
+        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ),
         ("merge",),
-        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ, RING0),
+        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ),
     ])
     def test_translate_matches_uncached_walk(self, ops):
         spaces = memo_spaces()
@@ -594,12 +563,12 @@ class TestWalkMemo:
             apply_op(spaces, op)
             for space in spaces.values():
                 assert_leaf_tables_sound(space)
-            # Every address in both spaces, read and each write-protect
-            # case: a stale memo entry or leaf table shows at once.
+            # Every address in both spaces, read and write: a stale memo
+            # entry or leaf table shows at once.
             for space in spaces.values():
                 for addr in MEMO_ADDRS:
-                    for access, ctl in SWEEP:
-                        args = (space, ctl, addr, access)
+                    for access in (AccessKind.READ, AccessKind.WRITE):
+                        args = (space, addr, access)
                         assert outcome(translate, *args) == outcome(walk, *args), op
                 assert_memos_sound(space)
                 assert_leaf_tables_sound(space)
@@ -643,14 +612,12 @@ class TestUpperEntries:
 
 def assert_memos_sound(space):
     """By the uncached walk, `memo` holds present leaves and `wmemo` present
-    writable leaves (a ring-3 write faults on any other), each with its
-    walked frame, so no access of a memo's kind to its pages faults under
-    any control state."""
+    writable leaves (a write faults on any other), each with its walked
+    frame, so no access of a memo's kind to its pages faults."""
     for memo, kinds in (
         (space.memo, (AccessKind.READ, AccessKind.EXECUTE)),
         (space.wmemo, (AccessKind.WRITE,)),
     ):
         for page, leaf in memo.items():
             for access in kinds:
-                for ctl in CONTROLS:
-                    assert walk(space, ctl, page << 12, access) == (leaf >> 12) * PAGE_SIZE
+                assert walk(space, page << 12, access) == (leaf >> 12) * PAGE_SIZE

@@ -5,11 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrtsim.channel import EventKind, EventRecord, fault_detail, syscall_detail
-from hrtsim.errors import FormatError, SymbolError, UsageError
-from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, Ring, translate
+from hrtsim.errors import AllocationError, FormatError, SymbolError, UsageError
+from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, translate
 from hrtsim.ros import (
     DEFAULT_STACK_BYTES,
     EINVAL,
+    ENOMEM,
     ENOSYS,
     MMAP_BASE,
     STACK_TOP,
@@ -31,9 +32,8 @@ def region_at(ros, addr):
 
 def mapped_pages(ros, base, length):
     """Page-presence bitmap oracle built from raw translations."""
-    ctl = ros.control
     return [
-        not isinstance(translate(ros.proc.space, ctl, page, AccessKind.READ), FaultInfo)
+        not isinstance(translate(ros.proc.space, page, AccessKind.READ), FaultInfo)
         for page in range(base, base + length, PAGE_SIZE)
     ]
 
@@ -61,6 +61,26 @@ class TestMmap:
         first = system.ros.sys_mmap(2 * PAGE_SIZE)
         second = system.ros.sys_mmap(PAGE_SIZE)
         assert second == first + 2 * PAGE_SIZE
+
+    def test_mmap_and_stack_areas_never_cross(self, system):
+        # A region may fill the gap between the two areas exactly; one page
+        # more is refused, from either side, and moves neither bump pointer.
+        ros = system.ros
+        stack = ros._alloc_region(PAGE_SIZE, populate=False, writable=True, stack=True)
+        gap = stack.base - MMAP_BASE
+        assert ros.sys_mmap(gap + PAGE_SIZE) == ENOMEM
+        assert ros.sys_mmap(gap - PAGE_SIZE) == MMAP_BASE
+        with pytest.raises(AllocationError):
+            ros._alloc_region(2 * PAGE_SIZE, populate=False, writable=True, stack=True)
+        assert ros.sys_mmap(PAGE_SIZE) == stack.base - PAGE_SIZE
+        assert ros.sys_mmap(PAGE_SIZE) == ENOMEM
+        with pytest.raises(AllocationError):
+            ros._alloc_region(PAGE_SIZE, populate=False, writable=True, stack=True)
+        assert [(r.base, r.length) for r in ros.proc.vm_regions] == [
+            (MMAP_BASE, gap - PAGE_SIZE),
+            (stack.base - PAGE_SIZE, PAGE_SIZE),
+            (stack.base, PAGE_SIZE),
+        ]
 
 
 class TestMunmap:
@@ -141,7 +161,7 @@ class TestRegionIndex:
         in the op's range faults, and the regular OS has used one frame
         per first touch plus one per page table."""
         ros = System(machine=small_machine()).ros
-        space, ctl = ros.proc.space, ros.control
+        space = ros.proc.space
         live: set[int] = set()  # model: pages covered by some region
         touched: set[int] = set()  # model: live pages a fault has mapped
         first_touches = 0
@@ -187,10 +207,10 @@ class TestRegionIndex:
                     for addr in (page - 1, page, page + 1):
                         assert region_at(ros, addr) is linear_region_at(regions, addr)
             for page in touched:
-                assert not isinstance(walk(space, ctl, page, AccessKind.READ), FaultInfo)
+                assert not isinstance(walk(space, page, AccessKind.READ), FaultInfo)
             for page in span:
                 if page not in touched:
-                    assert isinstance(walk(space, ctl, page, AccessKind.READ), FaultInfo)
+                    assert isinstance(walk(space, page, AccessKind.READ), FaultInfo)
             frames = space.frame_alloc
             tables = 1 + len(upper_entries(space))  # the root, and one per upper entry
             assert frames.end - frames.start - frames.frames_left == first_touches + tables
@@ -206,7 +226,7 @@ WRITE_HRT = (
 class TestSyscalls:
     @pytest.mark.parametrize(
         "text, mode, origin, forwarded",
-        [(WRITE_ROS, Mode.NATIVE, 1, False), (WRITE_HRT, Mode.MULTIVERSE, 1000, True)],
+        [(WRITE_ROS, Mode.VIRTUAL, 1, False), (WRITE_HRT, Mode.MULTIVERSE, 1000, True)],
         ids=["ros_side", "forwarded"],
     )
     def test_write_returns_count_and_is_logged(self, system, text, mode, origin, forwarded):
@@ -224,13 +244,6 @@ class TestSyscalls:
 
     def test_unknown_syscall(self, system):
         assert system.ros.syscall("getpid_unmodeled", ()) == ENOSYS
-
-    def test_control_state_built_once(self, system):
-        ros = system.ros
-        ctl = ros.control
-        ros.touch(ros.sys_mmap(PAGE_SIZE), AccessKind.WRITE, origin_tid=1)
-        assert ros.control is ctl
-        assert (ctl.cr0_wp, ctl.cr3, ctl.ring) == (True, ros.proc.space.cr3, Ring.RING3)
 
     def test_touch_demand_pages_once(self, system):
         ros = system.ros

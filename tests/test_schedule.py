@@ -200,7 +200,7 @@ end
 
 
 class TestDeadlock:
-    @pytest.mark.parametrize("mode", [Mode.NATIVE, Mode.VIRTUAL], ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", [Mode.VIRTUAL], ids=lambda m: m.value)
     def test_mutual_join(self, mode):
         _, outcome = assert_same_schedule(MUTUAL_JOIN, mode, 512)
         assert outcome == (

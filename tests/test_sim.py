@@ -171,7 +171,7 @@ class TestForwarding:
                 for line in report.log_text.splitlines()
                 if "detail=sys:write(1,-14)" in line
             ]
-        assert costs[Mode.MULTIVERSE] - costs[Mode.NATIVE] == CostModel().forward_overhead
+        assert costs[Mode.MULTIVERSE] - costs[Mode.VIRTUAL] == CostModel().forward_overhead
 
 
 def shared_page_threads(n):
@@ -221,14 +221,6 @@ class TestConcurrentFaults:
 
 
 class TestModes:
-    def test_native_equals_virtual(self):
-        machine = small_machine
-        native = run(machine(), W_FAULTS, Mode.NATIVE)
-        virtual = run(machine(), W_FAULTS, Mode.VIRTUAL)
-        assert native.total_cycles == virtual.total_cycles
-        assert native.counts == virtual.counts
-        assert native.forwarded_total == virtual.forwarded_total == 0
-
     def test_multiverse_never_cheaper(self):
         for text in (W_FAULTS, W_POPULATE, W_MMAP_LOOP):
             virtual = run(small_machine(), text, Mode.VIRTUAL)
@@ -242,12 +234,12 @@ class TestModes:
                 if " kind=PageFault " in f" {line} "
             ]
 
-        native = run(small_machine(), W_FAULTS, Mode.NATIVE)
-        assert fault_details(native) == fault_details(mv(W_FAULTS))
+        virtual = run(small_machine(), W_FAULTS, Mode.VIRTUAL)
+        assert fault_details(virtual) == fault_details(mv(W_FAULTS))
 
     def test_run_accepts_strings(self):
-        report = run(small_machine(), "thread main ros\n exit\nend\n", "native")
-        assert report.mode == "native"
+        report = run(small_machine(), "thread main ros\n exit\nend\n", "virtual")
+        assert report.mode == "virtual"
         assert report.total_cycles == 0
 
     def test_spawn_nested_from_main_only_outside_multiverse(self):
@@ -255,7 +247,7 @@ class TestModes:
             "thread main ros\n  spawn_nested child\n  join child\n  exit\nend\n"
             "thread child ros\n  compute 5\n  exit\nend\n"
         )
-        report = run(small_machine(), text, Mode.NATIVE)  # plain local thread
+        report = run(small_machine(), text, Mode.VIRTUAL)  # plain local thread
         assert not report.failed
         with pytest.raises(UsageError):
             mv(text)
@@ -323,8 +315,8 @@ class TestOverrides:
             "  exit\nend\nthread worker hrt\n  syscall call:fast 1\n  exit\nend\n"
         )
         cost = CostModel()
-        native = run(small_machine(), text, Mode.NATIVE)
-        assert syscall_costs(native, "sys:call:fast(1)") == [cost.syscall_base]
+        virtual = run(small_machine(), text, Mode.VIRTUAL)
+        assert syscall_costs(virtual, "sys:call:fast(1)") == [cost.syscall_base]
         multiverse = syscall_costs(mv(text), "sys:call:fast(1)")
         assert multiverse == [cost.forward_overhead + cost.syscall_base] == [3000]
 
@@ -433,10 +425,10 @@ class TestDoubleFault:
         original_translate = hrtsim.sim.translate
         handle = resolve or hrt.handle_page_fault
 
-        def counted_translate(space, ctl, addr, access):
+        def counted_translate(space, addr, access):
             if space is hrt.space and addr == self.ADDR:
                 calls["translate"] += 1
-            return original_translate(space, ctl, addr, access)
+            return original_translate(space, addr, access)
 
         def counted_handle(core_id, fault):
             calls["handle_page_fault"] += 1
@@ -489,7 +481,7 @@ class TestWriteAfterReadOfReadOnlyPage:
 
     CASES = {
         "ros_touch": (
-            Mode.NATIVE,
+            Mode.VIRTUAL,
             "thread main ros\n" + READ_THEN_WRITE.format(write="touch last w"),
             ["cycle=1500 kind=Syscall origin=1 detail=sys:mmap(4096,1,0) cost=1500"],
         ),
@@ -624,13 +616,13 @@ class TestRuntimeMisuse:
     ]
     LAST = "'last' used before any mmap in this thread"
     CASES = {
-        "ros-touch-native": (ROS, "touch last w", Mode.NATIVE, LAST, ROS_LOG),
+        "ros-touch-virtual": (ROS, "touch last w", Mode.VIRTUAL, LAST, ROS_LOG),
         "ros-touch-multiverse": (
             ROS, "touch last w", Mode.MULTIVERSE, LAST,
             [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
              "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500"],
         ),
-        "ros-munmap-native": (ROS, "munmap last 4096", Mode.NATIVE, LAST, ROS_LOG),
+        "ros-munmap-virtual": (ROS, "munmap last 4096", Mode.VIRTUAL, LAST, ROS_LOG),
         "ros-munmap-multiverse": (
             ROS, "munmap last+4096 4096", Mode.MULTIVERSE, LAST,
             [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
@@ -661,7 +653,7 @@ class TestRuntimeMisuse:
 
 class TestProgramReuse:
     """A parsed program keeps no run state: one parse, run under
-    multiverse, then native, then through compare(), gives what a fresh
+    multiverse, then virtual, then through compare(), gives what a fresh
     parse gives each time, and the program is equal to itself before."""
 
     @staticmethod
@@ -678,7 +670,7 @@ class TestProgramReuse:
         frames = PHYS_FRAMES.get(name, 512)
         program = parse_workload(text)
         before = copy.deepcopy(program)
-        for mode in (Mode.MULTIVERSE, Mode.NATIVE):
+        for mode in (Mode.MULTIVERSE, Mode.VIRTUAL):
             assert self.outcome(frames, program, mode) == self.outcome(frames, text, mode)
         try:
             reused = compare(Machine(phys_frames=frames), program).render()

@@ -278,7 +278,7 @@ class TestAddrExpr:
         assert program.bodies["main"].actions[0] == Action("touch", 0x20, AccessKind.WRITE, None)
         assert _from_last(0x7000, 0x20) == 0x7020
         text = "thread main ros\n  mmap 4096\n  touch last+0x20 w\n  exit\nend\n"
-        report = run(None, text, Mode.NATIVE)
+        report = run(None, text, Mode.VIRTUAL)
         assert f"detail=pf:0x{MMAP_BASE + 0x20:x}:w" in report.log_text
 
     def test_last_without_mmap(self):
@@ -287,7 +287,7 @@ class TestAddrExpr:
             _from_last(None, 0)
         program = parse_workload("thread main ros\n  touch last r\n  exit\nend\n")
         with pytest.raises(UsageError, match="'last' used before any mmap"):
-            run(None, program, Mode.NATIVE)
+            run(None, program, Mode.VIRTUAL)
 
 
 class TestSteps:
