@@ -17,8 +17,10 @@ result lives in the runtime (`HrtKernel.ros_space`).  Events raised in
 kernel-mode threads are forwarded the other way into their partner threads'
 injection queues and answered with completions; a forwarded system call's
 payload is `(name, args, body)`, its log detail rendered once by the
-sender.  After an address-space merge, a memory-based synchronous call,
-which takes no arguments, can bypass the VMM entirely.
+sender.  The channel holds a record from `forward_event` until
+`complete_event` logs it; a kernel-mode thread refills one record for all
+its events.  After an address-space merge, a memory-based synchronous
+call, which takes no arguments, can bypass the VMM entirely.
 """
 
 from __future__ import annotations

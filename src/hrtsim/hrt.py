@@ -205,11 +205,7 @@ class HrtKernel:
         if core.current_thread == tid:
             core.current_thread = None
         if thread.parent is None:
-            return EventRecord(
-                kind=EventKind.THREAD_EXIT_SIGNAL,
-                origin=tid,
-                detail=f"exit:{thread.tid}",
-            )
+            return EventRecord(EventKind.THREAD_EXIT_SIGNAL, tid, f"exit:{tid}")
         return None
 
     def resolve_symbol(self, name: str, origin: int) -> int:

@@ -263,6 +263,18 @@ def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[int]:
     return table
 
 
+def absent_tables(space: PageTableHierarchy, vaddr: int, length: int) -> int:
+    """How many page tables mapping every page of [vaddr, vaddr + length)
+    would add: those below the root that no walk reaches yet."""
+    absent = set()  # (shift of the entry that would point at it, vaddr >> shift)
+    for v in range(vaddr >> 21 << 21, vaddr + length, 1 << 21):
+        table, shift = space.root_table, 39  # walk down to v's first absent entry
+        while shift > 12 and table[(v >> shift) & 0x1FF] & P:
+            table, shift = space.store[table[(v >> shift) & 0x1FF] >> 12], shift - 9
+        absent.update((s, v >> s) for s in (39, 30, 21) if s <= shift)
+    return len(absent)
+
+
 def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool = True) -> None:
     """Map one 4 KiB page, allocating intermediate tables on demand.
 
@@ -296,7 +308,7 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
         raise _non_canonical(last)
     if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
-    store, leaf_tables = space.store, space.leaf_tables
+    store, leaf_tables, memos = space.store, space.leaf_tables, space.store.memos
     while vaddr < end:
         stop = (vaddr | 0x1F_FFFF) + 1  # the end of vaddr's leaf table
         if stop > end:
@@ -318,7 +330,8 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
             for i in range(i1, i1 + (stop - vaddr >> 12)):
                 if table[i] & P:
                     table[i] = 0
-                    store.forget_page(first + i)
+                    for memo in memos:  # `forget_page`, without a call per page
+                        memo.pop(first + i, None)
         vaddr = stop
 
 

@@ -5,7 +5,9 @@ from a deterministic bump allocator; partner stacks and other internal
 allocations come down from the top of the lower half so that workload
 addresses are identical across run modes.  The two areas never cross: a
 region that would take one past the other raises `AllocationError`,
-which `sys_mmap` returns as ENOMEM.  Partner threads service the
+which `sys_mmap` returns as ENOMEM, and so does a populated region whose
+pages and new page tables the free frames cannot cover; neither changes
+anything.  Partner threads service the
 events their kernel-mode twins forward and carry the exit bit.  A
 forwarded system call brings everything its service needs: a call that
 fell through carries its legacy function's body, and any other call goes
@@ -41,6 +43,7 @@ from .mem import (
     AccessKind,
     FaultInfo,
     PageTableHierarchy,
+    absent_tables,
     ensure_root_entry,
     map_page,
     merge_lower_half,
@@ -190,18 +193,21 @@ class RosKernel:
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
         if self._next_stack - self._next_mmap < length:  # the two areas never cross
             raise AllocationError(f"no room for a 0x{length:x}-byte region")
+        base = self._next_stack - length if stack else self._next_mmap
+        space, frames = self.proc.space, self.machine.ros_frame_alloc
+        if populate:  # refused, with nothing changed, unless its pages and new tables fit
+            spare = frames.frames_left - length // PAGE_SIZE
+            if spare < 0 or spare < absent_tables(space, base, length):
+                raise AllocationError(f"no frames to populate a 0x{length:x}-byte region")
         if stack:
-            self._next_stack -= length
-            base = self._next_stack
+            self._next_stack = base
         else:
-            base = self._next_mmap
-            self._next_mmap += length
+            self._next_mmap = base + length
         region = Region(base, length, writable)
         self.proc.vm_regions.append(region)
         if populate:
             for page in range(base, base + length, PAGE_SIZE):
-                frame = self.machine.ros_frame_alloc.alloc()
-                map_page(self.proc.space, page, frame, writable=writable)
+                map_page(space, page, frames.alloc(), writable=writable)
         return region
 
     # -- syscall model --------------------------------------------------------

@@ -27,10 +27,11 @@ stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
 
 A kernel-mode access runs inline in its thread's step: it looks its page
-up in the memo of its access kind and walks only on a miss (see `mem`),
-and it enters the fault path (`Simulator._hrt_touch`) only with the
-fault its walk returned.  A forwarded event waits in the frame that sent it:
-`_thread` sends a system call or a fall-through call, `_hrt_touch` a fault.
+up in the memo of its access kind, and only a miss goes on to the fault
+path at the end of the step, which walks and resolves each fault.  A
+kernel-mode thread owns one event record and refills it for each system
+call, fall-through call or fault it forwards, then waits in its own frame
+until the partner has served it: it never has two events outstanding.
 """
 
 from __future__ import annotations
@@ -266,10 +267,12 @@ class Simulator:
                         events=list(self.system.channel.outstanding),
                     )
         finally:
-            # A suspended generator's frame holds this simulator: close them
-            # all so that reference counting frees the run.
+            # A suspended generator's frame holds this simulator: close and
+            # drop them all, so that reference counting frees the run, and
+            # the frames are gone before the log is rendered.
             for ctx in self.contexts:
                 ctx.thread.close()
+                ctx.thread = None
         return self.report()
 
     def report(self) -> TraceReport:
@@ -336,16 +339,17 @@ class Simulator:
             ctx.parked = ctx.done
 
     def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
-        """Run a thread body on its side, one lowered action per step.  A
-        kernel-mode thread blocks in this frame on every call it forwards;
-        a joiner on its target."""
+        """Run a thread body on its side, one lowered action per step.  A kernel-mode
+        thread blocks here on each event it forwards in `ev`; a joiner on its target."""
         ros, hrt, log = self.system.ros, self.system.hrt, self.log
         kernel_mode = ctx.kind == "hrt_body"
-        if kernel_mode:  # all three are fixed from boot on
-            space = hrt.space
-            memo, wmemo = space.memo, space.wmemo
-        write = WRITE  # a local: the kernel-mode touch below is the hottest test
         tid = ctx.tid
+        if kernel_mode:  # all fixed from boot on
+            space = hrt.space
+            memo, wmemo, core_id = space.memo, space.wmemo, hrt.threads[tid].core_id
+            channel, partner = self.system.channel, self.partners[ctx.partner]
+            ev = EventRecord(SYSCALL, tid, "")  # never two outstanding: each is awaited
+        write = WRITE  # a local: the kernel-mode touch below is the hottest test
         last = None  # base of this thread's most recent successful mmap
         for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
             if op == "touch":
@@ -353,142 +357,138 @@ class Simulator:
                     a = _from_last(last, a)
                     c = a >> 12
                 if kernel_mode:
-                    if c not in (wmemo if b is write else memo):
-                        fault = translate(space, a, b)
-                        if isinstance(fault, FaultInfo):
-                            yield from self._hrt_touch(ctx, fault)
-                elif not ros.touch(a, b, tid):
-                    raise _Halt
-                yield True
-                continue
-            call = None  # payload (name, args, body) of the system call this action makes
-            if op == "compute":
-                log.emit("Compute", tid, "compute", a)
-            elif op == "call_override":
-                if not kernel_mode:  # a plain library/OS call
-                    cycles = self.cost.syscall_base + a.legacy_cycles
-                    log.emit(SYSCALL_KIND, tid, a.call, cycles, call=a.call)
-                elif a.target is None:  # forwarded with the legacy function's body, if any
-                    log.emit("Fallthrough", tid, a.call)
-                    call, detail = a.payload, a.detail
-                elif a.creates:  # interposed thread creation behaves exactly like a spawn
-                    if a.spawn is None:
-                        raise UsageError("thread-create override needs a thread body name")
-                    self._spawn(a.spawn)
-                else:  # an enabled override runs in place
-                    hrt.resolve_symbol(a.target, tid)
-                    log.emit("Override", tid, a.detail, a.behavior.cycles)
-                    for addr in a.behavior.touches:  # the target's writes, one step each
+                    if c in (wmemo if b is write else memo):
                         yield True
-                        if addr >> 12 not in wmemo:
-                            fault = translate(space, addr, write)
-                            if isinstance(fault, FaultInfo):
-                                yield from self._hrt_touch(ctx, fault)
-            elif op in ("mmap", "munmap", "syscall"):
-                call, detail = a, b
-                if detail is None:  # munmap last+N: `syscall_detail`'s bytes, without its join
-                    name, (offset, length), _ = call
-                    base = _from_last(last, offset)
-                    call = name, (base, length), None
-                    detail = f"sys:{name}({base},{length})"
-            elif op == "spawn":
-                if kernel_mode:
-                    raise UsageError(
-                        "spawn from a kernel-mode thread; use spawn_nested or an override"
-                    )
-                self._spawn(a)
-            elif op == "spawn_nested":
-                if kernel_mode:
-                    self._spawn_nested(tid, a)
-                elif self.mode is MULTIVERSE:
-                    raise UsageError("spawn_nested is only valid in kernel-mode threads")
-                else:  # outside the hybrid mode this is an ordinary local thread
-                    self._spawn_local(a)
-            elif op == "join":
-                if kernel_mode:
-                    raise UsageError("join is issued from the main thread")
-                if a not in self.spawned:
-                    raise UsageError(f"join target {a!r} was never spawned")
-                joiner = ros.threads[tid]
-                ros.join(joiner, self.spawned[a])
-                if joiner.status is BLOCKED_JOIN:
+                        continue
+                    touches, access = (a,), b  # walked on the fault path below
+                elif ros.touch(a, b, tid):
                     yield True
-                    while not ros.try_finish_join(joiner):
-                        yield False
-            elif op == "sync_call":
-                if kernel_mode:
-                    raise UsageError("sync_call is issued from the ROS side")
-                self._sync_call(tid, a)
-            elif op == "exit":
-                if kernel_mode:
-                    ev = hrt.thread_exit(tid)
-                    if ev is not None:
-                        self._send(ctx, ev)
+                    continue
                 else:
-                    ros.threads[tid].status = EXITED
-                    self._wake_joiners()
-                    if ctx is self.main_ctx:  # process teardown ends every thread
-                        for other in self.contexts:
-                            other.done = other.parked = True
-                return
-            else:  # pragma: no cover - the parser rejects unknown ops
-                raise UsageError(f"unknown action {op}")
-            if call is not None:
-                name, args, _ = call
-                if kernel_mode:  # forwarded: served by the partner, awaited here
-                    ev = EventRecord(SYSCALL, tid, detail, call)
-                    self._send(ctx, ev)
-                    yield True
-                    while ev.complete_cycle is None:
-                        yield False
-                    result = ev.result
-                else:  # served in place on the regular OS
-                    result = ros.syscall(name, args)
-                    log.emit(SYSCALL_KIND, tid, detail, self.cost.syscall_base, call=name)
-                if name == "mmap" and result >= 0:
-                    last = result
-            yield True
-
-    def _send(self, ctx: _Ctx, ev: EventRecord) -> None:
-        """Queue ev for the partner serving kernel-mode ctx, and wake it."""
-        self.system.channel.forward_event(ev, ctx.partner)
-        self.partners[ctx.partner].parked = False
-
-    def _hrt_touch(self, ctx: _Ctx, fault: FaultInfo) -> Generator[bool, None, None]:
-        """The fault path of a kernel-mode access, entered with the fault of
-        its first walk.  The runtime handles each fault locally, re-merges,
-        or has it forwarded; the access is walked again after each, a
-        forwarded one in the step that sees it served.  Four local
-        resolutions in a row, or a third forward, is a double fault."""
-        hrt = self.system.hrt
-        space = hrt.space
-        addr, access = fault.addr, fault.access
-        core_id = hrt.threads[ctx.tid].core_id
-        local = forwards = 0
-        while True:
-            if hrt.handle_page_fault(core_id, fault) is not FORWARD:
-                local += 1
-                if local == 4:
-                    raise DoubleFaultError(
-                        f"access 0x{addr:x} {access._value_} cannot be satisfied"
-                    )
-            elif forwards == 2:
-                raise DoubleFaultError(
-                    f"access 0x{addr:x} {access._value_} still faults after re-merge "
-                    "and re-forward"
-                )
-            else:
-                local, forwards = 0, forwards + 1
-                ev = EventRecord(PAGE_FAULT, ctx.tid, fault_detail(addr, access), fault)
-                self._send(ctx, ev)
-                yield True
-                while ev.complete_cycle is None:
-                    yield False
-                if ev.result == EFAULT:
                     raise _Halt
-            fault = translate(space, addr, access)
-            if not isinstance(fault, FaultInfo):
-                return
+            else:
+                call = None  # payload (name, args, body) of the system call this action makes
+                touches = ()  # the writes of an enabled override's target
+                if op == "compute":
+                    log.emit("Compute", tid, "compute", a)
+                elif op == "call_override":
+                    if not kernel_mode:  # a plain library/OS call
+                        cycles = self.cost.syscall_base + a.legacy_cycles
+                        log.emit(SYSCALL_KIND, tid, a.call, cycles, call=a.call)
+                    elif a.target is None:  # forwarded with the legacy function's body, if any
+                        log.emit("Fallthrough", tid, a.call)
+                        call, detail = a.payload, a.detail
+                    elif a.creates:  # interposed thread creation behaves exactly like a spawn
+                        if a.spawn is None:
+                            raise UsageError("thread-create override needs a thread body name")
+                        self._spawn(a.spawn)
+                    else:  # an enabled override runs in place; its writes follow, one step each
+                        hrt.resolve_symbol(a.target, tid)
+                        log.emit("Override", tid, a.detail, a.behavior.cycles)
+                        touches, access = a.behavior.touches, write
+                elif op in ("mmap", "munmap", "syscall"):
+                    call, detail = a, b
+                    if detail is None:  # munmap last+N: `syscall_detail`'s bytes, without its join
+                        name, (offset, length), _ = call
+                        base = _from_last(last, offset)
+                        call = name, (base, length), None
+                        detail = f"sys:{name}({base},{length})"
+                elif op == "spawn":
+                    if kernel_mode:
+                        raise UsageError(
+                            "spawn from a kernel-mode thread; use spawn_nested or an override"
+                        )
+                    self._spawn(a)
+                elif op == "spawn_nested":
+                    if kernel_mode:
+                        self._spawn_nested(tid, a)
+                    elif self.mode is MULTIVERSE:
+                        raise UsageError("spawn_nested is only valid in kernel-mode threads")
+                    else:  # outside the hybrid mode this is an ordinary local thread
+                        self._spawn_local(a)
+                elif op == "join":
+                    if kernel_mode:
+                        raise UsageError("join is issued from the main thread")
+                    if a not in self.spawned:
+                        raise UsageError(f"join target {a!r} was never spawned")
+                    joiner = ros.threads[tid]
+                    ros.join(joiner, self.spawned[a])
+                    if joiner.status is BLOCKED_JOIN:
+                        yield True
+                        while not ros.try_finish_join(joiner):
+                            yield False
+                elif op == "sync_call":
+                    if kernel_mode:
+                        raise UsageError("sync_call is issued from the ROS side")
+                    self._sync_call(tid, a)
+                elif op == "exit":
+                    if kernel_mode:
+                        signal = hrt.thread_exit(tid)
+                        if signal is not None:  # a record of its own: this thread ends here
+                            channel.forward_event(signal, ctx.partner)
+                            partner.parked = False
+                    else:
+                        ros.threads[tid].status = EXITED
+                        self._wake_joiners()
+                        if ctx is self.main_ctx:  # process teardown ends every thread
+                            for other in self.contexts:
+                                other.done = other.parked = True
+                    return
+                else:  # pragma: no cover - the parser rejects unknown ops
+                    raise UsageError(f"unknown action {op}")
+                if call is not None:
+                    name, args, _ = call
+                    if kernel_mode:  # forwarded: served by the partner, awaited here
+                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
+                        ev.cost, ev.complete_cycle, ev.result = 0, None, None
+                        channel.forward_event(ev, ctx.partner)
+                        partner.parked = False
+                        yield True
+                        while ev.complete_cycle is None:
+                            yield False
+                        result = ev.result
+                    else:  # served in place on the regular OS
+                        result = ros.syscall(name, args)
+                        log.emit(SYSCALL_KIND, tid, detail, self.cost.syscall_base, call=name)
+                    if name == "mmap" and result >= 0:
+                        last = result
+                yield True
+                if not touches:
+                    continue
+            # The fault path, one step per access: the runtime handles each
+            # fault locally, re-merges, or has it forwarded and served, and the
+            # access is walked again after each.  Four local resolutions in a
+            # row, or a third forward, is a double fault.
+            for addr in touches:
+                if addr >> 12 not in (wmemo if access is write else memo):
+                    fault = translate(space, addr, access)
+                    local = forwards = 0
+                    while isinstance(fault, FaultInfo):
+                        if hrt.handle_page_fault(core_id, fault) is not FORWARD:
+                            local += 1
+                            if local == 4:
+                                raise DoubleFaultError(
+                                    f"access 0x{addr:x} {access._value_} cannot be satisfied"
+                                )
+                        elif forwards == 2:
+                            raise DoubleFaultError(
+                                f"access 0x{addr:x} {access._value_} still faults after re-merge "
+                                "and re-forward"
+                            )
+                        else:
+                            local, forwards = 0, forwards + 1
+                            ev.kind, ev.detail = PAGE_FAULT, fault_detail(addr, access)
+                            ev.payload = fault
+                            ev.cost, ev.complete_cycle, ev.result = 0, None, None
+                            channel.forward_event(ev, ctx.partner)
+                            partner.parked = False
+                            yield True
+                            while ev.complete_cycle is None:
+                                yield False
+                            if ev.result == EFAULT:
+                                raise _Halt
+                        fault = translate(space, addr, access)
+                yield True
 
     def _sync_call(self, tid: int, name: str) -> None:
         behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)

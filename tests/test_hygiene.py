@@ -24,6 +24,8 @@ a Python-level property call.  Neither shows in a profile, as neither is
 a Python frame.  Such code reads module constants bound at import instead.
 No dataclass field defaults to an enum member: the default stays a class
 attribute, and on 3.11 it keeps every read of the field from specialising.
+Nor does per-step code build an `EventRecord` inside a loop: a kernel-mode
+thread refills the one record it owns for every event it forwards.
 """
 
 import ast
@@ -415,8 +417,6 @@ PER_STEP = (
     "sim:Simulator.step",
     "sim:Simulator._thread",
     "sim:Simulator._partner",
-    "sim:Simulator._hrt_touch",
-    "sim:Simulator._send",
 )
 
 
@@ -515,3 +515,41 @@ def test_check_sees_an_enum_default():
     Elsewhere.__module__ = "other"
     namespace = {"__name__": __name__, "Kind": Kind, "Record": Record, "Elsewhere": Elsewhere}
     assert enum_defaults(namespace) == ["Record.kind"]
+
+
+def records_built_in_loops(func: ast.AST) -> list[str]:
+    """Calls in func of `EventRecord(...)`, by name or attribute, inside a
+    `for` or `while` loop: a forwarding thread refills the one record it
+    owns instead of building one per event."""
+    lines = {
+        node.lineno
+        for loop in ast.walk(func)
+        if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "EventRecord"
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_per_step_code_builds_no_event_record_per_iteration():
+    found = []
+    for entry in PER_STEP:
+        module, qualname = entry.split(":")
+        func = find_function(ast.parse((PACKAGE / f"{module}.py").read_text()), qualname)
+        found += [f"{entry} {where}" for where in records_built_in_loops(func)]
+    assert found == []
+
+
+def test_check_sees_a_record_built_in_a_loop():
+    tree = ast.parse(
+        "def f(steps, channel):\n"
+        "    slot = EventRecord(0)\n"
+        "    for s in steps:\n"
+        "        while s:\n"
+        "            ev = EventRecord(s)\n"
+        "        channel.EventRecord(s)\n"
+        "        slot.kind = s\n"
+        "    return EventRecord(1)\n"
+    )
+    assert records_built_in_loops(tree) == ["line 5", "line 6"]

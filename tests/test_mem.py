@@ -20,6 +20,7 @@ from hrtsim.mem import (
     P,
     PageTableHierarchy,
     TableStore,
+    absent_tables,
     ensure_root_entry,
     identity_map_higher_half,
     is_canonical,
@@ -608,6 +609,33 @@ class TestUpperEntries:
                 after = upper_entries(space)
                 changed = [p for p, entry in before[name].items() if after.get(p) != entry]
                 assert not changed, (op, name, changed)
+
+
+class TestAbsentTables:
+    """`absent_tables` counts the table frames that mapping a range takes."""
+
+    MMAP = 0x1000_0000_0000
+
+    @pytest.mark.parametrize(
+        "vaddr, pages, warm, tables",
+        [
+            (MMAP, 1, None, 3),  # a level-3, a level-2 and a leaf table
+            (MMAP + 511 * PAGE_SIZE, 2, None, 4),  # across a leaf table's end
+            (MMAP + 511 * PAGE_SIZE, 2, MMAP, 1),  # only the second leaf table is new
+            (0x1000_3FFF_F000, 2, None, 5),  # across a level-2 table's end
+            (0x7F_FFFF_F000, 2, None, 6),  # across a root entry's end
+        ],
+    )
+    def test_counts_the_table_frames_mapping_takes(self, vaddr, pages, warm, tables):
+        space = make_space()
+        if warm is not None:
+            map_page(space, warm, space.frame_alloc.alloc())
+        assert absent_tables(space, vaddr, pages * PAGE_SIZE) == tables
+        before = space.frame_alloc.frames_left
+        for page in range(vaddr, vaddr + pages * PAGE_SIZE, PAGE_SIZE):
+            map_page(space, page, space.frame_alloc.alloc())
+        assert before - space.frame_alloc.frames_left == pages + tables
+        assert absent_tables(space, vaddr, pages * PAGE_SIZE) == 0
 
 
 def assert_memos_sound(space):

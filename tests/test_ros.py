@@ -48,6 +48,26 @@ class TestMmap:
         base = system.ros.sys_mmap(4 * PAGE_SIZE, populate=True)
         assert mapped_pages(system.ros, base, 4 * PAGE_SIZE) == [True] * 4
 
+    def test_populate_that_cannot_fit_changes_nothing(self, system):
+        # ENOMEM on a 512-frame machine: no region is left behind, no frame
+        # is spent, and the next mmap gets the base this one would have had.
+        ros = system.ros
+        frames = ros.machine.ros_frame_alloc
+        assert frames.frames_left == 381
+        assert ros.sys_mmap(512 * PAGE_SIZE, populate=True) == ENOMEM
+        assert ros.proc.vm_regions == [] and ros.proc.vm_regions.bases == []
+        assert frames.frames_left == 381
+        assert ros.sys_mmap(PAGE_SIZE) == MMAP_BASE
+
+    def test_populate_that_just_fits_takes_every_frame(self, system):
+        ros = system.ros
+        frames = ros.machine.ros_frame_alloc
+        pages = frames.frames_left - 2  # the region's level-2 table and its leaf table
+        assert ros.sys_mmap((pages + 1) * PAGE_SIZE, populate=True) == ENOMEM
+        assert ros.sys_mmap(pages * PAGE_SIZE, populate=True) == MMAP_BASE
+        assert frames.frames_left == 0
+        assert mapped_pages(ros, MMAP_BASE, pages * PAGE_SIZE) == [True] * pages
+
     def test_zero_length_rejected(self, system):
         assert system.ros.sys_mmap(0) == EINVAL
         assert system.ros.sys_mmap(-4096) == EINVAL

@@ -222,6 +222,28 @@ class TestDeadlock:
             [("Syscall", 1000, "sys:mmap(4096,0,1)")],
         )
 
+    def test_each_blocked_thread_dumps_its_own_event(self):
+        # Two kernel-mode threads each wait on their own record.
+        text = (
+            "thread main ros\n  spawn a\n  spawn b\n  join a\n  join b\n  exit\nend\n"
+            "thread a hrt\n  syscall write 1 1\n  exit\nend\n"
+            "thread b hrt\n  mmap 8192\n  exit\nend\n"
+        )
+
+        def drop_partners(sim):
+            sim.step(sim.main_ctx)  # spawns a
+            sim.step(sim.main_ctx)  # spawns b
+            sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
+
+        _, outcome = assert_same_schedule(text, Mode.MULTIVERSE, 512, drop_partners)
+        assert outcome == (
+            "DeadlockError",
+            "no runnable context; outstanding events: "
+            "Syscall origin=1000 detail=sys:write(1,1), "
+            "Syscall origin=1001 detail=sys:mmap(8192,0,1)",
+            [("Syscall", 1000, "sys:write(1,1)"), ("Syscall", 1001, "sys:mmap(8192,0,1)")],
+        )
+
 
 def test_hot_local_steps_rarely_idle(monkeypatch):
     """Parked contexts are not stepped: under 1% of `Simulator.step` calls

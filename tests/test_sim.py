@@ -275,6 +275,62 @@ class TestAccounting:
         assert any(line.startswith("metric=total_cycles value=") for line in lines)
 
 
+def forwarded_rows(report, origin):
+    """(kind, detail, cost) of each forwarded PageFault or Syscall entry of
+    thread `origin`, in log order."""
+    rows = []
+    for line in report.log_text.splitlines():
+        fields = dict(f.split("=", 1) for f in line.split())
+        if fields["origin"] == str(origin) and fields["kind"] in ("PageFault", "Syscall"):
+            rows.append((fields["kind"], fields["detail"], int(fields["cost"])))
+    return rows
+
+
+class TestEventSlot:
+    """A kernel-mode thread forwards every event in one record it owns."""
+
+    def test_one_record_per_kernel_mode_thread(self, monkeypatch):
+        built = []
+        original = hrtsim.sim.EventRecord
+
+        def counted(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(hrtsim.sim, "EventRecord", counted)
+        text = (GOLDEN / "workloads" / "bench_fwd_cold.txt").read_text()
+        system = System(machine=Machine(phys_frames=8192))
+        sim = Simulator(system, parse_workload(text), Mode.MULTIVERSE)
+        report = sim.run()
+        assert not report.failed
+        kernel_mode = [c for c in sim.contexts if c.kind == "hrt_body"]
+        forwarded = report.forwarded_counts["Syscall"] + report.forwarded_counts["PageFault"]
+        assert forwarded == 128
+        assert 0 < len(built) <= len(kernel_mode) == 8
+
+    def test_a_refilled_record_carries_nothing_over(self):
+        # A served fault, a fall-through call, a write, and a fault the
+        # regular OS refuses, all forwarded by one thread in turn: each row
+        # costs the forward plus its own service, and the last one fails
+        # the run.
+        text = (
+            "func legacy cycles=700 returns=3\n"
+            "thread main ros\n  mmap 4096\n  spawn w\n  join w\n  exit\nend\n"
+            f"thread w hrt\n  touch 0x{MMAP_BASE:x} w\n  call_override legacy 1 2\n"
+            "  syscall write 1 9\n  touch 0x4242000 w\n  exit\nend\n"
+        )
+        cost = CostModel()
+        report = mv(text)
+        assert forwarded_rows(report, 1000) == [
+            ("PageFault", f"pf:0x{MMAP_BASE:x}:w", cost.forward_overhead + cost.pagefault_base),
+            ("Syscall", "sys:call:legacy(1,2)", cost.forward_overhead + cost.syscall_base + 700),
+            ("Syscall", "sys:write(1,9)", cost.forward_overhead + cost.syscall_base),
+            ("PageFault", "pf:0x4242000:w", cost.forward_overhead),
+        ]
+        assert report.failed
+        assert report.fail_reason == "segfault at 0x4242000"
+
+
 class TestOverrides:
     def test_override_uses_cache_after_first_call(self):
         cost = CostModel()
