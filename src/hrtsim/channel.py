@@ -16,10 +16,13 @@ logs.  The channel keeps no record of what a service did: the merge's
 result lives in the runtime (`HrtKernel.ros_space`).  Events raised in
 kernel-mode threads are forwarded the other way into their partner threads'
 injection queues and answered with completions; a forwarded system call's
-payload is `(name, args, body)`, its log detail rendered once by the
-sender.  The channel holds a record from `forward_event` until
-`complete_event` logs it; a kernel-mode thread refills one record for all
-its events.  After an address-space merge, a memory-based synchronous
+payload is `(name, args, body)`, and a page fault's `(addr, access)`, its
+log detail rendered once by the sender.  A record is outstanding from
+`forward_event`, which resets it, until `complete_event` logs it; a
+kernel-mode thread refills one record for all its events.  The channel
+keeps no list of them: a partner pops an event from its queue and
+completes it in one step, so the queued records are every event in
+flight.  After an address-space merge, a memory-based synchronous
 call, which takes no arguments, can bypass the VMM entirely.
 """
 
@@ -122,13 +125,13 @@ PAGE_FAULT = EventKind.PAGE_FAULT
 THREAD_EXIT_SIGNAL = EventKind.THREAD_EXIT_SIGNAL
 
 
-@dataclass(eq=False, slots=True)  # outstanding events are found by identity
+@dataclass(eq=False, slots=True)  # a record is refilled: compared by identity
 class EventRecord:
     kind: EventKind
     origin: int
     detail: str
     payload: Any = None
-    request_cycle: int = 0
+    request_cycle: int | None = None  # None until forwarded
     complete_cycle: int | None = None  # None until the partner has served it
     result: int | None = None
     cost: int = 0
@@ -136,14 +139,18 @@ class EventRecord:
 
 @dataclass
 class EventChannel:
-    """Channel state: shared-page flag, injection queues, outstanding events, log."""
+    """Channel state: shared-page flag, injection queues, log."""
 
     cost: CostModel
     log: EventLog
     page_busy: bool = field(default=False, init=False)  # a hypercall is in progress
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
-    outstanding: list[EventRecord] = field(default_factory=list)
     sync_page: int | None = None  # set-up synchronous-call page, by virtual address
+
+    @property
+    def outstanding(self) -> list[EventRecord]:
+        """The events forwarded and not yet completed, in endpoint order."""
+        return [ev for queue in self.queues.values() for ev in queue if ev.complete_cycle is None]
 
     def register_endpoint(self, partner_tid: int) -> deque[EventRecord]:
         return self.queues.setdefault(partner_tid, deque())
@@ -188,19 +195,19 @@ class EventChannel:
     # -- HRT -> ROS direction -------------------------------------------------
 
     def forward_event(self, ev: EventRecord, endpoint_tid: int) -> None:
-        """Queue an HRT-raised event for injection into its partner thread."""
-        if endpoint_tid not in self.queues:
+        """Queue an HRT-raised event for injection into its partner thread,
+        outstanding from now on: nothing of an earlier round trip stays."""
+        queue = self.queues.get(endpoint_tid)
+        if queue is None:
             raise ProtocolError(f"no partner endpoint {endpoint_tid}")
         ev.request_cycle = self.log.now
-        ev.cost += self.cost.forward_overhead
-        self.outstanding.append(ev)
-        self.queues[endpoint_tid].append(ev)
+        ev.cost = self.cost.forward_overhead
+        ev.complete_cycle = ev.result = None
+        queue.append(ev)
 
     def complete_event(self, ev: EventRecord, result: int) -> None:
-        try:
-            self.outstanding.remove(ev)
-        except ValueError:
-            raise ProtocolError("completing a non-outstanding event") from None
+        if ev.request_cycle is None or ev.complete_cycle is not None:
+            raise ProtocolError("completing a non-outstanding event")
         ev.result = result
         kind = ev.kind
         call = ev.payload[0] if kind is SYSCALL else None  # (name, args, body)

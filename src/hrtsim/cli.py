@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .costs import CostModel, load_cost_model
-from .errors import DeadlockError, FormatError, ParseError, SimError
+from .errors import FormatError, ParseError, SimError
 from .sim import Mode, compare, load_profiles, parse_workload, replay_benchmark, run
 
 EXIT_OK = 0
@@ -83,11 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DeadlockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for ev in exc.events:
-            print(f"  outstanding: {ev.kind.value} origin={ev.origin}", file=sys.stderr)
-        return EXIT_FAILURE
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -5,7 +5,9 @@ runtime cannot satisfy locally (lower-half page faults, system calls,
 exit notifications) is packaged as an event and forwarded to the partner
 thread on the other side.  A per-core record of the most recent fault
 detects the duplicate that follows a stale root table and triggers a
-local re-merge instead of a second forward.
+local re-merge instead of a second forward.  The fault path answers one
+question, whether the regular OS must serve a fault; a re-merge shows in
+its `MergeRequest` log entry and in `remerge_count`.
 
 Each thread records the partner that serves its forwarded events, fixed
 at creation: a nested thread copies its parent's.  A thread mirrors no
@@ -22,7 +24,6 @@ half counts as merged once the merge hypercall has set `ros_space`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .channel import EventKind, EventLog, EventRecord
@@ -39,7 +40,6 @@ from .machine import CoreKind, Machine
 from .mem import (
     PAGE_SIZE,
     AccessKind,
-    FaultInfo,
     PageTableHierarchy,
     identity_map_higher_half,
     map_page,
@@ -64,16 +64,6 @@ class HrtThread:
     exited: bool = False
 
 
-class FaultResolution(enum.Enum):
-    HANDLED_LOCAL = "handled_local"
-    FORWARD = "forward"
-    RETRY_AFTER_REMERGE = "retry_after_remerge"
-
-
-# Bound once, for the fault path: see `mem.WRITE`.
-HANDLED_LOCAL = FaultResolution.HANDLED_LOCAL
-FORWARD = FaultResolution.FORWARD
-RETRY_AFTER_REMERGE = FaultResolution.RETRY_AFTER_REMERGE
 REMERGE_KIND = EventKind.MERGE_REQUEST.value  # a re-merge's log kind
 
 
@@ -166,8 +156,9 @@ class HrtKernel:
 
     # -- fault path -----------------------------------------------------------
 
-    def handle_page_fault(self, core_id: int, fault: FaultInfo) -> FaultResolution:
-        """Classify and locally handle one fault raised on an HRT core.
+    def handle_page_fault(self, core_id: int, addr: int, access: AccessKind) -> bool:
+        """Handle one fault raised on an HRT core locally if it can; True
+        means the regular OS must serve it.
 
         Higher-half faults are satisfied from HRT-only frames with no
         event traffic.  A lower-half fault identical to the core's most
@@ -176,22 +167,22 @@ class HrtKernel:
         second forward.
         """
         assert self.space is not None
-        if fault.addr >> 47 & 1:  # the higher half
+        if addr >> 47 & 1:  # the higher half
             frame = self.machine.hrt_frame_alloc.alloc()
-            map_page(self.space, fault.addr & ~(PAGE_SIZE - 1), frame, writable=True)
-            return HANDLED_LOCAL
+            map_page(self.space, addr & ~(PAGE_SIZE - 1), frame, writable=True)
+            return False
         core = self.cores[core_id]
-        key = (fault.addr, fault.access)
+        key = (addr, access)
         if core.recent_fault == key:
             if self.ros_space is None:
                 raise ProtocolError("no ROS space to re-merge from")
             merge_lower_half(self.space, self.ros_space)
             self.remerge_count += 1
             core.recent_fault = None
-            self.log.emit(REMERGE_KIND, core.current_thread or 0, f"remerge:0x{fault.addr:x}")
-            return RETRY_AFTER_REMERGE
+            self.log.emit(REMERGE_KIND, core.current_thread or 0, f"remerge:0x{addr:x}")
+            return False
         core.recent_fault = key
-        return FORWARD
+        return True
 
     def thread_exit(self, tid: int) -> EventRecord | None:
         """Mark a thread exited; top-level exits produce a signal event."""

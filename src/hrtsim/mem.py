@@ -3,7 +3,9 @@
 A walk takes no control state.  Both kernels run with CR0.WP set, so a
 write to a present read-only page faults in ring 0 exactly as in ring 3:
 the ring never changes an outcome, and `translate` decides from the leaf
-and the access kind alone.
+and the access kind alone.  It returns the physical address, or None on
+any fault: the caller already holds the address and access that describe
+the fault, and no caller asks why an access faulted.
 
 The machine's page tables live in a table store shared by every address
 space, keyed by the physical frame holding each table.  This makes
@@ -58,7 +60,6 @@ invalidate nothing more.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import AllocationError, NonCanonicalAddressError
 
@@ -81,24 +82,10 @@ class AccessKind(enum.Enum):
     EXECUTE = "x"
 
 
-class FaultReason(enum.Enum):
-    NOT_PRESENT = "not_present"
-    WRITE_PROTECT = "write_protect"
-
-
-# The members that per-step code reads, bound once: on Python 3.11 the enum
+# The member that per-step code reads, bound once: on Python 3.11 the enum
 # metaclass defines __getattr__, so `AccessKind.WRITE` inside a function is
 # an unspecialised class-attribute load, several times a module global's.
 WRITE = AccessKind.WRITE
-NOT_PRESENT = FaultReason.NOT_PRESENT
-WRITE_PROTECT = FaultReason.WRITE_PROTECT
-
-
-@dataclass(slots=True)
-class FaultInfo:
-    addr: int
-    access: AccessKind
-    reason: FaultReason
 
 
 def is_canonical(addr: int) -> bool:
@@ -213,8 +200,9 @@ class PageTableHierarchy:
         self.leaf_tables: dict[int, list[int]] = {}
 
 
-def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | FaultInfo:
-    """Walk the four levels; return a physical byte address or fault info.
+def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | None:
+    """Walk the four levels; return a physical byte address, or None if
+    the access faults.  Frame 0 is a valid address: test `is None`.
 
     A write to a present read-only page faults (see the module
     docstring: CR0.WP is set on both sides).  A present leaf is memoised in
@@ -233,17 +221,17 @@ def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int |
             for shift in (39, 30, 21):
                 entry = table[(addr >> shift) & 0x1FF]
                 if not entry & P:
-                    return FaultInfo(addr, access, NOT_PRESENT)
+                    return None
                 table = store[entry >> 12]
             space.leaf_tables[page >> 9] = table
         leaf = table[page & 0x1FF]
         if not leaf & P:
-            return FaultInfo(addr, access, NOT_PRESENT)
+            return None
         space.memo[page] = leaf
         if leaf & RW:
             space.wmemo[page] = leaf
     if access is WRITE and not leaf & RW:
-        return FaultInfo(addr, access, WRITE_PROTECT)
+        return None
     return leaf & ~0xFFF | addr & 0xFFF
 
 

@@ -7,11 +7,12 @@ addresses are identical across run modes.  The two areas never cross: a
 region that would take one past the other raises `AllocationError`,
 which `sys_mmap` returns as ENOMEM, and so does a populated region whose
 pages and new page tables the free frames cannot cover; neither changes
-anything.  Partner threads service the
-events their kernel-mode twins forward and carry the exit bit.  A
-forwarded system call brings everything its service needs: a call that
-fell through carries its legacy function's body, and any other call goes
-to the syscall model.  Partners and local threads (those spawned outside
+anything.  A demand fault that the free frames cannot cover the same way
+is a segfault, with nothing changed.  Partner threads service the events
+their kernel-mode twins forward and carry the exit bit.  A forwarded
+system call brings everything its service needs: a call that fell
+through carries its legacy function's body, and any other call goes to
+the syscall model.  Partners and local threads (those spawned outside
 the hybrid mode) are the join targets.  This side issues every hypercall.
 """
 
@@ -41,7 +42,6 @@ from .mem import (
     WRITE,
     P,
     AccessKind,
-    FaultInfo,
     PageTableHierarchy,
     absent_tables,
     ensure_root_entry,
@@ -262,8 +262,10 @@ class RosKernel:
         concurrent faults on one page allocate one frame.  When the space
         has cached the page's leaf table (see `mem`) and the leaf is absent,
         the access faults, so it is not walked; otherwise `translate`
-        decides.  The page's frame is allocated before any table frame
-        that `map_page` adds.
+        decides.  A fault whose page frame and new page tables the free
+        frames cannot cover is refused with nothing changed; the tables
+        are counted only when the leaf table is not cached.  The page's
+        frame is allocated before any table frame that `map_page` adds.
         """
         regions = self.proc.vm_regions
         i = regions.index_at(addr)
@@ -272,16 +274,15 @@ class RosKernel:
         writable = regions[i].writable
         if access is WRITE and not writable:
             return False
-        space = self.proc.space
+        space, frames = self.proc.space, self.machine.ros_frame_alloc
         table = space.leaf_tables.get(addr >> 21)
         if table is None or table[addr >> 12 & 0x1FF] & P:
-            if not isinstance(translate(space, addr, access), FaultInfo):
+            if translate(space, addr, access) is not None:
                 return True
-        try:
-            frame = self.machine.ros_frame_alloc.alloc()
-        except AllocationError:
+        spare = frames.frames_left - 1
+        if spare < 0 or table is None and spare < absent_tables(space, addr, PAGE_SIZE):
             return False
-        map_page(space, addr & ~(PAGE_SIZE - 1), frame, writable)
+        map_page(space, addr & ~(PAGE_SIZE - 1), frames.alloc(), writable)
         return True
 
     def touch(self, addr: int, access: AccessKind, origin_tid: int) -> bool:
@@ -294,8 +295,7 @@ class RosKernel:
         space = self.proc.space
         if addr >> 12 in (space.wmemo if access is WRITE else space.memo):
             return True
-        result = translate(space, addr, access)
-        if not isinstance(result, FaultInfo):
+        if translate(space, addr, access) is not None:
             return True
         if not self.demand_fault(addr, access):
             self.proc.failed = True
@@ -312,13 +312,13 @@ class RosKernel:
         """Service one injected event and complete it on the channel."""
         kind = ev.kind
         if kind is PAGE_FAULT:
-            fault: FaultInfo = ev.payload
-            if self.demand_fault(fault.addr, fault.access):
+            addr, access = ev.payload
+            if self.demand_fault(addr, access):
                 ev.cost += self.cost.pagefault_base
                 result = 0
             else:
                 self.proc.failed = True
-                self.proc.fail_reason = f"segfault at 0x{fault.addr:x}"
+                self.proc.fail_reason = f"segfault at 0x{addr:x}"
                 result = EFAULT
         elif kind is SYSCALL:
             name, args, body = ev.payload

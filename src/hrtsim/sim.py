@@ -29,9 +29,11 @@ progress is a deadlock either way.
 A kernel-mode access runs inline in its thread's step: it looks its page
 up in the memo of its access kind, and only a miss goes on to the fault
 path at the end of the step, which walks and resolves each fault.  A
-kernel-mode thread owns one event record and refills it for each system
-call, fall-through call or fault it forwards, then waits in its own frame
-until the partner has served it: it never has two events outstanding.
+kernel-mode thread owns one event record and refills its kind, detail and
+payload for each system call, fall-through call or fault it forwards (a
+fault's payload is its `(addr, access)`); `forward_event` resets the rest.
+It then waits in its own frame until the partner has served it: it never
+has two events outstanding.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ from .channel import (
 )
 from .costs import CostModel
 from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
-from .hrt import FORWARD, HrtKernel
+from .hrt import HrtKernel
 from .machine import Machine
-from .mem import HIGHER_BASE, WRITE, FaultInfo, translate
+from .mem import HIGHER_BASE, WRITE, translate
 from .ros import BLOCKED_JOIN, EFAULT, EXITED, RosKernel, init_runtime
 from .toolchain import AeroKernelImage, AppDescriptor, embed
 from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
@@ -440,7 +442,6 @@ class Simulator:
                     name, args, _ = call
                     if kernel_mode:  # forwarded: served by the partner, awaited here
                         ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
-                        ev.cost, ev.complete_cycle, ev.result = 0, None, None
                         channel.forward_event(ev, ctx.partner)
                         partner.parked = False
                         yield True
@@ -461,10 +462,9 @@ class Simulator:
             # row, or a third forward, is a double fault.
             for addr in touches:
                 if addr >> 12 not in (wmemo if access is write else memo):
-                    fault = translate(space, addr, access)
                     local = forwards = 0
-                    while isinstance(fault, FaultInfo):
-                        if hrt.handle_page_fault(core_id, fault) is not FORWARD:
+                    while translate(space, addr, access) is None:
+                        if not hrt.handle_page_fault(core_id, addr, access):
                             local += 1
                             if local == 4:
                                 raise DoubleFaultError(
@@ -478,8 +478,7 @@ class Simulator:
                         else:
                             local, forwards = 0, forwards + 1
                             ev.kind, ev.detail = PAGE_FAULT, fault_detail(addr, access)
-                            ev.payload = fault
-                            ev.cost, ev.complete_cycle, ev.result = 0, None, None
+                            ev.payload = addr, access
                             channel.forward_event(ev, ctx.partner)
                             partner.parked = False
                             yield True
@@ -487,7 +486,6 @@ class Simulator:
                                 yield False
                             if ev.result == EFAULT:
                                 raise _Halt
-                        fault = translate(space, addr, access)
                 yield True
 
     def _sync_call(self, tid: int, name: str) -> None:

@@ -10,8 +10,6 @@ from hrtsim.mem import (
     TABLE_ENTRIES,
     AccessKind,
     RW,
-    FaultInfo,
-    FaultReason,
     P,
     PageTableHierarchy,
     _table_at,
@@ -102,18 +100,16 @@ def upper_entries(space: PageTableHierarchy) -> dict[tuple[int, ...], int]:
     return entries
 
 
-def walk(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | FaultInfo:
+def walk(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | None:
     """`mem.translate` without its memo or `leaf_tables`: all four levels
-    on every call."""
+    on every call; None on a fault."""
     table = leaf_table(space, addr)
     if table is None:
-        return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
+        return None
     _, _, _, i1, offset = table_indices(addr)
     leaf = table[i1]
-    if not leaf & P:
-        return FaultInfo(addr, access, FaultReason.NOT_PRESENT)
-    if access is AccessKind.WRITE and not leaf & RW:
-        return FaultInfo(addr, access, FaultReason.WRITE_PROTECT)
+    if not leaf & P or access is AccessKind.WRITE and not leaf & RW:
+        return None
     return (leaf >> 12) * PAGE_SIZE + offset
 
 

@@ -174,6 +174,23 @@ class TestForwarding:
         assert len(channel.outstanding) == 1
         assert channel.outstanding[0] is first
 
+    def test_reforwarding_a_completed_record_resets_it(self):
+        # A kernel-mode thread refills one record for every event it
+        # forwards: nothing of the last round trip stays behind.
+        channel = make_channel()
+        queue = channel.register_endpoint(2)
+        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        channel.forward_event(ev, 2)
+        assert queue.popleft() is ev  # the partner takes the event it serves
+        ev.cost += channel.cost.syscall_base
+        channel.complete_event(ev, 4)
+        assert channel.outstanding == []
+        channel.log.emit("Compute", 9, "compute", 100)
+        channel.forward_event(ev, 2)
+        assert channel.outstanding == [ev]
+        assert (ev.request_cycle, ev.cost) == (channel.log.now, channel.cost.forward_overhead)
+        assert (ev.complete_cycle, ev.result) == (None, None)
+
     def test_completing_unknown_event(self):
         channel = make_channel()
         ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)

@@ -177,6 +177,28 @@ class TestRun:
             "error: line 7: call_override pthread_create target 'ghost' is not a defined thread"
         ) in err
 
+    def test_deadlock_is_a_runtime_failure(self, tmp_path, capsys):
+        # Two local threads join each other, and main joins one of them.
+        text = (
+            "thread main ros\n  spawn a\n  spawn b\n  join a\n  exit\nend\n"
+            "thread a ros\n  join b\n  exit\nend\n"
+            "thread b ros\n  join a\n  exit\nend\n"
+        )
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", "virtual"]) == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no runnable context; outstanding events: none"]
+
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
+    def test_fault_without_frames_for_its_tables_is_a_segfault(self, tmp_path, capsys, mode):
+        # The populate leaves one of the default machine's frames: enough for
+        # the touched page, not for the leaf table of its fresh 2 MiB region.
+        text = (
+            "thread main ros\n  mmap 12537856 populate\n  mmap 4194304\n"
+            "  touch last+2097152 w\n  exit\nend\n"
+        )
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_FAILURE
+        assert "workload FAILED: segfault at 0x100000df5000" in capsys.readouterr().out.splitlines()
+
     def test_double_fault_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def double_fault(*args):
             raise DoubleFaultError("access 0x1000 w cannot be satisfied")

@@ -13,16 +13,7 @@ from hrtsim.errors import (
     ProtocolError,
     SymbolError,
 )
-from hrtsim.hrt import FaultResolution
-from hrtsim.mem import (
-    HIGHER_BASE,
-    PAGE_SIZE,
-    AccessKind,
-    FaultInfo,
-    FaultReason,
-    map_page,
-    translate,
-)
+from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind, map_page, translate
 from hrtsim.machine import Machine
 from hrtsim.ros import DEFAULT_STACK_BYTES, STACK_TOP, init_runtime
 from hrtsim.sim import System
@@ -263,26 +254,25 @@ class TestFaultPath:
     def test_higher_half_handled_locally(self, booted):
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE + 0x5000
-        fault = FaultInfo(addr, AccessKind.WRITE, FaultReason.NOT_PRESENT)
         log_before = len(booted.log.entries)
-        resolution = hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], fault)
-        assert resolution is FaultResolution.HANDLED_LOCAL
-        assert not isinstance(translate(hrt.space, addr, AccessKind.WRITE), FaultInfo)
+        # Not forwarded, and handled without a re-merge.
+        assert hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.WRITE) is False
+        assert hrt.remerge_count == 0
+        assert translate(hrt.space, addr, AccessKind.WRITE) is not None
         assert len(booted.log.entries) == log_before
         assert booted.channel.outstanding == []
 
     def test_higher_half_uses_private_frames(self, booted):
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE
-        hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], FaultInfo(addr, AccessKind.WRITE, FaultReason.NOT_PRESENT))
+        hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.WRITE)
         paddr = translate(hrt.space, addr, AccessKind.READ)
         assert paddr // PAGE_SIZE >= booted.machine.ros_frames
 
     def test_first_lower_fault_forwards(self, booted):
         hrt = booted.hrt
         core = hrt.machine.hrt_core_ids[0]
-        fault = FaultInfo(0x5000_0000, AccessKind.READ, FaultReason.NOT_PRESENT)
-        assert hrt.handle_page_fault(core, fault) is FaultResolution.FORWARD
+        assert hrt.handle_page_fault(core, 0x5000_0000, AccessKind.READ) is True
         assert hrt.cores[core].recent_fault == (0x5000_0000, AccessKind.READ)
 
     def test_duplicate_fault_triggers_local_remerge(self, booted):
@@ -291,11 +281,11 @@ class TestFaultPath:
         # The other side installs a mapping under a brand-new root entry
         # after the merge, so the runtime's copy of the root is stale.
         addr = 0x0280_0000_0000  # 512 GiB slot 5, untouched so far
-        fault = FaultInfo(addr, AccessKind.WRITE, FaultReason.NOT_PRESENT)
-        assert hrt.handle_page_fault(core, fault) is FaultResolution.FORWARD
+        assert hrt.handle_page_fault(core, addr, AccessKind.WRITE) is True
         frame = booted.machine.ros_frame_alloc.alloc()
         map_page(ros.proc.space, addr, frame)
-        assert hrt.handle_page_fault(core, fault) is FaultResolution.RETRY_AFTER_REMERGE
+        # Not forwarded again: re-merged, which the count and the log show.
+        assert hrt.handle_page_fault(core, addr, AccessKind.WRITE) is False
         assert hrt.remerge_count == 1
         assert translate(hrt.space, addr, AccessKind.WRITE) == frame * PAGE_SIZE
         remerges = [
@@ -306,10 +296,8 @@ class TestFaultPath:
     def test_distinct_faults_not_treated_as_duplicates(self, booted):
         hrt = booted.hrt
         core = hrt.machine.hrt_core_ids[0]
-        f1 = FaultInfo(0x5000_0000, AccessKind.READ, FaultReason.NOT_PRESENT)
-        f2 = FaultInfo(0x5000_1000, AccessKind.READ, FaultReason.NOT_PRESENT)
-        assert hrt.handle_page_fault(core, f1) is FaultResolution.FORWARD
-        assert hrt.handle_page_fault(core, f2) is FaultResolution.FORWARD
+        assert hrt.handle_page_fault(core, 0x5000_0000, AccessKind.READ) is True
+        assert hrt.handle_page_fault(core, 0x5000_1000, AccessKind.READ) is True
         assert hrt.remerge_count == 0
 
 

@@ -7,14 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrtsim.errors import AllocationError, NonCanonicalAddressError
-from hrtsim.hrt import FaultResolution
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
     RW,
     AccessKind,
-    FaultInfo,
-    FaultReason,
     FrameAllocator,
     Owner,
     P,
@@ -79,23 +76,22 @@ class TestFrameAllocator:
         assert alloc.take(7) == 13
 
 
-def first_fault(system, addr: int) -> FaultResolution:
-    """How the booted runtime resolves a first not-present read of addr."""
+def first_fault(system, addr: int) -> bool:
+    """Whether the booted runtime forwards a first not-present read of addr."""
     hrt = system.hrt
-    fault = FaultInfo(addr, AccessKind.READ, FaultReason.NOT_PRESENT)
-    return hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], fault)
+    return hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.READ)
 
 
 class TestCanonical:
     def test_lower_half(self, booted):
         assert is_canonical(0)
         assert is_canonical(0x7FFF_FFFF_FFFF)
-        assert first_fault(booted, 0x1000) is FaultResolution.FORWARD  # the regular OS's half
+        assert first_fault(booted, 0x1000) is True  # the regular OS's half
 
     def test_higher_half(self, booted):
         assert is_canonical(HIGHER_BASE)
         assert is_canonical(0xFFFF_FFFF_FFFF_F000)
-        assert first_fault(booted, HIGHER_BASE) is FaultResolution.HANDLED_LOCAL
+        assert first_fault(booted, HIGHER_BASE) is False  # handled by the runtime
 
     def test_hole_rejected(self):
         assert not is_canonical(1 << 47)
@@ -133,8 +129,7 @@ class TestCanonical:
 class TestTranslate:
     def test_empty_table_faults(self):
         space = make_space()
-        result = translate(space, 0x1000, AccessKind.READ)
-        assert result == FaultInfo(0x1000, AccessKind.READ, FaultReason.NOT_PRESENT)
+        assert translate(space, 0x1000, AccessKind.READ) is None
 
     def test_map_then_translate(self):
         space = make_space()
@@ -146,9 +141,7 @@ class TestTranslate:
         space = make_space()
         map_page(space, 0x2000, 7)
         unmap_page(space, 0x2000)
-        result = translate(space, 0x2000, AccessKind.READ)
-        assert isinstance(result, FaultInfo)
-        assert result.reason is FaultReason.NOT_PRESENT
+        assert translate(space, 0x2000, AccessKind.READ) is None
 
     def test_remap_replaces(self):
         space = make_space()
@@ -178,7 +171,7 @@ class TestTranslate:
         for vaddr in pages:
             got = translate(space, vaddr, AccessKind.READ)
             if vaddr == 0x5000:
-                assert isinstance(got, FaultInfo)
+                assert got is None
             else:
                 assert got == before[vaddr]
 
@@ -213,13 +206,12 @@ class TestWriteProtect:
         # Both kernels set CR0.WP, so the ring makes no difference: of every
         # access to a read-only and a writable page, exactly the write to
         # the read-only one faults.
-        result = translate(self.space, 0x4000, AccessKind.WRITE)
-        assert result == FaultInfo(0x4000, AccessKind.WRITE, FaultReason.WRITE_PROTECT)
+        assert translate(self.space, 0x4000, AccessKind.WRITE) is None
         faults = {
             (access, perm)
             for access in AccessKind
             for vaddr, perm in ((0x4000, "ro"), (0x6000, "rw"))
-            if isinstance(translate(self.space, vaddr, access), FaultInfo)
+            if translate(self.space, vaddr, access) is None
         }
         assert faults == {(AccessKind.WRITE, "ro")}
 
@@ -235,11 +227,9 @@ class TestWriteProtect:
         # read-only leaf reads, and a write to it faults.
         table[5] = 9 << 12 | P
         assert translate(self.space, 0x5abc, AccessKind.READ) == 9 * PAGE_SIZE + 0xABC
-        result = translate(self.space, 0x5000, AccessKind.WRITE)
-        assert result == FaultInfo(0x5000, AccessKind.WRITE, FaultReason.WRITE_PROTECT)
+        assert translate(self.space, 0x5000, AccessKind.WRITE) is None
         table[7] = 9 << 12 | RW  # writable but not present
-        result = translate(self.space, 0x7000, AccessKind.READ)
-        assert result == FaultInfo(0x7000, AccessKind.READ, FaultReason.NOT_PRESENT)
+        assert translate(self.space, 0x7000, AccessKind.READ) is None
 
     def test_reads_unaffected(self):
         assert translate(self.space, 0x4000, AccessKind.READ) == 3 * PAGE_SIZE
@@ -328,8 +318,7 @@ class TestIdentityMap:
         for build in IDENTITY_MAPS:
             lazy, eager = identity_spaces(frames, (build, eager_identity_map))
             assert_same_identity(lazy, eager, frames)
-            past = translate(lazy, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ)
-            assert isinstance(past, FaultInfo)
+            assert translate(lazy, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ) is None
 
     @pytest.mark.parametrize("frames", [512, 1000])
     def test_same_table_frames_as_eager_map(self, frames):
@@ -361,8 +350,7 @@ class TestIdentityMap:
     def test_multi_gib_matches_per_leaf_map(self):
         frames = 3 * (1 << 18) + 1000
         record = multi_gib_record(identity_map_higher_half, frames)
-        past = record[-1]
-        assert isinstance(past, FaultInfo) and past.reason is FaultReason.NOT_PRESENT
+        assert record[-1] is None  # the page past the map
         assert record == multi_gib_record(identity_map_per_leaf, frames)
 
     def test_identity_map_across_a_root_entry(self):
@@ -390,8 +378,7 @@ class TestIdentityMap:
     def test_lower_half_unmapped_before_merge(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
-        result = translate(hrt, 0x1000, AccessKind.READ)
-        assert isinstance(result, FaultInfo)
+        assert translate(hrt, 0x1000, AccessKind.READ) is None
 
 
 class TestMerge:

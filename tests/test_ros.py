@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hrtsim.ros
 from hrtsim.channel import EventKind, EventRecord, fault_detail, syscall_detail
 from hrtsim.errors import AllocationError, FormatError, SymbolError, UsageError
-from hrtsim.mem import PAGE_SIZE, AccessKind, FaultInfo, translate
+from hrtsim.mem import PAGE_SIZE, AccessKind, translate
 from hrtsim.ros import (
     DEFAULT_STACK_BYTES,
     EINVAL,
@@ -33,7 +34,7 @@ def region_at(ros, addr):
 def mapped_pages(ros, base, length):
     """Page-presence bitmap oracle built from raw translations."""
     return [
-        not isinstance(translate(ros.proc.space, page, AccessKind.READ), FaultInfo)
+        translate(ros.proc.space, page, AccessKind.READ) is not None
         for page in range(base, base + length, PAGE_SIZE)
     ]
 
@@ -227,15 +228,21 @@ class TestRegionIndex:
                     for addr in (page - 1, page, page + 1):
                         assert region_at(ros, addr) is linear_region_at(regions, addr)
             for page in touched:
-                assert not isinstance(walk(space, page, AccessKind.READ), FaultInfo)
+                assert walk(space, page, AccessKind.READ) is not None
             for page in span:
                 if page not in touched:
-                    assert isinstance(walk(space, page, AccessKind.READ), FaultInfo)
+                    assert walk(space, page, AccessKind.READ) is None
             frames = space.frame_alloc
             tables = 1 + len(upper_entries(space))  # the root, and one per upper entry
             assert frames.end - frames.start - frames.frames_left == first_touches + tables
 
 
+# On a 512-frame machine the populate leaves one frame, and the touch
+# lands in a fresh 2 MiB region: its page needs that frame and its leaf
+# table one more.
+STARVED_BODY = "  mmap 1548288 populate\n  mmap 4194304\n  touch last+2097152 w\n  exit\nend\n"
+STARVED_ROS = "thread main ros\n" + STARVED_BODY
+STARVED_HRT = "thread main ros\n  spawn w\n  join w\n  exit\nend\nthread w hrt\n" + STARVED_BODY
 WRITE_ROS = "thread main ros\n  syscall write 1 14\n  exit\nend\n"
 WRITE_HRT = (
     "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
@@ -282,6 +289,34 @@ class TestSyscalls:
         assert not ros.touch(0x4242_0000, AccessKind.READ, origin_tid=1)
         assert ros.proc.failed
         assert "segfault" in ros.proc.fail_reason
+
+    @pytest.mark.parametrize("mode", [Mode.VIRTUAL, Mode.MULTIVERSE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("text", [STARVED_ROS, STARVED_HRT], ids=["ros_side", "kernel_mode"])
+    def test_fault_without_frames_for_its_tables_is_a_segfault(self, system, mode, text):
+        # The fault is refused with nothing changed, as a populate that
+        # cannot fit is.
+        report = Simulator(system, parse_workload(text), mode).run()
+        addr = MMAP_BASE + 1548288 + 2097152
+        assert (report.failed, report.fail_reason) == (True, f"segfault at 0x{addr:x}")
+        assert system.machine.ros_frame_alloc.frames_left == 1
+        assert mapped_pages(system.ros, addr, PAGE_SIZE) == [False]
+
+    def test_fault_counts_tables_only_when_its_leaf_table_is_not_cached(
+        self, system, monkeypatch
+    ):
+        counted, absent_tables = [], hrtsim.ros.absent_tables
+
+        def counting(space, vaddr, length):
+            counted.append(vaddr)
+            return absent_tables(space, vaddr, length)
+
+        monkeypatch.setattr(hrtsim.ros, "absent_tables", counting)
+        ros = system.ros
+        base = ros.sys_mmap(2 * PAGE_SIZE)
+        assert ros.touch(base, AccessKind.WRITE, origin_tid=1)  # maps its leaf table
+        assert ros.touch(base + PAGE_SIZE, AccessKind.WRITE, origin_tid=1)
+        assert counted == [base]
+        assert mapped_pages(ros, base, 2 * PAGE_SIZE) == [True, True]
 
     def test_write_to_readonly_region_fails(self, system):
         ros = system.ros
@@ -368,10 +403,10 @@ class TestForwardedService:
         return booted.ros.spawn_hrt("worker")
 
     @staticmethod
-    def fault_event(partner, fault):
+    def fault_event(partner, addr, access):
         """The event a kernel-mode thread forwards for a lower-half fault."""
-        detail = fault_detail(fault.addr, fault.access)
-        return EventRecord(EventKind.PAGE_FAULT, partner.hrt_thread, detail, fault)
+        detail = fault_detail(addr, access)
+        return EventRecord(EventKind.PAGE_FAULT, partner.hrt_thread, detail, (addr, access))
 
     def test_forwarded_syscall_adds_base_cost(self, booted):
         partner = self.make_partner(booted)
@@ -386,8 +421,7 @@ class TestForwardedService:
     def test_forwarded_fault_maps_page(self, booted):
         partner = self.make_partner(booted)
         base = booted.ros.sys_mmap(PAGE_SIZE)
-        fault = FaultInfo(base, AccessKind.WRITE, None)
-        ev = self.fault_event(partner, fault)
+        ev = self.fault_event(partner, base, AccessKind.WRITE)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 0
@@ -397,8 +431,7 @@ class TestForwardedService:
         from hrtsim.ros import EFAULT
 
         partner = self.make_partner(booted)
-        fault = FaultInfo(0x4141_0000, AccessKind.WRITE, None)
-        ev = self.fault_event(partner, fault)
+        ev = self.fault_event(partner, 0x4141_0000, AccessKind.WRITE)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == EFAULT

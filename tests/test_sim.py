@@ -20,7 +20,6 @@ from hrtsim.errors import (
     SimError,
     UsageError,
 )
-from hrtsim.hrt import FaultResolution
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.ros import MMAP_BASE, RosKernel
 from hrtsim.sim import (
@@ -486,9 +485,9 @@ class TestDoubleFault:
                 calls["translate"] += 1
             return original_translate(space, addr, access)
 
-        def counted_handle(core_id, fault):
+        def counted_handle(core_id, addr, access):
             calls["handle_page_fault"] += 1
-            return handle(core_id, fault)
+            return handle(core_id, addr, access)
 
         monkeypatch.setattr(hrtsim.sim, "translate", counted_translate)
         monkeypatch.setattr(hrt, "handle_page_fault", counted_handle)
@@ -499,7 +498,7 @@ class TestDoubleFault:
     def test_fault_that_local_handling_never_clears(self, monkeypatch):
         # A runtime that reports every fault handled locally but maps nothing.
         sim, calls, message = self.run_counted(
-            monkeypatch, resolve=lambda core_id, fault: FaultResolution.HANDLED_LOCAL
+            monkeypatch, resolve=lambda core_id, addr, access: False
         )
         assert message == f"access 0x{self.ADDR:x} w cannot be satisfied"
         assert calls == {"translate": 4, "handle_page_fault": 4}
