@@ -172,11 +172,6 @@ class TableStore(dict):
         self[frame] = table
         return table
 
-    def forget_page(self, page: int) -> None:
-        """Drop one page number from every space's walk memos."""
-        for memo in self.memos:
-            memo.pop(page, None)
-
     def new_table(self, frame: int) -> list[int]:
         table = [0] * TABLE_ENTRIES
         self[frame] = table
@@ -278,7 +273,8 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
         table = space.leaf_tables[vaddr >> 21] = _table_at(space, vaddr, 3)
     i1 = (vaddr >> 12) & 0x1FF
     if table[i1] & P:
-        space.store.forget_page(vaddr >> 12)
+        for memo in space.store.memos:
+            memo.pop(vaddr >> 12, None)
     table[i1] = frame << 12 | (P | RW if writable else P)
 
 
@@ -318,7 +314,7 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
             for i in range(i1, i1 + (stop - vaddr >> 12)):
                 if table[i] & P:
                     table[i] = 0
-                    for memo in memos:  # `forget_page`, without a call per page
+                    for memo in memos:
                         memo.pop(first + i, None)
         vaddr = stop
 

@@ -26,6 +26,13 @@ the steps that do make progress, and so the log, are exactly those of
 stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
 
+A run ends when main exits (teardown marks every context done), when a
+thread finds its workload failed and raises `_Halt`, which `execute`
+catches once around the round loop, or in a `DeadlockError`.  A context
+is parked once done, and no waker unparks it (each sets `parked` to
+`done`, and an exited partner refuses a forward), so the round never
+steps a done context: `step` has no `done` test.
+
 A kernel-mode access runs inline in its thread's step: it looks its page
 up in the memo of its access kind, and only a miss goes on to the fault
 path at the end of the step, which walks and resolves each fault.  A
@@ -194,7 +201,7 @@ def _from_last(last: int | None, offset: int) -> int:
 
 class _Halt(Exception):
     """Raised by a thread whose workload the regular OS has marked failed
-    (`RosProcess.failed`, with its reason); ends the run."""
+    (`RosProcess.failed`, with its reason); `execute` catches it: the run ends."""
 
 
 class Simulator:
@@ -211,7 +218,6 @@ class Simulator:
         self.partners: dict[int, _Ctx] = {}  # partner ROS tid -> its context
         self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
-        self.halted = False
 
     # -- setup ---------------------------------------------------------------
 
@@ -243,10 +249,10 @@ class Simulator:
         return self.execute()
 
     def execute(self) -> TraceReport:
-        """Drive the step loop to completion; setup() must have run."""
-        step = self.step
+        """Drive the step loop to the end of the run; setup() must have run."""
+        step, main = self.step, self.main_ctx
         try:
-            while True:
+            while not main.done:
                 progressed = False
                 for ctx in list(self.contexts):  # contexts spawned now run next round
                     if ctx.parked:
@@ -255,10 +261,6 @@ class Simulator:
                         progressed = True
                     else:
                         ctx.parked = True
-                    if self.halted:
-                        break
-                if self.halted or self.main_ctx.done:
-                    break
                 if not progressed:
                     dump = [
                         f"{e.kind.value} origin={e.origin} detail={e.detail}"
@@ -268,6 +270,8 @@ class Simulator:
                         "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
                         events=list(self.system.channel.outstanding),
                     )
+        except _Halt:
+            pass
         finally:
             # A suspended generator's frame holds this simulator: close and
             # drop them all, so that reference counting frees the run, and
@@ -304,16 +308,11 @@ class Simulator:
 
     def step(self, ctx: _Ctx) -> bool:
         """One scheduler step of ctx; True if it made progress.  A context
-        is done in the step whose generator returns."""
-        if ctx.done:
-            return False
+        is done in the step whose generator returns, and stays parked."""
         try:
             return next(ctx.thread)
         except StopIteration:
             ctx.done = ctx.parked = True
-            return True
-        except _Halt:
-            self.halted = True
             return True
 
     def _partner(self, ctx: _Ctx) -> Generator[bool, None, None]:

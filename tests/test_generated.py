@@ -3,9 +3,9 @@
 A Hypothesis strategy writes well-formed workload text: a regular-OS
 `main` and up to four kernel-mode threads, with nested spawns; every op
 and `repeat`; overrides that are on, `off`, fall through, and
-`pthread_create`; `sync_call` and `munmap` of `last`; machines of
-512-4096 frames.  Literal touches fall in an 8-page region that `main`
-maps first.  A thread spawns only threads after it in the list, so
+`pthread_create`; `sync_call`, and `munmap` of `last` and of literal
+pages; machines of 512-4096 frames.  Literal touches and unmaps fall in
+an 8-page region that `main` maps first.  A thread spawns only threads after it in the list, so
 every run ends.  Each workload runs twice in both modes, virtual and
 multiverse, and these hold:
 
@@ -26,12 +26,19 @@ dropped, a line duplicated, a token dropped), fails only in its error
 class: parsing raises nothing but `ParseError`, and running nothing but
 `SimError`.
 
+A third shape runs out of regular-OS frames: a `populate` mmap near the
+machine's size, then lazy touches from main or a kernel-mode thread.
+Each run ends as the model says, never with `AllocationError`: either
+the mmap returned ENOMEM and every touch was served, or it was mapped
+and a demand fault was refused, a segfault.
+
 An outcome is the log, the total and the failed flag, or the error
 raised.  Some multiverse runs raise `ProtocolError` because a nested
 thread outlives its top-level parent (ROADMAP item 3); that is allowed
 here, and must repeat like any other outcome.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +84,11 @@ def simple_op(draw, mapped: bool) -> str:
         addr = base + draw(pages) * PAGE_SIZE + draw(st.integers(0, PAGE_SIZE - 1))
         return f"touch 0x{addr:x} {draw(st.sampled_from('rw'))}"
     if kind == "syscall":
-        return draw(st.sampled_from(["syscall write 1 8", "syscall getpid", "syscall munmap 1"]))
+        call = draw(st.sampled_from(["syscall write 1 8", "syscall getpid", "syscall munmap 1", ""]))
+        if call:
+            return call
+        addr = MMAP_BASE + draw(pages) * PAGE_SIZE  # pages of main's region
+        return f"munmap 0x{addr:x} {draw(st.integers(1, 2)) * PAGE_SIZE}"
     if kind == "call":
         return f"call_override {draw(st.sampled_from(CALLS))}"
     if draw(st.booleans()):
@@ -203,3 +214,56 @@ def test_mutated_text_fails_only_in_its_error_class(mutated):
             Simulator(System(machine=Machine(phys_frames=frames)), program, mode).run()
         except SimError:
             pass
+
+
+LAZY_PAGES = 24  # more than a populated machine has left
+
+
+def out_of_frames_case(frames: int, slack: int, toucher: str, access: str) -> tuple[str, int]:
+    """A workload that maps all but `slack` of the machine's regular-OS
+    frames with `populate`, then has `toucher` ("main", or a kernel-mode
+    thread "w") touch LAZY_PAGES pages of a lazy region: its text, and
+    the populated length."""
+    length = (Machine(phys_frames=frames).ros_frames - slack) * PAGE_SIZE
+    lazy = [f"mmap {LAZY_PAGES * PAGE_SIZE}"]
+    lazy += [f"touch last+{i * PAGE_SIZE} {access}" for i in range(LAZY_PAGES)]
+    main = [f"mmap {length} populate"] + (lazy if toucher == "main" else ["spawn w", "join w"])
+    text = "thread main ros\n" + "".join(f"  {line}\n" for line in main + ["exit"]) + "end\n"
+    if toucher == "w":
+        text += "thread w hrt\n" + "".join(f"  {line}\n" for line in lazy + ["exit"]) + "end\n"
+    return text, length
+
+
+out_of_frames = st.tuples(
+    st.integers(512, 1024), st.integers(0, 16), st.sampled_from(["main", "w"]),
+    st.sampled_from("rw"),
+)
+
+
+def frames_outcome(case: tuple[int, int, str, str], mode: Mode) -> str:
+    """How one out-of-frames case ends, "ENOMEM" or "segfault": it must end
+    one of those two ways."""
+    frames = case[0]
+    text, length = out_of_frames_case(*case)
+    sim = Simulator(System(machine=Machine(phys_frames=frames)), parse_workload(text), mode)
+    report = sim.run()
+    if any(r.length == length for r in sim.system.ros.proc.vm_regions):  # populated
+        assert report.failed and report.fail_reason.startswith("segfault at 0x"), report
+        return "segfault"
+    assert not report.failed, report.fail_reason
+    return "ENOMEM"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(out_of_frames)
+def test_running_out_of_frames_is_enomem_or_a_segfault(case):
+    for mode in Mode:
+        frames_outcome(case, mode)
+
+
+@pytest.mark.parametrize("toucher", ["main", "w"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_out_of_frames_reaches_both_ends(mode, toucher):
+    """No frame to spare is ENOMEM; 16 to spare is a refused demand fault."""
+    assert frames_outcome((512, 0, toucher, "w"), mode) == "ENOMEM"
+    assert frames_outcome((512, 16, toucher, "r"), mode) == "segfault"

@@ -418,7 +418,6 @@ PER_STEP = (
     "mem:map_page",
     "mem:unmap_page",
     "mem:FrameAllocator.alloc",
-    "mem:TableStore.forget_page",
     "channel:fault_detail",
     "channel:EventLog.emit",
     "channel:EventChannel.forward_event",

@@ -17,7 +17,7 @@ import pytest
 
 from hrtsim.errors import DeadlockError, SimError
 from hrtsim.machine import Machine
-from hrtsim.sim import Mode, Simulator, System, compare, parse_workload
+from hrtsim.sim import Mode, Simulator, System, _Halt, compare, parse_workload
 
 from test_golden import GOLDEN, PHYS_FRAMES
 
@@ -37,7 +37,9 @@ def load_bench_workloads():
 
 
 class ParkingLoop(Simulator):
-    """The simulator as it is, recording each step that made progress."""
+    """The simulator as it is, recording each step that made progress, and
+    checking after each step that every done context is parked: the round
+    loop never steps a done context, so `Simulator.step` has no `done` test."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -47,22 +49,23 @@ class ParkingLoop(Simulator):
         progressed = super().step(ctx)
         if progressed:
             self.progress.append((ctx.name, ctx.done))
+        assert not [c.name for c in self.contexts if c.done and not c.parked]
         return progressed
 
 
 class StepEveryContext(ParkingLoop):
-    """The oracle: the round loop that ignores `parked`."""
+    """The oracle: the round loop that ignores `parked`.  It skips a done
+    context, whose step would make no progress, and ends on `_Halt` as
+    `Simulator.execute` does."""
 
     def execute(self):
         try:
             while True:
                 progressed = False
                 for ctx in list(self.contexts):
-                    if self.step(ctx):
+                    if not ctx.done and self.step(ctx):
                         progressed = True
-                    if self.halted:
-                        break
-                if self.halted or all(c.done for c in self.contexts):
+                if all(c.done for c in self.contexts):
                     break
                 if not progressed:
                     dump = [
@@ -73,6 +76,8 @@ class StepEveryContext(ParkingLoop):
                         "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
                         events=list(self.system.channel.outstanding),
                     )
+        except _Halt:
+            pass
         finally:
             for ctx in self.contexts:
                 ctx.thread.close()
