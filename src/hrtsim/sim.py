@@ -26,12 +26,37 @@ the steps that do make progress, and so the log, are exactly those of
 stepping every context every round; a round in which no context makes
 progress is a deadlock either way.
 
+Rounds keep a run list: the contexts that are not parked, in creation
+order.  One stale flag says that a context parked, woke or was added in
+this round.  It is set by each park of a step that made no progress, a
+partner's park when its queue drains, the two forward wakes of a call or
+a fault in `_thread`, `_add`, and each `StopIteration` in `step`.  The
+last also covers the wakes of an exit, which are made in the step that
+ends its generator: the exit signal's forward and `_wake_joiners`.  A
+round that starts with the flag set clears it, drops the list, and steps
+a copy of every context.  So does the first round that starts clean: it
+is often the only one before the next stale round (on `boot_large`,
+each of them was), and a list built for it would go unused.  The second
+clean round in a row builds the list, and each later one steps it
+without a copy.
+
+A clean round is exact: at its start every context that is not parked
+is in the list, as the round before parked, woke and added nothing.
+Within it, a forward wakes a partner, which was created before every
+thread it serves, so it runs next round either way.  A partner's
+progress finds none of the contexts it serves parked: the partner also
+made progress in the round before, which woke them, and nothing has
+parked since, so this wake sets no flag.  Only an exit wakes a context
+created after the waker, which must run in this round: `_wake_joiners`
+inserts it into the list by creation index.
+
 A run ends when main exits (teardown marks every context done), when a
 thread finds its workload failed and raises `_Halt`, which `execute`
 catches once around the round loop, or in a `DeadlockError`.  A context
-is parked once done, and no waker unparks it (each sets `parked` to
-`done`, and an exited partner refuses a forward), so the round never
-steps a done context: `step` has no `done` test.
+is parked once done, and no waker unparks it (a partner's progress sets
+`parked` to `done`, `_wake_joiners` leaves a done body parked, and an
+exited partner refuses a forward), so the round never steps a done
+context: `step` has no `done` test.
 
 A kernel-mode access runs inline in its thread's step: it looks its page
 up in the memo of its access kind, and only a miss goes on to the fault
@@ -47,10 +72,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import insort
 from collections import Counter
 from collections.abc import Generator
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
 from .channel import (
     PAGE_FAULT,
@@ -185,6 +211,7 @@ class _Ctx:
     name: str
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
+    index: int  # creation order: the context's position in `Simulator.contexts`
     partner: int = 0  # kernel-mode thread: tid of the partner that serves it
     done: bool = False
     parked: bool = False  # skipped by the round loop until a waker clears it
@@ -218,6 +245,8 @@ class Simulator:
         self.partners: dict[int, _Ctx] = {}  # partner ROS tid -> its context
         self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
+        self.stale = True  # a context parked, woke or was added this round
+        self.running: list[_Ctx] | None = None  # the run list of clean rounds
 
     # -- setup ---------------------------------------------------------------
 
@@ -230,9 +259,10 @@ class Simulator:
     def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
         """A context that first runs in the round after this one.  A partner
         starts parked: nothing is queued for it yet."""
-        ctx = _Ctx(name, kind, tid, parked=kind == "partner")
+        ctx = _Ctx(name, kind, tid, len(self.contexts), parked=kind == "partner")
         ctx.thread = self._partner(ctx) if body is None else self._thread(ctx, body)
         self.contexts.append(ctx)
+        self.stale = True
         if kind == "partner":
             self.partners[tid] = ctx
         elif kind == "ros_body":
@@ -251,16 +281,27 @@ class Simulator:
     def execute(self) -> TraceReport:
         """Drive the step loop to the end of the run; setup() must have run."""
         step, main = self.step, self.main_ctx
+        clean = False  # the round before this one started clean
         try:
             while not main.done:
                 progressed = False
-                for ctx in list(self.contexts):  # contexts spawned now run next round
-                    if ctx.parked:
+                if self.stale:  # scan every context, as the run list may be wrong
+                    self.stale, self.running, clean = False, None, False
+                    contexts = list(self.contexts)  # contexts spawned now run next round
+                elif self.running is not None:
+                    contexts = self.running
+                elif clean:  # the second clean round in a row lists the runnable
+                    contexts = self.running = [c for c in self.contexts if not c.parked]
+                else:  # often the only one: scanned, as a list built now may go unused
+                    clean = True
+                    contexts = list(self.contexts)
+                for ctx in contexts:
+                    if ctx.parked:  # in a clean round: parked in it, or at teardown
                         continue
                     if step(ctx):
                         progressed = True
                     else:
-                        ctx.parked = True
+                        ctx.parked = self.stale = True
                 if not progressed:
                     dump = [
                         f"{e.kind.value} origin={e.origin} detail={e.detail}"
@@ -312,7 +353,7 @@ class Simulator:
         try:
             return next(ctx.thread)
         except StopIteration:
-            ctx.done = ctx.parked = True
+            ctx.done = ctx.parked = self.stale = True
             return True
 
     def _partner(self, ctx: _Ctx) -> Generator[bool, None, None]:
@@ -325,19 +366,26 @@ class Simulator:
         while True:
             progressed = ros.partner_step(partner)
             if partner.status is EXITED:
-                self._wake_joiners()
+                self._wake_joiners(ctx)
                 return
             if progressed:
                 for served in ctx.served:
                     served.parked = served.done
                 if not queue and not partner.exit_bit:
-                    ctx.parked = True
+                    ctx.parked = self.stale = True
             yield progressed
 
-    def _wake_joiners(self) -> None:
-        """A partner or local thread exited: any regular-OS body may be joining it."""
+    def _wake_joiners(self, waker: _Ctx) -> None:
+        """`waker`, a partner or local thread, exits in its step: any regular-OS
+        body may be joining it.  A body created after the waker runs in this
+        round, as in a scan of every context, so a clean round's run list,
+        which holds only the bodies that were runnable, takes it in."""
+        running = self.running  # None in a round that scans every context
         for ctx in self.ros_bodies:
-            ctx.parked = ctx.done
+            if ctx.parked and not ctx.done:
+                ctx.parked = False
+                if running is not None and ctx.index > waker.index:
+                    insort(running, ctx, key=attrgetter("index"))
 
     def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
         """Run a thread body on its side, one lowered action per step.  A kernel-mode
@@ -430,7 +478,7 @@ class Simulator:
                             partner.parked = False
                     else:
                         ros.threads[tid].status = EXITED
-                        self._wake_joiners()
+                        self._wake_joiners(ctx)
                         if ctx is self.main_ctx:  # process teardown ends every thread
                             for other in self.contexts:
                                 other.done = other.parked = True
@@ -443,6 +491,7 @@ class Simulator:
                         ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
                         channel.forward_event(ev, ctx.partner)
                         partner.parked = False
+                        self.stale = True
                         yield True
                         while ev.complete_cycle is None:
                             yield False
@@ -480,6 +529,7 @@ class Simulator:
                             ev.payload = addr, access
                             channel.forward_event(ev, ctx.partner)
                             partner.parked = False
+                            self.stale = True
                             yield True
                             while ev.complete_cycle is None:
                                 yield False
@@ -610,11 +660,13 @@ def compare(
     workload: WorkloadProgram | str,
     cost: CostModel | None = None,
 ) -> Comparison:
-    """Run Virtual and Multiverse and tabulate per-syscall cost deltas."""
+    """Run Virtual and Multiverse and tabulate per-syscall cost deltas.
+    Each run gets its own copy of `machine`, whose frame allocators and
+    table store are run state."""
     if isinstance(workload, str):
         workload = parse_workload(workload)
-    virtual = run(machine, workload, Mode.VIRTUAL, cost)
-    multiverse = run(machine, workload, Mode.MULTIVERSE, cost)
+    virtual = run(machine and replace(machine), workload, Mode.VIRTUAL, cost)
+    multiverse = run(machine and replace(machine), workload, Mode.MULTIVERSE, cost)
     v_stats, m_stats = virtual.syscalls, multiverse.syscalls
     rows = []
     for name in sorted(set(v_stats) | set(m_stats)):

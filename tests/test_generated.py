@@ -21,12 +21,18 @@ multiverse, and these hold:
 - after each run, each leaf table that either address space caches is
   the one a full walk of its region reaches.
 
+A second shape puts faults in one partner's queue together: a
+kernel-mode thread spawns one to three nested threads, and it and each
+of them touch main's lazy region first.  Most draws have a fault that
+waits behind another thread's event, whose service then wakes the parked
+thread; its draws keep the invariants above.
+
 The same text, mutated one of four ways (cut at a character, a line
 dropped, a line duplicated, a token dropped), fails only in its error
 class: parsing raises nothing but `ParseError`, and running nothing but
 `SimError`.
 
-A third shape runs out of regular-OS frames: a `populate` mmap near the
+Another shape runs out of regular-OS frames: a `populate` mmap near the
 machine's size, then lazy touches from main or a kernel-mode thread.
 Each run ends as the model says, never with `AllocationError`: either
 the mmap returned ENOMEM and every touch was served, or it was mapped
@@ -143,6 +149,32 @@ def workloads(draw) -> tuple[str, int]:
 
 
 @st.composite
+def shared_partner(draw) -> tuple[str, int]:
+    """Workload text and frame count of a kernel-mode thread `w0` that
+    spawns one to three nested threads, one a step, and then touches main's
+    lazy region, as each nested thread does first.  Their faults meet in
+    the queue of the one partner that serves them all, so most draws have
+    a fault wait behind another thread's event, and the partner's progress
+    then wakes the parked thread.  The bodies go on as `body` draws them."""
+    nested = WORKERS[1 : 1 + draw(st.integers(1, 3))]
+
+    def touch() -> str:
+        addr = MMAP_BASE + draw(pages) * PAGE_SIZE
+        return f"touch 0x{addr:x} {draw(st.sampled_from('rw'))}"
+
+    main = [f"mmap {8 * PAGE_SIZE}", "spawn w0", "join w0", "exit"]
+    bodies = {"main": main, "w0": [f"spawn_nested {name}" for name in nested] + [touch()]}
+    bodies["w0"] += draw(body("w0", ()))
+    for name in nested:
+        bodies[name] = [touch()] + draw(body(name, ()))
+    text = [FUNCS.format(touches="")]
+    for name, lines in bodies.items():
+        role = "ros" if name == "main" else "hrt"
+        text.append(f"thread {name} {role}\n" + "".join(f"  {line}\n" for line in lines) + "end\n")
+    return "".join(text), draw(st.integers(512, 4096))
+
+
+@st.composite
 def mutated_workloads(draw) -> tuple[str, int]:
     """A generated workload's text with one cut, dropped line, duplicated
     line or dropped token."""
@@ -189,16 +221,25 @@ def outcome(text: str, frames: int, mode: Mode) -> tuple:
     return (report.log_text, report.total_cycles, report.failed, report.fail_reason)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(workloads())
-def test_generated_workload_invariants(generated):
-    text, frames = generated
+def assert_invariants(text: str, frames: int) -> None:
     for mode in Mode:
         first = outcome(text, frames, mode)
         assert outcome(text, frames, mode) == first, f"{mode.value} is not deterministic"
         parked = observe(ParkingLoop, text, mode, frames)
         assert parked == observe(StepEveryContext, text, mode, frames), mode.value
         assert parked[1][0] != "DeadlockError", parked[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(workloads())
+def test_generated_workload_invariants(generated):
+    assert_invariants(*generated)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shared_partner())
+def test_faults_on_a_shared_partner_keep_the_invariants(generated):
+    assert_invariants(*generated)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

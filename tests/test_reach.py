@@ -7,8 +7,8 @@ that runs in the modules `sim`, `ros`, `hrt`, `channel`, `mem` and
 - each golden workload in both modes, with its report's `render()` and
   `metrics_lines()`, and `compare(...).render()`;
 - `replay` of the bundled benchmark profiles;
-- derandomized draws of `tests/test_generated.py`'s workloads in both
-  modes, and of its out-of-frames cases.
+- derandomized draws of `tests/test_generated.py`'s workloads and its
+  shared-partner shape in both modes, and of its out-of-frames cases.
 
 A statement in a function body that none of them reaches fails the
 check, unless it is a `raise`, a `return` of an errno constant, or a key
@@ -216,7 +216,7 @@ def reached() -> dict[str, list[str]]:
         return trace_lines if frame.f_code.co_filename in by_file else None
 
     # Drawn before tracing starts: only the runs are traced.
-    generated = draws(test_generated.workloads(), 50)
+    generated = draws(test_generated.workloads(), 50) + draws(test_generated.shared_partner(), 10)
     out_of_frames = draws(test_generated.out_of_frames, 5)
     previous = sys.gettrace()
     sys.settrace(trace_calls)

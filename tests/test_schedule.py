@@ -9,8 +9,10 @@ steps that made no progress may disappear.
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,7 +41,9 @@ def load_bench_workloads():
 class ParkingLoop(Simulator):
     """The simulator as it is, recording each step that made progress, and
     checking after each step that every done context is parked: the round
-    loop never steps a done context, so `Simulator.step` has no `done` test."""
+    loop never steps a done context, so `Simulator.step` has no `done` test.
+    It also checks that the run list is stale, or holds every context that
+    is not parked: a clean round, which steps only the list, misses none."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -50,6 +54,9 @@ class ParkingLoop(Simulator):
         if progressed:
             self.progress.append((ctx.name, ctx.done))
         assert not [c.name for c in self.contexts if c.done and not c.parked]
+        if not self.stale and self.running is not None:
+            listed = set(map(id, self.running))  # `in` on the list would call `_Ctx.__eq__`
+            assert not [c.name for c in self.contexts if not c.parked and id(c) not in listed]
         return progressed
 
 
@@ -266,3 +273,39 @@ def test_hot_local_steps_rarely_idle(monkeypatch):
     sim = Simulator(System(machine=Machine(phys_frames=8192)), parse_workload(text), Mode.MULTIVERSE)
     assert not sim.run().failed
     assert calls[False] < 0.01 * (calls[True] + calls[False]), calls
+
+
+def round_loop_visits(sim) -> tuple[int, int]:
+    """Run sim with its round loop's lines counted: the contexts it visits,
+    and how many of those it skips as parked."""
+    source, first = inspect.getsourcelines(Simulator.execute)
+    at = next(i for i, line in enumerate(source) if line.strip().startswith("if ctx.parked:"))
+    assert source[at + 1].strip() == "continue"
+    test = first + at
+    code, lines = Simulator.execute.__code__, Counter()
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            lines[frame.f_lineno] += 1
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        assert not sim.run().failed
+    finally:
+        sys.settrace(previous)
+    return lines[test], lines[test + 1]
+
+
+def test_hot_local_round_loop_rarely_visits_parked_contexts():
+    """Rounds in which nothing parks, wakes or spawns step the run list, so
+    under 5% of the round loop's visits on the bench's hot_local at seed 1
+    find a parked context: 212 of 35,080, where scanning every context in
+    every round made 38,994 of 73,862 (53%)."""
+    workload = load_bench_workloads()["hot_local"](1)
+    frames = workload.phys_frames or Machine().phys_frames
+    system = System(machine=Machine(phys_frames=frames))
+    sim = Simulator(system, parse_workload(workload.text), Mode.MULTIVERSE)
+    visits, parked = round_loop_visits(sim)
+    assert parked < 0.05 * visits, (parked, visits)

@@ -621,6 +621,24 @@ class TestCompare:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt")))
+    def test_each_mode_runs_on_a_fresh_machine(self, name):
+        """Each report of compare() is what `run` gives in its mode on a
+        fresh machine of the same size: the frame allocators and table
+        store of a machine are run state, so no run starts where another ended."""
+        text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+        frames = PHYS_FRAMES.get(name, 512)
+        fresh = {mode: TestProgramReuse.outcome(frames, text, mode) for mode in Mode}
+        try:
+            result = compare(Machine(phys_frames=frames), text)
+        except SimError as exc:  # the first mode to raise, in compare's order
+            assert (type(exc).__name__, str(exc)) == next(o for o in fresh.values() if len(o) == 2)
+            return
+        for report in (result.virtual, result.multiverse):
+            assert (report.log_text, report.total_cycles, report.failed, report.fail_reason) == (
+                fresh[Mode(report.mode)]
+            )
+
 
 class TestRunTeardown:
     UNJOINED = (
