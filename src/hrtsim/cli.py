@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         cost = CostModel() if cost_text is None else load_cost_model(cost_text)
         if args.command == "run":
             workload = parse_workload(source)
-            report = run(None, workload, args.mode, cost)
+            report = run(None, workload, Mode(args.mode), cost)
             if log_file is not None:
                 log_file.write(report.log_text)
             print(report.render())

@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, text_lines
 
 # Fitted so that forwarding roughly doubles the per-syscall cost.
 DEFAULT_SYSCALL_BASE = 1500
@@ -74,10 +74,7 @@ def load_cost_model(text: str) -> CostModel:
     out of `ORDERED`'s order name the last line that set one of them."""
     values: dict[str, float] = {}
     ordered_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, val = line.partition("=")

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the simulator."""
+"""Exception hierarchy and the text-line reader shared across the simulator."""
+
+from collections.abc import Iterator
 
 
 class SimError(Exception):
@@ -71,3 +73,11 @@ class DoubleFaultError(SimError):
 
 class UsageError(SimError):
     """API misuse by the caller (join on a non-partner, ...)."""
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line that has text before any `#`: (its number from 1, that text stripped)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line

@@ -147,12 +147,15 @@ class HrtKernel:
         return thread
 
     def create_nested_thread(self, parent_tid: int, func_name: str) -> HrtThread:
+        """A thread served by its parent's partner; logs its creation."""
         parent = self.threads.get(parent_tid)
         if parent is None:
             raise LifecycleError(f"no such thread {parent_tid}")
         if parent.exited:
             raise LifecycleError(f"parent thread {parent_tid} has exited")
-        return self._new_thread(func_name, parent.partner, parent=parent_tid)
+        thread = self._new_thread(func_name, parent.partner, parent=parent_tid)
+        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create_nested:{func_name}")
+        return thread
 
     # -- fault path -----------------------------------------------------------
 

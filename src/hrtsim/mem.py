@@ -44,17 +44,16 @@ Each address space also caches the leaf table of every 2 MiB region it
 has walked to, like a hardware paging-structure (PDE) cache:
 `leaf_tables` maps a region number (`vaddr >> 21`, i.e. `page >> 9`) to
 the 512-entry list that the walk reached.  `translate`, `map_page` and
-`unmap_page` look there before walking, and store the table whenever
-they walked to it, even when the leaf itself is absent; a walk that
-stops above the leaf level caches nothing.  The cache has one
-invalidation rule.  Upper-level entries only go from absent to present
-(`_table_at`, `identity_map_higher_half`, `ensure_root_entry`) and no
-table is ever freed, so a region's walk, once it reaches a leaf table,
-reaches that same list forever -- except through `merge_lower_half`,
-which overwrites root entries and so clears the merged space's
-`leaf_tables` together with its memos.  `map_page` and `unmap_page`
-write leaf entries only, into the cached list itself, so they
-invalidate nothing more.
+`unmap_page` look there before walking, and cache the table they reach:
+`map_page` through `_table_at`, which always reaches one, the other two
+through `_leaf_table`, which says when.  The cache has one invalidation
+rule.  Upper-level entries only go from absent to present (`_table_at`,
+`identity_map_higher_half`, `ensure_root_entry`) and no table is ever
+freed, so a region's walk, once it reaches a leaf table, reaches that
+same list forever -- except through `merge_lower_half`, which overwrites
+root entries and so clears the merged space's `leaf_tables` together
+with its memos.  `map_page` and `unmap_page` write leaf entries only,
+into the cached list itself, so they invalidate nothing more.
 """
 
 from __future__ import annotations
@@ -212,13 +211,9 @@ def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int |
             raise _non_canonical(addr)
         table = space.leaf_tables.get(page >> 9)
         if table is None:
-            store, table = space.store, space.root_table
-            for shift in (39, 30, 21):
-                entry = table[(addr >> shift) & 0x1FF]
-                if not entry & P:
-                    return None
-                table = store[entry >> 12]
-            space.leaf_tables[page >> 9] = table
+            table = _leaf_table(space, addr)
+            if table is None:
+                return None
         leaf = table[page & 0x1FF]
         if not leaf & P:
             return None
@@ -228,6 +223,20 @@ def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int |
     if access is WRITE and not leaf & RW:
         return None
     return leaf & ~0xFFF | addr & 0xFFF
+
+
+def _leaf_table(space: PageTableHierarchy, vaddr: int) -> list[int] | None:
+    """Walk the upper levels to vaddr's leaf table and cache it in
+    `leaf_tables`, even when vaddr's own leaf is absent; at an absent
+    upper entry, return None and cache nothing."""
+    store, table = space.store, space.root_table
+    for shift in (39, 30, 21):
+        entry = table[(vaddr >> shift) & 0x1FF]
+        if not entry & P:
+            return None
+        table = store[entry >> 12]
+    space.leaf_tables[vaddr >> 21] = table
+    return table
 
 
 def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[int]:
@@ -292,22 +301,12 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
         raise _non_canonical(last)
     if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
-    store, leaf_tables, memos = space.store, space.leaf_tables, space.store.memos
+    leaf_tables, memos = space.leaf_tables, space.store.memos
     while vaddr < end:
         stop = (vaddr | 0x1F_FFFF) + 1  # the end of vaddr's leaf table
         if stop > end:
             stop = end
-        table = leaf_tables.get(vaddr >> 21)
-        if table is None:
-            table = space.root_table
-            for shift in (39, 30, 21):
-                entry = table[(vaddr >> shift) & 0x1FF]
-                if not entry & P:
-                    table = None
-                    break
-                table = store[entry >> 12]
-            else:
-                leaf_tables[vaddr >> 21] = table
+        table = leaf_tables.get(vaddr >> 21) or _leaf_table(space, vaddr)  # a table is never []
         if table is not None:
             i1 = (vaddr >> 12) & 0x1FF
             first = vaddr >> 21 << 9  # the page number of the table's entry 0

@@ -256,34 +256,36 @@ class RosKernel:
         return ENOSYS
 
     def demand_fault(self, addr: int, access: AccessKind) -> bool:
-        """Replicate a faulting access; False means an unrecoverable segfault.
+        """Replicate a faulting access; False means an unrecoverable
+        segfault, which marks the process failed.
 
         A page an earlier forwarded fault already mapped is kept, so
         concurrent faults on one page allocate one frame.  When the space
         has cached the page's leaf table (see `mem`) and the leaf is absent,
         the access faults, so it is not walked; otherwise `translate`
-        decides.  A fault whose page frame and new page tables the free
-        frames cannot cover is refused with nothing changed; the tables
-        are counted only when the leaf table is not cached.  The page's
-        frame is allocated before any table frame that `map_page` adds.
+        decides.  A fault outside every region, a write to a read-only
+        one, and a fault whose page frame and new page tables the free
+        frames cannot cover are refused with nothing else changed; the
+        tables are counted only when the leaf table is not cached.  The
+        page's frame is allocated before any table frame that `map_page`
+        adds.
         """
         regions = self.proc.vm_regions
         i = regions.index_at(addr)
-        if i < 0:
-            return False
-        writable = regions[i].writable
-        if access is WRITE and not writable:
-            return False
-        space, frames = self.proc.space, self.machine.ros_frame_alloc
-        table = space.leaf_tables.get(addr >> 21)
-        if table is None or table[addr >> 12 & 0x1FF] & P:
-            if translate(space, addr, access) is not None:
+        writable = i >= 0 and regions[i].writable
+        if i >= 0 and (writable or access is not WRITE):
+            space, frames = self.proc.space, self.machine.ros_frame_alloc
+            table = space.leaf_tables.get(addr >> 21)
+            if table is None or table[addr >> 12 & 0x1FF] & P:
+                if translate(space, addr, access) is not None:
+                    return True
+            spare = frames.frames_left - 1
+            if spare >= 0 and (table is not None or spare >= absent_tables(space, addr, PAGE_SIZE)):
+                map_page(space, addr & ~(PAGE_SIZE - 1), frames.alloc(), writable)
                 return True
-        spare = frames.frames_left - 1
-        if spare < 0 or table is None and spare < absent_tables(space, addr, PAGE_SIZE):
-            return False
-        map_page(space, addr & ~(PAGE_SIZE - 1), frames.alloc(), writable)
-        return True
+        self.proc.failed = True
+        self.proc.fail_reason = f"segfault at 0x{addr:x}"
+        return False
 
     def touch(self, addr: int, access: AccessKind, origin_tid: int) -> bool:
         """Local access by a ROS thread, demand-paging as needed.
@@ -298,8 +300,6 @@ class RosKernel:
         if translate(space, addr, access) is not None:
             return True
         if not self.demand_fault(addr, access):
-            self.proc.failed = True
-            self.proc.fail_reason = f"segfault at 0x{addr:x}"
             return False
         self.log.emit(
             PAGE_FAULT_KIND, origin_tid, fault_detail(addr, access), self.cost.pagefault_base
@@ -317,8 +317,6 @@ class RosKernel:
                 ev.cost += self.cost.pagefault_base
                 result = 0
             else:
-                self.proc.failed = True
-                self.proc.fail_reason = f"segfault at 0x{addr:x}"
                 result = EFAULT
         elif kind is SYSCALL:
             name, args, body = ev.payload

@@ -88,7 +88,7 @@ from .channel import (
     fault_detail,
 )
 from .costs import CostModel
-from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError
+from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError, text_lines
 from .hrt import HrtKernel
 from .machine import Machine
 from .mem import HIGHER_BASE, WRITE, translate
@@ -124,6 +124,12 @@ REPORT_KINDS = (
     EventKind.SYNC_INVOKE.value,
 )
 SYSCALL_KIND = SYSCALL.value  # a system call's log kind
+
+
+def _columns(rows: list[tuple[str, ...]]) -> list[str]:
+    """Each row as a line: cells left-justified to their column's widest, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
 
 
 @dataclass
@@ -162,10 +168,7 @@ class TraceReport:
             rows.append(
                 (kind, str(self.counts.get(kind, 0)), str(self.forwarded_counts.get(kind, 0)))
             )
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        out = [f"mode: {self.mode}"]
-        for r in rows:
-            out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        out = [f"mode: {self.mode}", *_columns(rows)]
         out.append(f"forwarded events total: {self.forwarded_total}")
         out.append(f"total cycles:           {self.total_cycles}")
         out.append(f"wall seconds:           {self.wall_seconds:.9f}")
@@ -212,7 +215,6 @@ class _Ctx:
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
     index: int  # creation order: the context's position in `Simulator.contexts`
-    partner: int = 0  # kernel-mode thread: tid of the partner that serves it
     done: bool = False
     parked: bool = False  # skipped by the round loop until a waker clears it
     thread: Generator[bool, None, None] | None = None
@@ -241,7 +243,6 @@ class Simulator:
         self.cost = system.cost
         self.log = system.log
         self.contexts: list[_Ctx] = []
-        self.ros_bodies: list[_Ctx] = []  # the contexts that may join
         self.partners: dict[int, _Ctx] = {}  # partner ROS tid -> its context
         self.spawned: dict[str, int] = {}  # body name -> ROS tid a join waits on
         self.main_ctx: _Ctx | None = None
@@ -265,11 +266,8 @@ class Simulator:
         self.stale = True
         if kind == "partner":
             self.partners[tid] = ctx
-        elif kind == "ros_body":
-            self.ros_bodies.append(ctx)
-        else:
-            ctx.partner = self.system.hrt.threads[tid].partner
-            self.partners[ctx.partner].served.append(ctx)
+        elif kind == "hrt_body":
+            self.partners[self.system.hrt.threads[tid].partner].served.append(ctx)
         return ctx
 
     # -- main loop -----------------------------------------------------------
@@ -381,8 +379,8 @@ class Simulator:
         round, as in a scan of every context, so a clean round's run list,
         which holds only the bodies that were runnable, takes it in."""
         running = self.running  # None in a round that scans every context
-        for ctx in self.ros_bodies:
-            if ctx.parked and not ctx.done:
+        for ctx in self.contexts:
+            if ctx.kind == "ros_body" and ctx.parked and not ctx.done:
                 ctx.parked = False
                 if running is not None and ctx.index > waker.index:
                     insort(running, ctx, key=attrgetter("index"))
@@ -394,9 +392,10 @@ class Simulator:
         kernel_mode = ctx.kind == "hrt_body"
         tid = ctx.tid
         if kernel_mode:  # all fixed from boot on
-            space = hrt.space
-            memo, wmemo, core_id = space.memo, space.wmemo, hrt.threads[tid].core_id
-            channel, partner = self.system.channel, self.partners[ctx.partner]
+            space, hrt_thread = hrt.space, hrt.threads[tid]
+            memo, wmemo, core_id = space.memo, space.wmemo, hrt_thread.core_id
+            channel, partner_tid = self.system.channel, hrt_thread.partner
+            partner = self.partners[partner_tid]  # its context
             ev = EventRecord(SYSCALL, tid, "")  # never two outstanding: each is awaited
         write = WRITE  # a local: the kernel-mode touch below is the hottest test
         last = None  # base of this thread's most recent successful mmap
@@ -474,7 +473,7 @@ class Simulator:
                     if kernel_mode:
                         signal = hrt.thread_exit(tid)
                         if signal is not None:  # a record of its own: this thread ends here
-                            channel.forward_event(signal, ctx.partner)
+                            channel.forward_event(signal, partner_tid)
                             partner.parked = False
                     else:
                         ros.threads[tid].status = EXITED
@@ -489,7 +488,7 @@ class Simulator:
                     name, args, _ = call
                     if kernel_mode:  # forwarded: served by the partner, awaited here
                         ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
-                        channel.forward_event(ev, ctx.partner)
+                        channel.forward_event(ev, partner_tid)
                         partner.parked = False
                         self.stale = True
                         yield True
@@ -527,7 +526,7 @@ class Simulator:
                             local, forwards = 0, forwards + 1
                             ev.kind, ev.detail = PAGE_FAULT, fault_detail(addr, access)
                             ev.payload = addr, access
-                            channel.forward_event(ev, ctx.partner)
+                            channel.forward_event(ev, partner_tid)
                             partner.parked = False
                             self.stale = True
                             yield True
@@ -580,20 +579,17 @@ class Simulator:
     def _spawn_nested(self, parent_tid: int, tname: str) -> None:
         nested = self.system.hrt.create_nested_thread(parent_tid, tname)
         self._add(f"{tname}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[tname])
-        self.log.emit(EventKind.THREAD_CREATE.value, nested.tid, f"create_nested:{tname}")
 
 
 def run(
     machine: Machine | None,
     workload: WorkloadProgram | str,
-    mode: Mode | str,
+    mode: Mode,
     cost: CostModel | None = None,
 ) -> TraceReport:
     """Run one workload under one mode on a fresh system."""
     if isinstance(workload, str):
         workload = parse_workload(workload)
-    if isinstance(mode, str):
-        mode = Mode(mode)
     return Simulator(System(machine=machine, cost=cost), workload, mode).run()
 
 
@@ -624,15 +620,9 @@ class Comparison:
         return self.multiverse.total_cycles - self.virtual.total_cycles
 
     def render(self) -> str:
-        header = (
-            "syscall",
-            "virt calls",
-            "virt cyc/call",
-            "mv calls",
-            "mv cyc/call",
-            "delta/call",
-        )
-        table = [header]
+        table = [
+            ("syscall", "virt calls", "virt cyc/call", "mv calls", "mv cyc/call", "delta/call")
+        ]
         for row in self.rows:
             table.append(
                 (
@@ -644,8 +634,7 @@ class Comparison:
                     f"{row.per_call_delta:.1f}",
                 )
             )
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-        out = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in table]
+        out = _columns(table)
         out.append("")
         out.append(f"virtual total cycles:    {self.virtual.total_cycles}")
         out.append(f"multiverse total cycles: {self.multiverse.total_cycles}")
@@ -708,10 +697,7 @@ def load_profiles(text: str) -> list[BenchmarkProfile]:
     """Whitespace table: name syscalls user_s sys_s rss_kb faults ctxsw forwarded.
     Every column is checked; replay reads only user_s and forwarded."""
     profiles = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split()
         if len(parts) != 8:
             raise ParseError(f"expected 8 columns, got {len(parts)}", lineno)

@@ -17,7 +17,7 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, text_lines
 from .mem import HIGHER_BASE
 
 MAGIC = b"MVFATBIN"
@@ -162,10 +162,7 @@ def parse_override_config(text: str) -> tuple[dict[str, OverrideEntry], list[str
     overrides = default_override_map()
     warnings: list[str] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         legacy, entry = parse_override_line(line, lineno)
         if legacy in seen:
             warnings.append(f"line {lineno}: duplicate override for {legacy}, last wins")

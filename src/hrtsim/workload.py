@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .channel import syscall_detail
-from .errors import ParseError
+from .errors import ParseError, text_lines
 from .mem import AccessKind
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
 
@@ -277,10 +277,7 @@ def parse_workload(text: str) -> WorkloadProgram:
     plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
     plan_lines: list[int] = []  # the line of each plan
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         tokens = line.split()
         head = tokens[0]
 

@@ -1,9 +1,6 @@
 """Golden event logs: the model's output may not drift unnoticed.
 
 Every workload in ``tests/golden/workloads`` runs under every mode.  The
-older workloads also keep a ``native`` record: that mode ran the regular-OS
-path that ``virtual`` runs and is gone, so ``virtual`` must reproduce what
-it left.  The
 SHA-256 of the rendered log, the total cycles and the failed flag must
 equal the record in ``tests/golden/golden.json``; a workload that raises
 must raise the recorded error class.  Only a change that means to change
@@ -36,14 +33,6 @@ PHYS_FRAMES = {
 }
 
 
-# Record labels of deleted modes, and the mode that now runs their path.
-RETIRED = {"native": Mode.VIRTUAL}
-
-
-def mode_of(label: str) -> Mode:
-    return RETIRED.get(label) or Mode(label)
-
-
 def observe(name: str, mode: Mode) -> dict:
     text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
     machine = Machine(phys_frames=PHYS_FRAMES.get(name, 512))
@@ -72,7 +61,7 @@ def test_every_workload_has_records():
     records = json.loads(RECORDS.read_text())
     assert names == set(records)
     modes = {m.value for m in Mode}
-    assert all(set(by_mode) - set(RETIRED) == modes for by_mode in records.values())
+    assert all(set(by_mode) == modes for by_mode in records.values())
 
 
 def test_no_two_modes_alias():
@@ -85,7 +74,7 @@ def test_no_two_modes_alias():
 
 @pytest.mark.parametrize("name, mode, expected", _cases())
 def test_golden_log(name, mode, expected):
-    assert observe(name, mode_of(mode)) == expected, f"workload {name!r} in mode {mode!r}"
+    assert observe(name, Mode(mode)) == expected, f"workload {name!r} in mode {mode!r}"
 
 
 def text_syscall_table(log_text: str) -> dict[str, tuple[int, int]]:
@@ -111,18 +100,16 @@ def test_syscall_table_matches_log_text(name, mode, expected):
     """The report's syscall table, and its total cycles, are what the
     rendered log says: every charged cycle has its log entry."""
     text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
-    report = run(Machine(phys_frames=PHYS_FRAMES.get(name, 512)), text, mode_of(mode))
+    report = run(Machine(phys_frames=PHYS_FRAMES.get(name, 512)), text, Mode(mode))
     assert report.syscalls == text_syscall_table(report.log_text)
     lines = report.log_text.splitlines()
     assert sum(int(line.rsplit(" cost=", 1)[1]) for line in lines) == report.total_cycles
 
 
 def regenerate() -> None:
-    old = json.loads(RECORDS.read_text())
     records = {}
     for path in sorted((GOLDEN / "workloads").glob("*.txt")):
-        labels = [m.value for m in Mode] + [k for k in RETIRED if k in old.get(path.stem, {})]
-        records[path.stem] = {label: observe(path.stem, mode_of(label)) for label in labels}
+        records[path.stem] = {mode.value: observe(path.stem, mode) for mode in Mode}
     RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
 
 

@@ -172,6 +172,14 @@ class TestThreads:
         for thread in (top, mid, leaf):
             assert booted.hrt.threads[thread.tid].partner == 2
 
+    def test_nested_creation_is_logged_by_the_runtime(self, booted):
+        top = top_level(booted)
+        start = len(booted.log.entries)
+        nested = booted.hrt.create_nested_thread(top.tid, "helper")
+        assert booted.log.entries[start:] == [
+            (booted.log.now, EventKind.THREAD_CREATE.value, nested.tid, "create_nested:helper", 0)
+        ]
+
     def test_nested_from_exited_parent(self, booted):
         top = top_level(booted)
         booted.hrt.thread_exit(top.tid)

@@ -414,6 +414,7 @@ def test_check_sees_time_moved_outside_the_log():
 # "module:qualified name"; each must exist, so the list cannot go stale.
 PER_STEP = (
     "mem:translate",
+    "mem:_leaf_table",
     "mem:_table_at",
     "mem:map_page",
     "mem:unmap_page",

@@ -64,10 +64,6 @@ UNREACHED = {
         "tests/test_mem.py::TestFrameAllocator::test_take_up_to_the_end",
     ),
     # Kernel and driver API that the step loop never needs.
-    "sim:run: if isinstance(mode, str): > mode = Mode(mode)": (
-        "the CLI passes `--mode` as text",
-        "tests/test_cli.py::TestRun::test_deadlock_is_a_runtime_failure",
-    ),
     "ros:RosKernel.partner_step: if partner.status is EXITED: > return False": (
         "the step loop drops a partner once it exits",
         "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_three_threads",
@@ -85,10 +81,6 @@ UNREACHED = {
     "mem:map_page: if table[i1] & P: > for memo in space.store.memos:": (
         "a remap over a present page; no workload maps a page twice",
         "tests/test_mem.py::TestTranslate::test_remap_replaces",
-    ),
-    "mem:unmap_page: for shift in (39, 30, 21): > leaf_tables[vaddr >> 21] = table": (
-        "only another space's `map_page` builds a leaf table that this space has not cached",
-        "tests/test_mem.py::TestWalkMemo::test_ops_keep_leaf_tables_sound",
     ),
     "workload:ThreadBody.actions: return [Action(*s) for s in self.steps]": (
         "read by the parser tests and perfbench, not by the step loop",

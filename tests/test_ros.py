@@ -324,6 +324,21 @@ class TestSyscalls:
         assert not ros.touch(base, AccessKind.WRITE, origin_tid=1)
         assert ros.proc.failed
 
+    @pytest.mark.parametrize("refusal", ["outside_regions", "read_only", "no_frames_left"])
+    def test_refused_demand_fault_marks_the_process_failed(self, system, refusal):
+        # The kernel's own verdict, with no `touch` or partner around it.
+        ros = system.ros
+        frames = ros.machine.ros_frame_alloc
+        base = ros.sys_mmap(PAGE_SIZE, writable=refusal != "read_only")
+        addr = 0x4242_0000 if refusal == "outside_regions" else base + 8
+        if refusal == "no_frames_left":
+            frames.take(frames.frames_left)
+        left = frames.frames_left
+        assert not ros.demand_fault(addr, AccessKind.WRITE)
+        assert (ros.proc.failed, ros.proc.fail_reason) == (True, f"segfault at 0x{addr:x}")
+        assert frames.frames_left == left
+        assert mapped_pages(ros, base, PAGE_SIZE) == [False]
+
 
 class TestInitRuntime:
     def test_full_sequence(self, system):

@@ -237,7 +237,7 @@ class TestModes:
         assert fault_details(virtual) == fault_details(mv(W_FAULTS))
 
     def test_run_accepts_strings(self):
-        report = run(small_machine(), "thread main ros\n exit\nend\n", "virtual")
+        report = run(small_machine(), "thread main ros\n exit\nend\n", Mode.VIRTUAL)
         assert report.mode == "virtual"
         assert report.total_cycles == 0
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hrtsim.errors import ParseError, UsageError
+from hrtsim.errors import ParseError, UsageError, text_lines
 from hrtsim.mem import AccessKind
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, _from_last, run
@@ -16,6 +16,15 @@ from test_schedule import GOLDEN_NAMES, load_bench_workloads
 BENCH_NAMES = ("fwd_cold", "hot_local", "boot_large", "compare_cold")
 
 MINIMAL = "thread main ros\n  exit\nend\n"
+
+
+class TestTextLines:
+    """The one line reader of the workload, cost, profile and override formats."""
+
+    def test_numbers_from_one_and_cuts_comments(self):
+        text = "# only a comment\r\nfunc f  # trailing\r\n\r\n   \n  end\n# last"
+        assert list(text_lines(text)) == [(2, "func f"), (5, "end")]
+        assert list(text_lines("")) == list(text_lines("\n#\n")) == []
 
 
 class TestParse:
