@@ -8,7 +8,9 @@ out as `workload.Action`), so a step unpacks one predecoded tuple: its
 operands, and any log detail that does not depend on the run, are final.
 Only a `last+N` address and its detail are computed in the step.
 Contexts are stepped strict round-robin in creation order (regular OS
-threads before kernel-mode threads).  Every cost is charged by the
+threads before kernel-mode threads).  One call of `Simulator.step()` is one
+round: it steps each runnable context once, with the `next()` inline, and
+`execute` calls it until main is done.  Every cost is charged by the
 event-log entry that records it (see `EventLog`), so the run total is
 the sum of the exported log's costs.
 
@@ -127,8 +129,10 @@ SYSCALL_KIND = SYSCALL.value  # a system call's log kind
 
 
 def _columns(rows: list[tuple[str, ...]]) -> list[str]:
-    """Each row as a line: cells left-justified to their column's widest, two spaces apart."""
+    """Each row as a line: cells left-justified to their column's widest, two
+    spaces apart; the last cell is not padded, so no line ends in a space."""
     widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[-1] = 0
     return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
 
 
@@ -248,6 +252,7 @@ class Simulator:
         self.main_ctx: _Ctx | None = None
         self.stale = True  # a context parked, woke or was added this round
         self.running: list[_Ctx] | None = None  # the run list of clean rounds
+        self.clean = False  # the round before this one started clean
 
     # -- setup ---------------------------------------------------------------
 
@@ -277,30 +282,11 @@ class Simulator:
         return self.execute()
 
     def execute(self) -> TraceReport:
-        """Drive the step loop to the end of the run; setup() must have run."""
+        """Drive the round loop to the end of the run; setup() must have run."""
         step, main = self.step, self.main_ctx
-        clean = False  # the round before this one started clean
         try:
             while not main.done:
-                progressed = False
-                if self.stale:  # scan every context, as the run list may be wrong
-                    self.stale, self.running, clean = False, None, False
-                    contexts = list(self.contexts)  # contexts spawned now run next round
-                elif self.running is not None:
-                    contexts = self.running
-                elif clean:  # the second clean round in a row lists the runnable
-                    contexts = self.running = [c for c in self.contexts if not c.parked]
-                else:  # often the only one: scanned, as a list built now may go unused
-                    clean = True
-                    contexts = list(self.contexts)
-                for ctx in contexts:
-                    if ctx.parked:  # in a clean round: parked in it, or at teardown
-                        continue
-                    if step(ctx):
-                        progressed = True
-                    else:
-                        ctx.parked = self.stale = True
-                if not progressed:
+                if not step():
                     dump = [
                         f"{e.kind.value} origin={e.origin} detail={e.detail}"
                         for e in self.system.channel.outstanding
@@ -345,14 +331,35 @@ class Simulator:
 
     # -- stepping ------------------------------------------------------------
 
-    def step(self, ctx: _Ctx) -> bool:
-        """One scheduler step of ctx; True if it made progress.  A context
-        is done in the step whose generator returns, and stays parked."""
-        try:
-            return next(ctx.thread)
-        except StopIteration:
-            ctx.done = ctx.parked = self.stale = True
-            return True
+    def step(self) -> bool:
+        """One round: each runnable context steps once, in creation order, by
+        one `next()` of its generator; True if any made progress.  A step
+        without progress parks its context; a context is done, and stays
+        parked, in the step whose generator returns.  A context added in the
+        round first runs in the next one."""
+        if self.stale:  # scan every context, as the run list may be wrong
+            self.stale, self.running, self.clean = False, None, False
+            contexts = list(self.contexts)
+        elif self.running is not None:
+            contexts = self.running
+        elif self.clean:  # the second clean round in a row lists the runnable
+            contexts = self.running = [c for c in self.contexts if not c.parked]
+        else:  # often the only one: scanned, as a list built now may go unused
+            self.clean = True
+            contexts = list(self.contexts)
+        progressed = False
+        for ctx in contexts:
+            if ctx.parked:  # in a clean round: parked in it, or at teardown
+                continue
+            try:
+                if next(ctx.thread):
+                    progressed = True
+                else:
+                    ctx.parked = self.stale = True
+            except StopIteration:
+                ctx.done = ctx.parked = self.stale = True
+                progressed = True
+        return progressed
 
     def _partner(self, ctx: _Ctx) -> Generator[bool, None, None]:
         """A partner serves its twin's forwarded events until the exit bit

@@ -1,0 +1,193 @@
+"""Mutants that the tests must kill: each one undoes one guard of the code.
+
+Each entry of `MUTANTS` gives a file, an exact snippet of it, the
+snippet's replacement, the tests that must fail once it is applied, and
+one line on what the guard protects.  Each snippet occurs exactly once in
+its file; `tests/test_mutants.py` checks that in tier-1 without running a
+mutant, so a change that moves or rewrites guarded code must update the
+snippet here.
+
+    python tests/mutants.py [NAME...]
+
+copies the tree to a temporary directory and, for each named mutant (all
+of them when none is named), applies it there and runs its tests with
+pytest.  A mutant is killed when every one of its tests fails.  The
+command prints one line per mutant and exits 1 if any survived.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids; each must fail under the mutant
+    guards: str
+
+
+SIM = "src/hrtsim/sim.py"
+MUTANTS = {
+    "no-stale-in-add": Mutant(
+        SIM,
+        "        self.contexts.append(ctx)\n        self.stale = True\n",
+        "        self.contexts.append(ctx)\n",
+        (
+            "tests/test_schedule.py::test_golden_workload_schedule[join_three_threads-virtual]",
+            "tests/test_golden.py::test_golden_log[shared_lazy_page-multiverse]",
+        ),
+        "a context added in a round makes the next round scan every context, so it runs",
+    ),
+    "no-stale-on-stop": Mutant(
+        SIM,
+        "                ctx.done = ctx.parked = self.stale = True\n",
+        "                ctx.done = ctx.parked = True\n",
+        (
+            "tests/test_schedule.py::test_golden_workload_schedule[lazy_faults-virtual]",
+            "tests/test_schedule.py::test_bench_schedule_is_pinned[boot_large]",
+        ),
+        "a generator's end, and the wakes made in its last step, drop the run list",
+    ),
+    "no-stale-on-idle-park": Mutant(
+        SIM,
+        "                else:\n                    ctx.parked = self.stale = True\n",
+        "                else:\n                    ctx.parked = True\n",
+        (
+            "tests/test_golden.py::test_golden_log[spawn_nested_hrt-multiverse]",
+            "tests/test_schedule.py::test_hot_local_round_loop_rarely_visits_parked_contexts",
+        ),
+        "a step without progress drops the run list, which no longer holds only the runnable",
+    ),
+    "no-stale-on-call-wake": Mutant(
+        SIM,
+        "                        partner.parked = False\n"
+        "                        self.stale = True\n",
+        "                        partner.parked = False\n",
+        (
+            "tests/test_generated.py::test_generated_workload_invariants",
+            "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
+        ),
+        "a forwarded call's wake of a parked partner drops the run list, which lacks the partner",
+    ),
+    "no-stale-on-fault-wake": Mutant(
+        SIM,
+        "                            partner.parked = False\n"
+        "                            self.stale = True\n",
+        "                            partner.parked = False\n",
+        (
+            "tests/test_golden.py::test_golden_log[override_touches-multiverse]",
+            "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
+        ),
+        "a forwarded fault's wake of a parked partner drops the run list, which lacks the partner",
+    ),
+    "stale-round-keeps-list": Mutant(
+        SIM,
+        "            self.stale, self.running, self.clean = False, None, False\n",
+        "            self.stale, self.clean = False, False\n",
+        (
+            "tests/test_golden.py::test_golden_log[bench_hot_local-multiverse]",
+            "tests/test_acceptance.py::test_criterion_09_determinism",
+        ),
+        "a stale round drops the run list, so no later clean round steps a wrong one",
+    ),
+    "no-insort-on-join-wake": Mutant(
+        SIM,
+        '                    insort(running, ctx, key=attrgetter("index"))\n',
+        "                    pass\n",
+        (
+            "tests/test_schedule.py::test_golden_workload_schedule[join_wakes_later_joiner-virtual]",
+        ),
+        "an exit wakes a later-created joiner in the same round, as a scan of every context would",
+    ),
+    "pad-last-column": Mutant(
+        SIM,
+        "    widths[-1] = 0\n",
+        "",
+        (
+            "tests/test_sim.py::test_reports_end_no_line_in_whitespace[sync_call]",
+        ),
+        "report and comparison tables end no line in spaces",
+    ),
+}
+
+
+def failed_ids(output: str) -> set[str]:
+    """The node ids that pytest's `-rfE` summary in output reports as
+    failed or in error."""
+    found = set()
+    for line in output.splitlines():
+        for outcome in ("FAILED ", "ERROR "):
+            if line.startswith(outcome):
+                found.add(line[len(outcome):].split(" - ")[0])
+    return found
+
+
+def copy_tree(dest: Path) -> None:
+    """The working tree at dest, without version control, caches or the
+    benchmark's span dumps."""
+
+    def ignored(directory, names):
+        skip = SKIPPED | ({"out"} if Path(directory) == ROOT / "perfbench" else set())
+        return [name for name in names if name in skip]
+
+    shutil.copytree(ROOT, dest, ignore=ignored)
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> set[str]:
+    """Run tests in tree; the ids that failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider"]
+        + list(tests),
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return failed_ids(result.stdout)
+
+
+def check(tree: Path, mutant: Mutant) -> list[str]:
+    """Apply mutant in tree, run its tests and restore the file: the tests
+    that still pass, or why the mutant cannot be applied."""
+    if not mutant.tests:
+        return ["no tests listed"]
+    path = tree / mutant.path
+    original = path.read_text()
+    if original.count(mutant.snippet) != 1:
+        return [f"snippet occurs {original.count(mutant.snippet)} times in {mutant.path}"]
+    path.write_text(original.replace(mutant.snippet, mutant.replacement))
+    try:
+        failed = run_tests(tree, mutant.tests)
+    finally:
+        path.write_text(original)
+    return [test for test in mutant.tests if test not in failed]
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        copy_tree(tree)
+        for name in names or MUTANTS:
+            passed = check(tree, MUTANTS[name])
+            survivors += bool(passed)
+            print(f"{name}: " + (f"SURVIVED ({'; '.join(passed)})" if passed else "killed"))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

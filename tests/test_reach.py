@@ -46,7 +46,7 @@ ROOT = Path(__file__).parent.parent
 # Unreached statements that stay: key -> (why no workload reaches it, a test that does).
 UNREACHED = {
     # Error paths that are not a `raise` themselves.
-    "sim:Simulator.execute: if not progressed: > dump = [": (
+    "sim:Simulator.execute: if not step(): > dump = [": (
         "a deadlock; no golden deadlocks, and the generated workloads never do",
         "tests/test_sim.py::TestDeadlock::test_unserviced_event_is_reported",
     ),

@@ -1,10 +1,10 @@
 """The round loop skips parked contexts without changing the schedule.
 
-`StepEveryContext.execute` is the loop from before parking: every context
-is stepped in every round.  It stays here as the oracle.  Under both
-loops the sequence of steps that made progress, recorded as (context
-name, done after the step), must be equal, and so must the log; only the
-steps that made no progress may disappear.
+`StepEveryContext.step` is the round from before parking: every context
+that is not done is stepped in every round.  It stays here as the oracle.
+Under both rounds the sequence of steps that made progress, recorded as
+(context name, done after the step), must be equal, and so must the log;
+only the steps that made no progress may disappear.
 """
 
 import hashlib
@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from hrtsim.errors import DeadlockError, SimError
+from hrtsim.errors import SimError
 from hrtsim.machine import Machine
-from hrtsim.sim import Mode, Simulator, System, _Halt, compare, parse_workload
+from hrtsim.sim import Mode, Simulator, System, compare, parse_workload
 
 from test_golden import GOLDEN, PHYS_FRAMES
 
@@ -39,56 +39,68 @@ def load_bench_workloads():
 
 
 class ParkingLoop(Simulator):
-    """The simulator as it is, recording each step that made progress, and
-    checking after each step that every done context is parked: the round
-    loop never steps a done context, so `Simulator.step` has no `done` test.
-    It also checks that the run list is stale, or holds every context that
-    is not parked: a clean round, which steps only the list, misses none."""
+    """The simulator as it is, recording each context step by wrapping the
+    context's generator: the context name of every step, and each step that
+    made progress as (context name, done after the step).  Before each step,
+    and after each round, it checks that every done context is parked: the
+    round never steps a done context, so `Simulator.step` has no `done`
+    test.  It also checks that the run list is stale, or holds every context
+    that is not parked: a clean round, which steps only the list, misses none."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.steps: list[str] = []
         self.progress: list[tuple[str, bool]] = []
 
-    def step(self, ctx):
-        progressed = super().step(ctx)
-        if progressed:
-            self.progress.append((ctx.name, ctx.done))
+    def _add(self, *args):
+        ctx = super()._add(*args)
+        ctx.thread = self._recorded(ctx, ctx.thread)
+        return ctx
+
+    def _recorded(self, ctx, thread):
+        """thread, recording each of its steps."""
+        while True:
+            self.check()
+            assert not ctx.done, ctx.name
+            self.steps.append(ctx.name)
+            try:
+                progressed = next(thread)
+            except StopIteration:  # the step loop marks ctx done
+                self.progress.append((ctx.name, True))
+                return
+            if progressed:
+                self.progress.append((ctx.name, ctx.done))
+            yield progressed
+
+    def step(self):
+        progressed = super().step()
+        self.check()
+        return progressed
+
+    def check(self):
         assert not [c.name for c in self.contexts if c.done and not c.parked]
         if not self.stale and self.running is not None:
             listed = set(map(id, self.running))  # `in` on the list would call `_Ctx.__eq__`
             assert not [c.name for c in self.contexts if not c.parked and id(c) not in listed]
-        return progressed
 
 
 class StepEveryContext(ParkingLoop):
-    """The oracle: the round loop that ignores `parked`.  It skips a done
-    context, whose step would make no progress, and ends on `_Halt` as
-    `Simulator.execute` does."""
+    """The oracle: the round that ignores `parked`.  It skips a done
+    context, whose step would make no progress."""
 
-    def execute(self):
-        try:
-            while True:
-                progressed = False
-                for ctx in list(self.contexts):
-                    if not ctx.done and self.step(ctx):
-                        progressed = True
-                if all(c.done for c in self.contexts):
-                    break
-                if not progressed:
-                    dump = [
-                        f"{e.kind.value} origin={e.origin} detail={e.detail}"
-                        for e in self.system.channel.outstanding
-                    ]
-                    raise DeadlockError(
-                        "no runnable context; outstanding events: " + (", ".join(dump) or "none"),
-                        events=list(self.system.channel.outstanding),
-                    )
-        except _Halt:
-            pass
-        finally:
-            for ctx in self.contexts:
-                ctx.thread.close()
-        return self.report()
+    def step(self):
+        progressed = False
+        for ctx in list(self.contexts):
+            if ctx.done:
+                continue
+            try:
+                if next(ctx.thread):
+                    progressed = True
+            except StopIteration:
+                ctx.done = ctx.parked = True
+                progressed = True
+        self.check()
+        return progressed
 
 
 def observe(loop, text, mode, phys_frames, prepare=None):
@@ -223,7 +235,7 @@ class TestDeadlock:
 
     def test_unserved_event_is_dumped(self):
         def drop_partners(sim):
-            sim.step(sim.main_ctx)  # executes the spawn
+            sim.step()  # main executes the spawn
             sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
 
         _, outcome = assert_same_schedule(W_FAULT, Mode.MULTIVERSE, 512, drop_partners)
@@ -243,8 +255,8 @@ class TestDeadlock:
         )
 
         def drop_partners(sim):
-            sim.step(sim.main_ctx)  # spawns a
-            sim.step(sim.main_ctx)  # spawns b
+            sim.step()  # main spawns a
+            sim.step()  # main spawns b
             sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
 
         _, outcome = assert_same_schedule(text, Mode.MULTIVERSE, 512, drop_partners)
@@ -257,32 +269,25 @@ class TestDeadlock:
         )
 
 
-def test_hot_local_steps_rarely_idle(monkeypatch):
-    """Parked contexts are not stepped: under 1% of `Simulator.step` calls
-    on golden bench_hot_local make no progress (before parking it was 53%)."""
-    calls = {True: 0, False: 0}
-    original = Simulator.step
-
-    def counted(self, ctx):
-        progressed = original(self, ctx)
-        calls[progressed] += 1
-        return progressed
-
-    monkeypatch.setattr(Simulator, "step", counted)
+def test_hot_local_steps_rarely_idle():
+    """Parked contexts are not stepped: under 1% of the context steps on
+    golden bench_hot_local make no progress (before parking it was 53%)."""
     text = (GOLDEN / "workloads" / "bench_hot_local.txt").read_text()
-    sim = Simulator(System(machine=Machine(phys_frames=8192)), parse_workload(text), Mode.MULTIVERSE)
+    system = System(machine=Machine(phys_frames=8192))
+    sim = ParkingLoop(system, parse_workload(text), Mode.MULTIVERSE)
     assert not sim.run().failed
-    assert calls[False] < 0.01 * (calls[True] + calls[False]), calls
+    idle = len(sim.steps) - len(sim.progress)
+    assert idle < 0.01 * len(sim.steps), (idle, len(sim.steps))
 
 
 def round_loop_visits(sim) -> tuple[int, int]:
     """Run sim with its round loop's lines counted: the contexts it visits,
     and how many of those it skips as parked."""
-    source, first = inspect.getsourcelines(Simulator.execute)
+    source, first = inspect.getsourcelines(Simulator.step)
     at = next(i for i, line in enumerate(source) if line.strip().startswith("if ctx.parked:"))
     assert source[at + 1].strip() == "continue"
     test = first + at
-    code, lines = Simulator.execute.__code__, Counter()
+    code, lines = Simulator.step.__code__, Counter()
 
     def count_lines(frame, event, arg):
         if event == "line":

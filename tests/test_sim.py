@@ -35,7 +35,7 @@ from hrtsim.sim import (
 
 from conftest import small_machine
 from test_golden import GOLDEN, PHYS_FRAMES
-from test_schedule import load_bench_workloads
+from test_schedule import MUTUAL_JOIN, ParkingLoop, load_bench_workloads
 
 W_FAULTS = """
 thread main ros
@@ -447,12 +447,60 @@ class TestFunctionsWithoutFuncLine:
             assert not run(small_machine(), "func ghost\n" + text, mode).failed
 
 
+class TestStep:
+    """`Simulator.step()` is one round: each runnable context steps once, in
+    creation order, and it returns True if any of them made progress."""
+
+    SPAWNS = (
+        "thread main ros\n  spawn a\n  spawn b\n  compute 1\n  join a\n  join b\n  exit\nend\n"
+        "thread a ros\n  compute 1\n  compute 1\n  exit\nend\n"
+        "thread b ros\n  compute 1\n  exit\nend\n"
+    )
+
+    def rounds(self, text):
+        """The simulator, and (context names stepped, result) of each round
+        of text in virtual mode until main is done or a round makes no progress."""
+        sim = ParkingLoop(System(machine=small_machine()), parse_workload(text), Mode.VIRTUAL)
+        sim.setup()
+        rounds = []
+        while not sim.main_ctx.done and (not rounds or rounds[-1][1]):
+            start = len(sim.steps)
+            progressed = sim.step()
+            rounds.append((sim.steps[start:], progressed))
+        return sim, rounds
+
+    def test_each_runnable_context_steps_once_in_creation_order(self):
+        sim, rounds = self.rounds(self.SPAWNS)
+        assert rounds == [
+            (["main"], True),  # spawns a, which first runs in the next round
+            (["main", "a"], True),  # main spawns b
+            (["main", "a", "b"], True),
+            (["main", "a", "b"], True),  # main blocks joining a; a and b exit
+            (["main"], True),  # main's join of a returns
+            (["main"], True),  # b has exited: the join returns at once
+            (["main"], True),  # main exits
+        ]
+        assert sim.main_ctx.done
+
+    def test_a_round_without_progress_returns_false(self):
+        sim, rounds = self.rounds(MUTUAL_JOIN)
+        assert rounds == [
+            (["main"], True),
+            (["main", "a"], True),  # a blocks joining b, which main spawned before it
+            (["main", "a", "b"], True),  # a's join makes no progress: a parks
+            (["main", "b"], False),  # main and b park too
+        ]
+        assert all(ctx.parked for ctx in sim.contexts)
+        with pytest.raises(DeadlockError, match="^no runnable context; outstanding events: none$"):
+            sim.execute()
+
+
 class TestDeadlock:
     def test_unserviced_event_is_reported(self):
         system = System(machine=small_machine())
         sim = Simulator(system, parse_workload(W_FAULTS), Mode.MULTIVERSE)
         sim.setup()
-        sim.step(sim.main_ctx)  # executes the spawn
+        sim.step()  # main executes the spawn
         sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
         with pytest.raises(DeadlockError) as info:
             sim.execute()
@@ -638,6 +686,27 @@ class TestCompare:
             assert (report.log_text, report.total_cycles, report.failed, report.fail_reason) == (
                 fresh[Mode(report.mode)]
             )
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt")))
+def test_reports_end_no_line_in_whitespace(name):
+    """`TraceReport.render()` in each mode and `Comparison.render()` pad
+    no cell at the end of a line."""
+    text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
+    frames = PHYS_FRAMES.get(name, 512)
+    rendered = []
+    for mode in Mode:
+        try:
+            rendered.append(run(Machine(phys_frames=frames), text, mode).render())
+        except SimError:
+            pass
+    try:
+        rendered.append(compare(Machine(phys_frames=frames), text).render())
+    except SimError:
+        pass
+    assert rendered
+    for output in rendered:
+        assert [line for line in output.splitlines() if line != line.rstrip()] == []
 
 
 class TestRunTeardown:
