@@ -12,9 +12,9 @@ its `MergeRequest` log entry and in `remerge_count`.
 Each thread records the partner that serves its forwarded events, fixed
 at creation: a nested thread copies its parent's.  A thread mirrors no
 regular-OS state: its partner's stack is a region of the process.  A
-core keeps only its boot flag and its re-merge state (the most recent
-fault and the thread it ran).  The runtime has no exit hook: nothing
-reads its state once a run has ended.
+core has a state only once booted, and keeps only its re-merge state
+there (the most recent fault and the thread it ran).  The runtime has no
+exit hook: nothing reads its state once a run has ended.
 
 The installed image's symbol table is the runtime's only record of the
 functions it can run: thread creation and symbol resolution read it.
@@ -50,7 +50,6 @@ from .toolchain import AeroKernelImage, SymbolCache
 
 @dataclass
 class HrtCoreState:
-    booted: bool = False
     recent_fault: tuple[int, AccessKind] | None = None
     current_thread: int | None = None  # origin of a re-merge entry
 
@@ -81,10 +80,6 @@ class HrtKernel:
     remerge_count: int = 0
     _next_tid: int = 1000
     _next_core_rr: int = 0
-
-    def __post_init__(self):
-        for core_id in self.machine.hrt_core_ids:
-            self.cores[core_id] = HrtCoreState()
 
     # -- boot state machine ---------------------------------------------------
 
@@ -118,10 +113,10 @@ class HrtKernel:
             )
             identity_map_higher_half(self.space, self.machine.phys_frames)
         for core_id in core_ids:
-            self.cores[core_id] = HrtCoreState(booted=True)
+            self.cores[core_id] = HrtCoreState()
 
     def booted_cores(self) -> list[int]:
-        return [cid for cid, c in self.cores.items() if c.booted]
+        return sorted(self.cores)
 
     # -- threads --------------------------------------------------------------
 

@@ -12,13 +12,16 @@ is a segfault, with nothing changed.  Partner threads service the events
 their kernel-mode twins forward and carry the exit bit.  A forwarded
 system call brings everything its service needs: a call that fell
 through carries its legacy function's body, and any other call goes to
-the syscall model.  Partners and local threads (those spawned outside
-the hybrid mode) are the join targets.  This side issues every hypercall.
+the syscall model.  No field names a thread's kind: main is
+`RosKernel.main`, a partner is a thread with a `queue`, and any other
+thread is local, spawned outside the hybrid mode to run its body on this
+side.  Partners and local threads are the join targets, and a joiner is
+blocked exactly while its `join_target` is set.  This side issues every
+hypercall.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -99,33 +102,14 @@ class RegionList(list):
         return -1
 
 
-class RosThreadRole(enum.Enum):
-    MAIN = "main"
-    PARTNER = "partner"
-    LOCAL = "local"  # spawned outside the hybrid mode; runs its body on this side
-
-
-class RosThreadStatus(enum.Enum):
-    RUNNABLE = "runnable"
-    BLOCKED_JOIN = "blocked_join"
-    EXITED = "exited"
-
-
-# Bound once, for per-step code: see `mem.WRITE`.
-RUNNABLE = RosThreadStatus.RUNNABLE
-BLOCKED_JOIN = RosThreadStatus.BLOCKED_JOIN
-EXITED = RosThreadStatus.EXITED
 PAGE_FAULT_KIND = PAGE_FAULT.value  # a demand fault's log kind
 
 
 @dataclass
 class RosThread:
     tid: int
-    role: RosThreadRole
     core_id: int
-    # Required: an enum default would stay a class attribute, and on 3.11
-    # that keeps every `thread.status` read from specialising.
-    status: RosThreadStatus
+    exited: bool = False
     # Partner-only state.
     hrt_thread: int | None = None
     exit_bit: bool = False
@@ -168,18 +152,13 @@ class RosKernel:
         self._next_mmap = MMAP_BASE
         self._next_stack = STACK_TOP
         self._core_rr = 0
-        self.main = self._new_thread(RosThreadRole.MAIN)
+        self.main = self._new_thread()
 
     # -- threads --------------------------------------------------------------
 
-    def _new_thread(self, role: RosThreadRole) -> RosThread:
+    def _new_thread(self) -> RosThread:
         core_ids = self.machine.ros_core_ids
-        thread = RosThread(
-            tid=self._next_tid,
-            role=role,
-            core_id=core_ids[self._core_rr % len(core_ids)],
-            status=RUNNABLE,
-        )
+        thread = RosThread(self._next_tid, core_ids[self._core_rr % len(core_ids)])
         self._core_rr += 1
         self._next_tid += 1
         self.threads[thread.tid] = thread
@@ -336,7 +315,7 @@ class RosKernel:
 
     def partner_step(self, partner: RosThread) -> bool:
         """One scheduler step of a partner thread; True if it made progress."""
-        if partner.status is EXITED:
+        if partner.exited:
             return False
         queue = partner.queue
         if queue:
@@ -344,7 +323,7 @@ class RosKernel:
             return True
         if partner.exit_bit:
             # Cleanup after its twin has exited.
-            partner.status = EXITED
+            partner.exited = True
             self.channel.drop_endpoint(partner.tid)
             return True
         return False
@@ -354,7 +333,7 @@ class RosKernel:
     def spawn_hrt(self, func_name: str) -> RosThread:
         """Create a partner and request a top-level twin running func_name."""
         addr = self.hrt.symbol(func_name)  # SymbolError if unknown
-        partner = self._new_thread(RosThreadRole.PARTNER)
+        partner = self._new_thread()
         partner.queue = self.channel.register_endpoint(partner.tid)
         # The partner's stack: every later stack-side address is below it.
         self._alloc_region(DEFAULT_STACK_BYTES, populate=False, writable=True, stack=True)
@@ -375,7 +354,7 @@ class RosKernel:
     def spawn_local(self, name: str) -> RosThread:
         """Create a thread spawned outside the hybrid mode; it runs its body
         on this side."""
-        thread = self._new_thread(RosThreadRole.LOCAL)
+        thread = self._new_thread()
         self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create:{name}")
         return thread
 
@@ -394,25 +373,23 @@ class RosKernel:
 
     def join(self, joiner: RosThread, target_tid: int) -> None:
         """Block the joiner until the target partner or local thread has exited."""
-        if joiner.role is RosThreadRole.PARTNER:
+        if joiner.queue is not None:
             raise UsageError("partner threads do not join")
         target = self.threads.get(target_tid)
-        if target is None or target.role is RosThreadRole.MAIN:
+        if target is None or target is self.main:
             raise UsageError(f"{target_tid} is not a partner or local thread")
         if target.joined:
             raise UsageError(f"thread {target_tid} already joined")
-        joiner.status = RosThreadStatus.BLOCKED_JOIN
         joiner.join_target = target_tid
         self.try_finish_join(joiner)
 
     def try_finish_join(self, joiner: RosThread) -> bool:
         """Resume the joiner if its target has exited; no lost wakeups."""
-        if joiner.status is not RosThreadStatus.BLOCKED_JOIN:
+        if joiner.join_target is None:
             return False
         target = self.threads[joiner.join_target]
-        if target.status is RosThreadStatus.EXITED:
+        if target.exited:
             target.joined = True
-            joiner.status = RosThreadStatus.RUNNABLE
             joiner.join_target = None
             return True
         return False

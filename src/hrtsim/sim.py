@@ -36,11 +36,8 @@ a fault in `_thread`, `_add`, and each `StopIteration` in `step`.  The
 last also covers the wakes of an exit, which are made in the step that
 ends its generator: the exit signal's forward and `_wake_joiners`.  A
 round that starts with the flag set clears it, drops the list, and steps
-a copy of every context.  So does the first round that starts clean: it
-is often the only one before the next stale round (on `boot_large`,
-each of them was), and a list built for it would go unused.  The second
-clean round in a row builds the list, and each later one steps it
-without a copy.
+a copy of every context.  The first round that starts clean builds the
+list, and each later clean round steps it without a copy.
 
 A clean round is exact: at its start every context that is not parked
 is in the list, as the round before parked, woke and added nothing.
@@ -94,7 +91,7 @@ from .errors import DeadlockError, DoubleFaultError, ParseError, UsageError, tex
 from .hrt import HrtKernel
 from .machine import Machine
 from .mem import HIGHER_BASE, WRITE, translate
-from .ros import BLOCKED_JOIN, EFAULT, EXITED, RosKernel, init_runtime
+from .ros import EFAULT, RosKernel, init_runtime
 from .toolchain import AeroKernelImage, AppDescriptor, embed
 from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
 
@@ -193,7 +190,7 @@ class System:
         self.ros = RosKernel(self.machine, self.cost, self.log, self.channel, self.hrt)
 
 
-def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
+def build_fat_binary(workload: WorkloadProgram) -> bytes:
     """Package the kernel image a workload needs, one symbol per name in
     `workload.symbols()`."""
     names = sorted(workload.symbols())
@@ -207,7 +204,7 @@ def build_fat_binary(workload: WorkloadProgram, app_name: str = "app") -> bytes:
         symbol_table=symbols,
         payload_size=64 * 1024 + 0x40 * len(symbols),
     )
-    return embed(AppDescriptor(name=app_name, workload=""), image)
+    return embed(AppDescriptor(name="app", workload=""), image)
 
 
 @dataclass
@@ -252,7 +249,6 @@ class Simulator:
         self.main_ctx: _Ctx | None = None
         self.stale = True  # a context parked, woke or was added this round
         self.running: list[_Ctx] | None = None  # the run list of clean rounds
-        self.clean = False  # the round before this one started clean
 
     # -- setup ---------------------------------------------------------------
 
@@ -338,15 +334,12 @@ class Simulator:
         parked, in the step whose generator returns.  A context added in the
         round first runs in the next one."""
         if self.stale:  # scan every context, as the run list may be wrong
-            self.stale, self.running, self.clean = False, None, False
+            self.stale, self.running = False, None
             contexts = list(self.contexts)
-        elif self.running is not None:
-            contexts = self.running
-        elif self.clean:  # the second clean round in a row lists the runnable
+        elif self.running is None:  # the first clean round lists the runnable
             contexts = self.running = [c for c in self.contexts if not c.parked]
-        else:  # often the only one: scanned, as a list built now may go unused
-            self.clean = True
-            contexts = list(self.contexts)
+        else:
+            contexts = self.running
         progressed = False
         for ctx in contexts:
             if ctx.parked:  # in a clean round: parked in it, or at teardown
@@ -370,7 +363,7 @@ class Simulator:
         queue = partner.queue
         while True:
             progressed = ros.partner_step(partner)
-            if partner.status is EXITED:
+            if partner.exited:
                 self._wake_joiners(ctx)
                 return
             if progressed:
@@ -468,7 +461,7 @@ class Simulator:
                         raise UsageError(f"join target {a!r} was never spawned")
                     joiner = ros.threads[tid]
                     ros.join(joiner, self.spawned[a])
-                    if joiner.status is BLOCKED_JOIN:
+                    if joiner.join_target is not None:
                         yield True
                         while not ros.try_finish_join(joiner):
                             yield False
@@ -483,7 +476,7 @@ class Simulator:
                             channel.forward_event(signal, partner_tid)
                             partner.parked = False
                     else:
-                        ros.threads[tid].status = EXITED
+                        ros.threads[tid].exited = True
                         self._wake_joiners(ctx)
                         if ctx is self.main_ctx:  # process teardown ends every thread
                             for other in self.contexts:
@@ -515,32 +508,31 @@ class Simulator:
             # access is walked again after each.  Four local resolutions in a
             # row, or a third forward, is a double fault.
             for addr in touches:
-                if addr >> 12 not in (wmemo if access is write else memo):
-                    local = forwards = 0
-                    while translate(space, addr, access) is None:
-                        if not hrt.handle_page_fault(core_id, addr, access):
-                            local += 1
-                            if local == 4:
-                                raise DoubleFaultError(
-                                    f"access 0x{addr:x} {access._value_} cannot be satisfied"
-                                )
-                        elif forwards == 2:
+                local = forwards = 0
+                while translate(space, addr, access) is None:
+                    if not hrt.handle_page_fault(core_id, addr, access):
+                        local += 1
+                        if local == 4:
                             raise DoubleFaultError(
-                                f"access 0x{addr:x} {access._value_} still faults after re-merge "
-                                "and re-forward"
+                                f"access 0x{addr:x} {access._value_} cannot be satisfied"
                             )
-                        else:
-                            local, forwards = 0, forwards + 1
-                            ev.kind, ev.detail = PAGE_FAULT, fault_detail(addr, access)
-                            ev.payload = addr, access
-                            channel.forward_event(ev, partner_tid)
-                            partner.parked = False
-                            self.stale = True
-                            yield True
-                            while ev.complete_cycle is None:
-                                yield False
-                            if ev.result == EFAULT:
-                                raise _Halt
+                    elif forwards == 2:
+                        raise DoubleFaultError(
+                            f"access 0x{addr:x} {access._value_} still faults after re-merge "
+                            "and re-forward"
+                        )
+                    else:
+                        local, forwards = 0, forwards + 1
+                        ev.kind, ev.detail = PAGE_FAULT, fault_detail(addr, access)
+                        ev.payload = addr, access
+                        channel.forward_event(ev, partner_tid)
+                        partner.parked = False
+                        self.stale = True
+                        yield True
+                        while ev.complete_cycle is None:
+                            yield False
+                        if ev.result == EFAULT:
+                            raise _Halt
                 yield True
 
     def _sync_call(self, tid: int, name: str) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hrtsim.channel import EventKind
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
-from hrtsim.ros import RosKernel, RosThreadStatus, init_runtime
+from hrtsim.ros import RosKernel, init_runtime
 from hrtsim.sim import System
 from hrtsim.toolchain import AeroKernelImage, AppDescriptor, embed
 
@@ -41,9 +41,9 @@ def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
         return result
 
     def partner_step(partner):
-        exited = partner.status is RosThreadStatus.EXITED
+        exited = partner.exited
         progressed = step(partner)
-        if not exited and partner.status is RosThreadStatus.EXITED:
+        if not exited and partner.exited:
             log.append((ros.log.now, "partner_exit", partner.tid))
         return progressed
 

@@ -39,6 +39,8 @@ class Mutant:
 
 
 SIM = "src/hrtsim/sim.py"
+ROS = "src/hrtsim/ros.py"
+MEM = "src/hrtsim/mem.py"
 MUTANTS = {
     "no-stale-in-add": Mutant(
         SIM,
@@ -72,8 +74,12 @@ MUTANTS = {
     ),
     "no-stale-on-call-wake": Mutant(
         SIM,
+        "                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
+        "                        channel.forward_event(ev, partner_tid)\n"
         "                        partner.parked = False\n"
         "                        self.stale = True\n",
+        "                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
+        "                        channel.forward_event(ev, partner_tid)\n"
         "                        partner.parked = False\n",
         (
             "tests/test_generated.py::test_generated_workload_invariants",
@@ -83,9 +89,13 @@ MUTANTS = {
     ),
     "no-stale-on-fault-wake": Mutant(
         SIM,
-        "                            partner.parked = False\n"
-        "                            self.stale = True\n",
-        "                            partner.parked = False\n",
+        "                        ev.payload = addr, access\n"
+        "                        channel.forward_event(ev, partner_tid)\n"
+        "                        partner.parked = False\n"
+        "                        self.stale = True\n",
+        "                        ev.payload = addr, access\n"
+        "                        channel.forward_event(ev, partner_tid)\n"
+        "                        partner.parked = False\n",
         (
             "tests/test_golden.py::test_golden_log[override_touches-multiverse]",
             "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
@@ -94,8 +104,8 @@ MUTANTS = {
     ),
     "stale-round-keeps-list": Mutant(
         SIM,
-        "            self.stale, self.running, self.clean = False, None, False\n",
-        "            self.stale, self.clean = False, False\n",
+        "            self.stale, self.running = False, None\n",
+        "            self.stale = False\n",
         (
             "tests/test_golden.py::test_golden_log[bench_hot_local-multiverse]",
             "tests/test_acceptance.py::test_criterion_09_determinism",
@@ -119,6 +129,56 @@ MUTANTS = {
             "tests/test_sim.py::test_reports_end_no_line_in_whitespace[sync_call]",
         ),
         "report and comparison tables end no line in spaces",
+    ),
+    "merge-keeps-leaf-tables": Mutant(
+        MEM,
+        "    hrt_space.wmemo.clear()\n    hrt_space.leaf_tables.clear()\n",
+        "    hrt_space.wmemo.clear()\n",
+        (
+            "tests/test_mem.py::TestWalkMemo::test_translate_matches_uncached_walk",
+        ),
+        "a merge drops the leaf tables cached through the root entries it replaces",
+    ),
+    "leaf-table-keyed-by-page": Mutant(
+        MEM,
+        "    space.leaf_tables[vaddr >> 21] = table\n",
+        "    space.leaf_tables[vaddr >> 12] = table\n",
+        (
+            "tests/test_mem.py::TestWalkMemo::test_translate_matches_uncached_walk",
+            "tests/test_mem.py::TestWalkMemo::test_ops_keep_leaf_tables_sound",
+            "tests/test_generated.py::test_generated_workload_invariants",
+        ),
+        "a leaf table is cached under the 2 MiB region it maps, where translate looks it up",
+    ),
+    "join-keeps-target": Mutant(
+        ROS,
+        "            target.joined = True\n            joiner.join_target = None\n",
+        "            target.joined = True\n",
+        (
+            "tests/test_ros.py::TestJoin::test_join_after_exit_resumes_immediately",
+            "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_two_threads",
+        ),
+        "a resumed joiner clears its join target, the one record that it is blocked",
+    ),
+    "partner-never-exits": Mutant(
+        ROS,
+        "            partner.exited = True\n",
+        "",
+        (
+            "tests/test_ros.py::TestForwardedService::test_partner_step_serves_then_exits",
+            "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_two_threads",
+        ),
+        "a partner whose twin has exited exits in its cleanup step, so a join on it resumes",
+    ),
+    "partner-may-join": Mutant(
+        ROS,
+        "        if joiner.queue is not None:\n"
+        '            raise UsageError("partner threads do not join")\n',
+        "",
+        (
+            "tests/test_ros.py::TestJoin::test_partner_cannot_join",
+        ),
+        "a partner, the thread with a queue, never joins",
     ),
 }
 

@@ -25,7 +25,7 @@ from hrtsim.mem import (
     merge_lower_half,
     translate,
 )
-from hrtsim.ros import Region, RosThreadStatus, init_runtime
+from hrtsim.ros import Region, init_runtime
 from hrtsim.sim import (
     Mode,
     Simulator,
@@ -214,24 +214,24 @@ class TestCriterion07:
             elif op == "pstep":
                 ros.partner_step(p)
             elif op == "join":
-                if main.status is RosThreadStatus.RUNNABLE:
+                if main.join_target is None:
                     if not p.joined:
                         ros.join(main, p.tid)
                 else:
                     ros.try_finish_join(main)
             # Safety invariant, checked at every interleaving point.
             for q in partners:
-                if q.status is RosThreadStatus.EXITED:
+                if q.exited:
                     assert q.exit_bit, "partner exited with exit_bit clear"
         for _ in range(4 * n_partners + 4):  # deterministic drain
             for q in partners:
                 ros.partner_step(q)
             ros.try_finish_join(main)
-            if main.status is RosThreadStatus.RUNNABLE:
+            if main.join_target is None:
                 for q in partners:
-                    if not q.joined and main.status is RosThreadStatus.RUNNABLE:
+                    if not q.joined and main.join_target is None:
                         ros.join(main, q.tid)
-        assert main.status is RosThreadStatus.RUNNABLE
+        assert main.join_target is None
         for q in partners:
             assert q.joined and q.exit_bit
             labels = [label for _, label, tid in join_log if tid == q.tid]

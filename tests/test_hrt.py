@@ -94,7 +94,14 @@ class TestBoot:
         assert booted.hrt.booted_cores() == booted.machine.hrt_core_ids
         for core_id in booted.machine.hrt_core_ids:
             core = booted.hrt.cores[core_id]
-            assert (core.booted, core.recent_fault, core.current_thread) == (True, None, None)
+            assert (core.recent_fault, core.current_thread) == (None, None)
+
+    def test_booted_cores_ascend_whatever_the_boot_order(self, system):
+        _, image = parse_fat_binary(make_fat())
+        system.hrt.install_image(image)
+        assert system.hrt.booted_cores() == []
+        system.hrt.boot(system.machine.hrt_core_ids[::-1])
+        assert system.hrt.booted_cores() == system.machine.hrt_core_ids
 
     def test_boot_builds_no_identity_table_below_level_3(self):
         # Counts, not time: on a 4 GiB machine boot defers all 4 level-2
@@ -193,8 +200,7 @@ class TestThreads:
         assert ev.kind is EventKind.THREAD_EXIT_SIGNAL
         assert (ev.origin, ev.detail) == (top.tid, f"exit:{top.tid}")
         assert booted.hrt.threads[top.tid].exited
-        core = booted.hrt.cores[top.core_id]
-        assert (core.booted, core.current_thread) == (True, None)
+        assert booted.hrt.cores[top.core_id].current_thread is None
 
     def test_nested_exit_is_silent(self, booted):
         top = top_level(booted)

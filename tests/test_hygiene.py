@@ -250,6 +250,7 @@ READ_OUTSIDE_SRC = {
     "line": "ParseError's public field: the line of the malformed input",
     "offset": "FormatError's public field: where in the container the malformation is",
     "events": "DeadlockError's public field: tests compare the outstanding events it carries",
+    "role": "ThreadBody's side; perfbench/workloads.py's shape() counts bodies by role",
 }
 
 

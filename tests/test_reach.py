@@ -64,7 +64,7 @@ UNREACHED = {
         "tests/test_mem.py::TestFrameAllocator::test_take_up_to_the_end",
     ),
     # Kernel and driver API that the step loop never needs.
-    "ros:RosKernel.partner_step: if partner.status is EXITED: > return False": (
+    "ros:RosKernel.partner_step: if partner.exited: > return False": (
         "the step loop drops a partner once it exits",
         "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_three_threads",
     ),
@@ -72,8 +72,7 @@ UNREACHED = {
         "the step loop parks a partner with nothing queued and no exit bit",
         "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_three_threads",
     ),
-    "ros:RosKernel.try_finish_join: if joiner.status is not RosThreadStatus.BLOCKED_JOIN:"
-    " > return False": (
+    "ros:RosKernel.try_finish_join: if joiner.join_target is None: > return False": (
         "the step loop asks only while its joiner is blocked",
         "tests/test_acceptance.py::TestCriterion07::test_criterion_07_join_order_three_threads",
     ),

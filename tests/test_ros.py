@@ -15,8 +15,6 @@ from hrtsim.ros import (
     ENOSYS,
     MMAP_BASE,
     STACK_TOP,
-    RosThreadRole,
-    RosThreadStatus,
     init_runtime,
 )
 from hrtsim.sim import Mode, Simulator, System, parse_workload
@@ -345,9 +343,9 @@ class TestInitRuntime:
         proc = init_runtime(system, make_fat())
         assert proc is system.ros.proc
         assert system.hrt.ros_space is system.ros.proc.space
-        for core_id in system.machine.hrt_core_ids:
-            core = system.hrt.cores[core_id]
-            assert (core.booted, core.recent_fault, core.current_thread) == (True, None, None)
+        assert sorted(system.hrt.cores) == system.machine.hrt_core_ids  # each booted
+        for core in system.hrt.cores.values():
+            assert (core.recent_fault, core.current_thread) == (None, None)
         assert lower_halves_consistent(system.hrt.space, system.ros.proc.space)
 
     def test_merge_charged_once(self, system):
@@ -459,7 +457,7 @@ class TestForwardedService:
         assert booted.ros.partner_step(partner)  # serves the exit signal
         assert partner.exit_bit
         assert booted.ros.partner_step(partner)  # cleanup step
-        assert partner.status is RosThreadStatus.EXITED
+        assert partner.exited
         assert partner.tid not in booted.channel.queues
         assert not booted.ros.partner_step(partner)
 
@@ -480,13 +478,13 @@ class TestJoin:
     def test_join_after_exit_resumes_immediately(self, booted):
         partner = self.exited_partner(booted)
         booted.ros.join(booted.ros.main, partner.tid)
-        assert booted.ros.main.status is RosThreadStatus.RUNNABLE
+        assert booted.ros.main.join_target is None
         assert partner.joined
 
     def test_join_before_exit_blocks(self, booted):
         partner = booted.ros.spawn_hrt("worker")
         booted.ros.join(booted.ros.main, partner.tid)
-        assert booted.ros.main.status is RosThreadStatus.BLOCKED_JOIN
+        assert booted.ros.main.join_target == partner.tid
         assert not booted.ros.try_finish_join(booted.ros.main)
 
     def test_unblock_order_recorded(self, booted):
@@ -498,11 +496,12 @@ class TestJoin:
 
     def test_local_thread_join(self, booted):
         ros = booted.ros
-        local = ros._new_thread(RosThreadRole.LOCAL)
+        local = ros._new_thread()
         ros.join(ros.main, local.tid)
-        assert ros.main.status is RosThreadStatus.BLOCKED_JOIN
-        local.status = RosThreadStatus.EXITED
+        assert ros.main.join_target == local.tid
+        local.exited = True
         assert ros.try_finish_join(ros.main)
+        assert ros.main.join_target is None
         assert local.joined
 
     def test_join_non_partner_rejected(self, booted):

@@ -749,6 +749,11 @@ class TestRuntimeMisuse:
         "cycle=1600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500",
     ]
     MERGE = "cycle=33000 kind=MergeRequest origin=1 detail=cr3=0 cost=33000"
+    ROS_MV_LOG = [
+        MERGE,
+        "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
+        "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500",
+    ]
     HRT_LOG = [
         MERGE,
         "cycle=58000 kind=ThreadCreate origin=2 detail=create:w:1000 cost=0",
@@ -759,22 +764,32 @@ class TestRuntimeMisuse:
     LAST = "'last' used before any mmap in this thread"
     CASES = {
         "ros-touch-virtual": (ROS, "touch last w", Mode.VIRTUAL, LAST, ROS_LOG),
-        "ros-touch-multiverse": (
-            ROS, "touch last w", Mode.MULTIVERSE, LAST,
-            [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
-             "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500"],
-        ),
+        "ros-touch-multiverse": (ROS, "touch last w", Mode.MULTIVERSE, LAST, ROS_MV_LOG),
         "ros-munmap-virtual": (ROS, "munmap last 4096", Mode.VIRTUAL, LAST, ROS_LOG),
-        "ros-munmap-multiverse": (
-            ROS, "munmap last+4096 4096", Mode.MULTIVERSE, LAST,
-            [MERGE, "cycle=33100 kind=Compute origin=1 detail=compute cost=100",
-             "cycle=34600 kind=Syscall origin=1 detail=sys:write(1,8) cost=1500"],
-        ),
+        "ros-munmap-multiverse": (ROS, "munmap last+4096 4096", Mode.MULTIVERSE, LAST, ROS_MV_LOG),
         "hrt-touch": (HRT, "touch last+4096 r", Mode.MULTIVERSE, LAST, HRT_LOG),
         "hrt-munmap": (HRT, "munmap last 4096", Mode.MULTIVERSE, LAST, HRT_LOG),
         "hrt-thread-create-without-body": (
             HRT, "call_override pthread_create 0 0", Mode.MULTIVERSE,
             "thread-create override needs a thread body name", HRT_LOG,
+        ),
+        "hrt-spawn": (
+            HRT, "spawn w", Mode.MULTIVERSE,
+            "spawn from a kernel-mode thread; use spawn_nested or an override", HRT_LOG,
+        ),
+        "hrt-join": (
+            HRT, "join w", Mode.MULTIVERSE, "join is issued from the main thread", HRT_LOG,
+        ),
+        "hrt-sync-call": (
+            HRT, "sync_call w", Mode.MULTIVERSE, "sync_call is issued from the ROS side", HRT_LOG,
+        ),
+        "ros-spawn-nested-multiverse": (
+            ROS, "spawn_nested main", Mode.MULTIVERSE,
+            "spawn_nested is only valid in kernel-mode threads", ROS_MV_LOG,
+        ),
+        "ros-join-before-spawn": (
+            ROS.replace("{op}", "{op}\n  spawn w") + "thread w ros\n  exit\nend\n",
+            "join w", Mode.VIRTUAL, "join target 'w' was never spawned", ROS_LOG,
         ),
     }
 
