@@ -2,9 +2,13 @@
 
 The event log is the run's time: every cycle is charged by the log entry
 that records it, through `EventLog.emit`, or through `EventLog.emit_around`
-for a call that runs a service inside its own time.  An entry is a plain
-tuple `(cycle, kind, origin, detail, cost)` of ints and strs, which the
-garbage collector stops tracking, so a long log costs no collection time.
+for a call that runs a service inside its own time.  The log is one flat
+list of cells, five an entry: cycle, kind, origin, detail, cost, each an
+int or a str.  No entry is an object of its own, so a long log costs no
+tuple per row and gives the garbage collector nothing to track.  Callers
+pass one shared object for equal details and costs
+(`HrtKernel.resolve_symbol`, `EventChannel.complete_event`), so a
+repeated cell costs one pointer.
 
 The channel is passive: the deterministic step loop in the driver is the
 only mutator.  Requests from the regular OS travel as hypercalls through
@@ -31,7 +35,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 
 from .costs import CostModel
@@ -51,8 +54,7 @@ class EventLog:
 
     def __init__(self):
         self.now = 0
-        # One row per entry: (cycle, kind, origin, detail, cost).
-        self.entries: list[tuple[int, str, int, str, int]] = []
+        self.cells: list[int | str] = []  # five per entry: cycle, kind, origin, detail, cost
         self.syscalls: dict[str, tuple[int, int]] = {}  # call name -> (calls, cycles)
         self.forwarded: dict[str, int] = {}  # kind -> entries of forwarded events
 
@@ -70,7 +72,7 @@ class EventLog:
         system call's entry names its call, which tallies it in `syscalls`."""
         assert cost >= 0
         self.now += cost
-        self.entries.append((self.now, kind, origin, detail, cost))
+        self.cells.extend((self.now, kind, origin, detail, cost))
         if forwarded:
             self.forwarded[kind] = self.forwarded.get(kind, 0) + 1
         if call is not None:
@@ -87,15 +89,15 @@ class EventLog:
         assert cost >= 0
         self.now += cost
         result = service()
-        self.entries.append((self.now, kind, origin, detail, cost))
+        self.cells.extend((self.now, kind, origin, detail, cost))
         return result
 
     def render(self) -> str:
         """One `ROW_FORMAT` line per entry, formatted by one `%` in C: `%s`
         of an int or a str is its `str()`, and a `%` in a detail is an
         argument, never read as a directive."""
-        entries = self.entries
-        return ROW_FORMAT * len(entries) % tuple(chain.from_iterable(entries))
+        cells = self.cells
+        return ROW_FORMAT * (len(cells) // 5) % tuple(cells)
 
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:
@@ -146,6 +148,7 @@ class EventChannel:
     page_busy: bool = field(default=False, init=False)  # a hypercall is in progress
     queues: dict[int, deque[EventRecord]] = field(default_factory=dict)
     sync_page: int | None = None  # set-up synchronous-call page, by virtual address
+    shared_costs: dict[int, int] = field(default_factory=dict)  # one int per forwarded cost
 
     @property
     def outstanding(self) -> list[EventRecord]:
@@ -211,6 +214,8 @@ class EventChannel:
         ev.result = result
         kind = ev.kind
         call = ev.payload[0] if kind is SYSCALL else None  # (name, args, body)
+        cost = ev.cost
+        cost = self.shared_costs.setdefault(cost, cost)  # equal costs log one int object
         # `_value_`, not the `.value` property; by position, as keywords cost ~0.2 µs.
-        self.log.emit(kind._value_, ev.origin, ev.detail, ev.cost, True, call)
+        self.log.emit(kind._value_, ev.origin, ev.detail, cost, True, call)
         ev.complete_cycle = self.log.now

@@ -77,6 +77,7 @@ class HrtKernel:
     cores: dict[int, HrtCoreState] = field(default_factory=dict)
     threads: dict[int, HrtThread] = field(default_factory=dict)
     symbol_cache: SymbolCache = field(default_factory=SymbolCache)
+    sym_details: dict[str, str] = field(default_factory=dict)  # name -> its one lookup detail
     remerge_count: int = 0
     _next_tid: int = 1000
     _next_core_rr: int = 0
@@ -207,5 +208,8 @@ class HrtKernel:
             cost = self.cost.symbol_lookup
         else:
             cost = self.cost.cache_hit
-        self.log.emit("SymbolLookup", origin, f"sym:{name}", cost)
+        detail = self.sym_details.get(name)
+        if detail is None:
+            detail = self.sym_details[name] = f"sym:{name}"
+        self.log.emit("SymbolLookup", origin, detail, cost)
         return addr

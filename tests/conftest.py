@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hrtsim.channel import EventKind
+from hrtsim.channel import EventKind, EventLog
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
 from hrtsim.ros import RosKernel, init_runtime
@@ -24,6 +24,13 @@ def make_fat(names=("worker",), payload_size=8192) -> bytes:
 def small_machine(**kw) -> Machine:
     kw.setdefault("phys_frames", 512)
     return Machine(**kw)
+
+
+def rows(log: EventLog) -> list[tuple[int, str, int, str, int]]:
+    """The log's entries as (cycle, kind, origin, detail, cost) rows: the
+    log keeps them as one flat list of cells, five an entry."""
+    cells = log.cells
+    return list(zip(cells[0::5], cells[1::5], cells[2::5], cells[3::5], cells[4::5]))
 
 
 def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:

@@ -11,8 +11,11 @@ snippet here.
 
 copies the tree to a temporary directory and, for each named mutant (all
 of them when none is named), applies it there and runs its tests with
-pytest.  A mutant is killed when every one of its tests fails.  The
-command prints one line per mutant and exits 1 if any survived.
+pytest.  A mutant is killed when every one of its tests fails, and
+survives when one passes.  A run that takes longer than TIMEOUT_S (a
+mutant that makes the round loop spin, say) is stopped and reported as
+timed out, neither killed nor survived.  The command prints one line per
+mutant and exits 1 unless every mutant was killed.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
+TIMEOUT_S = 300  # per mutant's pytest run
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class Mutant:
 SIM = "src/hrtsim/sim.py"
 ROS = "src/hrtsim/ros.py"
 MEM = "src/hrtsim/mem.py"
+CHANNEL = "src/hrtsim/channel.py"
+HRT = "src/hrtsim/hrt.py"
 MUTANTS = {
     "no-stale-in-add": Mutant(
         SIM,
@@ -49,6 +55,8 @@ MUTANTS = {
         (
             "tests/test_schedule.py::test_golden_workload_schedule[join_three_threads-virtual]",
             "tests/test_golden.py::test_golden_log[shared_lazy_page-multiverse]",
+            "tests/test_golden.py::test_generated_logs[workloads]",
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
         "a context added in a round makes the next round scan every context, so it runs",
     ),
@@ -59,6 +67,8 @@ MUTANTS = {
         (
             "tests/test_schedule.py::test_golden_workload_schedule[lazy_faults-virtual]",
             "tests/test_schedule.py::test_bench_schedule_is_pinned[boot_large]",
+            "tests/test_golden.py::test_generated_logs[workloads]",
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
         "a generator's end, and the wakes made in its last step, drop the run list",
     ),
@@ -69,6 +79,7 @@ MUTANTS = {
         (
             "tests/test_golden.py::test_golden_log[spawn_nested_hrt-multiverse]",
             "tests/test_schedule.py::test_hot_local_round_loop_rarely_visits_parked_contexts",
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
         "a step without progress drops the run list, which no longer holds only the runnable",
     ),
@@ -84,6 +95,8 @@ MUTANTS = {
         (
             "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
+            "tests/test_golden.py::test_generated_logs[workloads]",
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
         "a forwarded call's wake of a parked partner drops the run list, which lacks the partner",
     ),
@@ -109,6 +122,8 @@ MUTANTS = {
         (
             "tests/test_golden.py::test_golden_log[bench_hot_local-multiverse]",
             "tests/test_acceptance.py::test_criterion_09_determinism",
+            "tests/test_golden.py::test_generated_logs[workloads]",
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
         "a stale round drops the run list, so no later clean round steps a wrong one",
     ),
@@ -180,6 +195,24 @@ MUTANTS = {
         ),
         "a partner, the thread with a queue, never joins",
     ),
+    "fresh-forwarded-cost": Mutant(
+        CHANNEL,
+        "        cost = self.shared_costs.setdefault(cost, cost)",
+        "        pass",
+        (
+            "tests/test_sim.py::TestRecordLayout::test_forwarded_writes_share_one_cost",
+        ),
+        "equal forwarded costs are one int in the log, not one object per entry",
+    ),
+    "fresh-symbol-detail": Mutant(
+        HRT,
+        "        detail = self.sym_details.get(name)\n",
+        "        detail = None\n",
+        (
+            "tests/test_sim.py::TestRecordLayout::test_lookups_of_one_name_share_one_detail",
+        ),
+        "each name's SymbolLookup detail is built once, and its entries share it",
+    ),
 }
 
 
@@ -205,32 +238,40 @@ def copy_tree(dest: Path) -> None:
     shutil.copytree(ROOT, dest, ignore=ignored)
 
 
-def run_tests(tree: Path, tests: tuple[str, ...]) -> set[str]:
-    """Run tests in tree; the ids that failed."""
+def run_tests(tree: Path, tests: tuple[str, ...]) -> set[str] | None:
+    """Run tests in tree; the ids that failed, or None if the run took
+    longer than TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider"]
-        + list(tests),
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider"]
+            + list(tests),
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return failed_ids(result.stdout)
 
 
-def check(tree: Path, mutant: Mutant) -> list[str]:
-    """Apply mutant in tree, run its tests and restore the file: the tests
-    that still pass, or why the mutant cannot be applied."""
+def check(tree: Path, mutant: Mutant) -> str:
+    """Apply mutant in tree, run its tests and restore the file: "killed",
+    "SURVIVED" with the tests that still pass, "timed out", or why the
+    mutant cannot be applied."""
     if not mutant.tests:
-        return ["no tests listed"]
+        return "SURVIVED (no tests listed)"
     path = tree / mutant.path
     original = path.read_text()
     if original.count(mutant.snippet) != 1:
-        return [f"snippet occurs {original.count(mutant.snippet)} times in {mutant.path}"]
+        return f"SURVIVED (snippet occurs {original.count(mutant.snippet)} times in {mutant.path})"
     path.write_text(original.replace(mutant.snippet, mutant.replacement))
     try:
         failed = run_tests(tree, mutant.tests)
     finally:
         path.write_text(original)
-    return [test for test in mutant.tests if test not in failed]
+    if failed is None:
+        return f"timed out after {TIMEOUT_S} s"
+    passed = [test for test in mutant.tests if test not in failed]
+    return f"SURVIVED ({'; '.join(passed)})" if passed else "killed"
 
 
 def main(names: list[str]) -> int:
@@ -238,15 +279,15 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    survivors = 0
+    not_killed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         copy_tree(tree)
         for name in names or MUTANTS:
-            passed = check(tree, MUTANTS[name])
-            survivors += bool(passed)
-            print(f"{name}: " + (f"SURVIVED ({'; '.join(passed)})" if passed else "killed"))
-    return 1 if survivors else 0
+            outcome = check(tree, MUTANTS[name])
+            not_killed += outcome != "killed"
+            print(f"{name}: {outcome}")
+    return 1 if not_killed else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from hrtsim.costs import CostModel, load_cost_model
 from hrtsim.errors import BusyError, ParseError, ProtocolError
 from hrtsim.sim import System
 
-from conftest import small_machine
+from conftest import rows, small_machine
 
 # A system call's payload, as the simulator forwards it: (name, args, body).
 WRITE = ("write", (1, 4), None)
@@ -43,7 +43,7 @@ class TestHypercalls:
         assert channel.hypercall(1, "MergeRequest", "cr3=5", 50, outer) == 7
         assert served == []
         assert channel.log.now == 50
-        assert [kind for _, kind, _, _, _ in channel.log.entries] == ["MergeRequest"]
+        assert [kind for _, kind, _, _, _ in rows(channel.log)] == ["MergeRequest"]
         assert not channel.page_busy  # free again: the next request runs
         assert channel.hypercall(1, "AsyncCall", "func=0x10", 100, lambda: 3) == 3
 
@@ -53,14 +53,14 @@ class TestHypercalls:
         seen = []
 
         def merge() -> int:
-            seen.append((channel.log.now, len(channel.log.entries)))
+            seen.append((channel.log.now, len(rows(channel.log))))
             return 0
 
         cost = channel.cost.merger
         assert channel.hypercall(1, EventKind.MERGE_REQUEST.value, "cr3=5", cost, merge) == 0
         assert seen == [(cost, 0)]  # the service ran once, after the charge, before the log
         assert channel.log.now == cost
-        assert channel.log.entries[-1] == (cost, "MergeRequest", 1, "cr3=5", cost)
+        assert rows(channel.log)[-1] == (cost, "MergeRequest", 1, "cr3=5", cost)
         assert not channel.page_busy
 
     def test_async_call_cost(self):
@@ -76,7 +76,7 @@ class TestHypercalls:
         assert result == 99
         assert seen == [True]
         assert channel.log.now == channel.cost.async_call
-        _, kind, _, detail, entry_cost = channel.log.entries[-1]
+        _, kind, _, detail, entry_cost = rows(channel.log)[-1]
         assert (kind, detail, entry_cost) == ("AsyncCall", "func=0x10,parallel=0", cost)
         assert not channel.page_busy
 
@@ -89,7 +89,7 @@ class TestHypercalls:
         with pytest.raises(ProtocolError):
             channel.hypercall(1, "AsyncCall", "func=0x10,parallel=0", 100, refuse)
         assert not channel.page_busy
-        assert channel.log.entries == []
+        assert rows(channel.log) == []
 
     def test_setup_sync_before_merge(self):
         # The merged precondition is checked before anything is allocated or charged.
@@ -98,7 +98,7 @@ class TestHypercalls:
         with pytest.raises(ProtocolError):
             system.ros.setup_sync(system.ros.main.tid)
         assert system.log.now == 0
-        assert system.log.entries == []
+        assert rows(system.log) == []
         assert system.channel.sync_page is None
         assert len(system.ros.proc.vm_regions) == regions
 
@@ -121,7 +121,7 @@ class TestHypercalls:
             channel.sync_invoke(0x10, same_socket=True, service=lambda: called.append(1))
         assert called == []
         assert channel.log.now == 0
-        assert channel.log.entries == []
+        assert rows(channel.log) == []
 
 
 class TestForwarding:
@@ -140,7 +140,7 @@ class TestForwarding:
         channel.complete_event(ev, 0)
         assert ev.complete_cycle is not None
         assert ev.complete_cycle - ev.request_cycle >= channel.cost.forward_overhead
-        _, kind, origin, _, _ = channel.log.entries[-1]
+        _, kind, origin, _, _ = rows(channel.log)[-1]
         assert (kind, origin) == ("PageFault", 9)
         assert channel.log.forwarded == {"PageFault": 1}
 

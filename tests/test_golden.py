@@ -3,10 +3,18 @@
 Every workload in ``tests/golden/workloads`` runs under every mode.  The
 SHA-256 of the rendered log, the total cycles and the failed flag must
 equal the record in ``tests/golden/golden.json``; a workload that raises
-must raise the recorded error class.  Only a change that means to change
-the model regenerates the records, and says so:
+must raise the recorded error class.
+
+``tests/golden/generated.json`` widens the check to a committed corpus of
+generated workloads: 200 draws of `test_generated.workloads` and 50 of
+`test_generated.shared_partner`, each with its text, its frame count and,
+per mode, the log's SHA-256, the total cycles and the failure reason, or
+the error class and message.  Only a change that means to change the
+model regenerates the records of both files, and says so:
 
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
+
+`--draw` first draws the corpus's texts again, derandomized.
 """
 
 import hashlib
@@ -23,6 +31,8 @@ from hrtsim.sim import Mode, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDS = GOLDEN / "golden.json"
+GENERATED = GOLDEN / "generated.json"
+DRAWS = {"workloads": 200, "shared_partner": 50}  # strategy -> texts in the corpus
 # Machine size per workload; everything else runs on the 512-frame test machine.
 PHYS_FRAMES = {
     "bench_fwd_cold": 8192,
@@ -106,14 +116,82 @@ def test_syscall_table_matches_log_text(name, mode, expected):
     assert sum(int(line.rsplit(" cost=", 1)[1]) for line in lines) == report.total_cycles
 
 
-def regenerate() -> None:
+def observe_generated(text: str, frames: int, mode: Mode) -> dict:
+    try:
+        report = run(Machine(phys_frames=frames), text, mode)
+    except SimError as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+    return {
+        "sha256": hashlib.sha256(report.log_text.encode()).hexdigest(),
+        "total_cycles": report.total_cycles,
+        "fail_reason": report.fail_reason,
+    }
+
+
+def test_generated_corpus_is_whole():
+    corpus = json.loads(GENERATED.read_text())
+    assert {s: sum(r["strategy"] == s for r in corpus) for s in DRAWS} == DRAWS
+    assert len({r["text"] for r in corpus}) == len(corpus)
+
+
+@pytest.mark.parametrize("strategy", sorted(DRAWS))
+def test_generated_logs(strategy):
+    """Every generated record, in every mode, as committed; a mismatch
+    names the record's index in the corpus."""
+    corpus = json.loads(GENERATED.read_text())
+    changed = [
+        (i, mode.value)
+        for i, record in enumerate(corpus)
+        if record["strategy"] == strategy
+        for mode in Mode
+        if observe_generated(record["text"], record["frames"], mode) != record[mode.value]
+    ]
+    assert changed == []
+
+
+def draw_texts(strategy: str, count: int) -> list[tuple[str, int]]:
+    """The first `count` distinct (text, frames) draws of a strategy of
+    `test_generated`, derandomized."""
+    from hypothesis import HealthCheck, Phase, given, settings
+
+    import test_generated
+
+    draws: dict[str, int] = {}
+
+    @settings(
+        max_examples=4 * count, deadline=None, derandomize=True, database=None,
+        phases=[Phase.generate], suppress_health_check=list(HealthCheck),
+    )
+    @given(getattr(test_generated, strategy)())
+    def collect(generated):
+        if len(draws) < count:
+            draws.setdefault(*generated)
+
+    collect()
+    assert len(draws) == count, (strategy, len(draws))
+    return list(draws.items())
+
+
+def regenerate(draw: bool) -> None:
     records = {}
     for path in sorted((GOLDEN / "workloads").glob("*.txt")):
         records[path.stem] = {mode.value: observe(path.stem, mode) for mode in Mode}
     RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    if draw:
+        corpus = [
+            {"strategy": strategy, "text": text, "frames": frames}
+            for strategy, count in DRAWS.items()
+            for text, frames in draw_texts(strategy, count)
+        ]
+    else:
+        corpus = json.loads(GENERATED.read_text())
+    for record in corpus:
+        for mode in Mode:
+            record[mode.value] = observe_generated(record["text"], record["frames"], mode)
+    GENERATED.write_text(json.dumps(corpus, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        raise SystemExit("usage: test_golden.py --regenerate")
-    regenerate()
+    if sys.argv[1:] not in (["--regenerate"], ["--regenerate", "--draw"]):
+        raise SystemExit("usage: test_golden.py --regenerate [--draw]")
+    regenerate(draw="--draw" in sys.argv)

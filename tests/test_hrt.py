@@ -19,7 +19,7 @@ from hrtsim.ros import DEFAULT_STACK_BYTES, STACK_TOP, init_runtime
 from hrtsim.sim import System
 from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
-from conftest import make_fat, small_machine
+from conftest import make_fat, rows, small_machine
 
 
 def top_level(system, name="worker"):
@@ -181,9 +181,9 @@ class TestThreads:
 
     def test_nested_creation_is_logged_by_the_runtime(self, booted):
         top = top_level(booted)
-        start = len(booted.log.entries)
+        start = len(rows(booted.log))
         nested = booted.hrt.create_nested_thread(top.tid, "helper")
-        assert booted.log.entries[start:] == [
+        assert rows(booted.log)[start:] == [
             (booted.log.now, EventKind.THREAD_CREATE.value, nested.tid, "create_nested:helper", 0)
         ]
 
@@ -268,12 +268,12 @@ class TestFaultPath:
     def test_higher_half_handled_locally(self, booted):
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE + 0x5000
-        log_before = len(booted.log.entries)
+        log_before = len(rows(booted.log))
         # Not forwarded, and handled without a re-merge.
         assert hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.WRITE) is False
         assert hrt.remerge_count == 0
         assert translate(hrt.space, addr, AccessKind.WRITE) is not None
-        assert len(booted.log.entries) == log_before
+        assert len(rows(booted.log)) == log_before
         assert booted.channel.outstanding == []
 
     def test_higher_half_uses_private_frames(self, booted):
@@ -303,7 +303,7 @@ class TestFaultPath:
         assert hrt.remerge_count == 1
         assert translate(hrt.space, addr, AccessKind.WRITE) == frame * PAGE_SIZE
         remerges = [
-            kind for _, kind, _, detail, _ in booted.log.entries if detail.startswith("remerge:")
+            kind for _, kind, _, detail, _ in rows(booted.log) if detail.startswith("remerge:")
         ]
         assert remerges == [EventKind.MERGE_REQUEST.value]
 
@@ -325,7 +325,7 @@ class TestSymbols:
         hrt.resolve_symbol("worker", 1000)
         assert booted.log.now - start == booted.cost.cache_hit
         # Each resolution is charged by the SymbolLookup entry that records it.
-        assert booted.log.entries[-2:] == [
+        assert rows(booted.log)[-2:] == [
             (start, "SymbolLookup", 1000, "sym:worker", booted.cost.symbol_lookup),
             (booted.log.now, "SymbolLookup", 1000, "sym:worker", booted.cost.cache_hit),
         ]
@@ -337,11 +337,11 @@ class TestSymbols:
             start = booted.log.now
             hrt.resolve_symbol("worker", 1000)
             assert booted.log.now - start == booted.cost.symbol_lookup
-            _, _, _, _, cost = booted.log.entries[-1]
+            _, _, _, _, cost = rows(booted.log)[-1]
             assert cost == booted.cost.symbol_lookup
 
     def test_unknown_symbol(self, booted):
-        entries = len(booted.log.entries)
+        entries = len(rows(booted.log))
         with pytest.raises(SymbolError):
             booted.hrt.resolve_symbol("missing", 1000)
-        assert len(booted.log.entries) == entries
+        assert len(rows(booted.log)) == entries

@@ -19,7 +19,7 @@ from hrtsim.ros import (
 )
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-from conftest import make_fat, record_joins, small_machine
+from conftest import make_fat, record_joins, rows, small_machine
 from pagewalk import lower_halves_consistent, upper_entries, walk
 
 
@@ -259,7 +259,7 @@ class TestSyscalls:
         Simulator(system, parse_workload(text), mode).run()
         writes = [
             (detail, entry_origin, cost)
-            for _, kind, entry_origin, detail, cost in system.log.entries
+            for _, kind, entry_origin, detail, cost in rows(system.log)
             if kind == EventKind.SYSCALL.value and detail.startswith("sys:write")
         ]
         cost = system.cost.syscall_base + forwarded * system.cost.forward_overhead
@@ -273,11 +273,11 @@ class TestSyscalls:
     def test_touch_demand_pages_once(self, system):
         ros = system.ros
         base = ros.sys_mmap(PAGE_SIZE)
-        start = len(system.log.entries)
+        start = len(rows(system.log))
         assert ros.touch(base, AccessKind.WRITE, origin_tid=1)
         assert ros.touch(base, AccessKind.WRITE, origin_tid=1)
         faults = [
-            cost for _, kind, _, _, cost in system.log.entries[start:]
+            cost for _, kind, _, _, cost in rows(system.log)[start:]
             if kind == EventKind.PAGE_FAULT.value
         ]
         assert faults == [system.cost.pagefault_base]
@@ -351,7 +351,7 @@ class TestInitRuntime:
     def test_merge_charged_once(self, system):
         init_runtime(system, make_fat())
         merges = [
-            cost for _, kind, _, _, cost in system.log.entries
+            cost for _, kind, _, _, cost in rows(system.log)
             if kind == EventKind.MERGE_REQUEST.value
         ]
         assert merges == [system.cost.merger]
@@ -373,7 +373,7 @@ class TestSpawn:
         assert partner.tid in booted.channel.queues
         stacks = [r for r in ros.proc.vm_regions if r.base + r.length == STACK_TOP]
         assert [r.length for r in stacks] == [DEFAULT_STACK_BYTES]  # the partner's stack
-        kinds = [kind for _, kind, _, _, _ in booted.log.entries]
+        kinds = [kind for _, kind, _, _, _ in rows(booted.log)]
         assert "AsyncCall" in kinds
         assert EventKind.THREAD_CREATE.value in kinds
 
@@ -396,7 +396,7 @@ class TestSpawn:
         assert (twin.partner, twin.parent) == (partner.tid, None)
         (stack,) = [r for r in ros.proc.vm_regions if r not in before]
         assert (stack.base, stack.length) == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES)
-        create, call = booted.log.entries[-2:]  # (cycle, kind, origin, detail, cost)
+        create, call = rows(booted.log)[-2:]  # (cycle, kind, origin, detail, cost)
         assert create[1:4] == (
             EventKind.THREAD_CREATE.value,
             partner.tid,

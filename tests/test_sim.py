@@ -33,7 +33,7 @@ from hrtsim.sim import (
     run,
 )
 
-from conftest import small_machine
+from conftest import rows, small_machine
 from test_golden import GOLDEN, PHYS_FRAMES
 from test_schedule import MUTUAL_JOIN, ParkingLoop, load_bench_workloads
 
@@ -889,21 +889,37 @@ class TestReplay:
 
 
 class TestRecordLayout:
-    """A run's per-event records are plain values: log rows are tuples of
-    ints and strs, which the collector stops tracking, and page-table
-    entries and walk-memo values are ints."""
+    """A run's per-event records are plain values: the log is one flat list
+    of int and str cells, five an entry, with no object per row, and
+    page-table entries and walk-memo values are ints.  Equal details and
+    forwarded costs are one shared object each."""
 
-    def test_rows_untracked_and_entries_ints_after_a_run(self):
+    def test_cells_are_ints_and_strs_and_entries_ints_after_a_run(self):
         system = System(machine=small_machine())
         report = Simulator(system, parse_workload(W_FAULTS), Mode.MULTIVERSE).run()
-        gc.collect()
-        rows = system.log.entries
-        assert rows and not any(gc.is_tracked(row) for row in rows)
+        cells = system.log.cells
+        assert cells and len(cells) % 5 == 0
+        assert {type(cell) for cell in cells} == {int, str}
         store = system.machine.table_store
         assert all(type(entry) is int for table in store.values() for entry in table)
         leaves = [leaf for memo in store.memos for leaf in memo.values()]
         assert leaves and all(type(leaf) is int for leaf in leaves)
         assert report.log_text.endswith("\n") and not report.log_text.endswith("\n\n")
+
+    def test_lookups_of_one_name_share_one_detail(self):
+        system = System(machine=small_machine())
+        Simulator(system, parse_workload(W_OVERRIDE), Mode.MULTIVERSE).run()
+        details = [detail for _, kind, _, detail, _ in rows(system.log) if kind == "SymbolLookup"]
+        assert len(details) == 3 and details[0] == "sym:fast"
+        assert all(detail is details[0] for detail in details)
+
+    def test_forwarded_writes_share_one_cost(self):
+        text = W_NESTED.replace("  syscall write 1 4\n", "  syscall write 1 4\n" * 2)
+        system = System(machine=small_machine())
+        Simulator(system, parse_workload(text), Mode.MULTIVERSE).run()
+        costs = [cost for _, kind, _, detail, cost in rows(system.log) if detail == "sys:write(1,4)"]
+        assert len(costs) == 2 and costs[0] > 256  # beyond CPython's cache of small ints
+        assert costs[1] is costs[0]
 
     def test_empty_log_renders_empty(self):
         assert EventLog().render() == ""
@@ -931,13 +947,13 @@ class TestRender:
                 Simulator(system, parse_workload(text), mode).run()
             except SimError:
                 pass  # the log up to the error still renders
-            assert system.log.entries, (name, mode)
-            assert system.log.render() == per_row_render(system.log.entries), (name, mode)
+            assert system.log.cells, (name, mode)
+            assert system.log.render() == per_row_render(rows(system.log)), (name, mode)
 
     def test_details_with_format_characters(self):
         log = EventLog()
         for detail in ("100%", "%s", "%d%%", "%(x)s", "{}", "{0}", "%", "a % b {c}", "x" * 500):
             log.emit("Compute", 7, detail, 3)
         log.emit("Syscall", 0, "", 0, forwarded=True, call="x")
-        assert log.render() == per_row_render(log.entries)
+        assert log.render() == per_row_render(rows(log))
         assert log.render().splitlines()[0] == "cycle=3 kind=Compute origin=7 detail=100% cost=3"
