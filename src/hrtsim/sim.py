@@ -32,7 +32,7 @@ Rounds keep a run list: the contexts that are not parked, in creation
 order.  One stale flag says that a context parked, woke or was added in
 this round.  It is set by each park of a step that made no progress, a
 partner's park when its queue drains, the two forward wakes of a call or
-a fault in `_thread`, `_add`, and each `StopIteration` in `step`.  The
+a fault in `_hrt_thread`, `_add`, and each `StopIteration` in `step`.  The
 last also covers the wakes of an exit, which are made in the step that
 ends its generator: the exit signal's forward and `_wake_joiners`.  A
 round that starts with the flag set clears it, drops the list, and steps
@@ -229,6 +229,16 @@ def _from_last(last: int | None, offset: int) -> int:
     return last + offset
 
 
+def _call_payload(last: int | None, call: tuple, detail: str | None) -> tuple[tuple, str]:
+    """A system call's payload and detail, as lowered; for `munmap last+N`
+    (no detail) with its base, and `syscall_detail`'s bytes without its join."""
+    if detail is not None:
+        return call, detail
+    name, (offset, length), _ = call
+    base = _from_last(last, offset)
+    return (name, (base, length), None), f"sys:{name}({base},{length})"
+
+
 class _Halt(Exception):
     """Raised by a thread whose workload the regular OS has marked failed
     (`RosProcess.failed`, with its reason); `execute` catches it: the run ends."""
@@ -262,13 +272,16 @@ class Simulator:
         """A context that first runs in the round after this one.  A partner
         starts parked: nothing is queued for it yet."""
         ctx = _Ctx(name, kind, tid, len(self.contexts), parked=kind == "partner")
-        ctx.thread = self._partner(ctx) if body is None else self._thread(ctx, body)
-        self.contexts.append(ctx)
-        self.stale = True
         if kind == "partner":
+            ctx.thread = self._partner(ctx)
             self.partners[tid] = ctx
         elif kind == "hrt_body":
+            ctx.thread = self._hrt_thread(ctx, body)
             self.partners[self.system.hrt.threads[tid].partner].served.append(ctx)
+        else:
+            ctx.thread = self._ros_thread(ctx, body)
+        self.contexts.append(ctx)
+        self.stale = True
         return ctx
 
     # -- main loop -----------------------------------------------------------
@@ -383,45 +396,78 @@ class Simulator:
                 if running is not None and ctx.index > waker.index:
                     insort(running, ctx, key=attrgetter("index"))
 
-    def _thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
-        """Run a thread body on its side, one lowered action per step.  A kernel-mode
-        thread blocks here on each event it forwards in `ev`; a joiner on its target."""
-        ros, hrt, log = self.system.ros, self.system.hrt, self.log
-        kernel_mode = ctx.kind == "hrt_body"
-        tid = ctx.tid
-        if kernel_mode:  # all fixed from boot on
-            space, hrt_thread = hrt.space, hrt.threads[tid]
-            memo, wmemo, core_id = space.memo, space.wmemo, hrt_thread.core_id
-            channel, partner_tid = self.system.channel, hrt_thread.partner
-            partner = self.partners[partner_tid]  # its context
-            ev = EventRecord(SYSCALL, tid, "")  # never two outstanding: each is awaited
-        write = WRITE  # a local: the kernel-mode touch below is the hottest test
+    def _ros_thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
+        """Run a body on the regular OS, one lowered action per step: main, and
+        in virtual every spawned thread.  A joiner blocks here on its target."""
+        ros, log, tid, syscall_base = self.system.ros, self.log, ctx.tid, self.cost.syscall_base
+        last = None  # base of this thread's most recent successful mmap
+        for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
+            if op == "touch":
+                if not ros.touch(a if c is not None else _from_last(last, a), b, tid):
+                    raise _Halt
+            elif op == "compute":
+                log.emit("Compute", tid, "compute", a)
+            elif op == "call_override":  # a plain library/OS call
+                log.emit(SYSCALL_KIND, tid, a.call, syscall_base + a.legacy_cycles, call=a.call)
+            elif op in ("mmap", "munmap", "syscall"):  # served in place
+                (name, args, _), detail = _call_payload(last, a, b)
+                result = ros.syscall(name, args)
+                log.emit(SYSCALL_KIND, tid, detail, syscall_base, call=name)
+                if name == "mmap" and result >= 0:
+                    last = result
+            elif op == "spawn":
+                self._spawn(a)
+            elif op == "spawn_nested":  # outside the hybrid mode, an ordinary local thread
+                if self.mode is MULTIVERSE:
+                    raise UsageError("spawn_nested is only valid in kernel-mode threads")
+                self._spawn(a)
+            elif op == "join":
+                if a not in self.spawned:
+                    raise UsageError(f"join target {a!r} was never spawned")
+                joiner = ros.threads[tid]
+                ros.join(joiner, self.spawned[a])
+                if joiner.join_target is not None:
+                    yield True
+                    while not ros.try_finish_join(joiner):
+                        yield False
+            elif op == "sync_call":
+                self._sync_call(tid, a)
+            elif op == "exit":
+                ros.threads[tid].exited = True
+                self._wake_joiners(ctx)
+                if ctx is self.main_ctx:  # process teardown ends every thread
+                    for other in self.contexts:
+                        other.done = other.parked = True
+                return
+            yield True
+
+    def _hrt_thread(self, ctx: _Ctx, body: ThreadBody) -> Generator[bool, None, None]:
+        """Run a body kernel-mode, one lowered action per step.  The thread
+        blocks here on each event it forwards in `ev`, the one record it owns."""
+        hrt, log, tid = self.system.hrt, self.log, ctx.tid
+        space, hrt_thread = hrt.space, hrt.threads[tid]  # all fixed from boot on
+        memo, wmemo, core_id = space.memo, space.wmemo, hrt_thread.core_id
+        channel, partner_tid = self.system.channel, hrt_thread.partner
+        partner = self.partners[partner_tid]  # its context
+        ev = EventRecord(SYSCALL, tid, "")  # never two outstanding: each is awaited
+        write = WRITE  # a local: the memo-hit touch below is the hottest test
         last = None  # base of this thread's most recent successful mmap
         for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
             if op == "touch":
                 if c is None:  # last+N
                     a = _from_last(last, a)
                     c = a >> 12
-                if kernel_mode:
-                    if c in (wmemo if b is write else memo):
-                        yield True
-                        continue
-                    touches, access = (a,), b  # walked on the fault path below
-                elif ros.touch(a, b, tid):
+                if c in (wmemo if b is write else memo):
                     yield True
                     continue
-                else:
-                    raise _Halt
+                touches, access = (a,), b  # walked on the fault path below
             else:
-                call = None  # payload (name, args, body) of the system call this action makes
+                call = None  # payload (name, args, body) of the system call this action forwards
                 touches = ()  # the writes of an enabled override's target
                 if op == "compute":
                     log.emit("Compute", tid, "compute", a)
                 elif op == "call_override":
-                    if not kernel_mode:  # a plain library/OS call
-                        cycles = self.cost.syscall_base + a.legacy_cycles
-                        log.emit(SYSCALL_KIND, tid, a.call, cycles, call=a.call)
-                    elif a.target is None:  # forwarded with the legacy function's body, if any
+                    if a.target is None:  # forwarded with the legacy function's body, if any
                         log.emit("Fallthrough", tid, a.call)
                         call, detail = a.payload, a.detail
                     elif a.creates:  # interposed thread creation behaves exactly like a spawn
@@ -433,71 +479,34 @@ class Simulator:
                         log.emit("Override", tid, a.detail, a.behavior.cycles)
                         touches, access = a.behavior.touches, write
                 elif op in ("mmap", "munmap", "syscall"):
-                    call, detail = a, b
-                    if detail is None:  # munmap last+N: `syscall_detail`'s bytes, without its join
-                        name, (offset, length), _ = call
-                        base = _from_last(last, offset)
-                        call = name, (base, length), None
-                        detail = f"sys:{name}({base},{length})"
-                elif op == "spawn":
-                    if kernel_mode:
-                        raise UsageError(
-                            "spawn from a kernel-mode thread; use spawn_nested or an override"
-                        )
-                    self._spawn(a)
+                    call, detail = _call_payload(last, a, b)
                 elif op == "spawn_nested":
-                    if kernel_mode:
-                        self._spawn_nested(tid, a)
-                    elif self.mode is MULTIVERSE:
-                        raise UsageError("spawn_nested is only valid in kernel-mode threads")
-                    else:  # outside the hybrid mode this is an ordinary local thread
-                        self._spawn_local(a)
-                elif op == "join":
-                    if kernel_mode:
-                        raise UsageError("join is issued from the main thread")
-                    if a not in self.spawned:
-                        raise UsageError(f"join target {a!r} was never spawned")
-                    joiner = ros.threads[tid]
-                    ros.join(joiner, self.spawned[a])
-                    if joiner.join_target is not None:
-                        yield True
-                        while not ros.try_finish_join(joiner):
-                            yield False
-                elif op == "sync_call":
-                    if kernel_mode:
-                        raise UsageError("sync_call is issued from the ROS side")
-                    self._sync_call(tid, a)
+                    nested = hrt.create_nested_thread(tid, a)
+                    self._add(f"{a}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[a])
                 elif op == "exit":
-                    if kernel_mode:
-                        signal = hrt.thread_exit(tid)
-                        if signal is not None:  # a record of its own: this thread ends here
-                            channel.forward_event(signal, partner_tid)
-                            partner.parked = False
-                    else:
-                        ros.threads[tid].exited = True
-                        self._wake_joiners(ctx)
-                        if ctx is self.main_ctx:  # process teardown ends every thread
-                            for other in self.contexts:
-                                other.done = other.parked = True
-                    return
-                else:  # pragma: no cover - the parser rejects unknown ops
-                    raise UsageError(f"unknown action {op}")
-                if call is not None:
-                    name, args, _ = call
-                    if kernel_mode:  # forwarded: served by the partner, awaited here
-                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
-                        channel.forward_event(ev, partner_tid)
+                    signal = hrt.thread_exit(tid)
+                    if signal is not None:  # a record of its own: this thread ends here
+                        channel.forward_event(signal, partner_tid)
                         partner.parked = False
-                        self.stale = True
-                        yield True
-                        while ev.complete_cycle is None:
-                            yield False
-                        result = ev.result
-                    else:  # served in place on the regular OS
-                        result = ros.syscall(name, args)
-                        log.emit(SYSCALL_KIND, tid, detail, self.cost.syscall_base, call=name)
-                    if name == "mmap" and result >= 0:
-                        last = result
+                    return
+                elif op == "spawn":  # the side rules: runtime misuse until the parser checks them
+                    raise UsageError(
+                        "spawn from a kernel-mode thread; use spawn_nested or an override"
+                    )
+                elif op == "join":
+                    raise UsageError("join is issued from the main thread")
+                else:  # sync_call
+                    raise UsageError("sync_call is issued from the ROS side")
+                if call is not None:  # forwarded: served by the partner, awaited here
+                    ev.kind, ev.detail, ev.payload = SYSCALL, detail, call
+                    channel.forward_event(ev, partner_tid)
+                    partner.parked = False
+                    self.stale = True
+                    yield True
+                    while ev.complete_cycle is None:
+                        yield False
+                    if call[0] == "mmap" and ev.result >= 0:
+                        last = ev.result
                 yield True
                 if not touches:
                     continue
@@ -535,19 +544,17 @@ class Simulator:
 
     def _sync_call(self, tid: int, name: str) -> None:
         behavior = self.workload.funcs.get(name, DEFAULT_BEHAVIOR)
-        if self.mode is not Mode.MULTIVERSE:
+        if self.mode is not MULTIVERSE:
             self._callee(tid, name, behavior)
             return
-        channel = self.system.channel
-        ros, hrt = self.system.ros, self.system.hrt
+        channel, ros, hrt = self.system.channel, self.system.ros, self.system.hrt
         if channel.sync_page is None:
             ros.setup_sync(tid)
         addr = hrt.symbol(name)
         caller_core = ros.threads[tid].core_id
         target_core = hrt.booted_cores()[0]
-        same_socket = self.system.machine.socket_of(caller_core) == self.system.machine.socket_of(
-            target_core
-        )
+        socket_of = self.system.machine.socket_of
+        same_socket = socket_of(caller_core) == socket_of(target_core)
         channel.sync_invoke(addr, same_socket, lambda: self._callee(0, name, behavior))
 
     def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
@@ -559,23 +566,16 @@ class Simulator:
     # -- thread creation -------------------------------------------------------
 
     def _spawn(self, tname: str) -> None:
-        body = self.workload.bodies[tname]
-        if self.mode is not Mode.MULTIVERSE:
-            self._spawn_local(tname)
+        """In multiverse a partner and its kernel-mode twin, else a local thread."""
+        ros, body = self.system.ros, self.workload.bodies[tname]
+        if self.mode is not MULTIVERSE:
+            self.spawned[tname] = tid = ros.spawn_local(tname).tid
+            self._add(tname, "ros_body", tid, body)
             return
-        partner = self.system.ros.spawn_hrt(tname)
+        partner = ros.spawn_hrt(tname)
         self.spawned[tname] = partner.tid
         self._add(f"partner:{tname}", "partner", partner.tid)
         self._add(tname, "hrt_body", partner.hrt_thread, body)
-
-    def _spawn_local(self, tname: str) -> None:
-        thread = self.system.ros.spawn_local(tname)
-        self.spawned[tname] = thread.tid
-        self._add(tname, "ros_body", thread.tid, self.workload.bodies[tname])
-
-    def _spawn_nested(self, parent_tid: int, tname: str) -> None:
-        nested = self.system.hrt.create_nested_thread(parent_tid, tname)
-        self._add(f"{tname}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[tname])
 
 
 def run(

@@ -27,12 +27,14 @@ steps as `Action` records, built when read, for readers outside the
 interpreter.
 A cycle count (``compute``, ``func ... cycles=``) and a repeat count may
 not be negative; an address (``touch``, ``munmap``, ``last+N``,
-``func ... touches=``) must lie in [0, 2**64).
+``func ... touches=``) must lie in [0, 2**64).  No body may spawn itself,
+directly or through others: with no conditionals it would do so without end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Any, NamedTuple
 
 from .channel import syscall_detail
@@ -276,6 +278,7 @@ def parse_workload(text: str) -> WorkloadProgram:
     lowered: dict[str, tuple] = {}  # action line -> its step: equal lines share one
     plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
     plan_lines: list[int] = []  # the line of each plan
+    spawns: list = []  # body, step, line, flat: each thread creation that runs
 
     for lineno, line in text_lines(text):
         tokens = line.split()
@@ -327,6 +330,10 @@ def parse_workload(text: str) -> WorkloadProgram:
                     plan_lines.append(lineno)
             if step[0] in ("spawn", "spawn_nested", "join", "sync_call"):
                 targets.append((step, lineno))
+            if step[0] in ("spawn", "spawn_nested", "call_override") and all(
+                count for count, _, _ in repeat_stack
+            ):  # a step inside a `repeat 0` block never runs
+                spawns += current.name, step, lineno
             if repeat_stack:
                 repeat_stack[-1][1].append(step)
             else:
@@ -353,4 +360,31 @@ def parse_workload(text: str) -> WorkloadProgram:
                 raise ParseError(f"sync_call target {name!r} is not a symbol", lineno)
         elif name not in bodies:
             raise ParseError(f"{op} target {name!r} is not a defined thread", lineno)
+    _check_spawn_cycles(spawns)
     return program
+
+
+def _check_spawn_cycles(spawns: list) -> None:
+    """Reject a body that spawns itself, directly or through others: with no
+    conditionals it always does, without bound.  The error names the line
+    of a spawn on the cycle.  `spawns` holds three cells a spawn, as the
+    event log does: a tuple a spawn would stay on CPython's tuple free list
+    after the parse, in the run's peak memory."""
+    bodies = spawns[0::3]
+    targets = [
+        a if op != "call_override" else a.spawn if a.creates else None
+        for op, a, _, _ in spawns[1::3]
+    ]
+    if {body for body, target in zip(bodies, targets) if target}.isdisjoint(targets):
+        return  # no spawned body spawns, as in most texts: no sorter, slow to build cold
+    lines: dict[tuple[str, str], int] = {}  # (spawner, spawned) -> line of its first spawn
+    sorter = TopologicalSorter()
+    for body, target, lineno in zip(bodies, targets, spawns[2::3]):
+        if target:
+            lines.setdefault((body, target), lineno)
+            sorter.add(body, target)  # a body after each body it spawns
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        cycle = exc.args[1][::-1]  # each body spawns the next
+        raise ParseError(f"spawn cycle {' -> '.join(cycle)}", lines[cycle[0], cycle[1]]) from None

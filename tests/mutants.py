@@ -47,6 +47,9 @@ ROS = "src/hrtsim/ros.py"
 MEM = "src/hrtsim/mem.py"
 CHANNEL = "src/hrtsim/channel.py"
 HRT = "src/hrtsim/hrt.py"
+COSTS = "src/hrtsim/costs.py"
+WORKLOAD = "src/hrtsim/workload.py"
+MISUSE = "tests/test_sim.py::TestRuntimeMisuse::test_raises_in_its_step"
 MUTANTS = {
     "no-stale-in-add": Mutant(
         SIM,
@@ -85,13 +88,13 @@ MUTANTS = {
     ),
     "no-stale-on-call-wake": Mutant(
         SIM,
-        "                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
-        "                        channel.forward_event(ev, partner_tid)\n"
-        "                        partner.parked = False\n"
-        "                        self.stale = True\n",
-        "                        ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
-        "                        channel.forward_event(ev, partner_tid)\n"
-        "                        partner.parked = False\n",
+        "                    ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
+        "                    channel.forward_event(ev, partner_tid)\n"
+        "                    partner.parked = False\n"
+        "                    self.stale = True\n",
+        "                    ev.kind, ev.detail, ev.payload = SYSCALL, detail, call\n"
+        "                    channel.forward_event(ev, partner_tid)\n"
+        "                    partner.parked = False\n",
         (
             "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
@@ -114,6 +117,47 @@ MUTANTS = {
             "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
         ),
         "a forwarded fault's wake of a parked partner drops the run list, which lacks the partner",
+    ),
+    "kernel-mode-may-spawn": Mutant(
+        SIM,
+        "                    raise UsageError(\n"
+        '                        "spawn from a kernel-mode thread; use spawn_nested or an override"\n'
+        "                    )\n",
+        "                    self._spawn(a)\n",
+        (f"{MISUSE}[hrt-spawn]",),
+        "a kernel-mode thread does not spawn: a top-level thread is spawned from the ROS side",
+    ),
+    "kernel-mode-may-join": Mutant(
+        SIM,
+        '                    raise UsageError("join is issued from the main thread")\n',
+        "                    pass\n",
+        (f"{MISUSE}[hrt-join]",),
+        "a kernel-mode thread does not join",
+    ),
+    "kernel-mode-may-sync-call": Mutant(
+        SIM,
+        '                    raise UsageError("sync_call is issued from the ROS side")\n',
+        "                    pass\n",
+        (f"{MISUSE}[hrt-sync-call]",),
+        "a kernel-mode thread does not make a synchronous call into the runtime",
+    ),
+    "regular-os-may-spawn-nested": Mutant(
+        SIM,
+        "                if self.mode is MULTIVERSE:\n"
+        '                    raise UsageError("spawn_nested is only valid in kernel-mode threads")\n',
+        "",
+        (f"{MISUSE}[ros-spawn-nested-multiverse]",),
+        "in multiverse only a kernel-mode thread spawns a nested thread",
+    ),
+    "spawn-cycle-parses": Mutant(
+        WORKLOAD,
+        "    _check_spawn_cycles(spawns)\n",
+        "",
+        (
+            "tests/test_workload.py::TestValidation::test_spawn_cycle_reports_a_spawn_on_it[ring]",
+            "tests/test_cli.py::TestRun::test_spawn_cycle_is_a_parse_error[w-spawns-w-virtual]",
+        ),
+        "a text whose bodies can spawn themselves, which would run without bound, does not parse",
     ),
     "stale-round-keeps-list": Mutant(
         SIM,
@@ -175,6 +219,24 @@ MUTANTS = {
         ),
         "a resumed joiner clears its join target, the one record that it is blocked",
     ),
+    "demand-fault-ignores-leaf": Mutant(
+        ROS,
+        "            if table is None or table[addr >> 12 & 0x1FF] & P:\n",
+        "            if table is None:\n",
+        ("tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",),
+        "a demand fault maps a page without a walk only when its cached leaf is absent",
+    ),
+    "demand-faults-share-a-frame": Mutant(
+        ROS,
+        "frames.alloc(), writable)\n",
+        "frames._next, writable)\n",
+        (
+            "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
+            "tests/test_generated.py::test_generated_workload_invariants",
+            "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
+        ),
+        "each demand-paged page takes a frame of its own",
+    ),
     "partner-never-exits": Mutant(
         ROS,
         "            partner.exited = True\n",
@@ -194,6 +256,31 @@ MUTANTS = {
             "tests/test_ros.py::TestJoin::test_partner_cannot_join",
         ),
         "a partner, the thread with a queue, never joins",
+    ),
+    "log-truncates-detail": Mutant(
+        CHANNEL,
+        'ROW_FORMAT = "cycle=%s kind=%s origin=%s detail=%s cost=%s\\n"',
+        'ROW_FORMAT = "cycle=%s kind=%s origin=%s detail=%.200s cost=%s\\n"',
+        ("tests/test_sim.py::TestRender::test_details_with_format_characters",),
+        "the log renders each detail whole, however long",
+    ),
+    "enum-read-per-event": Mutant(
+        CHANNEL,
+        "        call = ev.payload[0] if kind is SYSCALL else None",
+        "        call = ev.payload[0] if kind is EventKind.SYSCALL else None",
+        ("tests/test_hygiene.py::test_per_step_code_pays_no_enum_toll",),
+        "per-event code reads enum members bound at import, not through their class",
+    ),
+    "cost-order-names-no-line": Mutant(
+        COSTS,
+        "            ordered_line = lineno\n",
+        "            ordered_line = None\n",
+        (
+            "tests/test_cli.py::TestRun::test_cost_order_broken_names_its_line[one-key]",
+            "tests/test_cli.py::TestRun::test_cost_order_broken_names_its_line[after-a-comment]",
+            "tests/test_cli.py::TestRun::test_cost_order_broken_names_its_line[last-ordered-key]",
+        ),
+        "costs out of order name the last line that set one of the ordered keys",
     ),
     "fresh-forwarded-cost": Mutant(
         CHANNEL,

@@ -177,6 +177,25 @@ class TestRun:
             "error: line 7: call_override pthread_create target 'ghost' is not a defined thread"
         ) in err
 
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (
+                "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+                "thread w hrt\n  compute 10\n  spawn w\n  join w\n  exit\nend\n",
+                8,
+            ),
+            ("thread main ros\n  spawn main\n  join main\n  exit\nend\n", 2),
+        ],
+        ids=["w-spawns-w", "main-spawns-main"],
+    )
+    def test_spawn_cycle_is_a_parse_error(self, tmp_path, capsys, text, line, mode):
+        # Parsed first: a text that passed the parser would run without bound.
+        assert parse_error(text).line == line
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        assert f"error: line {line}: spawn cycle" in capsys.readouterr().err
+
     def test_deadlock_is_a_runtime_failure(self, tmp_path, capsys):
         # Two local threads join each other, and main joins one of them.
         text = (

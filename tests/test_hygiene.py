@@ -437,7 +437,9 @@ PER_STEP = (
     "ros:RosKernel.sys_munmap",
     "ros:RosKernel._alloc_region",
     "sim:Simulator.step",
-    "sim:Simulator._thread",
+    "sim:_call_payload",
+    "sim:Simulator._ros_thread",
+    "sim:Simulator._hrt_thread",
     "sim:Simulator._partner",
 )
 

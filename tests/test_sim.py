@@ -762,6 +762,7 @@ class TestRuntimeMisuse:
         "cycle=61100 kind=Syscall origin=1000 detail=sys:write(1,8) cost=3000",
     ]
     LAST = "'last' used before any mmap in this thread"
+    LEAF = "thread x hrt\n  exit\nend\n"  # a spawn target off every spawn cycle
     CASES = {
         "ros-touch-virtual": (ROS, "touch last w", Mode.VIRTUAL, LAST, ROS_LOG),
         "ros-touch-multiverse": (ROS, "touch last w", Mode.MULTIVERSE, LAST, ROS_MV_LOG),
@@ -774,7 +775,7 @@ class TestRuntimeMisuse:
             "thread-create override needs a thread body name", HRT_LOG,
         ),
         "hrt-spawn": (
-            HRT, "spawn w", Mode.MULTIVERSE,
+            HRT + LEAF, "spawn x", Mode.MULTIVERSE,
             "spawn from a kernel-mode thread; use spawn_nested or an override", HRT_LOG,
         ),
         "hrt-join": (
@@ -784,7 +785,7 @@ class TestRuntimeMisuse:
             HRT, "sync_call w", Mode.MULTIVERSE, "sync_call is issued from the ROS side", HRT_LOG,
         ),
         "ros-spawn-nested-multiverse": (
-            ROS, "spawn_nested main", Mode.MULTIVERSE,
+            ROS + LEAF, "spawn_nested x", Mode.MULTIVERSE,
             "spawn_nested is only valid in kernel-mode threads", ROS_MV_LOG,
         ),
         "ros-join-before-spawn": (

@@ -184,6 +184,49 @@ class TestValidation:
     def test_thread_create_override_body_checked_only_when_it_spawns(self, decl, line):
         parse_workload(decl + f"thread main ros\n  {line}\n  exit\nend\n")
 
+    SELF_SPAWN = (
+        "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+        "thread w hrt\n  compute 10\n  spawn w\n  join w\n  exit\nend\n"
+    )
+    RING = (
+        "thread main ros\n  spawn a\n  join a\n  exit\nend\n"
+        "thread a hrt\n  spawn_nested b\n  exit\nend\n"
+        "thread b hrt\n  call_override pthread_create 0 0 c\n  exit\nend\n"
+        "thread c hrt\n  repeat 2\n  spawn_nested a\n  end\n  exit\nend\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, line, cycle",
+        [
+            (SELF_SPAWN, 8, "w -> w"),
+            ("thread main ros\n  spawn main\n  join main\n  exit\nend\n", 2, "main -> main"),
+            ("thread main ros\n  spawn_nested main\n  exit\nend\n", 2, "main -> main"),
+            (RING, 7, "a -> b -> c -> a"),
+        ],
+        ids=["self-spawn", "main-spawns-main", "nested-in-main", "ring"],
+    )
+    def test_spawn_cycle_reports_a_spawn_on_it(self, text, line, cycle):
+        """With no conditionals a body that can spawn itself always does, so
+        the text would grow without bound: it does not parse."""
+        with pytest.raises(ParseError) as info:
+            parse_workload(text)
+        assert str(info.value) == f"line {line}: spawn cycle {cycle}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "thread main ros\n  spawn w\n  join w\n  exit\nend\n"
+            "thread w hrt\n  repeat 2\n  repeat 0\n  spawn_nested w\n  end\n  end\n  exit\nend\n",
+            "override pthread_create -> hrt_thread_create off\n" + RING,
+            RING.replace("spawn_nested a", "compute 1").replace(
+                "spawn_nested b\n", "spawn_nested b\n  spawn_nested c\n"
+            ),
+        ],
+        ids=["repeat-0", "disabled-override", "diamond"],
+    )
+    def test_spawns_that_never_recur_parse(self, text):
+        parse_workload(text)
+
     @pytest.mark.parametrize(
         "decl, name",
         [
