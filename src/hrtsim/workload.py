@@ -18,23 +18,28 @@ Example::
 
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
-recent mmap.  ``repeat N ... end`` blocks are unrolled at parse time.
+recent mmap.  A ``repeat N ... end`` block stays one loop node of its
+body (`Steps`), so a body's memory follows its text, not its trip count.
 Each action line is lowered once, as it is parsed, to an exact 4-tuple
-laid out as `Action`, with its final operands: a body's `steps`.  Equal
-lines share one tuple, and unrolling repeats it, so a step of the
-interpreter decodes nothing.  `ThreadBody.actions` is a view of the same
-steps as `Action` records, built when read, for readers outside the
-interpreter.
+laid out as `Action`, with its final operands.  Equal lines share one
+tuple, and iterating a body's `steps` gives each step that runs in turn,
+so a step of the interpreter decodes nothing.  `ThreadBody.actions` is a
+view of the same steps, unrolled, as `Action` records, built when read,
+for readers outside the interpreter.
 A cycle count (``compute``, ``func ... cycles=``) and a repeat count may
-not be negative; an address (``touch``, ``munmap``, ``last+N``,
+not be negative, and a repeat count must fit in an index (below 2**63);
+an address (``touch``, ``munmap``, ``last+N``,
 ``func ... touches=``) must lie in [0, 2**64).  No body may spawn itself,
 directly or through others: with no conditionals it would do so without end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from collections.abc import Iterator
+from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain, groupby, repeat, starmap
 from typing import Any, NamedTuple
 
 from .channel import syscall_detail
@@ -60,7 +65,7 @@ class Action(NamedTuple):
     unpacks it and decodes nothing.  A body stores each as an exact tuple
     (`ThreadBody.steps`): CPython 3.11 specialises unpacking only for an
     exact tuple or list, not for a subclass such as this one.  Equal
-    lines, and the copies `repeat` makes of a line, share one tuple.
+    lines share one tuple, and each pass of a `repeat` block yields it.
 
     ====================  ============================================
     op                    a, b, c
@@ -125,11 +130,54 @@ class CallPlan:
         self.detail = f"override:{name}->{entry.aero_name}"
 
 
+class Repeat(NamedTuple):
+    """A node of `Steps`: a block and how many times it runs in a row.
+    The block is a run of plain steps (a tuple), or `Steps` when it nests
+    a repeat; a run of plain steps outside any repeat is a node of count 1."""
+
+    block: tuple | Steps
+    count: int
+
+
+@dataclass(frozen=True, slots=True)
+class Steps:
+    """A body's steps in text order, as `Repeat` nodes.  Iterating gives
+    every step that runs, one exact tuple at a time (see `Action`),
+    through C iterators made anew on each call, so a body that runs twice
+    runs from its start each time.  The inner chain yields each block once
+    per pass and the outer one its steps; only a block that nests a repeat
+    comes back here, once per pass of it."""
+
+    nodes: tuple[Repeat, ...] = ()
+
+    def __iter__(self) -> Iterator[tuple]:
+        return chain.from_iterable(chain.from_iterable(starmap(repeat, self.nodes)))
+
+
+def _nodes(items: list) -> tuple[Repeat, ...]:
+    """A block's plain steps and `Repeat` nodes as `Steps.nodes`: each run
+    of plain steps becomes one node of count 1."""
+    nodes: list = []
+    for kind, group in groupby(items, type):
+        if kind is tuple:
+            nodes.append(Repeat(tuple(group), 1))
+        else:
+            nodes += group
+    return tuple(nodes)
+
+
+def _block(items: list) -> tuple | Steps:
+    """A repeat block's `Repeat.block`: the block of its one node if that
+    runs once (a run of plain steps, say), else `Steps`."""
+    nodes = _nodes(items)
+    return nodes[0].block if len(nodes) == 1 and nodes[0].count == 1 else Steps(nodes)
+
+
 @dataclass
 class ThreadBody:
     name: str
     role: str  # "ros" | "hrt"
-    steps: list[tuple] = field(default_factory=list)  # unrolled, one per step; see `Action`
+    steps: Steps = Steps()  # the body's own, set at its `end`
 
     @property
     def actions(self) -> list[Action]:
@@ -273,7 +321,10 @@ def parse_workload(text: str) -> WorkloadProgram:
     funcs: dict[str, FunctionBehavior] = {}
     overrides = default_override_map()
     current: ThreadBody | None = None
-    repeat_stack: list[tuple[int, list[tuple], int]] = []  # (count, steps, lineno)
+    # While a body is open: the body, then each open repeat block, as
+    # [count, items, last]: its plain steps and `Repeat` nodes, and the
+    # step that runs last in it, or None if none runs.
+    levels: list[list] = []
     targets: list[tuple[tuple, int]] = []  # named-target steps, checked at the end
     lowered: dict[str, tuple] = {}  # action line -> its step: equal lines share one
     plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
@@ -294,6 +345,7 @@ def parse_workload(text: str) -> WorkloadProgram:
                 if name == "main" and tokens[2] != "ros":
                     raise ParseError("'main' must be a ros thread", lineno)
                 current = ThreadBody(name, tokens[2])
+                levels.append([1, [], None])
             elif head == "func":
                 name, behavior = _parse_func(tokens, lineno)
                 funcs[name] = behavior
@@ -308,17 +360,22 @@ def parse_workload(text: str) -> WorkloadProgram:
         if head == "repeat":
             if len(tokens) != 2:
                 raise ParseError("repeat <count>", lineno)
-            repeat_stack.append((_count(tokens[1], lineno), [], lineno))
+            count = _count(tokens[1], lineno)
+            if count > sys.maxsize:
+                raise ParseError(f"repeat count {tokens[1]!r} does not fit in an index", lineno)
+            levels.append([count, [], None])
         elif head == "end":
-            if repeat_stack:
-                count, steps, _ = repeat_stack.pop()
-                target = repeat_stack[-1][1] if repeat_stack else current.steps
-                target.extend(steps * count)
+            count, items, last = levels.pop()
+            if levels:  # a repeat block's: one that runs joins the enclosing block
+                if count and items:
+                    levels[-1][1].append(Repeat(_block(items), count))
+                    levels[-1][2] = last
             else:
-                if not current.steps or current.steps[-1][0] != "exit":
+                if last is None or last[0] != "exit":
                     raise ParseError(
                         f"thread {current.name!r} must end with exit", lineno
                     )
+                current.steps = Steps(_nodes(items))
                 bodies[current.name] = current
                 current = None
         else:
@@ -331,18 +388,14 @@ def parse_workload(text: str) -> WorkloadProgram:
             if step[0] in ("spawn", "spawn_nested", "join", "sync_call"):
                 targets.append((step, lineno))
             if step[0] in ("spawn", "spawn_nested", "call_override") and all(
-                count for count, _, _ in repeat_stack
+                level[0] for level in levels
             ):  # a step inside a `repeat 0` block never runs
                 spawns += current.name, step, lineno
-            if repeat_stack:
-                repeat_stack[-1][1].append(step)
-            else:
-                current.steps.append(step)
+            levels[-1][1].append(step)
+            levels[-1][2] = step
 
     if current is not None:
         raise ParseError(f"thread {current.name!r} not closed with end", len(text.splitlines()))
-    if repeat_stack:
-        raise ParseError("repeat block not closed", repeat_stack[-1][2])
     if "main" not in bodies:  # found missing where the input ends
         raise ParseError("workload needs exactly one 'main' thread", len(text.splitlines()) or 1)
 

@@ -159,6 +159,27 @@ MUTANTS = {
         ),
         "a text whose bodies can spawn themselves, which would run without bound, does not parse",
     ),
+    "repeat-runs-count-minus-one": Mutant(
+        WORKLOAD,
+        "                    levels[-1][1].append(Repeat(_block(items), count))\n",
+        "                    levels[-1][1].append(Repeat(_block(items), count - 1))\n",
+        (
+            "tests/test_workload.py::TestParse::test_repeat_unrolled",
+            "tests/test_sim.py::TestProgramReuse::test_each_run_of_a_body_steps_all_of_it",
+            "tests/test_golden.py::test_golden_log[bench_hot_local-multiverse]",
+        ),
+        "a repeat block runs each of its passes",
+    ),
+    "repeat-iterator-shared": Mutant(
+        WORKLOAD,
+        "                current.steps = Steps(_nodes(items))\n",
+        "                current.steps = iter(Steps(_nodes(items)))\n",
+        (
+            "tests/test_sim.py::TestProgramReuse::test_each_run_of_a_body_steps_all_of_it",
+            "tests/test_sim.py::TestProgramReuse::test_one_parse_runs_like_fresh_parses[bench_hot_local]",
+        ),
+        "each run of a body iterates its steps from the start, not one iterator every run shares",
+    ),
     "stale-round-keeps-list": Mutant(
         SIM,
         "            self.stale, self.running = False, None\n",

@@ -196,6 +196,13 @@ class TestRun:
         assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
         assert f"error: line {line}: spawn cycle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["virtual", "multiverse"])
+    def test_repeat_count_beyond_an_index_is_a_parse_error(self, tmp_path, capsys, mode):
+        text = "thread main ros\n  repeat 100000000000000000000\n  end\n  exit\nend\n"
+        assert main(["run", write(tmp_path, "w.txt", text), "--mode", mode]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error: line 2: repeat count '100000000000000000000' does not fit in an index" in err
+
     def test_deadlock_is_a_runtime_failure(self, tmp_path, capsys):
         # Two local threads join each other, and main joins one of them.
         text = (

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import re
 import weakref
 from pathlib import Path
 
@@ -840,6 +841,26 @@ class TestProgramReuse:
             fresh = type(exc).__name__, str(exc)
         assert reused == fresh
         assert program == before
+
+    # `w` runs twice in each run: each time it steps its whole body, with a
+    # repeat nested in another and a block of two steps.
+    TWICE = (
+        "thread main ros\n  spawn w\n  join w\n  spawn w\n  join w\n  exit\nend\n"
+        "thread w hrt\n  compute 1\n  repeat 2\n    compute 2\n    repeat 3\n      compute 3\n"
+        "    end\n  end\n  repeat 4\n    compute 4\n    compute 5\n  end\n  exit\nend\n"
+    )
+
+    def test_each_run_of_a_body_steps_all_of_it(self):
+        program = parse_workload(self.TWICE)
+        once = ["1"] + ["2", "3", "3", "3"] * 2 + ["4", "5"] * 4
+
+        def computes(report):
+            return re.findall(r"kind=Compute .* cost=(\d+)$", report.log_text, re.M)
+
+        for mode in Mode:
+            assert computes(run(None, program, mode)) == once * 2
+        result = compare(None, program)
+        assert computes(result.virtual) == computes(result.multiverse) == once * 2
 
 
 class TestReplay:

@@ -1,6 +1,9 @@
 """Workload language parser tests."""
 
+import gc
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -72,7 +75,7 @@ class TestParse:
         actions = program.bodies["main"].actions
         cycles = [a.a for a in actions if a.op == "compute"]
         assert cycles == [10, 20] * 3
-        steps = program.bodies["main"].steps
+        steps = list(program.bodies["main"].steps)
         assert steps[0] is steps[2] is steps[4]  # one lowered tuple per line
 
     def test_equal_lines_share_one_action(self):
@@ -80,7 +83,7 @@ class TestParse:
             "thread main ros\n  spawn w\n  compute 10\n  call_override f 1\n  exit\nend\n"
             "thread w ros\n  compute 10\n  call_override f  1\n  call_override f 1\n  exit\nend\n"
         )
-        main, w = program.bodies["main"].steps, program.bodies["w"].steps
+        main, w = list(program.bodies["main"].steps), list(program.bodies["w"].steps)
         assert main[1] is w[0]  # compute 10
         assert main[2] is w[2] and w[1] == w[2] and w[1] is not w[2]
         assert main[3] is w[3]  # exit
@@ -135,6 +138,55 @@ class TestValidation:
     def test_unclosed_thread(self):
         with pytest.raises(ParseError):
             parse_workload("thread main ros\n  exit\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "  exit\n  repeat 0\n    compute 1\n  end\n",
+            "  compute 1\n  repeat 1\n    exit\n  end\n",
+            "  compute 1\n  repeat 2\n    compute 2\n    exit\n  end\n",
+            "  exit\n  repeat 3\n  end\n",
+            "  repeat 3\n  end\n  exit\n",
+        ],
+        ids=["then-repeat-0", "last-in-repeat-1", "last-in-repeat-2", "then-empty", "after-empty"],
+    )
+    def test_exit_is_the_last_step_that_runs(self, body):
+        program = parse_workload(f"thread main ros\n{body}end\n")
+        assert program.bodies["main"].actions[-1].op == "exit"
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("  repeat 2\n    repeat 0\n      exit\n    end\n  end\n", 7),
+            ("  compute 1\n  repeat 0\n    exit\n  end\n", 6),
+            ("  exit\n  repeat 3\n    compute 1\n  end\n", 6),
+            ("  compute 1\n  repeat 3\n  end\n", 5),
+        ],
+        ids=["exit-in-nested-repeat-0", "exit-in-repeat-0", "repeat-after-exit", "then-empty"],
+    )
+    def test_exit_that_never_runs_last_is_refused(self, body, line):
+        with pytest.raises(ParseError, match="'main' must end with exit") as info:
+            parse_workload(f"thread main ros\n{body}end\n")
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("  repeat 100000000000000000000\n  end\n", 2),
+            ("  compute 1\n  repeat 2\n    repeat 9223372036854775808\n      compute 1\n"
+             "    end\n  end\n", 4),
+        ],
+        ids=["empty", "nested"],
+    )
+    def test_repeat_count_beyond_an_index_reports_line(self, body, line):
+        with pytest.raises(ParseError, match="repeat count '.*' does not fit in an index") as info:
+            parse_workload(f"thread main ros\n{body}  exit\nend\n")
+        assert info.value.line == line
+
+    def test_largest_repeat_count_parses(self):
+        text = "thread main ros\n  repeat 9223372036854775807\n    compute 1\n  end\n  exit\nend\n"
+        steps = parse_workload(text).bodies["main"].steps
+        assert [op for op, _, _, _ in islice(steps, 3)] == ["compute"] * 3
 
     def test_unclosed_repeat(self):
         with pytest.raises(ParseError):
@@ -306,7 +358,7 @@ class TestValidation:
 
     def test_largest_64_bit_address_parses(self):
         program = parse_workload("thread main ros\n  touch 0xffffffffffffffff r\n  exit\nend\n")
-        assert program.bodies["main"].steps[0][1] == 2**64 - 1
+        assert next(iter(program.bodies["main"].steps))[1] == 2**64 - 1
 
     def test_bad_touch_access(self):
         with pytest.raises(ParseError):
@@ -350,8 +402,9 @@ class TestSteps:
     @staticmethod
     def assert_exact_tuples(program):
         for body in program.bodies.values():
-            assert body.steps
-            for step in body.steps:
+            steps = list(body.steps)
+            assert steps
+            for step in steps:
                 assert type(step) is tuple and len(step) == 4, (body.name, step)
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
@@ -361,6 +414,30 @@ class TestSteps:
     @pytest.mark.parametrize("name", BENCH_NAMES)
     def test_bench_steps_are_exact_tuples(self, name):
         self.assert_exact_tuples(parse_workload(load_bench_workloads()[name](1).text))
+
+
+def test_repeat_memory_follows_the_text_not_the_count():
+    """A body keeps a repeat block as one loop node: the parse of a
+    hot_local text retains the same memory at 100 times its repeat count."""
+    text = load_bench_workloads()["hot_local"](1).text
+    assert text.count("  repeat 240\n") == 8
+
+    def retained(count):
+        source = text.replace("  repeat 240\n", f"  repeat {count}\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            program = parse_workload(source)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(program.bodies) == 9
+        return after - before
+
+    retained(240)  # the first parse fills caches that outlive it
+    small, large = retained(240), retained(24000)
+    assert abs(large - small) < 4096, (small, large)
 
 
 # Unrolled actions per bench workload at seed 1: perfbench's tracer reports
