@@ -17,10 +17,10 @@ side.  Only a brand-new root-level entry requires a fresh merge.
 A table is a list of 512 ints in the x86-64 entry layout,
 `(frame << 12) | P | RW`: P (bit 0) is present, RW (bit 1) writable, and
 0 is an absent entry.  A walk starts at the space's `root_table` and
-indexes the store (`store[entry >> 12]`) once per level, and
-`TableStore.__missing__` builds a deferred identity table, level 2 or
-leaf, the first time a walk reaches it.  So booting the identity map
-costs one step per GiB of memory, not one per table.
+indexes the store (`store[entry >> 12]`) once per level.  Every table is
+built on first access: `TableStore.__missing__` builds a table's list
+the first time a walk or a write reaches it, so booting the identity map
+costs one step per GiB of memory, and a table no walk reaches holds none.
 
 Each address space memoises its successful walks in two memos, one per
 access kind, both filled only by `translate`:
@@ -45,9 +45,9 @@ has walked to, like a hardware paging-structure (PDE) cache:
 `leaf_tables` maps a region number (`vaddr >> 21`, i.e. `page >> 9`) to
 the 512-entry list that the walk reached.  `translate`, `map_page` and
 `unmap_page` look there before walking, and cache the table they reach:
-`map_page` through `_table_at`, which always reaches one, the other two
-through `_leaf_table`, which says when.  The cache has one invalidation
-rule.  Upper-level entries only go from absent to present (`_table_at`,
+`map_page` through `_table_frame`, which always reaches one, the other
+two through `_leaf_table`, which says when.  One rule keeps the cache
+right.  Upper-level entries only go from absent to present (`_table_frame`,
 `identity_map_higher_half`, `ensure_root_entry`) and no table is ever
 freed, so a region's walk, once it reaches a leaf table, reaches that
 same list forever -- except through `merge_lower_half`, which overwrites
@@ -68,6 +68,7 @@ LOWER_ROOT_ENTRIES = 256  # root entries 0..255 cover the lower half
 HIGHER_BASE = 0xFFFF_8000_0000_0000
 P = 1  # page-table entry bit 0: present
 RW = 2  # page-table entry bit 1: writable
+EMPTY_TABLE = (0, 0, None)  # the deferred record of a table with no entry present
 
 
 class Owner(enum.Enum):
@@ -143,10 +144,11 @@ class TableStore(dict):
     """Machine-wide backing for page tables: a dict of physical frame ->
     512 entry ints, which walks index directly.
 
-    An identity table not built yet is recorded in `deferred` as the
-    frame range it maps, and `__missing__` builds it on first use.  A
-    deferred level-2 table also records the first of its consecutive leaf
-    tables; building it defers each of those leaves in turn."""
+    A table not built yet is recorded in `deferred` as the frame range it
+    maps, none for a table from `add`, and `__missing__` builds it when a
+    walk, `absent_tables` or a write first reaches it.  A deferred level-2
+    table also records the first of its consecutive leaf tables; building
+    it defers each of those leaves in turn."""
 
     def __init__(self):
         super().__init__()
@@ -159,22 +161,21 @@ class TableStore(dict):
     def __missing__(self, frame: int) -> list[int]:
         first, count, leaf = self.deferred.pop(frame)
         end = first + count
-        if leaf is None:  # one writable entry per frame, built in C
-            table = list(range(first << 12 | P | RW, end << 12, PAGE_SIZE))
-        else:
-            table = []
-            for start in range(first, end, TABLE_ENTRIES):
-                self.deferred[leaf] = (start, min(TABLE_ENTRIES, end - start), None)
-                table.append(leaf << 12 | P | RW)
-                leaf += 1
-        table += [0] * (TABLE_ENTRIES - len(table))
+        table = [0] * TABLE_ENTRIES
+        if leaf is not None:
+            for i, start in enumerate(range(first, end, TABLE_ENTRIES)):
+                self.deferred[leaf + i] = (start, min(TABLE_ENTRIES, end - start), None)
+                table[i] = leaf + i << 12 | P | RW
+        elif count:  # one writable entry per frame, built in C
+            table[:count] = range(first << 12 | P | RW, end << 12, PAGE_SIZE)
         self[frame] = table
         return table
 
-    def new_table(self, frame: int) -> list[int]:
-        table = [0] * TABLE_ENTRIES
-        self[frame] = table
-        return table
+    def add(self, frame_alloc: FrameAllocator) -> int:
+        """A new table's frame; its list, all absent entries, is deferred."""
+        frame = frame_alloc.alloc()
+        self.deferred[frame] = EMPTY_TABLE
+        return frame
 
 
 class PageTableHierarchy:
@@ -183,8 +184,8 @@ class PageTableHierarchy:
     def __init__(self, store: TableStore, frame_alloc: FrameAllocator):
         self.store = store
         self.frame_alloc = frame_alloc
-        self.cr3 = frame_alloc.alloc()
-        self.root_table = store.new_table(self.cr3)
+        self.cr3 = store.add(frame_alloc)
+        self.root_table = store[self.cr3]
         # Page number -> present leaf entry, for walks that succeeded: every
         # leaf in `memo` (read, execute), the writable ones in `wmemo` (write).
         self.memo: dict[int, int] = {}
@@ -239,20 +240,17 @@ def _leaf_table(space: PageTableHierarchy, vaddr: int) -> list[int] | None:
     return table
 
 
-def _table_at(space: PageTableHierarchy, vaddr: int, depth: int) -> list[int]:
-    """The table `depth` levels below the root on vaddr's walk, allocating
-    each absent intermediate table on the way."""
-    store, table = space.store, space.root_table
+def _table_frame(space: PageTableHierarchy, vaddr: int, depth: int) -> int:
+    """The frame of the table `depth` levels below the root on vaddr's
+    walk, adding each absent table on the way (`TableStore.add`).  The
+    tables above it are built; it is not built here."""
+    store, frame = space.store, space.cr3
     for shift in (39, 30, 21)[:depth]:
-        idx = (vaddr >> shift) & 0x1FF
-        entry = table[idx]
-        if entry & P:
-            table = store[entry >> 12]
-        else:
-            frame = space.frame_alloc.alloc()
-            table[idx] = frame << 12 | P | RW
-            table = store.new_table(frame)
-    return table
+        table, idx = store[frame], (vaddr >> shift) & 0x1FF
+        if not table[idx] & P:
+            table[idx] = store.add(space.frame_alloc) << 12 | P | RW
+        frame = table[idx] >> 12
+    return frame
 
 
 def absent_tables(space: PageTableHierarchy, vaddr: int, length: int) -> int:
@@ -279,7 +277,7 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
         raise NonCanonicalAddressError(f"unaligned page address 0x{vaddr:x}")
     table = space.leaf_tables.get(vaddr >> 21)
     if table is None:
-        table = space.leaf_tables[vaddr >> 21] = _table_at(space, vaddr, 3)
+        table = space.leaf_tables[vaddr >> 21] = space.store[_table_frame(space, vaddr, 3)]
     i1 = (vaddr >> 12) & 0x1FF
     if table[i1] & P:
         for memo in space.store.memos:
@@ -324,15 +322,14 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
     Allocates the same table frames in the same order as one map_page call
     per frame would: per GiB a level-3 table if it crosses a root entry,
     its level-2 table, then all its leaf tables with one `take`.  Each
-    level-2 table is deferred to its first use (TableStore.__missing__),
-    and so are the leaf tables it points at.  The higher half must be
-    unmapped.
+    level-2 table, and each leaf table it points at, is deferred as the
+    frame range it maps.  The higher half must be unmapped.
     """
     span = TABLE_ENTRIES * TABLE_ENTRIES  # frames one level-2 table maps
     store, frame_alloc = space.store, space.frame_alloc
     for first in range(0, phys_frame_count, span):
         vaddr = HIGHER_BASE + first * PAGE_SIZE
-        table = _table_at(space, vaddr, 1)
+        table = store[_table_frame(space, vaddr, 1)]
         level2 = frame_alloc.alloc()
         count = min(span, phys_frame_count - first)
         leaf = frame_alloc.take(-(-count // TABLE_ENTRIES))
@@ -341,13 +338,13 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
 
 
 def ensure_root_entry(space: PageTableHierarchy, vaddr: int) -> None:
-    """Pre-create the root-level entry (and its level-3 table) covering vaddr.
+    """Pre-create the root entry covering vaddr; its level-3 table is deferred.
 
     A live process has mappings in its stack and mmap areas from startup,
     so those root slots exist before any merge.
     """
     require_canonical(vaddr)
-    _table_at(space, vaddr, 1)
+    _table_frame(space, vaddr, 1)
 
 
 def merge_lower_half(

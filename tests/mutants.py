@@ -230,6 +230,27 @@ MUTANTS = {
         ),
         "a leaf table is cached under the 2 MiB region it maps, where translate looks it up",
     ),
+    "tables-built-eagerly": Mutant(
+        MEM,
+        "        self.deferred[frame] = EMPTY_TABLE\n",
+        "        self[frame] = [0] * TABLE_ENTRIES\n",
+        (
+            "tests/test_hrt.py::TestBoot::test_setup_builds_only_tables_a_walk_reaches",
+            "tests/test_hrt.py::TestBoot::test_boot_builds_no_identity_table_below_level_3",
+        ),
+        "a new table's list is built on first access, not when its frame is allocated",
+    ),
+    "deferred-table-not-kept": Mutant(
+        MEM,
+        "        self[frame] = table\n        return table\n",
+        "        return table\n",
+        (
+            "tests/test_golden.py::test_golden_log[bench_boot_large-multiverse]",
+            "tests/test_golden.py::test_generated_logs[workloads]",
+            "tests/test_golden.py::test_each_table_built_or_deferred[golden]",
+        ),
+        "a table built on first access is kept, so later walks and writes reach that same list",
+    ),
     "join-keeps-target": Mutant(
         ROS,
         "            target.joined = True\n            joiner.join_target = None\n",

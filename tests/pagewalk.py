@@ -12,7 +12,7 @@ from hrtsim.mem import (
     RW,
     P,
     PageTableHierarchy,
-    _table_at,
+    _table_frame,
     require_canonical,
 )
 
@@ -118,7 +118,7 @@ def identity_map_per_leaf(space: PageTableHierarchy, phys_frame_count: int) -> N
     level-3 and level-2 table built at once, each leaf table deferred."""
     for first in range(0, phys_frame_count, TABLE_ENTRIES):
         vaddr = HIGHER_BASE + first * PAGE_SIZE
-        table = _table_at(space, vaddr, 2)
+        table = space.store[_table_frame(space, vaddr, 2)]
         leaf = space.frame_alloc.alloc()
         count = min(TABLE_ENTRIES, phys_frame_count - first)
         space.store.deferred[leaf] = (first, count, None)

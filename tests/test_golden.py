@@ -15,6 +15,9 @@ model regenerates the records of both files, and says so:
     PYTHONPATH=src python3 tests/test_golden.py --regenerate
 
 `--draw` first draws the corpus's texts again, derandomized.
+
+Over both sets, in both modes, every page table a run's upper-level
+entries point at is built exactly once or still deferred.
 """
 
 import hashlib
@@ -27,7 +30,9 @@ import pytest
 
 from hrtsim.errors import SimError
 from hrtsim.machine import Machine
-from hrtsim.sim import Mode, run
+from hrtsim.sim import Mode, Simulator, System, parse_workload, run
+
+from pagewalk import upper_entries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDS = GOLDEN / "golden.json"
@@ -147,6 +152,34 @@ def test_generated_logs(strategy):
         if observe_generated(record["text"], record["frames"], mode) != record[mode.value]
     ]
     assert changed == []
+
+
+def assert_tables_built_or_deferred(text: str, frames: int, mode: Mode) -> None:
+    """After the run, every frame that a present root, level-3 or level-2
+    entry points at is a key of exactly one of the table store and its
+    `deferred` records."""
+    system = System(machine=Machine(phys_frames=frames))
+    try:
+        Simulator(system, parse_workload(text), mode).run()
+    except SimError:
+        pass
+    store = system.machine.table_store
+    for space in filter(None, (system.ros.proc.space, system.hrt.space)):
+        for path, entry in upper_entries(space).items():
+            assert (entry >> 12 in store) != (entry >> 12 in store.deferred), (mode, path)
+
+
+@pytest.mark.parametrize("source", ["golden", *sorted(DRAWS)])
+def test_each_table_built_or_deferred(source):
+    if source == "golden":
+        paths = sorted((GOLDEN / "workloads").glob("*.txt"))
+        cases = [(path.read_text(), PHYS_FRAMES.get(path.stem, 512)) for path in paths]
+    else:
+        corpus = json.loads(GENERATED.read_text())
+        cases = [(r["text"], r["frames"]) for r in corpus if r["strategy"] == source]
+    for text, frames in cases:
+        for mode in Mode:
+            assert_tables_built_or_deferred(text, frames, mode)
 
 
 def draw_texts(strategy: str, count: int) -> list[tuple[str, int]]:

@@ -13,13 +13,23 @@ from hrtsim.errors import (
     ProtocolError,
     SymbolError,
 )
-from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind, map_page, translate
+from hrtsim.mem import (
+    EMPTY_TABLE,
+    HIGHER_BASE,
+    PAGE_SIZE,
+    AccessKind,
+    P,
+    TableStore,
+    map_page,
+    translate,
+)
 from hrtsim.machine import Machine
-from hrtsim.ros import DEFAULT_STACK_BYTES, STACK_TOP, init_runtime
-from hrtsim.sim import System
+from hrtsim.ros import DEFAULT_STACK_BYTES, MMAP_BASE, STACK_TOP, init_runtime
+from hrtsim.sim import Mode, Simulator, System, parse_workload
 from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
 
 from conftest import make_fat, rows, small_machine
+from test_schedule import load_bench_workloads
 
 
 def top_level(system, name="worker"):
@@ -107,12 +117,16 @@ class TestBoot:
         # Counts, not time: on a 4 GiB machine boot defers all 4 level-2
         # identity tables; the first touch of an identity page builds
         # exactly its level-2 and its leaf table, and a second builds none.
+        # The other deferred tables are the regular OS's two empty level-3
+        # tables, below the root entries of its mmap and stack areas.
         system = System(machine=Machine(phys_frames=1 << 20))
         system.hrt.install_image(parse_fat_binary(make_fat())[1])
         system.hrt.boot(system.machine.hrt_core_ids)
         store = system.machine.table_store
-        assert len(store.deferred) == 4
-        assert all(leaf is not None for _, _, leaf in store.deferred.values())
+        empty = {frame for frame, record in store.deferred.items() if record == EMPTY_TABLE}
+        assert empty == {e >> 12 for e in system.ros.proc.space.root_table if e & P}
+        assert len(store.deferred) == len(empty) + 4
+        assert all(leaf is not None for f, (_, _, leaf) in store.deferred.items() if f not in empty)
         tables = len(store)
         vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
         for _ in range(2):
@@ -120,20 +134,48 @@ class TestBoot:
             assert got == 777_777 * PAGE_SIZE
             assert len(store) == tables + 2
             # the three other level-2 tables, and 511 of the touched one's leaves
-            assert len(store.deferred) == 3 + 511
+            assert len(store.deferred) == len(empty) + 3 + 511
 
     def test_setup_flat_in_machine_size(self):
         # Counts, not time: the runtime's set-up builds the same tables on
-        # 16 MiB, 1 GiB and 16 GiB machines, and defers one level-2 table
-        # per GiB.
+        # 16 MiB, 1 GiB and 16 GiB machines, defers the same empty tables,
+        # and defers one level-2 identity table per GiB.
         built = set()
         for frames in (1 << 12, 1 << 18, 1 << 22):
             system = System(machine=Machine(phys_frames=frames))
             init_runtime(system, make_fat())
             store = system.machine.table_store
-            built.add(len(store))
-            assert len(store.deferred) == -(-frames // (1 << 18))
+            empty = sum(record == EMPTY_TABLE for record in store.deferred.values())
+            built.add((len(store), empty))
+            assert len(store.deferred) - empty == -(-frames // (1 << 18))
         assert len(built) == 1
+
+    def test_setup_builds_only_tables_a_walk_reaches(self, monkeypatch):
+        # Counts, not time: multiverse set-up of boot_large on its 1 GiB
+        # machine builds the two root lists, and the identity map's
+        # level-3 list that boot writes into, and nothing else.  The first
+        # map into the mmap area builds that area's level-3 list exactly
+        # once, then one level-2 and two leaf lists.
+        built = []
+        build = TableStore.__missing__
+        monkeypatch.setattr(
+            TableStore, "__missing__", lambda store, frame: built.append(frame) or build(store, frame)
+        )
+        workload = load_bench_workloads()["boot_large"](1)
+        system = System(machine=Machine(phys_frames=workload.phys_frames))
+        Simulator(system, parse_workload(workload.text), Mode.MULTIVERSE).setup()
+        ros, hrt, store = system.ros.proc.space, system.hrt.space, system.machine.table_store
+        identity = hrt.root_table[(HIGHER_BASE >> 39) & 0x1FF] >> 12
+        assert built == [ros.cr3, hrt.cr3, identity]
+        assert set(store) == set(built)
+        mmap_area = ros.root_table[(MMAP_BASE >> 39) & 0x1FF] >> 12
+        assert store.deferred[mmap_area] == EMPTY_TABLE
+        built.clear()
+        assert system.ros.sys_mmap(4 << 20, populate=True) == MMAP_BASE
+        assert built[0] == mmap_area
+        assert built.count(mmap_area) == 1
+        assert len(built) == 4
+        assert set(store) == {ros.cr3, hrt.cr3, identity, *built}
 
 
 class TestThreads:

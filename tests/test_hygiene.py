@@ -416,7 +416,7 @@ def test_check_sees_time_moved_outside_the_log():
 PER_STEP = (
     "mem:translate",
     "mem:_leaf_table",
-    "mem:_table_at",
+    "mem:_table_frame",
     "mem:map_page",
     "mem:unmap_page",
     "mem:FrameAllocator.alloc",
