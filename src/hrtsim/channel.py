@@ -28,23 +28,37 @@ keeps no list of them: a partner pops an event from its queue and
 completes it in one step, so the queued records are every event in
 flight.  After an address-space merge, a memory-based synchronous
 call, which takes no arguments, can bypass the VMM entirely.
+
+An entry's kind is one of the twelve `str` constants below, defined
+here and nowhere else: every writer names its constant, and the log
+stores the string itself.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from .costs import CostModel
 from .errors import BusyError, ProtocolError
 
-if TYPE_CHECKING:
-    from .mem import AccessKind
-
 
 ROW_FORMAT = "cycle=%s kind=%s origin=%s detail=%s cost=%s\n"  # one log entry
+
+# The log's entry kinds; the first three are the kinds forwarded to a partner.
+SYSCALL = "Syscall"
+PAGE_FAULT = "PageFault"
+THREAD_EXIT_SIGNAL = "ThreadExitSignal"
+THREAD_CREATE = "ThreadCreate"
+MERGE_REQUEST = "MergeRequest"
+SYNC_INVOKE = "SyncInvoke"
+COMPUTE = "Compute"
+FALLTHROUGH = "Fallthrough"
+OVERRIDE = "Override"
+SYMBOL_LOOKUP = "SymbolLookup"
+ASYNC_CALL = "AsyncCall"
+SETUP_SYNC = "SetupSync"
 
 
 class EventLog:
@@ -105,31 +119,14 @@ def syscall_detail(name: str, args: tuple[int, ...]) -> str:
     return f"sys:{name}({','.join([str(a) for a in args])})"
 
 
-def fault_detail(addr: int, access: AccessKind) -> str:
+def fault_detail(addr: int, access: str) -> str:
     """Log detail of a page fault, identical in every mode."""
-    return f"pf:0x{addr:x}:{access._value_}"
-
-
-class EventKind(enum.Enum):
-    SYSCALL = "Syscall"
-    PAGE_FAULT = "PageFault"
-    THREAD_CREATE = "ThreadCreate"
-    THREAD_EXIT_SIGNAL = "ThreadExitSignal"
-    MERGE_REQUEST = "MergeRequest"
-    SYNC_INVOKE = "SyncInvoke"
-
-
-# The members that per-step code reads, bound once: on Python 3.11 the enum
-# metaclass defines __getattr__, so `EventKind.SYSCALL` inside a function is
-# an unspecialised class-attribute load, and `.value` is a property call.
-SYSCALL = EventKind.SYSCALL
-PAGE_FAULT = EventKind.PAGE_FAULT
-THREAD_EXIT_SIGNAL = EventKind.THREAD_EXIT_SIGNAL
+    return f"pf:0x{addr:x}:{access}"
 
 
 @dataclass(eq=False, slots=True)  # a record is refilled: compared by identity
 class EventRecord:
-    kind: EventKind
+    kind: str  # the entry kind the log writes: SYSCALL, PAGE_FAULT or THREAD_EXIT_SIGNAL
     origin: int
     detail: str
     payload: Any = None
@@ -188,7 +185,7 @@ class EventChannel:
             else self.cost.sync_call_diff_socket
         )
         return self.log.emit_around(
-            EventKind.SYNC_INVOKE.value,
+            SYNC_INVOKE,
             0,
             f"func=0x{func_ptr:x},socket={'same' if same_socket else 'diff'}",
             cycles,
@@ -216,6 +213,6 @@ class EventChannel:
         call = ev.payload[0] if kind is SYSCALL else None  # (name, args, body)
         cost = ev.cost
         cost = self.shared_costs.setdefault(cost, cost)  # equal costs log one int object
-        # `_value_`, not the `.value` property; by position, as keywords cost ~0.2 µs.
-        self.log.emit(kind._value_, ev.origin, ev.detail, cost, True, call)
+        # By position, as keywords cost ~0.2 µs.
+        self.log.emit(kind, ev.origin, ev.detail, cost, True, call)
         ev.complete_cycle = self.log.now

@@ -26,7 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import EventKind, EventLog, EventRecord
+from .channel import (
+    MERGE_REQUEST,
+    SYMBOL_LOOKUP,
+    THREAD_CREATE,
+    THREAD_EXIT_SIGNAL,
+    EventLog,
+    EventRecord,
+)
 from .costs import CostModel
 from .errors import (
     BootError,
@@ -39,7 +46,6 @@ from .errors import (
 from .machine import CoreKind, Machine
 from .mem import (
     PAGE_SIZE,
-    AccessKind,
     PageTableHierarchy,
     identity_map_higher_half,
     map_page,
@@ -50,7 +56,7 @@ from .toolchain import AeroKernelImage, SymbolCache
 
 @dataclass
 class HrtCoreState:
-    recent_fault: tuple[int, AccessKind] | None = None
+    recent_fault: tuple[int, str] | None = None  # (address, access kind)
     current_thread: int | None = None  # origin of a re-merge entry
 
 
@@ -61,9 +67,6 @@ class HrtThread:
     partner: int  # the partner tid that serves this thread's forwarded events
     parent: int | None = None  # None for a top-level thread
     exited: bool = False
-
-
-REMERGE_KIND = EventKind.MERGE_REQUEST.value  # a re-merge's log kind
 
 
 @dataclass
@@ -150,12 +153,12 @@ class HrtKernel:
         if parent.exited:
             raise LifecycleError(f"parent thread {parent_tid} has exited")
         thread = self._new_thread(func_name, parent.partner, parent=parent_tid)
-        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create_nested:{func_name}")
+        self.log.emit(THREAD_CREATE, thread.tid, f"create_nested:{func_name}")
         return thread
 
     # -- fault path -----------------------------------------------------------
 
-    def handle_page_fault(self, core_id: int, addr: int, access: AccessKind) -> bool:
+    def handle_page_fault(self, core_id: int, addr: int, access: str) -> bool:
         """Handle one fault raised on an HRT core locally if it can; True
         means the regular OS must serve it.
 
@@ -167,7 +170,7 @@ class HrtKernel:
         """
         assert self.space is not None
         if addr >> 47 & 1:  # the higher half
-            frame = self.machine.hrt_frame_alloc.alloc()
+            frame = self.machine.hrt_frame_alloc.take(1)
             map_page(self.space, addr & ~(PAGE_SIZE - 1), frame, writable=True)
             return False
         core = self.cores[core_id]
@@ -178,7 +181,7 @@ class HrtKernel:
             merge_lower_half(self.space, self.ros_space)
             self.remerge_count += 1
             core.recent_fault = None
-            self.log.emit(REMERGE_KIND, core.current_thread or 0, f"remerge:0x{addr:x}")
+            self.log.emit(MERGE_REQUEST, core.current_thread or 0, f"remerge:0x{addr:x}")
             return False
         core.recent_fault = key
         return True
@@ -195,7 +198,7 @@ class HrtKernel:
         if core.current_thread == tid:
             core.current_thread = None
         if thread.parent is None:
-            return EventRecord(EventKind.THREAD_EXIT_SIGNAL, tid, f"exit:{tid}")
+            return EventRecord(THREAD_EXIT_SIGNAL, tid, f"exit:{tid}")
         return None
 
     def resolve_symbol(self, name: str, origin: int) -> int:
@@ -211,5 +214,5 @@ class HrtKernel:
         detail = self.sym_details.get(name)
         if detail is None:
             detail = self.sym_details[name] = f"sym:{name}"
-        self.log.emit("SymbolLookup", origin, detail, cost)
+        self.log.emit(SYMBOL_LOOKUP, origin, detail, cost)
         return addr

@@ -22,15 +22,17 @@ built on first access: `TableStore.__missing__` builds a table's list
 the first time a walk or a write reaches it, so booting the identity map
 costs one step per GiB of memory, and a table no walk reaches holds none.
 
-Each address space memoises its successful walks in two memos, one per
-access kind, both filled only by `translate`:
-  - `memo` serves read and execute: page number -> every present leaf;
+An access kind is the string a workload writes for it, `READ` ("r") or
+`WRITE` ("w"); `translate` treats any access that is not a write as a
+read.  Each address space memoises its successful walks in two memos,
+one per access kind, both filled only by `translate`:
+  - `memo` serves read: page number -> every present leaf;
   - `wmemo` serves write: page number -> the present leaves that are
     writable.
-A page in the memo of access kind K cannot fault on K: read and execute
-fault only on a missing page, and a write to a writable leaf never
-faults.  So a caller that finds its page in the memo of its access kind
-may skip `translate` and make no permission decision; on a miss it calls
+A page in the memo of access kind K cannot fault on K: a read faults
+only on a missing page, and a write to a writable leaf never faults.
+So a caller that finds its page in the memo of its access kind may
+skip `translate` and make no permission decision; on a miss it calls
 `translate`, which also faults a write to a present read-only page.  A
 non-canonical address has no page number that a memo can hold.  Misses
 are never cached, so mapping a page that was not present invalidates
@@ -58,8 +60,6 @@ into the cached list itself, so they invalidate nothing more.
 
 from __future__ import annotations
 
-import enum
-
 from .errors import AllocationError, NonCanonicalAddressError
 
 PAGE_SIZE = 4096
@@ -69,23 +69,8 @@ HIGHER_BASE = 0xFFFF_8000_0000_0000
 P = 1  # page-table entry bit 0: present
 RW = 2  # page-table entry bit 1: writable
 EMPTY_TABLE = (0, 0, None)  # the deferred record of a table with no entry present
-
-
-class Owner(enum.Enum):
-    ROS_VISIBLE = "ros_visible"
-    HRT_ONLY = "hrt_only"
-
-
-class AccessKind(enum.Enum):
-    READ = "r"
-    WRITE = "w"
-    EXECUTE = "x"
-
-
-# The member that per-step code reads, bound once: on Python 3.11 the enum
-# metaclass defines __getattr__, so `AccessKind.WRITE` inside a function is
-# an unspecialised class-attribute load, several times a module global's.
-WRITE = AccessKind.WRITE
+READ = "r"  # the access kinds, as a workload writes them
+WRITE = "w"
 
 
 def is_canonical(addr: int) -> bool:
@@ -106,30 +91,21 @@ def _non_canonical(addr: int) -> NonCanonicalAddressError:
 
 
 class FrameAllocator:
-    """Bump allocator over a half-open frame range [start, end)."""
+    """Bump allocator over a half-open frame range [start, end); `owner`
+    names the range in the error raised when it runs out."""
 
-    def __init__(self, start: int, end: int, owner: Owner):
+    def __init__(self, start: int, end: int, owner: str):
         self.start = start
         self.end = end
         self.owner = owner
         self._next = start
 
-    def alloc(self) -> int:
-        """One frame, as `take(1)`, which is called only to raise when no
-        frame is left."""
-        frame = self._next
-        if frame < self.end:
-            self._next = frame + 1
-            return frame
-        return self.take(1)
-
     def take(self, n: int) -> int:
-        """Reserve n consecutive frames, exactly as n calls of `alloc`
-        would, and return the first; with fewer than n left, raise and
-        reserve none."""
+        """Reserve n consecutive frames and return the first; with fewer
+        than n left, raise and reserve none."""
         if self.end - self._next < n:
             raise AllocationError(
-                f"out of {self.owner.value} frames ({self.end - self.start} total)"
+                f"out of {self.owner} frames ({self.end - self.start} total)"
             )
         frame = self._next
         self._next += n
@@ -173,7 +149,7 @@ class TableStore(dict):
 
     def add(self, frame_alloc: FrameAllocator) -> int:
         """A new table's frame; its list, all absent entries, is deferred."""
-        frame = frame_alloc.alloc()
+        frame = frame_alloc.take(1)
         self.deferred[frame] = EMPTY_TABLE
         return frame
 
@@ -187,7 +163,7 @@ class PageTableHierarchy:
         self.cr3 = store.add(frame_alloc)
         self.root_table = store[self.cr3]
         # Page number -> present leaf entry, for walks that succeeded: every
-        # leaf in `memo` (read, execute), the writable ones in `wmemo` (write).
+        # leaf in `memo` (read), the writable ones in `wmemo` (write).
         self.memo: dict[int, int] = {}
         self.wmemo: dict[int, int] = {}
         store.memos += self.memo, self.wmemo
@@ -195,7 +171,7 @@ class PageTableHierarchy:
         self.leaf_tables: dict[int, list[int]] = {}
 
 
-def translate(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | None:
+def translate(space: PageTableHierarchy, addr: int, access: str) -> int | None:
     """Walk the four levels; return a physical byte address, or None if
     the access faults.  Frame 0 is a valid address: test `is None`.
 
@@ -330,7 +306,7 @@ def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -
     for first in range(0, phys_frame_count, span):
         vaddr = HIGHER_BASE + first * PAGE_SIZE
         table = store[_table_frame(space, vaddr, 1)]
-        level2 = frame_alloc.alloc()
+        level2 = frame_alloc.take(1)
         count = min(span, phys_frame_count - first)
         leaf = frame_alloc.take(-(-count // TABLE_ENTRIES))
         store.deferred[level2] = (first, count, leaf)

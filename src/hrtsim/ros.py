@@ -27,11 +27,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .channel import (
+    ASYNC_CALL,
+    MERGE_REQUEST,
     PAGE_FAULT,
+    SETUP_SYNC,
     SYSCALL,
+    THREAD_CREATE,
     THREAD_EXIT_SIGNAL,
     EventChannel,
-    EventKind,
     EventLog,
     EventRecord,
     fault_detail,
@@ -44,7 +47,6 @@ from .mem import (
     PAGE_SIZE,
     WRITE,
     P,
-    AccessKind,
     PageTableHierarchy,
     absent_tables,
     ensure_root_entry,
@@ -100,9 +102,6 @@ class RegionList(list):
             if addr < region.base + region.length:
                 return i
         return -1
-
-
-PAGE_FAULT_KIND = PAGE_FAULT.value  # a demand fault's log kind
 
 
 @dataclass
@@ -186,7 +185,7 @@ class RosKernel:
         self.proc.vm_regions.append(region)
         if populate:
             for page in range(base, base + length, PAGE_SIZE):
-                map_page(space, page, frames.alloc(), writable=writable)
+                map_page(space, page, frames.take(1), writable=writable)
         return region
 
     # -- syscall model --------------------------------------------------------
@@ -234,7 +233,7 @@ class RosKernel:
             return self.sys_munmap(args[0], args[1])
         return ENOSYS
 
-    def demand_fault(self, addr: int, access: AccessKind) -> bool:
+    def demand_fault(self, addr: int, access: str) -> bool:
         """Replicate a faulting access; False means an unrecoverable
         segfault, which marks the process failed.
 
@@ -260,13 +259,13 @@ class RosKernel:
                     return True
             spare = frames.frames_left - 1
             if spare >= 0 and (table is not None or spare >= absent_tables(space, addr, PAGE_SIZE)):
-                map_page(space, addr & ~(PAGE_SIZE - 1), frames.alloc(), writable)
+                map_page(space, addr & ~(PAGE_SIZE - 1), frames.take(1), writable)
                 return True
         self.proc.failed = True
         self.proc.fail_reason = f"segfault at 0x{addr:x}"
         return False
 
-    def touch(self, addr: int, access: AccessKind, origin_tid: int) -> bool:
+    def touch(self, addr: int, access: str, origin_tid: int) -> bool:
         """Local access by a ROS thread, demand-paging as needed.
 
         Charges and logs one page-fault event per first touch; returns
@@ -281,7 +280,7 @@ class RosKernel:
         if not self.demand_fault(addr, access):
             return False
         self.log.emit(
-            PAGE_FAULT_KIND, origin_tid, fault_detail(addr, access), self.cost.pagefault_base
+            PAGE_FAULT, origin_tid, fault_detail(addr, access), self.cost.pagefault_base
         )
         return True
 
@@ -340,14 +339,12 @@ class RosKernel:
 
         def create_twin() -> int:
             twin = self.hrt.create_top_level_thread(func_name, partner.tid)
-            self.log.emit(
-                EventKind.THREAD_CREATE.value, partner.tid, f"create:{func_name}:{twin.tid}"
-            )
+            self.log.emit(THREAD_CREATE, partner.tid, f"create:{func_name}:{twin.tid}")
             return twin.tid
 
         detail = f"func=0x{addr:x},parallel=0"
         partner.hrt_thread = self.channel.hypercall(
-            self.main.tid, "AsyncCall", detail, self.cost.async_call, create_twin
+            self.main.tid, ASYNC_CALL, detail, self.cost.async_call, create_twin
         )
         return partner
 
@@ -355,7 +352,7 @@ class RosKernel:
         """Create a thread spawned outside the hybrid mode; it runs its body
         on this side."""
         thread = self._new_thread()
-        self.log.emit(EventKind.THREAD_CREATE.value, thread.tid, f"create:{name}")
+        self.log.emit(THREAD_CREATE, thread.tid, f"create:{name}")
         return thread
 
     def setup_sync(self, tid: int) -> None:
@@ -369,7 +366,7 @@ class RosKernel:
             self.channel.sync_page = page
             return 0
 
-        self.channel.hypercall(tid, "SetupSync", f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
+        self.channel.hypercall(tid, SETUP_SYNC, f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
 
     def join(self, joiner: RosThread, target_tid: int) -> None:
         """Block the joiner until the target partner or local thread has exited."""
@@ -411,13 +408,9 @@ def init_runtime(system, fat_bytes: bytes) -> RosProcess:
     cr3 = ros.proc.space.cr3
 
     def merge() -> int:
-        if cr3 != ros.proc.space.cr3:
-            raise UsageError(f"merge payload cr3={cr3} is not the process root")
         hrt.ros_space = ros.proc.space
         merge_lower_half(hrt.space, ros.proc.space)
         return 0
 
-    channel.hypercall(
-        ros.main.tid, EventKind.MERGE_REQUEST.value, f"cr3={cr3}", system.cost.merger, merge
-    )
+    channel.hypercall(ros.main.tid, MERGE_REQUEST, f"cr3={cr3}", system.cost.merger, merge)
     return ros.proc

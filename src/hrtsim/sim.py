@@ -78,10 +78,15 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .channel import (
+    COMPUTE,
+    FALLTHROUGH,
+    OVERRIDE,
     PAGE_FAULT,
+    SYNC_INVOKE,
     SYSCALL,
+    THREAD_CREATE,
+    THREAD_EXIT_SIGNAL,
     EventChannel,
-    EventKind,
     EventLog,
     EventRecord,
     fault_detail,
@@ -113,16 +118,12 @@ class Mode(enum.Enum):
     MULTIVERSE = "multiverse"
 
 
-MULTIVERSE = Mode.MULTIVERSE  # bound once for per-step code: see `mem.WRITE`
+# Bound once for per-step code: on Python 3.11 the enum metaclass defines
+# __getattr__, so `Mode.MULTIVERSE` inside a function is an unspecialised
+# class-attribute load.
+MULTIVERSE = Mode.MULTIVERSE
 
-REPORT_KINDS = (
-    EventKind.SYSCALL.value,
-    EventKind.PAGE_FAULT.value,
-    EventKind.THREAD_CREATE.value,
-    EventKind.THREAD_EXIT_SIGNAL.value,
-    EventKind.SYNC_INVOKE.value,
-)
-SYSCALL_KIND = SYSCALL.value  # a system call's log kind
+REPORT_KINDS = (SYSCALL, PAGE_FAULT, THREAD_CREATE, THREAD_EXIT_SIGNAL, SYNC_INVOKE)
 
 
 def _columns(rows: list[tuple[str, ...]]) -> list[str]:
@@ -138,13 +139,16 @@ class TraceReport:
     mode: str
     counts: dict[str, int]
     forwarded_counts: dict[str, int]
-    forwarded_total: int
     total_cycles: int
     clock_hz: float
     failed: bool = False
     fail_reason: str = ""
     log_text: str = ""
     syscalls: dict[str, tuple[int, int]] = field(default_factory=dict)  # name -> (calls, cycles)
+
+    @property
+    def forwarded_total(self) -> int:
+        return sum(self.forwarded_counts.values())
 
     @property
     def wall_seconds(self) -> float:
@@ -297,7 +301,7 @@ class Simulator:
             while not main.done:
                 if not step():
                     dump = [
-                        f"{e.kind.value} origin={e.origin} detail={e.detail}"
+                        f"{e.kind} origin={e.origin} detail={e.detail}"
                         for e in self.system.channel.outstanding
                     ]
                     raise DeadlockError(
@@ -321,13 +325,11 @@ class Simulator:
         counts = {
             kind: n for kind, n in Counter(self.log.cells[1::5]).items() if kind in REPORT_KINDS
         }
-        fwd = dict(self.log.forwarded)  # every forwarded kind is a report kind
         proc = self.system.ros.proc
         return TraceReport(
             mode=self.mode.value,
             counts=counts,
-            forwarded_counts=fwd,
-            forwarded_total=sum(fwd.values()),
+            forwarded_counts=dict(self.log.forwarded),  # every forwarded kind is a report kind
             total_cycles=self.log.now,
             clock_hz=self.cost.clock_hz,
             failed=proc.failed,
@@ -406,13 +408,13 @@ class Simulator:
                 if not ros.touch(a if c is not None else _from_last(last, a), b, tid):
                     raise _Halt
             elif op == "compute":
-                log.emit("Compute", tid, "compute", a)
+                log.emit(COMPUTE, tid, "compute", a)
             elif op == "call_override":  # a plain library/OS call
-                log.emit(SYSCALL_KIND, tid, a.call, syscall_base + a.legacy_cycles, call=a.call)
+                log.emit(SYSCALL, tid, a.call, syscall_base + a.legacy_cycles, call=a.call)
             elif op in ("mmap", "munmap", "syscall"):  # served in place
                 (name, args, _), detail = _call_payload(last, a, b)
                 result = ros.syscall(name, args)
-                log.emit(SYSCALL_KIND, tid, detail, syscall_base, call=name)
+                log.emit(SYSCALL, tid, detail, syscall_base, call=name)
                 if name == "mmap" and result >= 0:
                     last = result
             elif op == "spawn":
@@ -465,10 +467,10 @@ class Simulator:
                 call = None  # payload (name, args, body) of the system call this action forwards
                 touches = ()  # the writes of an enabled override's target
                 if op == "compute":
-                    log.emit("Compute", tid, "compute", a)
+                    log.emit(COMPUTE, tid, "compute", a)
                 elif op == "call_override":
                     if a.target is None:  # forwarded with the legacy function's body, if any
-                        log.emit("Fallthrough", tid, a.call)
+                        log.emit(FALLTHROUGH, tid, a.call)
                         call, detail = a.payload, a.detail
                     elif a.creates:  # interposed thread creation behaves exactly like a spawn
                         if a.spawn is None:
@@ -476,7 +478,7 @@ class Simulator:
                         self._spawn(a.spawn)
                     else:  # an enabled override runs in place; its writes follow, one step each
                         hrt.resolve_symbol(a.target, tid)
-                        log.emit("Override", tid, a.detail, a.behavior.cycles)
+                        log.emit(OVERRIDE, tid, a.detail, a.behavior.cycles)
                         touches, access = a.behavior.touches, write
                 elif op in ("mmap", "munmap", "syscall"):
                     call, detail = _call_payload(last, a, b)
@@ -521,11 +523,11 @@ class Simulator:
                         local += 1
                         if local == 4:
                             raise DoubleFaultError(
-                                f"access 0x{addr:x} {access._value_} cannot be satisfied"
+                                f"access 0x{addr:x} {access} cannot be satisfied"
                             )
                     elif forwards == 2:
                         raise DoubleFaultError(
-                            f"access 0x{addr:x} {access._value_} still faults after re-merge "
+                            f"access 0x{addr:x} {access} still faults after re-merge "
                             "and re-forward"
                         )
                     else:
@@ -560,7 +562,7 @@ class Simulator:
     def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
         """Run a synchronously called function's body; returns its result."""
         if behavior.cycles:
-            self.log.emit("Compute", origin, f"func:{name}", behavior.cycles)
+            self.log.emit(COMPUTE, origin, f"func:{name}", behavior.cycles)
         return behavior.returns
 
     # -- thread creation -------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Any, NamedTuple
 
 from .channel import syscall_detail
 from .errors import ParseError, text_lines
-from .mem import AccessKind
+from .mem import READ, WRITE
 from .toolchain import OverrideEntry, default_override_map, parse_override_line
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class Action(NamedTuple):
     ====================  ============================================
     op                    a, b, c
     ====================  ============================================
-    touch                 address, AccessKind, page number;
-                          ``last+N``: N, AccessKind, None
+    touch                 address, ``"r"``/``"w"``, page number;
+                          ``last+N``: N, ``"r"``/``"w"``, None
     mmap, munmap,         payload ``(name, int args, None)``, its
     syscall               ``sys:`` detail; ``munmap last+N``: a payload
                           with N as the base, None
@@ -265,7 +265,8 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
         if len(args) != 2 or args[1] not in ("r", "w"):
             raise ParseError("touch <addr> r|w", lineno)
         addr, from_last = _addr(args[0], lineno)
-        return Action(op, addr, AccessKind(args[1]), None if from_last else addr >> 12)
+        access = WRITE if args[1] == "w" else READ  # the `mem` constant itself
+        return Action(op, addr, access, None if from_last else addr >> 12)
     if op == "syscall":
         if not args:
             raise ParseError("syscall needs a name", lineno)
@@ -322,8 +323,8 @@ def parse_workload(text: str) -> WorkloadProgram:
     overrides = default_override_map()
     current: ThreadBody | None = None
     # While a body is open: the body, then each open repeat block, as
-    # [count, items, last]: its plain steps and `Repeat` nodes, and the
-    # step that runs last in it, or None if none runs.
+    # [count, items, last, line]: its plain steps and `Repeat` nodes, the
+    # step that runs last in it, or None if none runs, and its opening line.
     levels: list[list] = []
     targets: list[tuple[tuple, int]] = []  # named-target steps, checked at the end
     lowered: dict[str, tuple] = {}  # action line -> its step: equal lines share one
@@ -345,7 +346,7 @@ def parse_workload(text: str) -> WorkloadProgram:
                 if name == "main" and tokens[2] != "ros":
                     raise ParseError("'main' must be a ros thread", lineno)
                 current = ThreadBody(name, tokens[2])
-                levels.append([1, [], None])
+                levels.append([1, [], None, lineno])
             elif head == "func":
                 name, behavior = _parse_func(tokens, lineno)
                 funcs[name] = behavior
@@ -363,9 +364,9 @@ def parse_workload(text: str) -> WorkloadProgram:
             count = _count(tokens[1], lineno)
             if count > sys.maxsize:
                 raise ParseError(f"repeat count {tokens[1]!r} does not fit in an index", lineno)
-            levels.append([count, [], None])
+            levels.append([count, [], None, lineno])
         elif head == "end":
-            count, items, last = levels.pop()
+            count, items, last, _ = levels.pop()
             if levels:  # a repeat block's: one that runs joins the enclosing block
                 if count and items:
                     levels[-1][1].append(Repeat(_block(items), count))
@@ -394,6 +395,8 @@ def parse_workload(text: str) -> WorkloadProgram:
             levels[-1][1].append(step)
             levels[-1][2] = step
 
+    if len(levels) > 1:  # the innermost open repeat
+        raise ParseError("repeat block not closed with end", levels[-1][3])
     if current is not None:
         raise ParseError(f"thread {current.name!r} not closed with end", len(text.splitlines()))
     if "main" not in bodies:  # found missing where the input ends

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hrtsim.channel import EventKind, EventLog
+from hrtsim.channel import THREAD_EXIT_SIGNAL, EventLog
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
 from hrtsim.ros import RosKernel, init_runtime
@@ -43,7 +43,7 @@ def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
     def serve_forwarded(partner, ev):
         now = ros.log.now  # completing the event charges its cost after the bit is set
         result = serve(partner, ev)
-        if ev.kind is EventKind.THREAD_EXIT_SIGNAL:
+        if ev.kind is THREAD_EXIT_SIGNAL:
             log.append((now, "exit_bit", partner.tid))
         return result
 

@@ -270,7 +270,7 @@ MUTANTS = {
     ),
     "demand-faults-share-a-frame": Mutant(
         ROS,
-        "frames.alloc(), writable)\n",
+        "frames.take(1), writable)\n",
         "frames._next, writable)\n",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
@@ -307,11 +307,11 @@ MUTANTS = {
         "the log renders each detail whole, however long",
     ),
     "enum-read-per-event": Mutant(
-        CHANNEL,
-        "        call = ev.payload[0] if kind is SYSCALL else None",
-        "        call = ev.payload[0] if kind is EventKind.SYSCALL else None",
+        SIM,
+        "                if self.mode is MULTIVERSE:\n",
+        "                if self.mode is Mode.MULTIVERSE:\n",
         ("tests/test_hygiene.py::test_per_step_code_pays_no_enum_toll",),
-        "per-event code reads enum members bound at import, not through their class",
+        "per-step code reads enum members bound at import, not through their class",
     ),
     "cost-order-names-no-line": Mutant(
         COSTS,

@@ -8,8 +8,8 @@ from hrtsim.mem import (
     LOWER_ROOT_ENTRIES,
     PAGE_SIZE,
     TABLE_ENTRIES,
-    AccessKind,
     RW,
+    WRITE,
     P,
     PageTableHierarchy,
     _table_frame,
@@ -100,7 +100,7 @@ def upper_entries(space: PageTableHierarchy) -> dict[tuple[int, ...], int]:
     return entries
 
 
-def walk(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | None:
+def walk(space: PageTableHierarchy, addr: int, access: str) -> int | None:
     """`mem.translate` without its memo or `leaf_tables`: all four levels
     on every call; None on a fault."""
     table = leaf_table(space, addr)
@@ -108,7 +108,7 @@ def walk(space: PageTableHierarchy, addr: int, access: AccessKind) -> int | None
         return None
     _, _, _, i1, offset = table_indices(addr)
     leaf = table[i1]
-    if not leaf & P or access is AccessKind.WRITE and not leaf & RW:
+    if not leaf & P or access is WRITE and not leaf & RW:
         return None
     return (leaf >> 12) * PAGE_SIZE + offset
 
@@ -119,7 +119,7 @@ def identity_map_per_leaf(space: PageTableHierarchy, phys_frame_count: int) -> N
     for first in range(0, phys_frame_count, TABLE_ENTRIES):
         vaddr = HIGHER_BASE + first * PAGE_SIZE
         table = space.store[_table_frame(space, vaddr, 2)]
-        leaf = space.frame_alloc.alloc()
+        leaf = space.frame_alloc.take(1)
         count = min(TABLE_ENTRIES, phys_frame_count - first)
         space.store.deferred[leaf] = (first, count, None)
         table[(vaddr >> 21) & 0x1FF] = leaf << 12 | P | RW

@@ -10,15 +10,14 @@ import random
 import pytest
 
 from hrtsim import bundled_profiles_text
-from hrtsim.channel import EventKind
+from hrtsim.channel import PAGE_FAULT
 from hrtsim.costs import CostModel
 from hrtsim.errors import FormatError, ParseError
 from hrtsim.machine import CoreKind, Machine
 from hrtsim.mem import (
     PAGE_SIZE,
-    AccessKind,
+    READ,
     FrameAllocator,
-    Owner,
     PageTableHierarchy,
     TableStore,
     map_page,
@@ -83,7 +82,7 @@ def fault_details(report):
     out = []
     for line in report.log_text.splitlines():
         fields = dict(f.split("=", 1) for f in line.split())
-        if fields["kind"] == EventKind.PAGE_FAULT.value:
+        if fields["kind"] == PAGE_FAULT:
             out.append(fields["detail"])
     return out
 
@@ -133,8 +132,8 @@ def test_criterion_04_prefault_property():
     cost = CostModel()
     lazy = run(small_machine(), W_LAZY, Mode.MULTIVERSE)
     pre = run(small_machine(), W_PREFAULT, Mode.MULTIVERSE)
-    assert lazy.forwarded_counts[EventKind.PAGE_FAULT.value] == 4
-    assert pre.forwarded_counts.get(EventKind.PAGE_FAULT.value, 0) == 0
+    assert lazy.forwarded_counts[PAGE_FAULT] == 4
+    assert pre.forwarded_counts.get(PAGE_FAULT, 0) == 0
     assert pre.total_cycles < lazy.total_cycles
     # Each demand fault carries exactly the documented forwarding surcharge.
     fault_costs = [
@@ -150,14 +149,14 @@ def test_criterion_05_merge_equivalence_randomized():
     rng = random.Random(20260823)
     for _ in range(1000):
         store = TableStore()
-        ros = PageTableHierarchy(store, FrameAllocator(0, 512, Owner.ROS_VISIBLE))
-        hrt = PageTableHierarchy(store, FrameAllocator(512, 1024, Owner.HRT_ONLY))
+        ros = PageTableHierarchy(store, FrameAllocator(0, 512, "ros_visible"))
+        hrt = PageTableHierarchy(store, FrameAllocator(512, 1024, "hrt_only"))
         for _ in range(rng.randrange(0, 65)):
             vaddr = rng.randrange(0, 1 << 47, PAGE_SIZE)
             map_page(ros, vaddr, rng.randrange(0, 500), writable=rng.random() < 0.5)
         merge_lower_half(hrt, ros)
         for vaddr in mapped_lower_pages(ros):
-            assert translate(hrt, vaddr, AccessKind.READ) == translate(ros, vaddr, AccessKind.READ)
+            assert translate(hrt, vaddr, READ) == translate(ros, vaddr, READ)
         once = list(hrt.root_table[:256])
         merge_lower_half(hrt, ros)
         assert list(hrt.root_table[:256]) == once

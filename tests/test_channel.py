@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from hrtsim.channel import EventChannel, EventKind, EventLog, EventRecord
+from hrtsim.channel import (
+    MERGE_REQUEST,
+    PAGE_FAULT,
+    SYSCALL,
+    EventChannel,
+    EventLog,
+    EventRecord,
+)
 from hrtsim.costs import CostModel, load_cost_model
 from hrtsim.errors import BusyError, ParseError, ProtocolError
 from hrtsim.sim import System
@@ -57,7 +64,7 @@ class TestHypercalls:
             return 0
 
         cost = channel.cost.merger
-        assert channel.hypercall(1, EventKind.MERGE_REQUEST.value, "cr3=5", cost, merge) == 0
+        assert channel.hypercall(1, MERGE_REQUEST, "cr3=5", cost, merge) == 0
         assert seen == [(cost, 0)]  # the service ran once, after the charge, before the log
         assert channel.log.now == cost
         assert rows(channel.log)[-1] == (cost, "MergeRequest", 1, "cr3=5", cost)
@@ -127,14 +134,14 @@ class TestHypercalls:
 class TestForwarding:
     def test_forward_without_endpoint(self):
         channel = make_channel()
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        ev = EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         with pytest.raises(ProtocolError):
             channel.forward_event(ev, endpoint_tid=2)
 
     def test_complete_stamps_and_charges(self):
         channel = make_channel()
         channel.register_endpoint(2)
-        ev = EventRecord(EventKind.PAGE_FAULT, origin=9, detail="pf:0x1000:r")
+        ev = EventRecord(PAGE_FAULT, origin=9, detail="pf:0x1000:r")
         channel.forward_event(ev, 2)
         assert ev.request_cycle == 0
         channel.complete_event(ev, 0)
@@ -147,7 +154,7 @@ class TestForwarding:
     def test_double_completion(self):
         channel = make_channel()
         channel.register_endpoint(2)
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        ev = EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         channel.forward_event(ev, 2)
         channel.complete_event(ev, 4)
         with pytest.raises(ProtocolError):
@@ -156,7 +163,7 @@ class TestForwarding:
     def test_completed_syscall_is_tallied_by_name(self):
         channel = make_channel()
         channel.register_endpoint(2)
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        ev = EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         channel.forward_event(ev, 2)
         channel.complete_event(ev, 4)
         assert channel.log.syscalls == {"write": (1, channel.cost.forward_overhead)}
@@ -165,7 +172,7 @@ class TestForwarding:
         channel = make_channel()
         channel.register_endpoint(2)
         first, second = (
-            EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+            EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
             for _ in range(2)
         )
         channel.forward_event(first, 2)
@@ -179,7 +186,7 @@ class TestForwarding:
         # forwards: nothing of the last round trip stays behind.
         channel = make_channel()
         queue = channel.register_endpoint(2)
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        ev = EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         channel.forward_event(ev, 2)
         assert queue.popleft() is ev  # the partner takes the event it serves
         ev.cost += channel.cost.syscall_base
@@ -193,7 +200,7 @@ class TestForwarding:
 
     def test_completing_unknown_event(self):
         channel = make_channel()
-        ev = EventRecord(EventKind.SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
+        ev = EventRecord(SYSCALL, origin=9, detail="sys:write(1,4)", payload=WRITE)
         with pytest.raises(ProtocolError):
             channel.complete_event(ev, 0)
 

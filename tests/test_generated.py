@@ -50,7 +50,7 @@ from hypothesis import strategies as st
 
 from hrtsim.errors import ParseError, SimError
 from hrtsim.machine import Machine
-from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, AccessKind
+from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, READ
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
@@ -199,7 +199,7 @@ def assert_one_frame_per_page(system: System) -> None:
     """Each mapped lower-half page of the process has its own regular-OS
     frame, and no page table shares it."""
     space = system.ros.proc.space
-    backing = [walk(space, page, AccessKind.READ) >> 12 for page in mapped_lower_pages(space)]
+    backing = [walk(space, page, READ) >> 12 for page in mapped_lower_pages(space)]
     assert len(set(backing)) == len(backing), "two pages share a frame"
     assert all(frame < system.machine.ros_frames for frame in backing), backing
     assert not set(backing) & set(space.store), "a page shares a page table's frame"

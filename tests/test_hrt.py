@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrtsim.channel import EventKind
+from hrtsim.channel import MERGE_REQUEST, THREAD_CREATE, THREAD_EXIT_SIGNAL
 from hrtsim.errors import (
     BootError,
     InstallError,
@@ -17,7 +17,8 @@ from hrtsim.mem import (
     EMPTY_TABLE,
     HIGHER_BASE,
     PAGE_SIZE,
-    AccessKind,
+    READ,
+    WRITE,
     P,
     TableStore,
     map_page,
@@ -130,7 +131,7 @@ class TestBoot:
         tables = len(store)
         vaddr = HIGHER_BASE + 777_777 * PAGE_SIZE
         for _ in range(2):
-            got = translate(system.hrt.space, vaddr, AccessKind.READ)
+            got = translate(system.hrt.space, vaddr, READ)
             assert got == 777_777 * PAGE_SIZE
             assert len(store) == tables + 2
             # the three other level-2 tables, and 511 of the touched one's leaves
@@ -226,7 +227,7 @@ class TestThreads:
         start = len(rows(booted.log))
         nested = booted.hrt.create_nested_thread(top.tid, "helper")
         assert rows(booted.log)[start:] == [
-            (booted.log.now, EventKind.THREAD_CREATE.value, nested.tid, "create_nested:helper", 0)
+            (booted.log.now, THREAD_CREATE, nested.tid, "create_nested:helper", 0)
         ]
 
     def test_nested_from_exited_parent(self, booted):
@@ -239,7 +240,7 @@ class TestThreads:
         top = top_level(booted)
         ev = booted.hrt.thread_exit(top.tid)
         assert ev is not None
-        assert ev.kind is EventKind.THREAD_EXIT_SIGNAL
+        assert ev.kind is THREAD_EXIT_SIGNAL
         assert (ev.origin, ev.detail) == (top.tid, f"exit:{top.tid}")
         assert booted.hrt.threads[top.tid].exited
         assert booted.hrt.cores[top.core_id].current_thread is None
@@ -301,7 +302,7 @@ class TestPartnerRecord:
         for tid in data.draw(st.permutations(sorted(depth))):
             ev = hrt.thread_exit(tid)
             if tid in given_partner:
-                assert (ev.kind, ev.origin) == (EventKind.THREAD_EXIT_SIGNAL, tid)
+                assert (ev.kind, ev.origin) == (THREAD_EXIT_SIGNAL, tid)
             else:
                 assert ev is None
 
@@ -312,24 +313,24 @@ class TestFaultPath:
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE + 0x5000
         log_before = len(rows(booted.log))
         # Not forwarded, and handled without a re-merge.
-        assert hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.WRITE) is False
+        assert hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, WRITE) is False
         assert hrt.remerge_count == 0
-        assert translate(hrt.space, addr, AccessKind.WRITE) is not None
+        assert translate(hrt.space, addr, WRITE) is not None
         assert len(rows(booted.log)) == log_before
         assert booted.channel.outstanding == []
 
     def test_higher_half_uses_private_frames(self, booted):
         hrt = booted.hrt
         addr = HIGHER_BASE + booted.machine.phys_frames * PAGE_SIZE
-        hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.WRITE)
-        paddr = translate(hrt.space, addr, AccessKind.READ)
+        hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, WRITE)
+        paddr = translate(hrt.space, addr, READ)
         assert paddr // PAGE_SIZE >= booted.machine.ros_frames
 
     def test_first_lower_fault_forwards(self, booted):
         hrt = booted.hrt
         core = hrt.machine.hrt_core_ids[0]
-        assert hrt.handle_page_fault(core, 0x5000_0000, AccessKind.READ) is True
-        assert hrt.cores[core].recent_fault == (0x5000_0000, AccessKind.READ)
+        assert hrt.handle_page_fault(core, 0x5000_0000, READ) is True
+        assert hrt.cores[core].recent_fault == (0x5000_0000, READ)
 
     def test_duplicate_fault_triggers_local_remerge(self, booted):
         hrt, ros = booted.hrt, booted.ros
@@ -337,23 +338,23 @@ class TestFaultPath:
         # The other side installs a mapping under a brand-new root entry
         # after the merge, so the runtime's copy of the root is stale.
         addr = 0x0280_0000_0000  # 512 GiB slot 5, untouched so far
-        assert hrt.handle_page_fault(core, addr, AccessKind.WRITE) is True
-        frame = booted.machine.ros_frame_alloc.alloc()
+        assert hrt.handle_page_fault(core, addr, WRITE) is True
+        frame = booted.machine.ros_frame_alloc.take(1)
         map_page(ros.proc.space, addr, frame)
         # Not forwarded again: re-merged, which the count and the log show.
-        assert hrt.handle_page_fault(core, addr, AccessKind.WRITE) is False
+        assert hrt.handle_page_fault(core, addr, WRITE) is False
         assert hrt.remerge_count == 1
-        assert translate(hrt.space, addr, AccessKind.WRITE) == frame * PAGE_SIZE
+        assert translate(hrt.space, addr, WRITE) == frame * PAGE_SIZE
         remerges = [
             kind for _, kind, _, detail, _ in rows(booted.log) if detail.startswith("remerge:")
         ]
-        assert remerges == [EventKind.MERGE_REQUEST.value]
+        assert remerges == [MERGE_REQUEST]
 
     def test_distinct_faults_not_treated_as_duplicates(self, booted):
         hrt = booted.hrt
         core = hrt.machine.hrt_core_ids[0]
-        assert hrt.handle_page_fault(core, 0x5000_0000, AccessKind.READ) is True
-        assert hrt.handle_page_fault(core, 0x5000_1000, AccessKind.READ) is True
+        assert hrt.handle_page_fault(core, 0x5000_0000, READ) is True
+        assert hrt.handle_page_fault(core, 0x5000_1000, READ) is True
         assert hrt.remerge_count == 0
 
 

@@ -19,8 +19,12 @@ check, so that no list of exemptions goes stale.
 Time advances only in `EventLog`, by the entry that records the cycles:
 no other code stores to an attribute named `now` or defines a `charge`.
 
+Every call that writes a log entry (`emit`, `emit_around`, `hypercall`)
+names its kind by one of `channel`'s constants, never a string literal,
+so each kind is spelt once.
+
 Per-step code reads no enum member through its class and no `.value`: on
-Python 3.11 the enum metaclass defines `__getattr__`, so `EventKind.SYSCALL`
+Python 3.11 the enum metaclass defines `__getattr__`, so `Mode.MULTIVERSE`
 inside a function is an unspecialised class-attribute load, and `.value`
 a Python-level property call.  Neither shows in a profile, as neither is
 a Python frame.  Such code reads module constants bound at import instead.
@@ -327,12 +331,6 @@ def test_check_sees_a_stale_exemption():
     assert stale_exemptions(exempt, found) == ["gone"]
 
 
-# Private names that may be read through another object.
-PRIVATE_ACROSS_OBJECTS = {
-    "_value_": "an enum member's value slot; `.value` is a Python-level property call",
-}
-
-
 def private_access_across_objects(trees: dict[str, ast.Module]) -> list[str]:
     """`x._name` where x is not `self`; dunder names are not private."""
     found = []
@@ -340,7 +338,7 @@ def private_access_across_objects(trees: dict[str, ast.Module]) -> list[str]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
                 continue
-            if node.attr.endswith("__") or node.attr in PRIVATE_ACROSS_OBJECTS:
+            if node.attr.endswith("__"):
                 continue
             if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
@@ -363,6 +361,7 @@ def test_check_sees_a_private_access_across_objects():
     assert private_access_across_objects({"m.py": tree}) == [
         "m.py:3: ros._alloc_region",
         "m.py:4: self.system.ros._new_thread",
+        "m.py:5: kind._value_",
     ]
 
 
@@ -411,6 +410,50 @@ def test_check_sees_time_moved_outside_the_log():
     ]
 
 
+# The position of the kind among each log writer's arguments.
+KIND_ARG = {"emit": 0, "emit_around": 0, "hypercall": 1}
+
+
+def literal_kinds(tree: ast.Module) -> list[str]:
+    """Calls in tree of `emit`, `emit_around` or `hypercall`, by name or
+    attribute, whose kind, by position or keyword, is a string literal."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if name not in KIND_ARG:
+            continue
+        i = KIND_ARG[name]
+        kinds = node.args[i : i + 1] + [k.value for k in node.keywords if k.arg == "kind"]
+        if any(isinstance(k, ast.Constant) and isinstance(k.value, str) for k in kinds):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_log_kind_is_a_channel_constant(path):
+    assert literal_kinds(ast.parse(path.read_text())) == []
+
+
+def test_check_sees_a_literal_kind():
+    tree = ast.parse(
+        "def f(self, log, channel, g):\n"
+        "    log.emit(COMPUTE, 1, 'compute', 5)\n"
+        "    log.emit('Compute', 1, 'compute', 5)\n"
+        "    self.log.emit_around(kind='SyncInvoke', origin=0, detail='', cost=1, service=g)\n"
+        "    channel.hypercall(1, 'AsyncCall', 'd', 5, g)\n"
+        "    channel.hypercall(1, ASYNC_CALL, 'AsyncCall', 5, g)\n"
+        "    emit('x', 1, 'd')\n"
+    )
+    assert literal_kinds(tree) == [
+        "line 3: log.emit",
+        "line 4: self.log.emit_around",
+        "line 5: channel.hypercall",
+        "line 7: emit",
+    ]
+
+
 # Functions that run once per simulated action, event or step, as
 # "module:qualified name"; each must exist, so the list cannot go stale.
 PER_STEP = (
@@ -419,7 +462,7 @@ PER_STEP = (
     "mem:_table_frame",
     "mem:map_page",
     "mem:unmap_page",
-    "mem:FrameAllocator.alloc",
+    "mem:FrameAllocator.take",
     "channel:fault_detail",
     "channel:EventLog.emit",
     "channel:EventChannel.forward_event",

@@ -10,10 +10,10 @@ from hrtsim.errors import AllocationError, NonCanonicalAddressError
 from hrtsim.mem import (
     HIGHER_BASE,
     PAGE_SIZE,
+    READ,
     RW,
-    AccessKind,
+    WRITE,
     FrameAllocator,
-    Owner,
     P,
     PageTableHierarchy,
     TableStore,
@@ -39,36 +39,36 @@ from pagewalk import (
 
 def make_space(frames: int = 512) -> PageTableHierarchy:
     store = TableStore()
-    alloc = FrameAllocator(0, frames, Owner.ROS_VISIBLE)
+    alloc = FrameAllocator(0, frames, "ros_visible")
     return PageTableHierarchy(store, alloc)
 
 
 def shared_spaces(frames: int = 512) -> tuple[PageTableHierarchy, PageTableHierarchy]:
     """Two hierarchies over one table store, as on a real machine."""
     store = TableStore()
-    ros = PageTableHierarchy(store, FrameAllocator(0, frames, Owner.ROS_VISIBLE))
-    hrt = PageTableHierarchy(store, FrameAllocator(frames, 2 * frames, Owner.HRT_ONLY))
+    ros = PageTableHierarchy(store, FrameAllocator(0, frames, "ros_visible"))
+    hrt = PageTableHierarchy(store, FrameAllocator(frames, 2 * frames, "hrt_only"))
     return hrt, ros
 
 
 class TestFrameAllocator:
     def test_take_reserves_what_alloc_would(self):
-        one_by_one, at_once = (FrameAllocator(10, 20, Owner.HRT_ONLY) for _ in range(2))
-        firsts = [one_by_one.alloc() for _ in range(4)]
+        one_by_one, at_once = (FrameAllocator(10, 20, "hrt_only") for _ in range(2))
+        firsts = [one_by_one.take(1) for _ in range(4)]
         assert at_once.take(4) == firsts[0] == 10
         assert at_once.frames_left == one_by_one.frames_left == 6
-        assert at_once.alloc() == one_by_one.alloc() == 14
+        assert at_once.take(1) == one_by_one.take(1) == 14
 
     def test_take_up_to_the_end(self):
-        alloc = FrameAllocator(10, 20, Owner.HRT_ONLY)
-        alloc.alloc()
+        alloc = FrameAllocator(10, 20, "hrt_only")
+        alloc.take(1)
         assert alloc.take(9) == 11
         assert alloc.frames_left == 0
         with pytest.raises(AllocationError):
-            alloc.alloc()
+            alloc.take(1)
 
     def test_take_more_than_left_changes_nothing(self):
-        alloc = FrameAllocator(10, 20, Owner.HRT_ONLY)
+        alloc = FrameAllocator(10, 20, "hrt_only")
         alloc.take(3)
         with pytest.raises(AllocationError):
             alloc.take(8)
@@ -79,7 +79,7 @@ class TestFrameAllocator:
 def first_fault(system, addr: int) -> bool:
     """Whether the booted runtime forwards a first not-present read of addr."""
     hrt = system.hrt
-    return hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, AccessKind.READ)
+    return hrt.handle_page_fault(hrt.machine.hrt_core_ids[0], addr, READ)
 
 
 class TestCanonical:
@@ -105,7 +105,7 @@ class TestCanonical:
     def test_translate_rejects_non_canonical(self):
         space = make_space()
         with pytest.raises(NonCanonicalAddressError):
-            translate(space, 1 << 47, AccessKind.READ)
+            translate(space, 1 << 47, READ)
 
     @pytest.mark.parametrize("addr", [-PAGE_SIZE, -1, 1 << 64, (1 << 64) + 0x1000_0000_0000])
     def test_ints_outside_64_bits_are_not_canonical(self, addr):
@@ -118,36 +118,36 @@ class TestCanonical:
         map_page(space, page, 7)
         for alias in ((1 << 64) + page, page - (1 << 64)):
             with pytest.raises(NonCanonicalAddressError):
-                translate(space, alias, AccessKind.READ)
+                translate(space, alias, READ)
             with pytest.raises(NonCanonicalAddressError):
                 map_page(space, alias, 8)
             with pytest.raises(NonCanonicalAddressError):
                 unmap_page(space, alias)
-        assert translate(space, page, AccessKind.READ) == 7 * PAGE_SIZE
+        assert translate(space, page, READ) == 7 * PAGE_SIZE
 
 
 class TestTranslate:
     def test_empty_table_faults(self):
         space = make_space()
-        assert translate(space, 0x1000, AccessKind.READ) is None
+        assert translate(space, 0x1000, READ) is None
 
     def test_map_then_translate(self):
         space = make_space()
         map_page(space, 0x2000, 7)
-        assert translate(space, 0x2000, AccessKind.READ) == 7 * PAGE_SIZE
-        assert translate(space, 0x2abc, AccessKind.READ) == 7 * PAGE_SIZE + 0xABC
+        assert translate(space, 0x2000, READ) == 7 * PAGE_SIZE
+        assert translate(space, 0x2abc, READ) == 7 * PAGE_SIZE + 0xABC
 
     def test_map_unmap_faults(self):
         space = make_space()
         map_page(space, 0x2000, 7)
         unmap_page(space, 0x2000)
-        assert translate(space, 0x2000, AccessKind.READ) is None
+        assert translate(space, 0x2000, READ) is None
 
     def test_remap_replaces(self):
         space = make_space()
         map_page(space, 0x2000, 7)
         map_page(space, 0x2000, 9)
-        assert translate(space, 0x2000, AccessKind.READ) == 9 * PAGE_SIZE
+        assert translate(space, 0x2000, READ) == 9 * PAGE_SIZE
 
     def test_unmap_unmapped_noop(self):
         space = make_space()
@@ -158,7 +158,7 @@ class TestTranslate:
         map_page(space, 0x3000, 4)
         unmap_page(space, 0x3000)
         map_page(space, 0x3000, 11)
-        assert translate(space, 0x3000, AccessKind.READ) == 11 * PAGE_SIZE
+        assert translate(space, 0x3000, READ) == 11 * PAGE_SIZE
 
     def test_unmap_preserves_other_entries(self):
         # Brute-force oracle: translate every mapped page before and after.
@@ -166,10 +166,10 @@ class TestTranslate:
         pages = {0x1000 * i: 100 + i for i in range(1, 20)}
         for vaddr, frame in pages.items():
             map_page(space, vaddr, frame)
-        before = {v: translate(space, v, AccessKind.READ) for v in pages}
+        before = {v: translate(space, v, READ) for v in pages}
         unmap_page(space, 0x5000)
         for vaddr in pages:
-            got = translate(space, vaddr, AccessKind.READ)
+            got = translate(space, vaddr, READ)
             if vaddr == 0x5000:
                 assert got is None
             else:
@@ -206,14 +206,14 @@ class TestWriteProtect:
         # Both kernels set CR0.WP, so the ring makes no difference: of every
         # access to a read-only and a writable page, exactly the write to
         # the read-only one faults.
-        assert translate(self.space, 0x4000, AccessKind.WRITE) is None
+        assert translate(self.space, 0x4000, WRITE) is None
         faults = {
             (access, perm)
-            for access in AccessKind
+            for access in (READ, WRITE)
             for vaddr, perm in ((0x4000, "ro"), (0x6000, "rw"))
             if translate(self.space, vaddr, access) is None
         }
-        assert faults == {(AccessKind.WRITE, "ro")}
+        assert faults == {(WRITE, "ro")}
 
     def test_entries_are_x86_64_pte_ints(self):
         # Bit 0 is present, bit 1 writable, and the frame sits above bit 12
@@ -226,13 +226,13 @@ class TestWriteProtect:
         # An entry written in that layout walks the same way: a present
         # read-only leaf reads, and a write to it faults.
         table[5] = 9 << 12 | P
-        assert translate(self.space, 0x5abc, AccessKind.READ) == 9 * PAGE_SIZE + 0xABC
-        assert translate(self.space, 0x5000, AccessKind.WRITE) is None
+        assert translate(self.space, 0x5abc, READ) == 9 * PAGE_SIZE + 0xABC
+        assert translate(self.space, 0x5000, WRITE) is None
         table[7] = 9 << 12 | RW  # writable but not present
-        assert translate(self.space, 0x7000, AccessKind.READ) is None
+        assert translate(self.space, 0x7000, READ) is None
 
     def test_reads_unaffected(self):
-        assert translate(self.space, 0x4000, AccessKind.READ) == 3 * PAGE_SIZE
+        assert translate(self.space, 0x4000, READ) == 3 * PAGE_SIZE
 
 
 def eager_identity_map(space: PageTableHierarchy, frames: int) -> None:
@@ -253,7 +253,7 @@ def identity_spaces(
     for build in builds:
         spare = -(-frames // 512) + -(-frames // (1 << 18)) + 64
         space = PageTableHierarchy(
-            TableStore(), FrameAllocator(frames, frames + spare, Owner.HRT_ONLY)
+            TableStore(), FrameAllocator(frames, frames + spare, "hrt_only")
         )
         build(space, frames)
         spaces.append(space)
@@ -264,7 +264,7 @@ def assert_same_identity(lazy, eager, frames):
     """Every identity page plus one past the end, every access."""
     for f in range(frames + 1):
         vaddr = HIGHER_BASE + f * PAGE_SIZE
-        for access in AccessKind:
+        for access in (READ, WRITE):
             got = translate(lazy, vaddr + 0x123, access)
             assert got == translate(eager, vaddr + 0x123, access), (f, access)
 
@@ -283,7 +283,7 @@ def translations(space: PageTableHierarchy, frames: list[int]) -> list:
     return [
         translate(space, HIGHER_BASE + f * PAGE_SIZE, access)
         for f in frames
-        for access in AccessKind
+        for access in (READ, WRITE)
     ]
 
 
@@ -318,7 +318,7 @@ class TestIdentityMap:
         for build in IDENTITY_MAPS:
             lazy, eager = identity_spaces(frames, (build, eager_identity_map))
             assert_same_identity(lazy, eager, frames)
-            assert translate(lazy, HIGHER_BASE + frames * PAGE_SIZE, AccessKind.READ) is None
+            assert translate(lazy, HIGHER_BASE + frames * PAGE_SIZE, READ) is None
 
     @pytest.mark.parametrize("frames", [512, 1000])
     def test_same_table_frames_as_eager_map(self, frames):
@@ -356,7 +356,7 @@ class TestIdentityMap:
     def test_identity_map_across_a_root_entry(self):
         frames = (1 << 27) + (1 << 18) + 5
         space = PageTableHierarchy(
-            TableStore(), FrameAllocator(frames, 2 * frames, Owner.HRT_ONLY)
+            TableStore(), FrameAllocator(frames, 2 * frames, "hrt_only")
         )
         before = space.frame_alloc.frames_left
         identity_map_higher_half(space, frames)
@@ -365,20 +365,20 @@ class TestIdentityMap:
         assert before - space.frame_alloc.frames_left == tables
         for first in range(0, frames, 1 << 18):
             for f in (first, min(first + (1 << 18), frames) - 1):
-                got = translate(space, HIGHER_BASE + f * PAGE_SIZE, AccessKind.READ)
+                got = translate(space, HIGHER_BASE + f * PAGE_SIZE, READ)
                 assert got == f * PAGE_SIZE
 
     def test_identity(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
-        assert translate(hrt, HIGHER_BASE + 0x1000, AccessKind.READ) == 0x1000
+        assert translate(hrt, HIGHER_BASE + 0x1000, READ) == 0x1000
         last = 63 * PAGE_SIZE
-        assert translate(hrt, HIGHER_BASE + last, AccessKind.WRITE) == last
+        assert translate(hrt, HIGHER_BASE + last, WRITE) == last
 
     def test_lower_half_unmapped_before_merge(self):
         hrt, _ = shared_spaces(frames=64)
         identity_map_higher_half(hrt, 64)
-        assert translate(hrt, 0x1000, AccessKind.READ) is None
+        assert translate(hrt, 0x1000, READ) is None
 
 
 class TestMerge:
@@ -392,7 +392,7 @@ class TestMerge:
         pages = mapped_lower_pages(ros)
         assert pages
         for vaddr in pages:
-            assert translate(hrt, vaddr, AccessKind.READ) == translate(ros, vaddr, AccessKind.READ)
+            assert translate(hrt, vaddr, READ) == translate(ros, vaddr, READ)
 
     def test_empty_merge(self):
         hrt, ros = shared_spaces()
@@ -404,7 +404,7 @@ class TestMerge:
         identity_map_higher_half(hrt, 32)
         map_page(ros, 0x7000, 3)
         merge_lower_half(hrt, ros)
-        assert translate(hrt, HIGHER_BASE + 0x2000, AccessKind.READ) == 0x2000
+        assert translate(hrt, HIGHER_BASE + 0x2000, READ) == 0x2000
 
     def test_merge_idempotent(self):
         hrt, ros = shared_spaces()
@@ -431,7 +431,7 @@ class TestMerge:
         merge_lower_half(hrt, ros)
         map_page(ros, 0xA000, 14)  # same root slot, new leaf
         assert lower_halves_consistent(hrt, ros)
-        assert translate(hrt, 0xA000, AccessKind.READ) == 14 * PAGE_SIZE
+        assert translate(hrt, 0xA000, READ) == 14 * PAGE_SIZE
 
 
 # Pages the memo test draws from: two lower-half pages that share a leaf
@@ -468,7 +468,7 @@ MEMO_OPS = st.lists(
             SPACE,
             ADDR,
             st.integers(0, PAGE_SIZE - 1),
-            st.sampled_from(AccessKind),
+            st.sampled_from((READ, WRITE)),
         ),
     ),
     max_size=30,
@@ -541,9 +541,9 @@ class TestWalkMemo:
     # cached table must go with the root entry it was reached through.
     @example([
         ("map", "hrt", 0x1000_0000_1000, 3, True),
-        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ),
+        ("translate", "hrt", 0x1000_0000_1000, 0, READ),
         ("merge",),
-        ("translate", "hrt", 0x1000_0000_1000, 0, AccessKind.READ),
+        ("translate", "hrt", 0x1000_0000_1000, 0, READ),
     ])
     def test_translate_matches_uncached_walk(self, ops):
         spaces = memo_spaces()
@@ -555,7 +555,7 @@ class TestWalkMemo:
             # entry or leaf table shows at once.
             for space in spaces.values():
                 for addr in MEMO_ADDRS:
-                    for access in (AccessKind.READ, AccessKind.WRITE):
+                    for access in (READ, WRITE):
                         args = (space, addr, access)
                         assert outcome(translate, *args) == outcome(walk, *args), op
                 assert_memos_sound(space)
@@ -616,11 +616,11 @@ class TestAbsentTables:
     def test_counts_the_table_frames_mapping_takes(self, vaddr, pages, warm, tables):
         space = make_space()
         if warm is not None:
-            map_page(space, warm, space.frame_alloc.alloc())
+            map_page(space, warm, space.frame_alloc.take(1))
         assert absent_tables(space, vaddr, pages * PAGE_SIZE) == tables
         before = space.frame_alloc.frames_left
         for page in range(vaddr, vaddr + pages * PAGE_SIZE, PAGE_SIZE):
-            map_page(space, page, space.frame_alloc.alloc())
+            map_page(space, page, space.frame_alloc.take(1))
         assert before - space.frame_alloc.frames_left == pages + tables
         assert absent_tables(space, vaddr, pages * PAGE_SIZE) == 0
 
@@ -630,8 +630,8 @@ def assert_memos_sound(space):
     writable leaves (a write faults on any other), each with its walked
     frame, so no access of a memo's kind to its pages faults."""
     for memo, kinds in (
-        (space.memo, (AccessKind.READ, AccessKind.EXECUTE)),
-        (space.wmemo, (AccessKind.WRITE,)),
+        (space.memo, (READ,)),
+        (space.wmemo, (WRITE,)),
     ):
         for page, leaf in memo.items():
             for access in kinds:

@@ -59,10 +59,6 @@ UNREACHED = {
         "builds the error the walks raise on a non-canonical address, which no input touches",
         "tests/test_mem.py::TestCanonical::test_translate_rejects_non_canonical",
     ),
-    "mem:FrameAllocator.alloc: return self.take(1)": (
-        "raises when no frame is left; every model caller counts its frames first",
-        "tests/test_mem.py::TestFrameAllocator::test_take_up_to_the_end",
-    ),
     # Kernel and driver API that the step loop never needs.
     "ros:RosKernel.partner_step: if partner.exited: > return False": (
         "the step loop drops a partner once it exits",

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hrtsim.ros
-from hrtsim.channel import EventKind, EventRecord, fault_detail, syscall_detail
+from hrtsim.channel import MERGE_REQUEST, PAGE_FAULT, SYSCALL, THREAD_CREATE, EventRecord, fault_detail, syscall_detail
 from hrtsim.errors import AllocationError, FormatError, SymbolError, UsageError
-from hrtsim.mem import PAGE_SIZE, AccessKind, translate
+from hrtsim.mem import PAGE_SIZE, READ, WRITE, translate
 from hrtsim.ros import (
     DEFAULT_STACK_BYTES,
     EINVAL,
@@ -32,7 +32,7 @@ def region_at(ros, addr):
 def mapped_pages(ros, base, length):
     """Page-presence bitmap oracle built from raw translations."""
     return [
-        translate(ros.proc.space, page, AccessKind.READ) is not None
+        translate(ros.proc.space, page, READ) is not None
         for page in range(base, base + length, PAGE_SIZE)
     ]
 
@@ -206,7 +206,7 @@ class TestRegionIndex:
                 _, pick, page, offset, write = op
                 region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
                 addr = region.base + page * PAGE_SIZE + offset
-                access = AccessKind.WRITE if write else AccessKind.READ
+                access = WRITE if write else READ
                 owner = linear_region_at(ros.proc.vm_regions, addr)  # maybe past `region`
                 served = ros.demand_fault(addr, access)
                 assert served == (owner is not None and (owner.writable or not write))
@@ -226,10 +226,10 @@ class TestRegionIndex:
                     for addr in (page - 1, page, page + 1):
                         assert region_at(ros, addr) is linear_region_at(regions, addr)
             for page in touched:
-                assert walk(space, page, AccessKind.READ) is not None
+                assert walk(space, page, READ) is not None
             for page in span:
                 if page not in touched:
-                    assert walk(space, page, AccessKind.READ) is None
+                    assert walk(space, page, READ) is None
             frames = space.frame_alloc
             tables = 1 + len(upper_entries(space))  # the root, and one per upper entry
             assert frames.end - frames.start - frames.frames_left == first_touches + tables
@@ -260,12 +260,12 @@ class TestSyscalls:
         writes = [
             (detail, entry_origin, cost)
             for _, kind, entry_origin, detail, cost in rows(system.log)
-            if kind == EventKind.SYSCALL.value and detail.startswith("sys:write")
+            if kind == SYSCALL and detail.startswith("sys:write")
         ]
         cost = system.cost.syscall_base + forwarded * system.cost.forward_overhead
         assert writes == [("sys:write(1,14)", origin, cost)]
         # the write is the run's only system call, so it alone is tallied forwarded
-        assert system.log.forwarded.get(EventKind.SYSCALL.value, 0) == forwarded
+        assert system.log.forwarded.get(SYSCALL, 0) == forwarded
 
     def test_unknown_syscall(self, system):
         assert system.ros.syscall("getpid_unmodeled", ()) == ENOSYS
@@ -274,17 +274,17 @@ class TestSyscalls:
         ros = system.ros
         base = ros.sys_mmap(PAGE_SIZE)
         start = len(rows(system.log))
-        assert ros.touch(base, AccessKind.WRITE, origin_tid=1)
-        assert ros.touch(base, AccessKind.WRITE, origin_tid=1)
+        assert ros.touch(base, WRITE, origin_tid=1)
+        assert ros.touch(base, WRITE, origin_tid=1)
         faults = [
             cost for _, kind, _, _, cost in rows(system.log)[start:]
-            if kind == EventKind.PAGE_FAULT.value
+            if kind == PAGE_FAULT
         ]
         assert faults == [system.cost.pagefault_base]
 
     def test_touch_outside_any_region_fails(self, system):
         ros = system.ros
-        assert not ros.touch(0x4242_0000, AccessKind.READ, origin_tid=1)
+        assert not ros.touch(0x4242_0000, READ, origin_tid=1)
         assert ros.proc.failed
         assert "segfault" in ros.proc.fail_reason
 
@@ -311,15 +311,15 @@ class TestSyscalls:
         monkeypatch.setattr(hrtsim.ros, "absent_tables", counting)
         ros = system.ros
         base = ros.sys_mmap(2 * PAGE_SIZE)
-        assert ros.touch(base, AccessKind.WRITE, origin_tid=1)  # maps its leaf table
-        assert ros.touch(base + PAGE_SIZE, AccessKind.WRITE, origin_tid=1)
+        assert ros.touch(base, WRITE, origin_tid=1)  # maps its leaf table
+        assert ros.touch(base + PAGE_SIZE, WRITE, origin_tid=1)
         assert counted == [base]
         assert mapped_pages(ros, base, 2 * PAGE_SIZE) == [True, True]
 
     def test_write_to_readonly_region_fails(self, system):
         ros = system.ros
         base = ros.sys_mmap(PAGE_SIZE, writable=False)
-        assert not ros.touch(base, AccessKind.WRITE, origin_tid=1)
+        assert not ros.touch(base, WRITE, origin_tid=1)
         assert ros.proc.failed
 
     @pytest.mark.parametrize("refusal", ["outside_regions", "read_only", "no_frames_left"])
@@ -332,7 +332,7 @@ class TestSyscalls:
         if refusal == "no_frames_left":
             frames.take(frames.frames_left)
         left = frames.frames_left
-        assert not ros.demand_fault(addr, AccessKind.WRITE)
+        assert not ros.demand_fault(addr, WRITE)
         assert (ros.proc.failed, ros.proc.fail_reason) == (True, f"segfault at 0x{addr:x}")
         assert frames.frames_left == left
         assert mapped_pages(ros, base, PAGE_SIZE) == [False]
@@ -352,7 +352,7 @@ class TestInitRuntime:
         init_runtime(system, make_fat())
         merges = [
             cost for _, kind, _, _, cost in rows(system.log)
-            if kind == EventKind.MERGE_REQUEST.value
+            if kind == MERGE_REQUEST
         ]
         assert merges == [system.cost.merger]
 
@@ -375,7 +375,7 @@ class TestSpawn:
         assert [r.length for r in stacks] == [DEFAULT_STACK_BYTES]  # the partner's stack
         kinds = [kind for _, kind, _, _, _ in rows(booted.log)]
         assert "AsyncCall" in kinds
-        assert EventKind.THREAD_CREATE.value in kinds
+        assert THREAD_CREATE in kinds
 
     def test_spawn_charges_async_call(self, booted):
         start = booted.log.now
@@ -398,7 +398,7 @@ class TestSpawn:
         assert (stack.base, stack.length) == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES)
         create, call = rows(booted.log)[-2:]  # (cycle, kind, origin, detail, cost)
         assert create[1:4] == (
-            EventKind.THREAD_CREATE.value,
+            THREAD_CREATE,
             partner.tid,
             f"create:helper:{twin.tid}",
         )
@@ -419,13 +419,13 @@ class TestForwardedService:
     def fault_event(partner, addr, access):
         """The event a kernel-mode thread forwards for a lower-half fault."""
         detail = fault_detail(addr, access)
-        return EventRecord(EventKind.PAGE_FAULT, partner.hrt_thread, detail, (addr, access))
+        return EventRecord(PAGE_FAULT, partner.hrt_thread, detail, (addr, access))
 
     def test_forwarded_syscall_adds_base_cost(self, booted):
         partner = self.make_partner(booted)
         args = (1, 8)
         detail = syscall_detail("write", args)
-        ev = EventRecord(EventKind.SYSCALL, partner.hrt_thread, detail, ("write", args, None))
+        ev = EventRecord(SYSCALL, partner.hrt_thread, detail, ("write", args, None))
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 8
@@ -434,7 +434,7 @@ class TestForwardedService:
     def test_forwarded_fault_maps_page(self, booted):
         partner = self.make_partner(booted)
         base = booted.ros.sys_mmap(PAGE_SIZE)
-        ev = self.fault_event(partner, base, AccessKind.WRITE)
+        ev = self.fault_event(partner, base, WRITE)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 0
@@ -444,7 +444,7 @@ class TestForwardedService:
         from hrtsim.ros import EFAULT
 
         partner = self.make_partner(booted)
-        ev = self.fault_event(partner, 0x4141_0000, AccessKind.WRITE)
+        ev = self.fault_event(partner, 0x4141_0000, WRITE)
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == EFAULT

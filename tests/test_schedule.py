@@ -112,7 +112,7 @@ def observe(loop, text, mode, phys_frames, prepare=None):
     try:
         report = sim.execute()
     except SimError as exc:
-        events = [(e.kind.value, e.origin, e.detail) for e in getattr(exc, "events", [])]
+        events = [(e.kind, e.origin, e.detail) for e in getattr(exc, "events", [])]
         return sim.progress, (type(exc).__name__, str(exc), events)
     return sim.progress, (report.log_text, report.total_cycles, report.failed)
 

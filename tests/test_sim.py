@@ -10,7 +10,7 @@ import pytest
 
 import hrtsim.sim
 from hrtsim import bundled_profiles_text
-from hrtsim.channel import EventKind, EventLog
+from hrtsim.channel import PAGE_FAULT, SYNC_INVOKE, SYSCALL, THREAD_CREATE, THREAD_EXIT_SIGNAL, EventLog
 from hrtsim.cli import EXIT_FAILURE, main
 from hrtsim.costs import CostModel
 from hrtsim.errors import (
@@ -129,9 +129,9 @@ def log_cost_sum(report):
 class TestForwarding:
     def test_lazy_touches_forward_faults(self):
         report = mv(W_FAULTS)
-        assert report.forwarded_counts[EventKind.PAGE_FAULT.value] == 4
-        assert report.forwarded_counts[EventKind.SYSCALL.value] == 1  # the mmap
-        assert report.forwarded_counts[EventKind.THREAD_EXIT_SIGNAL.value] == 1
+        assert report.forwarded_counts[PAGE_FAULT] == 4
+        assert report.forwarded_counts[SYSCALL] == 1  # the mmap
+        assert report.forwarded_counts[THREAD_EXIT_SIGNAL] == 1
         assert not report.failed
 
     def test_forwarded_fault_cost(self):
@@ -146,15 +146,15 @@ class TestForwarding:
 
     def test_populate_forwards_no_faults(self):
         report = mv(W_POPULATE)
-        assert report.forwarded_counts.get(EventKind.PAGE_FAULT.value, 0) == 0
+        assert report.forwarded_counts.get(PAGE_FAULT, 0) == 0
         assert mv(W_POPULATE).total_cycles < mv(W_FAULTS).total_cycles
 
     def test_nested_thread_routes_through_ancestor(self):
         report = mv(W_NESTED)
-        assert report.forwarded_counts[EventKind.SYSCALL.value] == 1
-        assert report.counts[EventKind.THREAD_CREATE.value] == 2
+        assert report.forwarded_counts[SYSCALL] == 1
+        assert report.counts[THREAD_CREATE] == 2
         # Only the top-level exit raises a signal; nested exits are silent.
-        assert report.forwarded_counts[EventKind.THREAD_EXIT_SIGNAL.value] == 1
+        assert report.forwarded_counts[THREAD_EXIT_SIGNAL] == 1
         assert not report.failed
 
     def test_syscall_result_efault_is_not_a_segfault(self):
@@ -215,7 +215,7 @@ class TestConcurrentFaults:
 
     def test_one_frame_per_page_however_many_threads_fault(self):
         report, five = self.ros_frames_used(5)
-        assert report.forwarded_counts[EventKind.PAGE_FAULT.value] == 5  # all concurrent
+        assert report.forwarded_counts[PAGE_FAULT] == 5  # all concurrent
         _, one = self.ros_frames_used(1)
         assert five <= one
 
@@ -389,7 +389,7 @@ class TestSyncCalls:
         report = run(machine, self.W_SYNC, Mode.MULTIVERSE)
         for line in report.log_text.splitlines():
             fields = dict(f.split("=", 1) for f in line.split())
-            if fields["kind"] == EventKind.SYNC_INVOKE.value:
+            if fields["kind"] == SYNC_INVOKE:
                 return int(fields["cost"])
         raise AssertionError("no SyncInvoke entry")
 
@@ -408,6 +408,13 @@ class TestSyncCalls:
         # 0 used to divide by zero at the first sync call, -1 to number sockets below 0.
         with pytest.raises(PartitionError, match=f"socket size {size} is not positive"):
             Machine(socket_size=size)
+
+    def test_the_regular_os_gets_three_quarters_of_memory(self):
+        assert Machine(phys_frames=4096).ros_frames == 3072
+        with pytest.raises(TypeError):
+            Machine(ros_frames=1024)  # worked out from phys_frames, not set
+        with pytest.raises(PartitionError, match="ROS frame prefix must be a proper subset"):
+            Machine(phys_frames=1)  # no frame for the regular OS
 
 
 class TestFunctionsWithoutFuncLine:

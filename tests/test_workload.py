@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 
 from hrtsim.errors import ParseError, UsageError, text_lines
-from hrtsim.mem import AccessKind
+from hrtsim.mem import READ, WRITE
 from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, _from_last, run
 from hrtsim.workload import Action, parse_workload
@@ -56,7 +56,7 @@ class TestParse:
         ops = program.bodies["main"].actions
         assert ops[0] == Action("mmap", ("mmap", (0x4000, 1, 1), None), "sys:mmap(16384,1,1)")
         # A `last+N` touch keeps N and leaves its page to run time.
-        assert ops[1] == Action("touch", 4096, AccessKind.WRITE, None)
+        assert ops[1] == Action("touch", 4096, WRITE, None)
         # A `last` munmap keeps its offset as the base and leaves the detail to run time.
         assert ops[2] == Action("munmap", ("munmap", (0, 0x4000), None))
         assert ops[3] == Action("syscall", ("write", (1, 16), None), "sys:write(1,16)")
@@ -191,6 +191,21 @@ class TestValidation:
     def test_unclosed_repeat(self):
         with pytest.raises(ParseError):
             parse_workload("thread main ros\n  repeat 2\n  compute 1\n  exit\nend\n")
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("  repeat 2\n  compute 1\n  exit\n", 2),
+            ("  repeat 2\n    repeat 3\n      compute 1\n    end\n    repeat 4\n"
+             "      compute 1\n  exit\n", 6),
+        ],
+        ids=["flat", "nested"],
+    )
+    def test_repeat_open_at_the_end_names_its_line(self, body, line):
+        # The innermost repeat still open, not the thread, is what lacks its end.
+        with pytest.raises(ParseError, match="repeat block not closed with end") as info:
+            parse_workload(f"thread main ros\n{body}")
+        assert info.value.line == line
 
     def test_undefined_spawn_target(self):
         with pytest.raises(ParseError) as info:
@@ -375,11 +390,11 @@ class TestAddrExpr:
 
     def test_literal(self):
         program = parse_workload("thread main ros\n  touch 0x1000 r\n  exit\nend\n")
-        assert program.bodies["main"].actions[0] == Action("touch", 0x1000, AccessKind.READ, 1)
+        assert program.bodies["main"].actions[0] == Action("touch", 0x1000, READ, 1)
 
     def test_last_with_offset(self):
         program = parse_workload("thread main ros\n  touch last+0x20 w\n  exit\nend\n")
-        assert program.bodies["main"].actions[0] == Action("touch", 0x20, AccessKind.WRITE, None)
+        assert program.bodies["main"].actions[0] == Action("touch", 0x20, WRITE, None)
         assert _from_last(0x7000, 0x20) == 0x7020
         text = "thread main ros\n  mmap 4096\n  touch last+0x20 w\n  exit\nend\n"
         report = run(None, text, Mode.VIRTUAL)
