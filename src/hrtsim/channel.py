@@ -20,8 +20,9 @@ logs.  The channel keeps no record of what a service did: the merge's
 result lives in the runtime (`HrtKernel.ros_space`).  Events raised in
 kernel-mode threads are forwarded the other way into their partner threads'
 injection queues and answered with completions; a forwarded system call's
-payload is `(name, args, body)`, and a page fault's `(addr, access)`, its
-log detail rendered once by the sender.  A record is outstanding from
+payload is `(name, args, cycles)`, the cycles its service adds to the
+syscall base, and a page fault's `(addr, access)`, its log detail
+rendered once by the sender.  A record is outstanding from
 `forward_event`, which resets it, until `complete_event` logs it; a
 kernel-mode thread refills one record for all its events.  The channel
 keeps no list of them: a partner pops an event from its queue and
@@ -94,8 +95,8 @@ class EventLog:
             self.syscalls[call] = (calls + 1, cycles + cost)
 
     def emit_around(
-        self, kind: str, origin: int, detail: str, cost: int, service: Callable[[], int]
-    ) -> int:
+        self, kind: str, origin: int, detail: str, cost: int, service: Callable[[], int | None]
+    ) -> int | None:
         """Charge cost, run service inside that time, then record the call
         stamped after everything the service charged; return its result.
         The service's own entries come first, with their own stamps.  A
@@ -161,8 +162,8 @@ class EventChannel:
     # -- ROS -> HRT direction -------------------------------------------------
 
     def hypercall(
-        self, caller: int, kind: str, detail: str, cycles: int, service: Callable[[], int]
-    ) -> int:
+        self, caller: int, kind: str, detail: str, cycles: int, service: Callable[[], int | None]
+    ) -> int | None:
         """One request through the shared page: charge its cycles, run its
         service, log it, and return the service's result.  A request made
         while another is in progress (from inside its service) is refused."""
@@ -174,9 +175,9 @@ class EventChannel:
         finally:
             self.page_busy = False
 
-    def sync_invoke(self, func_ptr: int, same_socket: bool, service: Callable[[], int]) -> int:
+    def sync_invoke(self, func_ptr: int, same_socket: bool, service: Callable[[], None]) -> None:
         """Memory-protocol call that skips the VMM: charge the round trip,
-        run the callee, log the call, and return the callee's result."""
+        run the callee and log the call."""
         if self.sync_page is None:
             raise ProtocolError("synchronous call before its setup")
         cycles = (
@@ -184,7 +185,7 @@ class EventChannel:
             if same_socket
             else self.cost.sync_call_diff_socket
         )
-        return self.log.emit_around(
+        self.log.emit_around(
             SYNC_INVOKE,
             0,
             f"func=0x{func_ptr:x},socket={'same' if same_socket else 'diff'}",
@@ -210,7 +211,7 @@ class EventChannel:
             raise ProtocolError("completing a non-outstanding event")
         ev.result = result
         kind = ev.kind
-        call = ev.payload[0] if kind is SYSCALL else None  # (name, args, body)
+        call = ev.payload[0] if kind is SYSCALL else None  # (name, args, cycles)
         cost = ev.cost
         cost = self.shared_costs.setdefault(cost, cost)  # equal costs log one int object
         # By position, as keywords cost ~0.2 µs.

@@ -10,12 +10,13 @@ pages and new page tables the free frames cannot cover; neither changes
 anything.  A demand fault that the free frames cannot cover the same way
 is a segfault, with nothing changed.  Partner threads service the events
 their kernel-mode twins forward and carry the exit bit.  A forwarded
-system call brings everything its service needs: a call that fell
-through carries its legacy function's body, and any other call goes to
-the syscall model.  No field names a thread's kind: main is
-`RosKernel.main`, a partner is a thread with a `queue`, and any other
-thread is local, spawned outside the hybrid mode to run its body on this
-side.  Partners and local threads are the join targets, and a joiner is
+system call brings everything its service needs, `(name, args, cycles)`:
+the cycles are those a fall-through's legacy function adds to the
+syscall base, 0 for any other call, and every call goes to the syscall
+model, which answers a fall-through ENOSYS.  No field names a thread's
+kind: main is `RosKernel.main`, a partner is a thread with a `queue`,
+and any other thread is local, spawned outside the hybrid mode to run
+its body on this side.  Partners and local threads are the join targets, and a joiner is
 blocked exactly while its `join_target` is set.  This side issues every
 hypercall.
 """
@@ -286,7 +287,7 @@ class RosKernel:
 
     # -- forwarded-event service ----------------------------------------------
 
-    def serve_forwarded(self, partner: RosThread, ev: EventRecord) -> int:
+    def serve_forwarded(self, partner: RosThread, ev: EventRecord) -> None:
         """Service one injected event and complete it on the channel."""
         kind = ev.kind
         if kind is PAGE_FAULT:
@@ -297,20 +298,15 @@ class RosKernel:
             else:
                 result = EFAULT
         elif kind is SYSCALL:
-            name, args, body = ev.payload
-            ev.cost += self.cost.syscall_base
-            if body is None:
-                result = self.syscall(name, args)
-            else:  # a fall-through call runs its legacy function's body here
-                ev.cost += body.cycles
-                result = body.returns
+            name, args, extra = ev.payload
+            ev.cost += self.cost.syscall_base + extra
+            result = self.syscall(name, args)
         elif kind is THREAD_EXIT_SIGNAL:
             partner.exit_bit = True
             result = 0
         else:
             raise UsageError(f"partner cannot serve {kind}")
         self.channel.complete_event(ev, result)
-        return result
 
     def partner_step(self, partner: RosThread) -> bool:
         """One scheduler step of a partner thread; True if it made progress."""
@@ -362,9 +358,8 @@ class RosKernel:
             raise ProtocolError("synchronous setup requires a merged address space")
         page = self._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
 
-        def set_up() -> int:
+        def set_up() -> None:
             self.channel.sync_page = page
-            return 0
 
         self.channel.hypercall(tid, SETUP_SYNC, f"vaddr=0x{page:x}", self.cost.hypercall, set_up)
 
@@ -400,17 +395,16 @@ def init_runtime(system, fat_bytes: bytes) -> RosProcess:
     ros: RosKernel = system.ros
     hrt: HrtKernel = system.hrt
     channel: EventChannel = system.channel
-    app, image = parse_fat_binary(fat_bytes)
+    _, image = parse_fat_binary(fat_bytes)
     # Function linkage is image installation: every embedded symbol
     # resolves through the installed image's symbol table.
     hrt.install_image(image)
     hrt.boot(system.machine.hrt_core_ids)
     cr3 = ros.proc.space.cr3
 
-    def merge() -> int:
+    def merge() -> None:
         hrt.ros_space = ros.proc.space
         merge_lower_half(hrt.space, ros.proc.space)
-        return 0
 
     channel.hypercall(ros.main.tid, MERGE_REQUEST, f"cr3={cr3}", system.cost.merger, merge)
     return ros.proc

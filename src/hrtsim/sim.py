@@ -240,7 +240,7 @@ def _call_payload(last: int | None, call: tuple, detail: str | None) -> tuple[tu
         return call, detail
     name, (offset, length), _ = call
     base = _from_last(last, offset)
-    return (name, (base, length), None), f"sys:{name}({base},{length})"
+    return (name, (base, length), 0), f"sys:{name}({base},{length})"
 
 
 class _Halt(Exception):
@@ -464,12 +464,12 @@ class Simulator:
                     continue
                 touches, access = (a,), b  # walked on the fault path below
             else:
-                call = None  # payload (name, args, body) of the system call this action forwards
+                call = None  # payload (name, args, cycles) of the system call this action forwards
                 touches = ()  # the writes of an enabled override's target
                 if op == "compute":
                     log.emit(COMPUTE, tid, "compute", a)
                 elif op == "call_override":
-                    if a.target is None:  # forwarded with the legacy function's body, if any
+                    if a.target is None:  # forwarded with the legacy function's cycles, if any
                         log.emit(FALLTHROUGH, tid, a.call)
                         call, detail = a.payload, a.detail
                     elif a.creates:  # interposed thread creation behaves exactly like a spawn
@@ -559,11 +559,10 @@ class Simulator:
         same_socket = socket_of(caller_core) == socket_of(target_core)
         channel.sync_invoke(addr, same_socket, lambda: self._callee(0, name, behavior))
 
-    def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> int:
-        """Run a synchronously called function's body; returns its result."""
+    def _callee(self, origin: int, name: str, behavior: FunctionBehavior) -> None:
+        """Run a synchronously called function's body."""
         if behavior.cycles:
             self.log.emit(COMPUTE, origin, f"func:{name}", behavior.cycles)
-        return behavior.returns
 
     # -- thread creation -------------------------------------------------------
 

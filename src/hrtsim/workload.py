@@ -53,7 +53,6 @@ class FunctionBehavior:
     `func` line behaves as the default."""
 
     cycles: int = 0
-    returns: int = 0
     touches: tuple[int, ...] = ()
 
 
@@ -72,7 +71,7 @@ class Action(NamedTuple):
     ====================  ============================================
     touch                 address, ``"r"``/``"w"``, page number;
                           ``last+N``: N, ``"r"``/``"w"``, None
-    mmap, munmap,         payload ``(name, int args, None)``, its
+    mmap, munmap,         payload ``(name, int args, 0)``, its
     syscall               ``sys:`` detail; ``munmap last+N``: a payload
                           with N as the base, None
     compute               cycles
@@ -104,7 +103,7 @@ class CallPlan:
     spawn: str | None = None  # the first symbolic argument
     behavior: FunctionBehavior = DEFAULT_BEHAVIOR  # the target's
     detail: str = ""  # the Override entry's, or the fall-through system call's
-    payload: tuple | None = None  # fall-through: (call, int args, legacy body or None)
+    payload: tuple | None = None  # fall-through: (call, int args, the legacy function's cycles)
 
     def resolve(
         self, funcs: dict[str, FunctionBehavior], overrides: dict[str, OverrideEntry]
@@ -120,7 +119,7 @@ class CallPlan:
         self.legacy_cycles = plain.cycles if plain is not None else 0
         if entry is None or not entry.enabled:
             ints = tuple(a for a in self.args if isinstance(a, int))
-            self.payload = (self.call, ints, legacy)
+            self.payload = (self.call, ints, legacy.cycles if legacy is not None else 0)
             self.detail = syscall_detail(self.call, ints)
             return
         self.target = entry.aero_name
@@ -235,7 +234,7 @@ def _addr(token: str, lineno: int) -> tuple[int, bool]:
 
 def _system_call(op: str, name: str, args: tuple[int, ...]) -> Action:
     """A system call's action: its payload and its detail, rendered once."""
-    return Action(op, (name, args, None), syscall_detail(name, args))
+    return Action(op, (name, args, 0), syscall_detail(name, args))
 
 
 def _parse_action(tokens: list[str], lineno: int) -> Action:
@@ -259,7 +258,7 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
             raise ParseError("munmap <base> <len>", lineno)
         (base, from_last), length = _addr(args[0], lineno), _num(args[1], lineno)
         if from_last:  # the base and its detail follow the thread's last mmap
-            return Action(op, (op, (base, length), None))
+            return Action(op, (op, (base, length), 0))
         return _system_call(op, op, (base, length))
     if op == "touch":
         if len(args) != 2 or args[1] not in ("r", "w"):
@@ -300,7 +299,7 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
     if len(tokens) < 2:
         raise ParseError("func needs a name", lineno)
     name = tokens[1]
-    cycles = returns = 0
+    cycles = 0
     touches: tuple[int, ...] = ()
     for tok in tokens[2:]:
         key, sep, val = tok.partition("=")
@@ -308,13 +307,13 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
             raise ParseError(f"expected key=value, got {tok!r}", lineno)
         if key == "cycles":
             cycles = _count(val, lineno)
-        elif key == "returns":
-            returns = _num(val, lineno)
+        elif key == "returns":  # checked, and inert: nothing the model runs reads a result
+            _num(val, lineno)
         elif key == "touches":
             touches = tuple(_address(v, lineno) for v in val.split(",") if v)
         else:
             raise ParseError(f"unknown func attribute {key!r}", lineno)
-    return name, FunctionBehavior(cycles=cycles, returns=returns, touches=touches)
+    return name, FunctionBehavior(cycles=cycles, touches=touches)
 
 
 def parse_workload(text: str) -> WorkloadProgram:

@@ -42,10 +42,9 @@ def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
 
     def serve_forwarded(partner, ev):
         now = ros.log.now  # completing the event charges its cost after the bit is set
-        result = serve(partner, ev)
+        serve(partner, ev)
         if ev.kind is THREAD_EXIT_SIGNAL:
             log.append((now, "exit_bit", partner.tid))
-        return result
 
     def partner_step(partner):
         exited = partner.exited

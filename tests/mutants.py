@@ -159,6 +159,17 @@ MUTANTS = {
         ),
         "a text whose bodies can spawn themselves, which would run without bound, does not parse",
     ),
+    "mmap-ro-flag-ignored": Mutant(
+        WORKLOAD,
+        'int("ro" not in flags))',
+        "1)",
+        (
+            "tests/test_inert.py::test_each_input_changes_a_run_unless_listed[mmap-ro]",
+            "tests/test_golden.py::test_golden_log[hrt_write_readonly-virtual]",
+            "tests/test_golden.py::test_golden_log[hrt_write_readonly-multiverse]",
+        ),
+        "an mmap's `ro` flag reaches the region it maps: it is an input that changes a run",
+    ),
     "repeat-runs-count-minus-one": Mutant(
         WORKLOAD,
         "                    levels[-1][1].append(Repeat(_block(items), count))\n",

@@ -18,8 +18,8 @@ from hrtsim.sim import System
 
 from conftest import rows, small_machine
 
-# A system call's payload, as the simulator forwards it: (name, args, body).
-WRITE = ("write", (1, 4), None)
+# A system call's payload, as the simulator forwards it: (name, args, cycles).
+WRITE = ("write", (1, 4), 0)
 
 
 def make_channel() -> EventChannel:
@@ -114,10 +114,10 @@ class TestHypercalls:
         set_up_sync(channel)
         assert channel.sync_page == 0x1000
         start = channel.log.now
-        assert channel.sync_invoke(0x10, same_socket=True, service=lambda: 7) == 7
+        channel.sync_invoke(0x10, same_socket=True, service=lambda: None)
         assert channel.log.now - start == channel.cost.sync_call_same_socket
         start = channel.log.now
-        channel.sync_invoke(0x10, same_socket=False, service=lambda: 7)
+        channel.sync_invoke(0x10, same_socket=False, service=lambda: None)
         assert channel.log.now - start == channel.cost.sync_call_diff_socket
 
     def test_sync_invoke_inactive_endpoint(self):

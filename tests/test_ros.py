@@ -425,7 +425,7 @@ class TestForwardedService:
         partner = self.make_partner(booted)
         args = (1, 8)
         detail = syscall_detail("write", args)
-        ev = EventRecord(SYSCALL, partner.hrt_thread, detail, ("write", args, None))
+        ev = EventRecord(SYSCALL, partner.hrt_thread, detail, ("write", args, 0))
         booted.channel.forward_event(ev, partner.tid)
         booted.ros.serve_forwarded(partner, ev)
         assert ev.result == 8

@@ -54,18 +54,18 @@ class TestParse:
             "end\n"
         )
         ops = program.bodies["main"].actions
-        assert ops[0] == Action("mmap", ("mmap", (0x4000, 1, 1), None), "sys:mmap(16384,1,1)")
+        assert ops[0] == Action("mmap", ("mmap", (0x4000, 1, 1), 0), "sys:mmap(16384,1,1)")
         # A `last+N` touch keeps N and leaves its page to run time.
         assert ops[1] == Action("touch", 4096, WRITE, None)
         # A `last` munmap keeps its offset as the base and leaves the detail to run time.
-        assert ops[2] == Action("munmap", ("munmap", (0, 0x4000), None))
-        assert ops[3] == Action("syscall", ("write", (1, 16), None), "sys:write(1,16)")
+        assert ops[2] == Action("munmap", ("munmap", (0, 0x4000), 0))
+        assert ops[3] == Action("syscall", ("write", (1, 16), 0), "sys:write(1,16)")
         assert ops[4] == Action("compute", 250)
 
     def test_readonly_mmap_flag(self):
         program = parse_workload("thread main ros\n  mmap 4096 ro\n  exit\nend\n")
         assert program.bodies["main"].actions[0] == Action(
-            "mmap", ("mmap", (4096, 0, 0), None), "sys:mmap(4096,0,0)"
+            "mmap", ("mmap", (4096, 0, 0), 0), "sys:mmap(4096,0,0)"
         )
 
     def test_repeat_unrolled(self):
@@ -100,11 +100,12 @@ class TestParse:
         assert len(computes) == 6
 
     def test_func_directive(self):
+        # `returns=7` parses: the value is checked as a number and stored nowhere.
         program = parse_workload(
             "func fast cycles=500 returns=7 touches=0x1000,0x2000\n" + MINIMAL
         )
         behavior = program.funcs["fast"]
-        assert (behavior.cycles, behavior.returns) == (500, 7)
+        assert behavior.cycles == 500
         assert behavior.touches == (0x1000, 0x2000)
 
     def test_override_directive(self):
@@ -326,6 +327,22 @@ class TestValidation:
         with pytest.raises(ParseError) as info:
             parse_workload("thread main ros\n  compute lots\n  exit\nend\n")
         assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "head, match, lineno",
+        [
+            ("func g cycles=1\nfunc f returns=x\n", "bad number 'x'", 2),
+            ("func f returns=\n", "bad number ''", 1),
+            ("# a comment\noverride f -> g args(0:0,1:0)\n", "must be injective", 2),
+        ],
+        ids=["returns-word", "returns-empty", "args-not-injective"],
+    )
+    def test_unstored_input_is_still_checked(self, head, match, lineno):
+        # `returns=` and `args(...)` change no run (see test_inert), and
+        # each is still checked where it is read.
+        with pytest.raises(ParseError, match=match) as info:
+            parse_workload(f"{head}thread main ros\n  exit\nend\n")
+        assert info.value.line == lineno
 
     @pytest.mark.parametrize(
         "head, line, lineno",

@@ -23,7 +23,9 @@ The file records, for each workload and seed:
   tree won (ties count for neither), `within_bound` (the after median is
   worse by no more than the metric's bound), and `gain` (the after tree
   won at least nine pairs in ten and its median is better by more than
-  the before tree's q3 - q1).
+  the before tree's q3 - q1, and by more than a tenth of the bound, so a
+  metric that reads the same on every run claims no gain from a
+  difference in its last digits).
 
 Exit status 0 if every run was correct and every equality holds, else 1.
 """
@@ -90,7 +92,8 @@ def compare_metric(spec: dict, before: list[float], after: list[float]) -> dict:
     worse_by = (a - b) if lower else (b - a)
     entry["within_bound"] = worse_by <= spec["bound"] * abs(b)
     iqr = entry["before"]["q3"] - entry["before"]["q1"]
-    entry["gain"] = wins * 10 >= 9 * len(before) and -worse_by > iqr
+    floor = max(iqr, spec["bound"] / 10 * abs(b))
+    entry["gain"] = wins * 10 >= 9 * len(before) and -worse_by > floor
     return entry
 
 
