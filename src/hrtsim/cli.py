@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .costs import CostModel, load_cost_model
-from .errors import FormatError, ParseError, SimError
+from .errors import ParseError, SimError
 from .sim import Mode, compare, load_profiles, parse_workload, replay_benchmark, run
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             for profile in profiles:
                 print(replay_benchmark(profile, cost).render())
             return EXIT_OK
-    except (ParseError, FormatError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SimError as exc:

@@ -40,9 +40,9 @@ class CostModel:
     def __post_init__(self):
         if not 0 < self.clock_hz < math.inf:
             raise ValueError("clock_hz must be finite and > 0")
-        for field in dataclasses.fields(self):
-            if getattr(self, field.name) < 0:
-                raise ValueError(f"cost {field.name} must be >= 0")
+        for name in _FIELD_NAMES:
+            if getattr(self, name) < 0:
+                raise ValueError(f"cost {name} must be >= 0")
         ordered = [getattr(self, name) for name in ORDERED]
         if ordered != sorted(ordered):
             raise ValueError("expected " + " <= ".join(ORDERED))
@@ -66,7 +66,9 @@ class CostModel:
         }
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(CostModel)}
+# The fields in declaration order, read once: `__post_init__` checks them on
+# every `System()`.
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(CostModel))
 
 
 def load_cost_model(text: str) -> CostModel:

@@ -56,6 +56,7 @@ from .mem import (
     translate,
     unmap_page,
 )
+from .toolchain import AeroKernelImage
 
 EINVAL = -22
 ENOMEM = -12
@@ -387,17 +388,14 @@ class RosKernel:
         return False
 
 
-def init_runtime(system, fat_bytes: bytes) -> RosProcess:
-    """Program-start sequence: linkage, install, boot, merge.  Any sub-step
-    failure propagates as that step's error."""
-    from .toolchain import parse_fat_binary
-
+def init_runtime(system, image: AeroKernelImage) -> RosProcess:
+    """Program-start sequence: install, boot, merge.  Function linkage is
+    image installation: every symbol of the image resolves through the
+    installed image's symbol table.  Any sub-step failure propagates as
+    that step's error."""
     ros: RosKernel = system.ros
     hrt: HrtKernel = system.hrt
     channel: EventChannel = system.channel
-    _, image = parse_fat_binary(fat_bytes)
-    # Function linkage is image installation: every embedded symbol
-    # resolves through the installed image's symbol table.
     hrt.install_image(image)
     hrt.boot(system.machine.hrt_core_ids)
     cr3 = ros.proc.space.cr3

@@ -7,6 +7,10 @@ A body is lowered once, at parse time, to its `steps` (exact tuples laid
 out as `workload.Action`), so a step unpacks one predecoded tuple: its
 operands, and any log detail that does not depend on the run, are final.
 Only a `last+N` address and its detail are computed in the step.
+In multiverse, set-up builds the kernel image the workload needs
+(`kernel_image`) and hands it to `init_runtime`, which installs it, boots
+the runtime and merges the address spaces; no fat binary is encoded or
+decoded on the way.
 Contexts are stepped strict round-robin in creation order (regular OS
 threads before kernel-mode threads).  One call of `Simulator.step()` is one
 round: it steps each runnable context once, with the `next()` inline, and
@@ -97,7 +101,7 @@ from .hrt import HrtKernel
 from .machine import Machine
 from .mem import HIGHER_BASE, WRITE, translate
 from .ros import EFAULT, RosKernel, init_runtime
-from .toolchain import AeroKernelImage, AppDescriptor, embed
+from .toolchain import AeroKernelImage
 from .workload import DEFAULT_BEHAVIOR, FunctionBehavior, ThreadBody, WorkloadProgram, parse_workload
 
 __all__ = [
@@ -194,21 +198,20 @@ class System:
         self.ros = RosKernel(self.machine, self.cost, self.log, self.channel, self.hrt)
 
 
-def build_fat_binary(workload: WorkloadProgram) -> bytes:
-    """Package the kernel image a workload needs, one symbol per name in
-    `workload.symbols()`."""
+def kernel_image(workload: WorkloadProgram) -> AeroKernelImage:
+    """The kernel image a workload needs, one symbol per name in
+    `workload.symbols()`.  Set-up installs it as it is; the toolchain's
+    container (`toolchain.embed`) carries the same image."""
     names = sorted(workload.symbols())
     symbols = {
         name: HIGHER_BASE + 0x0020_0000 + i * 0x40
         for i, name in enumerate(names)
     }
-    entry_name = names[0] if names else "main"
-    image = AeroKernelImage(
-        entry=entry_name,
+    return AeroKernelImage(
+        entry=names[0] if names else "main",
         symbol_table=symbols,
         payload_size=64 * 1024 + 0x40 * len(symbols),
     )
-    return embed(AppDescriptor(name="app", workload=""), image)
 
 
 @dataclass
@@ -269,7 +272,7 @@ class Simulator:
     def setup(self) -> None:
         ros = self.system.ros
         if self.mode is Mode.MULTIVERSE:
-            init_runtime(self.system, build_fat_binary(self.workload))
+            init_runtime(self.system, kernel_image(self.workload))
         self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
 
     def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:

@@ -8,6 +8,9 @@ Container layout (little-endian, no padding):
     then the two payloads back to back; total length must match exactly.
 
 Payloads are canonical JSON so that embed/parse round-trips bit-exactly.
+The container is the toolchain's format, not a step of every run: set-up
+installs the `AeroKernelImage` it builds (`sim.kernel_image`) as it is,
+and the tests check that the container carries each such image unchanged.
 """
 
 from __future__ import annotations
@@ -118,9 +121,8 @@ def default_override_map() -> dict[str, OverrideEntry]:
     return dict(DEFAULT_OVERRIDES)
 
 
-def parse_override_line(line: str, lineno: int) -> tuple[str, OverrideEntry]:
-    """Parse one `override <legacy> -> <aero> [args(i:j,...)] [off]` line."""
-    tokens = line.split()
+def parse_override(tokens: list[str], lineno: int) -> tuple[str, OverrideEntry]:
+    """Parse one `override <legacy> -> <aero> [args(i:j,...)] [off]` line, split."""
     if tokens[0] != "override":
         raise ParseError(f"expected 'override', got {tokens[0]!r}", lineno)
     if len(tokens) < 4 or tokens[2] != "->":
@@ -163,7 +165,7 @@ def parse_override_config(text: str) -> tuple[dict[str, OverrideEntry], list[str
     warnings: list[str] = []
     seen: set[str] = set()
     for lineno, line in text_lines(text):
-        legacy, entry = parse_override_line(line, lineno)
+        legacy, entry = parse_override(line.split(), lineno)
         if legacy in seen:
             warnings.append(f"line {lineno}: duplicate override for {legacy}, last wins")
         seen.add(legacy)

@@ -19,7 +19,8 @@ Example::
 Numeric literals are decimal or 0x-hex.  In address positions, ``last``
 (optionally ``last+N``) refers to the base returned by the thread's most
 recent mmap.  A ``repeat N ... end`` block stays one loop node of its
-body (`Steps`), so a body's memory follows its text, not its trip count.
+body (`Steps`), so a body's memory follows its text, not its trip count;
+a body whose steps all run once in a row keeps them as one tuple.
 Each action line is lowered once, as it is parsed, to an exact 4-tuple
 laid out as `Action`, with its final operands.  Equal lines share one
 tuple, and iterating a body's `steps` gives each step that runs in turn,
@@ -43,9 +44,9 @@ from itertools import chain, groupby, repeat, starmap
 from typing import Any, NamedTuple
 
 from .channel import syscall_detail
-from .errors import ParseError, text_lines
+from .errors import ParseError
 from .mem import READ, WRITE
-from .toolchain import OverrideEntry, default_override_map, parse_override_line
+from .toolchain import OverrideEntry, default_override_map, parse_override
 
 @dataclass(frozen=True)
 class FunctionBehavior:
@@ -166,8 +167,9 @@ def _nodes(items: list) -> tuple[Repeat, ...]:
 
 
 def _block(items: list) -> tuple | Steps:
-    """A repeat block's `Repeat.block`: the block of its one node if that
-    runs once (a run of plain steps, say), else `Steps`."""
+    """A block as it is iterated, a repeat block's `Repeat.block` or a
+    body's `steps`: the block of its one node if that runs once (a run of
+    plain steps, say), else `Steps`."""
     nodes = _nodes(items)
     return nodes[0].block if len(nodes) == 1 and nodes[0].count == 1 else Steps(nodes)
 
@@ -176,7 +178,7 @@ def _block(items: list) -> tuple | Steps:
 class ThreadBody:
     name: str
     role: str  # "ros" | "hrt"
-    steps: Steps = Steps()  # the body's own, set at its `end`
+    steps: tuple | Steps = Steps()  # the body's own, set at its `end` (see `_block`)
 
     @property
     def actions(self) -> list[Action]:
@@ -232,18 +234,22 @@ def _addr(token: str, lineno: int) -> tuple[int, bool]:
     return _address(token, lineno), False
 
 
-def _system_call(op: str, name: str, args: tuple[int, ...]) -> Action:
-    """A system call's action: its payload and its detail, rendered once."""
-    return Action(op, (name, args, 0), syscall_detail(name, args))
+SPAWNING = ("spawn", "spawn_nested", "call_override")  # the ops that may create a thread
 
 
-def _parse_action(tokens: list[str], lineno: int) -> Action:
+def _system_call(op: str, name: str, args: tuple[int, ...]) -> tuple:
+    """A system call's step: its payload and its detail, rendered once."""
+    return op, (name, args, 0), syscall_detail(name, args), None
+
+
+def _parse_action(tokens: list[str], lineno: int) -> tuple:
+    """The step of one action line, an exact tuple laid out as `Action`."""
     op = tokens[0]
     args = tokens[1:]
     if op == "compute":
         if len(args) != 1:
             raise ParseError("compute takes one cycle count", lineno)
-        return Action(op, _count(args[0], lineno))
+        return op, _count(args[0], lineno), None, None
     if op == "mmap":
         if not 1 <= len(args) <= 3:
             raise ParseError("mmap <len> [populate] [ro]", lineno)
@@ -258,14 +264,14 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
             raise ParseError("munmap <base> <len>", lineno)
         (base, from_last), length = _addr(args[0], lineno), _num(args[1], lineno)
         if from_last:  # the base and its detail follow the thread's last mmap
-            return Action(op, (op, (base, length), 0))
+            return op, (op, (base, length), 0), None, None
         return _system_call(op, op, (base, length))
     if op == "touch":
         if len(args) != 2 or args[1] not in ("r", "w"):
             raise ParseError("touch <addr> r|w", lineno)
         addr, from_last = _addr(args[0], lineno)
         access = WRITE if args[1] == "w" else READ  # the `mem` constant itself
-        return Action(op, addr, access, None if from_last else addr >> 12)
+        return op, addr, access, None if from_last else addr >> 12
     if op == "syscall":
         if not args:
             raise ParseError("syscall needs a name", lineno)
@@ -273,7 +279,7 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
     if op in ("spawn", "spawn_nested", "join"):
         if len(args) != 1:
             raise ParseError(f"{op} takes one thread name", lineno)
-        return Action(op, args[0])
+        return op, args[0], None, None
     if op == "call_override":
         if not args:
             raise ParseError("call_override needs a name", lineno)
@@ -283,15 +289,15 @@ def _parse_action(tokens: list[str], lineno: int) -> Action:
                 numeric.append(int(a, 0))
             except ValueError:
                 numeric.append(a)  # symbolic arg, e.g. a spawn target
-        return Action(op, CallPlan(args[0], tuple(numeric)))
+        return op, CallPlan(args[0], tuple(numeric)), None, None
     if op == "sync_call":
         if len(args) != 1:
             raise ParseError("sync_call takes one function name", lineno)
-        return Action(op, args[0])
+        return op, args[0], None, None
     if op == "exit":
         if args:
             raise ParseError("exit takes no arguments", lineno)
-        return Action(op)
+        return op, None, None, None
     raise ParseError(f"unknown action {op!r}", lineno)
 
 
@@ -317,99 +323,107 @@ def _parse_func(tokens: list[str], lineno: int) -> tuple[str, FunctionBehavior]:
 
 
 def parse_workload(text: str) -> WorkloadProgram:
+    """One pass over the lines.  An action line whose raw text was seen
+    before inside a body is its lowered step again: it is neither cut at
+    `#` nor split.  Any other line is cut, split, and dispatched on its
+    head token; an action line is lowered once per text, cut and stripped."""
     bodies: dict[str, ThreadBody] = {}
     funcs: dict[str, FunctionBehavior] = {}
     overrides = default_override_map()
-    current: ThreadBody | None = None
-    # While a body is open: the body, then each open repeat block, as
-    # [count, items, last, line]: its plain steps and `Repeat` nodes, the
-    # step that runs last in it, or None if none runs, and its opening line.
-    levels: list[list] = []
-    targets: list[tuple[tuple, int]] = []  # named-target steps, checked at the end
-    lowered: dict[str, tuple] = {}  # action line -> its step: equal lines share one
-    plans: list[CallPlan] = []  # one per distinct call_override line, resolved at the end
-    plan_lines: list[int] = []  # the line of each plan
-    spawns: list = []  # body, step, line, flat: each thread creation that runs
+    current: ThreadBody | None = None  # the open body
+    items: list = []  # the innermost open block's plain steps and `Repeat` nodes
+    last = None  # the step that runs last so far in the body, if any
+    live = True  # no open block is a `repeat 0`: the block's steps run
+    outer: list[tuple] = []  # per open repeat: the enclosing block's items, last and live,
+    # with the repeat's count and line
+    lowered: dict[str, tuple] = {}  # action line, raw or cut and stripped -> its step
+    # Flat, as `spawns` is (see `_check_spawn_cycles`), and checked at the end:
+    targets: list = []  # step, line: each distinct named-target step and its first line
+    plans: list = []  # plan, line: one per distinct call_override line
+    spawns: list = []  # body, step, line: each thread creation that runs
+    lines = text.splitlines()
 
-    for lineno, line in text_lines(text):
-        tokens = line.split()
-        head = tokens[0]
-
-        if current is None:
-            if head == "thread":
-                if len(tokens) != 3 or tokens[2] not in ("ros", "hrt"):
-                    raise ParseError("thread <name> ros|hrt", lineno)
-                name = tokens[1]
-                if name in bodies:
-                    raise ParseError(f"duplicate thread {name!r}", lineno)
-                if name == "main" and tokens[2] != "ros":
-                    raise ParseError("'main' must be a ros thread", lineno)
-                current = ThreadBody(name, tokens[2])
-                levels.append([1, [], None, lineno])
-            elif head == "func":
-                name, behavior = _parse_func(tokens, lineno)
-                funcs[name] = behavior
-            elif head == "override":
-                legacy, entry = parse_override_line(line, lineno)
-                overrides[legacy] = entry
-            else:
-                raise ParseError(f"expected thread/func/override, got {head!r}", lineno)
-            continue
-
-        # Inside a thread body.
-        if head == "repeat":
-            if len(tokens) != 2:
-                raise ParseError("repeat <count>", lineno)
-            count = _count(tokens[1], lineno)
-            if count > sys.maxsize:
-                raise ParseError(f"repeat count {tokens[1]!r} does not fit in an index", lineno)
-            levels.append([count, [], None, lineno])
-        elif head == "end":
-            count, items, last, _ = levels.pop()
-            if levels:  # a repeat block's: one that runs joins the enclosing block
-                if count and items:
-                    levels[-1][1].append(Repeat(_block(items), count))
-                    levels[-1][2] = last
-            else:
+    for lineno, raw in enumerate(lines, 1):
+        step = lowered.get(raw) if current is not None else None
+        if step is None:
+            line = raw[: raw.index("#")] if "#" in raw else raw
+            tokens = line.split()
+            if not tokens:
+                continue
+            head = tokens[0]
+            if current is None:
+                if head == "thread":
+                    if len(tokens) != 3 or tokens[2] not in ("ros", "hrt"):
+                        raise ParseError("thread <name> ros|hrt", lineno)
+                    name = tokens[1]
+                    if name in bodies:
+                        raise ParseError(f"duplicate thread {name!r}", lineno)
+                    if name == "main" and tokens[2] != "ros":
+                        raise ParseError("'main' must be a ros thread", lineno)
+                    current, items, last = ThreadBody(name, tokens[2]), [], None
+                elif head == "func":
+                    name, behavior = _parse_func(tokens, lineno)
+                    funcs[name] = behavior
+                elif head == "override":
+                    legacy, entry = parse_override(tokens, lineno)
+                    overrides[legacy] = entry
+                else:
+                    raise ParseError(f"expected thread/func/override, got {head!r}", lineno)
+                continue
+            if head == "repeat":
+                if len(tokens) != 2:
+                    raise ParseError("repeat <count>", lineno)
+                count = _count(tokens[1], lineno)
+                if count > sys.maxsize:
+                    raise ParseError(f"repeat count {tokens[1]!r} does not fit in an index", lineno)
+                outer.append((items, last, live, count, lineno))
+                items, live = [], live and count > 0
+                continue
+            if head == "end":
+                if outer:  # a repeat block's: one that runs joins the enclosing block
+                    enclosing, before, live, count, _ = outer.pop()
+                    if count and items:
+                        enclosing.append(Repeat(_block(items), count))
+                    else:  # nothing in it runs
+                        last = before
+                    items = enclosing
+                    continue
                 if last is None or last[0] != "exit":
-                    raise ParseError(
-                        f"thread {current.name!r} must end with exit", lineno
-                    )
-                current.steps = Steps(_nodes(items))
+                    raise ParseError(f"thread {current.name!r} must end with exit", lineno)
+                current.steps = _block(items)
                 bodies[current.name] = current
                 current = None
-        else:
-            step = lowered.get(line)
+                continue
+            key = line.strip()
+            step = lowered.get(key)
             if step is None:
-                step = lowered[line] = tuple(_parse_action(tokens, lineno))
+                step = lowered[key] = _parse_action(tokens, lineno)
                 if step[0] == "call_override":
-                    plans.append(step[1])
-                    plan_lines.append(lineno)
-            if step[0] in ("spawn", "spawn_nested", "join", "sync_call"):
-                targets.append((step, lineno))
-            if step[0] in ("spawn", "spawn_nested", "call_override") and all(
-                level[0] for level in levels
-            ):  # a step inside a `repeat 0` block never runs
-                spawns += current.name, step, lineno
-            levels[-1][1].append(step)
-            levels[-1][2] = step
+                    plans += step[1], lineno
+                elif step[0] in ("spawn", "spawn_nested", "join", "sync_call"):
+                    targets += step, lineno
+            lowered[raw] = step
+        if live and step[0] in SPAWNING:
+            spawns += current.name, step, lineno
+        items.append(step)
+        last = step
 
-    if len(levels) > 1:  # the innermost open repeat
-        raise ParseError("repeat block not closed with end", levels[-1][3])
+    if outer:  # the innermost open repeat
+        raise ParseError("repeat block not closed with end", outer[-1][4])
     if current is not None:
-        raise ParseError(f"thread {current.name!r} not closed with end", len(text.splitlines()))
+        raise ParseError(f"thread {current.name!r} not closed with end", len(lines))
     if "main" not in bodies:  # found missing where the input ends
-        raise ParseError("workload needs exactly one 'main' thread", len(text.splitlines()) or 1)
+        raise ParseError("workload needs exactly one 'main' thread", len(lines) or 1)
 
     program = WorkloadProgram(bodies=bodies, funcs=funcs, overrides=overrides)
-    symbols = program.symbols()
-    for plan, lineno in zip(plans, plan_lines):
+    for plan, lineno in zip(plans[0::2], plans[1::2]):
         plan.resolve(funcs, overrides)
         if plan.creates and plan.spawn is not None and plan.spawn not in bodies:
             raise ParseError(
                 f"call_override {plan.name} target {plan.spawn!r} is not a defined thread", lineno
             )
-    for (op, name, _, _), lineno in targets:
+    symbols = program.symbols()
+    for (op, name, _, _), lineno in zip(targets[0::2], targets[1::2]):
         if op == "sync_call":
             if name not in symbols:
                 raise ParseError(f"sync_call target {name!r} is not a symbol", lineno)

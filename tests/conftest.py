@@ -8,17 +8,14 @@ from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
 from hrtsim.ros import RosKernel, init_runtime
 from hrtsim.sim import System
-from hrtsim.toolchain import AeroKernelImage, AppDescriptor, embed
+from hrtsim.toolchain import AeroKernelImage
 
 
-def make_fat(names=("worker",), payload_size=8192) -> bytes:
+def make_image(names=("worker",), payload_size=8192) -> AeroKernelImage:
     symbols = {
         name: HIGHER_BASE + 0x0020_0000 + i * 0x40 for i, name in enumerate(sorted(names))
     }
-    image = AeroKernelImage(
-        entry=sorted(names)[0], symbol_table=symbols, payload_size=payload_size
-    )
-    return embed(AppDescriptor("test-app"), image)
+    return AeroKernelImage(entry=sorted(names)[0], symbol_table=symbols, payload_size=payload_size)
 
 
 def small_machine(**kw) -> Machine:
@@ -73,7 +70,7 @@ def system() -> System:
 
 @pytest.fixture
 def booted(system) -> System:
-    init_runtime(system, make_fat(("worker", "helper", "leaf")))
+    init_runtime(system, make_image(("worker", "helper", "leaf")))
     return system
 
 

@@ -172,8 +172,8 @@ MUTANTS = {
     ),
     "repeat-runs-count-minus-one": Mutant(
         WORKLOAD,
-        "                    levels[-1][1].append(Repeat(_block(items), count))\n",
-        "                    levels[-1][1].append(Repeat(_block(items), count - 1))\n",
+        "                        enclosing.append(Repeat(_block(items), count))\n",
+        "                        enclosing.append(Repeat(_block(items), count - 1))\n",
         (
             "tests/test_workload.py::TestParse::test_repeat_unrolled",
             "tests/test_sim.py::TestProgramReuse::test_each_run_of_a_body_steps_all_of_it",
@@ -183,13 +183,33 @@ MUTANTS = {
     ),
     "repeat-iterator-shared": Mutant(
         WORKLOAD,
-        "                current.steps = Steps(_nodes(items))\n",
-        "                current.steps = iter(Steps(_nodes(items)))\n",
+        "                current.steps = _block(items)\n",
+        "                current.steps = iter(_block(items))\n",
         (
             "tests/test_sim.py::TestProgramReuse::test_each_run_of_a_body_steps_all_of_it",
             "tests/test_sim.py::TestProgramReuse::test_one_parse_runs_like_fresh_parses[bench_hot_local]",
         ),
         "each run of a body iterates its steps from the start, not one iterator every run shares",
+    ),
+    "call-override-resolved-at-read": Mutant(
+        WORKLOAD,
+        '                if step[0] == "call_override":\n'
+        "                    plans += step[1], lineno\n",
+        '                if step[0] == "call_override":\n'
+        "                    step[1].resolve(funcs, overrides)\n",
+        ("tests/test_laws.py::test_law_keeps_every_outcome[declarations-last]",),
+        "a call's plan is resolved once the whole text is read: a func or override line "
+        "may follow the calls it decides",
+    ),
+    "comment-text-kept": Mutant(
+        WORKLOAD,
+        '            line = raw[: raw.index("#")] if "#" in raw else raw\n',
+        "            line = raw\n",
+        (
+            "tests/test_laws.py::test_law_keeps_every_outcome[comments-inserted]",
+            "tests/test_laws.py::test_comments_keep_each_parse_error_at_its_line",
+        ),
+        "the text after a `#` is a comment, which changes nothing",
     ),
     "stale-round-keeps-list": Mutant(
         SIM,

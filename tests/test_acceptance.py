@@ -43,7 +43,7 @@ from hrtsim.toolchain import (
     parse_override_config,
 )
 
-from conftest import make_fat, record_joins, small_machine
+from conftest import make_image, record_joins, small_machine
 from pagewalk import mapped_lower_pages
 
 W_SPAWN_JOIN = """
@@ -188,7 +188,7 @@ def test_criterion_06_duplicate_fault_remerge():
 
 
 class TestCriterion07:
-    FAT = make_fat(("worker",), payload_size=4096)
+    IMAGE = make_image(("worker",), payload_size=4096)
 
     def _fresh(self, n_partners):
         system = System(
@@ -196,7 +196,7 @@ class TestCriterion07:
                 cores=[CoreKind.ROS_CORE, CoreKind.HRT_CORE], phys_frames=128
             )
         )
-        init_runtime(system, self.FAT)
+        init_runtime(system, self.IMAGE)
         partners = [system.ros.spawn_hrt("worker") for _ in range(n_partners)]
         return system, partners
 

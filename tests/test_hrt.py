@@ -27,9 +27,9 @@ from hrtsim.mem import (
 from hrtsim.machine import Machine
 from hrtsim.ros import DEFAULT_STACK_BYTES, MMAP_BASE, STACK_TOP, init_runtime
 from hrtsim.sim import Mode, Simulator, System, parse_workload
-from hrtsim.toolchain import AeroKernelImage, SymbolCache, parse_fat_binary
+from hrtsim.toolchain import AeroKernelImage, SymbolCache
 
-from conftest import make_fat, rows, small_machine
+from conftest import make_image, rows, small_machine
 from test_schedule import load_bench_workloads
 
 
@@ -51,9 +51,7 @@ class TestBoot:
             system.hrt.symbol("worker")
 
     def test_double_install(self, booted):
-        from hrtsim.toolchain import parse_fat_binary
-
-        _, image = parse_fat_binary(make_fat(("other",)))
+        image = make_image(("other",))
         with pytest.raises(InstallError):
             booted.hrt.install_image(image)
 
@@ -94,9 +92,7 @@ class TestBoot:
             system.hrt.boot(system.machine.hrt_core_ids)
 
     def test_boot_ros_core_rejected(self, system):
-        from hrtsim.toolchain import parse_fat_binary
-
-        _, image = parse_fat_binary(make_fat())
+        image = make_image()
         system.hrt.install_image(image)
         with pytest.raises(PartitionError):
             system.hrt.boot([system.machine.ros_core_ids[0]])
@@ -108,7 +104,7 @@ class TestBoot:
             assert (core.recent_fault, core.current_thread) == (None, None)
 
     def test_booted_cores_ascend_whatever_the_boot_order(self, system):
-        _, image = parse_fat_binary(make_fat())
+        image = make_image()
         system.hrt.install_image(image)
         assert system.hrt.booted_cores() == []
         system.hrt.boot(system.machine.hrt_core_ids[::-1])
@@ -121,7 +117,7 @@ class TestBoot:
         # The other deferred tables are the regular OS's two empty level-3
         # tables, below the root entries of its mmap and stack areas.
         system = System(machine=Machine(phys_frames=1 << 20))
-        system.hrt.install_image(parse_fat_binary(make_fat())[1])
+        system.hrt.install_image(make_image())
         system.hrt.boot(system.machine.hrt_core_ids)
         store = system.machine.table_store
         empty = {frame for frame, record in store.deferred.items() if record == EMPTY_TABLE}
@@ -144,7 +140,7 @@ class TestBoot:
         built = set()
         for frames in (1 << 12, 1 << 18, 1 << 22):
             system = System(machine=Machine(phys_frames=frames))
-            init_runtime(system, make_fat())
+            init_runtime(system, make_image())
             store = system.machine.table_store
             empty = sum(record == EMPTY_TABLE for record in store.deferred.values())
             built.add((len(store), empty))
@@ -181,9 +177,7 @@ class TestBoot:
 
 class TestThreads:
     def test_create_before_merge(self, system):
-        from hrtsim.toolchain import parse_fat_binary
-
-        _, image = parse_fat_binary(make_fat())
+        image = make_image()
         system.hrt.install_image(image)
         system.hrt.boot(system.machine.hrt_core_ids)
         with pytest.raises(ProtocolError):
@@ -194,7 +188,7 @@ class TestThreads:
             top_level(booted, "no_such_fn")
 
     def test_create_without_booted_cores(self, system):
-        _, image = parse_fat_binary(make_fat())
+        image = make_image()
         system.hrt.install_image(image)
         system.hrt.boot([])
         system.hrt.ros_space = system.ros.proc.space  # merged: only the cores are missing
@@ -280,7 +274,7 @@ class TestPartnerRecord:
     @given(THREAD_TREES, st.data())
     def test_partner_matches_parent_walk(self, steps, data):
         system = System(machine=small_machine())
-        init_runtime(system, make_fat(("worker", "helper", "leaf")))
+        init_runtime(system, make_image(("worker", "helper", "leaf")))
         hrt = system.hrt
         given_partner: dict[int, int] = {}  # top-level tid -> partner it was created with
         depth: dict[int, int] = {}

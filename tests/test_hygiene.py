@@ -111,6 +111,10 @@ def test_check_sees_an_unused_private_function():
 NAMED_ONLY_BY_TESTS = {
     "latency_table": "acceptance criterion 1 reads the cost model's latency table",
     "parse_override_config": "acceptance criterion 10 parses a whole override config",
+    "embed": "the toolchain's container writer: criterion 10 and test_toolchain tie it "
+    "to every image set-up installs",
+    "parse_fat_binary": "the toolchain's container reader: criterion 10 and test_toolchain "
+    "tie it to every image set-up installs",
     "actions": "perfbench's shape() and tracer and the parser tests read a body's actions by field",
 }
 

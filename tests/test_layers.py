@@ -1,0 +1,33 @@
+"""`tools/layers.py` prints the schema it documents.  The checkout is
+measured on `boot_large` in a few runs; no timing is checked, only the
+schema, that every phase of the set-up this tree runs is timed, and that
+the profile finds the parser and the interpreter."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_layers_of_the_checkout():
+    result = subprocess.run(
+        [
+            sys.executable, "tools/layers.py", "--tree", ".", "--workload", "boot_large",
+            "--seed", "1", "--runs", "3",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    layers = json.loads(result.stdout)
+    assert set(layers) == {"tree", "workload", "seed", "runs", "phases_us", "self_s", "timed_peak_mb"}
+    assert (layers["workload"], layers["seed"], layers["runs"]) == ("boot_large", 1, 3)
+    # This tree installs the image it builds: nothing decodes a fat binary.
+    assert list(layers["phases_us"]) == ["parse", "image", "install_boot", "merge", "run"]
+    for phase in layers["phases_us"].values():
+        assert set(phase) == {"median", "q1", "q3"}
+        assert 0 < phase["q1"] <= phase["median"] <= phase["q3"]
+    assert {"hrtsim.workload", "hrtsim.sim", "hrtsim.mem"} <= set(layers["self_s"])
+    assert all(seconds >= 0 for seconds in layers["self_s"].values())
+    assert 0 < layers["timed_peak_mb"] < 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import hrtsim.ros
 from hrtsim.channel import MERGE_REQUEST, PAGE_FAULT, SYSCALL, THREAD_CREATE, EventRecord, fault_detail, syscall_detail
-from hrtsim.errors import AllocationError, FormatError, SymbolError, UsageError
+from hrtsim.errors import AllocationError, InstallError, SymbolError, UsageError
 from hrtsim.mem import PAGE_SIZE, READ, WRITE, translate
 from hrtsim.ros import (
     DEFAULT_STACK_BYTES,
@@ -19,7 +19,7 @@ from hrtsim.ros import (
 )
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-from conftest import make_fat, record_joins, rows, small_machine
+from conftest import make_image, record_joins, rows, small_machine
 from pagewalk import lower_halves_consistent, upper_entries, walk
 
 
@@ -340,7 +340,7 @@ class TestSyscalls:
 
 class TestInitRuntime:
     def test_full_sequence(self, system):
-        proc = init_runtime(system, make_fat())
+        proc = init_runtime(system, make_image())
         assert proc is system.ros.proc
         assert system.hrt.ros_space is system.ros.proc.space
         assert sorted(system.hrt.cores) == system.machine.hrt_core_ids  # each booted
@@ -349,18 +349,19 @@ class TestInitRuntime:
         assert lower_halves_consistent(system.hrt.space, system.ros.proc.space)
 
     def test_merge_charged_once(self, system):
-        init_runtime(system, make_fat())
+        init_runtime(system, make_image())
         merges = [
             cost for _, kind, _, _, cost in rows(system.log)
             if kind == MERGE_REQUEST
         ]
         assert merges == [system.cost.merger]
 
-    def test_corrupt_image_propagates(self, system):
-        blob = bytearray(make_fat())
-        blob[0] ^= 0xFF
-        with pytest.raises(FormatError):
-            init_runtime(system, bytes(blob))
+    def test_refused_image_propagates(self, system):
+        # Install refuses an image too large for the runtime's frames: its
+        # error reaches the caller, and nothing is booted or merged.
+        with pytest.raises(InstallError):
+            init_runtime(system, make_image(payload_size=1 << 40))
+        assert (system.hrt.image, system.hrt.cores, rows(system.log)) == (None, {}, [])
 
 
 class TestSpawn:

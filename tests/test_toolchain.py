@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hrtsim.errors import FormatError, ParseError
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE
+from hrtsim.sim import kernel_image
 from hrtsim.toolchain import (
     AeroKernelImage,
     AppDescriptor,
@@ -19,6 +20,9 @@ from hrtsim.toolchain import (
     parse_fat_binary,
     parse_override_config,
 )
+from hrtsim.workload import parse_workload
+
+from test_inert import TEXTS
 
 
 def random_image(rng: random.Random, symbols: int) -> AeroKernelImage:
@@ -85,6 +89,13 @@ class TestFatBinary:
         blob = embed(AppDescriptor(f"app{seed}"), image)
         _, parsed = parse_fat_binary(blob)
         assert parsed == image
+
+    def test_container_carries_every_image_set_up_installs(self):
+        # Set-up installs `kernel_image` as it is; the toolchain's container
+        # carries each such image unchanged, over every golden and corpus text.
+        for text, _ in TEXTS:
+            image = kernel_image(parse_workload(text))
+            assert parse_fat_binary(embed(AppDescriptor("app"), image))[1] == image
 
 
 class TestOverrideConfig:
