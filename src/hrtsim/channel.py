@@ -71,25 +71,16 @@ class EventLog:
         self.now = 0
         self.cells: list[int | str] = []  # five per entry: cycle, kind, origin, detail, cost
         self.syscalls: dict[str, tuple[int, int]] = {}  # call name -> (calls, cycles)
-        self.forwarded: dict[str, int] = {}  # kind -> entries of forwarded events
+        self.forwarded: dict[str, int] = {}  # kind -> forwarded entries, by `complete_event`
 
     def emit(
-        self,
-        kind: str,
-        origin: int,
-        detail: str,
-        cost: int = 0,
-        forwarded: bool = False,
-        call: str | None = None,
+        self, kind: str, origin: int, detail: str, cost: int = 0, call: str | None = None
     ) -> None:
         """Charge cost and record it in one entry, stamped after the charge.
-        A forwarded event's entry is tallied by kind in `forwarded`; a
-        system call's entry names its call, which tallies it in `syscalls`."""
+        A system call's entry names its call, which tallies it in `syscalls`."""
         assert cost >= 0
         self.now += cost
         self.cells.extend((self.now, kind, origin, detail, cost))
-        if forwarded:
-            self.forwarded[kind] = self.forwarded.get(kind, 0) + 1
         if call is not None:
             calls, cycles = self.syscalls.get(call, (0, 0))
             self.syscalls[call] = (calls + 1, cycles + cost)
@@ -214,6 +205,8 @@ class EventChannel:
         call = ev.payload[0] if kind is SYSCALL else None  # (name, args, cycles)
         cost = ev.cost
         cost = self.shared_costs.setdefault(cost, cost)  # equal costs log one int object
+        forwarded = self.log.forwarded
+        forwarded[kind] = forwarded.get(kind, 0) + 1
         # By position, as keywords cost ~0.2 µs.
-        self.log.emit(kind, ev.origin, ev.detail, cost, True, call)
+        self.log.emit(kind, ev.origin, ev.detail, cost, call)
         ev.complete_cycle = self.log.now

@@ -219,7 +219,6 @@ class _Ctx:
     """Scheduler bookkeeping for one simulated thread; each `next()` of its
     generator is one scheduler step and yields whether the step made progress."""
 
-    name: str
     kind: str  # "ros_body" | "partner" | "hrt_body"
     tid: int
     index: int  # creation order: the context's position in `Simulator.contexts`
@@ -273,12 +272,12 @@ class Simulator:
         ros = self.system.ros
         if self.mode is Mode.MULTIVERSE:
             init_runtime(self.system, kernel_image(self.workload))
-        self.main_ctx = self._add("main", "ros_body", ros.main.tid, self.workload.bodies["main"])
+        self.main_ctx = self._add("ros_body", ros.main.tid, self.workload.bodies["main"])
 
-    def _add(self, name: str, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
+    def _add(self, kind: str, tid: int, body: ThreadBody | None = None) -> _Ctx:
         """A context that first runs in the round after this one.  A partner
         starts parked: nothing is queued for it yet."""
-        ctx = _Ctx(name, kind, tid, len(self.contexts), parked=kind == "partner")
+        ctx = _Ctx(kind, tid, len(self.contexts), parked=kind == "partner")
         if kind == "partner":
             ctx.thread = self._partner(ctx)
             self.partners[tid] = ctx
@@ -486,8 +485,8 @@ class Simulator:
                 elif op in ("mmap", "munmap", "syscall"):
                     call, detail = _call_payload(last, a, b)
                 elif op == "spawn_nested":
-                    nested = hrt.create_nested_thread(tid, a)
-                    self._add(f"{a}#{nested.tid}", "hrt_body", nested.tid, self.workload.bodies[a])
+                    nested = hrt.create_nested_thread(tid, a).tid
+                    self._add("hrt_body", nested, self.workload.bodies[a])
                 elif op == "exit":
                     signal = hrt.thread_exit(tid)
                     if signal is not None:  # a record of its own: this thread ends here
@@ -574,12 +573,12 @@ class Simulator:
         ros, body = self.system.ros, self.workload.bodies[tname]
         if self.mode is not MULTIVERSE:
             self.spawned[tname] = tid = ros.spawn_local(tname).tid
-            self._add(tname, "ros_body", tid, body)
+            self._add("ros_body", tid, body)
             return
         partner = ros.spawn_hrt(tname)
         self.spawned[tname] = partner.tid
-        self._add(f"partner:{tname}", "partner", partner.tid)
-        self._add(tname, "hrt_body", partner.hrt_thread, body)
+        self._add("partner", partner.tid)
+        self._add("hrt_body", partner.hrt_thread, body)
 
 
 def run(

@@ -2,10 +2,13 @@
 
 Each entry of `MUTANTS` gives a file, an exact snippet of it, the
 snippet's replacement, the tests that must fail once it is applied, and
-one line on what the guard protects.  Each snippet occurs exactly once in
-its file; `tests/test_mutants.py` checks that in tier-1 without running a
-mutant, so a change that moves or rewrites guarded code must update the
-snippet here.
+one line on what the guard protects.  Each mutant of the round loop
+lists a test that checks `Simulator` against the reference interpreter
+(`tests/reference.py`): a golden, bench or corpus case of
+`tests/test_schedule.py`, or a strategy of `tests/test_generated.py`.
+Each snippet occurs exactly once in its file; `tests/test_mutants.py`
+checks that in tier-1 without running a mutant, so a change that moves
+or rewrites guarded code must update the snippet here.
 
     python tests/mutants.py [NAME...]
 
@@ -57,6 +60,8 @@ MUTANTS = {
         "        self.contexts.append(ctx)\n",
         (
             "tests/test_schedule.py::test_golden_workload_schedule[join_three_threads-virtual]",
+            "tests/test_schedule.py::test_bench_workload_schedule[compare_cold-1-virtual]",
+            "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_golden.py::test_golden_log[shared_lazy_page-multiverse]",
             "tests/test_golden.py::test_generated_logs[workloads]",
             "tests/test_golden.py::test_generated_logs[shared_partner]",
@@ -69,7 +74,8 @@ MUTANTS = {
         "                ctx.done = ctx.parked = True\n",
         (
             "tests/test_schedule.py::test_golden_workload_schedule[lazy_faults-virtual]",
-            "tests/test_schedule.py::test_bench_schedule_is_pinned[boot_large]",
+            "tests/test_schedule.py::test_bench_workload_schedule[boot_large-1-multiverse]",
+            "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_golden.py::test_generated_logs[workloads]",
             "tests/test_golden.py::test_generated_logs[shared_partner]",
         ),
@@ -80,6 +86,8 @@ MUTANTS = {
         "                else:\n                    ctx.parked = self.stale = True\n",
         "                else:\n                    ctx.parked = True\n",
         (
+            "tests/test_schedule.py::test_golden_workload_schedule[spawn_nested_hrt-multiverse]",
+            "tests/test_schedule.py::test_corpus_workload_schedule[shared_partner]",
             "tests/test_golden.py::test_golden_log[spawn_nested_hrt-multiverse]",
             "tests/test_schedule.py::test_hot_local_round_loop_rarely_visits_parked_contexts",
             "tests/test_golden.py::test_generated_logs[shared_partner]",
@@ -96,6 +104,9 @@ MUTANTS = {
         "                    channel.forward_event(ev, partner_tid)\n"
         "                    partner.parked = False\n",
         (
+            "tests/test_schedule.py::test_golden_workload_schedule[spawn_join_before_exit-multiverse]",
+            "tests/test_schedule.py::test_bench_workload_schedule[boot_large-1-multiverse]",
+            "tests/test_schedule.py::test_corpus_workload_schedule[workloads]",
             "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
             "tests/test_golden.py::test_generated_logs[workloads]",
@@ -113,8 +124,10 @@ MUTANTS = {
         "                        channel.forward_event(ev, partner_tid)\n"
         "                        partner.parked = False\n",
         (
-            "tests/test_golden.py::test_golden_log[override_touches-multiverse]",
             "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
+            "tests/test_schedule.py::test_golden_workload_schedule[override_touches-multiverse]",
+            "tests/test_generated.py::test_a_fault_after_clean_rounds_keeps_the_invariants",
+            "tests/test_golden.py::test_golden_log[override_touches-multiverse]",
         ),
         "a forwarded fault's wake of a parked partner drops the run list, which lacks the partner",
     ),
@@ -216,6 +229,8 @@ MUTANTS = {
         "            self.stale, self.running = False, None\n",
         "            self.stale = False\n",
         (
+            "tests/test_schedule.py::test_bench_workload_schedule[compare_cold-1-virtual]",
+            "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_golden.py::test_golden_log[bench_hot_local-multiverse]",
             "tests/test_acceptance.py::test_criterion_09_determinism",
             "tests/test_golden.py::test_generated_logs[workloads]",
@@ -296,7 +311,11 @@ MUTANTS = {
         ROS,
         "            if table is None or table[addr >> 12 & 0x1FF] & P:\n",
         "            if table is None:\n",
-        ("tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",),
+        (
+            "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
+            "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
+            "tests/test_schedule.py::test_corpus_workload_schedule[shared_partner]",
+        ),
         "a demand fault maps a page without a walk only when its cached leaf is absent",
     ),
     "demand-faults-share-a-frame": Mutant(

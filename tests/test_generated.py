@@ -12,9 +12,9 @@ multiverse, and these hold:
 - two runs give the same outcome;
 - the log's `cost=` fields sum to `total_cycles`;
 - any exception raised is a `SimError`;
-- the parked round loop makes the same progress steps, and ends the same
-  way, as `tests/test_schedule.py`'s oracle that steps every context
-  every round;
+- `Simulator` makes the same progress steps, and ends the same way, as
+  the reference interpreter `tests/reference.py`
+  (`test_schedule.assert_matches_reference`);
 - no run raises `DeadlockError`;
 - after each run, the process's mapped lower-half pages map pairwise
   distinct regular-OS frames, none of them a page table's;
@@ -26,6 +26,11 @@ kernel-mode thread spawns one to three nested threads, and it and each
 of them touch main's lazy region first.  Most draws have a fault that
 waits behind another thread's event, whose service then wakes the parked
 thread; its draws keep the invariants above.
+
+A third shape has a kernel-mode thread compute until its parked partner
+is out of a clean round's run list and then fault on a lower-half page,
+while a sibling keeps the rounds clean: the forward must still bring the
+partner back into the next round.
 
 The same text, mutated one of four ways (cut at a character, a line
 dropped, a line duplicated, a token dropped), fails only in its error
@@ -55,7 +60,7 @@ from hrtsim.ros import MMAP_BASE
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
 from pagewalk import assert_leaf_tables_sound, mapped_lower_pages, walk
-from test_schedule import ParkingLoop, StepEveryContext, observe
+from test_schedule import assert_matches_reference
 
 WORKERS = ("w0", "w1", "w2", "w3")
 FUNCS = """\
@@ -148,6 +153,16 @@ def workloads(draw) -> tuple[str, int]:
     return "".join(text), draw(st.integers(512, 4096))
 
 
+def workload_text(bodies: dict[str, list[str]]) -> str:
+    """FUNCS with no override touches, then each body's action lines:
+    main runs on the regular OS and every other body in kernel mode."""
+    text = [FUNCS.format(touches="")]
+    for name, lines in bodies.items():
+        role = "ros" if name == "main" else "hrt"
+        text.append(f"thread {name} {role}\n" + "".join(f"  {line}\n" for line in lines) + "end\n")
+    return "".join(text)
+
+
 @st.composite
 def shared_partner(draw) -> tuple[str, int]:
     """Workload text and frame count of a kernel-mode thread `w0` that
@@ -167,11 +182,29 @@ def shared_partner(draw) -> tuple[str, int]:
     bodies["w0"] += draw(body("w0", ()))
     for name in nested:
         bodies[name] = [touch()] + draw(body(name, ()))
-    text = [FUNCS.format(touches="")]
-    for name, lines in bodies.items():
-        role = "ros" if name == "main" else "hrt"
-        text.append(f"thread {name} {role}\n" + "".join(f"  {line}\n" for line in lines) + "end\n")
-    return "".join(text), draw(st.integers(512, 4096))
+    return workload_text(bodies), draw(st.integers(512, 4096))
+
+
+@st.composite
+def fault_after_clean_rounds(draw) -> tuple[str, int]:
+    """Workload text and frame count of a kernel-mode thread `w0` that
+    computes for four to eight steps, long enough for its partner, parked,
+    to drop out of a clean round's run list, and then touches a page of
+    main's lazy region, while a sibling `w1` computes on through the
+    rounds around the fault, which so stay clean.  The fault's forward
+    must still get the partner stepped in the next round.  Both bodies go
+    on as `body` draws them."""
+    steady = draw(st.integers(4, 8))
+    addr = MMAP_BASE + draw(pages) * PAGE_SIZE
+    bodies = {
+        "main": [f"mmap {8 * PAGE_SIZE}", "spawn w0", "spawn w1", "join w0", "join w1", "exit"],
+        "w0": [f"compute {draw(cycles)}" for _ in range(steady)]
+        + [f"touch 0x{addr:x} {draw(st.sampled_from('rw'))}"],
+        "w1": [f"compute {draw(cycles)}" for _ in range(steady + draw(st.integers(1, 4)))],
+    }
+    bodies["w0"] += draw(body("w0", ()))
+    bodies["w1"] += draw(body("w1", ()))
+    return workload_text(bodies), draw(st.integers(512, 4096))
 
 
 @st.composite
@@ -225,9 +258,8 @@ def assert_invariants(text: str, frames: int) -> None:
     for mode in Mode:
         first = outcome(text, frames, mode)
         assert outcome(text, frames, mode) == first, f"{mode.value} is not deterministic"
-        parked = observe(ParkingLoop, text, mode, frames)
-        assert parked == observe(StepEveryContext, text, mode, frames), mode.value
-        assert parked[1][0] != "DeadlockError", parked[1]
+        _, end = assert_matches_reference(text, mode, frames)
+        assert end.ended[0] != "DeadlockError", end.ended
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -239,6 +271,12 @@ def test_generated_workload_invariants(generated):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(shared_partner())
 def test_faults_on_a_shared_partner_keep_the_invariants(generated):
+    assert_invariants(*generated)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(fault_after_clean_rounds())
+def test_a_fault_after_clean_rounds_keeps_the_invariants(generated):
     assert_invariants(*generated)
 
 

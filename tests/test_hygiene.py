@@ -16,6 +16,10 @@ attribute of that name; an augmented assignment (`x.n += 1`) only stores.
 Each exemption from these checks must still be reported by its own
 check, so that no list of exemptions goes stale.
 
+No class under `tests/` subclasses `Simulator`: the driver is checked
+against `tests/reference.py` as it is, and a subclass would pin the
+shape of its methods.
+
 Time advances only in `EventLog`, by the entry that records the cycles:
 no other code stores to an attribute named `now` or defines a `charge`.
 
@@ -115,7 +119,8 @@ NAMED_ONLY_BY_TESTS = {
     "to every image set-up installs",
     "parse_fat_binary": "the toolchain's container reader: criterion 10 and test_toolchain "
     "tie it to every image set-up installs",
-    "actions": "perfbench's shape() and tracer and the parser tests read a body's actions by field",
+    "actions": "perfbench's shape() and tracer, the parser tests and tests/reference.py read "
+    "a body's actions by field",
 }
 
 
@@ -367,6 +372,33 @@ def test_check_sees_a_private_access_across_objects():
         "m.py:4: self.system.ros._new_thread",
         "m.py:5: kind._value_",
     ]
+
+
+def simulator_subclasses(tree: ast.Module) -> list[str]:
+    """Classes in tree with `Simulator` among their bases, by name or
+    attribute (`sim.Simulator`)."""
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(b, "id", getattr(b, "attr", None)) == "Simulator" for b in node.bases)
+    ]
+
+
+def test_no_test_subclasses_the_simulator():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    found = [f"{p.name} {c}" for p in tests for c in simulator_subclasses(ast.parse(p.read_text()))]
+    assert found == []
+
+
+def test_check_sees_a_simulator_subclass():
+    tree = ast.parse(
+        "class Loop(Simulator):\n    pass\n"
+        "class Qualified(hrtsim.sim.Simulator, Mixin):\n    pass\n"
+        "class Other(System):\n    sim = Simulator\n"
+        "def f():\n    class Nested(Simulator): pass\n"
+    )
+    assert simulator_subclasses(tree) == ["line 1: Loop", "line 3: Qualified", "line 8: Nested"]
 
 
 def time_moved_outside_the_log(tree: ast.Module) -> list[str]:

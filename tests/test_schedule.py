@@ -1,10 +1,25 @@
-"""The round loop skips parked contexts without changing the schedule.
+"""The driver's round loop answers to a plain reference interpreter.
 
-`StepEveryContext.step` is the round from before parking: every context
-that is not done is stepped in every round.  It stays here as the oracle.
-Under both rounds the sequence of steps that made progress, recorded as
-(context name, done after the step), must be equal, and so must the log;
-only the steps that made no progress may disappear.
+`tests/reference.py` runs a parsed workload with none of the driver's
+fast paths: every context that is not done steps once a round, every
+access walks, and every forwarded event is a fresh record; it imports
+nothing from `hrtsim.sim`.  `Simulator` runs unmodified here, observed
+through a `Recorder` that wraps, on the instance, each context's
+generator as `_add` makes it.  On the golden workloads, the bench
+workloads at four seeds and the committed corpus, in both modes, and on
+every draw of `tests/test_generated.py`'s strategies, the two give the
+same log, the same total cycles, the same failed flag and reason or the
+same error (class, message and a `DeadlockError`'s events), the same
+frames left on each side, and the same progress sequence, each step that
+made progress as (tid, done after the step): only the steps that made no
+progress may differ.  The recorder also checks, before each step and
+once the run has ended or deadlocked, that every done context is parked
+and that a clean round's run list holds every context that is not parked.
+
+`PINNED_SCHEDULES` pins the reference's own progress on the bench
+workloads, by context name, so a step added to or dropped from both
+interpreters still shows.  The deadlock cases that drop the partners
+from a run pin their outcomes on `Simulator` alone.
 """
 
 import hashlib
@@ -13,18 +28,20 @@ import inspect
 import json
 import sys
 from collections import Counter
+from typing import NamedTuple
 from pathlib import Path
 
 import pytest
 
-from hrtsim.errors import SimError
+from hrtsim.errors import DeadlockError, SimError
 from hrtsim.machine import Machine
 from hrtsim.sim import Mode, Simulator, System, compare, parse_workload
 
-from test_golden import GOLDEN, PHYS_FRAMES
+from reference import Reference
+from test_golden import GENERATED, GOLDEN, PHYS_FRAMES
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 3, 9001)
+SEEDS = (1, 3, 4242, 9001)
 
 
 def load_bench_workloads():
@@ -38,91 +55,115 @@ def load_bench_workloads():
     return sys.modules[name].GENERATORS
 
 
-class ParkingLoop(Simulator):
-    """The simulator as it is, recording each context step by wrapping the
-    context's generator: the context name of every step, and each step that
-    made progress as (context name, done after the step).  Before each step,
-    and after each round, it checks that every done context is parked: the
-    round never steps a done context, so `Simulator.step` has no `done`
-    test.  It also checks that the run list is stale, or holds every context
-    that is not parked: a clean round, which steps only the list, misses none."""
+class Recorder:
+    """The steps of one `Simulator`: the tid of every context step in
+    `steps`, and each step that made progress as (tid, done after the
+    step) in `progress`.  It replaces the instance's `_add` with one that
+    wraps each new context's generator, so the simulator's own code runs
+    unchanged."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.steps: list[str] = []
-        self.progress: list[tuple[str, bool]] = []
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.steps: list[int] = []
+        self.progress: list[tuple[int, bool]] = []
+        add = sim._add
 
-    def _add(self, *args):
-        ctx = super()._add(*args)
-        ctx.thread = self._recorded(ctx, ctx.thread)
-        return ctx
+        def recorded_add(*args):
+            ctx = add(*args)
+            ctx.thread = self.recorded(ctx, ctx.thread)
+            return ctx
 
-    def _recorded(self, ctx, thread):
+        sim._add = recorded_add
+
+    def recorded(self, ctx, thread):
         """thread, recording each of its steps."""
-        while True:
-            self.check()
-            assert not ctx.done, ctx.name
-            self.steps.append(ctx.name)
-            try:
-                progressed = next(thread)
-            except StopIteration:  # the step loop marks ctx done
-                self.progress.append((ctx.name, True))
-                return
-            if progressed:
-                self.progress.append((ctx.name, ctx.done))
-            yield progressed
-
-    def step(self):
-        progressed = super().step()
-        self.check()
-        return progressed
+        try:
+            while True:
+                self.check()
+                assert not ctx.done, ctx.tid
+                self.steps.append(ctx.tid)
+                try:
+                    progressed = next(thread)
+                except StopIteration:  # the step loop marks ctx done
+                    self.progress.append((ctx.tid, True))
+                    return
+                if progressed:
+                    self.progress.append((ctx.tid, ctx.done))
+                yield progressed
+        finally:
+            thread.close()
 
     def check(self):
-        assert not [c.name for c in self.contexts if c.done and not c.parked]
-        if not self.stale and self.running is not None:
-            listed = set(map(id, self.running))  # `in` on the list would call `_Ctx.__eq__`
-            assert not [c.name for c in self.contexts if not c.parked and id(c) not in listed]
+        """Every done context is parked: the round never steps one, so
+        `Simulator.step` has no `done` test.  The run list is stale, or
+        holds every context that is not parked: a clean round, which steps
+        only the list, misses none."""
+        sim = self.sim
+        assert not [c.tid for c in sim.contexts if c.done and not c.parked]
+        if not sim.stale and sim.running is not None:
+            listed = set(map(id, sim.running))  # `in` on the list would call `_Ctx.__eq__`
+            assert not [c.tid for c in sim.contexts if not c.parked and id(c) not in listed]
 
 
-class StepEveryContext(ParkingLoop):
-    """The oracle: the round that ignores `parked`.  It skips a done
-    context, whose step would make no progress."""
-
-    def step(self):
-        progressed = False
-        for ctx in list(self.contexts):
-            if ctx.done:
-                continue
-            try:
-                if next(ctx.thread):
-                    progressed = True
-            except StopIteration:
-                ctx.done = ctx.parked = True
-                progressed = True
-        self.check()
-        return progressed
+class Ending(NamedTuple):
+    log_text: str
+    total_cycles: int
+    ended: tuple  # (failed, reason), or the error's (class, message, events)
+    frames_left: tuple[int, int]  # the regular OS's and the runtime's
 
 
-def observe(loop, text, mode, phys_frames, prepare=None):
-    """Run text under one loop: the progress sequence and the outcome."""
-    sim = loop(System(machine=Machine(phys_frames=phys_frames)), parse_workload(text), mode)
-    sim.setup()
-    if prepare is not None:
-        prepare(sim)
+def ending(run, system) -> Ending:
+    """run(), and how it ended on system (a `System` or a `Reference`): the
+    log text, the total cycles, the failed flag and reason or the error
+    raised, as its class, message and the (kind, origin, detail) of each
+    event a `DeadlockError` carries, and the frames left on each side."""
     try:
-        report = sim.execute()
+        run()
     except SimError as exc:
         events = [(e.kind, e.origin, e.detail) for e in getattr(exc, "events", [])]
-        return sim.progress, (type(exc).__name__, str(exc), events)
-    return sim.progress, (report.log_text, report.total_cycles, report.failed)
+        ended = (type(exc).__name__, str(exc), events)
+    else:
+        ended = (system.ros.proc.failed, system.ros.proc.fail_reason)
+    machine = system.machine
+    frames = (machine.ros_frame_alloc.frames_left, machine.hrt_frame_alloc.frames_left)
+    return Ending(system.log.render(), system.log.now, ended, frames)
 
 
-def assert_same_schedule(text, mode, phys_frames, prepare=None):
-    parked = observe(ParkingLoop, text, mode, phys_frames, prepare)
-    oracle = observe(StepEveryContext, text, mode, phys_frames, prepare)
-    assert parked[0] == oracle[0]
-    assert parked[1] == oracle[1]
-    return parked
+def observe_simulator(program, mode, frames, prepare=None) -> tuple[Recorder, Ending]:
+    """Run program on `Simulator`: its recorder and its outcome;
+    `prepare(sim)` runs between set-up and the round loop.  The recorder
+    also checks the state the last round, or a deadlocked one, leaves."""
+    sim = Simulator(System(machine=Machine(phys_frames=frames)), program, mode)
+    recorder = Recorder(sim)
+
+    def run():
+        sim.setup()
+        if prepare is not None:
+            prepare(sim)
+        try:
+            sim.execute()
+        except DeadlockError:
+            recorder.check()
+            raise
+        recorder.check()
+
+    return recorder, ending(run, sim.system)
+
+
+def observe_reference(program, mode, frames) -> tuple[Reference, Ending]:
+    ref = Reference(Machine(phys_frames=frames), program, mode.value)
+    return ref, ending(ref.run, ref)
+
+
+def assert_matches_reference(text, mode, frames):
+    """Simulator and the reference end alike and make the same progress
+    steps on text; the simulator's progress and `Ending`."""
+    program = parse_workload(text)
+    recorder, end = observe_simulator(program, mode, frames)
+    ref, expected = observe_reference(program, mode, frames)
+    assert end == expected
+    assert recorder.progress == [(tid, done) for tid, _, done in ref.progress]
+    return recorder.progress, end
 
 
 GOLDEN_NAMES = sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt"))
@@ -132,7 +173,7 @@ GOLDEN_NAMES = sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt"))
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_workload_schedule(name, mode):
     text = (GOLDEN / "workloads" / f"{name}.txt").read_text()
-    assert_same_schedule(text, mode, PHYS_FRAMES.get(name, 512))
+    assert_matches_reference(text, mode, PHYS_FRAMES.get(name, 512))
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -141,15 +182,29 @@ def test_golden_workload_schedule(name, mode):
 def test_bench_workload_schedule(name, seed, mode):
     workload = load_bench_workloads()[name](seed)
     frames = workload.phys_frames or Machine().phys_frames
-    progress, outcome = assert_same_schedule(workload.text, mode, frames)
+    progress, end = assert_matches_reference(workload.text, mode, frames)
     assert progress
-    assert outcome[2] is False  # ran to the end, not failed
+    assert end.ended == (False, "")  # ran to the end, not failed
 
 
-# Progress steps and the SHA-256 of the progress sequence, one
-# "name done" line per step, of each bench workload at seed 1 in multiverse.
-# Both loops above share the thread code, so a yield added to or dropped
-# from it in both would pass their comparison; these figures would not.
+@pytest.mark.parametrize("strategy", ["shared_partner", "workloads"])
+def test_corpus_workload_schedule(strategy):
+    """Every committed generated text of one strategy, in both modes; a
+    mismatch names the record's index in the corpus and the mode."""
+    differ = []
+    for i, record in enumerate(json.loads(GENERATED.read_text())):
+        for mode in Mode if record["strategy"] == strategy else ():
+            try:
+                assert_matches_reference(record["text"], mode, record["frames"])
+            except AssertionError:
+                differ.append((i, mode.value))
+    assert differ == []
+
+
+# Progress steps and the SHA-256 of the reference's progress sequence,
+# one "name done" line per step, of each bench workload at seed 1 in
+# multiverse.  A yield added to or dropped from both interpreters' thread
+# code would pass their comparison; these figures would not.
 PINNED_SCHEDULES = {
     "fwd_cold": (14698, "cd0a35d99ad44b0564e7563dbac45c168110dda742271723976b8d81b84be3b2"),
     "hot_local": (34867, "80f69b3bb8c10dd0bda7ca37063d3a2b07e4ad84db6cca417c992dfef219175c"),
@@ -162,10 +217,10 @@ PINNED_SCHEDULES = {
 def test_bench_schedule_is_pinned(name):
     workload = load_bench_workloads()[name](1)
     frames = workload.phys_frames or Machine().phys_frames
-    progress, outcome = observe(ParkingLoop, workload.text, Mode.MULTIVERSE, frames)
-    lines = "".join(f"{ctx} {int(done)}\n" for ctx, done in progress)
-    assert (len(progress), hashlib.sha256(lines.encode()).hexdigest()) == PINNED_SCHEDULES[name]
-    assert outcome[2] is False
+    ref, end = observe_reference(parse_workload(workload.text), Mode.MULTIVERSE, frames)
+    lines = "".join(f"{name} {int(done)}\n" for _, name, done in ref.progress)
+    assert (len(ref.progress), hashlib.sha256(lines.encode()).hexdigest()) == PINNED_SCHEDULES[name]
+    assert end.ended == (False, "")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
@@ -226,20 +281,23 @@ end
 class TestDeadlock:
     @pytest.mark.parametrize("mode", [Mode.VIRTUAL], ids=lambda m: m.value)
     def test_mutual_join(self, mode):
-        _, outcome = assert_same_schedule(MUTUAL_JOIN, mode, 512)
-        assert outcome == (
+        _, end = assert_matches_reference(MUTUAL_JOIN, mode, 512)
+        assert end.ended == (
             "DeadlockError",
             "no runnable context; outstanding events: none",
             [],
         )
+
+    # The next two drop the partners from a run, which the reference
+    # cannot do: they run on `Simulator` alone.
 
     def test_unserved_event_is_dumped(self):
         def drop_partners(sim):
             sim.step()  # main executes the spawn
             sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
 
-        _, outcome = assert_same_schedule(W_FAULT, Mode.MULTIVERSE, 512, drop_partners)
-        assert outcome == (
+        _, end = observe_simulator(parse_workload(W_FAULT), Mode.MULTIVERSE, 512, drop_partners)
+        assert end.ended == (
             "DeadlockError",
             "no runnable context; outstanding events: "
             "Syscall origin=1000 detail=sys:mmap(4096,0,1)",
@@ -259,8 +317,8 @@ class TestDeadlock:
             sim.step()  # main spawns b
             sim.contexts = [c for c in sim.contexts if c.kind != "partner"]
 
-        _, outcome = assert_same_schedule(text, Mode.MULTIVERSE, 512, drop_partners)
-        assert outcome == (
+        _, end = observe_simulator(parse_workload(text), Mode.MULTIVERSE, 512, drop_partners)
+        assert end.ended == (
             "DeadlockError",
             "no runnable context; outstanding events: "
             "Syscall origin=1000 detail=sys:write(1,1), "
@@ -273,11 +331,10 @@ def test_hot_local_steps_rarely_idle():
     """Parked contexts are not stepped: under 1% of the context steps on
     golden bench_hot_local make no progress (before parking it was 53%)."""
     text = (GOLDEN / "workloads" / "bench_hot_local.txt").read_text()
-    system = System(machine=Machine(phys_frames=8192))
-    sim = ParkingLoop(system, parse_workload(text), Mode.MULTIVERSE)
-    assert not sim.run().failed
-    idle = len(sim.steps) - len(sim.progress)
-    assert idle < 0.01 * len(sim.steps), (idle, len(sim.steps))
+    recorder, end = observe_simulator(parse_workload(text), Mode.MULTIVERSE, 8192)
+    assert end.ended == (False, "")
+    idle = len(recorder.steps) - len(recorder.progress)
+    assert idle < 0.01 * len(recorder.steps), (idle, len(recorder.steps))
 
 
 def round_loop_visits(sim) -> tuple[int, int]:

@@ -36,7 +36,7 @@ from hrtsim.sim import (
 
 from conftest import rows, small_machine
 from test_golden import GOLDEN, PHYS_FRAMES
-from test_schedule import MUTUAL_JOIN, ParkingLoop, load_bench_workloads
+from test_schedule import MUTUAL_JOIN, Recorder, load_bench_workloads
 
 W_FAULTS = """
 thread main ros
@@ -467,14 +467,18 @@ class TestStep:
 
     def rounds(self, text):
         """The simulator, and (context names stepped, result) of each round
-        of text in virtual mode until main is done or a round makes no progress."""
-        sim = ParkingLoop(System(machine=small_machine()), parse_workload(text), Mode.VIRTUAL)
+        of text in virtual mode until main is done or a round makes no
+        progress; a context is named by the body it runs (`Simulator.spawned`)."""
+        sim = Simulator(System(machine=small_machine()), parse_workload(text), Mode.VIRTUAL)
+        recorder = Recorder(sim)
         sim.setup()
         rounds = []
         while not sim.main_ctx.done and (not rounds or rounds[-1][1]):
-            start = len(sim.steps)
+            start = len(recorder.steps)
             progressed = sim.step()
-            rounds.append((sim.steps[start:], progressed))
+            names = {tid: name for name, tid in sim.spawned.items()}
+            names[sim.main_ctx.tid] = "main"
+            rounds.append(([names[tid] for tid in recorder.steps[start:]], progressed))
         return sim, rounds
 
     def test_each_runnable_context_steps_once_in_creation_order(self):
@@ -983,6 +987,6 @@ class TestRender:
         log = EventLog()
         for detail in ("100%", "%s", "%d%%", "%(x)s", "{}", "{0}", "%", "a % b {c}", "x" * 500):
             log.emit("Compute", 7, detail, 3)
-        log.emit("Syscall", 0, "", 0, forwarded=True, call="x")
+        log.emit("Syscall", 0, "", 0, call="x")
         assert log.render() == per_row_render(rows(log))
         assert log.render().splitlines()[0] == "cycle=3 kind=Compute origin=7 detail=100% cost=3"
