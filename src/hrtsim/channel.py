@@ -37,7 +37,7 @@ stores the string itself.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -104,6 +104,10 @@ class EventLog:
         argument, never read as a directive."""
         cells = self.cells
         return ROW_FORMAT * (len(cells) // 5) % tuple(cells)
+
+    def counts(self, kinds: tuple[str, ...]) -> dict[str, int]:
+        """Entries per kind of kinds, counted in C over the kind cells."""
+        return {kind: n for kind, n in Counter(self.cells[1::5]).items() if kind in kinds}
 
 
 def syscall_detail(name: str, args: tuple[int, ...]) -> str:

@@ -48,14 +48,20 @@ has walked to, like a hardware paging-structure (PDE) cache:
 the 512-entry list that the walk reached.  `translate`, `map_page` and
 `unmap_page` look there before walking, and cache the table they reach:
 `map_page` through `_table_frame`, which always reaches one, the other
-two through `_leaf_table`, which says when.  One rule keeps the cache
-right.  Upper-level entries only go from absent to present (`_table_frame`,
-`identity_map_higher_half`, `ensure_root_entry`) and no table is ever
-freed, so a region's walk, once it reaches a leaf table, reaches that
-same list forever -- except through `merge_lower_half`, which overwrites
-root entries and so clears the merged space's `leaf_tables` together
-with its memos.  `map_page` and `unmap_page` write leaf entries only,
+two through `_leaf_table`, which says when.  `fault_in` looks there too:
+a cached table needs no table count, and its absent leaf no walk.  One
+rule keeps the cache right.  Upper-level entries only go from absent to
+present (`_table_frame`, `identity_map_higher_half`, `ensure_root_entry`)
+and no table is ever freed, so a region's walk, once it reaches a leaf
+table, reaches that same list forever -- except through
+`merge_lower_half`, which overwrites root entries and so clears the
+merged space's `leaf_tables` together with its memos.  `map_page` and `unmap_page` write leaf entries only,
 into the cached list itself, so they invalidate nothing more.
+
+No other module reads a page table, a leaf-table cache or a free-frame
+count but through this module's functions and `FrameAllocator.frames_left`,
+save the memo peek above, which `RosKernel.touch` and the kernel-mode step
+make inline: most accesses hit, and a call per hit measured slower.
 """
 
 from __future__ import annotations
@@ -92,28 +98,23 @@ def _non_canonical(addr: int) -> NonCanonicalAddressError:
 
 class FrameAllocator:
     """Bump allocator over a half-open frame range [start, end); `owner`
-    names the range in the error raised when it runs out."""
+    names the range in the error raised when it runs out.  The free frames
+    are the range's last `frames_left`, a field that only `take` writes."""
 
     def __init__(self, start: int, end: int, owner: str):
         self.start = start
         self.end = end
         self.owner = owner
-        self._next = start
+        self.frames_left = end - start
 
     def take(self, n: int) -> int:
         """Reserve n consecutive frames and return the first; with fewer
         than n left, raise and reserve none."""
-        if self.end - self._next < n:
-            raise AllocationError(
-                f"out of {self.owner} frames ({self.end - self.start} total)"
-            )
-        frame = self._next
-        self._next += n
-        return frame
-
-    @property
-    def frames_left(self) -> int:
-        return self.end - self._next
+        left = self.frames_left - n
+        if left < 0:
+            raise AllocationError(f"out of {self.owner} frames ({self.end - self.start} total)")
+        self.frames_left = left
+        return self.end - left - n
 
 
 class TableStore(dict):
@@ -259,6 +260,24 @@ def map_page(space: PageTableHierarchy, vaddr: int, frame: int, writable: bool =
         for memo in space.store.memos:
             memo.pop(vaddr >> 12, None)
     table[i1] = frame << 12 | (P | RW if writable else P)
+
+
+def fault_in(space: PageTableHierarchy, addr: int, access: str, writable: bool) -> bool:
+    """Map the page of a demand fault that the caller's regions allow; True
+    once the access translates, False, with nothing changed, if the free
+    frames cannot cover the page and its new tables.  A mapped page keeps
+    its frame, so faults on one page take one; a cached leaf table whose
+    leaf is absent is not walked, and only an uncached one has its tables
+    counted.  The page's frame is taken before `map_page` adds any table."""
+    table = space.leaf_tables.get(addr >> 21)
+    if table is None or table[addr >> 12 & 0x1FF] & P:
+        if translate(space, addr, access) is not None:
+            return True
+    spare = space.frame_alloc.frames_left - 1
+    if spare >= 0 and (table is not None or spare >= absent_tables(space, addr, PAGE_SIZE)):
+        map_page(space, addr & ~(PAGE_SIZE - 1), space.frame_alloc.take(1), writable)
+        return True
+    return False
 
 
 def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:

@@ -16,9 +16,11 @@ syscall base, 0 for any other call, and every call goes to the syscall
 model, which answers a fall-through ENOSYS.  No field names a thread's
 kind: main is `RosKernel.main`, a partner is a thread with a `queue`,
 and any other thread is local, spawned outside the hybrid mode to run
-its body on this side.  Partners and local threads are the join targets, and a joiner is
-blocked exactly while its `join_target` is set.  This side issues every
-hypercall.
+its body on this side.  Partners and local threads are the join
+targets, and a joiner is blocked exactly while its `join_target` is set.
+This side issues every hypercall.  Only `RegionList` reads the regions
+(`at`, `carve`), and a demand fault that a region allows goes to
+`mem.fault_in`, the owner of the page tables and the free frames.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from .machine import Machine
 from .mem import (
     PAGE_SIZE,
     WRITE,
-    P,
     PageTableHierarchy,
     absent_tables,
     ensure_root_entry,
+    fault_in,
     map_page,
     merge_lower_half,
     translate,
@@ -81,7 +83,7 @@ class Region:
 class RegionList(list):
     """Live regions sorted by base; regions never overlap.  `bases` holds
     their bases in the same order, so a lookup bisects plain ints; `append`
-    and `pop` are the mutators, and both keep it in step."""
+    and `carve` are the mutators, and both keep it in step."""
 
     def __init__(self):
         super().__init__()
@@ -92,18 +94,32 @@ class RegionList(list):
         self.bases.insert(i, region.base)
         self.insert(i, region)
 
-    def pop(self, i: int) -> Region:
-        del self.bases[i]
-        return list.pop(self, i)  # not `super()`, which builds a proxy per call
-
-    def index_at(self, addr: int) -> int:
-        """Position of the region containing addr, or -1."""
+    def at(self, addr: int) -> Region | None:
+        """The region containing addr, or None."""
         i = bisect_right(self.bases, addr) - 1
         if i >= 0:
             region = self[i]
             if addr < region.base + region.length:
-                return i
-        return -1
+                return region
+        return None
+
+    def carve(self, base: int, stop: int) -> bool:
+        """Remove pages [base, stop) from the one region that holds them
+        all; its parts below base and from stop on stay, each a region of
+        its own.  False, with nothing changed, when no region holds them."""
+        i = bisect_right(self.bases, base) - 1
+        if i < 0:
+            return False
+        region = self[i]
+        start, end = region.base, region.base + region.length
+        if stop > end:  # also when base is past the region, as stop > base
+            return False
+        del self.bases[i], self[i]
+        if start < base:
+            self.append(Region(start, base - start, region.writable))
+        if stop < end:
+            self.append(Region(stop, end - stop, region.writable))
+        return True
 
 
 @dataclass
@@ -205,20 +221,9 @@ class RosKernel:
         if length <= 0 or base % PAGE_SIZE:
             return EINVAL
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
-        regions = self.proc.vm_regions
-        i = regions.index_at(base)
-        if i < 0:
-            return EINVAL
-        region = regions[i]
-        start, end, stop = region.base, region.base + region.length, base + length
-        if stop > end:
+        if not self.proc.vm_regions.carve(base, base + length):
             return EINVAL
         unmap_page(self.proc.space, base, length)
-        regions.pop(i)
-        if start < base:
-            regions.append(Region(start, base - start, region.writable))
-        if stop < end:
-            regions.append(Region(stop, end - stop, region.writable))
         return 0
 
     def syscall(self, name: str, args: tuple[int, ...]) -> int:
@@ -230,38 +235,17 @@ class RosKernel:
                 args[0] if n else 0, n > 1 and bool(args[1]), n < 3 or bool(args[2])
             )
         if name == "munmap":
-            if len(args) < 2:
-                return EINVAL
-            return self.sys_munmap(args[0], args[1])
+            return self.sys_munmap(args[0], args[1]) if len(args) > 1 else EINVAL
         return ENOSYS
 
     def demand_fault(self, addr: int, access: str) -> bool:
         """Replicate a faulting access; False means an unrecoverable
-        segfault, which marks the process failed.
-
-        A page an earlier forwarded fault already mapped is kept, so
-        concurrent faults on one page allocate one frame.  When the space
-        has cached the page's leaf table (see `mem`) and the leaf is absent,
-        the access faults, so it is not walked; otherwise `translate`
-        decides.  A fault outside every region, a write to a read-only
-        one, and a fault whose page frame and new page tables the free
-        frames cannot cover are refused with nothing else changed; the
-        tables are counted only when the leaf table is not cached.  The
-        page's frame is allocated before any table frame that `map_page`
-        adds.
-        """
-        regions = self.proc.vm_regions
-        i = regions.index_at(addr)
-        writable = i >= 0 and regions[i].writable
-        if i >= 0 and (writable or access is not WRITE):
-            space, frames = self.proc.space, self.machine.ros_frame_alloc
-            table = space.leaf_tables.get(addr >> 21)
-            if table is None or table[addr >> 12 & 0x1FF] & P:
-                if translate(space, addr, access) is not None:
-                    return True
-            spare = frames.frames_left - 1
-            if spare >= 0 and (table is not None or spare >= absent_tables(space, addr, PAGE_SIZE)):
-                map_page(space, addr & ~(PAGE_SIZE - 1), frames.take(1), writable)
+        segfault, which marks the process failed.  A fault outside every
+        region or a write to a read-only one is refused here, and any other
+        goes to `mem.fault_in`; a refusal changes nothing else."""
+        region = self.proc.vm_regions.at(addr)
+        if region is not None and (region.writable or access is not WRITE):
+            if fault_in(self.proc.space, addr, access, region.writable):
                 return True
         self.proc.failed = True
         self.proc.fail_reason = f"segfault at 0x{addr:x}"

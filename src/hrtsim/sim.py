@@ -76,7 +76,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import insort
-from collections import Counter
 from collections.abc import Generator
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -235,11 +234,8 @@ def _from_last(last: int | None, offset: int) -> int:
     return last + offset
 
 
-def _call_payload(last: int | None, call: tuple, detail: str | None) -> tuple[tuple, str]:
-    """A system call's payload and detail, as lowered; for `munmap last+N`
-    (no detail) with its base, and `syscall_detail`'s bytes without its join."""
-    if detail is not None:
-        return call, detail
+def _call_payload(last: int | None, call: tuple) -> tuple[tuple, str]:
+    """A `munmap last+N`'s payload, with its base, and `syscall_detail`'s bytes."""
     name, (offset, length), _ = call
     base = _from_last(last, offset)
     return (name, (base, length), 0), f"sys:{name}({base},{length})"
@@ -322,15 +318,10 @@ class Simulator:
         return self.report()
 
     def report(self) -> TraceReport:
-        # Counted in C over each entry's kind cell; one expression, so the
-        # Counter is freed before the log is rendered.
-        counts = {
-            kind: n for kind, n in Counter(self.log.cells[1::5]).items() if kind in REPORT_KINDS
-        }
         proc = self.system.ros.proc
         return TraceReport(
             mode=self.mode.value,
-            counts=counts,
+            counts=self.log.counts(REPORT_KINDS),  # its Counter is freed before the render
             forwarded_counts=dict(self.log.forwarded),  # every forwarded kind is a report kind
             total_cycles=self.log.now,
             clock_hz=self.cost.clock_hz,
@@ -412,11 +403,13 @@ class Simulator:
             elif op == "compute":
                 log.emit(COMPUTE, tid, "compute", a)
             elif op == "call_override":  # a plain library/OS call
-                log.emit(SYSCALL, tid, a.call, syscall_base + a.legacy_cycles, call=a.call)
+                log.emit(SYSCALL, tid, a.call, syscall_base + a.legacy_cycles, a.call)
             elif op in ("mmap", "munmap", "syscall"):  # served in place
-                (name, args, _), detail = _call_payload(last, a, b)
+                if b is None:
+                    a, b = _call_payload(last, a)
+                name, args, _ = a
                 result = ros.syscall(name, args)
-                log.emit(SYSCALL, tid, detail, syscall_base, call=name)
+                log.emit(SYSCALL, tid, b, syscall_base, name)  # `call` by position, as in channel
                 if name == "mmap" and result >= 0:
                     last = result
             elif op == "spawn":
@@ -483,7 +476,7 @@ class Simulator:
                         log.emit(OVERRIDE, tid, a.detail, a.behavior.cycles)
                         touches, access = a.behavior.touches, write
                 elif op in ("mmap", "munmap", "syscall"):
-                    call, detail = _call_payload(last, a, b)
+                    call, detail = (a, b) if b is not None else _call_payload(last, a)
                 elif op == "spawn_nested":
                     nested = hrt.create_nested_thread(tid, a).tid
                     self._add("hrt_body", nested, self.workload.bodies[a])

@@ -308,9 +308,9 @@ MUTANTS = {
         "a resumed joiner clears its join target, the one record that it is blocked",
     ),
     "demand-fault-ignores-leaf": Mutant(
-        ROS,
-        "            if table is None or table[addr >> 12 & 0x1FF] & P:\n",
-        "            if table is None:\n",
+        MEM,
+        "    if table is None or table[addr >> 12 & 0x1FF] & P:\n",
+        "    if table is None:\n",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
             "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
@@ -319,15 +319,24 @@ MUTANTS = {
         "a demand fault maps a page without a walk only when its cached leaf is absent",
     ),
     "demand-faults-share-a-frame": Mutant(
-        ROS,
-        "frames.take(1), writable)\n",
-        "frames._next, writable)\n",
+        MEM,
+        "space.frame_alloc.take(1), writable)\n",
+        "space.frame_alloc.end - space.frame_alloc.frames_left, writable)\n",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
             "tests/test_generated.py::test_generated_workload_invariants",
             "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
         ),
         "each demand-paged page takes a frame of its own",
+    ),
+    "carve-drops-upper-part": Mutant(
+        ROS,
+        "        if stop < end:\n            self.append(Region(stop, end - stop, region.writable))\n",
+        "",
+        (
+            "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
+        ),
+        "unmapping the lower part of a region keeps its part above the range",
     ),
     "partner-never-exits": Mutant(
         ROS,

@@ -497,6 +497,7 @@ PER_STEP = (
     "mem:_leaf_table",
     "mem:_table_frame",
     "mem:map_page",
+    "mem:fault_in",
     "mem:unmap_page",
     "mem:FrameAllocator.take",
     "channel:fault_detail",
@@ -505,8 +506,8 @@ PER_STEP = (
     "channel:EventChannel.complete_event",
     "hrt:HrtKernel.handle_page_fault",
     "ros:RegionList.append",
-    "ros:RegionList.pop",
-    "ros:RegionList.index_at",
+    "ros:RegionList.at",
+    "ros:RegionList.carve",
     "ros:RosKernel.touch",
     "ros:RosKernel.demand_fault",
     "ros:RosKernel.serve_forwarded",

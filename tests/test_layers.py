@@ -1,7 +1,8 @@
 """`tools/layers.py` prints the schema it documents.  The checkout is
 measured on `boot_large` in a few runs; no timing is checked, only the
 schema, that every phase of the set-up this tree runs is timed, and that
-the profile finds the parser and the interpreter."""
+the profile finds the parser and the interpreter.  `compare_cold`, whose
+workload names no machine, runs once on the default one."""
 
 import json
 import subprocess
@@ -11,16 +12,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_layers_of_the_checkout():
+def run_layers(workload: str, runs: int) -> dict:
+    """`tools/layers.py`'s JSON for workload at seed 1 in this checkout."""
     result = subprocess.run(
         [
-            sys.executable, "tools/layers.py", "--tree", ".", "--workload", "boot_large",
-            "--seed", "1", "--runs", "3",
+            sys.executable, "tools/layers.py", "--tree", ".", "--workload", workload,
+            "--seed", "1", "--runs", str(runs),
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    layers = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_layers_of_the_checkout():
+    layers = run_layers("boot_large", 3)
     assert set(layers) == {"tree", "workload", "seed", "runs", "phases_us", "self_s", "timed_peak_mb"}
     assert (layers["workload"], layers["seed"], layers["runs"]) == ("boot_large", 1, 3)
     # This tree installs the image it builds: nothing decodes a fat binary.
@@ -31,3 +37,10 @@ def test_layers_of_the_checkout():
     assert {"hrtsim.workload", "hrtsim.sim", "hrtsim.mem"} <= set(layers["self_s"])
     assert all(seconds >= 0 for seconds in layers["self_s"].values())
     assert 0 < layers["timed_peak_mb"] < 1
+
+
+def test_layers_of_a_workload_on_the_default_machine():
+    layers = run_layers("compare_cold", 1)
+    assert (layers["workload"], layers["runs"]) == ("compare_cold", 1)
+    assert list(layers["phases_us"]) == ["parse", "image", "install_boot", "merge", "run"]
+    assert {"hrtsim.ros", "hrtsim.channel"} <= set(layers["self_s"])

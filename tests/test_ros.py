@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hrtsim.ros
+import hrtsim.mem
 from hrtsim.channel import MERGE_REQUEST, PAGE_FAULT, SYSCALL, THREAD_CREATE, EventRecord, fault_detail, syscall_detail
 from hrtsim.errors import AllocationError, InstallError, SymbolError, UsageError
 from hrtsim.mem import PAGE_SIZE, READ, WRITE, translate
@@ -24,9 +24,8 @@ from pagewalk import lower_halves_consistent, upper_entries, walk
 
 
 def region_at(ros, addr):
-    """The live region containing addr, found by `RegionList.index_at`."""
-    i = ros.proc.vm_regions.index_at(addr)
-    return ros.proc.vm_regions[i] if i >= 0 else None
+    """The live region containing addr, found by `RegionList.at`."""
+    return ros.proc.vm_regions.at(addr)
 
 
 def mapped_pages(ros, base, length):
@@ -302,13 +301,13 @@ class TestSyscalls:
     def test_fault_counts_tables_only_when_its_leaf_table_is_not_cached(
         self, system, monkeypatch
     ):
-        counted, absent_tables = [], hrtsim.ros.absent_tables
+        counted, absent_tables = [], hrtsim.mem.absent_tables
 
         def counting(space, vaddr, length):
             counted.append(vaddr)
             return absent_tables(space, vaddr, length)
 
-        monkeypatch.setattr(hrtsim.ros, "absent_tables", counting)
+        monkeypatch.setattr(hrtsim.mem, "absent_tables", counting)
         ros = system.ros
         base = ros.sys_mmap(2 * PAGE_SIZE)
         assert ros.touch(base, WRITE, origin_tid=1)  # maps its leaf table

@@ -6,9 +6,10 @@ peak of one benchmark workload, in one source tree.
 The simulator is imported from DIR/src and the workload text generated by
 DIR/perfbench/workloads.py, so two checkouts can be compared phase by
 phase.  Each run goes the way `perfbench/run.py` times one: parse, then
-`Simulator.setup` and `execute` in multiverse on the workload's machine
-(a `compare` workload is run the same way, once).  The JSON object
-printed on standard output holds:
+`Simulator.setup` and `execute` in multiverse on the workload's machine,
+or the default one when the workload names none (a `compare` workload is
+run the same way, once).  The JSON object printed on standard output
+holds:
 
 - `phases_us`: per phase, the median and [q1, q3] over `--runs` runs, in
   host microseconds, raw.  Each phase is timed on its own, right after
@@ -97,7 +98,8 @@ class Phases:
 def one_run(h, workload, parse=None):
     """parse, set-up and run, as `perfbench/run.py` times them."""
     program = (parse or h.parse_workload)(workload.text)
-    system = h.System(machine=h.Machine(phys_frames=workload.phys_frames))
+    frames = workload.phys_frames  # None: the default machine, as `compare(None, ...)` builds
+    system = h.System(machine=frames and h.Machine(phys_frames=frames))
     sim = h.sim.Simulator(system, program, h.Mode.MULTIVERSE)
     sim.setup()
     return sim.execute()
