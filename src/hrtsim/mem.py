@@ -49,14 +49,16 @@ the 512-entry list that the walk reached.  `translate`, `map_page` and
 `unmap_page` look there before walking, and cache the table they reach:
 `map_page` through `_table_frame`, which always reaches one, the other
 two through `_leaf_table`, which says when.  `fault_in` looks there too:
-a cached table needs no table count, and its absent leaf no walk.  One
-rule keeps the cache right.  Upper-level entries only go from absent to
-present (`_table_frame`, `identity_map_higher_half`, `ensure_root_entry`)
-and no table is ever freed, so a region's walk, once it reaches a leaf
-table, reaches that same list forever -- except through
+a fault into a cached table whose leaf is absent writes that leaf into
+the cached list itself, with no walk, no table count and no `map_page`.
+One rule keeps the cache right.  Upper-level entries only go from absent
+to present (`_table_frame`, `identity_map_higher_half`,
+`ensure_root_entry`) and no table is ever freed, so a region's walk, once
+it reaches a leaf table, reaches that same list forever -- except through
 `merge_lower_half`, which overwrites root entries and so clears the
-merged space's `leaf_tables` together with its memos.  `map_page` and `unmap_page` write leaf entries only,
-into the cached list itself, so they invalidate nothing more.
+merged space's `leaf_tables` together with its memos.  `map_page`,
+`fault_in` and `unmap_page` write leaf entries only, into the cached list
+itself, so they invalidate nothing more.
 
 No other module reads a page table, a leaf-table cache or a free-frame
 count but through this module's functions and `FrameAllocator.frames_left`,
@@ -266,16 +268,21 @@ def fault_in(space: PageTableHierarchy, addr: int, access: str, writable: bool) 
     """Map the page of a demand fault that the caller's regions allow; True
     once the access translates, False, with nothing changed, if the free
     frames cannot cover the page and its new tables.  A mapped page keeps
-    its frame, so faults on one page take one; a cached leaf table whose
-    leaf is absent is not walked, and only an uncached one has its tables
-    counted.  The page's frame is taken before `map_page` adds any table."""
-    table = space.leaf_tables.get(addr >> 21)
-    if table is None or table[addr >> 12 & 0x1FF] & P:
-        if translate(space, addr, access) is not None:
+    its frame, so faults on one page take one.  A fault into a cached leaf
+    table whose leaf is absent writes that leaf itself: no walk, no table
+    count and no `map_page`.  Any other fault walks, and only an uncached
+    table has its tables counted; the page's frame is taken before
+    `map_page` adds any table."""
+    page, frames = addr >> 12, space.frame_alloc
+    table = space.leaf_tables.get(page >> 9)
+    if table is not None and not table[page & 0x1FF] & P:
+        if frames.frames_left:
+            table[page & 0x1FF] = frames.take(1) << 12 | (P | RW if writable else P)
             return True
-    spare = space.frame_alloc.frames_left - 1
-    if spare >= 0 and (table is not None or spare >= absent_tables(space, addr, PAGE_SIZE)):
-        map_page(space, addr & ~(PAGE_SIZE - 1), space.frame_alloc.take(1), writable)
+    elif translate(space, addr, access) is not None:
+        return True
+    elif frames.frames_left > (0 if table is not None else absent_tables(space, addr, PAGE_SIZE)):
+        map_page(space, addr & ~(PAGE_SIZE - 1), frames.take(1), writable)
         return True
     return False
 
@@ -283,9 +290,11 @@ def fault_in(space: PageTableHierarchy, addr: int, access: str, writable: bool) 
 def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -> None:
     """Clear the leaf entries of the pages in [vaddr, vaddr + length) with
     one `leaf_tables` lookup or walk per leaf table, and drop each cleared
-    page from every walk memo.  Unmapped pages are skipped; a range that is
-    not page-aligned or not canonical at both ends raises before any entry
-    is cleared."""
+    page from every walk memo.  A leaf is cleared the same way whether
+    `map_page` wrote it or a fault into a cached table wrote its own leaf
+    (`fault_in`).  Unmapped pages are skipped; a range that is not
+    page-aligned or not canonical at both ends raises before any entry is
+    cleared."""
     end = vaddr + length
     last = end - PAGE_SIZE
     if vaddr >> 47 not in (0, 0x1FFFF):
@@ -295,20 +304,17 @@ def unmap_page(space: PageTableHierarchy, vaddr: int, length: int = PAGE_SIZE) -
     if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
         raise NonCanonicalAddressError(f"unaligned page range 0x{vaddr:x}+0x{length:x}")
     leaf_tables, memos = space.leaf_tables, space.store.memos
-    while vaddr < end:
-        stop = (vaddr | 0x1F_FFFF) + 1  # the end of vaddr's leaf table
-        if stop > end:
-            stop = end
-        table = leaf_tables.get(vaddr >> 21) or _leaf_table(space, vaddr)  # a table is never []
+    page, stop = vaddr >> 12, end >> 12  # page numbers, as the memos key them
+    while page < stop:
+        table = leaf_tables.get(page >> 9) or _leaf_table(space, page << 12)  # a table is never []
+        next_table = (page | 0x1FF) + 1  # the first page of the next leaf table
         if table is not None:
-            i1 = (vaddr >> 12) & 0x1FF
-            first = vaddr >> 21 << 9  # the page number of the table's entry 0
-            for i in range(i1, i1 + (stop - vaddr >> 12)):
-                if table[i] & P:
-                    table[i] = 0
+            for page in range(page, next_table if next_table < stop else stop):
+                if table[page & 0x1FF] & P:
+                    table[page & 0x1FF] = 0
                     for memo in memos:
-                        memo.pop(first + i, None)
-        vaddr = stop
+                        memo.pop(page, None)
+        page = next_table
 
 
 def identity_map_higher_half(space: PageTableHierarchy, phys_frame_count: int) -> None:

@@ -19,7 +19,7 @@ and any other thread is local, spawned outside the hybrid mode to run
 its body on this side.  Partners and local threads are the join
 targets, and a joiner is blocked exactly while its `join_target` is set.
 This side issues every hypercall.  Only `RegionList` reads the regions
-(`at`, `carve`), and a demand fault that a region allows goes to
+(`writable_at`, `carve`), and a demand fault that a region allows goes to
 `mem.fault_in`, the owner of the page tables and the free frames.
 """
 
@@ -70,55 +70,52 @@ STACK_TOP = 0x0000_7FFF_FFFF_0000
 DEFAULT_STACK_BYTES = 64 * 1024
 
 
-@dataclass(slots=True)
-class Region:
-    """Pages [base, base + length) of one mmap.  Callers compute the end
-    inline: 3.11 does not specialise a property read."""
-
-    base: int
-    length: int
-    writable: bool
-
-
 class RegionList(list):
-    """Live regions sorted by base; regions never overlap.  `bases` holds
-    their bases in the same order, so a lookup bisects plain ints; `append`
-    and `carve` are the mutators, and both keep it in step."""
+    """The live regions' writable flags, in base order, so `len()` counts
+    the regions; regions never overlap.  Region i is pages [bases[i],
+    bases[i] + lengths[i]), writable if self[i]: three parallel lists, so an
+    mmap builds no record and a lookup bisects a plain list of ints.  The
+    slots keep the two attribute reads of a lookup as fast as on a plain
+    class.  `add` and `carve` are the mutators, and both keep the three in
+    step."""
+
+    __slots__ = ("bases", "lengths")
 
     def __init__(self):
         super().__init__()
         self.bases: list[int] = []
+        self.lengths: list[int] = []
 
-    def append(self, region: Region) -> None:
-        i = bisect_right(self.bases, region.base)
-        self.bases.insert(i, region.base)
-        self.insert(i, region)
+    def add(self, base: int, length: int, writable: bool) -> None:
+        i = bisect_right(self.bases, base)
+        self.bases.insert(i, base)
+        self.lengths.insert(i, length)
+        self.insert(i, writable)
 
-    def at(self, addr: int) -> Region | None:
-        """The region containing addr, or None."""
+    def writable_at(self, addr: int) -> bool | None:
+        """Whether the region containing addr is writable; None if no region does."""
         i = bisect_right(self.bases, addr) - 1
-        if i >= 0:
-            region = self[i]
-            if addr < region.base + region.length:
-                return region
+        if i >= 0 and addr < self.bases[i] + self.lengths[i]:
+            return self[i]
         return None
 
     def carve(self, base: int, stop: int) -> bool:
         """Remove pages [base, stop) from the one region that holds them
         all; its parts below base and from stop on stay, each a region of
         its own.  False, with nothing changed, when no region holds them."""
-        i = bisect_right(self.bases, base) - 1
+        bases = self.bases
+        i = bisect_right(bases, base) - 1
         if i < 0:
             return False
-        region = self[i]
-        start, end = region.base, region.base + region.length
+        start, writable = bases[i], self[i]
+        end = start + self.lengths[i]
         if stop > end:  # also when base is past the region, as stop > base
             return False
-        del self.bases[i], self[i]
+        del bases[i], self.lengths[i], self[i]
         if start < base:
-            self.append(Region(start, base - start, region.writable))
+            self.add(start, base - start, writable)
         if stop < end:
-            self.append(Region(stop, end - stop, region.writable))
+            self.add(stop, end - stop, writable)
         return True
 
 
@@ -185,26 +182,25 @@ class RosKernel:
 
     def _alloc_region(
         self, length: int, populate: bool, writable: bool, stack: bool = False
-    ) -> Region:
+    ) -> int:
+        """Add a region of length bytes, rounded up to whole pages; its base."""
         length = -(-length // PAGE_SIZE) * PAGE_SIZE
         if self._next_stack - self._next_mmap < length:  # the two areas never cross
             raise AllocationError(f"no room for a 0x{length:x}-byte region")
         base = self._next_stack - length if stack else self._next_mmap
-        space, frames = self.proc.space, self.machine.ros_frame_alloc
         if populate:  # refused, with nothing changed, unless its pages and new tables fit
+            space, frames = self.proc.space, self.machine.ros_frame_alloc
             spare = frames.frames_left - length // PAGE_SIZE
             if spare < 0 or spare < absent_tables(space, base, length):
                 raise AllocationError(f"no frames to populate a 0x{length:x}-byte region")
+            for page in range(base, base + length, PAGE_SIZE):
+                map_page(space, page, frames.take(1), writable=writable)
         if stack:
             self._next_stack = base
         else:
             self._next_mmap = base + length
-        region = Region(base, length, writable)
-        self.proc.vm_regions.append(region)
-        if populate:
-            for page in range(base, base + length, PAGE_SIZE):
-                map_page(space, page, frames.take(1), writable=writable)
-        return region
+        self.proc.vm_regions.add(base, length, writable)
+        return base
 
     # -- syscall model --------------------------------------------------------
 
@@ -213,7 +209,7 @@ class RosKernel:
         if length <= 0:
             return EINVAL
         try:
-            return self._alloc_region(length, populate, writable).base
+            return self._alloc_region(length, populate, writable)
         except AllocationError:
             return ENOMEM
 
@@ -232,7 +228,7 @@ class RosKernel:
         if name == "mmap":  # absent flags: not populated, writable
             n = len(args)
             return self.sys_mmap(
-                args[0] if n else 0, n > 1 and bool(args[1]), n < 3 or bool(args[2])
+                args[0] if n else 0, n > 1 and args[1] != 0, n < 3 or args[2] != 0
             )
         if name == "munmap":
             return self.sys_munmap(args[0], args[1]) if len(args) > 1 else EINVAL
@@ -243,9 +239,9 @@ class RosKernel:
         segfault, which marks the process failed.  A fault outside every
         region or a write to a read-only one is refused here, and any other
         goes to `mem.fault_in`; a refusal changes nothing else."""
-        region = self.proc.vm_regions.at(addr)
-        if region is not None and (region.writable or access is not WRITE):
-            if fault_in(self.proc.space, addr, access, region.writable):
+        writable = self.proc.vm_regions.writable_at(addr)  # None outside every region
+        if writable is not None and (writable or access is not WRITE):
+            if fault_in(self.proc.space, addr, access, writable):
                 return True
         self.proc.failed = True
         self.proc.fail_reason = f"segfault at 0x{addr:x}"
@@ -275,17 +271,17 @@ class RosKernel:
     def serve_forwarded(self, partner: RosThread, ev: EventRecord) -> None:
         """Service one injected event and complete it on the channel."""
         kind = ev.kind
-        if kind is PAGE_FAULT:
+        if kind is SYSCALL:
+            name, args, extra = ev.payload
+            ev.cost += self.cost.syscall_base + extra
+            result = self.syscall(name, args)
+        elif kind is PAGE_FAULT:
             addr, access = ev.payload
             if self.demand_fault(addr, access):
                 ev.cost += self.cost.pagefault_base
                 result = 0
             else:
                 result = EFAULT
-        elif kind is SYSCALL:
-            name, args, extra = ev.payload
-            ev.cost += self.cost.syscall_base + extra
-            result = self.syscall(name, args)
         elif kind is THREAD_EXIT_SIGNAL:
             partner.exit_bit = True
             result = 0
@@ -341,7 +337,7 @@ class RosKernel:
         tid; the address spaces must be merged first."""
         if self.hrt.ros_space is None:
             raise ProtocolError("synchronous setup requires a merged address space")
-        page = self._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True).base
+        page = self._alloc_region(PAGE_SIZE, populate=True, writable=True, stack=True)
 
         def set_up() -> None:
             self.channel.sync_page = page

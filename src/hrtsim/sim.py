@@ -227,17 +227,15 @@ class _Ctx:
     served: list[_Ctx] = field(default_factory=list)  # partner: twin and nested
 
 
-def _from_last(last: int | None, offset: int) -> int:
-    """The address `offset` past a thread's last mmap base."""
-    if last is None:
-        raise UsageError("'last' used before any mmap in this thread")
-    return last + offset
+_NO_LAST = "'last' used before any mmap in this thread"  # a `last+N` with no base
 
 
 def _call_payload(last: int | None, call: tuple) -> tuple[tuple, str]:
     """A `munmap last+N`'s payload, with its base, and `syscall_detail`'s bytes."""
     name, (offset, length), _ = call
-    base = _from_last(last, offset)
+    if last is None:
+        raise UsageError(_NO_LAST)
+    base = last + offset
     return (name, (base, length), 0), f"sys:{name}({base},{length})"
 
 
@@ -398,7 +396,11 @@ class Simulator:
         last = None  # base of this thread's most recent successful mmap
         for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
             if op == "touch":
-                if not ros.touch(a if c is not None else _from_last(last, a), b, tid):
+                if c is None:  # last+N
+                    if last is None:
+                        raise UsageError(_NO_LAST)
+                    a += last
+                if not ros.touch(a, b, tid):
                     raise _Halt
             elif op == "compute":
                 log.emit(COMPUTE, tid, "compute", a)
@@ -452,7 +454,9 @@ class Simulator:
         for op, a, b, c in body.steps:  # exact tuples, operands by op: see `Action`
             if op == "touch":
                 if c is None:  # last+N
-                    a = _from_last(last, a)
+                    if last is None:
+                        raise UsageError(_NO_LAST)
+                    a += last
                     c = a >> 12
                 if c in (wmemo if b is write else memo):
                     yield True

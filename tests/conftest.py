@@ -30,6 +30,13 @@ def rows(log: EventLog) -> list[tuple[int, str, int, str, int]]:
     return list(zip(cells[0::5], cells[1::5], cells[2::5], cells[3::5], cells[4::5]))
 
 
+def regions(ros: RosKernel) -> list[tuple[int, int, bool]]:
+    """The process's live regions, in base order, as (base, length, writable)."""
+    vm = ros.proc.vm_regions
+    assert len(vm.bases) == len(vm.lengths) == len(vm)
+    return list(zip(vm.bases, vm.lengths, vm))
+
+
 def record_joins(ros: RosKernel) -> list[tuple[int, str, int]]:
     """Record the unblock order on one kernel instance: (cycle, label, tid)
     for each served exit signal ("exit_bit"), partner cleanup

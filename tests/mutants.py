@@ -309,19 +309,51 @@ MUTANTS = {
     ),
     "demand-fault-ignores-leaf": Mutant(
         MEM,
-        "    if table is None or table[addr >> 12 & 0x1FF] & P:\n",
-        "    if table is None:\n",
+        "    if table is not None and not table[page & 0x1FF] & P:\n",
+        "    if table is not None:\n",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
             "tests/test_schedule.py::test_golden_workload_schedule[shared_lazy_page-multiverse]",
             "tests/test_schedule.py::test_corpus_workload_schedule[shared_partner]",
+            "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
         ),
-        "a demand fault maps a page without a walk only when its cached leaf is absent",
+        "a demand fault writes its own leaf only when its cached leaf is absent",
+    ),
+    "fault-takes-a-second-frame": Mutant(
+        MEM,
+        "frames.take(1) << 12 | (P | RW if writable else P)\n",
+        "frames.take(2) << 12 | (P | RW if writable else P)\n",
+        (
+            "tests/test_generated.py::test_generated_workload_invariants",
+            "tests/test_generated.py::test_faults_on_a_shared_partner_keep_the_invariants",
+        ),
+        "a demand fault takes one frame, which the regular OS's frame count accounts for",
+    ),
+    "fault-in-ignores-read-only": Mutant(
+        MEM,
+        "frames.take(1) << 12 | (P | RW if writable else P)\n",
+        "frames.take(1) << 12 | P | RW\n",
+        (
+            "tests/test_golden.py::test_golden_log[readonly_in_cached_table-virtual]",
+            "tests/test_golden.py::test_golden_log[readonly_in_cached_table-multiverse]",
+            "tests/test_golden.py::test_golden_log[readonly_in_cached_table_hrt-virtual]",
+            "tests/test_golden.py::test_golden_log[readonly_in_cached_table_hrt-multiverse]",
+        ),
+        "a demand fault into a cached leaf table maps a read-only region's page read-only",
+    ),
+    "unmap-keeps-memo": Mutant(
+        MEM,
+        "                    for memo in memos:\n                        memo.pop(page, None)\n",
+        "",
+        (
+            "tests/test_golden.py::test_generated_logs[shared_partner]",
+        ),
+        "an unmapped page leaves every walk memo, so a later access to it faults",
     ),
     "demand-faults-share-a-frame": Mutant(
         MEM,
-        "space.frame_alloc.take(1), writable)\n",
-        "space.frame_alloc.end - space.frame_alloc.frames_left, writable)\n",
+        "frames.take(1), writable)\n",
+        "frames.end - frames.frames_left, writable)\n",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",
             "tests/test_generated.py::test_generated_workload_invariants",
@@ -331,7 +363,7 @@ MUTANTS = {
     ),
     "carve-drops-upper-part": Mutant(
         ROS,
-        "        if stop < end:\n            self.append(Region(stop, end - stop, region.writable))\n",
+        "        if stop < end:\n            self.add(stop, end - stop, writable)\n",
         "",
         (
             "tests/test_ros.py::TestRegionIndex::test_region_at_matches_linear_scan",

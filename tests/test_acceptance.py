@@ -24,7 +24,7 @@ from hrtsim.mem import (
     merge_lower_half,
     translate,
 )
-from hrtsim.ros import Region, init_runtime
+from hrtsim.ros import init_runtime
 from hrtsim.sim import (
     Mode,
     Simulator,
@@ -172,9 +172,7 @@ def test_criterion_06_duplicate_fault_remerge():
     sim.setup()
     # After the merge, the process gains a region under a brand-new
     # root-level entry; the runtime's copy of the root is now stale.
-    system.ros.proc.vm_regions.append(
-        Region(base=addr, length=PAGE_SIZE, writable=True)
-    )
+    system.ros.proc.vm_regions.add(addr, PAGE_SIZE, True)
     report = sim.execute()
     assert not report.failed
     assert system.hrt.remerge_count == 1

@@ -19,7 +19,12 @@ multiverse, and these hold:
 - after each run, the process's mapped lower-half pages map pairwise
   distinct regular-OS frames, none of them a page table's;
 - after each run, each leaf table that either address space caches is
-  the one a full walk of its region reaches.
+  the one a full walk of its region reaches;
+- after each run, the regular OS has used no more frames than its page
+  tables, built or deferred, the distinct lower-half pages its log's
+  `PageFault` entries name, the pages of each populated `mmap` the log
+  records, and one page per `SetupSync`: a fault that takes a second
+  frame for its page exceeds it.
 
 A second shape puts faults in one partner's queue together: a
 kernel-mode thread spawns one to three nested threads, and it and each
@@ -53,6 +58,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrtsim.channel import PAGE_FAULT, SETUP_SYNC, SYSCALL
 from hrtsim.errors import ParseError, SimError
 from hrtsim.machine import Machine
 from hrtsim.mem import HIGHER_BASE, PAGE_SIZE, READ
@@ -238,6 +244,34 @@ def assert_one_frame_per_page(system: System) -> None:
     assert not set(backing) & set(space.store), "a page shares a page table's frame"
 
 
+def ros_frames_bound(system: System) -> int:
+    """The most regular-OS frames a run may use: its page tables, built or
+    deferred, the distinct lower-half pages named by `PageFault` entries,
+    the pages of every populated `mmap` in the log, and one page per
+    `SetupSync` (its populated sync page)."""
+    machine, store = system.machine, system.machine.table_store
+    tables = sum(frame < machine.ros_frames for frame in [*store, *store.deferred])
+    cells = system.log.cells
+    faulted, pages = set(), 0
+    for kind, detail in zip(cells[1::5], cells[3::5]):
+        if kind == PAGE_FAULT:
+            addr = int(detail.split(":")[1], 16)
+            if addr < HIGHER_BASE:  # a canonical address below it is in the lower half
+                faulted.add(addr >> 12)
+        elif kind == SYSCALL and detail.startswith("sys:mmap("):
+            length, populate = ([int(arg) for arg in detail[9:-1].split(",") if arg] + [0, 0])[:2]
+            pages += -(-length // PAGE_SIZE) if populate else 0
+        elif kind == SETUP_SYNC:
+            pages += 1
+    return tables + len(faulted) + pages
+
+
+def assert_ros_frames_accounted(system: System) -> None:
+    alloc = system.machine.ros_frame_alloc
+    used = alloc.end - alloc.start - alloc.frames_left
+    assert used <= ros_frames_bound(system), "a regular-OS frame is not accounted for"
+
+
 def outcome(text: str, frames: int, mode: Mode) -> tuple:
     sim = Simulator(System(machine=Machine(phys_frames=frames)), parse_workload(text), mode)
     try:
@@ -246,6 +280,7 @@ def outcome(text: str, frames: int, mode: Mode) -> tuple:
         return ("raises", type(exc).__name__, str(exc))
     finally:
         assert_one_frame_per_page(sim.system)
+        assert_ros_frames_accounted(sim.system)
         for space in (sim.system.ros.proc.space, sim.system.hrt.space):
             if space is not None:  # a virtual run boots no HRT
                 assert_leaf_tables_sound(space)
@@ -326,7 +361,7 @@ def frames_outcome(case: tuple[int, int, str, str], mode: Mode) -> str:
     text, length = out_of_frames_case(*case)
     sim = Simulator(System(machine=Machine(phys_frames=frames)), parse_workload(text), mode)
     report = sim.run()
-    if any(r.length == length for r in sim.system.ros.proc.vm_regions):  # populated
+    if length in sim.system.ros.proc.vm_regions.lengths:  # populated
         assert report.failed and report.fail_reason.startswith("segfault at 0x"), report
         return "segfault"
     assert not report.failed, report.fail_reason

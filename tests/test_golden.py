@@ -18,16 +18,26 @@ model regenerates the records of both files, and says so:
 
 Over both sets, in both modes, every page table a run's upper-level
 entries point at is built exactly once or still deferred.
+
+``tests/golden/cli.json`` records what the command line prints: the
+stdout SHA-256 and the exit code of `hrtsim run` on every golden workload
+in both modes, with and without `--metrics`, of `hrtsim compare` on each,
+and of `hrtsim replay` on the bundled profiles.  `--regenerate` rewrites
+it with the other two.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from hrtsim.cli import main
 from hrtsim.errors import SimError
 from hrtsim.machine import Machine
 from hrtsim.sim import Mode, Simulator, System, parse_workload, run
@@ -37,6 +47,8 @@ from pagewalk import upper_entries
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDS = GOLDEN / "golden.json"
 GENERATED = GOLDEN / "generated.json"
+CLI = GOLDEN / "cli.json"
+PROFILES = resources.files("hrtsim").joinpath("data/racket_profiles.txt")  # the bundled profiles
 DRAWS = {"workloads": 200, "shared_partner": 50}  # strategy -> texts in the corpus
 # Machine size per workload; everything else runs on the 512-frame test machine.
 PHYS_FRAMES = {
@@ -182,6 +194,48 @@ def test_each_table_built_or_deferred(source):
             assert_tables_built_or_deferred(text, frames, mode)
 
 
+def cli_commands(name: str) -> list[list[str]]:
+    """The recorded command lines of one golden workload, or of "replay"
+    (the bundled profiles); an input is named by its file name."""
+    if name == "replay":
+        return [["replay", "--profiles", PROFILES.name]]
+    path = f"{name}.txt"
+    runs = [["run", path, "--mode", mode.value] for mode in Mode]
+    return [*runs, *(argv + ["--metrics"] for argv in runs), ["compare", path]]
+
+
+def observe_cli(argv: list[str]) -> dict:
+    """stdout's SHA-256 and the exit code of `hrtsim` on argv, with each
+    input file, named by its file name, read from `tests/golden/workloads`
+    or, for the bundled profiles, from the package."""
+    def path(arg: str) -> str:
+        if arg == PROFILES.name:
+            return str(PROFILES)
+        return str(GOLDEN / "workloads" / arg) if arg.endswith(".txt") else arg
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([path(arg) for arg in argv])
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}
+
+
+def cli_names() -> list[str]:
+    return sorted(p.stem for p in (GOLDEN / "workloads").glob("*.txt")) + ["replay"]
+
+
+def test_cli_records_are_whole():
+    assert set(json.loads(CLI.read_text())) == {
+        " ".join(argv) for name in cli_names() for argv in cli_commands(name)
+    }
+
+
+@pytest.mark.parametrize("name", cli_names())
+def test_cli_output(name):
+    records = json.loads(CLI.read_text())
+    for argv in cli_commands(name):
+        assert observe_cli(argv) == records[" ".join(argv)], argv
+
+
 def draw_texts(strategy: str, count: int) -> list[tuple[str, int]]:
     """The first `count` distinct (text, frames) draws of a strategy of
     `test_generated`, derandomized."""
@@ -222,6 +276,8 @@ def regenerate(draw: bool) -> None:
         for mode in Mode:
             record[mode.value] = observe_generated(record["text"], record["frames"], mode)
     GENERATED.write_text(json.dumps(corpus, indent=1) + "\n")
+    cli = {" ".join(argv): observe_cli(argv) for name in cli_names() for argv in cli_commands(name)}
+    CLI.write_text(json.dumps(cli, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from hrtsim.ros import DEFAULT_STACK_BYTES, MMAP_BASE, STACK_TOP, init_runtime
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 from hrtsim.toolchain import AeroKernelImage, SymbolCache
 
-from conftest import make_image, rows, small_machine
+from conftest import make_image, regions, rows, small_machine
 from test_schedule import load_bench_workloads
 
 
@@ -198,14 +198,14 @@ class TestThreads:
     def test_top_level_carries_superposition(self, booted):
         # The twin mirrors no regular-OS state: its partner's stack is the
         # one region the spawn adds to the process.
-        before = list(booted.ros.proc.vm_regions)
+        before = regions(booted.ros)
         partner = booted.ros.spawn_hrt("worker")
         thread = booted.hrt.threads[partner.hrt_thread]
         assert thread.parent is None
         assert thread.partner == partner.tid
         assert booted.hrt.cores[thread.core_id].current_thread == thread.tid
-        (stack,) = [r for r in booted.ros.proc.vm_regions if r not in before]
-        assert (stack.base + stack.length, stack.length) == (STACK_TOP, DEFAULT_STACK_BYTES)
+        (stack,) = [r for r in regions(booted.ros) if r not in before]
+        assert stack == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES, True)
 
     def test_nested_routing_depth_three(self, booted):
         top = top_level(booted)

@@ -505,8 +505,8 @@ PER_STEP = (
     "channel:EventChannel.forward_event",
     "channel:EventChannel.complete_event",
     "hrt:HrtKernel.handle_page_fault",
-    "ros:RegionList.append",
-    "ros:RegionList.at",
+    "ros:RegionList.add",
+    "ros:RegionList.writable_at",
     "ros:RegionList.carve",
     "ros:RosKernel.touch",
     "ros:RosKernel.demand_fault",

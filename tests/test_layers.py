@@ -1,8 +1,9 @@
 """`tools/layers.py` prints the schema it documents.  The checkout is
 measured on `boot_large` in a few runs; no timing is checked, only the
 schema, that every phase of the set-up this tree runs is timed, and that
-the profile finds the parser and the interpreter.  `compare_cold`, whose
-workload names no machine, runs once on the default one."""
+the profile finds the parser and the interpreter.  `compare_cold` runs
+once, as `perfbench/run.py` runs it: `compare(None, ...)`, both modes on
+the default machine and the tabulation."""
 
 import json
 import subprocess
@@ -44,3 +45,17 @@ def test_layers_of_a_workload_on_the_default_machine():
     assert (layers["workload"], layers["runs"]) == ("compare_cold", 1)
     assert list(layers["phases_us"]) == ["parse", "image", "install_boot", "merge", "run"]
     assert {"hrtsim.ros", "hrtsim.channel"} <= set(layers["self_s"])
+
+
+def test_a_compare_workload_is_run_as_compare():
+    """One run of `compare_cold` is the comparison `compare(None, text)`
+    prints: the virtual half and the tabulation are in what is timed."""
+    script = (
+        "import sys; from pathlib import Path; sys.path.insert(0, 'tools'); import layers\n"
+        "h, w = layers.load_tree(Path('.').resolve()); w = w.compare_cold(1)\n"
+        "print(layers.one_run(h, w).render() == h.compare(None, w.text).render())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert result.stdout == "True\n", result.stderr

@@ -19,13 +19,17 @@ from hrtsim.ros import (
 )
 from hrtsim.sim import Mode, Simulator, System, parse_workload
 
-from conftest import make_image, record_joins, rows, small_machine
+from conftest import make_image, record_joins, regions, rows, small_machine
 from pagewalk import lower_halves_consistent, upper_entries, walk
 
 
 def region_at(ros, addr):
-    """The live region containing addr, found by `RegionList.at`."""
-    return ros.proc.vm_regions.at(addr)
+    """Oracle: the live region containing addr, by linear scan, or None."""
+    for region in regions(ros):
+        base, length, _ = region
+        if base <= addr < base + length:
+            return region
+    return None
 
 
 def mapped_pages(ros, base, length):
@@ -53,7 +57,7 @@ class TestMmap:
         frames = ros.machine.ros_frame_alloc
         assert frames.frames_left == 381
         assert ros.sys_mmap(512 * PAGE_SIZE, populate=True) == ENOMEM
-        assert ros.proc.vm_regions == [] and ros.proc.vm_regions.bases == []
+        assert regions(ros) == []
         assert frames.frames_left == 381
         assert ros.sys_mmap(PAGE_SIZE) == MMAP_BASE
 
@@ -72,8 +76,7 @@ class TestMmap:
 
     def test_length_rounded_to_pages(self, system):
         base = system.ros.sys_mmap(100)
-        region = region_at(system.ros, base)
-        assert region.length == PAGE_SIZE
+        assert region_at(system.ros, base) == (base, PAGE_SIZE, True)
 
     def test_bases_are_deterministic(self, system):
         first = system.ros.sys_mmap(2 * PAGE_SIZE)
@@ -85,19 +88,19 @@ class TestMmap:
         # more is refused, from either side, and moves neither bump pointer.
         ros = system.ros
         stack = ros._alloc_region(PAGE_SIZE, populate=False, writable=True, stack=True)
-        gap = stack.base - MMAP_BASE
+        gap = stack - MMAP_BASE
         assert ros.sys_mmap(gap + PAGE_SIZE) == ENOMEM
         assert ros.sys_mmap(gap - PAGE_SIZE) == MMAP_BASE
         with pytest.raises(AllocationError):
             ros._alloc_region(2 * PAGE_SIZE, populate=False, writable=True, stack=True)
-        assert ros.sys_mmap(PAGE_SIZE) == stack.base - PAGE_SIZE
+        assert ros.sys_mmap(PAGE_SIZE) == stack - PAGE_SIZE
         assert ros.sys_mmap(PAGE_SIZE) == ENOMEM
         with pytest.raises(AllocationError):
             ros._alloc_region(PAGE_SIZE, populate=False, writable=True, stack=True)
-        assert [(r.base, r.length) for r in ros.proc.vm_regions] == [
-            (MMAP_BASE, gap - PAGE_SIZE),
-            (stack.base - PAGE_SIZE, PAGE_SIZE),
-            (stack.base, PAGE_SIZE),
+        assert regions(ros) == [
+            (MMAP_BASE, gap - PAGE_SIZE, True),
+            (stack - PAGE_SIZE, PAGE_SIZE, True),
+            (stack, PAGE_SIZE, True),
         ]
 
 
@@ -115,8 +118,8 @@ class TestMunmap:
         # Punch out the middle page; both remainders must survive.
         assert ros.sys_munmap(base + 2 * PAGE_SIZE, PAGE_SIZE) == 0
         assert mapped_pages(ros, base, 5 * PAGE_SIZE) == [True, True, False, True, True]
-        assert region_at(ros, base).length == 2 * PAGE_SIZE
-        assert region_at(ros, base + 3 * PAGE_SIZE).base == base + 3 * PAGE_SIZE
+        assert region_at(ros, base) == (base, 2 * PAGE_SIZE, True)
+        assert region_at(ros, base + 3 * PAGE_SIZE) == (base + 3 * PAGE_SIZE, 2 * PAGE_SIZE, True)
         assert region_at(ros, base + 2 * PAGE_SIZE) is None
 
     def test_unaligned_base_rejected(self, system):
@@ -130,13 +133,6 @@ class TestMunmap:
     def test_unmapped_base_rejected(self, system):
         assert system.ros.sys_munmap(0x9999_0000, PAGE_SIZE) == EINVAL
 
-
-def linear_region_at(regions, addr):
-    """Oracle: the first live region containing addr, by linear scan."""
-    for region in regions:
-        if region.base <= addr < region.base + region.length:
-            return region
-    return None
 
 
 # mmap (pages, stack, writable), munmap (region pick, first page, pages) or
@@ -186,44 +182,45 @@ class TestRegionIndex:
         for op in ops:
             if op[0] == "mmap":
                 _, pages, stack, writable = op
-                region = ros._alloc_region(
+                base = ros._alloc_region(
                     pages * PAGE_SIZE, populate=False, writable=writable, stack=stack
                 )
-                span = range(region.base, region.base + region.length, PAGE_SIZE)
+                span = range(base, base + pages * PAGE_SIZE, PAGE_SIZE)
                 live.update(span)
             elif not ros.proc.vm_regions:
                 continue
             elif op[0] == "munmap":
                 _, pick, first, pages = op
-                region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
-                base = region.base + first * PAGE_SIZE
+                base = ros.proc.vm_regions.bases[pick % len(ros.proc.vm_regions)]
+                base += first * PAGE_SIZE
                 span = range(base, base + pages * PAGE_SIZE, PAGE_SIZE)
                 if ros.sys_munmap(base, pages * PAGE_SIZE) == 0:
                     live.difference_update(span)
                     touched.difference_update(span)
             else:
                 _, pick, page, offset, write = op
-                region = ros.proc.vm_regions[pick % len(ros.proc.vm_regions)]
-                addr = region.base + page * PAGE_SIZE + offset
+                base = ros.proc.vm_regions.bases[pick % len(ros.proc.vm_regions)]
+                addr = base + page * PAGE_SIZE + offset
                 access = WRITE if write else READ
-                owner = linear_region_at(ros.proc.vm_regions, addr)  # maybe past `region`
+                owner = region_at(ros, addr)  # maybe past the picked region
                 served = ros.demand_fault(addr, access)
-                assert served == (owner is not None and (owner.writable or not write))
+                assert served == (owner is not None and (owner[2] or not write))
                 page_addr = addr - offset
                 if served and page_addr not in touched:
                     touched.add(page_addr)
                     first_touches += 1
                 span = range(page_addr - 2 * PAGE_SIZE, page_addr + 3 * PAGE_SIZE, PAGE_SIZE)
-            regions = list(ros.proc.vm_regions)
-            assert ros.proc.vm_regions.bases == [r.base for r in regions]
-            covered = {p for r in regions for p in range(r.base, r.base + r.length, PAGE_SIZE)}
+            live_regions = regions(ros)
+            bases = [base for base, _, _ in live_regions]
+            assert bases == sorted(bases)
+            covered = {p for b, n, _ in live_regions for p in range(b, b + n, PAGE_SIZE)}
             assert covered == live
-            assert [r.base for r in regions] == sorted(r.base for r in regions)
-            for region in regions:
-                end = region.base + region.length
-                for page in range(region.base - PAGE_SIZE, end + 2 * PAGE_SIZE, PAGE_SIZE):
+            for base, length, _ in live_regions:
+                for page in range(base - PAGE_SIZE, base + length + 2 * PAGE_SIZE, PAGE_SIZE):
                     for addr in (page - 1, page, page + 1):
-                        assert region_at(ros, addr) is linear_region_at(regions, addr)
+                        owner = region_at(ros, addr)
+                        expected = None if owner is None else owner[2]
+                        assert ros.proc.vm_regions.writable_at(addr) is expected
             for page in touched:
                 assert walk(space, page, READ) is not None
             for page in span:
@@ -371,8 +368,8 @@ class TestSpawn:
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
         assert partner.tid in booted.channel.queues
-        stacks = [r for r in ros.proc.vm_regions if r.base + r.length == STACK_TOP]
-        assert [r.length for r in stacks] == [DEFAULT_STACK_BYTES]  # the partner's stack
+        stacks = [r for r in regions(ros) if r[0] + r[1] == STACK_TOP]  # the partner's
+        assert stacks == [(STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES, True)]
         kinds = [kind for _, kind, _, _, _ in rows(booted.log)]
         assert "AsyncCall" in kinds
         assert THREAD_CREATE in kinds
@@ -390,12 +387,12 @@ class TestSpawn:
 
     def test_spawn_payload_names_twin(self, booted):
         ros = booted.ros
-        before = list(ros.proc.vm_regions)
+        before = regions(ros)
         partner = ros.spawn_hrt("helper")
         twin = booted.hrt.threads[partner.hrt_thread]
         assert (twin.partner, twin.parent) == (partner.tid, None)
-        (stack,) = [r for r in ros.proc.vm_regions if r not in before]
-        assert (stack.base, stack.length) == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES)
+        (stack,) = [r for r in regions(ros) if r not in before]
+        assert stack == (STACK_TOP - DEFAULT_STACK_BYTES, DEFAULT_STACK_BYTES, True)
         create, call = rows(booted.log)[-2:]  # (cycle, kind, origin, detail, cost)
         assert create[1:4] == (
             THREAD_CREATE,

@@ -10,7 +10,7 @@ import pytest
 from hrtsim.errors import ParseError, UsageError, text_lines
 from hrtsim.mem import READ, WRITE
 from hrtsim.ros import MMAP_BASE
-from hrtsim.sim import Mode, _from_last, run
+from hrtsim.sim import Mode, run
 from hrtsim.workload import Action, parse_workload
 
 from test_golden import GOLDEN
@@ -412,18 +412,22 @@ class TestAddrExpr:
     def test_last_with_offset(self):
         program = parse_workload("thread main ros\n  touch last+0x20 w\n  exit\nend\n")
         assert program.bodies["main"].actions[0] == Action("touch", 0x20, WRITE, None)
-        assert _from_last(0x7000, 0x20) == 0x7020
         text = "thread main ros\n  mmap 4096\n  touch last+0x20 w\n  exit\nend\n"
         report = run(None, text, Mode.VIRTUAL)
         assert f"detail=pf:0x{MMAP_BASE + 0x20:x}:w" in report.log_text
 
     def test_last_without_mmap(self):
-        # A run-time misuse, not malformed text.
-        with pytest.raises(UsageError):
-            _from_last(None, 0)
-        program = parse_workload("thread main ros\n  touch last r\n  exit\nend\n")
-        with pytest.raises(UsageError, match="'last' used before any mmap"):
-            run(None, program, Mode.VIRTUAL)
+        # A run-time misuse, not malformed text, wherever a step resolves it:
+        # a touch on either side, and a call's payload.
+        hrt = "thread main ros\n  spawn w\n  join w\n  exit\nend\nthread w hrt\n  {}\n  exit\nend\n"
+        for text, mode in [
+            ("thread main ros\n  touch last r\n  exit\nend\n", Mode.VIRTUAL),
+            ("thread main ros\n  munmap last 4096\n  exit\nend\n", Mode.VIRTUAL),
+            (hrt.format("touch last+8 w"), Mode.MULTIVERSE),
+            (hrt.format("munmap last 4096"), Mode.MULTIVERSE),
+        ]:
+            with pytest.raises(UsageError, match="'last' used before any mmap"):
+                run(None, parse_workload(text), mode)
 
 
 class TestSteps:

@@ -6,10 +6,10 @@ peak of one benchmark workload, in one source tree.
 The simulator is imported from DIR/src and the workload text generated by
 DIR/perfbench/workloads.py, so two checkouts can be compared phase by
 phase.  Each run goes the way `perfbench/run.py` times one: parse, then
-`Simulator.setup` and `execute` in multiverse on the workload's machine,
-or the default one when the workload names none (a `compare` workload is
-run the same way, once).  The JSON object printed on standard output
-holds:
+`Simulator.setup` and `execute` in multiverse on the workload's machine;
+a `compare` workload runs `compare(None, ...)` on its parsed text, so
+both modes, each on the default machine, and the tabulation.  The JSON
+object printed on standard output holds:
 
 - `phases_us`: per phase, the median and [q1, q3] over `--runs` runs, in
   host microseconds, raw.  Each phase is timed on its own, right after
@@ -22,7 +22,8 @@ holds:
     decodes the fat binary (absent otherwise);
   - `install_boot`: `HrtKernel.install_image` and `HrtKernel.boot`;
   - `merge`: the merge request's hypercall;
-  - `run`: `Simulator.execute`, the report and the rendered log included.
+  - `run`: `Simulator.execute`, the report and the rendered log included
+    (of both modes, for a `compare` workload).
 - `self_s`: seconds per run under `cProfile`, by module (`hrtsim.*`,
   or `other`); the time of a built-in function goes to the modules that
   called it, in proportion.
@@ -96,10 +97,12 @@ class Phases:
 
 
 def one_run(h, workload, parse=None):
-    """parse, set-up and run, as `perfbench/run.py` times them."""
+    """parse, set-up and run, as `perfbench/run.py` times them: the
+    multiverse report, or a `compare` workload's `Comparison`."""
     program = (parse or h.parse_workload)(workload.text)
-    frames = workload.phys_frames  # None: the default machine, as `compare(None, ...)` builds
-    system = h.System(machine=frames and h.Machine(phys_frames=frames))
+    if workload.compare:
+        return h.compare(None, program)
+    system = h.System(machine=h.Machine(phys_frames=workload.phys_frames))
     sim = h.sim.Simulator(system, program, h.Mode.MULTIVERSE)
     sim.setup()
     return sim.execute()
